@@ -338,9 +338,35 @@ def _v_rule(h: int) -> LaurentPoly:
 def md_star_weight_sum_general(
     k: int, up_rule: WeightRule, down_rule: WeightRule, cutoff: int | None = None
 ) -> LaurentPoly:
+    """Sum of ``MarkedDyckPath.weight`` over ``enum_md_star(k)``.
+
+    Still brute force: the marked paths without marked peaks are walked depth
+    first, one leaf per path, and each leaf's weight is added to the total.
+    Paths that share a prefix share its partial product, so every tree edge
+    costs at most one multiply; the rules are evaluated once per height
+    1..k.  Nothing is memoised across (height, remaining, last step) states,
+    which would turn this oracle into the transfer-matrix recurrence it is
+    checked against.
+    """
+    _check_cutoff("md_star", k, cutoff)
+    up = [ONE] + [up_rule(h) for h in range(1, k + 1)]
+    down = [ONE] + [down_rule(h) for h in range(1, k + 1)]
     total = ZERO
-    for p in enum_md_star(k, cutoff):
-        total = total + p.weight(up_rule, down_rule)
+
+    def walk(w: LaurentPoly, h: int, remaining: int, after_marked_up: bool) -> None:
+        nonlocal total
+        if remaining == 0:
+            total = total + w
+            return
+        if h + 1 <= remaining - 1:
+            walk(w * up[h + 1], h + 1, remaining - 1, False)
+            walk(w, h + 1, remaining - 1, True)
+        if h > 0:
+            walk(w * down[h], h - 1, remaining - 1, False)
+            if not after_marked_up:  # a marked down step here would close a marked peak
+                walk(w, h - 1, remaining - 1, False)
+
+    walk(ONE, 0, 2 * k, False)
     return total
 
 

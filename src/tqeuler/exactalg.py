@@ -14,6 +14,7 @@ they may be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -60,6 +61,11 @@ class LaurentPoly:
     integer coefficients.  The representation is canonical (zero coefficients
     are stripped eagerly), so equality is plain structural equality of the
     term maps.
+
+    The constructor validates its input: exponents and coefficients must be
+    integers (anything accepted by :func:`operator.index`), otherwise
+    ``TypeError`` is raised.  Ring operations, whose results are canonical by
+    construction, bypass it through :meth:`_trusted`.
     """
 
     __slots__ = ("_terms",)
@@ -68,9 +74,22 @@ class LaurentPoly:
         clean: dict[ExpPair, int] = {}
         if terms:
             for (et, eq), c in terms.items():
+                e = (index(et), index(eq))
+                c = index(c)
                 if c:
-                    clean[(int(et), int(eq))] = int(c)
+                    clean[e] = c
         self._terms = clean
+
+    @classmethod
+    def _trusted(cls, terms: dict[ExpPair, int]) -> "LaurentPoly":
+        """Wrap an already-canonical term dict without copying or checking it.
+
+        ``terms`` must have int exponent pairs and no zero coefficient, and the
+        caller must not keep a reference to it.
+        """
+        p = object.__new__(cls)
+        p._terms = terms
+        return p
 
     # -- basic structure ---------------------------------------------------
 
@@ -103,7 +122,7 @@ class LaurentPoly:
     def _coerce(value: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(value, LaurentPoly):
             return value
-        return const(value)
+        return const(index(value))
 
     # -- ring operations -----------------------------------------------------
 
@@ -116,18 +135,26 @@ class LaurentPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return LaurentPoly(out)
+        return LaurentPoly._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
+        return LaurentPoly._trusted({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        out = dict(self._terms)
+        for e, c in other._terms.items():
+            s = out.get(e, 0) - c
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return LaurentPoly._trusted(out)
 
     def __rsub__(self, other: int) -> "LaurentPoly":
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         other = self._coerce(other)
@@ -140,7 +167,7 @@ class LaurentPoly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return LaurentPoly(out)
+        return LaurentPoly._trusted(out)
 
     __rmul__ = __mul__
 

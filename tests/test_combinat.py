@@ -28,10 +28,12 @@ from tqeuler.combinat import (
     md_star_weight_sum_general,
     sop_weight_sum,
     to_debug_json,
+    _u_rule,
+    _v_rule,
 )
 from tqeuler.exactalg import LaurentPoly, ONE, Q, T, ZERO, const, monomial
 from tqeuler.formulas import tk_recurrence
-from tqeuler.qkit import ballot, gauss_binom, q_int
+from tqeuler.qkit import ballot, gauss_binom, q_int, tq_factor
 
 ONE_MINUS_Q = ONE - Q
 
@@ -148,6 +150,30 @@ class TestMarkedDyck:
                         k, lambda h: up(h) - ONE, lambda h: down(h) - ONE
                     )
                 assert lhs == rhs
+
+
+    # The reference sum over enum_md_star(6) costs several seconds per rule
+    # pair, so k = 6 is checked for the cheapest pair only.
+    @pytest.mark.parametrize(
+        "up, down, max_k",
+        [
+            (_u_rule, _v_rule, 6),
+            (lambda h: q_int(h) - ONE, lambda h: q_int(h) - ONE, 5),
+            (q_int, tq_factor, 5),
+        ],
+        ids=["u-v", "ballot-q-int", "q-int-tq-factor"],
+    )
+    def test_oracle_matches_reference(self, up, down, max_k):
+        for k in range(max_k + 1):
+            ref = ZERO
+            for p in enum_md_star(k):
+                ref = ref + p.weight(up, down)
+            assert md_star_weight_sum_general(k, up, down) == ref
+
+    def test_oracle_cutoff(self, monkeypatch):
+        monkeypatch.delenv("TQEULER_MAX_CUTOFF", raising=False)
+        with pytest.raises(CutoffExceededError):
+            md_star_weight_sum_general(7, _u_rule, _v_rule)
 
 
 class TestDeltaConfigs:

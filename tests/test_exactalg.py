@@ -67,6 +67,47 @@ class TestAddMul:
         assert Q + 1 == ONE + Q
 
 
+class TestIntegerInput:
+    """Non-integer input raises instead of being truncated by ``int()``."""
+
+    def test_float_scalar(self):
+        with pytest.raises(TypeError):
+            Q * 2.5
+
+    def test_fraction_scalar(self):
+        with pytest.raises(TypeError):
+            Q * Fraction(1, 2)
+
+    def test_float_coefficient(self):
+        with pytest.raises(TypeError):
+            LaurentPoly({(0, 0): 1.9})
+
+    def test_float_exponent(self):
+        with pytest.raises(TypeError):
+            LaurentPoly({(0.7, 1): 3})
+
+
+def assert_canonical(p):
+    for (et, eq), c in p.terms.items():
+        assert type(et) is int and type(eq) is int and type(c) is int
+        assert c != 0
+    assert p == LaurentPoly(dict(p.terms))
+
+
+class TestTrustedResults:
+    """Ring operations skip validation, so their results must already be canonical."""
+
+    @given(laurent_polys(), laurent_polys())
+    def test_results_canonical(self, a, b):
+        for result in (a + b, a - b, b - a, 3 - a, -a, a * b):
+            assert_canonical(result)
+
+    @given(laurent_polys(), laurent_polys())
+    def test_sub_is_add_negation(self, a, b):
+        assert a - b == a + (-b)
+        assert 3 - a == const(3) + (-a)
+
+
 class TestDivision:
     def test_linear(self):
         num = ONE - monomial(1, 0, 2)

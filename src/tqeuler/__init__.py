@@ -20,6 +20,7 @@ from .exactalg import (
     ONE,
     T,
     Q,
+    ONE_MINUS_Q,
 )
 from .qkit import (
     QSymbolSpec,

@@ -18,7 +18,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
-from .exactalg import LaurentPoly, ONE, ZERO, Series
+from .exactalg import LaurentPoly, ONE, ONE_MINUS_Q, ZERO, Series, _shifts, _slot_bytes, _unpack
 
 __all__ = [
     "SFractionSpec",
@@ -51,26 +51,95 @@ def sfrac_moments(coeff_fn: Callable[[int], LaurentPoly], order: int) -> list[La
     """Moments ``mu_0 .. mu_order`` of the S-fraction with coefficients ``c_h``.
 
     Walks all lattice prefixes step by step: up steps carry weight 1, a down
-    step from height h carries ``c_h``.  Heights above ``order`` cannot
-    contribute to any requested moment and are pruned, giving O(order**2)
-    polynomial multiplications overall.
+    step from height h carries ``c_h``.  A prefix at step s and height h only
+    matters if it can still return to height 0 by step ``2*order``, so heights
+    above ``min(order, 2*order - s)`` are pruned.
+
+    The state at each height is one packed int (see ``exactalg._pack``), so an
+    up step is an int addition and a down step is a sum of shifted integer
+    multiples, one per term of ``c_h``; no polynomial is built until the
+    moments are unpacked.  The layout is derived before the walk:
+
+    * Every ``c_h`` is divided by ``t**tmin * q**qmin``, the smallest exponents
+      over all ``c_h``, so every exponent is nonnegative.  A path to moment m
+      has exactly m down steps, so moment m is multiplied back by
+      ``t**(m*tmin) * q**(m*qmin)``.
+    * The degree box of each moment comes from a max-plus pass over the same
+      lattice; the row stride exceeds every moment's q-degree.
+    * Moment m is a sum over at most 4**m Dyck paths of products of m
+      coefficients, so each of its coefficients is at most
+      ``(4 * max_h |c_h|_1)**order`` in magnitude; the slot width holds that
+      plus a sign bit (4*order + 2 bits for :func:`euler_coeff`).
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    c = {h: coeff_fn(h) for h in range(1, order + 1)}
-    state: dict[int, LaurentPoly] = {0: ONE}
+    c = {h: LaurentPoly._coerce(coeff_fn(h)).terms for h in range(1, order + 1)}
+    live = [terms for terms in c.values() if terms]
+    if not live:
+        return [ONE] + [ZERO] * order
+    tmin = min(et for terms in live for et, _ in terms)
+    qmin = min(eq for terms in live for _, eq in terms)
+    norm = max(sum(map(abs, terms.values())) for terms in live)
+    width = _slot_bytes((4 * norm) ** order)
+
+    # Max-plus pass: the largest shifted t- and q-exponent reachable at each
+    # lattice point; None marks a point no nonzero path reaches.
+    tdeg = {h: max(et for et, _ in terms) - tmin for h, terms in c.items() if terms}
+    qdeg = {h: max(eq for _, eq in terms) - qmin for h, terms in c.items() if terms}
+    reach: list[tuple[int, int] | None] = [(0, 0)]
+    boxes = [(0, 0)]
+    for step in range(1, 2 * order + 1):
+        top = min(order, 2 * order - step)
+        nxt: list[tuple[int, int] | None] = [None] * (top + 1)
+        for h, here in enumerate(reach):
+            if here is None:
+                continue
+            if h + 1 <= top:
+                nxt[h + 1] = _max_pair(nxt[h + 1], here)
+            if h >= 1 and h in tdeg:
+                nxt[h - 1] = _max_pair(nxt[h - 1], (here[0] + tdeg[h], here[1] + qdeg[h]))
+        reach = nxt
+        if step % 2 == 0:
+            boxes.append(reach[0])
+    stride = max(box[1] for box in boxes if box is not None) + 1
+
+    # The walk itself, on packed ints: the down step from h sums one shifted
+    # multiple of the state per term of c_h.
+    down = {h: _shifts(terms, tmin, qmin, stride, width) for h, terms in c.items()}
+    state = [1]
     moments = [ONE]
     for step in range(1, 2 * order + 1):
-        nxt: dict[int, LaurentPoly] = {}
-        for h, w in state.items():
-            if h + 1 <= order:
-                nxt[h + 1] = nxt.get(h + 1, ZERO) + w
+        top = min(order, 2 * order - step)
+        nxt_state = [0] * (top + 1)
+        for h, x in enumerate(state):
+            if not x:
+                continue
+            if h + 1 <= top:
+                nxt_state[h + 1] += x
             if h >= 1:
-                nxt[h - 1] = nxt.get(h - 1, ZERO) + w * c[h]
-        state = {h: w for h, w in nxt.items() if not w.is_zero()}
+                acc = nxt_state[h - 1]
+                for coef, shift in down[h]:
+                    if coef == 1:
+                        acc += x << shift
+                    elif coef == -1:
+                        acc -= x << shift
+                    else:
+                        acc += (coef * x) << shift
+                nxt_state[h - 1] = acc
+        state = nxt_state
         if step % 2 == 0:
-            moments.append(state.get(0, ZERO))
+            m = step // 2
+            box = boxes[m]
+            if box is None:
+                moments.append(ZERO)
+            else:
+                terms = _unpack(state[0], width, stride, box[0] + 1, box[1] + 1, m * tmin, m * qmin)
+                moments.append(LaurentPoly._trusted(terms))
     return moments
+
+
+def _max_pair(a: tuple[int, int] | None, b: tuple[int, int]) -> tuple[int, int]:
+    return b if a is None else (max(a[0], b[0]), max(a[1], b[1]))
 
 
 def sfrac_expand(spec: SFractionSpec) -> Series:
@@ -120,15 +189,11 @@ def dn_hat(n: int) -> LaurentPoly:
     return _dn_cache[n]
 
 
-def _one_minus_q_power(n: int) -> LaurentPoly:
-    return LaurentPoly({(0, 0): 1, (0, 1): -1}) ** n
-
-
 def en_even_q(n: int) -> LaurentPoly:
     """The classical q-secant value E_{2n}(q), via ``euler_hat(n)`` at t = 1."""
-    return euler_hat(n).substitute_t(1, 0).divide_exact(_one_minus_q_power(2 * n))
+    return euler_hat(n).substitute_t(1, 0).divide_exact(ONE_MINUS_Q ** (2 * n))
 
 
 def en_odd_q(n: int) -> LaurentPoly:
     """The classical q-tangent value E_{2n+1}(q), via ``euler_hat(n)`` at t = q."""
-    return euler_hat(n).substitute_t(1, 1).divide_exact(_one_minus_q_power(2 * n))
+    return euler_hat(n).substitute_t(1, 1).divide_exact(ONE_MINUS_Q ** (2 * n))

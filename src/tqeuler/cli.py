@@ -14,9 +14,7 @@ import sys
 import time
 
 from . import cfrac, combinat, formulas, qkit, registry
-from .exactalg import LaurentPoly
-
-_ONE_MINUS_Q = LaurentPoly({(0, 0): 1, (0, 1): -1})
+from .exactalg import ONE_MINUS_Q, LaurentPoly
 
 
 def _fail(msg: str) -> int:
@@ -60,7 +58,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         elif target == "d":
             poly = cfrac.dn_hat(n)
             if not args.normalized:
-                poly = poly.divide_exact(_ONE_MINUS_Q**n)
+                poly = poly.divide_exact(ONE_MINUS_Q**n)
         elif target == "e-even":
             poly = cfrac.en_even_q(n)
         elif target == "e-odd":

@@ -21,6 +21,7 @@ from typing import Callable
 from .exactalg import (
     LaurentPoly,
     ONE,
+    ONE_MINUS_Q,
     ZERO,
     ZeroDenominatorError,
     monomial,
@@ -68,7 +69,6 @@ __all__ = [
     "ZENG_SAMPLE_POINTS",
 ]
 
-_ONE_MINUS_Q = LaurentPoly({(0, 0): 1, (0, 1): -1})
 _ONE_PLUS_Q = LaurentPoly({(0, 0): 1, (0, 1): 1})
 
 
@@ -290,7 +290,7 @@ def secant_hat_closed(n: int) -> LaurentPoly:
 
 def a_k_inverse(k: int) -> LaurentPoly:
     """The polynomial ``A_k(1/q)``, recovered by exact division."""
-    return (monomial(-1, 0, 1) * a_k_poly(k).invert_variables()).divide_exact(_ONE_MINUS_Q)
+    return (monomial(-1, 0, 1) * a_k_poly(k).invert_variables()).divide_exact(ONE_MINUS_Q)
 
 
 def tangent_hat_closed(n: int) -> LaurentPoly:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import cfrac, combinat, formulas, qkit
-from .exactalg import LaurentPoly, ONE, ZERO, const, monomial
+from .exactalg import LaurentPoly, ONE, ONE_MINUS_Q, ZERO, const, monomial
 
 __all__ = [
     "Bounds",
@@ -43,8 +43,6 @@ HARD_MAX_B = 8
 SECANT_NUMBERS = (1, 1, 5, 61, 1385)
 TANGENT_NUMBERS = (1, 2, 16, 272, 7936)
 ODD_DOUBLE_FACTORIALS = (1, 1, 3, 15, 105, 945)
-
-_ONE_MINUS_Q = LaurentPoly({(0, 0): 1, (0, 1): -1})
 
 
 class RegistryConfigError(ValueError):
@@ -243,7 +241,7 @@ def _chk_secant_original(p: dict):
 def _chk_tangent_original(p: dict):
     return _eq(
         formulas.tangent_hat_original(p["n"]),
-        _ONE_MINUS_Q * formulas.tangent_hat_closed(p["n"]),
+        ONE_MINUS_Q * formulas.tangent_hat_closed(p["n"]),
     )
 
 
@@ -322,7 +320,7 @@ def _chk_tk_at_minus_one(p: dict):
 def _chk_tk_at_q(p: dict):
     k = p["k"]
     lhs = formulas.tk_special(formulas.SpecializationKey(1, 1), k)
-    rhs = qkit.a_k_poly(k).divide_exact(_ONE_MINUS_Q)
+    rhs = qkit.a_k_poly(k).divide_exact(ONE_MINUS_Q)
     return _eq(lhs, rhs)
 
 
@@ -435,9 +433,9 @@ def _chk_euler_t_zero(p: dict):
 def _chk_euler_t_minus_one(p: dict):
     n = p["n"]
     lhs = cfrac.euler_hat(n).substitute_t(-1, 0)
-    dn = cfrac.dn_hat(n).divide_exact(_ONE_MINUS_Q**n)
+    dn = cfrac.dn_hat(n).divide_exact(ONE_MINUS_Q**n)
     one_plus_q = LaurentPoly({(0, 0): 1, (0, 1): 1})
-    rhs = one_plus_q**n * _ONE_MINUS_Q**n * dn.scale_q(2)
+    rhs = one_plus_q**n * ONE_MINUS_Q**n * dn.scale_q(2)
     return _eq(lhs, rhs)
 
 
@@ -469,7 +467,7 @@ def _chk_tangent_anchor(p: dict):
 
 def _chk_dn_anchor(p: dict):
     n = p["n"]
-    dn = cfrac.dn_hat(n).divide_exact(_ONE_MINUS_Q**n)
+    dn = cfrac.dn_hat(n).divide_exact(ONE_MINUS_Q**n)
     value = dn.evaluate(1, 1)
     oracle = combinat.dyck_weight_sum(n, lambda h: ONE, lambda h: const(h)).evaluate(1, 1)
     ok = value == ODD_DOUBLE_FACTORIALS[n] == oracle

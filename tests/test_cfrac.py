@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tqeuler.cfrac import (
     SFractionSpec,
@@ -16,6 +17,63 @@ from tqeuler.exactalg import LaurentPoly, ONE, Q, T, ZERO, const
 from tqeuler.qkit import q_int
 
 ONE_MINUS_Q = ONE - Q
+
+
+def sfrac_moments_dict(coeff_fn, order):
+    """The moment DP on LaurentPoly values: the reference for the packed DP."""
+    c = {h: coeff_fn(h) for h in range(1, order + 1)}
+    state = {0: ONE}
+    moments = [ONE]
+    for step in range(1, 2 * order + 1):
+        nxt = {}
+        for h, w in state.items():
+            if h + 1 <= order:
+                nxt[h + 1] = nxt.get(h + 1, ZERO) + w
+            if h >= 1:
+                nxt[h - 1] = nxt.get(h - 1, ZERO) + w * c[h]
+        state = {h: w for h, w in nxt.items() if not w.is_zero()}
+        if step % 2 == 0:
+            moments.append(state.get(0, ZERO))
+    return moments
+
+
+@pytest.mark.parametrize(
+    "coeff_fn",
+    [euler_coeff, lambda h: LaurentPoly({(0, 0): 1, (0, h): -1})],
+    ids=["euler", "dn"],
+)
+def test_packed_dp_matches_dict_dp(coeff_fn):
+    reference = sfrac_moments_dict(coeff_fn, 12)
+    for n in range(13):
+        assert sfrac_moments(coeff_fn, n) == reference[: n + 1]
+
+
+@st.composite
+def coefficient_tables(draw):
+    """c_1 .. c_order with negative exponents, zero entries and large coefficients."""
+    order = draw(st.integers(0, 6))
+    big = draw(st.sampled_from([3, 2**70]))
+    table = []
+    for _ in range(order):
+        terms = {}
+        for _ in range(draw(st.integers(0, 4))):
+            e = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+            terms[e] = draw(st.integers(-big, big))
+        table.append(LaurentPoly(terms))
+    return table
+
+
+@settings(deadline=None)
+@given(coefficient_tables())
+def test_packed_dp_matches_dict_dp_on_tables(table):
+    def coeff_fn(h):
+        return table[h - 1]
+
+    assert sfrac_moments(coeff_fn, len(table)) == sfrac_moments_dict(coeff_fn, len(table))
+
+
+def test_int_coefficients():
+    assert sfrac_moments(lambda h: 2, 3) == [ONE, const(2), const(8), const(40)]
 
 
 def test_catalan_moments():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,8 @@ from tqeuler.exactalg import (
     div_exact,
     monomial,
 )
+from tqeuler import exactalg
+from tqeuler.exactalg import _PACK_MIN, _box, _mul_dict, _mul_packed, _slot_bytes, _unpack
 
 ONE_MINUS_Q = LaurentPoly({(0, 0): 1, (0, 1): -1})
 T1 = LaurentPoly({(0, 0): 1, (0, 1): -1, (1, 1): -1})  # 1 - q - t*q
@@ -106,6 +109,85 @@ class TestTrustedResults:
     def test_sub_is_add_negation(self, a, b):
         assert a - b == a + (-b)
         assert 3 - a == const(3) + (-a)
+
+
+def packed(a, b):
+    return _mul_packed(a.terms, _box(a.terms), b.terms, _box(b.terms))
+
+
+@st.composite
+def pack_operands(draw):
+    """Nonzero polynomials, univariate in t or q or bivariate, small or huge coefficients."""
+    shape = draw(st.sampled_from(["tq", "t", "q"]))
+    big = draw(st.sampled_from([9, 2**40, 2**200]))
+    exps = st.integers(-4, 4)
+    terms = {}
+    for _ in range(draw(st.integers(1, 24))):
+        et = draw(exps) if shape != "q" else 0
+        eq = draw(exps) if shape != "t" else 0
+        terms[(et, eq)] = draw(st.integers(-big, big).filter(bool))
+    return LaurentPoly(terms)
+
+
+class TestPackedMul:
+    """The Kronecker path against the schoolbook dict loop it replaces."""
+
+    @given(pack_operands(), pack_operands())
+    def test_matches_dict_reference(self, a, b):
+        assert packed(a, b) == _mul_dict(a.terms, b.terms)
+        assert (a * b).terms == _mul_dict(a.terms, b.terms)
+
+    def test_cancelling_slots(self):
+        # (1 + q + ... + q^9)(1 - q + ... - q^9) = (1 - q^10)(1 + q^2 + ... + q^8)
+        a = LaurentPoly({(0, i): 1 for i in range(10)})
+        b = LaurentPoly({(0, i): (-1) ** i for i in range(10)})
+        product = packed(a, b)
+        assert product == _mul_dict(a.terms, b.terms)
+        assert sorted(product) == [(0, e) for e in range(0, 20, 2)]
+
+    def test_selection_rule(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _mul_packed(*args)
+
+        monkeypatch.setattr(exactalg, "_mul_packed", spy)
+        dense = LaurentPoly({(i // 3, i % 3 - 1): i + 1 for i in range(_PACK_MIN)})
+        small = LaurentPoly({(i, 0): 1 for i in range(_PACK_MIN - 1)})
+        # product box 71 x 71 > 8 * 8 term pairs: sparse, stays on the dict path
+        sparse_t = LaurentPoly({(10 * i, 0): 1 for i in range(_PACK_MIN)})
+        sparse_q = LaurentPoly({(0, -10 * i): 1 for i in range(_PACK_MIN)})
+        assert (dense * small).terms == _mul_dict(dense.terms, small.terms)
+        assert (sparse_t * sparse_q).terms == _mul_dict(sparse_t.terms, sparse_q.terms)
+        assert calls == []
+        assert (dense * dense).terms == _mul_dict(dense.terms, dense.terms)
+        assert len(calls) == 1
+        assert packed(sparse_t, sparse_q) == _mul_dict(sparse_t.terms, sparse_q.terms)
+
+    @pytest.mark.parametrize("width", [8, 16])
+    def test_bound_reached_exactly(self, width):
+        # The centre coefficient of (M * sum q^i)^2 is n * M^2, which is the
+        # derived bound |a|_1 * max|b|; M is the largest value for which that
+        # bound still fits ``width`` bytes, so only the sign bit is spare.
+        n = 8
+        m = math.isqrt(((1 << (8 * width - 1)) - 1) // n)
+        bound = n * m * m
+        assert _slot_bytes(bound) == width
+        assert bound.bit_length() == 8 * width - 1
+        assert _slot_bytes(1 << (8 * width - 1)) > width  # 8 * width bits leave no sign bit
+        a = LaurentPoly({(0, i): m for i in range(n)})
+        for b in (a, -a):
+            product = packed(a, b)
+            assert product == _mul_dict(a.terms, b.terms)
+            assert abs(product[(0, n - 1)]) == bound
+
+    def test_unpack_rejects_value_outside_box(self):
+        # 2 rows by 3 columns with stride 4: 7 one-byte slots
+        assert _unpack(-5 << 48, 1, 4, 2, 3, 0, 0) == {(1, 2): -5}
+        for value in (1 << 56, -(1 << 56) - 1, 128 << 48, -129 << 48):
+            with pytest.raises(OverflowError):
+                _unpack(value, 1, 4, 2, 3, 0, 0)
 
 
 class TestDivision:

@@ -18,7 +18,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
-from .exactalg import LaurentPoly, ONE, ONE_MINUS_Q, ZERO, Series, _shifts, _slot_bytes, _unpack
+from .exactalg import LaurentPoly, ONE, ONE_MINUS_Q, ZERO, Series, _Layout
 
 __all__ = [
     "SFractionSpec",
@@ -55,7 +55,7 @@ def sfrac_moments(coeff_fn: Callable[[int], LaurentPoly], order: int) -> list[La
     matters if it can still return to height 0 by step ``2*order``, so heights
     above ``min(order, 2*order - s)`` are pruned.
 
-    The state at each height is one packed int (see ``exactalg._pack``), so an
+    The state at each height is one packed int (see ``exactalg._Layout``), so an
     up step is an int addition and a down step is a sum of shifted integer
     multiples, one per term of ``c_h``; no polynomial is built until the
     moments are unpacked.  The layout is derived before the walk:
@@ -80,7 +80,6 @@ def sfrac_moments(coeff_fn: Callable[[int], LaurentPoly], order: int) -> list[La
     tmin = min(et for terms in live for et, _ in terms)
     qmin = min(eq for terms in live for _, eq in terms)
     norm = max(sum(map(abs, terms.values())) for terms in live)
-    width = _slot_bytes((4 * norm) ** order)
 
     # Max-plus pass: the largest shifted t- and q-exponent reachable at each
     # lattice point; None marks a point no nonzero path reaches.
@@ -102,10 +101,11 @@ def sfrac_moments(coeff_fn: Callable[[int], LaurentPoly], order: int) -> list[La
         if step % 2 == 0:
             boxes.append(reach[0])
     stride = max(box[1] for box in boxes if box is not None) + 1
+    layout = _Layout.fitting(stride, (4 * norm) ** order)
 
     # The walk itself, on packed ints: the down step from h sums one shifted
     # multiple of the state per term of c_h.
-    down = {h: _shifts(terms, tmin, qmin, stride, width) for h, terms in c.items()}
+    down = {h: layout.shifts(terms, tmin, qmin) for h, terms in c.items()}
     state = [1]
     moments = [ONE]
     for step in range(1, 2 * order + 1):
@@ -119,6 +119,7 @@ def sfrac_moments(coeff_fn: Callable[[int], LaurentPoly], order: int) -> list[La
             if h >= 1:
                 acc = nxt_state[h - 1]
                 for coef, shift in down[h]:
+                    # every term of euler_coeff is +-1, which needs no scaled copy of x
                     if coef == 1:
                         acc += x << shift
                     elif coef == -1:
@@ -133,7 +134,8 @@ def sfrac_moments(coeff_fn: Callable[[int], LaurentPoly], order: int) -> list[La
             if box is None:
                 moments.append(ZERO)
             else:
-                terms = _unpack(state[0], width, stride, box[0] + 1, box[1] + 1, m * tmin, m * qmin)
+                mbox = (m * tmin, m * tmin + box[0], m * qmin, m * qmin + box[1])
+                terms = layout.unpack(state[0], mbox)
                 moments.append(LaurentPoly._trusted(terms))
     return moments
 

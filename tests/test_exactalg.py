@@ -20,7 +20,16 @@ from tqeuler.exactalg import (
     monomial,
 )
 from tqeuler import exactalg
-from tqeuler.exactalg import _PACK_MIN, _box, _mul_dict, _mul_packed, _slot_bytes, _unpack
+from tqeuler.exactalg import (
+    _PACK_MIN,
+    _Layout,
+    _box,
+    _mul_dict,
+    _mul_packed,
+    _slot_bytes,
+    _to_int,
+    _to_slots,
+)
 
 ONE_MINUS_Q = LaurentPoly({(0, 0): 1, (0, 1): -1})
 T1 = LaurentPoly({(0, 0): 1, (0, 1): -1, (1, 1): -1})  # 1 - q - t*q
@@ -165,7 +174,7 @@ class TestPackedMul:
         assert len(calls) == 1
         assert packed(sparse_t, sparse_q) == _mul_dict(sparse_t.terms, sparse_q.terms)
 
-    @pytest.mark.parametrize("width", [8, 16])
+    @pytest.mark.parametrize("width", [1, 2, 4, 8, 16])
     def test_bound_reached_exactly(self, width):
         # The centre coefficient of (M * sum q^i)^2 is n * M^2, which is the
         # derived bound |a|_1 * max|b|; M is the largest value for which that
@@ -182,12 +191,33 @@ class TestPackedMul:
             assert product == _mul_dict(a.terms, b.terms)
             assert abs(product[(0, n - 1)]) == bound
 
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_slot_conversion_roundtrip(self, width):
+        top = (1 << (8 * width)) - 1
+        slots = [0, 1, top, top >> 1, 1 << (8 * width - 1), 0]
+        value = _to_int(slots, width)
+        assert value == sum(v << (8 * width * k) for k, v in enumerate(slots))
+        assert list(_to_slots(value, width, len(slots))) == slots
+
+    @given(pack_operands(), pack_operands())
+    def test_per_slot_conversion_matches(self, a, b):
+        # Without array typecodes (as on big-endian machines) every width
+        # converts per slot; the product must not change.
+        reference = packed(a, b)
+        saved = dict(exactalg._TYPECODES)
+        exactalg._TYPECODES.clear()
+        try:
+            assert packed(a, b) == reference == _mul_dict(a.terms, b.terms)
+        finally:
+            exactalg._TYPECODES.update(saved)
+
     def test_unpack_rejects_value_outside_box(self):
         # 2 rows by 3 columns with stride 4: 7 one-byte slots
-        assert _unpack(-5 << 48, 1, 4, 2, 3, 0, 0) == {(1, 2): -5}
+        layout, box = _Layout(stride=4, width=1), (0, 1, 0, 2)
+        assert layout.unpack(-5 << 48, box) == {(1, 2): -5}
         for value in (1 << 56, -(1 << 56) - 1, 128 << 48, -129 << 48):
             with pytest.raises(OverflowError):
-                _unpack(value, 1, 4, 2, 3, 0, 0)
+                layout.unpack(value, box)
 
 
 class TestDivision:

@@ -11,7 +11,7 @@ for ident in identity_ids():
     print("  ", ident)
 
 print()
-report = run_verification(max_n=4, max_k=4, max_b=2, jobs=2)
+report = run_verification(max_n=4, max_k=4, max_b=2)
 print("sample of cases:")
 for case in report.cases[:8]:
     print(f"  {case.status:<7} {case.id:<22} {case.params}")

@@ -9,13 +9,10 @@ cross-verifies all routes against each other to exact polynomial equality.
 
 from .exactalg import (
     LaurentPoly,
-    Series,
     NonDivisibleError,
-    NotInvertibleError,
     ZeroDenominatorError,
     monomial,
     const,
-    div_exact,
     ZERO,
     ONE,
     T,
@@ -34,7 +31,7 @@ from .qkit import (
     a_k_poly,
     square_sum,
 )
-from .cfrac import SFractionSpec, sfrac_expand, sfrac_moments, euler_hat, dn_hat, en_even_q, en_odd_q
+from .cfrac import sfrac_moments, euler_hat, dn_hat, en_even_q, en_odd_q
 from .combinat import (
     CutoffExceededError,
     InvalidEndpointError,
@@ -43,7 +40,7 @@ from .combinat import (
     DeltaConfig,
     Overpartition,
 )
-from .formulas import SpecializationKey, TkValue, tk_recurrence, tk_closed, tk_special
+from .formulas import SpecializationKey, tk_recurrence, tk_closed, tk_special
 from .registry import run_verification, identity_ids, VerificationReport
 
 __version__ = "0.1.0"

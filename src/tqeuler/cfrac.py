@@ -14,15 +14,11 @@ with ``c_h = (1-q**h)(1-t*q**h)``) and of the Touchard-Riordan quantity
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
 from typing import Callable
 
-from .exactalg import LaurentPoly, ONE, ONE_MINUS_Q, ZERO, Series, _Layout
+from .exactalg import LaurentPoly, ONE, ONE_MINUS_Q, ZERO, _Layout
 
 __all__ = [
-    "SFractionSpec",
-    "sfrac_expand",
     "sfrac_moments",
     "euler_coeff",
     "euler_hat",
@@ -30,21 +26,6 @@ __all__ = [
     "en_even_q",
     "en_odd_q",
 ]
-
-
-@dataclass(frozen=True)
-class SFractionSpec:
-    """Coefficient rule ``h -> c_h`` (h >= 1) plus a truncation order.
-
-    Only ``c_1 .. c_order`` are ever consulted.
-    """
-
-    coeff_fn: Callable[[int], LaurentPoly]
-    order: int
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("order must be nonnegative")
 
 
 def sfrac_moments(coeff_fn: Callable[[int], LaurentPoly], order: int) -> list[LaurentPoly]:
@@ -144,11 +125,6 @@ def _max_pair(a: tuple[int, int] | None, b: tuple[int, int]) -> tuple[int, int]:
     return b if a is None else (max(a[0], b[0]), max(a[1], b[1]))
 
 
-def sfrac_expand(spec: SFractionSpec) -> Series:
-    """The S-fraction as a truncated :class:`Series` in ``x``."""
-    return Series(spec.order, sfrac_moments(spec.coeff_fn, spec.order))
-
-
 def euler_coeff(h: int) -> LaurentPoly:
     """``(1 - q**h) * (1 - t*q**h)``, the normalized fraction coefficient."""
     return LaurentPoly({(0, 0): 1, (0, h): -1}) * LaurentPoly({(0, 0): 1, (1, h): -1})
@@ -156,39 +132,32 @@ def euler_coeff(h: int) -> LaurentPoly:
 
 _euler_cache: dict[int, LaurentPoly] = {}
 _dn_cache: dict[int, LaurentPoly] = {}
-_cache_lock = threading.Lock()
 
 
-def euler_hat(n: int) -> LaurentPoly:
-    """Normalized (t,q)-Euler number ``(1-q)**(2n) * E_n(t,q)``.
+def _cached_moment(
+    cache: dict[int, LaurentPoly], coeff_fn: Callable[[int], LaurentPoly], n: int
+) -> LaurentPoly:
+    """Moment n of the fraction with coefficients ``coeff_fn``, through ``cache``.
 
-    The shared cache is write-once: concurrent callers may recompute a value
-    but always store and observe the same polynomial.
+    A miss runs the DP to order n and stores every moment up to n; stored
+    values are never replaced.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    cached = _euler_cache.get(n)
-    if cached is not None:
-        return cached
-    moments = sfrac_moments(euler_coeff, n)
-    with _cache_lock:
-        for m, value in enumerate(moments):
-            _euler_cache.setdefault(m, value)
-    return _euler_cache[n]
+    if n not in cache:
+        for m, value in enumerate(sfrac_moments(coeff_fn, n)):
+            cache.setdefault(m, value)
+    return cache[n]
+
+
+def euler_hat(n: int) -> LaurentPoly:
+    """Normalized (t,q)-Euler number ``(1-q)**(2n) * E_n(t,q)``."""
+    return _cached_moment(_euler_cache, euler_coeff, n)
 
 
 def dn_hat(n: int) -> LaurentPoly:
     """``(1-q)**n * d_n``: moments of the fraction with ``c_h = 1 - q**h``."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    cached = _dn_cache.get(n)
-    if cached is not None:
-        return cached
-    moments = sfrac_moments(lambda h: LaurentPoly({(0, 0): 1, (0, h): -1}), n)
-    with _cache_lock:
-        for m, value in enumerate(moments):
-            _dn_cache.setdefault(m, value)
-    return _dn_cache[n]
+    return _cached_moment(_dn_cache, lambda h: LaurentPoly({(0, 0): 1, (0, h): -1}), n)
 
 
 def en_even_q(n: int) -> LaurentPoly:

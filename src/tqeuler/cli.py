@@ -76,7 +76,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             max_k=args.max_k,
             max_b=args.max_b,
             select=args.select,
-            jobs=args.jobs,
         )
     except registry.RegistryConfigError as exc:
         return _fail(str(exc))
@@ -106,11 +105,7 @@ def _bench_methods(n: int):
         return formulas.euler_hat_odd_pochhammer(n)
 
     def dyck_brute():
-        return combinat.dyck_weight_sum(
-            n,
-            lambda h: LaurentPoly({(0, 0): 1, (0, h): -1}),
-            lambda h: LaurentPoly({(0, 0): 1, (1, h): -1}),
-        )
+        return combinat.dyck_weight_sum(n, combinat.euler_up, combinat.euler_down)
 
     return [
         ("moment-dp", moment_dp),
@@ -168,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--select", default=None, help="comma-separated substrings of identity ids to run"
     )
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     p_verify.add_argument("--json", default=None, metavar="PATH", help="also write a JSON report")
     p_verify.set_defaults(fn=cmd_verify)

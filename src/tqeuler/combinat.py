@@ -37,6 +37,8 @@ __all__ = [
     "enum_md_star",
     "md_star_weight_sum",
     "md_star_weight_sum_general",
+    "euler_up",
+    "euler_down",
     "enum_delta_prime",
     "delta_prime_weight_sum",
     "enum_sop",
@@ -72,18 +74,11 @@ _DEFAULT_CUTOFFS = {
 }
 
 
-def _cutoff(family: str, override: int | None) -> int:
-    if override is not None:
-        return override
-    base = _DEFAULT_CUTOFFS[family]
+def _check_cutoff(family: str, value: int) -> None:
+    cap = _DEFAULT_CUTOFFS[family]
     env = os.environ.get("TQEULER_MAX_CUTOFF")
     if env:
-        return max(base, int(env))
-    return base
-
-
-def _check_cutoff(family: str, value: int, override: int | None) -> None:
-    cap = _cutoff(family, override)
+        cap = max(cap, int(env))
     if value > cap:
         raise CutoffExceededError(f"{family} enumeration capped at {cap}, got {value}")
 
@@ -208,12 +203,12 @@ def box_size_polynomial(m: int, n: int) -> LaurentPoly:
     return out
 
 
-def dist_box_polynomial(m: int, n: int, cutoff: int | None = None) -> LaurentPoly:
+def dist_box_polynomial(m: int, n: int) -> LaurentPoly:
     """``sum x**dist(lam) * q**|lam|`` over partitions in B(m, n), by enumeration.
 
     The x variable is carried in the t exponent slot of :class:`LaurentPoly`.
     """
-    _check_cutoff("partition", max(m, n), cutoff)
+    _check_cutoff("partition", max(m, n))
     out = ZERO
     for lam in enum_partitions_in_box(m, n):
         out = out + monomial(1, lam.distinct_count(), lam.size)
@@ -242,15 +237,13 @@ def dyck_paths(n: int) -> Iterator[tuple[int, ...]]:
 WeightRule = Callable[[int], LaurentPoly]
 
 
-def dyck_weight_sum(
-    n: int, up_rule: WeightRule, down_rule: WeightRule, cutoff: int | None = None
-) -> LaurentPoly:
+def dyck_weight_sum(n: int, up_rule: WeightRule, down_rule: WeightRule) -> LaurentPoly:
     """Sum over Dyck paths of length 2n of the products of step weights.
 
     An up step between heights h-1 and h carries ``up_rule(h)``, a down step
     between h and h-1 carries ``down_rule(h)``.
     """
-    _check_cutoff("dyck", n, cutoff)
+    _check_cutoff("dyck", n)
     total = ZERO
     for path in dyck_paths(n):
         w = ONE
@@ -312,9 +305,9 @@ class MarkedDyckPath:
         return w
 
 
-def enum_md_star(k: int, cutoff: int | None = None) -> list[MarkedDyckPath]:
+def enum_md_star(k: int) -> list[MarkedDyckPath]:
     """All marked Dyck paths of length 2k without marked peaks."""
-    _check_cutoff("md_star", k, cutoff)
+    _check_cutoff("md_star", k)
     out: list[MarkedDyckPath] = []
     for path in dyck_paths(k):
         peaks = [
@@ -335,9 +328,17 @@ def _v_rule(h: int) -> LaurentPoly:
     return monomial(-1, 1, h)  # -t*q**h
 
 
-def md_star_weight_sum_general(
-    k: int, up_rule: WeightRule, down_rule: WeightRule, cutoff: int | None = None
-) -> LaurentPoly:
+def euler_up(h: int) -> LaurentPoly:
+    """``1 - q**h``, the Euler weight of an up step to height h."""
+    return LaurentPoly({(0, 0): 1, (0, h): -1})
+
+
+def euler_down(h: int) -> LaurentPoly:
+    """``1 - t*q**h``, the Euler weight of a down step from height h."""
+    return LaurentPoly({(0, 0): 1, (1, h): -1})
+
+
+def md_star_weight_sum_general(k: int, up_rule: WeightRule, down_rule: WeightRule) -> LaurentPoly:
     """Sum of ``MarkedDyckPath.weight`` over ``enum_md_star(k)``.
 
     Still brute force: the marked paths without marked peaks are walked depth
@@ -348,7 +349,7 @@ def md_star_weight_sum_general(
     which would turn this oracle into the transfer-matrix recurrence it is
     checked against.
     """
-    _check_cutoff("md_star", k, cutoff)
+    _check_cutoff("md_star", k)
     up = [ONE] + [up_rule(h) for h in range(1, k + 1)]
     down = [ONE] + [down_rule(h) for h in range(1, k + 1)]
     total = ZERO
@@ -370,10 +371,10 @@ def md_star_weight_sum_general(
     return total
 
 
-def md_star_weight_sum(k: int, cutoff: int | None = None) -> LaurentPoly:
+def md_star_weight_sum(k: int) -> LaurentPoly:
     """Weight sum over the starred family with the fixed rules
     ``(-q, -q**2, ...)`` on up steps and ``(-t*q, -t*q**2, ...)`` on down steps."""
-    return md_star_weight_sum_general(k, _u_rule, _v_rule, cutoff)
+    return md_star_weight_sum_general(k, _u_rule, _v_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +423,13 @@ def _outer_corners_in_staircase(lam: Partition, k: int) -> list[tuple[int, int]]
     return out
 
 
-def enum_delta_prime(k: int, cutoff: int | None = None) -> list[DeltaConfig]:
+def enum_delta_prime(k: int) -> list[DeltaConfig]:
     """All configurations with only k-arrows and no forbidden corners.
 
     A forbidden corner is an outer corner of the shape covered by both a row
     arrow and a column arrow.
     """
-    _check_cutoff("delta", k, cutoff)
+    _check_cutoff("delta", k)
     if k == 0:
         return [DeltaConfig(0, Partition(), frozenset(), frozenset())]
     out: list[DeltaConfig] = []
@@ -445,9 +446,9 @@ def enum_delta_prime(k: int, cutoff: int | None = None) -> list[DeltaConfig]:
     return out
 
 
-def delta_prime_weight_sum(k: int, cutoff: int | None = None) -> LaurentPoly:
+def delta_prime_weight_sum(k: int) -> LaurentPoly:
     total = ZERO
-    for cfg in enum_delta_prime(k, cutoff):
+    for cfg in enum_delta_prime(k):
         total = total + cfg.weight()
     return total
 
@@ -492,9 +493,9 @@ class Overpartition:
         return monomial(-1 if sign % 2 else 1, self.mark_count(), self.size)
 
 
-def enum_sop(k: int, cutoff: int | None = None) -> list[Overpartition]:
+def enum_sop(k: int) -> list[Overpartition]:
     """All self-conjugate overpartitions whose shape fits in the k-by-k box."""
-    _check_cutoff("sop", k, cutoff)
+    _check_cutoff("sop", k)
     out: list[Overpartition] = []
     for lam in enum_partitions_in_box(k, k):
         if lam != lam.conjugate():
@@ -515,9 +516,9 @@ def enum_sop(k: int, cutoff: int | None = None) -> list[Overpartition]:
     return out
 
 
-def sop_weight_sum(k: int, cutoff: int | None = None) -> LaurentPoly:
+def sop_weight_sum(k: int) -> LaurentPoly:
     total = ZERO
-    for nu in enum_sop(k, cutoff):
+    for nu in enum_sop(k):
         total = total + nu.weight()
     return total
 
@@ -529,7 +530,7 @@ _ONE_MINUS_T2 = LaurentPoly({(0, 0): 1, (2, 0): -1})
 _ONE_PLUS_T = LaurentPoly({(0, 0): 1, (1, 0): 1})
 
 
-def m_path_weight_sum(k: int, cutoff: int | None = None) -> LaurentPoly:
+def m_path_weight_sum(k: int) -> LaurentPoly:
     """Signed area-weighted sum over west/southwest paths from (k, 0) to the
     y-axis.
 
@@ -539,7 +540,7 @@ def m_path_weight_sum(k: int, cutoff: int | None = None) -> LaurentPoly:
     followed by a west step, and a factor (1 + t) when its last step is
     southwest.
     """
-    _check_cutoff("m_path", k, cutoff)
+    _check_cutoff("m_path", k)
     total = ZERO
     for j in range(k + 1):
         for sw_positions in combinations(range(k), j):
@@ -571,9 +572,7 @@ def _validate_endpoint(b: int, k: int, m: int, n: int) -> None:
         raise InvalidEndpointError("endpoint must lie on an axis (m*n = 0)")
 
 
-def l_path_weight_sum(
-    b: int, k: int, m: int, n: int, eps: int, cutoff: int | None = None
-) -> LaurentPoly:
+def l_path_weight_sum(b: int, k: int, m: int, n: int, eps: int) -> LaurentPoly:
     """Cleared weight sum over west/southwest paths from (b, k) to (m, n)
     with no west step on the x-axis.
 
@@ -585,7 +584,7 @@ def l_path_weight_sum(
     leaving the factor ``(eps*q; q)_m``.
     """
     _validate_endpoint(b, k, m, n)
-    _check_cutoff("l_path", max(b, k), cutoff)
+    _check_cutoff("l_path", max(b, k))
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
     steps = b - m
@@ -612,9 +611,7 @@ def l_path_weight_sum(
     return pochhammer(QSymbolSpec(eps, 1, m)) * pure * height_factor
 
 
-def lprime_path_weight_sum(
-    b: int, k: int, m: int, n: int, eps: int, cutoff: int | None = None
-) -> LaurentPoly:
+def lprime_path_weight_sum(b: int, k: int, m: int, n: int, eps: int) -> LaurentPoly:
     """Weight sum over west/south paths from (b, k) to (m, n) with no west
     step on the x-axis and no south step on the y-axis.
 
@@ -623,7 +620,7 @@ def lprime_path_weight_sum(
     already a Laurent polynomial, so no clearing is needed.
     """
     _validate_endpoint(b, k, m, n)
-    _check_cutoff("l_path", max(b, k), cutoff)
+    _check_cutoff("l_path", max(b, k))
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
     w_count = b - m
@@ -664,10 +661,10 @@ def lprime_path_weight_sum(
 # alternating permutations
 
 
-def enum_alternating(n: int, cutoff: int | None = None) -> list[tuple[int, ...]]:
+def enum_alternating(n: int) -> list[tuple[int, ...]]:
     """All up-down alternating permutations of {1, ..., n}
     (first ascent, then descent, alternating)."""
-    _check_cutoff("alternating", n, cutoff)
+    _check_cutoff("alternating", n)
     if n == 0:
         return [()]
     out: list[tuple[int, ...]] = []
@@ -708,21 +705,15 @@ def count_13_2_patterns(perm: Sequence[int]) -> int:
     return total
 
 
-def alt_statistic_polynomial(
-    n: int,
-    statistic: Callable[[Sequence[int]], int] | None = None,
-    cutoff: int | None = None,
-) -> LaurentPoly:
-    """Distribution ``sum q**statistic(pi)`` over alternating permutations.
+def alt_statistic_polynomial(n: int) -> LaurentPoly:
+    """Distribution ``sum q**count_13_2_patterns(pi)`` over alternating permutations.
 
-    The default statistic is :func:`count_13_2_patterns`, which reproduces
-    the classical q-secant and q-tangent values (verified in the test suite
-    for permutation sizes up to 8).
+    It reproduces the classical q-secant and q-tangent values (verified in the
+    test suite for permutation sizes up to 8).
     """
-    statistic = statistic or count_13_2_patterns
     out = ZERO
-    for perm in enum_alternating(n, cutoff):
-        out = out + monomial(1, 0, statistic(perm))
+    for perm in enum_alternating(n):
+        out = out + monomial(1, 0, count_13_2_patterns(perm))
     return out
 
 

@@ -3,12 +3,10 @@
 Everything in this package is computed exactly: the universal value type is
 :class:`LaurentPoly`, a sparse polynomial in the two variables ``t`` and ``q``
 whose exponents may be negative and whose coefficients are arbitrary-precision
-integers.  :class:`Series` is a truncated formal power series in ``x`` with
-``LaurentPoly`` coefficients.  Rational scalars are plain
-:class:`fractions.Fraction` values.  No floating point appears anywhere.
+integers.  Rational scalars are plain :class:`fractions.Fraction` values.  No
+floating point appears anywhere.
 
-All values are immutable after construction and all operations are pure, so
-they may be shared freely between threads.
+All values are immutable after construction and all operations are pure.
 
 ``LaurentPoly.__mul__`` picks its algorithm from the operands alone.  When both
 have at least ``_PACK_MIN`` terms and the product's degree box (t-span times
@@ -29,13 +27,10 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "LaurentPoly",
-    "Series",
     "NonDivisibleError",
-    "NotInvertibleError",
     "ZeroDenominatorError",
     "monomial",
     "const",
-    "div_exact",
     "ZERO",
     "ONE",
     "T",
@@ -51,10 +46,6 @@ class NonDivisibleError(ArithmeticError):
     supposed to be exact, so a remainder means a formula was transcribed or
     implemented incorrectly.  It is never silently swallowed.
     """
-
-
-class NotInvertibleError(ArithmeticError):
-    """Series reciprocal requested for a series whose constant term is not 1."""
 
 
 class ZeroDenominatorError(ZeroDivisionError):
@@ -552,86 +543,8 @@ def const(c: int) -> LaurentPoly:
     return LaurentPoly({(0, 0): c})
 
 
-def div_exact(a: LaurentPoly, b: LaurentPoly | int) -> LaurentPoly:
-    """Module-level alias for :meth:`LaurentPoly.divide_exact`."""
-    return a.divide_exact(b)
-
-
 ZERO = LaurentPoly()
 ONE = const(1)
 T = monomial(1, 1, 0)
 Q = monomial(1, 0, 1)
 ONE_MINUS_Q = LaurentPoly({(0, 0): 1, (0, 1): -1})
-
-
-class Series:
-    """Truncated formal power series in ``x`` with ``LaurentPoly`` coefficients.
-
-    ``order`` is the truncation order N; ``coeffs`` holds the coefficients of
-    ``x**0 .. x**N``.  Arithmetic between two series truncates to the smaller
-    of the two orders.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs: Iterable[LaurentPoly]):
-        coeffs = tuple(coeffs)
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        if len(coeffs) != order + 1:
-            raise ValueError("need exactly order + 1 coefficients")
-        self.order = order
-        self.coeffs = coeffs
-
-    @classmethod
-    def one(cls, order: int) -> "Series":
-        return cls(order, [ONE] + [ZERO] * order)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __add__(self, other: "Series") -> "Series":
-        n = min(self.order, other.order)
-        return Series(n, [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
-
-    def __sub__(self, other: "Series") -> "Series":
-        n = min(self.order, other.order)
-        return Series(n, [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
-
-    def __mul__(self, other: "Series") -> "Series":
-        n = min(self.order, other.order)
-        out = [ZERO] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return Series(n, out)
-
-    def recip(self) -> "Series":
-        """Multiplicative inverse up to the truncation order.
-
-        Only series with constant coefficient exactly 1 are supported, which
-        covers every use in this package.
-        """
-        if self.coeffs[0] != ONE:
-            raise NotInvertibleError("series reciprocal needs constant term 1")
-        out = [ONE] + [ZERO] * self.order
-        for n in range(1, self.order + 1):
-            acc = ZERO
-            for j in range(1, n + 1):
-                sj = self.coeffs[j]
-                if not sj.is_zero():
-                    acc = acc + sj * out[n - j]
-            out[n] = -acc
-        return Series(self.order, out)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(c.render() for c in self.coeffs)
-        return f"Series(order={self.order}, [{inner}])"

@@ -37,7 +37,6 @@ from .qkit import (
 )
 
 __all__ = [
-    "TkValue",
     "SpecializationKey",
     "tk_recurrence",
     "tk_closed",
@@ -46,8 +45,6 @@ __all__ = [
     "tk_prodinger",
     "tk_at_minus_q",
     "tk_at_minus_inv_q",
-    "alpha_value",
-    "beta_value",
     "alpha_step_holds",
     "beta_step_holds",
     "euler_hat_ballot",
@@ -225,35 +222,27 @@ def tk_at_minus_inv_q(k: int) -> LaurentPoly:
 # single-power substitutions of T_k and their step relations
 
 
-def alpha_value(eps: int, b: int, k: int) -> LaurentPoly:
-    """T_k at ``t = eps * q**b`` obtained by direct substitution (b >= 0)."""
-    return tk_recurrence(k).substitute_t(eps, b)
-
-
-def beta_value(eps: int, b: int, k: int) -> LaurentPoly:
-    """T_k at ``t = eps * q**(-b)`` obtained by direct substitution (b >= 0)."""
-    return tk_recurrence(k).substitute_t(eps, -b)
-
-
 def alpha_step_holds(eps: int, b: int, k: int) -> bool:
-    """Check ``(1 - eps*q**b) * a(b,k) == a(b-1,k) + q**(2k+2b-1) * a(b-1,k-1)``."""
+    """Check ``(1 - eps*q**b) * a(b,k) == a(b-1,k) + q**(2k+2b-1) * a(b-1,k-1)``,
+    where ``a(b,k)`` is T_k at ``t = eps * q**b`` by direct substitution."""
     if b < 1 or k < 1:
         raise ValueError("need b, k >= 1")
-    lhs = LaurentPoly({(0, 0): 1, (0, b): -eps}) * alpha_value(eps, b, k)
-    rhs = alpha_value(eps, b - 1, k) + monomial(1, 0, 2 * k + 2 * b - 1) * alpha_value(
-        eps, b - 1, k - 1
-    )
+    lhs = LaurentPoly({(0, 0): 1, (0, b): -eps}) * tk_recurrence(k).substitute_t(eps, b)
+    rhs = tk_recurrence(k).substitute_t(eps, b - 1) + monomial(
+        1, 0, 2 * k + 2 * b - 1
+    ) * tk_recurrence(k - 1).substitute_t(eps, b - 1)
     return lhs == rhs
 
 
 def beta_step_holds(eps: int, b: int, k: int) -> bool:
-    """Check ``b(b,k) == (1 - eps*q**(1-b)) * b(b-1,k) - q**(2k-2b+1) * b(b,k-1)``."""
+    """Check ``b(b,k) == (1 - eps*q**(1-b)) * b(b-1,k) - q**(2k-2b+1) * b(b,k-1)``,
+    where ``b(b,k)`` is T_k at ``t = eps * q**(-b)`` by direct substitution."""
     if b < 1 or k < 1:
         raise ValueError("need b, k >= 1")
-    lhs = beta_value(eps, b, k)
-    rhs = (ONE - monomial(eps, 0, 1 - b)) * beta_value(eps, b - 1, k) - monomial(
+    lhs = tk_recurrence(k).substitute_t(eps, -b)
+    rhs = (ONE - monomial(eps, 0, 1 - b)) * tk_recurrence(k).substitute_t(eps, 1 - b) - monomial(
         1, 0, 2 * k - 2 * b + 1
-    ) * beta_value(eps, b, k - 1)
+    ) * tk_recurrence(k - 1).substitute_t(eps, -b)
     return lhs == rhs
 
 
@@ -378,19 +367,13 @@ def tangent_hat_original(n: int) -> LaurentPoly:
         raise ValueError("n must be nonnegative")
     total = ZERO
     for k in range(n + 1):
-        coeff = _ballot_odd(n, k)
+        # C(2n+1, n-k) - C(2n+1, n-k-1), by Pascal's rule
+        coeff = ballot(n, k) + ballot(n, k + 1)
         inner = ZERO
         for i in range(2 * k + 2):
             inner = inner + monomial(-1 if (i + k) % 2 else 1, 0, i * (2 * k + 2 - i))
         total = total + coeff * inner
     return total
-
-
-def _ballot_odd(n: int, k: int) -> int:
-    def c(m: int, j: int) -> int:
-        return math.comb(m, j) if 0 <= j <= m else 0
-
-    return c(2 * n + 1, n - k) - c(2 * n + 1, n - k - 1)
 
 
 def euler_hat_at_minus_q(n: int) -> LaurentPoly:
@@ -435,28 +418,6 @@ def dist_box_closed(m: int, n: int) -> LaurentPoly:
             * x_minus_1**i
         )
     return total
-
-
-# ---------------------------------------------------------------------------
-# invariant bundle for T_k values
-
-
-@dataclass(frozen=True)
-class TkValue:
-    """A T_k polynomial with its index, plus its defining spot checks."""
-
-    k: int
-    poly: LaurentPoly
-
-    @classmethod
-    def compute(cls, k: int) -> "TkValue":
-        return cls(k, tk_recurrence(k))
-
-    def invariants_hold(self) -> bool:
-        at_minus_one = self.poly.substitute_t(-1, 0) == ONE
-        at_one = self.poly.substitute_t(1, 0) == square_sum(self.k)
-        constant = self.poly.terms.get((0, 0)) == 1
-        return at_minus_one and at_one and constant
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Data-driven identity registry and verification runner.
 
-Each identity is a record with a stable id, a human-readable description,
-a parameter grid derived from the requested bounds, and a check function
-mapping one parameter point to a pass/fail/skipped outcome.  The registry is
-the product's test surface: the CLI ``verify`` command simply executes it.
+Each identity is one row of the table ``REGISTRY``: a stable id, a
+human-readable description, a parameter grid derived from the requested
+bounds, and a check mapping one parameter point to a pass/fail/skipped
+outcome.  Most checks compare two sides for exact equality (``_same``) or
+test one predicate (``_holds``).  The registry is the product's test
+surface: the CLI ``verify`` command simply executes it.
 
 Checks resolve formula functions through the :mod:`tqeuler.formulas` module
 object at call time, so replacing a formula (for example in a mutation test)
@@ -14,13 +16,12 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import cfrac, combinat, formulas, qkit
-from .exactalg import LaurentPoly, ONE, ONE_MINUS_Q, ZERO, const, monomial
+from .exactalg import LaurentPoly, ONE, ONE_MINUS_Q, Q, ZERO, const, monomial
 
 __all__ = [
     "Bounds",
@@ -46,7 +47,7 @@ ODD_DOUBLE_FACTORIALS = (1, 1, 3, 15, 105, 945)
 
 
 class RegistryConfigError(ValueError):
-    """Invalid bounds, selector, or worker count for a verification run."""
+    """Invalid bounds or selector for a verification run."""
 
 
 @dataclass(frozen=True)
@@ -131,356 +132,114 @@ def _flag(ok: bool, note: str) -> tuple[str, str | None]:
     return ("pass", None) if ok else ("fail", note)
 
 
-def _skip(note: str) -> tuple[str, str | None]:
-    return "skipped", note
+Side = Callable[..., LaurentPoly]
 
 
-# ---------------------------------------------------------------------------
-# grids
+def _same(lhs: Side, rhs: Side, cap: tuple[str, int, str] | None = None) -> Check:
+    """The check ``lhs(**params) == rhs(**params)``.
+
+    ``cap = (param, top, oracle)`` skips every cell whose ``param`` exceeds
+    ``top``: the brute-force ``oracle`` on one side is too slow past it.
+    """
+
+    def check(p: dict) -> tuple[str, str | None]:
+        if cap is not None and p[cap[0]] > cap[1]:
+            return "skipped", f"{cap[2]} capped at {cap[0]} <= {cap[1]}"
+        return _eq(lhs(**p), rhs(**p))
+
+    return check
 
 
-def _n_grid(bounds: Bounds) -> Iterable[dict]:
-    return ({"n": n} for n in range(bounds.max_n + 1))
+def _holds(pred: Callable[..., bool], note: str) -> Check:
+    """The check that ``pred(**params)`` is true; ``note`` is formatted with the params."""
+    return lambda p: _flag(pred(**p), note.format(**p))
 
 
-def _k_grid(bounds: Bounds) -> Iterable[dict]:
-    return ({"k": k} for k in range(bounds.max_k + 1))
+# Each side is a lambda so that it looks ``formulas.*``, ``cfrac.*`` and the
+# other modules' functions up when it runs: a replaced function (a mutation
+# test, a tracer) is what the check calls.
 
 
-def _k1_grid(bounds: Bounds) -> Iterable[dict]:
-    return ({"k": k} for k in range(1, bounds.max_k + 1))
+def _euler_hat(n: int) -> LaurentPoly:
+    return cfrac.euler_hat(n)
 
 
-def _bk_grid(b_lo: int, k_lo: int = 0, with_eps: bool = False):
-    def grid(bounds: Bounds) -> Iterable[dict]:
-        for b in range(b_lo, bounds.max_b + 1):
-            for k in range(k_lo, bounds.max_k + 1):
-                if with_eps:
-                    for eps in (1, -1):
-                        yield {"eps": eps, "b": b, "k": k}
-                else:
-                    yield {"b": b, "k": k}
-
-    return grid
+def _tk(k: int) -> LaurentPoly:
+    return formulas.tk_recurrence(k)
 
 
-def _path_grid(to_y_axis: bool, m_lo: int = 0):
-    cap = 4  # lemma checks run at desk scale
-
-    def grid(bounds: Bounds) -> Iterable[dict]:
-        for eps in (1, -1):
-            for b in range(0, min(bounds.max_b, cap) + 1):
-                for k in range(0, min(bounds.max_k, cap) + 1):
-                    if to_y_axis:
-                        for n in range(1, k + 1):
-                            if (b, k) != (0, 0):
-                                yield {"eps": eps, "b": b, "k": k, "n": n}
-                    else:
-                        if k < 1:
-                            continue
-                        for m in range(m_lo, b + 1):
-                            yield {"eps": eps, "b": b, "k": k, "m": m}
-
-    return grid
+def _tk_at(eps: int, b: int) -> Side:
+    """T_k at ``t = eps * q**b`` by direct substitution into the recurrence."""
+    return lambda k: formulas.tk_recurrence(k).substitute_t(eps, b)
 
 
-def _mn_grid(cap: int):
-    def grid(bounds: Bounds) -> Iterable[dict]:
-        top = min(bounds.max_n, cap)
-        for m in range(top + 1):
-            for n in range(top + 1):
-                yield {"m": m, "n": n}
-
-    return grid
+def _euler_at(eps: int, b: int) -> Side:
+    """``euler_hat(n)`` at ``t = eps * q**b``."""
+    return lambda n: cfrac.euler_hat(n).substitute_t(eps, b)
 
 
-# ---------------------------------------------------------------------------
-# checks
-
-
-def _chk_euler_ballot(p: dict):
-    return _eq(formulas.euler_hat_ballot(p["n"]), cfrac.euler_hat(p["n"]))
-
-
-def _chk_euler_odd_poch(p: dict):
-    return _eq(formulas.euler_hat_odd_pochhammer(p["n"]), cfrac.euler_hat(p["n"]))
-
-
-def _chk_euler_jv(p: dict):
-    return _eq(formulas.euler_hat_josuat_verges(p["n"]), cfrac.euler_hat(p["n"]))
-
-
-def _chk_euler_dyck(p: dict):
-    n = p["n"]
-    if n > 6:
-        return _skip("brute-force Dyck oracle capped at n <= 6")
-    lhs = combinat.dyck_weight_sum(
-        n,
-        lambda h: LaurentPoly({(0, 0): 1, (0, h): -1}),
-        lambda h: LaurentPoly({(0, 0): 1, (1, h): -1}),
-    )
-    return _eq(lhs, cfrac.euler_hat(n))
-
-
-def _chk_touchard(p: dict):
-    return _eq(formulas.dn_touchard_riordan(p["n"]), cfrac.dn_hat(p["n"]))
-
-
-def _chk_secant_closed(p: dict):
-    return _eq(formulas.secant_hat_closed(p["n"]), cfrac.euler_hat(p["n"]).substitute_t(1, 0))
-
-
-def _chk_tangent_closed(p: dict):
-    return _eq(formulas.tangent_hat_closed(p["n"]), cfrac.euler_hat(p["n"]).substitute_t(1, 1))
-
-
-def _chk_secant_original(p: dict):
-    return _eq(formulas.secant_hat_original(p["n"]), formulas.secant_hat_closed(p["n"]))
-
-
-def _chk_tangent_original(p: dict):
-    return _eq(
-        formulas.tangent_hat_original(p["n"]),
-        ONE_MINUS_Q * formulas.tangent_hat_closed(p["n"]),
+def _special(eps: int, sign: int) -> Check:
+    """The substitution formula at ``t = eps * q**(sign*b)`` against direct substitution."""
+    return _same(
+        lambda b, k: formulas.tk_special(formulas.SpecializationKey(eps, sign * b), k),
+        lambda b, k: formulas.tk_recurrence(k).substitute_t(eps, sign * b),
     )
 
 
-def _chk_tk_closed(p: dict):
-    return _eq(formulas.tk_closed(p["k"]), formulas.tk_recurrence(p["k"]))
+def _d(n: int) -> LaurentPoly:
+    """``d_n`` itself, with the ``(1-q)**n`` normalization divided out."""
+    return cfrac.dn_hat(n).divide_exact(ONE_MINUS_Q**n)
 
 
-def _chk_tk_delta(p: dict):
-    k = p["k"]
-    if k > 5:
-        return _skip("staircase configuration oracle capped at k <= 5")
-    return _eq(combinat.delta_prime_weight_sum(k), formulas.tk_recurrence(k))
+def _step_rules(weights: str) -> tuple[Side, Side]:
+    if weights == "euler":
+        return combinat.euler_up, combinat.euler_down
+    return qkit.q_int, qkit.q_int
 
 
-def _chk_tk_sop(p: dict):
-    k = p["k"]
-    if k > 5:
-        return _skip("overpartition oracle capped at k <= 5")
-    return _eq(combinat.sop_weight_sum(k), formulas.tk_recurrence(k))
-
-
-def _chk_tk_mpath(p: dict):
-    k = p["k"]
-    if k > 7:
-        return _skip("west/southwest path oracle capped at k <= 7")
-    return _eq(combinat.m_path_weight_sum(k), formulas.tk_recurrence(k))
-
-
-def _chk_markpath(p: dict):
-    k = p["k"]
-    if k > 5:
-        return _skip("marked Dyck path oracle capped at k <= 5")
-    lhs = combinat.md_star_weight_sum(k)
-    rhs = monomial(1, k, k * (k + 1)) * formulas.tk_recurrence(k).invert_variables()
-    return _eq(lhs, rhs)
-
-
-def _chk_tk_functional(p: dict):
-    return _flag(
-        formulas.tk_functional_equation_holds(p["k"]), f"functional equation fails at k={p['k']}"
-    )
-
-
-def _special_check(eps_sign: int, negate_b: bool):
-    def chk(p: dict):
-        b = -p["b"] if negate_b else p["b"]
-        lhs = formulas.tk_special(formulas.SpecializationKey(eps_sign, b), p["k"])
-        rhs = formulas.tk_recurrence(p["k"]).substitute_t(eps_sign, b)
-        return _eq(lhs, rhs)
-
-    return chk
-
-
-def _chk_prodinger(p: dict):
-    lhs = formulas.tk_prodinger(p["b"], p["k"])
-    rhs = formulas.tk_recurrence(p["k"]).substitute_t(1, p["b"])
-    return _eq(lhs, rhs)
-
-
-def _chk_tk_at_one(p: dict):
-    k = p["k"]
-    lhs = formulas.tk_special(formulas.SpecializationKey(1, 0), k)
-    if lhs != qkit.square_sum(k):
-        return "fail", f"substitution formula at t=1 is not the square sum for k={k}"
-    return _eq(lhs, formulas.tk_recurrence(k).substitute_t(1, 0))
-
-
-def _chk_tk_at_minus_one(p: dict):
-    k = p["k"]
-    lhs = formulas.tk_special(formulas.SpecializationKey(-1, 0), k)
-    if lhs != ONE:
-        return "fail", f"substitution formula at t=-1 is not 1 for k={k}"
-    return _eq(lhs, formulas.tk_recurrence(k).substitute_t(-1, 0))
-
-
-def _chk_tk_at_q(p: dict):
-    k = p["k"]
-    lhs = formulas.tk_special(formulas.SpecializationKey(1, 1), k)
-    rhs = qkit.a_k_poly(k).divide_exact(ONE_MINUS_Q)
-    return _eq(lhs, rhs)
-
-
-def _chk_tk_minus_q(p: dict):
-    k = p["k"]
-    return _eq(formulas.tk_at_minus_q(k), formulas.tk_recurrence(k).substitute_t(-1, 1))
-
-
-def _chk_tk_minus_inv_q(p: dict):
-    k = p["k"]
-    return _eq(formulas.tk_at_minus_inv_q(k), formulas.tk_recurrence(k).substitute_t(-1, -1))
-
-
-def _chk_alpha(p: dict):
-    return _flag(
-        formulas.alpha_step_holds(p["eps"], p["b"], p["k"]),
-        f"alpha step fails at eps={p['eps']} b={p['b']} k={p['k']}",
-    )
-
-
-def _chk_beta(p: dict):
-    return _flag(
-        formulas.beta_step_holds(p["eps"], p["b"], p["k"]),
-        f"beta step fails at eps={p['eps']} b={p['b']} k={p['k']}",
-    )
-
-
-def _chk_ballot_reduction(p: dict):
-    n = p["n"]
-    if n > 5:
-        return _skip("marked Dyck path oracle capped at n <= 5")
-    if p["weights"] == "euler":
-        up = lambda h: LaurentPoly({(0, 0): 1, (0, h): -1})
-        down = lambda h: LaurentPoly({(0, 0): 1, (1, h): -1})
-    else:
-        up = qkit.q_int
-        down = qkit.q_int
-    lhs = combinat.dyck_weight_sum(n, up, down)
-    rhs = ZERO
+def _ballot_marked_sum(n: int, weights: str) -> LaurentPoly:
+    up, down = _step_rules(weights)
+    total = ZERO
     for k in range(n + 1):
-        rhs = rhs + qkit.ballot(n, k) * combinat.md_star_weight_sum_general(
+        total = total + qkit.ballot(n, k) * combinat.md_star_weight_sum_general(
             k, lambda h: up(h) - ONE, lambda h: down(h) - ONE
         )
-    return _eq(lhs, rhs)
+    return total
 
 
-def _chk_dist_box(p: dict):
-    return _eq(
-        combinat.dist_box_polynomial(p["m"], p["n"]), formulas.dist_box_closed(p["m"], p["n"])
-    )
+def _degenerate(eps: int, expected: Side, what: str) -> Check:
+    """At ``t = eps`` the substitution formula is ``expected(k)`` and matches direct substitution."""
+
+    def check(p: dict) -> tuple[str, str | None]:
+        k = p["k"]
+        lhs = formulas.tk_special(formulas.SpecializationKey(eps, 0), k)
+        if lhs != expected(k):
+            return "fail", f"substitution formula at t={eps} is not {what} for k={k}"
+        return _eq(lhs, formulas.tk_recurrence(k).substitute_t(eps, 0))
+
+    return check
 
 
-def _chk_box_binom(p: dict):
-    return _eq(
-        combinat.box_size_polynomial(p["m"], p["n"]), qkit.gauss_binom(p["m"] + p["n"], p["m"])
-    )
+def _alternating_anchor(odd: int) -> Check:
+    """The q = 1 value of E_{2n+odd} against the table and the permutation count."""
+    numbers = TANGENT_NUMBERS if odd else SECANT_NUMBERS
 
+    def check(p: dict) -> tuple[str, str | None]:
+        n = p["n"]
+        value = (cfrac.en_odd_q if odd else cfrac.en_even_q)(n).evaluate(1, 1)
+        count = len(combinat.enum_alternating(2 * n + odd))
+        ok = value == numbers[n] == count
+        return _flag(ok, f"E_{2*n+odd}(1) = {value}, permutation count = {count}")
 
-def _chk_lpath_y(p: dict):
-    eps, b, k, n = p["eps"], p["b"], p["k"], p["n"]
-    lhs = combinat.l_path_weight_sum(b, k, 0, n, eps)
-    rhs = monomial(1, 0, (k - n) * (2 * k + 1)) * qkit.gauss_binom(b, k - n, squared=True)
-    return _eq(lhs, rhs)
-
-
-def _chk_lpath_x(p: dict):
-    eps, b, k, m = p["eps"], p["b"], p["k"], p["m"]
-    lhs = combinat.l_path_weight_sum(b, k, m, 0, eps)
-    rhs = (
-        qkit.pochhammer(qkit.QSymbolSpec(eps, 1, m))
-        * monomial(1, 0, k * (2 * k + 2 * m + 1))
-        * qkit.gauss_binom(b - m - 1, k - 1, squared=True)
-    )
-    return _eq(lhs, rhs)
-
-
-def _chk_lprime_y(p: dict):
-    eps, b, k, n = p["eps"], p["b"], p["k"], p["n"]
-    lhs = combinat.lprime_path_weight_sum(b, k, 0, n, eps)
-    rhs = (
-        qkit.pochhammer(qkit.QSymbolSpec(eps, 1 - b, b))
-        * qkit.neg_q_power((k - n) * (k + n - 2 * b + 2))
-        * qkit.partition_box_binom(k - n, b - 1, squared=True)
-    )
-    return _eq(lhs, rhs)
-
-
-def _chk_lprime_x(p: dict):
-    eps, b, k, m = p["eps"], p["b"], p["k"], p["m"]
-    lhs = combinat.lprime_path_weight_sum(b, k, m, 0, eps)
-    rhs = (
-        qkit.pochhammer(qkit.QSymbolSpec(eps, 1 - b, b - m))
-        * qkit.neg_q_power(k * (k - 2 * b + 2) + 2 * (b - m))
-        * qkit.partition_box_binom(b - m, k - 1, squared=True)
-    )
-    return _eq(lhs, rhs)
-
-
-def _chk_euler_inv_q(p: dict):
-    n = p["n"]
-    expected = ONE if n == 0 else ZERO
-    return _eq(cfrac.euler_hat(n).substitute_t(1, -1), expected)
-
-
-def _chk_euler_t_zero(p: dict):
-    n = p["n"]
-    return _eq(cfrac.euler_hat(n).substitute_t_zero(), cfrac.dn_hat(n))
-
-
-def _chk_euler_t_minus_one(p: dict):
-    n = p["n"]
-    lhs = cfrac.euler_hat(n).substitute_t(-1, 0)
-    dn = cfrac.dn_hat(n).divide_exact(ONE_MINUS_Q**n)
-    one_plus_q = LaurentPoly({(0, 0): 1, (0, 1): 1})
-    rhs = one_plus_q**n * ONE_MINUS_Q**n * dn.scale_q(2)
-    return _eq(lhs, rhs)
-
-
-def _chk_euler_minus_q(p: dict):
-    n = p["n"]
-    return _eq(formulas.euler_hat_at_minus_q(n), cfrac.euler_hat(n).substitute_t(-1, 1))
-
-
-def _chk_euler_minus_inv_q(p: dict):
-    n = p["n"]
-    return _eq(formulas.euler_hat_at_minus_inv_q(n), cfrac.euler_hat(n).substitute_t(-1, -1))
-
-
-def _chk_secant_anchor(p: dict):
-    n = p["n"]
-    value = cfrac.en_even_q(n).evaluate(1, 1)
-    count = len(combinat.enum_alternating(2 * n))
-    ok = value == SECANT_NUMBERS[n] == count
-    return _flag(ok, f"E_{2*n}(1) = {value}, permutation count = {count}")
-
-
-def _chk_tangent_anchor(p: dict):
-    n = p["n"]
-    value = cfrac.en_odd_q(n).evaluate(1, 1)
-    count = len(combinat.enum_alternating(2 * n + 1))
-    ok = value == TANGENT_NUMBERS[n] == count
-    return _flag(ok, f"E_{2*n+1}(1) = {value}, permutation count = {count}")
+    return check
 
 
 def _chk_dn_anchor(p: dict):
     n = p["n"]
-    dn = cfrac.dn_hat(n).divide_exact(ONE_MINUS_Q**n)
-    value = dn.evaluate(1, 1)
+    value = _d(n).evaluate(1, 1)
     oracle = combinat.dyck_weight_sum(n, lambda h: ONE, lambda h: const(h)).evaluate(1, 1)
     ok = value == ODD_DOUBLE_FACTORIALS[n] == oracle
     return _flag(ok, f"d_{n}(1) = {value}, weighted Dyck count = {oracle}")
-
-
-def _chk_alt_statistic(p: dict):
-    n = p["n"]
-    if n > 8:
-        return _skip("permutation enumeration capped at size 8 for the statistic")
-    dist = combinat.alt_statistic_polynomial(n)
-    ref = cfrac.en_even_q(n // 2) if n % 2 == 0 else cfrac.en_odd_q(n // 2)
-    return _eq(dist, ref)
 
 
 def _chk_zeng(p: dict):
@@ -510,6 +269,62 @@ def _chk_gauss_symmetry(p: dict):
     return "pass", None
 
 
+# ---------------------------------------------------------------------------
+# grids
+
+
+def _axis(name: str, lo: int, top: Callable[[Bounds], int]) -> Grid:
+    """The one-parameter grid ``name = lo .. top(bounds)``."""
+    return lambda bounds: ({name: v} for v in range(lo, top(bounds) + 1))
+
+
+_N = _axis("n", 0, lambda bounds: bounds.max_n)
+_K = _axis("k", 0, lambda bounds: bounds.max_k)
+_K1 = _axis("k", 1, lambda bounds: bounds.max_k)
+
+
+def _bk_grid(b_lo: int, k_lo: int = 0, with_eps: bool = False):
+    def grid(bounds: Bounds) -> Iterable[dict]:
+        for b in range(b_lo, bounds.max_b + 1):
+            for k in range(k_lo, bounds.max_k + 1):
+                if with_eps:
+                    for eps in (1, -1):
+                        yield {"eps": eps, "b": b, "k": k}
+                else:
+                    yield {"b": b, "k": k}
+
+    return grid
+
+
+def _path_grid(to_y_axis: bool, m_lo: int = 0):
+    cap = 4  # lemma checks run at desk scale
+
+    def grid(bounds: Bounds) -> Iterable[dict]:
+        for eps in (1, -1):
+            for b in range(0, min(bounds.max_b, cap) + 1):
+                for k in range(0, min(bounds.max_k, cap) + 1):
+                    if to_y_axis:
+                        for n in range(1, k + 1):
+                            yield {"eps": eps, "b": b, "k": k, "n": n}
+                    else:
+                        if k < 1:
+                            continue
+                        for m in range(m_lo, b + 1):
+                            yield {"eps": eps, "b": b, "k": k, "m": m}
+
+    return grid
+
+
+def _mn_grid(cap: int):
+    def grid(bounds: Bounds) -> Iterable[dict]:
+        top = min(bounds.max_n, cap)
+        for m in range(top + 1):
+            for n in range(top + 1):
+                yield {"m": m, "n": n}
+
+    return grid
+
+
 def _zeng_grid(bounds: Bounds) -> Iterable[dict]:
     for n in range(min(bounds.max_n, 4) + 1):
         for t0, q0 in formulas.ZENG_SAMPLE_POINTS[:5]:
@@ -522,72 +337,133 @@ def _ballot_reduction_grid(bounds: Bounds) -> Iterable[dict]:
             yield {"n": n, "weights": weights}
 
 
-def _anchor_grid(cap: int):
-    def grid(bounds: Bounds) -> Iterable[dict]:
-        return ({"n": n} for n in range(min(bounds.max_n, cap) + 1))
-
-    return grid
-
-
-def _alt_grid(bounds: Bounds) -> Iterable[dict]:
-    return ({"n": n} for n in range(min(2 * bounds.max_n, 8) + 1))
-
-
-def _pascal_grid(bounds: Bounds) -> Iterable[dict]:
-    return ({"n": n} for n in range(1, 21))
-
-
-def _symmetry_grid(bounds: Bounds) -> Iterable[dict]:
-    return ({"n": n} for n in range(0, 21))
-
+# ---------------------------------------------------------------------------
+# the table
 
 REGISTRY: tuple[Identity, ...] = (
-    Identity("euler-dp-vs-ballot", "continued-fraction moments equal the ballot expansion over inverted T_k", _n_grid, _chk_euler_ballot),
-    Identity("euler-odd-pochhammer", "continued-fraction moments equal the single-binomial closed form", _n_grid, _chk_euler_odd_poch),
-    Identity("euler-josuat-verges", "continued-fraction moments equal the moment-style triple sum", _n_grid, _chk_euler_jv),
-    Identity("euler-dyck-oracle", "continued-fraction moments equal the brute-force weighted Dyck sum", _n_grid, _chk_euler_dyck),
-    Identity("touchard-riordan", "ballot closed form for the normalized d_n equals its fraction moments", _n_grid, _chk_touchard),
-    Identity("secant-closed", "closed secant-side sum equals the t=1 substitution", _n_grid, _chk_secant_closed),
-    Identity("tangent-closed", "closed tangent-side sum equals the t=q substitution", _n_grid, _chk_tangent_closed),
-    Identity("secant-original", "unshifted secant form equals the shifted one", _n_grid, _chk_secant_original),
-    Identity("tangent-original", "unshifted tangent form equals (1-q) times the shifted one", _n_grid, _chk_tangent_original),
-    Identity("tk-closed", "T_k double-sum closed form equals the recurrence", _k_grid, _chk_tk_closed),
-    Identity("tk-delta-config", "staircase arrow configurations sum to T_k", _k_grid, _chk_tk_delta),
-    Identity("tk-overpartition", "self-conjugate overpartitions sum to T_k", _k_grid, _chk_tk_sop),
-    Identity("tk-mpath", "west/southwest path sums equal T_k", _k_grid, _chk_tk_mpath),
-    Identity("markpath-transfer", "marked-Dyck weight sum equals t^k q^(k(k+1)) T_k(1/t, 1/q)", _k_grid, _chk_markpath),
-    Identity("tk-functional", "(1-tq) T_k(tq,q) = T_k(t,q) + t^2 q^(2k+1) T_{k-1}(t,q)", _k1_grid, _chk_tk_functional),
-    Identity("tk-special-pp", "substitution formula at t = +q^b equals direct substitution", _bk_grid(0), _special_check(1, False)),
-    Identity("tk-special-mp", "substitution formula at t = -q^b equals direct substitution", _bk_grid(0), _special_check(-1, False)),
-    Identity("tk-special-pm", "substitution formula at t = +q^-b equals direct substitution", _bk_grid(1), _special_check(1, True)),
-    Identity("tk-special-mm", "substitution formula at t = -q^-b equals direct substitution", _bk_grid(1), _special_check(-1, True)),
-    Identity("tk-prodinger", "binomial double sum at t = q^b equals direct substitution", _bk_grid(1), _chk_prodinger),
-    Identity("tk-at-one", "t = 1 specialization degenerates to the square sum", _k_grid, _chk_tk_at_one),
-    Identity("tk-at-minus-one", "t = -1 specialization degenerates to 1", _k_grid, _chk_tk_at_minus_one),
-    Identity("tk-at-q", "t = q specialization recovers the tangent-side kernel", _k1_grid, _chk_tk_at_q),
-    Identity("tk-minus-q", "closed form for T_k(-q, q)", _k_grid, _chk_tk_minus_q),
-    Identity("tk-minus-inv-q", "closed form for T_k(-1/q, q)", _k_grid, _chk_tk_minus_inv_q),
-    Identity("alpha-recurrence", "step relation for T_k at t = eps q^b", _bk_grid(1, 1, with_eps=True), _chk_alpha),
-    Identity("beta-recurrence", "step relation for T_k at t = eps q^-b", _bk_grid(1, 1, with_eps=True), _chk_beta),
-    Identity("ballot-reduction", "Dyck weight sums reduce to ballot-weighted marked-path sums", _ballot_reduction_grid, _chk_ballot_reduction),
-    Identity("dist-box", "distinct-part distribution over a box equals its closed form", _mn_grid(6), _chk_dist_box),
-    Identity("box-binomial", "partition count in a box equals the Gaussian binomial", _mn_grid(6), _chk_box_binom),
-    Identity("lpath-yaxis", "west/southwest path sums to the y-axis equal their closed form", _path_grid(True), _chk_lpath_y),
-    Identity("lpath-xaxis", "west/southwest path sums to the x-axis equal their closed form", _path_grid(False, 0), _chk_lpath_x),
-    Identity("lprime-yaxis", "west/south path sums to the y-axis equal their closed form", _path_grid(True), _chk_lprime_y),
-    Identity("lprime-xaxis", "west/south path sums to the x-axis equal their closed form", _path_grid(False, 1), _chk_lprime_x),
-    Identity("euler-inv-q", "t = 1/q collapses every positive moment to zero", _n_grid, _chk_euler_inv_q),
-    Identity("euler-t-zero", "t = 0 recovers the normalized d_n", _n_grid, _chk_euler_t_zero),
-    Identity("euler-t-minus-one", "t = -1 recovers d_n in q^2 with split prefactors", _n_grid, _chk_euler_t_minus_one),
-    Identity("euler-minus-q", "ballot closed form at t = -q", _n_grid, _chk_euler_minus_q),
-    Identity("euler-minus-inv-q", "ballot closed form at t = -1/q", _n_grid, _chk_euler_minus_inv_q),
-    Identity("secant-anchor", "q = 1 secant values against alternating permutation counts", _anchor_grid(4), _chk_secant_anchor),
-    Identity("tangent-anchor", "q = 1 tangent values against alternating permutation counts", _anchor_grid(4), _chk_tangent_anchor),
-    Identity("dn-anchor", "d_n(1) against height-weighted Dyck counts", _anchor_grid(5), _chk_dn_anchor),
-    Identity("alternating-statistic", "13-2 pattern distribution equals the classical q-Euler values", _alt_grid, _chk_alt_statistic),
-    Identity("zeng-numeric", "rational double-sum evaluation matches the fraction moments", _zeng_grid, _chk_zeng),
-    Identity("gauss-pascal", "q-Pascal recurrence for Gaussian binomials", _pascal_grid, _chk_gauss_pascal),
-    Identity("gauss-symmetry", "Gaussian binomial symmetry", _symmetry_grid, _chk_gauss_symmetry),
+    Identity("euler-dp-vs-ballot", "continued-fraction moments equal the ballot expansion over inverted T_k",
+        _N, _same(lambda n: formulas.euler_hat_ballot(n), _euler_hat)),
+    Identity("euler-odd-pochhammer", "continued-fraction moments equal the single-binomial closed form",
+        _N, _same(lambda n: formulas.euler_hat_odd_pochhammer(n), _euler_hat)),
+    Identity("euler-josuat-verges", "continued-fraction moments equal the moment-style triple sum",
+        _N, _same(lambda n: formulas.euler_hat_josuat_verges(n), _euler_hat)),
+    Identity("euler-dyck-oracle", "continued-fraction moments equal the brute-force weighted Dyck sum",
+        _N, _same(lambda n: combinat.dyck_weight_sum(n, combinat.euler_up, combinat.euler_down),
+                  _euler_hat, cap=("n", 6, "brute-force Dyck oracle"))),
+    Identity("touchard-riordan", "ballot closed form for the normalized d_n equals its fraction moments",
+        _N, _same(lambda n: formulas.dn_touchard_riordan(n), lambda n: cfrac.dn_hat(n))),
+    Identity("secant-closed", "closed secant-side sum equals the t=1 substitution",
+        _N, _same(lambda n: formulas.secant_hat_closed(n), _euler_at(1, 0))),
+    Identity("tangent-closed", "closed tangent-side sum equals the t=q substitution",
+        _N, _same(lambda n: formulas.tangent_hat_closed(n), _euler_at(1, 1))),
+    Identity("secant-original", "unshifted secant form equals the shifted one",
+        _N, _same(lambda n: formulas.secant_hat_original(n), lambda n: formulas.secant_hat_closed(n))),
+    Identity("tangent-original", "unshifted tangent form equals (1-q) times the shifted one",
+        _N, _same(lambda n: formulas.tangent_hat_original(n),
+                  lambda n: ONE_MINUS_Q * formulas.tangent_hat_closed(n))),
+    Identity("tk-closed", "T_k double-sum closed form equals the recurrence",
+        _K, _same(lambda k: formulas.tk_closed(k), _tk)),
+    Identity("tk-delta-config", "staircase arrow configurations sum to T_k",
+        _K, _same(lambda k: combinat.delta_prime_weight_sum(k), _tk,
+                  cap=("k", 5, "staircase configuration oracle"))),
+    Identity("tk-overpartition", "self-conjugate overpartitions sum to T_k",
+        _K, _same(lambda k: combinat.sop_weight_sum(k), _tk, cap=("k", 5, "overpartition oracle"))),
+    Identity("tk-mpath", "west/southwest path sums equal T_k",
+        _K, _same(lambda k: combinat.m_path_weight_sum(k), _tk,
+                  cap=("k", 7, "west/southwest path oracle"))),
+    Identity("markpath-transfer", "marked-Dyck weight sum equals t^k q^(k(k+1)) T_k(1/t, 1/q)",
+        _K, _same(lambda k: combinat.md_star_weight_sum(k),
+                  lambda k: monomial(1, k, k * (k + 1)) * formulas.tk_recurrence(k).invert_variables(),
+                  cap=("k", 5, "marked Dyck path oracle"))),
+    Identity("tk-functional", "(1-tq) T_k(tq,q) = T_k(t,q) + t^2 q^(2k+1) T_{k-1}(t,q)",
+        _K1, _holds(lambda k: formulas.tk_functional_equation_holds(k),
+                    "functional equation fails at k={k}")),
+    Identity("tk-special-pp", "substitution formula at t = +q^b equals direct substitution",
+        _bk_grid(0), _special(1, 1)),
+    Identity("tk-special-mp", "substitution formula at t = -q^b equals direct substitution",
+        _bk_grid(0), _special(-1, 1)),
+    Identity("tk-special-pm", "substitution formula at t = +q^-b equals direct substitution",
+        _bk_grid(1), _special(1, -1)),
+    Identity("tk-special-mm", "substitution formula at t = -q^-b equals direct substitution",
+        _bk_grid(1), _special(-1, -1)),
+    Identity("tk-prodinger", "binomial double sum at t = q^b equals direct substitution",
+        _bk_grid(1), _same(lambda b, k: formulas.tk_prodinger(b, k),
+                           lambda b, k: formulas.tk_recurrence(k).substitute_t(1, b))),
+    Identity("tk-at-one", "t = 1 specialization degenerates to the square sum",
+        _K, _degenerate(1, lambda k: qkit.square_sum(k), "the square sum")),
+    Identity("tk-at-minus-one", "t = -1 specialization degenerates to 1",
+        _K, _degenerate(-1, lambda k: ONE, "1")),
+    Identity("tk-at-q", "t = q specialization recovers the tangent-side kernel",
+        _K1, _same(lambda k: formulas.tk_special(formulas.SpecializationKey(1, 1), k),
+                   lambda k: qkit.a_k_poly(k).divide_exact(ONE_MINUS_Q))),
+    Identity("tk-minus-q", "closed form for T_k(-q, q)",
+        _K, _same(lambda k: formulas.tk_at_minus_q(k), _tk_at(-1, 1))),
+    Identity("tk-minus-inv-q", "closed form for T_k(-1/q, q)",
+        _K, _same(lambda k: formulas.tk_at_minus_inv_q(k), _tk_at(-1, -1))),
+    Identity("alpha-recurrence", "step relation for T_k at t = eps q^b",
+        _bk_grid(1, 1, with_eps=True), _holds(lambda eps, b, k: formulas.alpha_step_holds(eps, b, k),
+                                              "alpha step fails at eps={eps} b={b} k={k}")),
+    Identity("beta-recurrence", "step relation for T_k at t = eps q^-b",
+        _bk_grid(1, 1, with_eps=True), _holds(lambda eps, b, k: formulas.beta_step_holds(eps, b, k),
+                                              "beta step fails at eps={eps} b={b} k={k}")),
+    Identity("ballot-reduction", "Dyck weight sums reduce to ballot-weighted marked-path sums",
+        _ballot_reduction_grid,
+        _same(lambda n, weights: combinat.dyck_weight_sum(n, *_step_rules(weights)), _ballot_marked_sum)),
+    Identity("dist-box", "distinct-part distribution over a box equals its closed form",
+        _mn_grid(6), _same(lambda m, n: combinat.dist_box_polynomial(m, n),
+                           lambda m, n: formulas.dist_box_closed(m, n))),
+    Identity("box-binomial", "partition count in a box equals the Gaussian binomial",
+        _mn_grid(6), _same(lambda m, n: combinat.box_size_polynomial(m, n),
+                           lambda m, n: qkit.gauss_binom(m + n, m))),
+    Identity("lpath-yaxis", "west/southwest path sums to the y-axis equal their closed form",
+        _path_grid(True), _same(
+            lambda eps, b, k, n: combinat.l_path_weight_sum(b, k, 0, n, eps),
+            lambda eps, b, k, n: monomial(1, 0, (k - n) * (2 * k + 1))
+            * qkit.gauss_binom(b, k - n, squared=True))),
+    Identity("lpath-xaxis", "west/southwest path sums to the x-axis equal their closed form",
+        _path_grid(False, 0), _same(
+            lambda eps, b, k, m: combinat.l_path_weight_sum(b, k, m, 0, eps),
+            lambda eps, b, k, m: qkit.pochhammer(qkit.QSymbolSpec(eps, 1, m))
+            * monomial(1, 0, k * (2 * k + 2 * m + 1))
+            * qkit.gauss_binom(b - m - 1, k - 1, squared=True))),
+    Identity("lprime-yaxis", "west/south path sums to the y-axis equal their closed form",
+        _path_grid(True), _same(
+            lambda eps, b, k, n: combinat.lprime_path_weight_sum(b, k, 0, n, eps),
+            lambda eps, b, k, n: qkit.pochhammer(qkit.QSymbolSpec(eps, 1 - b, b))
+            * qkit.neg_q_power((k - n) * (k + n - 2 * b + 2))
+            * qkit.partition_box_binom(k - n, b - 1, squared=True))),
+    Identity("lprime-xaxis", "west/south path sums to the x-axis equal their closed form",
+        _path_grid(False, 1), _same(
+            lambda eps, b, k, m: combinat.lprime_path_weight_sum(b, k, m, 0, eps),
+            lambda eps, b, k, m: qkit.pochhammer(qkit.QSymbolSpec(eps, 1 - b, b - m))
+            * qkit.neg_q_power(k * (k - 2 * b + 2) + 2 * (b - m))
+            * qkit.partition_box_binom(b - m, k - 1, squared=True))),
+    Identity("euler-inv-q", "t = 1/q collapses every positive moment to zero",
+        _N, _same(_euler_at(1, -1), lambda n: ONE if n == 0 else ZERO)),
+    Identity("euler-t-zero", "t = 0 recovers the normalized d_n",
+        _N, _same(lambda n: cfrac.euler_hat(n).substitute_t_zero(), lambda n: cfrac.dn_hat(n))),
+    Identity("euler-t-minus-one", "t = -1 recovers d_n in q^2 with split prefactors",
+        _N, _same(_euler_at(-1, 0), lambda n: (ONE + Q) ** n * ONE_MINUS_Q**n * _d(n).scale_q(2))),
+    Identity("euler-minus-q", "ballot closed form at t = -q",
+        _N, _same(lambda n: formulas.euler_hat_at_minus_q(n), _euler_at(-1, 1))),
+    Identity("euler-minus-inv-q", "ballot closed form at t = -1/q",
+        _N, _same(lambda n: formulas.euler_hat_at_minus_inv_q(n), _euler_at(-1, -1))),
+    Identity("secant-anchor", "q = 1 secant values against alternating permutation counts",
+        _axis("n", 0, lambda bounds: min(bounds.max_n, 4)), _alternating_anchor(0)),
+    Identity("tangent-anchor", "q = 1 tangent values against alternating permutation counts",
+        _axis("n", 0, lambda bounds: min(bounds.max_n, 4)), _alternating_anchor(1)),
+    Identity("dn-anchor", "d_n(1) against height-weighted Dyck counts",
+        _axis("n", 0, lambda bounds: min(bounds.max_n, 5)), _chk_dn_anchor),
+    Identity("alternating-statistic", "13-2 pattern distribution equals the classical q-Euler values",
+        _axis("n", 0, lambda bounds: min(2 * bounds.max_n, 8)),
+        _same(lambda n: combinat.alt_statistic_polynomial(n),
+              lambda n: cfrac.en_odd_q(n // 2) if n % 2 else cfrac.en_even_q(n // 2))),
+    Identity("zeng-numeric", "rational double-sum evaluation matches the fraction moments",
+        _zeng_grid, _chk_zeng),
+    Identity("gauss-pascal", "q-Pascal recurrence for Gaussian binomials",
+        _axis("n", 1, lambda bounds: 20), _chk_gauss_pascal),
+    Identity("gauss-symmetry", "Gaussian binomial symmetry",
+        _axis("n", 0, lambda bounds: 20), _chk_gauss_symmetry),
 )
 
 
@@ -612,40 +488,24 @@ def run_verification(
     max_k: int = 6,
     max_b: int = 4,
     select: str | None = None,
-    jobs: int = 1,
 ) -> VerificationReport:
-    """Execute the verification matrix and return the report.
-
-    Cells are independent and pure; with ``jobs > 1`` they run in a thread
-    pool, and the report order is the deterministic generation order either
-    way.
-    """
+    """Execute the verification matrix and return the report, in the
+    deterministic generation order of the cells."""
     if not (0 <= max_n <= HARD_MAX_N):
         raise RegistryConfigError(f"max_n must be in 0..{HARD_MAX_N}")
     if not (0 <= max_k <= HARD_MAX_K):
         raise RegistryConfigError(f"max_k must be in 0..{HARD_MAX_K}")
     if not (0 <= max_b <= HARD_MAX_B):
         raise RegistryConfigError(f"max_b must be in 0..{HARD_MAX_B}")
-    if jobs < 1:
-        raise RegistryConfigError("jobs must be at least 1")
     bounds = Bounds(max_n, max_k, max_b)
-    cells = [
-        (ident, params) for ident in _select_identities(select) for params in ident.grid(bounds)
-    ]
-
-    def run_cell(cell):
-        ident, params = cell
-        start = time.perf_counter()
-        try:
-            status, detail = ident.check(params)
-        except Exception as exc:  # a crash in a check is a failure, not an abort
-            status, detail = "fail", f"exception: {type(exc).__name__}: {exc}"
-        ms = int((time.perf_counter() - start) * 1000)
-        return Case(ident.id, dict(params), status, ms, detail)
-
-    if jobs == 1:
-        cases = [run_cell(cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cases = list(pool.map(run_cell, cells))
+    cases = []
+    for ident in _select_identities(select):
+        for params in ident.grid(bounds):
+            start = time.perf_counter()
+            try:
+                status, detail = ident.check(params)
+            except Exception as exc:  # a crash in a check is a failure, not an abort
+                status, detail = "fail", f"exception: {type(exc).__name__}: {exc}"
+            ms = int((time.perf_counter() - start) * 1000)
+            cases.append(Case(ident.id, dict(params), status, ms, detail))
     return VerificationReport(cases)

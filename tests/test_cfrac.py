@@ -4,13 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tqeuler.cfrac import (
-    SFractionSpec,
     dn_hat,
     en_even_q,
     en_odd_q,
     euler_coeff,
     euler_hat,
-    sfrac_expand,
     sfrac_moments,
 )
 from tqeuler.exactalg import LaurentPoly, ONE, Q, T, ZERO, const
@@ -97,12 +95,6 @@ def test_q_int_moments():
 def test_q_int_squared_at_one_gives_secant():
     moments = sfrac_moments(lambda h: q_int(h) * q_int(h), 4)
     assert [m.evaluate(1, 1) for m in moments] == [1, 1, 5, 61, 1385]
-
-
-def test_sfrac_expand_series():
-    series = sfrac_expand(SFractionSpec(lambda h: ONE, 3))
-    assert series.order == 3
-    assert series.coeffs[3].evaluate(1, 1) == 5
 
 
 def test_euler_hat_small():

@@ -7,7 +7,6 @@ from tqeuler.exactalg import LaurentPoly, ONE, Q, T, ZeroDenominatorError, const
 from tqeuler.formulas import (
     DEFAULT_ZENG_BRACKET,
     SpecializationKey,
-    TkValue,
     ZENG_SAMPLE_POINTS,
     alpha_step_holds,
     beta_step_holds,
@@ -61,7 +60,10 @@ class TestTkFamily:
 
     def test_invariants(self):
         for k in range(9):
-            assert TkValue.compute(k).invariants_hold()
+            tk = tk_recurrence(k)
+            assert tk.substitute_t(-1, 0) == ONE
+            assert tk.substitute_t(1, 0) == square_sum(k)
+            assert tk.terms.get((0, 0)) == 1
 
     def test_degree_table(self):
         for k, box in TK_DEGREE_BOX.items():

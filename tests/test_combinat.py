@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,7 @@ from tqeuler.formulas import tk_recurrence
 from tqeuler.qkit import ballot, gauss_binom, q_int, tq_factor
 
 ONE_MINUS_Q = ONE - Q
+DATA = Path(__file__).parent / "data"
 
 
 def euler_up(h):
@@ -188,6 +190,29 @@ class TestDeltaConfigs:
     def test_matches_recurrence(self):
         for k in range(6):
             assert delta_prime_weight_sum(k) == tk_recurrence(k)
+
+    def test_matches_frozen_outputs(self):
+        # [et, eq, c] terms of delta_prime_weight_sum(k) for k = 0..6, written
+        # by the per-configuration sum over enum_delta_prime(k) that the
+        # bitmask tally replaced.
+        with open(DATA / "delta_prime_weight_sum.json", encoding="utf-8") as fh:
+            frozen = json.load(fh)
+        assert sorted(frozen, key=int) == [str(k) for k in range(7)]
+        for k, terms in frozen.items():
+            expected = LaurentPoly({(et, eq): c for et, eq, c in terms})
+            assert delta_prime_weight_sum(int(k)) == expected
+
+    def test_matches_reference(self):
+        for k in range(6):
+            ref = ZERO
+            for cfg in enum_delta_prime(k):
+                ref = ref + cfg.weight()
+            assert delta_prime_weight_sum(k) == ref
+
+    def test_cutoff(self, monkeypatch):
+        monkeypatch.delenv("TQEULER_MAX_CUTOFF", raising=False)
+        with pytest.raises(CutoffExceededError):
+            delta_prime_weight_sum(7)
 
     def test_weight_sign_is_arrow_parity(self):
         for k in range(5):

@@ -13,7 +13,7 @@ import io
 import sys
 import time
 
-from . import cfrac, combinat, formulas, qkit, registry
+from . import cfrac, clear_caches, combinat, formulas, registry
 from .exactalg import ONE_MINUS_Q, LaurentPoly
 
 
@@ -26,9 +26,14 @@ def _render_poly(poly: LaurentPoly, fmt: str) -> str:
     if fmt == "text":
         return poly.render()
     if fmt == "json":
-        import json
-
-        return json.dumps(poly.json_terms(), indent=2, sort_keys=True)
+        # The bytes of json.dumps(poly.json_terms(), indent=2, sort_keys=True),
+        # written directly: with indent set, json.dumps runs its pure-Python
+        # encoder.  Keys are in sorted order and c is a decimal string.
+        records = [
+            f'  {{\n    "c": "{c}",\n    "eq": {eq},\n    "et": {et}\n  }}'
+            for (et, eq), c in poly.sorted_terms()
+        ]
+        return "[\n" + ",\n".join(records) + "\n]" if records else "[]"
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["et", "eq", "c"])
@@ -97,11 +102,9 @@ def _bench_methods(n: int):
         return cfrac.sfrac_moments(cfrac.euler_coeff, n)[n]
 
     def ballot_form():
-        formulas.tk_recurrence.cache_clear()
         return formulas.euler_hat_ballot(n)
 
     def odd_poch_sum():
-        qkit._GAUSS_CACHE.clear()
         return formulas.euler_hat_odd_pochhammer(n)
 
     def dyck_brute():
@@ -125,6 +128,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             if fn is None:
                 writer.writerow([n, name, "cutoff", ""])
                 continue
+            clear_caches()  # every row runs cold
             start = time.perf_counter()
             result = fn()
             ms = int((time.perf_counter() - start) * 1000)

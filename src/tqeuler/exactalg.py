@@ -209,7 +209,12 @@ class LaurentPoly:
         if quo is None:
             raise NonDivisibleError(f"{divisor!r} does not divide {self!r}")
         shift_t, shift_q = a_t - b_t, a_q - b_q
-        return LaurentPoly({(et + shift_t, eq + shift_q): c for (et, eq), c in quo.items()})
+        # Canonical already: every quotient coefficient is some lu // lv with
+        # lv | lu != 0 in _q_div_exact, and each (t, q) slot is written once
+        # (leading degrees strictly fall), so no coefficient is zero.
+        return LaurentPoly._trusted(
+            {(et + shift_t, eq + shift_q): c for (et, eq), c in quo.items()}
+        )
 
     # -- substitutions -------------------------------------------------------
 
@@ -523,7 +528,7 @@ def _poly_div_exact(a: dict[ExpPair, int], b: dict[ExpPair, int]) -> dict[ExpPai
             return None
         dt = deg_r - deg_b
         for qe, qc in q_quo.items():
-            quo[(dt, qe)] = quo.get((dt, qe), 0) + qc
+            quo[(dt, qe)] = qc  # deg_r strictly falls, so row dt is new
             for (bt, bq), bc in b.items():
                 e = (dt + bt, qe + bq)
                 s = rem.get(e, 0) - qc * bc

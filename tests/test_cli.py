@@ -1,9 +1,15 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
-from tqeuler import cli, registry
+from tqeuler import cfrac, cli, registry
+from tqeuler.exactalg import ZERO, LaurentPoly
 from tqeuler.registry import RegistryConfigError, run_verification
+
+
+def json_dumps_terms(poly):
+    return json.dumps(poly.json_terms(), indent=2, sort_keys=True)
 
 
 class TestCompute:
@@ -29,6 +35,25 @@ class TestCompute:
         assert cli.main(["compute", "e", "--n", "1", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert {"et": 1, "eq": 2, "c": "1"} in data
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_json_render_is_json_dumps(self, n):
+        poly = cfrac.euler_hat(n)
+        assert cli._render_poly(poly, "json") == json_dumps_terms(poly)
+
+    def test_json_render_zero(self):
+        assert cli._render_poly(ZERO, "json") == "[]" == json_dumps_terms(ZERO)
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+            st.sampled_from([1, -1, 2**200, -(2**200)]) | st.integers(-99, 99),
+            max_size=12,
+        )
+    )
+    def test_json_render_hypothesis(self, terms):
+        poly = LaurentPoly(terms)
+        assert cli._render_poly(poly, "json") == json_dumps_terms(poly)
 
     def test_csv_format(self, capsys):
         assert cli.main(["compute", "t", "--k", "0", "--format", "csv"]) == 0

@@ -246,6 +246,25 @@ class TestDivision:
             assert (a * b).divide_exact(b) == a
             done += 1
 
+    @given(pack_operands(), pack_operands())
+    def test_roundtrip_hypothesis(self, a, b):
+        quo = (a * b).divide_exact(b)
+        assert quo == a
+        assert 0 not in quo.terms.values()
+
+    @given(
+        laurent_polys(),
+        pack_operands().filter(lambda b: len(b) >= 2),
+        st.integers(-3, 3),
+        st.integers(-3, 3),
+        st.integers(-9, 9).filter(bool),
+    )
+    def test_non_divisible_hypothesis(self, a, b, et, eq, c):
+        # b has two or more terms, so it is no unit times a monomial: it
+        # divides a*b but not a*b plus a monomial.
+        with pytest.raises(NonDivisibleError):
+            (a * b + monomial(c, et, eq)).divide_exact(b)
+
 
 class TestRingAxioms:
     def test_axioms_random_triples(self):

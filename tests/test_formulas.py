@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from tqeuler import cfrac, combinat
+import tqeuler
+from tqeuler import cfrac, combinat, qkit
 from tqeuler.exactalg import LaurentPoly, ONE, Q, T, ZeroDenominatorError, const, monomial
 from tqeuler.formulas import (
     DEFAULT_ZENG_BRACKET,
@@ -243,3 +244,25 @@ class TestZeng:
             zeng_value(1, 2, 1)
         with pytest.raises(ValueError):
             zeng_value(6, 2, Fraction(1, 2))
+
+
+def test_clear_caches_changes_no_result():
+    def results():
+        return (
+            [cfrac.euler_hat(n) for n in range(7)],
+            [cfrac.dn_hat(n) for n in range(7)],
+            [tk_recurrence(k) for k in range(6)],
+            [qkit.gauss_binom(n, k) for n in range(7) for k in range(n + 1)],
+            [euler_hat_ballot(n) for n in range(5)],
+            [euler_hat_odd_pochhammer(n) for n in range(5)],
+            [
+                (c.id, c.params, c.status, c.detail)
+                for c in tqeuler.run_verification(max_n=3, max_k=3, max_b=2).cases
+            ],
+        )
+
+    warm = results()
+    tqeuler.clear_caches()
+    assert tk_recurrence.cache_info().currsize == 0
+    assert not (qkit._GAUSS_CACHE or cfrac._euler_cache or cfrac._dn_cache)
+    assert results() == warm

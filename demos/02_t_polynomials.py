@@ -35,4 +35,4 @@ for k in range(4):
 print()
 print("A few of the enumerated objects behind k = 2:")
 for nu in combinat.enum_sop(2)[:4]:
-    print("  ", combinat.to_debug_json(nu))
+    print("  ", nu.shape.parts, sorted(nu.marks))

@@ -22,7 +22,6 @@ from .exactalg import (
 from .qkit import (
     QSymbolSpec,
     q_int,
-    tq_factor,
     pochhammer,
     odd_pochhammer,
     gauss_binom,
@@ -36,8 +35,6 @@ from .combinat import (
     CutoffExceededError,
     InvalidEndpointError,
     Partition,
-    MarkedDyckPath,
-    DeltaConfig,
     Overpartition,
 )
 from .formulas import SpecializationKey, tk_recurrence, tk_closed, tk_special

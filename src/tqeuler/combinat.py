@@ -13,7 +13,6 @@ the env var ``TQEULER_MAX_CUTOFF`` raises every cap at once.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -26,20 +25,16 @@ __all__ = [
     "CutoffExceededError",
     "InvalidEndpointError",
     "Partition",
-    "MarkedDyckPath",
-    "DeltaConfig",
     "Overpartition",
     "enum_partitions_in_box",
     "box_size_polynomial",
     "dist_box_polynomial",
     "dyck_paths",
     "dyck_weight_sum",
-    "enum_md_star",
     "md_star_weight_sum",
     "md_star_weight_sum_general",
     "euler_up",
     "euler_down",
-    "enum_delta_prime",
     "delta_prime_weight_sum",
     "enum_sop",
     "sop_weight_sum",
@@ -49,8 +44,6 @@ __all__ = [
     "enum_alternating",
     "count_13_2_patterns",
     "alt_statistic_polynomial",
-    "to_debug_json",
-    "dump_debug_json",
 ]
 
 
@@ -153,9 +146,6 @@ class Partition:
 
 def _bounded_parts(bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All weakly decreasing tuples with i-th entry <= bounds[i] (zeros trimmed)."""
-    if not bounds:
-        yield ()
-        return
 
     def rec(i: int, prev: int) -> Iterator[tuple[int, ...]]:
         if i == len(bounds):
@@ -169,30 +159,21 @@ def _bounded_parts(bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
             for rest in rec(i + 1, v):
                 yield (v,) + rest
 
-    yield from rec(0, bounds[0] if bounds else 0)
+    yield from rec(0, max(bounds, default=0))
 
 
 def enum_partitions_in_box(m: int, n: int) -> Iterator[Partition]:
     """All partitions contained in the box with m rows and n columns."""
     if m < 0 or n < 0:
         raise ValueError("box dimensions must be nonnegative")
-    seen = set()
     for parts in _bounded_parts([n] * m):
-        if parts not in seen:
-            seen.add(parts)
-            yield Partition(parts)
+        yield Partition(parts)
 
 
 def _partitions_in_staircase(k: int) -> Iterator[Partition]:
     """All partitions contained in the staircase (k, k-1, ..., 1)."""
-    if k <= 0:
-        yield Partition()
-        return
-    seen = set()
     for parts in _bounded_parts([k - i for i in range(k)]):
-        if parts not in seen:
-            seen.add(parts)
-            yield Partition(parts)
+        yield Partition(parts)
 
 
 def box_size_polynomial(m: int, n: int) -> LaurentPoly:
@@ -263,63 +244,6 @@ def dyck_weight_sum(n: int, up_rule: WeightRule, down_rule: WeightRule) -> Laure
 # marked Dyck paths without marked peaks
 
 
-@dataclass(frozen=True)
-class MarkedDyckPath:
-    """Dyck path whose steps may carry marks.
-
-    ``steps`` is a tuple of (direction, marked) with direction +1 or -1.  In
-    the starred family no marked up step is immediately followed by a marked
-    down step.
-    """
-
-    steps: tuple[tuple[int, bool], ...]
-
-    def is_valid_dyck(self) -> bool:
-        h = 0
-        for d, _ in self.steps:
-            h += d
-            if h < 0:
-                return False
-        return h == 0
-
-    def has_marked_peak(self) -> bool:
-        for i in range(len(self.steps) - 1):
-            (d1, m1), (d2, m2) = self.steps[i], self.steps[i + 1]
-            if d1 == 1 and d2 == -1 and m1 and m2:
-                return True
-        return False
-
-    def weight(self, up_rule: WeightRule, down_rule: WeightRule) -> LaurentPoly:
-        """Product of step weights; marked steps count as weight 1."""
-        w = ONE
-        h = 0
-        for d, marked in self.steps:
-            if d == 1:
-                h += 1
-                if not marked:
-                    w = w * up_rule(h)
-            else:
-                if not marked:
-                    w = w * down_rule(h)
-                h -= 1
-        return w
-
-
-def enum_md_star(k: int) -> list[MarkedDyckPath]:
-    """All marked Dyck paths of length 2k without marked peaks."""
-    _check_cutoff("md_star", k)
-    out: list[MarkedDyckPath] = []
-    for path in dyck_paths(k):
-        peaks = [
-            i for i in range(2 * k - 1) if path[i] == 1 and path[i + 1] == -1
-        ]
-        for marks in product((False, True), repeat=2 * k):
-            if any(marks[i] and marks[i + 1] for i in peaks):
-                continue
-            out.append(MarkedDyckPath(tuple(zip(path, marks))))
-    return out
-
-
 def _u_rule(h: int) -> LaurentPoly:
     return monomial(-1, 0, h)  # -q**h
 
@@ -339,7 +263,12 @@ def euler_down(h: int) -> LaurentPoly:
 
 
 def md_star_weight_sum_general(k: int, up_rule: WeightRule, down_rule: WeightRule) -> LaurentPoly:
-    """Sum of ``MarkedDyckPath.weight`` over ``enum_md_star(k)``.
+    """Sum over marked Dyck paths of length 2k without marked peaks of the
+    products of step weights.
+
+    A step may carry a mark, and a marked peak is a marked up step followed
+    directly by a marked down step.  Unmarked steps weigh as in
+    :func:`dyck_weight_sum`; marked steps weigh 1.
 
     Still brute force: the marked paths without marked peaks are walked depth
     first, one leaf per path, and each leaf's weight is added to the total.
@@ -381,35 +310,6 @@ def md_star_weight_sum(k: int) -> LaurentPoly:
 # staircase arrow configurations
 
 
-@dataclass(frozen=True)
-class DeltaConfig:
-    """A partition inside the staircase of size k-1 together with row and
-    column arrows in the complement staircase of size k.
-
-    An arrow occupies a whole row or column of the complement, so a subset of
-    row indices and a subset of column indices determines the configuration;
-    the arrow in row i has length (k+1-i) - parts[i], the arrow in column j
-    has length (k+1-j) - conjugate parts[j].
-    """
-
-    k: int
-    shape: Partition
-    row_arrows: frozenset[int]
-    col_arrows: frozenset[int]
-
-    def arrow_lengths(self) -> list[int]:
-        conj = self.shape.conjugate()
-        lengths = [self.k + 1 - i - self.shape.part(i) for i in sorted(self.row_arrows)]
-        lengths += [self.k + 1 - j - conj.part(j) for j in sorted(self.col_arrows)]
-        return lengths
-
-    def weight(self) -> LaurentPoly:
-        """``(-1)**#arrows * t**#row_arrows * q**(2|shape| + total arrow length)``."""
-        arrows = len(self.row_arrows) + len(self.col_arrows)
-        expo = 2 * self.shape.size + sum(self.arrow_lengths())
-        return monomial(-1 if arrows % 2 else 1, len(self.row_arrows), expo)
-
-
 def _outer_corners_in_staircase(lam: Partition, k: int) -> list[tuple[int, int]]:
     """Outer corners of lam that lie inside the staircase of size k."""
     out = []
@@ -423,29 +323,6 @@ def _outer_corners_in_staircase(lam: Partition, k: int) -> list[tuple[int, int]]
     return out
 
 
-def enum_delta_prime(k: int) -> list[DeltaConfig]:
-    """All configurations with only k-arrows and no forbidden corners.
-
-    A forbidden corner is an outer corner of the shape covered by both a row
-    arrow and a column arrow.
-    """
-    _check_cutoff("delta", k)
-    if k == 0:
-        return [DeltaConfig(0, Partition(), frozenset(), frozenset())]
-    out: list[DeltaConfig] = []
-    indices = list(range(1, k + 1))
-    for lam in _partitions_in_staircase(k - 1):
-        corners = _outer_corners_in_staircase(lam, k)
-        for r_bits in product((False, True), repeat=k):
-            rows = frozenset(i for i, b in zip(indices, r_bits) if b)
-            for c_bits in product((False, True), repeat=k):
-                cols = frozenset(j for j, b in zip(indices, c_bits) if b)
-                if any(i in rows and j in cols for i, j in corners):
-                    continue
-                out.append(DeltaConfig(k, lam, rows, cols))
-    return out
-
-
 def _mask_sums(values: Sequence[int]) -> list[int]:
     """``out[m]`` is the sum of ``values[b]`` over the set bits b of m."""
     out = [0] * (1 << len(values))
@@ -456,7 +333,14 @@ def _mask_sums(values: Sequence[int]) -> list[int]:
 
 
 def delta_prime_weight_sum(k: int) -> LaurentPoly:
-    """Sum of ``DeltaConfig.weight`` over ``enum_delta_prime(k)``.
+    """Signed sum over the staircase arrow configurations of size k.
+
+    A configuration is a shape inside the staircase of size k-1 with arrows
+    on a set of rows and a set of columns of the complementary staircase of
+    size k; the arrow in row i has length ``(k+1-i) - parts[i]``, the arrow
+    in column j ``(k+1-j) - conjugate parts[j]``.  Configurations in which an
+    outer corner of the shape is covered by both a row and a column arrow
+    are forbidden.
 
     Still brute force: every (shape, row arrows, column arrows) configuration
     is one leaf, visited once.  For each shape the row and column arrows are
@@ -763,36 +647,3 @@ def alt_statistic_polynomial(n: int) -> LaurentPoly:
         out = out + monomial(1, 0, count_13_2_patterns(perm))
     return out
 
-
-# ---------------------------------------------------------------------------
-# debug dumps
-
-
-def to_debug_json(obj: object) -> dict:
-    """JSON-able description of an enumerated object, for fixture freezing."""
-    if isinstance(obj, Partition):
-        return {"type": "partition", "parts": list(obj.parts)}
-    if isinstance(obj, Overpartition):
-        return {
-            "type": "overpartition",
-            "parts": list(obj.shape.parts),
-            "marks": sorted(list(c) for c in obj.marks),
-        }
-    if isinstance(obj, DeltaConfig):
-        return {
-            "type": "delta-config",
-            "k": obj.k,
-            "parts": list(obj.shape.parts),
-            "row_arrows": sorted(obj.row_arrows),
-            "col_arrows": sorted(obj.col_arrows),
-        }
-    if isinstance(obj, MarkedDyckPath):
-        return {
-            "type": "marked-dyck-path",
-            "steps": [["U" if d == 1 else "D", bool(m)] for d, m in obj.steps],
-        }
-    raise TypeError(f"no debug rendering for {type(obj).__name__}")
-
-
-def dump_debug_json(objs: Iterable[object]) -> str:
-    return json.dumps([to_debug_json(o) for o in objs], indent=2, sort_keys=True)

@@ -8,6 +8,10 @@ the continued-fraction ground truth (module :mod:`tqeuler.cfrac`) or against
 the combinatorial oracles (module :mod:`tqeuler.combinat`) is the only
 success criterion; any :class:`~tqeuler.exactalg.NonDivisibleError` escaping
 from here means a transcription bug, never data.
+
+The ballot-form routes ``sum_k ballot(n,k) * K_k`` are each written as their
+kernel ``K_k`` passed to :func:`tqeuler.qkit._ballot_sum`, which owns the
+outer sum and its ``n >= 0`` check.
 """
 
 from __future__ import annotations
@@ -28,10 +32,12 @@ from .exactalg import (
 )
 from .qkit import (
     QSymbolSpec,
+    _ballot_sum,
     a_k_poly,
     ballot,
     gauss_binom,
     neg_q_power,
+    odd_pochhammer,
     pochhammer,
     square_sum,
 )
@@ -255,26 +261,16 @@ def euler_hat_ballot(n: int) -> LaurentPoly:
 
     Equals the continued-fraction value ``euler_hat(n)``.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    total = ZERO
-    for k in range(n + 1):
-        total = total + ballot(n, k) * monomial(1, k, k * (k + 1)) * tk_recurrence(
-            k
-        ).invert_variables()
-    return total
+    return _ballot_sum(
+        n, lambda k: monomial(1, k, k * (k + 1)) * tk_recurrence(k).invert_variables()
+    )
 
 
 def secant_hat_closed(n: int) -> LaurentPoly:
     """``(1-q)**(2n) * E_{2n}(q)`` as a ballot sum over shifted square sums."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    total = ZERO
-    for k in range(n + 1):
-        total = total + ballot(n, k) * monomial(1, 0, k * (k + 1)) * square_sum(
-            k
-        ).invert_variables()
-    return total
+    return _ballot_sum(
+        n, lambda k: monomial(1, 0, k * (k + 1)) * square_sum(k).invert_variables()
+    )
 
 
 def a_k_inverse(k: int) -> LaurentPoly:
@@ -284,30 +280,18 @@ def a_k_inverse(k: int) -> LaurentPoly:
 
 def tangent_hat_closed(n: int) -> LaurentPoly:
     """``(1-q)**(2n) * E_{2n+1}(q)`` as a ballot sum over ``A_k(1/q)``."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    total = ZERO
-    for k in range(n + 1):
-        total = total + ballot(n, k) * monomial(1, 0, k * (k + 2)) * a_k_inverse(k)
-    return total
+    return _ballot_sum(n, lambda k: monomial(1, 0, k * (k + 2)) * a_k_inverse(k))
 
 
 def dn_touchard_riordan(n: int) -> LaurentPoly:
     """``(1-q)**n * d_n = sum_k ballot(n,k) * (-1)**k * q**(k(k+1)/2)``."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    total = ZERO
-    for k in range(n + 1):
-        total = total + ballot(n, k) * monomial(-1 if k % 2 else 1, 0, k * (k + 1) // 2)
-    return total
+    return _ballot_sum(n, lambda k: monomial(-1 if k % 2 else 1, 0, k * (k + 1) // 2))
 
 
 def euler_hat_josuat_verges(n: int) -> LaurentPoly:
     """The moment-style triple sum for ``euler_hat(n)`` with base-q binomials."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    total = ZERO
-    for k in range(n + 1):
+
+    def kernel(k: int) -> LaurentPoly:
         inner = ZERO
         for j in range(2 * k + 1):
             bj = gauss_binom(2 * k - j, j)
@@ -320,18 +304,15 @@ def euler_hat_josuat_verges(n: int) -> LaurentPoly:
                 sign = -1 if (k + i) % 2 else 1
                 head = monomial(sign, 0, math.comb(j + 1, 2)) * monomial(1, k - j, k - j)
                 inner = inner + head * bj * bi
-        total = total + ballot(n, k) * inner
-    return total
+        return inner
+
+    return _ballot_sum(n, kernel)
 
 
 def euler_hat_odd_pochhammer(n: int) -> LaurentPoly:
     """The single-binomial sum for ``euler_hat(n)`` with odd-base Pochhammers."""
-    from .qkit import odd_pochhammer
 
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    total = ZERO
-    for k in range(n + 1):
+    def kernel(k: int) -> LaurentPoly:
         inner = ZERO
         for i in range(k + 1):
             inner = inner + (
@@ -339,21 +320,21 @@ def euler_hat_odd_pochhammer(n: int) -> LaurentPoly:
                 * odd_pochhammer(i)
                 * gauss_binom(k + i, k - i)
             )
-        total = total + ballot(n, k) * neg_q_power(k) * inner
-    return total
+        return neg_q_power(k) * inner
+
+    return _ballot_sum(n, kernel)
 
 
 def secant_hat_original(n: int) -> LaurentPoly:
     """``(1-q)**(2n) * E_{2n}(q)`` in the unshifted index form."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    total = ZERO
-    for k in range(n + 1):
+
+    def kernel(k: int) -> LaurentPoly:
         inner = ZERO
         for i in range(2 * k + 1):
             inner = inner + monomial(-1 if (i + k) % 2 else 1, 0, i * (2 * k - i) + k)
-        total = total + ballot(n, k) * inner
-    return total
+        return inner
+
+    return _ballot_sum(n, kernel)
 
 
 def tangent_hat_original(n: int) -> LaurentPoly:
@@ -383,23 +364,18 @@ def euler_hat_at_minus_q(n: int) -> LaurentPoly:
     Each summand is divided exactly on its own: ``q**(k*k) * (1 + q**(2k+1))``
     is divisible by ``1 + q`` because the inner exponent is odd.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    total = ZERO
-    for k in range(n + 1):
-        pair = monomial(1, 0, k * k) + monomial(1, 0, (k + 1) ** 2)
-        total = total + ballot(n, k) * (-1 if k % 2 else 1) * pair.divide_exact(_ONE_PLUS_Q)
-    return total
+
+    def kernel(k: int) -> LaurentPoly:
+        sign = -1 if k % 2 else 1
+        pair = monomial(sign, 0, k * k) + monomial(sign, 0, (k + 1) ** 2)
+        return pair.divide_exact(_ONE_PLUS_Q)
+
+    return _ballot_sum(n, kernel)
 
 
 def euler_hat_at_minus_inv_q(n: int) -> LaurentPoly:
     """``euler_hat(n)`` at ``t = -1/q``: ballot sum of the plain square sums."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    total = ZERO
-    for k in range(n + 1):
-        total = total + ballot(n, k) * square_sum(k)
-    return total
+    return _ballot_sum(n, square_sum)
 
 
 def dist_box_closed(m: int, n: int) -> LaurentPoly:

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .exactalg import LaurentPoly, ONE, ZERO, monomial
 
 __all__ = [
     "QSymbolSpec",
     "q_int",
-    "tq_factor",
     "pochhammer",
     "odd_pochhammer",
     "gauss_binom",
@@ -40,13 +40,6 @@ def q_int(n: int) -> LaurentPoly:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return LaurentPoly({(0, i): 1 for i in range(n)})
-
-
-def tq_factor(n: int) -> LaurentPoly:
-    """``1 - t*q**n``, the numerator of the (t,q)-integer of index n >= 1."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return LaurentPoly({(0, 0): 1, (1, n): -1})
 
 
 @dataclass(frozen=True)
@@ -138,6 +131,20 @@ def ballot(n: int, k: int) -> int:
         return math.comb(m, j) if 0 <= j <= m else 0
 
     return c(2 * n, n - k) - c(2 * n, n - k - 1)
+
+
+def _ballot_sum(n: int, kernel: Callable[[int], LaurentPoly]) -> LaurentPoly:
+    """The ballot expansion ``sum_{k=0}^{n} ballot(n,k) * kernel(k)``.
+
+    Kept out of ``__all__`` so that profiling wrappers, which follow
+    ``__all__``, charge the time of each expansion to its formula.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    total = ZERO
+    for k in range(n + 1):
+        total = total + ballot(n, k) * kernel(k)
+    return total
 
 
 def a_k_poly(k: int) -> LaurentPoly:

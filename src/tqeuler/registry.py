@@ -199,12 +199,12 @@ def _step_rules(weights: str) -> tuple[Side, Side]:
 
 def _ballot_marked_sum(n: int, weights: str) -> LaurentPoly:
     up, down = _step_rules(weights)
-    total = ZERO
-    for k in range(n + 1):
-        total = total + qkit.ballot(n, k) * combinat.md_star_weight_sum_general(
+    return qkit._ballot_sum(
+        n,
+        lambda k: combinat.md_star_weight_sum_general(
             k, lambda h: up(h) - ONE, lambda h: down(h) - ONE
-        )
-    return total
+        ),
+    )
 
 
 def _degenerate(eps: int, expected: Side, what: str) -> Check:

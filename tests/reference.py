@@ -1,0 +1,134 @@
+"""Reference enumerators that the tests compare the brute-force oracles with.
+
+``enum_md_star`` lists every marked Dyck path without marked peaks, and
+``enum_delta_prime`` every staircase arrow configuration without forbidden
+corners, one object per leaf.  Summing ``MarkedDyckPath.weight`` or
+``DeltaConfig.weight`` over them gives the values that
+``tqeuler.combinat.md_star_weight_sum_general`` and
+``tqeuler.combinat.delta_prime_weight_sum`` compute without building the
+objects.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import product
+
+from tqeuler.combinat import (
+    Partition,
+    WeightRule,
+    _check_cutoff,
+    _outer_corners_in_staircase,
+    _partitions_in_staircase,
+    dyck_paths,
+)
+from tqeuler.exactalg import LaurentPoly, ONE, monomial
+
+
+@dataclass(frozen=True)
+class MarkedDyckPath:
+    """Dyck path whose steps may carry marks.
+
+    ``steps`` is a tuple of (direction, marked) with direction +1 or -1.  In
+    the starred family no marked up step is immediately followed by a marked
+    down step.
+    """
+
+    steps: tuple[tuple[int, bool], ...]
+
+    def is_valid_dyck(self) -> bool:
+        h = 0
+        for d, _ in self.steps:
+            h += d
+            if h < 0:
+                return False
+        return h == 0
+
+    def has_marked_peak(self) -> bool:
+        for i in range(len(self.steps) - 1):
+            (d1, m1), (d2, m2) = self.steps[i], self.steps[i + 1]
+            if d1 == 1 and d2 == -1 and m1 and m2:
+                return True
+        return False
+
+    def weight(self, up_rule: WeightRule, down_rule: WeightRule) -> LaurentPoly:
+        """Product of step weights; marked steps count as weight 1."""
+        w = ONE
+        h = 0
+        for d, marked in self.steps:
+            if d == 1:
+                h += 1
+                if not marked:
+                    w = w * up_rule(h)
+            else:
+                if not marked:
+                    w = w * down_rule(h)
+                h -= 1
+        return w
+
+
+def enum_md_star(k: int) -> list[MarkedDyckPath]:
+    """All marked Dyck paths of length 2k without marked peaks."""
+    _check_cutoff("md_star", k)
+    out: list[MarkedDyckPath] = []
+    for path in dyck_paths(k):
+        peaks = [
+            i for i in range(2 * k - 1) if path[i] == 1 and path[i + 1] == -1
+        ]
+        for marks in product((False, True), repeat=2 * k):
+            if any(marks[i] and marks[i + 1] for i in peaks):
+                continue
+            out.append(MarkedDyckPath(tuple(zip(path, marks))))
+    return out
+
+
+@dataclass(frozen=True)
+class DeltaConfig:
+    """A partition inside the staircase of size k-1 together with row and
+    column arrows in the complement staircase of size k.
+
+    An arrow occupies a whole row or column of the complement, so a subset of
+    row indices and a subset of column indices determines the configuration;
+    the arrow in row i has length (k+1-i) - parts[i], the arrow in column j
+    has length (k+1-j) - conjugate parts[j].
+    """
+
+    k: int
+    shape: Partition
+    row_arrows: frozenset[int]
+    col_arrows: frozenset[int]
+
+    def arrow_lengths(self) -> list[int]:
+        conj = self.shape.conjugate()
+        lengths = [self.k + 1 - i - self.shape.part(i) for i in sorted(self.row_arrows)]
+        lengths += [self.k + 1 - j - conj.part(j) for j in sorted(self.col_arrows)]
+        return lengths
+
+    def weight(self) -> LaurentPoly:
+        """``(-1)**#arrows * t**#row_arrows * q**(2|shape| + total arrow length)``."""
+        arrows = len(self.row_arrows) + len(self.col_arrows)
+        expo = 2 * self.shape.size + sum(self.arrow_lengths())
+        return monomial(-1 if arrows % 2 else 1, len(self.row_arrows), expo)
+
+
+def enum_delta_prime(k: int) -> list[DeltaConfig]:
+    """All configurations with only k-arrows and no forbidden corners.
+
+    A forbidden corner is an outer corner of the shape covered by both a row
+    arrow and a column arrow.
+    """
+    _check_cutoff("delta", k)
+    if k == 0:
+        return [DeltaConfig(0, Partition(), frozenset(), frozenset())]
+    out: list[DeltaConfig] = []
+    indices = list(range(1, k + 1))
+    for lam in _partitions_in_staircase(k - 1):
+        corners = _outer_corners_in_staircase(lam, k)
+        for r_bits in product((False, True), repeat=k):
+            rows = frozenset(i for i, b in zip(indices, r_bits) if b)
+            for c_bits in product((False, True), repeat=k):
+                cols = frozenset(j for j, b in zip(indices, c_bits) if b)
+                if any(i in rows and j in cols for i, j in corners):
+                    continue
+                out.append(DeltaConfig(k, lam, rows, cols))
+    return out

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -160,3 +164,26 @@ class TestBench:
 
     def test_bad_bounds(self):
         assert cli.main(["bench", "--max-n", "99"]) == 2
+
+
+class TestModuleEntryPoint:
+    """``python -m tqeuler`` runs ``cli.main`` and exits with its code."""
+
+    def run(self, *args):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+        return subprocess.run(
+            [sys.executable, "-m", "tqeuler", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_verify_passes(self):
+        proc = self.run("verify", "--max-n", "2", "--max-k", "2", "--max-b", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert "fail=0" in proc.stdout
+
+    def test_compute_out_of_range(self):
+        proc = self.run("compute", "e", "--n", "13")
+        assert proc.returncode == 2
+        assert "--n must be in 0..12" in proc.stderr

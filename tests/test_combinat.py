@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -14,12 +15,9 @@ from tqeuler.combinat import (
     count_13_2_patterns,
     delta_prime_weight_sum,
     dist_box_polynomial,
-    dump_debug_json,
     dyck_paths,
     dyck_weight_sum,
     enum_alternating,
-    enum_delta_prime,
-    enum_md_star,
     enum_partitions_in_box,
     enum_sop,
     l_path_weight_sum,
@@ -28,13 +26,15 @@ from tqeuler.combinat import (
     md_star_weight_sum,
     md_star_weight_sum_general,
     sop_weight_sum,
-    to_debug_json,
+    _partitions_in_staircase,
     _u_rule,
     _v_rule,
 )
 from tqeuler.exactalg import LaurentPoly, ONE, Q, T, ZERO, const, monomial
 from tqeuler.formulas import tk_recurrence
-from tqeuler.qkit import ballot, gauss_binom, q_int, tq_factor
+from tqeuler.qkit import ballot, gauss_binom, q_int
+
+from reference import enum_delta_prime, enum_md_star
 
 ONE_MINUS_Q = ONE - Q
 DATA = Path(__file__).parent / "data"
@@ -83,6 +83,16 @@ class TestBoxEnumeration:
         parts = list(enum_partitions_in_box(2, 2))
         assert len(parts) == 6
         assert box_size_polynomial(2, 2) == gauss_binom(4, 2)
+
+    def test_counts_without_duplicates(self):
+        for m in range(8):
+            for n in range(8):
+                parts = [lam.parts for lam in enum_partitions_in_box(m, n)]
+                assert len(parts) == len(set(parts)) == math.comb(m + n, m)
+        for k in range(8):
+            parts = [lam.parts for lam in _partitions_in_staircase(k)]
+            catalan = math.comb(2 * k + 2, k + 1) // (k + 2)
+            assert len(parts) == len(set(parts)) == catalan
 
 
 class TestDistBox:
@@ -161,9 +171,9 @@ class TestMarkedDyck:
         [
             (_u_rule, _v_rule, 6),
             (lambda h: q_int(h) - ONE, lambda h: q_int(h) - ONE, 5),
-            (q_int, tq_factor, 5),
+            (q_int, euler_down, 5),
         ],
-        ids=["u-v", "ballot-q-int", "q-int-tq-factor"],
+        ids=["u-v", "ballot-q-int", "q-int-euler-down"],
     )
     def test_oracle_matches_reference(self, up, down, max_k):
         for k in range(max_k + 1):
@@ -302,25 +312,6 @@ class TestAlternating:
     def test_cutoff(self):
         with pytest.raises(CutoffExceededError):
             enum_alternating(10)
-
-
-class TestDebugDump:
-    def test_shapes(self):
-        assert to_debug_json(Partition([2, 1])) == {"type": "partition", "parts": [2, 1]}
-        nu = Overpartition(Partition([1]), frozenset({(1, 1)}))
-        assert to_debug_json(nu)["marks"] == [[1, 1]]
-        cfg = enum_delta_prime(1)[0]
-        assert to_debug_json(cfg)["k"] == 1
-        path = enum_md_star(1)[0]
-        assert to_debug_json(path)["type"] == "marked-dyck-path"
-
-    def test_dump_parses(self):
-        text = dump_debug_json(enum_sop(2))
-        assert isinstance(json.loads(text), list)
-
-    def test_unknown_type(self):
-        with pytest.raises(TypeError):
-            to_debug_json(42)
 
 
 def test_env_cutoff_raises_cap(monkeypatch):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from tqeuler.combinat import box_size_polynomial
+from tqeuler.combinat import box_size_polynomial, euler_down
 from tqeuler.exactalg import LaurentPoly, ONE, Q, ZERO, monomial
 from tqeuler.qkit import (
     QSymbolSpec,
@@ -15,7 +15,6 @@ from tqeuler.qkit import (
     pochhammer,
     q_int,
     square_sum,
-    tq_factor,
 )
 
 ONE_MINUS_Q = ONE - Q
@@ -28,9 +27,9 @@ def test_q_int():
 
 
 def test_tq_factor():
-    assert tq_factor(1) == LaurentPoly({(0, 0): 1, (1, 1): -1})
-    assert tq_factor(2).substitute_t(1, 0) == ONE - monomial(1, 0, 2)
-    product = tq_factor(1) * tq_factor(2)
+    assert euler_down(1) == LaurentPoly({(0, 0): 1, (1, 1): -1})
+    assert euler_down(2).substitute_t(1, 0) == ONE - monomial(1, 0, 2)
+    product = euler_down(1) * euler_down(2)
     assert product.terms.get((2, 3)) == 1  # coefficient of t^2
 
 

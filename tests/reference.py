@@ -6,7 +6,8 @@ corners, one object per leaf.  Summing ``MarkedDyckPath.weight`` or
 ``DeltaConfig.weight`` over them gives the values that
 ``tqeuler.combinat.md_star_weight_sum_general`` and
 ``tqeuler.combinat.delta_prime_weight_sum`` compute without building the
-objects.
+objects.  ``MD_STAR_RULES`` names the step-weight rule pairs the marked-path
+sums are tested and frozen with.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from tqeuler.combinat import (
     dyck_paths,
 )
 from tqeuler.exactalg import LaurentPoly, ONE, monomial
+from tqeuler.qkit import q_int
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,13 @@ class MarkedDyckPath:
                     w = w * down_rule(h)
                 h -= 1
         return w
+
+
+MD_STAR_RULES: dict[str, tuple[WeightRule, WeightRule]] = {
+    "u-v": (lambda h: monomial(-1, 0, h), lambda h: monomial(-1, 1, h)),
+    "ballot-q-int": (lambda h: q_int(h) - ONE, lambda h: q_int(h) - ONE),
+    "q-int-euler-down": (q_int, lambda h: LaurentPoly({(0, 0): 1, (1, h): -1})),
+}
 
 
 def enum_md_star(k: int) -> list[MarkedDyckPath]:

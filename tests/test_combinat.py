@@ -34,7 +34,7 @@ from tqeuler.exactalg import LaurentPoly, ONE, Q, T, ZERO, const, monomial
 from tqeuler.formulas import tk_recurrence
 from tqeuler.qkit import ballot, gauss_binom, q_int
 
-from reference import enum_delta_prime, enum_md_star
+from reference import MD_STAR_RULES, enum_delta_prime, enum_md_star
 
 ONE_MINUS_Q = ONE - Q
 DATA = Path(__file__).parent / "data"
@@ -164,23 +164,26 @@ class TestMarkedDyck:
                 assert lhs == rhs
 
 
-    # The reference sum over enum_md_star(6) costs several seconds per rule
-    # pair, so k = 6 is checked for the cheapest pair only.
-    @pytest.mark.parametrize(
-        "up, down, max_k",
-        [
-            (_u_rule, _v_rule, 6),
-            (lambda h: q_int(h) - ONE, lambda h: q_int(h) - ONE, 5),
-            (q_int, euler_down, 5),
-        ],
-        ids=["u-v", "ballot-q-int", "q-int-euler-down"],
-    )
-    def test_oracle_matches_reference(self, up, down, max_k):
-        for k in range(max_k + 1):
+    @pytest.mark.parametrize("rules", list(MD_STAR_RULES))
+    def test_oracle_matches_reference(self, rules):
+        up, down = MD_STAR_RULES[rules]
+        for k in range(6):
             ref = ZERO
             for p in enum_md_star(k):
                 ref = ref + p.weight(up, down)
             assert md_star_weight_sum_general(k, up, down) == ref
+
+    @pytest.mark.parametrize("rules", list(MD_STAR_RULES))
+    def test_oracle_matches_frozen_outputs(self, rules):
+        # [et, eq, c] terms of the sum over enum_md_star(k) for k = 0..6,
+        # written by tests/make_fixtures.py.
+        with open(DATA / "md_star_weight_sum.json", encoding="utf-8") as fh:
+            frozen = json.load(fh)[rules]
+        assert sorted(frozen, key=int) == [str(k) for k in range(7)]
+        up, down = MD_STAR_RULES[rules]
+        for k, terms in frozen.items():
+            expected = LaurentPoly({(et, eq): c for et, eq, c in terms})
+            assert md_star_weight_sum_general(int(k), up, down) == expected
 
     def test_oracle_cutoff(self, monkeypatch):
         monkeypatch.delenv("TQEULER_MAX_CUTOFF", raising=False)
@@ -202,9 +205,8 @@ class TestDeltaConfigs:
             assert delta_prime_weight_sum(k) == tk_recurrence(k)
 
     def test_matches_frozen_outputs(self):
-        # [et, eq, c] terms of delta_prime_weight_sum(k) for k = 0..6, written
-        # by the per-configuration sum over enum_delta_prime(k) that the
-        # bitmask tally replaced.
+        # [et, eq, c] terms of the per-configuration sum over
+        # enum_delta_prime(k) for k = 0..6, written by tests/make_fixtures.py.
         with open(DATA / "delta_prime_weight_sum.json", encoding="utf-8") as fh:
             frozen = json.load(fh)
         assert sorted(frozen, key=int) == [str(k) for k in range(7)]

@@ -14,6 +14,7 @@ the env var ``TQEULER_MAX_CUTOFF`` raises every cap at once.
 from __future__ import annotations
 
 import os
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Sequence
@@ -178,10 +179,8 @@ def _partitions_in_staircase(k: int) -> Iterator[Partition]:
 
 def box_size_polynomial(m: int, n: int) -> LaurentPoly:
     """Generating polynomial ``sum q**|lam|`` over partitions in B(m, n)."""
-    out = ZERO
-    for lam in enum_partitions_in_box(m, n):
-        out = out + monomial(1, 0, lam.size)
-    return out
+    _check_cutoff("partition", max(m, n))
+    return LaurentPoly(Counter((0, lam.size) for lam in enum_partitions_in_box(m, n)))
 
 
 def dist_box_polynomial(m: int, n: int) -> LaurentPoly:
@@ -190,10 +189,9 @@ def dist_box_polynomial(m: int, n: int) -> LaurentPoly:
     The x variable is carried in the t exponent slot of :class:`LaurentPoly`.
     """
     _check_cutoff("partition", max(m, n))
-    out = ZERO
-    for lam in enum_partitions_in_box(m, n):
-        out = out + monomial(1, lam.distinct_count(), lam.size)
-    return out
+    return LaurentPoly(
+        Counter((lam.distinct_count(), lam.size) for lam in enum_partitions_in_box(m, n))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +216,30 @@ def dyck_paths(n: int) -> Iterator[tuple[int, ...]]:
 WeightRule = Callable[[int], LaurentPoly]
 
 
+def _product_tally(up: list[LaurentPoly], down: list[LaurentPoly], marks: bool) -> LaurentPoly:
+    """Sum of step-weight products over the Dyck paths of length ``2*(len(up)-1)``,
+    or over their markings without marked peaks if ``marks``.  Walked depth first:
+    paths share their prefix's product, so a tree edge costs at most one multiply."""
+    tally: defaultdict[tuple[int, int], int] = defaultdict(int)
+
+    def walk(w: LaurentPoly, h: int, remaining: int, after_marked_up: bool) -> None:
+        if remaining == 0:
+            for e, c in w.terms.items():
+                tally[e] += c
+            return
+        if h + 1 <= remaining - 1:
+            walk(w * up[h + 1], h + 1, remaining - 1, False)
+            if marks:
+                walk(w, h + 1, remaining - 1, True)
+        if h > 0:
+            walk(w * down[h], h - 1, remaining - 1, False)
+            if marks and not after_marked_up:  # else a marked peak would close here
+                walk(w, h - 1, remaining - 1, False)
+
+    walk(ONE, 0, 2 * (len(up) - 1), False)
+    return LaurentPoly(tally)
+
+
 def dyck_weight_sum(n: int, up_rule: WeightRule, down_rule: WeightRule) -> LaurentPoly:
     """Sum over Dyck paths of length 2n of the products of step weights.
 
@@ -225,19 +247,9 @@ def dyck_weight_sum(n: int, up_rule: WeightRule, down_rule: WeightRule) -> Laure
     between h and h-1 carries ``down_rule(h)``.
     """
     _check_cutoff("dyck", n)
-    total = ZERO
-    for path in dyck_paths(n):
-        w = ONE
-        h = 0
-        for step in path:
-            if step == 1:
-                h += 1
-                w = w * up_rule(h)
-            else:
-                w = w * down_rule(h)
-                h -= 1
-        total = total + w
-    return total
+    up = [ONE] + [up_rule(h) for h in range(1, n + 1)]
+    down = [ONE] + [down_rule(h) for h in range(1, n + 1)]
+    return _product_tally(up, down, marks=False)
 
 
 # ---------------------------------------------------------------------------
@@ -270,34 +282,41 @@ def md_star_weight_sum_general(k: int, up_rule: WeightRule, down_rule: WeightRul
     directly by a marked down step.  Unmarked steps weigh as in
     :func:`dyck_weight_sum`; marked steps weigh 1.
 
-    Still brute force: the marked paths without marked peaks are walked depth
-    first, one leaf per path, and each leaf's weight is added to the total.
-    Paths that share a prefix share its partial product, so every tree edge
-    costs at most one multiply; the rules are evaluated once per height
-    1..k.  Nothing is memoised across (height, remaining, last step) states,
-    which would turn this oracle into the transfer-matrix recurrence it is
-    checked against.
+    Still brute force: one leaf per path and choice of rule terms, and
+    nothing memoised across (height, remaining, last step) states, which
+    would turn this oracle into the transfer-matrix recurrence it is checked
+    against.  If every rule value is a monomial (the rules of
+    :func:`md_star_weight_sum`, the Euler ballot weights), the walk carries
+    the weight as ints ``(c, e_t, e_q)``, branches once per rule term and
+    adds c to a count keyed by the leaf's exponents.  Otherwise branching
+    would multiply the leaves by the term counts, so the partial products
+    stay polynomials as in :func:`dyck_weight_sum`.
     """
     _check_cutoff("md_star", k)
     up = [ONE] + [up_rule(h) for h in range(1, k + 1)]
     down = [ONE] + [down_rule(h) for h in range(1, k + 1)]
-    total = ZERO
+    if any(len(w) > 1 for w in up + down):
+        return _product_tally(up, down, marks=True)
+    up_terms = [tuple(w.terms.items()) for w in up]
+    down_terms = [tuple(w.terms.items()) for w in down]
+    tally: defaultdict[tuple[int, int], int] = defaultdict(int)
 
-    def walk(w: LaurentPoly, h: int, remaining: int, after_marked_up: bool) -> None:
-        nonlocal total
+    def walk(c: int, et: int, eq: int, h: int, remaining: int, after_marked_up: bool) -> None:
         if remaining == 0:
-            total = total + w
+            tally[et, eq] += c
             return
         if h + 1 <= remaining - 1:
-            walk(w * up[h + 1], h + 1, remaining - 1, False)
-            walk(w, h + 1, remaining - 1, True)
+            for (ut, uq), uc in up_terms[h + 1]:
+                walk(c * uc, et + ut, eq + uq, h + 1, remaining - 1, False)
+            walk(c, et, eq, h + 1, remaining - 1, True)
         if h > 0:
-            walk(w * down[h], h - 1, remaining - 1, False)
+            for (dt, dq), dc in down_terms[h]:
+                walk(c * dc, et + dt, eq + dq, h - 1, remaining - 1, False)
             if not after_marked_up:  # a marked down step here would close a marked peak
-                walk(w, h - 1, remaining - 1, False)
+                walk(c, et, eq, h - 1, remaining - 1, False)
 
-    walk(ONE, 0, 2 * k, False)
-    return total
+    walk(1, 0, 0, 0, 2 * k, False)
+    return LaurentPoly(tally)
 
 
 def md_star_weight_sum(k: int) -> LaurentPoly:
@@ -448,10 +467,10 @@ def enum_sop(k: int) -> list[Overpartition]:
 
 
 def sop_weight_sum(k: int) -> LaurentPoly:
-    total = ZERO
+    tally: Counter[tuple[int, int]] = Counter()
     for nu in enum_sop(k):
-        total = total + nu.weight()
-    return total
+        tally.update(nu.weight().terms)
+    return LaurentPoly(tally)
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +515,14 @@ def m_path_weight_sum(k: int) -> LaurentPoly:
 # west/southwest paths inside the (b, k) rectangle, and west/south paths
 
 
-def _validate_endpoint(b: int, k: int, m: int, n: int) -> None:
+def _validate_path_args(b: int, k: int, m: int, n: int, eps: int) -> None:
     if m < 0 or n < 0 or b < 0 or k < 0:
         raise ValueError("coordinates must be nonnegative")
     if m * n != 0:
         raise InvalidEndpointError("endpoint must lie on an axis (m*n = 0)")
+    _check_cutoff("l_path", max(b, k))
+    if eps not in (1, -1):
+        raise ValueError("eps must be +1 or -1")
 
 
 def l_path_weight_sum(b: int, k: int, m: int, n: int, eps: int) -> LaurentPoly:
@@ -514,15 +536,12 @@ def l_path_weight_sum(b: int, k: int, m: int, n: int, eps: int) -> LaurentPoly:
     through by ``(eps*q; q)_b``, i.e. the Pochhammer denominator is cleared,
     leaving the factor ``(eps*q; q)_m``.
     """
-    _validate_endpoint(b, k, m, n)
-    _check_cutoff("l_path", max(b, k))
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
+    _validate_path_args(b, k, m, n, eps)
     steps = b - m
     sw_count = k - n
     if steps < 0 or sw_count < 0 or sw_count > steps:
         return ZERO
-    pure = ZERO
+    pure: Counter[tuple[int, int]] = Counter()
     for sw_positions in combinations(range(steps), sw_count):
         sw = set(sw_positions)
         if n == 0 and steps > 0 and (steps - 1) not in sw:
@@ -537,9 +556,9 @@ def l_path_weight_sum(b: int, k: int, m: int, n: int, eps: int) -> LaurentPoly:
                 area += 2 * (k - y)
         if n == 0:
             area += 2 * m * k
-        pure = pure + monomial(1, 0, area)
+        pure[0, area] += 1
     height_factor = monomial(1, 0, k * (k + 1) - n * (n + 1))
-    return pochhammer(QSymbolSpec(eps, 1, m)) * pure * height_factor
+    return pochhammer(QSymbolSpec(eps, 1, m)) * LaurentPoly(pure) * height_factor
 
 
 def lprime_path_weight_sum(b: int, k: int, m: int, n: int, eps: int) -> LaurentPoly:
@@ -550,42 +569,33 @@ def lprime_path_weight_sum(b: int, k: int, m: int, n: int, eps: int) -> LaurentP
     ``i = m+1 .. b`` times ``(-q**(2i+1))`` for ``i = n+1 .. k``; this is
     already a Laurent polynomial, so no clearing is needed.
     """
-    _validate_endpoint(b, k, m, n)
-    _check_cutoff("l_path", max(b, k))
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
+    _validate_path_args(b, k, m, n, eps)
     w_count = b - m
     s_count = k - n
     if w_count < 0 or s_count < 0:
         return ZERO
     total_steps = w_count + s_count
-    pure = ZERO
+    pure: Counter[tuple[int, int]] = Counter()
     for s_positions in combinations(range(total_steps), s_count):
         south = set(s_positions)
         x, y = b, k
         area = 0
-        ok = True
         for i in range(total_steps):
             if i in south:
                 if x == 0:
-                    ok = False
                     break
                 y -= 1
             else:
                 if y == 0:
-                    ok = False
                     break
                 area += 2 * (k - y)
                 x -= 1
-        if not ok:
-            continue
-        if n == 0:
-            area += 2 * m * k
-        pure = pure + monomial(1, 0, -area)
+        else:
+            pure[0, -area - (2 * m * k if n == 0 else 0)] += 1
     prefactor = pochhammer(QSymbolSpec(eps, 1 - b, b - m))
     sign = -1 if (k - n) % 2 else 1
     height_factor = monomial(sign, 0, k * (k + 2) - n * (n + 2))
-    return prefactor * pure * height_factor
+    return prefactor * LaurentPoly(pure) * height_factor
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +606,6 @@ def enum_alternating(n: int) -> list[tuple[int, ...]]:
     """All up-down alternating permutations of {1, ..., n}
     (first ascent, then descent, alternating)."""
     _check_cutoff("alternating", n)
-    if n == 0:
-        return [()]
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: list[int], remaining: set[int]) -> None:
@@ -607,13 +615,8 @@ def enum_alternating(n: int) -> list[tuple[int, ...]]:
         pos = len(prefix)
         last = prefix[-1] if prefix else None
         for v in sorted(remaining):
-            if last is None:
-                admissible = True
-            elif pos % 2 == 1:  # next entry sits at an even position: must rise
-                admissible = v > last
-            else:
-                admissible = v < last
-            if admissible:
+            # entries at even positions (counting from 1) rise, the others fall
+            if last is None or (v > last if pos % 2 == 1 else v < last):
                 prefix.append(v)
                 remaining.remove(v)
                 rec(prefix, remaining)
@@ -642,8 +645,5 @@ def alt_statistic_polynomial(n: int) -> LaurentPoly:
     It reproduces the classical q-secant and q-tangent values (verified in the
     test suite for permutation sizes up to 8).
     """
-    out = ZERO
-    for perm in enum_alternating(n):
-        out = out + monomial(1, 0, count_13_2_patterns(perm))
-    return out
+    return LaurentPoly(Counter((0, count_13_2_patterns(perm)) for perm in enum_alternating(n)))
 

@@ -3,6 +3,7 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from tqeuler import cfrac
 from tqeuler.combinat import (
@@ -38,6 +39,20 @@ from reference import MD_STAR_RULES, enum_delta_prime, enum_md_star
 
 ONE_MINUS_Q = ONE - Q
 DATA = Path(__file__).parent / "data"
+
+
+@st.composite
+def marked_path_inputs(draw):
+    """k <= 3 and per-height rule values for heights 1..k, each a sum of up to
+    ``width`` random terms; with width 1 every value is a monomial or zero."""
+    k = draw(st.integers(0, 3))
+    width = draw(st.integers(1, 3))
+    term = st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(-2, 2))
+    value = st.lists(term, max_size=width).map(
+        lambda terms: sum((monomial(c, et, eq) for c, et, eq in terms), ZERO)
+    )
+    rules = st.lists(value, min_size=k, max_size=k)
+    return k, draw(rules), draw(rules)
 
 
 def euler_up(h):
@@ -93,6 +108,11 @@ class TestBoxEnumeration:
             parts = [lam.parts for lam in _partitions_in_staircase(k)]
             catalan = math.comb(2 * k + 2, k + 1) // (k + 2)
             assert len(parts) == len(set(parts)) == catalan
+
+    def test_cutoff(self, monkeypatch):
+        monkeypatch.delenv("TQEULER_MAX_CUTOFF", raising=False)
+        with pytest.raises(CutoffExceededError):
+            box_size_polynomial(9, 1)
 
 
 class TestDistBox:
@@ -184,6 +204,18 @@ class TestMarkedDyck:
         for k, terms in frozen.items():
             expected = LaurentPoly({(et, eq): c for et, eq, c in terms})
             assert md_star_weight_sum_general(int(k), up, down) == expected
+
+    # k = 1 sums (u+1)(d+1) - 1 over its three leaves; both examples make it 0.
+    @example((1, [const(-2)], [const(-2)]))
+    @example((1, [Q - ONE], [monomial(1, 0, -1) - ONE]))
+    @given(marked_path_inputs())
+    def test_oracle_matches_reference_on_random_rules(self, inputs):
+        k, up, down = inputs
+        up_rule, down_rule = (lambda h: up[h - 1]), (lambda h: down[h - 1])
+        ref = ZERO
+        for p in enum_md_star(k):
+            ref = ref + p.weight(up_rule, down_rule)
+        assert md_star_weight_sum_general(k, up_rule, down_rule) == ref
 
     def test_oracle_cutoff(self, monkeypatch):
         monkeypatch.delenv("TQEULER_MAX_CUTOFF", raising=False)

@@ -216,40 +216,28 @@ def dyck_paths(n: int) -> Iterator[tuple[int, ...]]:
 WeightRule = Callable[[int], LaurentPoly]
 
 
-def _product_tally(up: list[LaurentPoly], down: list[LaurentPoly], marks: bool) -> LaurentPoly:
-    """Sum of step-weight products over the Dyck paths of length ``2*(len(up)-1)``,
-    or over their markings without marked peaks if ``marks``.  Walked depth first:
-    paths share their prefix's product, so a tree edge costs at most one multiply."""
-    tally: defaultdict[tuple[int, int], int] = defaultdict(int)
-
-    def walk(w: LaurentPoly, h: int, remaining: int, after_marked_up: bool) -> None:
-        if remaining == 0:
-            for e, c in w.terms.items():
-                tally[e] += c
-            return
-        if h + 1 <= remaining - 1:
-            walk(w * up[h + 1], h + 1, remaining - 1, False)
-            if marks:
-                walk(w, h + 1, remaining - 1, True)
-        if h > 0:
-            walk(w * down[h], h - 1, remaining - 1, False)
-            if marks and not after_marked_up:  # else a marked peak would close here
-                walk(w, h - 1, remaining - 1, False)
-
-    walk(ONE, 0, 2 * (len(up) - 1), False)
-    return LaurentPoly(tally)
-
-
 def dyck_weight_sum(n: int, up_rule: WeightRule, down_rule: WeightRule) -> LaurentPoly:
     """Sum over Dyck paths of length 2n of the products of step weights.
 
     An up step between heights h-1 and h carries ``up_rule(h)``, a down step
-    between h and h-1 carries ``down_rule(h)``.
+    between h and h-1 carries ``down_rule(h)``.  Paths are walked depth first.
     """
     _check_cutoff("dyck", n)
     up = [ONE] + [up_rule(h) for h in range(1, n + 1)]
     down = [ONE] + [down_rule(h) for h in range(1, n + 1)]
-    return _product_tally(up, down, marks=False)
+    tally: Counter[tuple[int, int]] = Counter()
+
+    def walk(w: LaurentPoly, h: int, remaining: int) -> None:
+        if remaining == 0:
+            tally.update(w.terms)
+            return
+        if h + 1 <= remaining - 1:
+            walk(w * up[h + 1], h + 1, remaining - 1)
+        if h > 0:
+            walk(w * down[h], h - 1, remaining - 1)
+
+    walk(ONE, 0, 2 * n)
+    return LaurentPoly(tally)
 
 
 # ---------------------------------------------------------------------------
@@ -285,20 +273,13 @@ def md_star_weight_sum_general(k: int, up_rule: WeightRule, down_rule: WeightRul
     Still brute force: one leaf per path and choice of rule terms, and
     nothing memoised across (height, remaining, last step) states, which
     would turn this oracle into the transfer-matrix recurrence it is checked
-    against.  If every rule value is a monomial (the rules of
-    :func:`md_star_weight_sum`, the Euler ballot weights), the walk carries
-    the weight as ints ``(c, e_t, e_q)``, branches once per rule term and
-    adds c to a count keyed by the leaf's exponents.  Otherwise branching
-    would multiply the leaves by the term counts, so the partial products
-    stay polynomials as in :func:`dyck_weight_sum`.
+    against.  The walk goes depth first over ints ``(c, e_t, e_q)``: an
+    unmarked step branches once per term of its rule, a marked step keeps
+    the weight, and each leaf adds c to a count keyed by its exponents.
     """
     _check_cutoff("md_star", k)
-    up = [ONE] + [up_rule(h) for h in range(1, k + 1)]
-    down = [ONE] + [down_rule(h) for h in range(1, k + 1)]
-    if any(len(w) > 1 for w in up + down):
-        return _product_tally(up, down, marks=True)
-    up_terms = [tuple(w.terms.items()) for w in up]
-    down_terms = [tuple(w.terms.items()) for w in down]
+    up = [()] + [tuple(up_rule(h).terms.items()) for h in range(1, k + 1)]
+    down = [()] + [tuple(down_rule(h).terms.items()) for h in range(1, k + 1)]
     tally: defaultdict[tuple[int, int], int] = defaultdict(int)
 
     def walk(c: int, et: int, eq: int, h: int, remaining: int, after_marked_up: bool) -> None:
@@ -306,11 +287,11 @@ def md_star_weight_sum_general(k: int, up_rule: WeightRule, down_rule: WeightRul
             tally[et, eq] += c
             return
         if h + 1 <= remaining - 1:
-            for (ut, uq), uc in up_terms[h + 1]:
+            for (ut, uq), uc in up[h + 1]:
                 walk(c * uc, et + ut, eq + uq, h + 1, remaining - 1, False)
             walk(c, et, eq, h + 1, remaining - 1, True)
         if h > 0:
-            for (dt, dq), dc in down_terms[h]:
+            for (dt, dq), dc in down[h]:
                 walk(c * dc, et + dt, eq + dq, h - 1, remaining - 1, False)
             if not after_marked_up:  # a marked down step here would close a marked peak
                 walk(c, et, eq, h - 1, remaining - 1, False)
@@ -515,14 +496,11 @@ def m_path_weight_sum(k: int) -> LaurentPoly:
 # west/southwest paths inside the (b, k) rectangle, and west/south paths
 
 
-def _validate_path_args(b: int, k: int, m: int, n: int, eps: int) -> None:
+def _validate_endpoint(b: int, k: int, m: int, n: int) -> None:
     if m < 0 or n < 0 or b < 0 or k < 0:
         raise ValueError("coordinates must be nonnegative")
     if m * n != 0:
         raise InvalidEndpointError("endpoint must lie on an axis (m*n = 0)")
-    _check_cutoff("l_path", max(b, k))
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
 
 
 def l_path_weight_sum(b: int, k: int, m: int, n: int, eps: int) -> LaurentPoly:
@@ -536,7 +514,10 @@ def l_path_weight_sum(b: int, k: int, m: int, n: int, eps: int) -> LaurentPoly:
     through by ``(eps*q; q)_b``, i.e. the Pochhammer denominator is cleared,
     leaving the factor ``(eps*q; q)_m``.
     """
-    _validate_path_args(b, k, m, n, eps)
+    _validate_endpoint(b, k, m, n)
+    _check_cutoff("l_path", max(b, k))
+    if eps not in (1, -1):
+        raise ValueError("eps must be +1 or -1")
     steps = b - m
     sw_count = k - n
     if steps < 0 or sw_count < 0 or sw_count > steps:
@@ -569,7 +550,10 @@ def lprime_path_weight_sum(b: int, k: int, m: int, n: int, eps: int) -> LaurentP
     ``i = m+1 .. b`` times ``(-q**(2i+1))`` for ``i = n+1 .. k``; this is
     already a Laurent polynomial, so no clearing is needed.
     """
-    _validate_path_args(b, k, m, n, eps)
+    _validate_endpoint(b, k, m, n)
+    _check_cutoff("l_path", max(b, k))
+    if eps not in (1, -1):
+        raise ValueError("eps must be +1 or -1")
     w_count = b - m
     s_count = k - n
     if w_count < 0 or s_count < 0:
@@ -580,18 +564,24 @@ def lprime_path_weight_sum(b: int, k: int, m: int, n: int, eps: int) -> LaurentP
         south = set(s_positions)
         x, y = b, k
         area = 0
+        ok = True
         for i in range(total_steps):
             if i in south:
                 if x == 0:
+                    ok = False
                     break
                 y -= 1
             else:
                 if y == 0:
+                    ok = False
                     break
                 area += 2 * (k - y)
                 x -= 1
-        else:
-            pure[0, -area - (2 * m * k if n == 0 else 0)] += 1
+        if not ok:
+            continue
+        if n == 0:
+            area += 2 * m * k
+        pure[0, -area] += 1
     prefactor = pochhammer(QSymbolSpec(eps, 1 - b, b - m))
     sign = -1 if (k - n) % 2 else 1
     height_factor = monomial(sign, 0, k * (k + 2) - n * (n + 2))
@@ -606,6 +596,8 @@ def enum_alternating(n: int) -> list[tuple[int, ...]]:
     """All up-down alternating permutations of {1, ..., n}
     (first ascent, then descent, alternating)."""
     _check_cutoff("alternating", n)
+    if n == 0:
+        return [()]
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: list[int], remaining: set[int]) -> None:
@@ -615,8 +607,13 @@ def enum_alternating(n: int) -> list[tuple[int, ...]]:
         pos = len(prefix)
         last = prefix[-1] if prefix else None
         for v in sorted(remaining):
-            # entries at even positions (counting from 1) rise, the others fall
-            if last is None or (v > last if pos % 2 == 1 else v < last):
+            if last is None:
+                admissible = True
+            elif pos % 2 == 1:  # next entry sits at an even position: must rise
+                admissible = v > last
+            else:
+                admissible = v < last
+            if admissible:
                 prefix.append(v)
                 remaining.remove(v)
                 rec(prefix, remaining)

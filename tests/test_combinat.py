@@ -44,11 +44,10 @@ DATA = Path(__file__).parent / "data"
 @st.composite
 def marked_path_inputs(draw):
     """k <= 3 and per-height rule values for heights 1..k, each a sum of up to
-    ``width`` random terms; with width 1 every value is a monomial or zero."""
+    three random terms."""
     k = draw(st.integers(0, 3))
-    width = draw(st.integers(1, 3))
     term = st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(-2, 2))
-    value = st.lists(term, max_size=width).map(
+    value = st.lists(term, max_size=3).map(
         lambda terms: sum((monomial(c, et, eq) for c, et, eq in terms), ZERO)
     )
     rules = st.lists(value, min_size=k, max_size=k)
@@ -148,6 +147,11 @@ class TestDyck:
     def test_cutoff(self):
         with pytest.raises(CutoffExceededError):
             dyck_weight_sum(9, lambda h: ONE, lambda h: ONE)
+
+    def test_negative_length_is_empty(self):
+        assert list(dyck_paths(-1)) == []
+        assert dyck_weight_sum(-1, lambda h: ONE, lambda h: ONE) == ZERO
+        assert md_star_weight_sum_general(-1, _u_rule, _v_rule) == ZERO
 
 
 class TestMarkedDyck:

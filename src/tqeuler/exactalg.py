@@ -8,12 +8,15 @@ floating point appears anywhere.
 
 All values are immutable after construction and all operations are pure.
 
-``LaurentPoly.__mul__`` picks its algorithm from the operands alone.  When both
+The packed (Kronecker substitution, see ``_Layout``) path has two entry points.
+``LaurentPoly.__mul__`` picks its algorithm from the operands alone: when both
 have at least ``_PACK_MIN`` terms and the product's degree box (t-span times
 q-span) holds no more slots than there are term pairs, the operands are packed
-into Python ints and multiplied once (Kronecker substitution, see ``_Layout``).
-Otherwise, and always for sparse or small operands, the schoolbook dict loop
-``_mul_dict`` runs; it is also the reference the packed path is tested against.
+into Python ints and multiplied once; otherwise the schoolbook dict loop
+``_mul_dict`` runs.  ``_sum_of_products`` forms a whole sum of
+``c * t**a * q**b * p_1 * ... * p_m`` items in one packed int, with every
+coefficient bounded by ``sum |c| * prod |p_i|_1``.  ``_mul_dict`` and
+``__add__`` are the reference both are tested against.
 """
 
 from __future__ import annotations
@@ -222,6 +225,7 @@ class LaurentPoly:
         """Substitute ``t = sign * q**power`` with ``sign`` in ``{+1, -1}``."""
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        power = index(power)
         out: dict[ExpPair, int] = {}
         for (et, eq), c in self._terms.items():
             s = c if (sign == 1 or et % 2 == 0) else -c
@@ -231,28 +235,33 @@ class LaurentPoly:
                 out[e] = tot
             else:
                 out.pop(e, None)
-        return LaurentPoly(out)
+        return LaurentPoly._trusted(out)  # int exponents, zero sums popped above
 
     def substitute_t_zero(self) -> "LaurentPoly":
         """Substitute ``t = 0``; requires that no negative ``t`` exponent occurs."""
         for (et, _), _c in self._terms.items():
             if et < 0:
                 raise ZeroDenominatorError("t = 0 meets a negative t exponent")
-        return LaurentPoly({e: c for e, c in self._terms.items() if e[0] == 0})
+        # a subset of a canonical term map is canonical
+        return LaurentPoly._trusted({e: c for e, c in self._terms.items() if e[0] == 0})
 
     def shift_t_by_q(self, r: int) -> "LaurentPoly":
         """Substitute ``t = t * q**r`` (exponent shift, no sign change)."""
-        return LaurentPoly({(et, eq + r * et): c for (et, eq), c in self._terms.items()})
+        r = index(r)
+        # injective on exponent pairs, so no two terms meet and no coefficient becomes 0
+        return LaurentPoly._trusted({(et, eq + r * et): c for (et, eq), c in self._terms.items()})
 
     def scale_q(self, factor: int) -> "LaurentPoly":
         """Substitute ``q = q**factor`` for a positive integer factor."""
-        if factor < 1:
+        if index(factor) < 1:
             raise ValueError("factor must be a positive integer")
-        return LaurentPoly({(et, eq * factor): c for (et, eq), c in self._terms.items()})
+        # injective for factor >= 1, so the term map stays canonical
+        return LaurentPoly._trusted({(et, eq * factor): c for (et, eq), c in self._terms.items()})
 
     def invert_variables(self) -> "LaurentPoly":
         """Map every exponent pair (e_t, e_q) to (-e_t, -e_q)."""
-        return LaurentPoly({(-et, -eq): c for (et, eq), c in self._terms.items()})
+        # injective, so the term map stays canonical
+        return LaurentPoly._trusted({(-et, -eq): c for (et, eq), c in self._terms.items()})
 
     # -- evaluation ------------------------------------------------------------
 
@@ -485,6 +494,48 @@ def _mul_packed(
     box = (abox[0] + bbox[0], abox[1] + bbox[1], abox[2] + bbox[2], abox[3] + bbox[3])
     layout = _Layout.fitting(box[3] - box[2] + 1, bound)
     return layout.unpack(layout.pack(a, abox) * layout.pack(b, bbox), box)
+
+
+Item = tuple[int, int, int, Sequence[LaurentPoly]]  # (c, a, b, (p_1, ...))
+
+
+def _sum_of_products(items: Iterable[Item]) -> LaurentPoly:
+    """``sum c * t**a * q**b * p_1 * ... * p_m`` over ``(c, a, b, (p_1, ..., p_m))`` items.
+
+    The sum is one packed int, decoded once.  An item's degree box is its factors'
+    boxes summed and shifted by (a, b); the decode box is the union of the item
+    boxes.  Each coefficient is at most ``sum |c| * prod |p_i|_1`` in magnitude.
+    Each distinct factor is packed once; items with c = 0 or a zero factor are skipped.
+    """
+    seen: dict[int, tuple[LaurentPoly, Box, int]] = {}
+    live: list[Item] = []  # (c, lowest t- and q-exponent of the item, factors)
+    tmin, tmax, qmin, qmax = sys.maxsize, -sys.maxsize, sys.maxsize, -sys.maxsize
+    bound = 0
+    for c, a, b, factors in items:
+        if not c or not all(factors):
+            continue
+        lo_t, hi_t, lo_q, hi_q, size = a, a, b, b, abs(c)
+        for p in factors:
+            if id(p) not in seen:  # p stays referenced in seen, so its id is not reused
+                seen[id(p)] = (p, _box(p._terms), sum(map(abs, p._terms.values())))
+            _, (t0, t1, q0, q1), norm = seen[id(p)]
+            lo_t, hi_t, lo_q, hi_q, size = lo_t + t0, hi_t + t1, lo_q + q0, hi_q + q1, size * norm
+        tmin, tmax, qmin, qmax = min(tmin, lo_t), max(tmax, hi_t), min(qmin, lo_q), max(qmax, hi_q)
+        bound += size
+        live.append((c, lo_t, lo_q, factors))
+    if not live:
+        return ZERO
+    stride = qmax - qmin + 1
+    layout = _Layout.fitting(stride, bound)
+    packed = {key: layout.pack(p._terms, box) for key, (p, box, _) in seen.items()}
+    bits = 8 * layout.width
+    total = 0
+    for c, lo_t, lo_q, factors in live:
+        value = c
+        for p in factors:
+            value *= packed[id(p)]
+        total += value << (bits * ((lo_t - tmin) * stride + lo_q - qmin))
+    return LaurentPoly._trusted(layout.unpack(total, (tmin, tmax, qmin, qmax)))
 
 
 def _q_div_exact(u: dict[int, int], v: dict[int, int]) -> dict[int, int] | None:

@@ -11,7 +11,10 @@ from here means a transcription bug, never data.
 
 The ballot-form routes ``sum_k ballot(n,k) * K_k`` are each written as their
 kernel ``K_k`` passed to :func:`tqeuler.qkit._ballot_sum`, which owns the
-outer sum and its ``n >= 0`` check.
+outer sum and its ``n >= 0`` check.  A kernel returns ``K_k`` as a list of
+``(c, a, b, factors)`` items, each ``c * t**a * q**b * prod(factors)``; these,
+and the sums of :func:`tk_special` and :func:`tk_prodinger`, are summed in
+one packed int by :func:`tqeuler.exactalg._sum_of_products`.
 """
 
 from __future__ import annotations
@@ -23,11 +26,13 @@ from functools import lru_cache
 from typing import Callable
 
 from .exactalg import (
+    Item,
     LaurentPoly,
     ONE,
     ONE_MINUS_Q,
     ZERO,
     ZeroDenominatorError,
+    _sum_of_products,
     monomial,
 )
 from .qkit import (
@@ -73,6 +78,11 @@ __all__ = [
 ]
 
 _ONE_PLUS_Q = LaurentPoly({(0, 0): 1, (0, 1): 1})
+
+
+def _neg_q(e: int, *factors: LaurentPoly) -> Item:
+    """The item ``(-q)**e * prod(factors)`` for :func:`~tqeuler.exactalg._sum_of_products`."""
+    return (-1 if e % 2 else 1, 0, e, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -153,61 +163,44 @@ def tk_special(key: SpecializationKey, k: int) -> LaurentPoly:
         return ONE
     eps, b = key.eps, key.b
     if b >= 0:
-        numerator = ZERO
-        for i in range(k):
-            term = monomial(1, 0, i * (2 * k + 1)) * gauss_binom(b, i, squared=True)
-            if eps == 1:
-                term = term * square_sum(k - i)
-            numerator = numerator + term
-        for i in range(b):
-            numerator = numerator + (
-                pochhammer(QSymbolSpec(eps, 1, i))
-                * monomial(1, 0, k * (2 * k + 2 * i + 1))
-                * gauss_binom(b - i - 1, k - 1, squared=True)
-            )
-        return numerator.divide_exact(pochhammer(QSymbolSpec(eps, 1, b)))
+        numerator = [
+            (1, 0, i * (2 * k + 1),
+             (gauss_binom(b, i, squared=True), square_sum(k - i) if eps == 1 else ONE))
+            for i in range(k)
+        ] + [
+            (1, 0, k * (2 * k + 2 * i + 1),
+             (pochhammer(QSymbolSpec(eps, 1, i)), gauss_binom(b - i - 1, k - 1, squared=True)))
+            for i in range(b)
+        ]
+        return _sum_of_products(numerator).divide_exact(pochhammer(QSymbolSpec(eps, 1, b)))
     bb = -b
     if eps == 1:
-        total = ZERO
-        for i in range(bb):
-            total = total + (
-                pochhammer(QSymbolSpec(1, 1 - bb, i))
-                * neg_q_power(k * (k - 2 * bb + 2) + 2 * i)
-                * gauss_binom(k + i - 1, i, squared=True)
-            )
-        return total
-    total = ZERO
-    for i in range(k):
-        total = total + (
-            pochhammer(QSymbolSpec(-1, 1 - bb, bb))
-            * neg_q_power(i * (2 * k - 2 * bb - i + 2))
-            * gauss_binom(bb + i - 1, i, squared=True)
+        return _sum_of_products(
+            _neg_q(k * (k - 2 * bb + 2) + 2 * i,
+                   pochhammer(QSymbolSpec(1, 1 - bb, i)), gauss_binom(k + i - 1, i, squared=True))
+            for i in range(bb)
         )
-    tail = ZERO
-    for i in range(bb):
-        tail = tail + (
-            pochhammer(QSymbolSpec(-1, 1 - bb, i))
-            * monomial(1, 0, 2 * i)
-            * gauss_binom(k + i - 1, i, squared=True)
-        )
-    return total + neg_q_power(k * k + 2 * k - 2 * k * bb) * tail
+    head = pochhammer(QSymbolSpec(-1, 1 - bb, bb))
+    return _sum_of_products(
+        [_neg_q(i * (2 * k - 2 * bb - i + 2), head, gauss_binom(bb + i - 1, i, squared=True))
+         for i in range(k)]
+        # the tail: (-q)**(k*k + 2k - 2k*bb) times q**(2i) is (-q)**(k*k + 2k - 2k*bb + 2i)
+        + [_neg_q(k * k + 2 * k - 2 * k * bb + 2 * i, pochhammer(QSymbolSpec(-1, 1 - bb, i)),
+                  gauss_binom(k + i - 1, i, squared=True))
+           for i in range(bb)]
+    )
 
 
 def tk_prodinger(b: int, k: int) -> LaurentPoly:
     """T_k at ``t = q**b`` (b >= 1) by the alternative binomial double sum."""
     if b < 1 or k < 0:
         raise ValueError("need b >= 1 and k >= 0")
-    total = ZERO
-    for i in range(b + 1):
-        outer = monomial(1, 0, math.comb(i + 1, 2)) * gauss_binom(b, i)
-        inner = ZERO
-        for j in range(-k, k - i + 1):
-            inner = inner + (
-                monomial(-1 if j % 2 else 1, 0, j * j + i * (k + j))
-                * gauss_binom(k + j + b, b)
-            )
-        total = total + outer * inner
-    return total
+    return _sum_of_products(
+        (-1 if j % 2 else 1, 0, math.comb(i + 1, 2) + j * j + i * (k + j),
+         (gauss_binom(b, i), gauss_binom(k + j + b, b)))
+        for i in range(b + 1)
+        for j in range(-k, k - i + 1)
+    )
 
 
 def tk_at_minus_q(k: int) -> LaurentPoly:
@@ -261,16 +254,12 @@ def euler_hat_ballot(n: int) -> LaurentPoly:
 
     Equals the continued-fraction value ``euler_hat(n)``.
     """
-    return _ballot_sum(
-        n, lambda k: monomial(1, k, k * (k + 1)) * tk_recurrence(k).invert_variables()
-    )
+    return _ballot_sum(n, lambda k: [(1, k, k * (k + 1), (tk_recurrence(k).invert_variables(),))])
 
 
 def secant_hat_closed(n: int) -> LaurentPoly:
     """``(1-q)**(2n) * E_{2n}(q)`` as a ballot sum over shifted square sums."""
-    return _ballot_sum(
-        n, lambda k: monomial(1, 0, k * (k + 1)) * square_sum(k).invert_variables()
-    )
+    return _ballot_sum(n, lambda k: [(1, 0, k * (k + 1), (square_sum(k).invert_variables(),))])
 
 
 def a_k_inverse(k: int) -> LaurentPoly:
@@ -280,31 +269,24 @@ def a_k_inverse(k: int) -> LaurentPoly:
 
 def tangent_hat_closed(n: int) -> LaurentPoly:
     """``(1-q)**(2n) * E_{2n+1}(q)`` as a ballot sum over ``A_k(1/q)``."""
-    return _ballot_sum(n, lambda k: monomial(1, 0, k * (k + 2)) * a_k_inverse(k))
+    return _ballot_sum(n, lambda k: [(1, 0, k * (k + 2), (a_k_inverse(k),))])
 
 
 def dn_touchard_riordan(n: int) -> LaurentPoly:
     """``(1-q)**n * d_n = sum_k ballot(n,k) * (-1)**k * q**(k(k+1)/2)``."""
-    return _ballot_sum(n, lambda k: monomial(-1 if k % 2 else 1, 0, k * (k + 1) // 2))
+    return _ballot_sum(n, lambda k: [(-1 if k % 2 else 1, 0, k * (k + 1) // 2, ())])
 
 
 def euler_hat_josuat_verges(n: int) -> LaurentPoly:
     """The moment-style triple sum for ``euler_hat(n)`` with base-q binomials."""
 
-    def kernel(k: int) -> LaurentPoly:
-        inner = ZERO
-        for j in range(2 * k + 1):
-            bj = gauss_binom(2 * k - j, j)
-            if bj.is_zero():
-                continue
-            for i in range(2 * k - 2 * j + 1):
-                bi = gauss_binom(2 * k - 2 * j, i)
-                if bi.is_zero():
-                    continue
-                sign = -1 if (k + i) % 2 else 1
-                head = monomial(sign, 0, math.comb(j + 1, 2)) * monomial(1, k - j, k - j)
-                inner = inner + head * bj * bi
-        return inner
+    def kernel(k: int) -> list[Item]:
+        return [
+            (-1 if (k + i) % 2 else 1, k - j, k - j + math.comb(j + 1, 2),
+             (bj, gauss_binom(2 * k - 2 * j, i)))
+            for j in range(2 * k + 1) if (bj := gauss_binom(2 * k - j, j))
+            for i in range(2 * k - 2 * j + 1)
+        ]
 
     return _ballot_sum(n, kernel)
 
@@ -312,29 +294,24 @@ def euler_hat_josuat_verges(n: int) -> LaurentPoly:
 def euler_hat_odd_pochhammer(n: int) -> LaurentPoly:
     """The single-binomial sum for ``euler_hat(n)`` with odd-base Pochhammers."""
 
-    def kernel(k: int) -> LaurentPoly:
-        inner = ZERO
-        for i in range(k + 1):
-            inner = inner + (
-                monomial(1, i, math.comb(k - i, 2))
-                * odd_pochhammer(i)
-                * gauss_binom(k + i, k - i)
-            )
-        return neg_q_power(k) * inner
+    odd = [odd_pochhammer(i) for i in range(n + 1)]
+
+    def kernel(k: int) -> list[Item]:
+        # (-q)**k times the inner sum, folded into each item
+        return [
+            (-1 if k % 2 else 1, i, k + math.comb(k - i, 2), (odd[i], gauss_binom(k + i, k - i)))
+            for i in range(k + 1)
+        ]
 
     return _ballot_sum(n, kernel)
 
 
 def secant_hat_original(n: int) -> LaurentPoly:
     """``(1-q)**(2n) * E_{2n}(q)`` in the unshifted index form."""
-
-    def kernel(k: int) -> LaurentPoly:
-        inner = ZERO
-        for i in range(2 * k + 1):
-            inner = inner + monomial(-1 if (i + k) % 2 else 1, 0, i * (2 * k - i) + k)
-        return inner
-
-    return _ballot_sum(n, kernel)
+    return _ballot_sum(
+        n,
+        lambda k: [(-1 if (i + k) % 2 else 1, 0, i * (2 * k - i) + k, ()) for i in range(2 * k + 1)],
+    )
 
 
 def tangent_hat_original(n: int) -> LaurentPoly:
@@ -346,15 +323,12 @@ def tangent_hat_original(n: int) -> LaurentPoly:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = ZERO
-    for k in range(n + 1):
-        # C(2n+1, n-k) - C(2n+1, n-k-1), by Pascal's rule
-        coeff = ballot(n, k) + ballot(n, k + 1)
-        inner = ZERO
-        for i in range(2 * k + 2):
-            inner = inner + monomial(-1 if (i + k) % 2 else 1, 0, i * (2 * k + 2 - i))
-        total = total + coeff * inner
-    return total
+    # ballot(n,k) + ballot(n,k+1) is C(2n+1, n-k) - C(2n+1, n-k-1), by Pascal's rule
+    return _sum_of_products(
+        ((ballot(n, k) + ballot(n, k + 1)) * (-1 if (i + k) % 2 else 1), 0, i * (2 * k + 2 - i), ())
+        for k in range(n + 1)
+        for i in range(2 * k + 2)
+    )
 
 
 def euler_hat_at_minus_q(n: int) -> LaurentPoly:
@@ -365,17 +339,17 @@ def euler_hat_at_minus_q(n: int) -> LaurentPoly:
     is divisible by ``1 + q`` because the inner exponent is odd.
     """
 
-    def kernel(k: int) -> LaurentPoly:
+    def kernel(k: int) -> list[Item]:
         sign = -1 if k % 2 else 1
         pair = monomial(sign, 0, k * k) + monomial(sign, 0, (k + 1) ** 2)
-        return pair.divide_exact(_ONE_PLUS_Q)
+        return [(1, 0, 0, (pair.divide_exact(_ONE_PLUS_Q),))]
 
     return _ballot_sum(n, kernel)
 
 
 def euler_hat_at_minus_inv_q(n: int) -> LaurentPoly:
     """``euler_hat(n)`` at ``t = -1/q``: ballot sum of the plain square sums."""
-    return _ballot_sum(n, square_sum)
+    return _ballot_sum(n, lambda k: [(1, 0, 0, (square_sum(k),))])
 
 
 def dist_box_closed(m: int, n: int) -> LaurentPoly:

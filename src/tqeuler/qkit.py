@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
-from .exactalg import LaurentPoly, ONE, ZERO, monomial
+from .exactalg import Item, LaurentPoly, ONE, ZERO, _sum_of_products, monomial
 
 __all__ = [
     "QSymbolSpec",
@@ -133,18 +133,19 @@ def ballot(n: int, k: int) -> int:
     return c(2 * n, n - k) - c(2 * n, n - k - 1)
 
 
-def _ballot_sum(n: int, kernel: Callable[[int], LaurentPoly]) -> LaurentPoly:
-    """The ballot expansion ``sum_{k=0}^{n} ballot(n,k) * kernel(k)``.
+def _ballot_sum(n: int, kernel: Callable[[int], Iterable[Item]]) -> LaurentPoly:
+    """The ballot expansion ``sum_{k=0}^{n} ballot(n,k) * K_k``.
 
-    Kept out of ``__all__`` so that profiling wrappers, which follow
-    ``__all__``, charge the time of each expansion to its formula.
+    ``kernel(k)`` gives ``K_k`` as ``(c, a, b, factors)`` items (see
+    :func:`tqeuler.exactalg._sum_of_products`), and ``ballot(n,k)`` is folded into each ``c``,
+    so the whole expansion is one packed sum.  Kept out of ``__all__`` so that profiling
+    wrappers, which follow ``__all__``, charge the time of each expansion to its formula.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = ZERO
-    for k in range(n + 1):
-        total = total + ballot(n, k) * kernel(k)
-    return total
+    return _sum_of_products(
+        (ballot(n, k) * c, a, b, factors) for k in range(n + 1) for c, a, b, factors in kernel(k)
+    )
 
 
 def a_k_poly(k: int) -> LaurentPoly:
@@ -165,8 +166,5 @@ def a_k_poly(k: int) -> LaurentPoly:
 
 
 def square_sum(m: int) -> LaurentPoly:
-    """``sum_{i=-m}^{m} (-q)**(i*i)``."""
-    out = ONE
-    for i in range(1, m + 1):
-        out = out + 2 * neg_q_power(i * i)
-    return out
+    """``sum_{i=-m}^{m} (-q)**(i*i)``; ``i*i`` has the parity of ``i``."""
+    return LaurentPoly._trusted({(0, 0): 1, **{(0, i * i): 2 * (-1) ** i for i in range(1, m + 1)}})

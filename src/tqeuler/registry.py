@@ -199,12 +199,8 @@ def _step_rules(weights: str) -> tuple[Side, Side]:
 
 def _ballot_marked_sum(n: int, weights: str) -> LaurentPoly:
     up, down = _step_rules(weights)
-    return qkit._ballot_sum(
-        n,
-        lambda k: combinat.md_star_weight_sum_general(
-            k, lambda h: up(h) - ONE, lambda h: down(h) - ONE
-        ),
-    )
+    rules = (lambda h: up(h) - ONE, lambda h: down(h) - ONE)
+    return qkit._ballot_sum(n, lambda k: [(1, 0, 0, (combinat.md_star_weight_sum_general(k, *rules),))])
 
 
 def _degenerate(eps: int, expected: Side, what: str) -> Check:

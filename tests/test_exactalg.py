@@ -24,6 +24,7 @@ from tqeuler.exactalg import (
     _mul_dict,
     _mul_packed,
     _slot_bytes,
+    _sum_of_products,
     _to_int,
     _to_slots,
 )
@@ -215,6 +216,101 @@ class TestPackedMul:
         for value in (1 << 56, -(1 << 56) - 1, 128 << 48, -129 << 48):
             with pytest.raises(OverflowError):
                 layout.unpack(value, box)
+
+
+def sum_reference(items):
+    """The dict reference: sum of monomial(c, a, b) * factors via _mul_dict and __add__."""
+    total = ZERO
+    for c, a, b, factors in items:
+        term = monomial(c, a, b).terms
+        for p in factors:
+            term = _mul_dict(term, p.terms)
+        total = total + LaurentPoly(term)
+    return total
+
+
+@st.composite
+def sum_items(draw):
+    """Item lists over a small pool of factors, so that factor objects repeat."""
+    pool = draw(st.lists(st.one_of(pack_operands(), laurent_polys()), min_size=1, max_size=4))
+    big = draw(st.sampled_from([9, 2**40, 2**200]))
+    exps = st.integers(-4, 4)
+    factors = st.lists(st.sampled_from(pool), max_size=3).map(tuple)
+    return draw(st.lists(st.tuples(st.integers(-big, big), exps, exps, factors), max_size=6))
+
+
+class TestPackedSum:
+    """The packed sum of products against the dict reference it replaces."""
+
+    @given(sum_items())
+    def test_matches_dict_reference(self, items):
+        result = _sum_of_products(items)
+        assert result == sum_reference(items)
+        assert_canonical(result)
+
+    def test_empty(self):
+        assert _sum_of_products([]) == ZERO
+        assert _sum_of_products([(3, 1, 1, (ZERO,)), (0, 2, 2, ())]) == ZERO
+
+    def test_skipped_items_do_not_widen_the_box(self):
+        p = LaurentPoly({(0, i): i + 1 for i in range(9)})
+        items = [(0, 10**6, -(10**6), (p,)), (1, 0, 0, (p,)), (5, -(10**6), 0, (p, ZERO))]
+        assert _sum_of_products(items) == p
+
+    def test_cancels_to_zero(self):
+        p, r = T1, LaurentPoly({(0, i): (-1) ** i for i in range(10)})
+        assert _sum_of_products([(2, 1, -1, (p, r)), (-1, 1, -1, (r, p)), (-1, 1, -1, (p, r))]) == ZERO
+
+    def test_negative_exponents(self):
+        p = LaurentPoly({(-1, -2): 3, (0, -1): -1})
+        assert _sum_of_products([(2, -3, -5, (p,)), (1, 0, 0, ())]) == LaurentPoly(
+            {(-4, -7): 6, (-3, -6): -2, (0, 0): 1}
+        )
+
+    def test_each_factor_packed_once(self, monkeypatch):
+        calls = []
+        pack = _Layout.pack
+
+        def spy(self, terms, box):
+            calls.append(box)
+            return pack(self, terms, box)
+
+        monkeypatch.setattr(_Layout, "pack", spy)
+        p = LaurentPoly({(0, i): 1 for i in range(10)})
+        items = [(1, k, 0, (p, p)) for k in range(4)] + [(2, 0, 1, (p, T1))]
+        assert _sum_of_products(items) == sum_reference(items)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 8, 16])
+    def test_bound_reached_exactly(self, width):
+        # Single-term factors put every item on the slot of 1, so that slot holds
+        # the whole derived bound sum |c| * prod |p_i|_1; the bound is the largest
+        # value that still fits ``width`` bytes with a spare sign bit.
+        bound = (1 << (8 * width - 1)) - 1
+        assert _slot_bytes(bound) == width
+        m = math.isqrt(bound // 3)
+        rest = bound - 3 * m * m
+        for sign in (1, -1):
+            items = [
+                (3 * sign, 1, -1, (monomial(m, 0, 2), monomial(m, -1, -1))),
+                (sign, 2, 0, (monomial(rest, -2, 0),)),
+            ]
+            assert _sum_of_products(items) == sum_reference(items) == monomial(sign * bound)
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 8, 16])
+    def test_bound_is_a_sum_over_items(self, width):
+        # Each item alone fits ``width`` bytes; their sum needs the next width.
+        half = monomial(1 << (8 * width - 2))
+        items = [(1, 0, 0, (half,)), (1, 1, 1, (half, monomial(1, -1, -1)))]
+        assert _sum_of_products(items) == monomial(1 << (8 * width - 1))
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 8])
+    def test_factor_bound_is_l1_norm(self, width):
+        # m * m fits ``width`` bytes; the centre coefficient 8 * m * m of a * a does not.
+        m = math.isqrt((1 << (8 * width - 1)) - 1)
+        a = LaurentPoly({(0, i): m for i in range(8)})
+        items = [(1, 0, 0, (a, a))]
+        assert _sum_of_products(items) == sum_reference(items)
 
 
 class TestDivision:

@@ -252,10 +252,19 @@ class TestPackedSum:
         assert _sum_of_products([]) == ZERO
         assert _sum_of_products([(3, 1, 1, (ZERO,)), (0, 2, 2, ())]) == ZERO
 
-    def test_skipped_items_do_not_widen_the_box(self):
+    def test_skipped_items_do_not_widen_the_box(self, monkeypatch):
+        boxes = []
+        unpack = _Layout.unpack
+
+        def spy(self, value, box):
+            boxes.append(box)
+            return unpack(self, value, box)
+
+        monkeypatch.setattr(_Layout, "unpack", spy)
         p = LaurentPoly({(0, i): i + 1 for i in range(9)})
-        items = [(0, 10**6, -(10**6), (p,)), (1, 0, 0, (p,)), (5, -(10**6), 0, (p, ZERO))]
+        items = [(0, 50, -50, (p,)), (1, 0, 0, (p,)), (5, -50, 0, (p, ZERO))]
         assert _sum_of_products(items) == p
+        assert boxes == [(0, 0, 0, 8)]
 
     def test_cancels_to_zero(self):
         p, r = T1, LaurentPoly({(0, i): (-1) ** i for i in range(10)})

@@ -121,6 +121,10 @@ def _bench_methods(n: int):
 def cmd_bench(args: argparse.Namespace) -> int:
     if not (0 <= args.max_n <= _BENCH_CAP):
         return _fail(f"--max-n must be in 0..{_BENCH_CAP}")
+    try:
+        combinat._env_cutoff()
+    except ValueError as exc:
+        return _fail(str(exc))
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "method", "ms", "terms"])
     for n in range(args.max_n + 1):

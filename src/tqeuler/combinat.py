@@ -68,11 +68,17 @@ _DEFAULT_CUTOFFS = {
 }
 
 
-def _check_cutoff(family: str, value: int) -> None:
-    cap = _DEFAULT_CUTOFFS[family]
+def _env_cutoff() -> int:
+    """The cap ``TQEULER_MAX_CUTOFF`` sets, 0 when unset or empty; ``ValueError`` if malformed."""
     env = os.environ.get("TQEULER_MAX_CUTOFF")
-    if env:
-        cap = max(cap, int(env))
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ValueError(f"TQEULER_MAX_CUTOFF must be an integer, got {env!r}") from None
+
+
+def _check_cutoff(family: str, value: int) -> None:
+    cap = max(_DEFAULT_CUTOFFS[family], _env_cutoff())
     if value > cap:
         raise CutoffExceededError(f"{family} enumeration capped at {cap}, got {value}")
 

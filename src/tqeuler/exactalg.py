@@ -8,14 +8,12 @@ floating point appears anywhere.
 
 All values are immutable after construction and all operations are pure.
 
-The packed (Kronecker substitution, see ``_Layout``) path has two entry points.
-``LaurentPoly.__mul__`` picks its algorithm from the operands alone: when both
-have at least ``_PACK_MIN`` terms and the product's degree box (t-span times
-q-span) holds no more slots than there are term pairs, the operands are packed
-into Python ints and multiplied once; otherwise the schoolbook dict loop
-``_mul_dict`` runs.  ``_sum_of_products`` forms a whole sum of
+``LaurentPoly.__mul__`` is the schoolbook dict loop ``_mul_dict``.  The packed
+(Kronecker substitution, see ``_Layout``) path has one entry point here,
+``_sum_of_products``, which forms a whole sum of
 ``c * t**a * q**b * p_1 * ... * p_m`` items in one packed int, with every
-coefficient bounded by ``sum |c| * prod |p_i|_1``.  ``_mul_dict`` and
+coefficient bounded by ``sum |c| * prod |p_i|_1``; the moment DP
+(``cfrac.sfrac_moments``) is the other user of ``_Layout``.  ``_mul_dict`` and
 ``__add__`` are the reference both are tested against.
 """
 
@@ -163,14 +161,7 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         other = self._coerce(other)
-        a, b = self._terms, other._terms
-        if len(a) >= _PACK_MIN and len(b) >= _PACK_MIN:
-            abox, bbox = _box(a), _box(b)
-            rows = abox[1] - abox[0] + bbox[1] - bbox[0] + 1
-            cols = abox[3] - abox[2] + bbox[3] - bbox[2] + 1
-            if rows * cols <= len(a) * len(b):
-                return LaurentPoly._trusted(_mul_packed(a, abox, b, bbox))
-        return LaurentPoly._trusted(_mul_dict(a, b))
+        return LaurentPoly._trusted(_mul_dict(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -331,6 +322,20 @@ class LaurentPoly:
         return f"LaurentPoly({self.render()})"
 
 
+def _mul_dict(a: Mapping[ExpPair, int], b: Mapping[ExpPair, int]) -> dict[ExpPair, int]:
+    """Schoolbook product of two term dicts."""
+    out: dict[ExpPair, int] = {}
+    for (at, aq), ac in a.items():
+        for (bt, bq), bc in b.items():
+            e = (at + bt, aq + bq)
+            s = out.get(e, 0) + ac * bc
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
 # -- packed (Kronecker) arithmetic ---------------------------------------------
 #
 # A term dict inside a degree box is packed into one Python int by evaluating
@@ -341,11 +346,6 @@ class LaurentPoly:
 # An int decodes back to the polynomial exactly when that polynomial has q-span
 # below ``stride`` and every coefficient below 2**(8*width - 1) in magnitude;
 # callers derive both facts before packing.
-
-# Below 8 terms per operand the dict loop wins: on the products of a full
-# closed-form verify run (CPython 3.11), packing broke even at 7 terms when the
-# product box is as large as the number of term pairs, and won from 8 on.
-_PACK_MIN = 8
 
 # array typecodes by item size.  On little-endian machines slots of these widths
 # convert in C; other widths, and all widths on big-endian ones, convert per slot.
@@ -358,20 +358,6 @@ def _box(terms: Mapping[ExpPair, int]) -> Box:
     """The degree box of a nonempty term dict."""
     ets, eqs = zip(*terms)
     return (min(ets), max(ets), min(eqs), max(eqs))
-
-
-def _mul_dict(a: Mapping[ExpPair, int], b: Mapping[ExpPair, int]) -> dict[ExpPair, int]:
-    """Schoolbook product of two term dicts; the reference for the packed path."""
-    out: dict[ExpPair, int] = {}
-    for (at, aq), ac in a.items():
-        for (bt, bq), bc in b.items():
-            e = (at + bt, aq + bq)
-            s = out.get(e, 0) + ac * bc
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
 
 
 def _slot_bytes(bound: int) -> int:
@@ -477,23 +463,6 @@ class _Layout(NamedTuple):
                 if v != half:
                     out[(et, eq)] = v - half
         return out
-
-
-def _mul_packed(
-    a: Mapping[ExpPair, int], abox: Box, b: Mapping[ExpPair, int], bbox: Box
-) -> dict[ExpPair, int]:
-    """Kronecker product of two term dicts with degree boxes ``abox``, ``bbox``.
-
-    Each product coefficient is a sum of ``a_i * b_j``, so its magnitude is at
-    most ``min(|a|_1 * max|b|, |b|_1 * max|a|)``; the slot width holds that.
-    """
-    bound = min(
-        sum(map(abs, a.values())) * max(map(abs, b.values())),
-        sum(map(abs, b.values())) * max(map(abs, a.values())),
-    )
-    box = (abox[0] + bbox[0], abox[1] + bbox[1], abox[2] + bbox[2], abox[3] + bbox[3])
-    layout = _Layout.fitting(box[3] - box[2] + 1, bound)
-    return layout.unpack(layout.pack(a, abox) * layout.pack(b, bbox), box)
 
 
 Item = tuple[int, int, int, Sequence[LaurentPoly]]  # (c, a, b, (p_1, ...))

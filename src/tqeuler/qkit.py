@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .exactalg import Item, LaurentPoly, ONE, ZERO, _sum_of_products, monomial
+from .exactalg import Item, LaurentPoly, ONE, ONE_MINUS_Q, ZERO, _sum_of_products, monomial
 
 __all__ = [
     "QSymbolSpec",
@@ -76,7 +76,7 @@ def odd_pochhammer(i: int) -> LaurentPoly:
     return out
 
 
-_GAUSS_CACHE: dict[tuple[int, int], LaurentPoly] = {}
+_GAUSS_CACHE: dict[tuple[int, int, bool], LaurentPoly] = {}
 
 
 def gauss_binom(n: int, k: int, squared: bool = False) -> LaurentPoly:
@@ -84,24 +84,27 @@ def gauss_binom(n: int, k: int, squared: bool = False) -> LaurentPoly:
 
     Out-of-range arguments (``k < 0``, ``k > n`` or ``n < 0``) give 0, the
     convention the q-series sums in this package rely on.  With ``squared``
-    set, every ``q`` in the result is replaced by ``q**2``.
+    set, every ``q`` in the result is replaced by ``q**2``.  Both forms are
+    cached, so a repeated call returns the same object.
     """
     if k < 0 or n < 0 or k > n:
         return ZERO
-    base = _gauss(n, k)
-    return base.scale_q(2) if squared else base
+    return _gauss(n, k, squared)
 
 
-def _gauss(n: int, k: int) -> LaurentPoly:
+def _gauss(n: int, k: int, squared: bool = False) -> LaurentPoly:
     k = min(k, n - k)
     if k == 0:
         return ONE
-    key = (n, k)
+    key = (n, k, squared)
     cached = _GAUSS_CACHE.get(key)
     if cached is not None:
         return cached
-    # q-Pascal: [n,k] = [n-1,k-1] + q^k [n-1,k]
-    value = _gauss(n - 1, k - 1) + monomial(1, 0, k) * _gauss(n - 1, k)
+    if squared:
+        value = _gauss(n, k).scale_q(2)
+    else:
+        # q-Pascal: [n,k] = [n-1,k-1] + q^k [n-1,k]
+        value = _gauss(n - 1, k - 1) + monomial(1, 0, k) * _gauss(n - 1, k)
     _GAUSS_CACHE.setdefault(key, value)
     return _GAUSS_CACHE[key]
 
@@ -159,7 +162,7 @@ def a_k_poly(k: int) -> LaurentPoly:
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
-        return LaurentPoly({(0, 0): 1, (0, 1): -1})
+        return ONE_MINUS_Q
     first = square_sum(k)
     second = square_sum(k - 1)
     return first + monomial(1, 0, 2 * k + 1) * second

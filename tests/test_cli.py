@@ -71,6 +71,12 @@ class TestCompute:
         assert cli.main(["compute", "e", "--n", "99"]) == 2
         assert cli.main(["compute", "e", "--n", "-1"]) == 2
 
+    def test_malformed_env_cutoff_unused(self, monkeypatch, capsys):
+        # compute runs no enumerator, so the cutoff variable is never read
+        monkeypatch.setenv("TQEULER_MAX_CUTOFF", "abc")
+        assert cli.main(["compute", "e", "--n", "2"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_bad_target(self):
         assert cli.main(["compute", "zzz", "--n", "1"]) == 2
 
@@ -139,6 +145,17 @@ class TestVerify:
         with pytest.raises(RegistryConfigError):
             run_verification(select=" , ")
 
+    def test_malformed_env_cutoff(self, monkeypatch, capsys):
+        monkeypatch.setenv("TQEULER_MAX_CUTOFF", "abc")
+        with pytest.raises(RegistryConfigError, match="TQEULER_MAX_CUTOFF"):
+            run_verification(max_n=1, max_k=1, max_b=0)
+        assert cli.main(["verify", "--max-n", "1", "--max-k", "1", "--max-b", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: TQEULER_MAX_CUTOFF must be an integer, got 'abc'\n"
+        monkeypatch.setenv("TQEULER_MAX_CUTOFF", "10")
+        assert cli.main(["verify", "--max-n", "1", "--max-k", "1", "--max-b", "0"]) == 0
+
     def test_identity_ids_unique(self):
         ids = registry.identity_ids()
         assert len(ids) == len(set(ids))
@@ -164,6 +181,13 @@ class TestBench:
 
     def test_bad_bounds(self):
         assert cli.main(["bench", "--max-n", "99"]) == 2
+
+    def test_malformed_env_cutoff(self, monkeypatch, capsys):
+        monkeypatch.setenv("TQEULER_MAX_CUTOFF", "abc")
+        assert cli.main(["bench", "--max-n", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: TQEULER_MAX_CUTOFF must be an integer, got 'abc'\n"
 
 
 class TestModuleEntryPoint:

@@ -18,11 +18,8 @@ from tqeuler.exactalg import (
 )
 from tqeuler import exactalg
 from tqeuler.exactalg import (
-    _PACK_MIN,
     _Layout,
-    _box,
     _mul_dict,
-    _mul_packed,
     _slot_bytes,
     _sum_of_products,
     _to_int,
@@ -119,7 +116,8 @@ class TestTrustedResults:
 
 
 def packed(a, b):
-    return _mul_packed(a.terms, _box(a.terms), b.terms, _box(b.terms))
+    """The product a * b through the packed sum, as a term dict."""
+    return dict(_sum_of_products([(1, 0, 0, (a, b))]).terms)
 
 
 @st.composite
@@ -137,12 +135,11 @@ def pack_operands(draw):
 
 
 class TestPackedMul:
-    """The Kronecker path against the schoolbook dict loop it replaces."""
+    """Single products through the packed sum against the schoolbook dict loop."""
 
     @given(pack_operands(), pack_operands())
     def test_matches_dict_reference(self, a, b):
-        assert packed(a, b) == _mul_dict(a.terms, b.terms)
-        assert (a * b).terms == _mul_dict(a.terms, b.terms)
+        assert packed(a, b) == _mul_dict(a.terms, b.terms) == (a * b).terms
 
     def test_cancelling_slots(self):
         # (1 + q + ... + q^9)(1 - q + ... - q^9) = (1 - q^10)(1 + q^2 + ... + q^8)
@@ -151,43 +148,6 @@ class TestPackedMul:
         product = packed(a, b)
         assert product == _mul_dict(a.terms, b.terms)
         assert sorted(product) == [(0, e) for e in range(0, 20, 2)]
-
-    def test_selection_rule(self, monkeypatch):
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return _mul_packed(*args)
-
-        monkeypatch.setattr(exactalg, "_mul_packed", spy)
-        dense = LaurentPoly({(i // 3, i % 3 - 1): i + 1 for i in range(_PACK_MIN)})
-        small = LaurentPoly({(i, 0): 1 for i in range(_PACK_MIN - 1)})
-        # product box 71 x 71 > 8 * 8 term pairs: sparse, stays on the dict path
-        sparse_t = LaurentPoly({(10 * i, 0): 1 for i in range(_PACK_MIN)})
-        sparse_q = LaurentPoly({(0, -10 * i): 1 for i in range(_PACK_MIN)})
-        assert (dense * small).terms == _mul_dict(dense.terms, small.terms)
-        assert (sparse_t * sparse_q).terms == _mul_dict(sparse_t.terms, sparse_q.terms)
-        assert calls == []
-        assert (dense * dense).terms == _mul_dict(dense.terms, dense.terms)
-        assert len(calls) == 1
-        assert packed(sparse_t, sparse_q) == _mul_dict(sparse_t.terms, sparse_q.terms)
-
-    @pytest.mark.parametrize("width", [1, 2, 4, 8, 16])
-    def test_bound_reached_exactly(self, width):
-        # The centre coefficient of (M * sum q^i)^2 is n * M^2, which is the
-        # derived bound |a|_1 * max|b|; M is the largest value for which that
-        # bound still fits ``width`` bytes, so only the sign bit is spare.
-        n = 8
-        m = math.isqrt(((1 << (8 * width - 1)) - 1) // n)
-        bound = n * m * m
-        assert _slot_bytes(bound) == width
-        assert bound.bit_length() == 8 * width - 1
-        assert _slot_bytes(1 << (8 * width - 1)) > width  # 8 * width bits leave no sign bit
-        a = LaurentPoly({(0, i): m for i in range(n)})
-        for b in (a, -a):
-            product = packed(a, b)
-            assert product == _mul_dict(a.terms, b.terms)
-            assert abs(product[(0, n - 1)]) == bound
 
     @pytest.mark.parametrize("width", range(1, 10))
     def test_slot_conversion_roundtrip(self, width):

@@ -66,6 +66,13 @@ def test_gauss_binom_squared():
     assert gauss_binom(2, 1, squared=True) == ONE + monomial(1, 0, 2)
 
 
+@pytest.mark.parametrize("n,k", [(2, 1), (7, 3), (7, 4), (9, 0), (12, 6)])
+def test_gauss_binom_squared_is_cached(n, k):
+    first = gauss_binom(n, k, squared=True)
+    assert gauss_binom(n, k, squared=True) is first
+    assert first == gauss_binom(n, k).scale_q(2)
+
+
 def test_q_pascal_and_symmetry():
     for n in range(1, 21):
         for k in range(n + 1):

@@ -85,8 +85,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except registry.RegistryConfigError as exc:
         return _fail(str(exc))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json_text())
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json_text())
+        except OSError as exc:
+            return _fail(f"cannot write --json file: {exc}")
     if args.format == "json":
         sys.stdout.write(report.to_json_text())
     else:
@@ -121,10 +124,6 @@ def _bench_methods(n: int):
 def cmd_bench(args: argparse.Namespace) -> int:
     if not (0 <= args.max_n <= _BENCH_CAP):
         return _fail(f"--max-n must be in 0..{_BENCH_CAP}")
-    try:
-        combinat._env_cutoff()
-    except ValueError as exc:
-        return _fail(str(exc))
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "method", "ms", "terms"])
     for n in range(args.max_n + 1):

@@ -7,13 +7,11 @@ configurations, self-conjugate overpartitions, the three lattice-path
 families on west/southwest and west/south steps, and alternating
 permutations.
 
-Enumerators fail loudly past their cutoffs instead of truncating silently;
-the env var ``TQEULER_MAX_CUTOFF`` raises every cap at once.
+Enumerators fail loudly past their cutoffs instead of truncating silently.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -68,17 +66,8 @@ _DEFAULT_CUTOFFS = {
 }
 
 
-def _env_cutoff() -> int:
-    """The cap ``TQEULER_MAX_CUTOFF`` sets, 0 when unset or empty; ``ValueError`` if malformed."""
-    env = os.environ.get("TQEULER_MAX_CUTOFF")
-    try:
-        return int(env) if env else 0
-    except ValueError:
-        raise ValueError(f"TQEULER_MAX_CUTOFF must be an integer, got {env!r}") from None
-
-
 def _check_cutoff(family: str, value: int) -> None:
-    cap = max(_DEFAULT_CUTOFFS[family], _env_cutoff())
+    cap = _DEFAULT_CUTOFFS[family]
     if value > cap:
         raise CutoffExceededError(f"{family} enumeration capped at {cap}, got {value}")
 
@@ -131,15 +120,6 @@ class Partition:
             if self.part(i) > self.part(i + 1):
                 out.append((i, self.part(i)))
         return out
-
-    def fits_box(self, m: int, n: int) -> bool:
-        return len(self.parts) <= m and (not self.parts or self.parts[0] <= n)
-
-    def fits_staircase(self, k: int) -> bool:
-        """Containment in the staircase (k, k-1, ..., 1)."""
-        if len(self.parts) > k:
-            return False
-        return all(self.part(i) <= k + 1 - i for i in range(1, len(self.parts) + 1))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Partition) and self.parts == other.parts
@@ -420,9 +400,6 @@ class Overpartition:
         return Overpartition(
             self.shape.conjugate(), frozenset((j, i) for i, j in self.marks)
         )
-
-    def is_self_conjugate(self) -> bool:
-        return self == self.conjugate()
 
     def weight(self) -> LaurentPoly:
         """``(-1)**(diag + mk//2) * t**mk * q**size`` (the sop weight)."""

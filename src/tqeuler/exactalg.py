@@ -101,9 +101,6 @@ class LaurentPoly:
         """Read-only view of the canonical term map."""
         return MappingProxyType(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -182,33 +179,48 @@ class LaurentPoly:
     def divide_exact(self, divisor: "LaurentPoly | int") -> "LaurentPoly":
         """Exact division in the Laurent ring.
 
-        Raises :class:`NonDivisibleError` if the divisor does not divide this
-        polynomial exactly over the integers.
+        Long division over lex-leading terms: each step divides the remainder's
+        largest ``(e_t, e_q)`` term by the divisor's and subtracts that
+        quotient term times the divisor.  Raises :class:`NonDivisibleError`
+        if the divisor does not divide this polynomial exactly over the
+        integers.
         """
         divisor = self._coerce(divisor)
-        if divisor.is_zero():
+        if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
+        if not self:
             return ZERO
-        # Shift both operands into the ordinary polynomial ring so that the
-        # division algorithm terminates; the monomial shift is restored at
-        # the end.
-        a_t = min(et for et, _ in self._terms)
-        a_q = min(eq for _, eq in self._terms)
-        b_t = min(et for et, _ in divisor._terms)
-        b_q = min(eq for _, eq in divisor._terms)
-        a = {(et - a_t, eq - a_q): c for (et, eq), c in self._terms.items()}
-        b = {(et - b_t, eq - b_q): c for (et, eq), c in divisor._terms.items()}
-        quo = _poly_div_exact(a, b)
-        if quo is None:
-            raise NonDivisibleError(f"{divisor!r} does not divide {self!r}")
-        shift_t, shift_q = a_t - b_t, a_q - b_q
-        # Canonical already: every quotient coefficient is some lu // lv with
-        # lv | lu != 0 in _q_div_exact, and each (t, q) slot is written once
-        # (leading degrees strictly fall), so no coefficient is zero.
-        return LaurentPoly._trusted(
-            {(et + shift_t, eq + shift_q): c for (et, eq), c in quo.items()}
-        )
+        (lead_t, lead_q), lead_c = max(divisor._terms.items())
+        a_t, _, a_q, _ = _box(self._terms)
+        b_t, _, b_q, _ = _box(divisor._terms)
+        # Derived floors, not tuned ones: lowest t-rows (and q-columns) multiply
+        # to a nonzero lowest part in an integral domain, so an exact quotient's
+        # lowest exponents are exactly a - b, and a quotient term below a floor
+        # means there is no exact quotient.  With the floors, every quotient
+        # term, and so every remainder term, stays at or above the dividend's
+        # lowest exponents (a_t, a_q).  Lex order is a well-order there and the
+        # leading term strictly falls, so the loop ends; without the floors
+        # 1 / (1 - q) would run forever.
+        floor_t, floor_q = a_t - b_t, a_q - b_q
+        terms = divisor._terms.items()
+        rem = dict(self._terms)
+        quo: dict[ExpPair, int] = {}
+        while rem:
+            top = max(rem)
+            c, r = divmod(rem[top], lead_c)
+            dt, dq = top[0] - lead_t, top[1] - lead_q
+            if r or dt < floor_t or dq < floor_q:
+                raise NonDivisibleError(f"{divisor!r} does not divide {self!r}")
+            # the leading term strictly falls, so each slot is written once, and c != 0
+            quo[(dt, dq)] = c
+            for (et, eq), vc in terms:
+                e = (dt + et, dq + eq)
+                s = rem.get(e, 0) - c * vc
+                if s:
+                    rem[e] = s
+                else:
+                    del rem[e]  # s == 0 needs a term there, since c * vc != 0
+        return LaurentPoly._trusted(quo)
 
     # -- substitutions -------------------------------------------------------
 
@@ -310,10 +322,6 @@ class LaurentPoly:
     def json_terms(self) -> list[dict[str, object]]:
         """Canonical JSON form: sorted term records with decimal-string coefficients."""
         return [{"et": et, "eq": eq, "c": str(c)} for (et, eq), c in self.sorted_terms()]
-
-    @classmethod
-    def from_json_terms(cls, records: Iterable[Mapping[str, object]]) -> "LaurentPoly":
-        return cls({(int(r["et"]), int(r["eq"])): int(str(r["c"])) for r in records})
 
     def __str__(self) -> str:
         return self.render()
@@ -505,58 +513,6 @@ def _sum_of_products(items: Iterable[Item]) -> LaurentPoly:
             value *= packed[id(p)]
         total += value << (bits * ((lo_t - tmin) * stride + lo_q - qmin))
     return LaurentPoly._trusted(layout.unpack(total, (tmin, tmax, qmin, qmax)))
-
-
-def _q_div_exact(u: dict[int, int], v: dict[int, int]) -> dict[int, int] | None:
-    """Exact division of univariate integer polynomials given as exp->coeff maps."""
-    dv = max(v)
-    lv = v[dv]
-    rem = dict(u)
-    quo: dict[int, int] = {}
-    while rem:
-        du = max(rem)
-        if du < dv:
-            return None
-        lu = rem[du]
-        if lu % lv:
-            return None
-        c = lu // lv
-        quo[du - dv] = c
-        for e, vc in v.items():
-            pos = du - dv + e
-            s = rem.get(pos, 0) - c * vc
-            if s:
-                rem[pos] = s
-            else:
-                rem.pop(pos, None)
-    return quo
-
-
-def _poly_div_exact(a: dict[ExpPair, int], b: dict[ExpPair, int]) -> dict[ExpPair, int] | None:
-    """Exact division in Z[t, q], treating polynomials as Z[q]-polynomials in t."""
-    deg_b = max(et for et, _ in b)
-    lead_b = {eq: c for (et, eq), c in b.items() if et == deg_b}
-    rem = dict(a)
-    quo: dict[ExpPair, int] = {}
-    while rem:
-        deg_r = max(et for et, _ in rem)
-        if deg_r < deg_b:
-            return None
-        lead_r = {eq: c for (et, eq), c in rem.items() if et == deg_r}
-        q_quo = _q_div_exact(lead_r, lead_b)
-        if q_quo is None:
-            return None
-        dt = deg_r - deg_b
-        for qe, qc in q_quo.items():
-            quo[(dt, qe)] = qc  # deg_r strictly falls, so row dt is new
-            for (bt, bq), bc in b.items():
-                e = (dt + bt, qe + bq)
-                s = rem.get(e, 0) - qc * bc
-                if s:
-                    rem[e] = s
-                else:
-                    rem.pop(e, None)
-    return quo
 
 
 def monomial(coeff: int, et: int = 0, eq: int = 0) -> LaurentPoly:

@@ -493,10 +493,6 @@ def run_verification(
         raise RegistryConfigError(f"max_k must be in 0..{HARD_MAX_K}")
     if not (0 <= max_b <= HARD_MAX_B):
         raise RegistryConfigError(f"max_b must be in 0..{HARD_MAX_B}")
-    try:
-        combinat._env_cutoff()
-    except ValueError as exc:
-        raise RegistryConfigError(str(exc)) from None
     bounds = Bounds(max_n, max_k, max_b)
     cases = []
     for ident in _select_identities(select):

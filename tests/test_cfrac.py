@@ -29,7 +29,7 @@ def sfrac_moments_dict(coeff_fn, order):
                 nxt[h + 1] = nxt.get(h + 1, ZERO) + w
             if h >= 1:
                 nxt[h - 1] = nxt.get(h - 1, ZERO) + w * c[h]
-        state = {h: w for h, w in nxt.items() if not w.is_zero()}
+        state = {h: w for h, w in nxt.items() if w}
         if step % 2 == 0:
             moments.append(state.get(0, ZERO))
     return moments

@@ -71,12 +71,6 @@ class TestCompute:
         assert cli.main(["compute", "e", "--n", "99"]) == 2
         assert cli.main(["compute", "e", "--n", "-1"]) == 2
 
-    def test_malformed_env_cutoff_unused(self, monkeypatch, capsys):
-        # compute runs no enumerator, so the cutoff variable is never read
-        monkeypatch.setenv("TQEULER_MAX_CUTOFF", "abc")
-        assert cli.main(["compute", "e", "--n", "2"]) == 0
-        assert capsys.readouterr().err == ""
-
     def test_bad_target(self):
         assert cli.main(["compute", "zzz", "--n", "1"]) == 2
 
@@ -145,16 +139,16 @@ class TestVerify:
         with pytest.raises(RegistryConfigError):
             run_verification(select=" , ")
 
-    def test_malformed_env_cutoff(self, monkeypatch, capsys):
-        monkeypatch.setenv("TQEULER_MAX_CUTOFF", "abc")
-        with pytest.raises(RegistryConfigError, match="TQEULER_MAX_CUTOFF"):
-            run_verification(max_n=1, max_k=1, max_b=0)
-        assert cli.main(["verify", "--max-n", "1", "--max-k", "1", "--max-b", "0"]) == 2
+    @pytest.mark.parametrize("target", ["missing/x.json", "."])
+    def test_json_path_not_writable(self, tmp_path, capsys, target):
+        # exit 1 means a failing identity, so an unwritable --json path is a usage error
+        args = ["verify", "--max-n", "0", "--max-k", "0", "--max-b", "0"]
+        assert cli.main(args + ["--json", str(tmp_path / target)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: TQEULER_MAX_CUTOFF must be an integer, got 'abc'\n"
-        monkeypatch.setenv("TQEULER_MAX_CUTOFF", "10")
-        assert cli.main(["verify", "--max-n", "1", "--max-k", "1", "--max-b", "0"]) == 0
+        assert err.startswith("error: cannot write --json file: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_identity_ids_unique(self):
         ids = registry.identity_ids()
@@ -181,13 +175,6 @@ class TestBench:
 
     def test_bad_bounds(self):
         assert cli.main(["bench", "--max-n", "99"]) == 2
-
-    def test_malformed_env_cutoff(self, monkeypatch, capsys):
-        monkeypatch.setenv("TQEULER_MAX_CUTOFF", "abc")
-        assert cli.main(["bench", "--max-n", "1"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "error: TQEULER_MAX_CUTOFF must be an integer, got 'abc'\n"
 
 
 class TestModuleEntryPoint:

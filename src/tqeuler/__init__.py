@@ -39,16 +39,21 @@ from .combinat import (
 )
 from .formulas import SpecializationKey, tk_recurrence, tk_closed, tk_special
 from .registry import run_verification, identity_ids, VerificationReport
-from . import cfrac, formulas, qkit
+from . import cfrac, formulas, qkit, registry
 
 __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every memo the package keeps: T_k by recurrence, the Gaussian
-    binomials, and the ``euler_hat``/``dn_hat`` moments.  Results never depend
+    """Empty every memo the package keeps: T_k by recurrence, T_k at
+    ``t = eps * q**b`` (``formulas.tk_at``), the Gaussian binomials, the
+    q-Pochhammer symbols, the ``euler_hat``/``dn_hat`` moments and the
+    marked-path sums of the ``ballot-reduction`` check.  Results never depend
     on cache contents; this only makes the next computation run cold."""
     formulas.tk_recurrence.cache_clear()
+    formulas._TK_AT.clear()
     qkit._GAUSS_CACHE.clear()
+    qkit._POCH_CACHE.clear()
     cfrac._euler_cache.clear()
     cfrac._dn_cache.clear()
+    registry._MARKED_SUMS.clear()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 import time
 
@@ -74,8 +75,20 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return 0
 
 
+def _unwritable(path: str) -> bool:
+    """Whether ``path`` cannot take a report, found without creating or truncating it."""
+    if os.path.exists(path):
+        return os.path.isdir(path) or not os.access(path, os.W_OK)
+    parent = os.path.dirname(path) or "."
+    return not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK))
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
+        registry.Bounds(args.max_n, args.max_k, args.max_b)
+        # checked before the matrix runs; the write below still reports any OSError
+        if args.json and _unwritable(args.json):
+            return _fail(f"cannot write --json file: {args.json!r} is not a writable file path")
         report = registry.run_verification(
             max_n=args.max_n,
             max_k=args.max_k,

@@ -283,12 +283,6 @@ class LaurentPoly:
             total += c * t0**et * q0**eq
         return total
 
-    # -- degree information ------------------------------------------------------
-
-    def degree_box(self) -> Box:
-        """(min t-exp, max t-exp, min q-exp, max q-exp); zero poly gives all 0."""
-        return _box(self._terms) if self._terms else (0, 0, 0, 0)
-
     # -- canonical renderings -------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[ExpPair, int]]:

@@ -54,6 +54,7 @@ __all__ = [
     "tk_functional_equation_holds",
     "tk_special",
     "tk_prodinger",
+    "tk_at",
     "tk_at_minus_q",
     "tk_at_minus_inv_q",
     "alpha_step_holds",
@@ -221,27 +222,45 @@ def tk_at_minus_inv_q(k: int) -> LaurentPoly:
 # single-power substitutions of T_k and their step relations
 
 
+_TK_AT: dict[tuple[int, int, int], tuple[int, tuple[int, ...]]] = {}
+
+
+def tk_at(eps: int, b: int, k: int) -> LaurentPoly:
+    """T_k at ``t = eps * q**b`` by direct substitution into :func:`tk_recurrence`.
+
+    Cached as a dense row ``(lowest q-exponent, coefficients)``, from which a
+    hit rebuilds the polynomial: a cached term dict costs several times more.
+    """
+    row = _TK_AT.get((eps, b, k))
+    if row is None:
+        value = tk_recurrence(k).substitute_t(eps, b)
+        eqs = [eq for _, eq in value.terms] or [0]
+        lo = min(eqs)
+        _TK_AT[eps, b, k] = (lo, tuple(value.terms.get((0, e), 0) for e in range(lo, max(eqs) + 1)))
+        return value
+    lo, coeffs = row
+    return LaurentPoly._trusted({(0, e): c for e, c in enumerate(coeffs, lo) if c})
+
+
 def alpha_step_holds(eps: int, b: int, k: int) -> bool:
     """Check ``(1 - eps*q**b) * a(b,k) == a(b-1,k) + q**(2k+2b-1) * a(b-1,k-1)``,
-    where ``a(b,k)`` is T_k at ``t = eps * q**b`` by direct substitution."""
+    where ``a(b,k)`` is :func:`tk_at` ``(eps, b, k)``."""
     if b < 1 or k < 1:
         raise ValueError("need b, k >= 1")
-    lhs = LaurentPoly({(0, 0): 1, (0, b): -eps}) * tk_recurrence(k).substitute_t(eps, b)
-    rhs = tk_recurrence(k).substitute_t(eps, b - 1) + monomial(
-        1, 0, 2 * k + 2 * b - 1
-    ) * tk_recurrence(k - 1).substitute_t(eps, b - 1)
+    lhs = LaurentPoly({(0, 0): 1, (0, b): -eps}) * tk_at(eps, b, k)
+    rhs = tk_at(eps, b - 1, k) + monomial(1, 0, 2 * k + 2 * b - 1) * tk_at(eps, b - 1, k - 1)
     return lhs == rhs
 
 
 def beta_step_holds(eps: int, b: int, k: int) -> bool:
     """Check ``b(b,k) == (1 - eps*q**(1-b)) * b(b-1,k) - q**(2k-2b+1) * b(b,k-1)``,
-    where ``b(b,k)`` is T_k at ``t = eps * q**(-b)`` by direct substitution."""
+    where ``b(b,k)`` is :func:`tk_at` ``(eps, -b, k)``."""
     if b < 1 or k < 1:
         raise ValueError("need b, k >= 1")
-    lhs = tk_recurrence(k).substitute_t(eps, -b)
-    rhs = (ONE - monomial(eps, 0, 1 - b)) * tk_recurrence(k).substitute_t(eps, 1 - b) - monomial(
+    lhs = tk_at(eps, -b, k)
+    rhs = (ONE - monomial(eps, 0, 1 - b)) * tk_at(eps, 1 - b, k) - monomial(
         1, 0, 2 * k - 2 * b + 1
-    ) * tk_recurrence(k - 1).substitute_t(eps, -b)
+    ) * tk_at(eps, -b, k - 1)
     return lhs == rhs
 
 

@@ -4,8 +4,9 @@ q-integers, q-Pochhammer symbols (including shifted bases such as
 ``-q**(1-b)``), Gaussian binomial coefficients in base q and base q**2,
 ballot numbers, and the auxiliary polynomial family ``(1-q) * A_k(q)``.
 
-All functions are pure; the Gaussian binomial cache is append-only, so
-results are identical under concurrent use.
+All functions are pure.  Two memo tables, the Gaussian binomials and the
+q-Pochhammer symbols, are append-only, so results are identical under
+concurrent use; ``tqeuler.clear_caches()`` empties them.
 """
 
 from __future__ import annotations
@@ -57,13 +58,23 @@ class QSymbolSpec:
             raise ValueError("length must be nonnegative")
 
 
+_POCH_CACHE: dict[QSymbolSpec, LaurentPoly] = {}
+
+
 def pochhammer(spec: QSymbolSpec) -> LaurentPoly:
-    """Product of ``(1 - sign * q**(base_power + i))`` for ``i = 0 .. length-1``."""
-    out = ONE
-    for i in range(spec.length):
-        # built by subtraction so the i = -base_power factor (1 -+ 1) collapses
-        out = out * (ONE - monomial(spec.base_sign, 0, spec.base_power + i))
-    return out
+    """Product of ``(1 - sign * q**(base_power + i))`` for ``i = 0 .. length-1``.
+
+    Cached by ``spec``, so a repeated call returns the same object; a miss
+    multiplies the cached symbol one factor shorter by the last factor.
+    """
+    if spec.length == 0:
+        return ONE
+    if spec not in _POCH_CACHE:
+        sign, power, length = spec.base_sign, spec.base_power, spec.length
+        shorter = pochhammer(QSymbolSpec(sign, power, length - 1))
+        # built by subtraction so that a factor 1 -+ q**0 is exactly 0 or 2
+        _POCH_CACHE.setdefault(spec, shorter * (ONE - monomial(sign, 0, power + length - 1)))
+    return _POCH_CACHE[spec]
 
 
 def odd_pochhammer(i: int) -> LaurentPoly:

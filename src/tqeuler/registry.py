@@ -9,7 +9,8 @@ surface: the CLI ``verify`` command simply executes it.
 
 Checks resolve formula functions through the :mod:`tqeuler.formulas` module
 object at call time, so replacing a formula (for example in a mutation test)
-is observed by the runner.
+is observed by the runner.  A value already in a memo table is not computed
+again; ``tqeuler.clear_caches()`` empties them all.
 """
 
 from __future__ import annotations
@@ -52,9 +53,16 @@ class RegistryConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Bounds:
+    """The verification bounds; a value outside its hard cap raises :class:`RegistryConfigError`."""
+
     max_n: int
     max_k: int
     max_b: int
+
+    def __post_init__(self):
+        for name, top in (("max_n", HARD_MAX_N), ("max_k", HARD_MAX_K), ("max_b", HARD_MAX_B)):
+            if not 0 <= getattr(self, name) <= top:
+                raise RegistryConfigError(f"{name} must be in 0..{top}")
 
 
 @dataclass(frozen=True)
@@ -168,11 +176,6 @@ def _tk(k: int) -> LaurentPoly:
     return formulas.tk_recurrence(k)
 
 
-def _tk_at(eps: int, b: int) -> Side:
-    """T_k at ``t = eps * q**b`` by direct substitution into the recurrence."""
-    return lambda k: formulas.tk_recurrence(k).substitute_t(eps, b)
-
-
 def _euler_at(eps: int, b: int) -> Side:
     """``euler_hat(n)`` at ``t = eps * q**b``."""
     return lambda n: cfrac.euler_hat(n).substitute_t(eps, b)
@@ -182,7 +185,7 @@ def _special(eps: int, sign: int) -> Check:
     """The substitution formula at ``t = eps * q**(sign*b)`` against direct substitution."""
     return _same(
         lambda b, k: formulas.tk_special(formulas.SpecializationKey(eps, sign * b), k),
-        lambda b, k: formulas.tk_recurrence(k).substitute_t(eps, sign * b),
+        lambda b, k: formulas.tk_at(eps, sign * b, k),
     )
 
 
@@ -197,10 +200,17 @@ def _step_rules(weights: str) -> tuple[Side, Side]:
     return qkit.q_int, qkit.q_int
 
 
+_MARKED_SUMS: dict[tuple[int, str], LaurentPoly] = {}
+
+
 def _ballot_marked_sum(n: int, weights: str) -> LaurentPoly:
     up, down = _step_rules(weights)
     rules = (lambda h: up(h) - ONE, lambda h: down(h) - ONE)
-    return qkit._ballot_sum(n, lambda k: [(1, 0, 0, (combinat.md_star_weight_sum_general(k, *rules),))])
+    # each marked sum is walked once per (k, weights): the rule lambdas are new on every call
+    for k in range(n + 1):
+        if (k, weights) not in _MARKED_SUMS:
+            _MARKED_SUMS[k, weights] = combinat.md_star_weight_sum_general(k, *rules)
+    return qkit._ballot_sum(n, lambda k: [(1, 0, 0, (_MARKED_SUMS[k, weights],))])
 
 
 def _degenerate(eps: int, expected: Side, what: str) -> Check:
@@ -211,7 +221,7 @@ def _degenerate(eps: int, expected: Side, what: str) -> Check:
         lhs = formulas.tk_special(formulas.SpecializationKey(eps, 0), k)
         if lhs != expected(k):
             return "fail", f"substitution formula at t={eps} is not {what} for k={k}"
-        return _eq(lhs, formulas.tk_recurrence(k).substitute_t(eps, 0))
+        return _eq(lhs, formulas.tk_at(eps, 0, k))
 
     return check
 
@@ -384,7 +394,7 @@ REGISTRY: tuple[Identity, ...] = (
         _bk_grid(1), _special(-1, -1)),
     Identity("tk-prodinger", "binomial double sum at t = q^b equals direct substitution",
         _bk_grid(1), _same(lambda b, k: formulas.tk_prodinger(b, k),
-                           lambda b, k: formulas.tk_recurrence(k).substitute_t(1, b))),
+                           lambda b, k: formulas.tk_at(1, b, k))),
     Identity("tk-at-one", "t = 1 specialization degenerates to the square sum",
         _K, _degenerate(1, lambda k: qkit.square_sum(k), "the square sum")),
     Identity("tk-at-minus-one", "t = -1 specialization degenerates to 1",
@@ -393,9 +403,9 @@ REGISTRY: tuple[Identity, ...] = (
         _K1, _same(lambda k: formulas.tk_special(formulas.SpecializationKey(1, 1), k),
                    lambda k: qkit.a_k_poly(k).divide_exact(ONE_MINUS_Q))),
     Identity("tk-minus-q", "closed form for T_k(-q, q)",
-        _K, _same(lambda k: formulas.tk_at_minus_q(k), _tk_at(-1, 1))),
+        _K, _same(lambda k: formulas.tk_at_minus_q(k), lambda k: formulas.tk_at(-1, 1, k))),
     Identity("tk-minus-inv-q", "closed form for T_k(-1/q, q)",
-        _K, _same(lambda k: formulas.tk_at_minus_inv_q(k), _tk_at(-1, -1))),
+        _K, _same(lambda k: formulas.tk_at_minus_inv_q(k), lambda k: formulas.tk_at(-1, -1, k))),
     Identity("alpha-recurrence", "step relation for T_k at t = eps q^b",
         _bk_grid(1, 1, with_eps=True), _holds(lambda eps, b, k: formulas.alpha_step_holds(eps, b, k),
                                               "alpha step fails at eps={eps} b={b} k={k}")),
@@ -487,12 +497,6 @@ def run_verification(
 ) -> VerificationReport:
     """Execute the verification matrix and return the report, in the
     deterministic generation order of the cells."""
-    if not (0 <= max_n <= HARD_MAX_N):
-        raise RegistryConfigError(f"max_n must be in 0..{HARD_MAX_N}")
-    if not (0 <= max_k <= HARD_MAX_K):
-        raise RegistryConfigError(f"max_k must be in 0..{HARD_MAX_K}")
-    if not (0 <= max_b <= HARD_MAX_B):
-        raise RegistryConfigError(f"max_b must be in 0..{HARD_MAX_B}")
     bounds = Bounds(max_n, max_k, max_b)
     cases = []
     for ident in _select_identities(select):

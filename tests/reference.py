@@ -7,7 +7,8 @@ corners, one object per leaf.  Summing ``MarkedDyckPath.weight`` or
 ``tqeuler.combinat.md_star_weight_sum_general`` and
 ``tqeuler.combinat.delta_prime_weight_sum`` compute without building the
 objects.  ``MD_STAR_RULES`` names the step-weight rule pairs the marked-path
-sums are tested and frozen with.
+sums are tested and frozen with.  ``pochhammer_product`` is the uncached
+product loop that the cached ``tqeuler.qkit.pochhammer`` is tested against.
 """
 
 from __future__ import annotations
@@ -74,6 +75,14 @@ MD_STAR_RULES: dict[str, tuple[WeightRule, WeightRule]] = {
     "ballot-q-int": (lambda h: q_int(h) - ONE, lambda h: q_int(h) - ONE),
     "q-int-euler-down": (q_int, lambda h: LaurentPoly({(0, 0): 1, (1, h): -1})),
 }
+
+
+def pochhammer_product(sign: int, base_power: int, length: int) -> LaurentPoly:
+    """``(sign * q**base_power; q)_length``, one factor at a time."""
+    out = ONE
+    for i in range(length):
+        out = out * (ONE - monomial(sign, 0, base_power + i))
+    return out
 
 
 def enum_md_star(k: int) -> list[MarkedDyckPath]:

@@ -150,6 +150,34 @@ class TestVerify:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("target", ["missing/x.json", "."])
+    def test_json_path_checked_before_the_matrix(self, tmp_path, capsys, monkeypatch, target):
+        def run_verification(**kwargs):
+            raise AssertionError("the matrix ran before the --json path was checked")
+
+        monkeypatch.setattr(registry, "run_verification", run_verification)
+        args = ["verify", "--max-n", "12", "--max-k", "10", "--max-b", "8"]
+        assert cli.main(args + ["--json", str(tmp_path / target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot write --json file: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_json_path_check_keeps_an_existing_file(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "report.json"
+        path.write_text("old", encoding="utf-8")
+        monkeypatch.setattr(os, "access", lambda p, mode: False)  # a read-only file
+        assert cli.main(["verify", "--max-n", "0", "--max-k", "0", "--max-b", "0",
+                         "--json", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write --json file: ")
+        assert path.read_text(encoding="utf-8") == "old"
+
+    def test_bounds_checked_before_the_json_path(self, tmp_path, capsys):
+        args = ["verify", "--max-n", "13", "--json", str(tmp_path / "missing/x.json")]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == "error: max_n must be in 0..12\n"
+
     def test_identity_ids_unique(self):
         ids = registry.identity_ids()
         assert len(ids) == len(set(ids))

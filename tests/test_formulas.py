@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import tqeuler
-from tqeuler import cfrac, combinat, qkit
+from tqeuler import cfrac, combinat, formulas, qkit, registry
 from tqeuler.exactalg import LaurentPoly, ONE, Q, T, ZeroDenominatorError, const, monomial
 from tqeuler.formulas import (
     DEFAULT_ZENG_BRACKET,
@@ -22,6 +22,7 @@ from tqeuler.formulas import (
     secant_hat_original,
     tangent_hat_closed,
     tangent_hat_original,
+    tk_at,
     tk_at_minus_inv_q,
     tk_at_minus_q,
     tk_closed,
@@ -68,7 +69,8 @@ class TestTkFamily:
 
     def test_degree_table(self):
         for k, box in TK_DEGREE_BOX.items():
-            assert tk_recurrence(k).degree_box() == box
+            ets, eqs = zip(*tk_recurrence(k).terms)
+            assert (min(ets), max(ets), min(eqs), max(eqs)) == box
 
     def test_functional_equation(self):
         lhs = (ONE - T * Q) * tk_recurrence(1).shift_t_by_q(1)
@@ -136,6 +138,14 @@ class TestSpecializations:
         assert tk_at_minus_inv_q(1) == LaurentPoly({(0, 0): 2, (0, 1): -1})
         for k in range(9):
             assert tk_at_minus_inv_q(k) == tk_recurrence(k).substitute_t(-1, -1)
+
+    def test_tk_at_is_direct_substitution(self):
+        tqeuler.clear_caches()
+        for _ in range(2):  # first call, then the cached row
+            for eps in (1, -1):
+                for b in range(-9, 10):
+                    for k in range(11):
+                        assert tk_at(eps, b, k) == tk_recurrence(k).substitute_t(eps, b)
 
     def test_alpha_beta_steps(self):
         for eps in (1, -1):
@@ -255,6 +265,12 @@ def test_clear_caches_changes_no_result():
             [qkit.gauss_binom(n, k) for n in range(7) for k in range(n + 1)],
             [euler_hat_ballot(n) for n in range(5)],
             [euler_hat_odd_pochhammer(n) for n in range(5)],
+            [tk_at(eps, b, k) for eps in (1, -1) for b in range(-3, 4) for k in range(6)],
+            [
+                qkit.pochhammer(qkit.QSymbolSpec(sign, power, length))
+                for sign in (1, -1) for power in range(-3, 4) for length in range(6)
+            ],
+            [registry._ballot_marked_sum(n, w) for n in range(5) for w in ("euler", "q-int")],
             [
                 (c.id, c.params, c.status, c.detail)
                 for c in tqeuler.run_verification(max_n=3, max_k=3, max_b=2).cases
@@ -265,4 +281,23 @@ def test_clear_caches_changes_no_result():
     tqeuler.clear_caches()
     assert tk_recurrence.cache_info().currsize == 0
     assert not (qkit._GAUSS_CACHE or cfrac._euler_cache or cfrac._dn_cache)
+    assert not (formulas._TK_AT or qkit._POCH_CACHE or registry._MARKED_SUMS)
     assert results() == warm
+
+
+@pytest.fixture(scope="module")
+def max_report_cells():
+    tqeuler.clear_caches()
+    report = tqeuler.run_verification(12, 10, 8)
+    return [(c.id, c.params, c.status, c.detail) for c in report.cases]
+
+
+@pytest.mark.parametrize(
+    "ident", ["tk-special-pp", "tk-prodinger", "alpha-recurrence", "beta-recurrence"]
+)
+def test_cached_sides_alone_match_the_full_report(ident, max_report_cells):
+    tqeuler.clear_caches()
+    alone = tqeuler.run_verification(12, 10, 8, select=ident).cases
+    assert [(c.id, c.params, c.status, c.detail) for c in alone] == [
+        cell for cell in max_report_cells if cell[0] == ident
+    ]

@@ -1,7 +1,9 @@
 import math
 
 import pytest
+from reference import pochhammer_product
 
+import tqeuler
 from tqeuler.combinat import box_size_polynomial, euler_down
 from tqeuler.exactalg import LaurentPoly, ONE, Q, ZERO, monomial
 from tqeuler.qkit import (
@@ -46,6 +48,22 @@ def test_pochhammer_unit_base_collapses():
     # the i = -base_power factor is (1 -+ 1): 0 for sign +1, 2 for sign -1
     assert pochhammer(QSymbolSpec(1, 0, 1)) == ZERO
     assert pochhammer(QSymbolSpec(-1, 0, 1)) == LaurentPoly({(0, 0): 2})
+
+
+def test_pochhammer_cache_matches_product_loop():
+    specs = [
+        QSymbolSpec(sign, power, length)
+        for sign in (1, -1)
+        for power in range(-9, 10)
+        for length in range(9, -1, -1)
+    ]
+    tqeuler.clear_caches()
+    for _ in range(2):  # cold, then every symbol from the cache
+        for spec in specs:
+            want = pochhammer_product(spec.base_sign, spec.base_power, spec.length)
+            assert pochhammer(spec) == want
+    assert pochhammer(QSymbolSpec(1, -3, 4)) == ZERO  # the factor 1 - q**0
+    assert pochhammer(QSymbolSpec(-1, -3, 4)) is pochhammer(QSymbolSpec(-1, -3, 4))
 
 
 def test_odd_pochhammer():

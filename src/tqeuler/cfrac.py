@@ -10,13 +10,17 @@ This module is the ground-truth definition of the normalized (t,q)-Euler
 numbers ``euler_hat(n) = (1-q)**(2n) * E_n(t,q)`` (moments of the fraction
 with ``c_h = (1-q**h)(1-t*q**h)``) and of the Touchard-Riordan quantity
 ``dn_hat(n) = (1-q)**n * d_n`` (moments with ``c_h = 1-q**h``).
+
+Both are cached: a miss walks the DP once, to order n, and keeps moments 0..n
+packed (int and degree box); each is decoded the first time it is requested,
+and later requests return that same ``LaurentPoly``.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .exactalg import LaurentPoly, ONE, ONE_MINUS_Q, ZERO, _Layout
+from .exactalg import Box, LaurentPoly, ONE, ONE_MINUS_Q, ZERO, _Layout
 
 __all__ = [
     "sfrac_moments",
@@ -31,6 +35,19 @@ __all__ = [
 def sfrac_moments(coeff_fn: Callable[[int], LaurentPoly], order: int) -> list[LaurentPoly]:
     """Moments ``mu_0 .. mu_order`` of the S-fraction with coefficients ``c_h``.
 
+    One :func:`_moment_walk`, with every moment decoded."""
+    layout, packed = _moment_walk(coeff_fn, order)
+    return [_decode(layout, entry) for entry in packed]
+
+
+Packed = tuple[int, Box]  # a moment's packed int and the degree box it is decoded from
+
+
+def _moment_walk(
+    coeff_fn: Callable[[int], LaurentPoly], order: int
+) -> tuple[_Layout | None, list[Packed | None]]:
+    """The layout and, per moment 0..order, its :data:`Packed` entry or None if it is zero.
+
     Walks all lattice prefixes step by step: up steps carry weight 1, a down
     step from height h carries ``c_h``.  A prefix at step s and height h only
     matters if it can still return to height 0 by step ``2*order``, so heights
@@ -38,8 +55,9 @@ def sfrac_moments(coeff_fn: Callable[[int], LaurentPoly], order: int) -> list[La
 
     The state at each height is one packed int (see ``exactalg._Layout``), so an
     up step is an int addition and a down step is a sum of shifted integer
-    multiples, one per term of ``c_h``; no polynomial is built until the
-    moments are unpacked.  The layout is derived before the walk:
+    multiples, one per term of ``c_h``; no polynomial is built here, and
+    :func:`_decode` unpacks a moment.  The layout is derived before the walk
+    (with no nonzero ``c_h`` there is none, and only moment 0 is nonzero):
 
     * Every ``c_h`` is divided by ``t**tmin * q**qmin``, the smallest exponents
       over all ``c_h``, so every exponent is nonnegative.  A path to moment m
@@ -56,8 +74,9 @@ def sfrac_moments(coeff_fn: Callable[[int], LaurentPoly], order: int) -> list[La
         raise ValueError("order must be nonnegative")
     c = {h: LaurentPoly._coerce(coeff_fn(h)).terms for h in range(1, order + 1)}
     live = [terms for terms in c.values() if terms]
+    packed: list[Packed | None] = [(1, (0, 0, 0, 0))]  # moment 0
     if not live:
-        return [ONE] + [ZERO] * order
+        return None, packed + [None] * order
     tmin = min(et for terms in live for et, _ in terms)
     qmin = min(eq for terms in live for _, eq in terms)
     norm = max(sum(map(abs, terms.values())) for terms in live)
@@ -88,7 +107,6 @@ def sfrac_moments(coeff_fn: Callable[[int], LaurentPoly], order: int) -> list[La
     # multiple of the state per term of c_h.
     down = {h: layout.shifts(terms, tmin, qmin) for h, terms in c.items()}
     state = [1]
-    moments = [ONE]
     for step in range(1, 2 * order + 1):
         top = min(order, 2 * order - step)
         nxt_state = [0] * (top + 1)
@@ -113,12 +131,20 @@ def sfrac_moments(coeff_fn: Callable[[int], LaurentPoly], order: int) -> list[La
             m = step // 2
             box = boxes[m]
             if box is None:
-                moments.append(ZERO)
+                packed.append(None)
             else:
                 mbox = (m * tmin, m * tmin + box[0], m * qmin, m * qmin + box[1])
-                terms = layout.unpack(state[0], mbox)
-                moments.append(LaurentPoly._trusted(terms))
-    return moments
+                packed.append((state[0], mbox))
+    return layout, packed
+
+
+def _decode(layout: _Layout | None, entry: Packed | None) -> LaurentPoly:
+    """The moment that a :func:`_moment_walk` entry stands for."""
+    if entry is None:
+        return ZERO
+    if layout is None:  # no nonzero c_h: the entry is moment 0
+        return ONE
+    return LaurentPoly._trusted(layout.unpack(*entry))
 
 
 def _max_pair(a: tuple[int, int] | None, b: tuple[int, int]) -> tuple[int, int]:
@@ -130,24 +156,30 @@ def euler_coeff(h: int) -> LaurentPoly:
     return LaurentPoly({(0, 0): 1, (0, h): -1}) * LaurentPoly({(0, 0): 1, (1, h): -1})
 
 
-_euler_cache: dict[int, LaurentPoly] = {}
-_dn_cache: dict[int, LaurentPoly] = {}
+Entry = LaurentPoly | tuple[_Layout | None, Packed | None]
+_euler_cache: dict[int, Entry] = {}
+_dn_cache: dict[int, Entry] = {}
 
 
 def _cached_moment(
-    cache: dict[int, LaurentPoly], coeff_fn: Callable[[int], LaurentPoly], n: int
+    cache: dict[int, Entry], coeff_fn: Callable[[int], LaurentPoly], n: int
 ) -> LaurentPoly:
     """Moment n of the fraction with coefficients ``coeff_fn``, through ``cache``.
 
-    A miss runs the DP to order n and stores every moment up to n; stored
-    values are never replaced.
+    A miss walks to order n and stores each moment up to n that has no entry
+    yet as the layout and its :data:`Packed` entry.  The first request for a
+    moment decodes it in place; a decoded value is never replaced.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n not in cache:
-        for m, value in enumerate(sfrac_moments(coeff_fn, n)):
-            cache.setdefault(m, value)
-    return cache[n]
+        layout, packed = _moment_walk(coeff_fn, n)
+        for m, entry in enumerate(packed):
+            cache.setdefault(m, (layout, entry))
+    value = cache[n]
+    if not isinstance(value, LaurentPoly):
+        value = cache[n] = _decode(*value)
+    return value
 
 
 def euler_hat(n: int) -> LaurentPoly:

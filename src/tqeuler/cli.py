@@ -115,7 +115,7 @@ _BENCH_CAP = registry.HARD_MAX_N
 
 def _bench_methods(n: int):
     def moment_dp():
-        return cfrac.sfrac_moments(cfrac.euler_coeff, n)[n]
+        return cfrac.euler_hat(n)
 
     def ballot_form():
         return formulas.euler_hat_ballot(n)

@@ -13,8 +13,9 @@ All values are immutable after construction and all operations are pure.
 ``_sum_of_products``, which forms a whole sum of
 ``c * t**a * q**b * p_1 * ... * p_m`` items in one packed int, with every
 coefficient bounded by ``sum |c| * prod |p_i|_1``; the moment DP
-(``cfrac.sfrac_moments``) is the other user of ``_Layout``.  ``_mul_dict`` and
-``__add__`` are the reference both are tested against.
+(``cfrac._moment_walk``, whose moments ``cfrac._decode`` unpacks) is the other
+user of ``_Layout``.  ``_mul_dict`` and ``__add__`` are the reference both are
+tested against.
 """
 
 from __future__ import annotations

@@ -70,11 +70,15 @@ class Case:
     id: str
     params: dict
     status: str
-    ms: int
+    us: int
     detail: str | None = None
 
+    @property
+    def ms(self) -> int:
+        return self.us // 1000
+
     def to_json_obj(self) -> dict:
-        obj = {"id": self.id, "params": self.params, "status": self.status, "ms": self.ms}
+        obj = {"id": self.id, "params": self.params, "status": self.status, "ms": self.ms, "us": self.us}
         if self.detail is not None:
             obj["detail"] = self.detail
         return obj
@@ -506,6 +510,6 @@ def run_verification(
                 status, detail = ident.check(params)
             except Exception as exc:  # a crash in a check is a failure, not an abort
                 status, detail = "fail", f"exception: {type(exc).__name__}: {exc}"
-            ms = int((time.perf_counter() - start) * 1000)
-            cases.append(Case(ident.id, dict(params), status, ms, detail))
+            us = int((time.perf_counter() - start) * 1_000_000)
+            cases.append(Case(ident.id, dict(params), status, us, detail))
     return VerificationReport(cases)

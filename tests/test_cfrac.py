@@ -1,8 +1,10 @@
+import functools
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tqeuler import clear_caches
 from tqeuler.cfrac import (
     dn_hat,
     en_even_q,
@@ -11,7 +13,7 @@ from tqeuler.cfrac import (
     euler_hat,
     sfrac_moments,
 )
-from tqeuler.exactalg import LaurentPoly, ONE, Q, T, ZERO, const
+from tqeuler.exactalg import LaurentPoly, ONE, Q, T, ZERO, _Layout, const
 from tqeuler.qkit import q_int
 
 ONE_MINUS_Q = ONE - Q
@@ -35,15 +37,87 @@ def sfrac_moments_dict(coeff_fn, order):
     return moments
 
 
-@pytest.mark.parametrize(
-    "coeff_fn",
-    [euler_coeff, lambda h: LaurentPoly({(0, 0): 1, (0, h): -1})],
-    ids=["euler", "dn"],
-)
+def dn_coeff(h):
+    return LaurentPoly({(0, 0): 1, (0, h): -1})
+
+
+@functools.cache
+def reference_moments(name):
+    """Moments 0..12 of ``euler_hat`` or ``dn_hat`` by the dict DP."""
+    return sfrac_moments_dict({"euler": euler_coeff, "dn": dn_coeff}[name], 12)
+
+
+@pytest.mark.parametrize("coeff_fn", [euler_coeff, dn_coeff], ids=["euler", "dn"])
 def test_packed_dp_matches_dict_dp(coeff_fn):
-    reference = sfrac_moments_dict(coeff_fn, 12)
+    reference = reference_moments("euler" if coeff_fn is euler_coeff else "dn")
     for n in range(13):
         assert sfrac_moments(coeff_fn, n) == reference[: n + 1]
+
+
+MOMENTS = {"euler": euler_hat, "dn": dn_hat}
+REQUESTS = [(name, n) for n in range(13) for name in MOMENTS]
+
+
+def check_requests(order):
+    """From cold caches, each request in ``order`` gives the reference moment, and
+    every request for the same moment returns the same object."""
+    clear_caches()
+    first = {}
+    for name, n in order:
+        value = MOMENTS[name](n)
+        assert value == reference_moments(name)[n]
+        assert MOMENTS[name](n) is value
+        first[name, n] = value
+    for (name, n), value in first.items():
+        assert MOMENTS[name](n) is value
+
+
+@pytest.mark.parametrize("order", [REQUESTS, REQUESTS[::-1]], ids=["ascending", "descending"])
+def test_lazy_cache_in_request_order(order):
+    check_requests(order)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.permutations(REQUESTS))
+def test_lazy_cache_in_any_request_order(order):
+    check_requests(order)
+
+
+@pytest.fixture
+def unpacked_boxes(monkeypatch):
+    boxes = []
+    unpack = _Layout.unpack
+
+    def spy(self, value, box):
+        boxes.append(box)
+        return unpack(self, value, box)
+
+    monkeypatch.setattr(_Layout, "unpack", spy)
+    return boxes
+
+
+def test_cold_request_unpacks_one_moment(unpacked_boxes):
+    for n in range(1, 13):
+        clear_caches()
+        unpacked_boxes.clear()
+        euler_hat(n)
+        assert len(unpacked_boxes) == 1
+    # the compute e ladder: every n misses, and each decodes only moment n
+    clear_caches()
+    unpacked_boxes.clear()
+    for n in range(13):
+        euler_hat(n)
+    assert len(unpacked_boxes) == 12
+
+
+def test_stored_moment_unpacked_on_first_request_only(unpacked_boxes):
+    clear_caches()
+    euler_hat(12)
+    unpacked_boxes.clear()
+    euler_hat(5)
+    assert len(unpacked_boxes) == 1
+    euler_hat(5)
+    assert len(unpacked_boxes) == 1
 
 
 @st.composite

@@ -130,8 +130,22 @@ class TestVerify:
         first = run_verification(**kwargs).to_json_obj()
         second = run_verification(**kwargs).to_json_obj()
         for case in first["cases"] + second["cases"]:
-            case["ms"] = 0
+            case["ms"] = case["us"] = 0
         assert first == second
+
+    def test_us_timing_field(self):
+        report = run_verification(max_n=2, max_k=2, max_b=1)
+        obj = report.to_json_obj()
+        assert obj["version"] == 1
+        for case in obj["cases"]:
+            assert type(case["us"]) is int and case["us"] >= 0
+            assert case["ms"] == case["us"] // 1000
+        slow = registry.Case("x", {"n": 1}, "pass", 12_345_678)
+        assert slow.to_json_obj() == {
+            "id": "x", "params": {"n": 1}, "status": "pass", "ms": 12_345, "us": 12_345_678
+        }
+        # the text report keeps whole milliseconds
+        assert " n=1 (12345 ms)\n" in registry.VerificationReport([slow]).render_text()
 
     def test_registry_config_errors(self):
         with pytest.raises(RegistryConfigError):

@@ -12,12 +12,14 @@ Enumerators fail loudly past their cutoffs instead of truncating silently.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .exactalg import LaurentPoly, ONE, ZERO, monomial
+from .exactalg import LaurentPoly, ZERO, monomial
 from .qkit import QSymbolSpec, pochhammer
 
 __all__ = [
@@ -131,29 +133,29 @@ class Partition:
         return f"Partition{self.parts}"
 
 
-def _bounded_parts(bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
+def _bounded_parts(bounds: Sequence[int]) -> list[tuple[int, ...]]:
     """All weakly decreasing tuples with i-th entry <= bounds[i] (zeros trimmed)."""
+    out: list[tuple[int, ...]] = []
 
-    def rec(i: int, prev: int) -> Iterator[tuple[int, ...]]:
-        if i == len(bounds):
-            yield ()
-            return
-        hi = min(prev, bounds[i])
-        for v in range(hi, -1, -1):
-            if v == 0:
-                yield ()
-                continue
-            for rest in rec(i + 1, v):
-                yield (v,) + rest
+    def rec(prefix: tuple[int, ...], i: int, prev: int) -> None:
+        if i < len(bounds):
+            for v in range(min(prev, bounds[i]), 0, -1):
+                rec(prefix + (v,), i + 1, v)
+        out.append(prefix)
 
-    yield from rec(0, max(bounds, default=0))
+    rec((), 0, max(bounds, default=0))
+    return out
+
+
+def _box_parts(m: int, n: int) -> list[tuple[int, ...]]:
+    if m < 0 or n < 0:
+        raise ValueError("box dimensions must be nonnegative")
+    return _bounded_parts([n] * m)
 
 
 def enum_partitions_in_box(m: int, n: int) -> Iterator[Partition]:
     """All partitions contained in the box with m rows and n columns."""
-    if m < 0 or n < 0:
-        raise ValueError("box dimensions must be nonnegative")
-    for parts in _bounded_parts([n] * m):
+    for parts in _box_parts(m, n):
         yield Partition(parts)
 
 
@@ -166,7 +168,7 @@ def _partitions_in_staircase(k: int) -> Iterator[Partition]:
 def box_size_polynomial(m: int, n: int) -> LaurentPoly:
     """Generating polynomial ``sum q**|lam|`` over partitions in B(m, n)."""
     _check_cutoff("partition", max(m, n))
-    return LaurentPoly(Counter((0, lam.size) for lam in enum_partitions_in_box(m, n)))
+    return LaurentPoly(Counter((0, sum(parts)) for parts in _box_parts(m, n)))
 
 
 def dist_box_polynomial(m: int, n: int) -> LaurentPoly:
@@ -176,7 +178,7 @@ def dist_box_polynomial(m: int, n: int) -> LaurentPoly:
     """
     _check_cutoff("partition", max(m, n))
     return LaurentPoly(
-        Counter((lam.distinct_count(), lam.size) for lam in enum_partitions_in_box(m, n))
+        Counter((len(set(parts)), sum(parts)) for parts in _box_parts(m, n))
     )
 
 
@@ -202,28 +204,77 @@ def dyck_paths(n: int) -> Iterator[tuple[int, ...]]:
 WeightRule = Callable[[int], LaurentPoly]
 
 
+def _step_table(rule: WeightRule, n: int, slots: list[LaurentPoly]) -> list[tuple[int, ...]]:
+    """Entry h is ``(c, e_t, e_q, digit)`` for ``rule(h)``, h = 1..n: a monomial or
+    zero value with digit 0, or ``(1, 0, 0, (n+1)**slot)`` for a multi-term value
+    appended to ``slots``.  A path of length 2n takes one step kind at most n
+    times per height, so a key summing the digits counts those steps exactly."""
+    table = [(1, 0, 0, 0)]
+    for h in range(1, n + 1):
+        value = rule(h)
+        if len(value) > 1:
+            table.append((1, 0, 0, (n + 1) ** len(slots)))
+            slots.append(value)
+        else:
+            (et, eq), c = next(iter(value.terms.items()), ((0, 0), 0))
+            table.append((c, et, eq, 0))
+    return table
+
+
+def _multiply_keys(tally: dict, slots: list[LaurentPoly], base: int) -> LaurentPoly:
+    """``sum c * t**e_t * q**e_q * prod(slots[i] ** digit_i(key))`` over a
+    ``(key, e_t, e_q) -> c`` tally, with each distinct key multiplied out once
+    by ``LaurentPoly.__mul__`` and each slot power built once."""
+    by_key: defaultdict[int, dict[tuple[int, int], int]] = defaultdict(dict)
+    for (key, et, eq), c in tally.items():
+        by_key[key][et, eq] = c
+    power = cache(lambda slot, d: slots[slot] ** d)
+    total = ZERO
+    for key, terms in by_key.items():
+        w = LaurentPoly(terms)
+        for slot in range(len(slots)):
+            key, d = divmod(key, base)
+            if d:
+                w = w * power(slot, d)
+        total = total + w
+    return total
+
+
 def dyck_weight_sum(n: int, up_rule: WeightRule, down_rule: WeightRule) -> LaurentPoly:
     """Sum over Dyck paths of length 2n of the products of step weights.
 
     An up step between heights h-1 and h carries ``up_rule(h)``, a down step
-    between h and h-1 carries ``down_rule(h)``.  Paths are walked depth first.
+    between h and h-1 carries ``down_rule(h)``.
+
+    Still brute force: one leaf per path, and nothing memoised across
+    (height, remaining) states.  The walk goes depth first over the ints
+    ``(c, e_t, e_q, key)``: a step folds in a monomial weight, adds the digit
+    of a multi-term one to the key (see :func:`_step_table`) or ends the
+    branch on a zero one.  Each leaf adds c to a count keyed by
+    ``(key, e_t, e_q)``, and each distinct key is multiplied out once with
+    ``LaurentPoly.__mul__``.
     """
     _check_cutoff("dyck", n)
-    up = [ONE] + [up_rule(h) for h in range(1, n + 1)]
-    down = [ONE] + [down_rule(h) for h in range(1, n + 1)]
-    tally: Counter[tuple[int, int]] = Counter()
+    slots: list[LaurentPoly] = []
+    up = _step_table(up_rule, n, slots)
+    down = _step_table(down_rule, n, slots)
+    tally: defaultdict[tuple[int, int, int], int] = defaultdict(int)
 
-    def walk(w: LaurentPoly, h: int, remaining: int) -> None:
+    def walk(c: int, et: int, eq: int, key: int, h: int, remaining: int) -> None:
         if remaining == 0:
-            tally.update(w.terms)
+            tally[key, et, eq] += c
             return
         if h + 1 <= remaining - 1:
-            walk(w * up[h + 1], h + 1, remaining - 1)
+            sc, st, sq, sd = up[h + 1]
+            if sc:
+                walk(c * sc, et + st, eq + sq, key + sd, h + 1, remaining - 1)
         if h > 0:
-            walk(w * down[h], h - 1, remaining - 1)
+            sc, st, sq, sd = down[h]
+            if sc:
+                walk(c * sc, et + st, eq + sq, key + sd, h - 1, remaining - 1)
 
-    walk(ONE, 0, 2 * n)
-    return LaurentPoly(tally)
+    walk(1, 0, 0, 0, 0, 2 * n)
+    return _multiply_keys(tally, slots, n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -256,34 +307,39 @@ def md_star_weight_sum_general(k: int, up_rule: WeightRule, down_rule: WeightRul
     directly by a marked down step.  Unmarked steps weigh as in
     :func:`dyck_weight_sum`; marked steps weigh 1.
 
-    Still brute force: one leaf per path and choice of rule terms, and
-    nothing memoised across (height, remaining, last step) states, which
-    would turn this oracle into the transfer-matrix recurrence it is checked
-    against.  The walk goes depth first over ints ``(c, e_t, e_q)``: an
-    unmarked step branches once per term of its rule, a marked step keeps
-    the weight, and each leaf adds c to a count keyed by its exponents.
+    Still brute force: one leaf per marked path, and nothing memoised across
+    (height, remaining, last step) states, which would turn this oracle into
+    the transfer-matrix recurrence it is checked against.  The walk is the
+    one of :func:`dyck_weight_sum` with marks: an unmarked step folds in a
+    monomial weight or adds the digit of a multi-term one to the key, a
+    marked step keeps the weight, and each leaf adds c to a count keyed by
+    ``(key, e_t, e_q)``.  Each distinct key is multiplied out once with
+    ``LaurentPoly.__mul__``; with all-monomial rules the key stays 0.
     """
     _check_cutoff("md_star", k)
-    up = [()] + [tuple(up_rule(h).terms.items()) for h in range(1, k + 1)]
-    down = [()] + [tuple(down_rule(h).terms.items()) for h in range(1, k + 1)]
-    tally: defaultdict[tuple[int, int], int] = defaultdict(int)
+    slots: list[LaurentPoly] = []
+    up = _step_table(up_rule, k, slots)
+    down = _step_table(down_rule, k, slots)
+    tally: defaultdict[tuple[int, int, int], int] = defaultdict(int)
 
-    def walk(c: int, et: int, eq: int, h: int, remaining: int, after_marked_up: bool) -> None:
+    def walk(c: int, et: int, eq: int, key: int, h: int, remaining: int, after_marked_up: bool) -> None:
         if remaining == 0:
-            tally[et, eq] += c
+            tally[key, et, eq] += c
             return
         if h + 1 <= remaining - 1:
-            for (ut, uq), uc in up[h + 1]:
-                walk(c * uc, et + ut, eq + uq, h + 1, remaining - 1, False)
-            walk(c, et, eq, h + 1, remaining - 1, True)
+            sc, st, sq, sd = up[h + 1]
+            if sc:
+                walk(c * sc, et + st, eq + sq, key + sd, h + 1, remaining - 1, False)
+            walk(c, et, eq, key, h + 1, remaining - 1, True)
         if h > 0:
-            for (dt, dq), dc in down[h]:
-                walk(c * dc, et + dt, eq + dq, h - 1, remaining - 1, False)
+            sc, st, sq, sd = down[h]
+            if sc:
+                walk(c * sc, et + st, eq + sq, key + sd, h - 1, remaining - 1, False)
             if not after_marked_up:  # a marked down step here would close a marked peak
-                walk(c, et, eq, h - 1, remaining - 1, False)
+                walk(c, et, eq, key, h - 1, remaining - 1, False)
 
-    walk(1, 0, 0, 0, 2 * k, False)
-    return LaurentPoly(tally)
+    walk(1, 0, 0, 0, 0, 2 * k, False)
+    return _multiply_keys(tally, slots, k + 1)
 
 
 def md_star_weight_sum(k: int) -> LaurentPoly:
@@ -577,33 +633,27 @@ def lprime_path_weight_sum(b: int, k: int, m: int, n: int, eps: int) -> LaurentP
 
 def enum_alternating(n: int) -> list[tuple[int, ...]]:
     """All up-down alternating permutations of {1, ..., n}
-    (first ascent, then descent, alternating)."""
+    (first ascent, then descent, alternating), in lexicographic order.
+
+    Still brute force: one leaf per permutation, built depth first.  Each
+    position tries only its admissible values in increasing order: the
+    unused values above the last entry at a rising position, those below it
+    at a falling one, cut from the sorted unused list by bisection.
+    """
     _check_cutoff("alternating", n)
-    if n == 0:
-        return [()]
     out: list[tuple[int, ...]] = []
 
-    def rec(prefix: list[int], remaining: set[int]) -> None:
-        if not remaining:
-            out.append(tuple(prefix))
+    def rec(prefix: tuple[int, ...], last: int, unused: list[int], rising: bool) -> None:
+        if not unused:
+            out.append(prefix)
             return
-        pos = len(prefix)
-        last = prefix[-1] if prefix else None
-        for v in sorted(remaining):
-            if last is None:
-                admissible = True
-            elif pos % 2 == 1:  # next entry sits at an even position: must rise
-                admissible = v > last
-            else:
-                admissible = v < last
-            if admissible:
-                prefix.append(v)
-                remaining.remove(v)
-                rec(prefix, remaining)
-                remaining.add(v)
-                prefix.pop()
+        cut = bisect(unused, last)
+        for i in range(cut, len(unused)) if rising else range(cut):
+            v = unused[i]
+            rec(prefix + (v,), v, unused[:i] + unused[i + 1 :], not rising)
 
-    rec([], set(range(1, n + 1)))
+    # a virtual entry n+1 before the first admits every value, and makes the next step a rise
+    rec((), n + 1, list(range(1, n + 1)), False)
     return out
 
 

@@ -6,9 +6,11 @@ corners, one object per leaf.  Summing ``MarkedDyckPath.weight`` or
 ``DeltaConfig.weight`` over them gives the values that
 ``tqeuler.combinat.md_star_weight_sum_general`` and
 ``tqeuler.combinat.delta_prime_weight_sum`` compute without building the
-objects.  ``MD_STAR_RULES`` names the step-weight rule pairs the marked-path
-sums are tested and frozen with.  ``pochhammer_product`` is the uncached
-product loop that the cached ``tqeuler.qkit.pochhammer`` is tested against.
+objects, and summing ``dyck_path_weight`` over ``dyck_paths`` gives
+``tqeuler.combinat.dyck_weight_sum``.  ``MD_STAR_RULES`` names the
+step-weight rule pairs the marked-path sums are tested and frozen with.
+``pochhammer_product`` is the uncached product loop that the cached
+``tqeuler.qkit.pochhammer`` is tested against.
 """
 
 from __future__ import annotations
@@ -68,6 +70,22 @@ class MarkedDyckPath:
                     w = w * down_rule(h)
                 h -= 1
         return w
+
+
+def dyck_path_weight(
+    path: tuple[int, ...], up_rule: WeightRule, down_rule: WeightRule
+) -> LaurentPoly:
+    """Product of the step weights of one Dyck path, one step at a time."""
+    w = ONE
+    h = 0
+    for d in path:
+        if d == 1:
+            h += 1
+            w = w * up_rule(h)
+        else:
+            w = w * down_rule(h)
+            h -= 1
+    return w
 
 
 MD_STAR_RULES: dict[str, tuple[WeightRule, WeightRule]] = {

@@ -75,6 +75,28 @@ class TestCompute:
         assert cli.main(["compute", "zzz", "--n", "1"]) == 2
 
 
+class TestParser:
+    def test_built_once_across_calls(self, monkeypatch, capsys):
+        builds = []
+        build = cli.build_parser
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        assert cli.main(["compute", "t", "--k", "1"]) == 0
+        assert cli.main(["compute", "zzz", "--n", "1"]) == 2
+        assert cli.main(["compute", "e", "--n", "2"]) == 0
+        assert len(builds) == 1
+
+    def test_reuse_after_a_usage_error(self, capsys):
+        argv = ["compute", "e", "--n", "3", "--format", "json"]
+        cli._parser.cache_clear()
+        assert cli.main(argv) == 0
+        fresh = capsys.readouterr()
+        assert cli.main(["compute", "e", "--n", "x"]) == 2
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == fresh
+
+
 class TestVerify:
     def test_small_bounds_pass(self, capsys):
         assert cli.main(["verify", "--max-n", "2", "--max-k", "2", "--max-b", "1"]) == 0

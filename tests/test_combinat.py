@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -35,17 +36,17 @@ from tqeuler.exactalg import LaurentPoly, ONE, Q, T, ZERO, const, monomial
 from tqeuler.formulas import tk_recurrence
 from tqeuler.qkit import ballot, gauss_binom, q_int
 
-from reference import MD_STAR_RULES, enum_delta_prime, enum_md_star
+from reference import MD_STAR_RULES, dyck_path_weight, enum_delta_prime, enum_md_star
 
 ONE_MINUS_Q = ONE - Q
 DATA = Path(__file__).parent / "data"
 
 
 @st.composite
-def marked_path_inputs(draw):
-    """k <= 3 and per-height rule values for heights 1..k, each a sum of up to
-    three random terms."""
-    k = draw(st.integers(0, 3))
+def rule_inputs(draw, max_k):
+    """k <= max_k and per-height rule values for heights 1..k, each a sum of up
+    to three random terms."""
+    k = draw(st.integers(0, max_k))
     term = st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(-2, 2))
     value = st.lists(term, max_size=3).map(
         lambda terms: sum((monomial(c, et, eq) for c, et, eq in terms), ZERO)
@@ -107,6 +108,23 @@ class TestBoxEnumeration:
         with pytest.raises(CutoffExceededError):
             box_size_polynomial(9, 1)
 
+    def test_oracles_match_partition_objects(self):
+        for m in range(7):
+            for n in range(7):
+                lams = list(enum_partitions_in_box(m, n))
+                size = sum((monomial(1, 0, lam.size) for lam in lams), ZERO)
+                dist = sum((monomial(1, lam.distinct_count(), lam.size) for lam in lams), ZERO)
+                assert box_size_polynomial(m, n) == size
+                assert dist_box_polynomial(m, n) == dist
+
+    @pytest.mark.parametrize("m, n", [(-1, 0), (0, -1), (-2, 3)])
+    def test_negative_dimensions(self, m, n):
+        for oracle in (box_size_polynomial, dist_box_polynomial):
+            with pytest.raises(ValueError, match="nonnegative"):
+                oracle(m, n)
+        with pytest.raises(ValueError, match="nonnegative"):
+            list(enum_partitions_in_box(m, n))
+
 
 class TestDistBox:
     def test_one_one(self):
@@ -137,6 +155,26 @@ class TestDyck:
     def test_matches_euler_hat(self):
         for n in range(5):
             assert dyck_weight_sum(n, euler_up, euler_down) == cfrac.euler_hat(n)
+
+    @pytest.mark.parametrize(
+        "up, down", [(euler_up, euler_down), (q_int, q_int)], ids=["euler", "q-int"]
+    )
+    def test_oracle_matches_reference(self, up, down):
+        for n in range(7):
+            ref = sum((dyck_path_weight(p, up, down) for p in dyck_paths(n)), ZERO)
+            assert dyck_weight_sum(n, up, down) == ref
+
+    # n = 2 has the paths u1 d1 u1 d1 and u1 u2 d2 d1: the first example zeroes
+    # the second path through a zero rule at height 2; the second gives
+    # heights 1 and 2 multi-term values on both step kinds.
+    @example((2, [T + Q, ZERO], [ONE - Q, const(3)]))
+    @example((3, [Q - ONE, ONE + T, const(2)], [monomial(1, 0, -1) - ONE, T - Q, Q]))
+    @given(rule_inputs(4))
+    def test_oracle_matches_reference_on_random_rules(self, inputs):
+        n, up, down = inputs
+        up_rule, down_rule = (lambda h: up[h - 1]), (lambda h: down[h - 1])
+        ref = sum((dyck_path_weight(p, up_rule, down_rule) for p in dyck_paths(n)), ZERO)
+        assert dyck_weight_sum(n, up_rule, down_rule) == ref
 
     def test_cutoff(self):
         with pytest.raises(CutoffExceededError):
@@ -206,7 +244,7 @@ class TestMarkedDyck:
     # k = 1 sums (u+1)(d+1) - 1 over its three leaves; both examples make it 0.
     @example((1, [const(-2)], [const(-2)]))
     @example((1, [Q - ONE], [monomial(1, 0, -1) - ONE]))
-    @given(marked_path_inputs())
+    @given(rule_inputs(3))
     def test_oracle_matches_reference_on_random_rules(self, inputs):
         k, up, down = inputs
         up_rule, down_rule = (lambda h: up[h - 1]), (lambda h: down[h - 1])
@@ -321,6 +359,15 @@ class TestAxisPaths:
 class TestAlternating:
     def test_counts(self):
         assert [len(enum_alternating(n)) for n in range(7)] == [1, 1, 1, 2, 5, 16, 61]
+
+    def test_matches_filtered_permutations(self):
+        # rises at even 0-based positions, descents at odd ones, in lexicographic order
+        for n in range(9):
+            ref = [
+                p for p in permutations(range(1, n + 1))
+                if all((p[i] < p[i + 1]) == (i % 2 == 0) for i in range(n - 1))
+            ]
+            assert enum_alternating(n) == ref
 
     def test_n0_polynomial(self):
         assert alt_statistic_polynomial(0) == ONE

@@ -15,7 +15,16 @@ All values are immutable after construction and all operations are pure.
 coefficient bounded by ``sum |c| * prod |p_i|_1``; the moment DP
 (``cfrac._moment_walk``, whose moments ``cfrac._decode`` unpacks) is the other
 user of ``_Layout``.  ``_mul_dict`` and ``__add__`` are the reference both are
-tested against.
+tested against.  Each factor's box, l1 norm and packed ints (one per layout it
+was packed at) live on the factor, in the lazily filled ``_pack_facts`` slot,
+so a polynomial shared by many sums is packed once per layout.
+
+``LaurentPoly.divide_exact`` sweeps the remainder as dense t-rows, one visit
+per slot of the q-span, with each row's q-range derived from the divisor (row
+j below the dividend's top t-row reaches at most
+``top_q + j * max(0, d_top_q - lead_q)``); the term-dict loop that rescans the
+remainder for its leading term at every step is its reference, in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -70,9 +79,12 @@ class LaurentPoly:
     integers (anything accepted by :func:`operator.index`), otherwise
     ``TypeError`` is raised.  Ring operations, whose results are canonical by
     construction, bypass it through :meth:`_trusted`.
+
+    ``_pack_facts`` stays unset until the polynomial is first a factor of
+    ``_sum_of_products``, which then keeps its box, norm and packed ints there.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_pack_facts")
 
     def __init__(self, terms: Mapping[ExpPair, int] | None = None):
         clean: dict[ExpPair, int] = {}
@@ -184,7 +196,21 @@ class LaurentPoly:
         largest ``(e_t, e_q)`` term by the divisor's and subtracts that
         quotient term times the divisor.  Raises :class:`NonDivisibleError`
         if the divisor does not divide this polynomial exactly over the
-        integers.
+        integers.  The term-dict loop that rescans the remainder for its
+        largest term at every step is the reference in ``tests/reference.py``.
+
+        The remainder is held as one dense coefficient list per t-row, swept
+        once in descending lex order: a step at a slot writes only lex-smaller
+        slots (the divisor's leading term is its lex-largest), so the next
+        nonzero slot of the sweep is the remainder's leading term, and the
+        sweep costs one visit per slot of the q-span.  Row bound: a step whose
+        leading term has q-exponent e writes row j below its own at
+        ``e + eq - lead_q`` for a divisor term ``(lead_t - j, eq)``, at most
+        ``e + max(0, d_top_q - lead_q)`` with ``d_top_q`` the divisor's highest
+        q-exponent.  So, by induction from the dividend's highest q-exponent
+        ``top_q``, row j below the dividend's top t-row reaches at most
+        ``top_q + j * max(0, d_top_q - lead_q)``; each step checks its writes
+        against that bound and raises ``OverflowError`` past it.
         """
         divisor = self._coerce(divisor)
         if not divisor:
@@ -192,35 +218,51 @@ class LaurentPoly:
         if not self:
             return ZERO
         (lead_t, lead_q), lead_c = max(divisor._terms.items())
-        a_t, _, a_q, _ = _box(self._terms)
-        b_t, _, b_q, _ = _box(divisor._terms)
+        a_t, top_t, a_q, top_q = _box(self._terms)
+        b_t, _, b_q, d_top_q = _box(divisor._terms)
         # Derived floors, not tuned ones: lowest t-rows (and q-columns) multiply
         # to a nonzero lowest part in an integral domain, so an exact quotient's
         # lowest exponents are exactly a - b, and a quotient term below a floor
         # means there is no exact quotient.  With the floors, every quotient
         # term, and so every remainder term, stays at or above the dividend's
-        # lowest exponents (a_t, a_q).  Lex order is a well-order there and the
-        # leading term strictly falls, so the loop ends; without the floors
-        # 1 / (1 - q) would run forever.
+        # lowest exponents (a_t, a_q), so no slot index is negative; the sweep
+        # ends at slot (a_t, a_q).  Without the floors 1 / (1 - q) would not end.
         floor_t, floor_q = a_t - b_t, a_q - b_q
-        terms = divisor._terms.items()
-        rem = dict(self._terms)
+        rise = max(0, d_top_q - lead_q)
+        nrows = top_t - a_t + 1
+        # rows[r] holds t-exponent a_t + r, slot i of it q-exponent a_q + i
+        rows = [[0] * (top_q - a_q + 1 + (nrows - 1 - r) * rise) for r in range(nrows)]
+        for (et, eq), c in self._terms.items():
+            rows[et - a_t][eq - a_q] = c
+        # the divisor's other terms by row offset j = lead_t - e_t, each as
+        # (q-offset from lead_q, coefficient), with the highest q-offset per row
+        split: dict[int, list[tuple[int, int]]] = {}
+        for (et, eq), vc in divisor._terms.items():
+            if (et, eq) != (lead_t, lead_q):
+                split.setdefault(lead_t - et, []).append((eq - lead_q, vc))
+        same = split.pop(0, [])
+        lower = [(j, max(off for off, _ in terms), terms) for j, terms in split.items()]
         quo: dict[ExpPair, int] = {}
-        while rem:
-            top = max(rem)
-            c, r = divmod(rem[top], lead_c)
-            dt, dq = top[0] - lead_t, top[1] - lead_q
-            if r or dt < floor_t or dq < floor_q:
-                raise NonDivisibleError(f"{divisor!r} does not divide {self!r}")
-            # the leading term strictly falls, so each slot is written once, and c != 0
-            quo[(dt, dq)] = c
-            for (et, eq), vc in terms:
-                e = (dt + et, dq + eq)
-                s = rem.get(e, 0) - c * vc
-                if s:
-                    rem[e] = s
-                else:
-                    del rem[e]  # s == 0 needs a term there, since c * vc != 0
+        for r in range(nrows - 1, -1, -1):
+            row = rows[r]
+            dt = a_t + r - lead_t
+            for i in range(len(row) - 1, -1, -1):
+                v = row[i]
+                if not v:
+                    continue
+                c, rmd = divmod(v, lead_c)
+                dq = a_q + i - lead_q
+                if rmd or dt < floor_t or dq < floor_q:
+                    raise NonDivisibleError(f"{divisor!r} does not divide {self!r}")
+                quo[(dt, dq)] = c  # slots are visited once in descending lex order; c != 0
+                for off, vc in same:
+                    row[i + off] -= c * vc
+                for j, reach, terms in lower:
+                    below = rows[r - j]
+                    if i + reach >= len(below):
+                        raise OverflowError("division remainder leaves its derived row bound")
+                    for off, vc in terms:
+                        below[i + off] -= c * vc
         return LaurentPoly._trusted(quo)
 
     # -- substitutions -------------------------------------------------------
@@ -477,37 +519,60 @@ def _sum_of_products(items: Iterable[Item]) -> LaurentPoly:
     The sum is one packed int, decoded once.  An item's degree box is its factors'
     boxes summed and shifted by (a, b); the decode box is the union of the item
     boxes.  Each coefficient is at most ``sum |c| * prod |p_i|_1`` in magnitude.
-    Each distinct factor is packed once; items with c = 0 or a zero factor are skipped.
+    Items with c = 0 or a zero factor are skipped.
+
+    Each factor's box, norm and packed ints live on the factor itself (see
+    ``_pack_facts``), so a factor is packed once per layout over every sum it
+    takes part in, not once per sum.  A one-row factor packs to the same int at
+    every stride, so it is keyed by ``(0, width)``, a multi-row one by
+    ``(stride, width)``.
     """
-    seen: dict[int, tuple[LaurentPoly, Box, int]] = {}
-    live: list[Item] = []  # (c, lowest t- and q-exponent of the item, factors)
+    live: list[tuple[int, int, int, list[tuple[LaurentPoly, _PackFacts]]]] = []
     tmin, tmax, qmin, qmax = sys.maxsize, -sys.maxsize, sys.maxsize, -sys.maxsize
     bound = 0
     for c, a, b, factors in items:
         if not c or not all(factors):
             continue
         lo_t, hi_t, lo_q, hi_q, size = a, a, b, b, abs(c)
-        for p in factors:
-            if id(p) not in seen:  # p stays referenced in seen, so its id is not reused
-                seen[id(p)] = (p, _box(p._terms), sum(map(abs, p._terms.values())))
-            _, (t0, t1, q0, q1), norm = seen[id(p)]
+        facts = [(p, _pack_facts(p)) for p in factors]
+        for _, ((t0, t1, q0, q1), norm, _) in facts:
             lo_t, hi_t, lo_q, hi_q, size = lo_t + t0, hi_t + t1, lo_q + q0, hi_q + q1, size * norm
         tmin, tmax, qmin, qmax = min(tmin, lo_t), max(tmax, hi_t), min(qmin, lo_q), max(qmax, hi_q)
         bound += size
-        live.append((c, lo_t, lo_q, factors))
+        live.append((c, lo_t, lo_q, facts))
     if not live:
         return ZERO
     stride = qmax - qmin + 1
     layout = _Layout.fitting(stride, bound)
-    packed = {key: layout.pack(p._terms, box) for key, (p, box, _) in seen.items()}
+    rows_key, row_key = (stride, layout.width), (0, layout.width)
     bits = 8 * layout.width
     total = 0
-    for c, lo_t, lo_q, factors in live:
+    for c, lo_t, lo_q, facts in live:
         value = c
-        for p in factors:
-            value *= packed[id(p)]
+        for p, (box, _, packed) in facts:
+            key = row_key if box[0] == box[1] else rows_key
+            v = packed.get(key)
+            if v is None:
+                v = packed[key] = layout.pack(p._terms, box)
+            value *= v
         total += value << (bits * ((lo_t - tmin) * stride + lo_q - qmin))
     return LaurentPoly._trusted(layout.unpack(total, (tmin, tmax, qmin, qmax)))
+
+
+_PackFacts = tuple[Box, int, dict[tuple[int, int], int]]  # (box, l1 norm, packed ints by key)
+
+
+def _pack_facts(p: LaurentPoly) -> _PackFacts:
+    """The box, l1 norm and packed-int memo of a nonzero polynomial, made on first use.
+
+    They are kept in the polynomial's ``_pack_facts`` slot; polynomials are
+    immutable, so the memo never goes stale.
+    """
+    try:
+        return p._pack_facts
+    except AttributeError:
+        facts = p._pack_facts = (_box(p._terms), sum(map(abs, p._terms.values())), {})
+        return facts
 
 
 def monomial(coeff: int, et: int = 0, eq: int = 0) -> LaurentPoly:

@@ -10,7 +10,8 @@ objects, and summing ``dyck_path_weight`` over ``dyck_paths`` gives
 ``tqeuler.combinat.dyck_weight_sum``.  ``MD_STAR_RULES`` names the
 step-weight rule pairs the marked-path sums are tested and frozen with.
 ``pochhammer_product`` is the uncached product loop that the cached
-``tqeuler.qkit.pochhammer`` is tested against.
+``tqeuler.qkit.pochhammer`` is tested against, and ``divide_reference`` the
+term-dict long division that ``LaurentPoly.divide_exact`` is tested against.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from tqeuler.combinat import (
     _partitions_in_staircase,
     dyck_paths,
 )
-from tqeuler.exactalg import LaurentPoly, ONE, monomial
+from tqeuler.exactalg import LaurentPoly, NonDivisibleError, ONE, ZERO, monomial
 from tqeuler.qkit import q_int
 
 
@@ -101,6 +102,41 @@ def pochhammer_product(sign: int, base_power: int, length: int) -> LaurentPoly:
     for i in range(length):
         out = out * (ONE - monomial(sign, 0, base_power + i))
     return out
+
+
+def divide_reference(dividend: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly:
+    """``dividend / divisor`` by long division on term dicts.
+
+    Each step takes the remainder's lex-largest term, found by scanning the
+    whole remainder, divides it by the divisor's lex-largest term and
+    subtracts that quotient term times the divisor.  A quotient term below
+    the floors ``lowest exponents of dividend - lowest exponents of divisor``
+    (or a coefficient remainder) raises :class:`NonDivisibleError`.
+    """
+    if not divisor:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not dividend:
+        return ZERO
+    (lead_t, lead_q), lead_c = max(divisor.terms.items())
+    floor_t = min(et for et, _ in dividend.terms) - min(et for et, _ in divisor.terms)
+    floor_q = min(eq for _, eq in dividend.terms) - min(eq for _, eq in divisor.terms)
+    rem = dict(dividend.terms)
+    quo = {}
+    while rem:
+        top = max(rem)
+        c, r = divmod(rem[top], lead_c)
+        dt, dq = top[0] - lead_t, top[1] - lead_q
+        if r or dt < floor_t or dq < floor_q:
+            raise NonDivisibleError(f"{divisor!r} does not divide {dividend!r}")
+        quo[(dt, dq)] = c
+        for (et, eq), vc in divisor.terms.items():
+            e = (dt + et, dq + eq)
+            s = rem.get(e, 0) - c * vc
+            if s:
+                rem[e] = s
+            else:
+                del rem[e]
+    return LaurentPoly(quo)
 
 
 def enum_md_star(k: int) -> list[MarkedDyckPath]:

@@ -27,6 +27,8 @@ from tqeuler.exactalg import (
 )
 from tqeuler.qkit import QSymbolSpec, pochhammer
 
+from reference import divide_reference
+
 ONE_MINUS_Q = LaurentPoly({(0, 0): 1, (0, 1): -1})
 T1 = LaurentPoly({(0, 0): 1, (0, 1): -1, (1, 1): -1})  # 1 - q - t*q
 
@@ -200,6 +202,20 @@ def sum_items(draw):
     return draw(st.lists(st.tuples(st.integers(-big, big), exps, exps, factors), max_size=6))
 
 
+@pytest.fixture
+def pack_calls(monkeypatch):
+    """The layouts ``_Layout.pack`` is called with, in call order."""
+    calls = []
+    pack = _Layout.pack
+
+    def spy(self, terms, box):
+        calls.append(tuple(self))
+        return pack(self, terms, box)
+
+    monkeypatch.setattr(_Layout, "pack", spy)
+    return calls
+
+
 class TestPackedSum:
     """The packed sum of products against the dict reference it replaces."""
 
@@ -250,6 +266,50 @@ class TestPackedSum:
         items = [(1, k, 0, (p, p)) for k in range(4)] + [(2, 0, 1, (p, T1))]
         assert _sum_of_products(items) == sum_reference(items)
         assert len(calls) == 2
+
+    def test_second_sum_packs_nothing(self, pack_calls):
+        p = LaurentPoly({(0, i): i + 1 for i in range(6)})
+        r = LaurentPoly({(0, 0): 2, (1, 1): -1, (2, 0): 3})
+        items = [(1, 0, 0, (p, r)), (-3, 1, 2, (r, r))]
+        first = _sum_of_products(items)
+        assert pack_calls and first == sum_reference(items)
+        pack_calls.clear()
+        assert _sum_of_products(items) == first
+        assert pack_calls == []
+
+    def test_multi_row_factor_packed_once_per_stride(self, pack_calls):
+        m = LaurentPoly({(0, 0): 1, (0, 1): -1, (1, 1): -1})
+        narrow = [(1, 0, 0, (m,))]  # q-span 0..1: stride 2
+        wide = [(1, 0, 0, (m,)), (1, 0, 5, ())]  # q-span 0..5: stride 6
+        for _ in range(2):
+            for items in (narrow, wide):
+                assert _sum_of_products(items) == sum_reference(items)
+        assert sorted(pack_calls) == [(2, 1), (6, 1)]
+        assert sorted(m._pack_facts[2]) == [(2, 1), (6, 1)]
+
+    def test_one_row_factor_packed_once_per_width(self, pack_calls):
+        r = LaurentPoly({(3, 0): 1, (3, 2): -2})
+        sums = [
+            [(1, 0, 0, (r,))],  # stride 3, width 1
+            [(1, 0, 0, (r,)), (1, -3, 7, ())],  # stride 8, width 1
+            [(1 << 20, 0, 0, (r,))],  # stride 3, width 4
+        ]
+        for _ in range(2):
+            for items in sums:
+                assert _sum_of_products(items) == sum_reference(items)
+        assert sorted(pack_calls) == [(3, 1), (3, 4)]
+        assert sorted(r._pack_facts[2]) == [(0, 1), (0, 4)]
+
+    @given(sum_items(), st.integers(-9, 9), st.integers(-9, 9))
+    def test_cached_packs_match_reference(self, items, et, eq):
+        # The first sum packs fresh factors, the repeat reuses every pack, and
+        # the sum with one more monomial item (another box, so mostly another
+        # stride or width) mixes reused and new packs.
+        more = items + [(5, et, eq, ())]
+        for batch in (items, items, more, more):
+            result = _sum_of_products(batch)
+            assert result == sum_reference(batch)
+            assert_canonical(result)
 
     @pytest.mark.parametrize("width", [1, 2, 4, 8, 16])
     def test_bound_reached_exactly(self, width):
@@ -359,6 +419,81 @@ class TestDivision:
         # divides a*b but not a*b plus a monomial.
         with pytest.raises(NonDivisibleError):
             (a * b + monomial(c, et, eq)).divide_exact(b)
+
+
+@st.composite
+def widening_divisors(draw):
+    """Divisors with a lead coefficient that need not be a unit and lower t-rows
+    reaching above the leading q-exponent, which widens the dense rows."""
+    exps = st.integers(-3, 3)
+    lead_t, lead_q = draw(exps), draw(exps)
+    terms = {(lead_t, lead_q): draw(st.sampled_from([1, -1, 2, -3, 6]))}
+    for _ in range(draw(st.integers(1, 4))):
+        j, rise = draw(st.integers(0, 3)), draw(st.integers(-2, 4))
+        if j == 0 and rise >= 0:
+            continue  # the lead stays the lex-largest term
+        terms[(lead_t - j, lead_q + rise)] = draw(st.integers(-5, 5).filter(bool))
+    return LaurentPoly(terms)
+
+
+def division_outcome(divide, a, b):
+    """The quotient's terms, or ``NonDivisibleError`` when ``divide`` raises it."""
+    try:
+        return dict(divide(a, b).terms)
+    except NonDivisibleError:
+        return NonDivisibleError
+
+
+class TestDivisionReference:
+    """``divide_exact`` against the term-dict loop in ``tests/reference.py``."""
+
+    @given(
+        st.one_of(pack_operands(), laurent_polys(), widening_divisors()),
+        st.one_of(pack_operands(), laurent_polys()),
+        st.sampled_from(["product", "product+monomial", "over-multiple", "any"]),
+        st.integers(-4, 4),
+        st.integers(-4, 4),
+        st.integers(-9, 9).filter(bool),
+    )
+    def test_same_quotient_and_same_raises(self, b, a, kind, et, eq, c):
+        if not b:
+            return
+        divisor = b
+        if kind == "product":
+            dividend = a * b
+        elif kind == "product+monomial":
+            dividend = a * b + monomial(c, et, eq)
+        elif kind == "over-multiple":
+            # exact over the rationals; over the integers only if c divides a
+            dividend, divisor = a * b, b * c
+        else:
+            dividend = a
+        expected = division_outcome(divide_reference, dividend, divisor)
+        assert division_outcome(LaurentPoly.divide_exact, dividend, divisor) == expected
+        if kind == "product":
+            assert expected == dict(a.terms)
+
+    @pytest.mark.parametrize(
+        "dividend, divisor",
+        [
+            (ONE, ONE_MINUS_Q),
+            (ONE, ONE - T),
+            (ONE, T + monomial(1, 0, 3)),
+            (Q + monomial(3, 0, 2), monomial(2, 0, 1) + Q),
+            (monomial(1, -2, -3), ONE_MINUS_Q * (T - Q**4)),
+            (monomial(4, -2, -3) * ONE_MINUS_Q**2 * (T - Q**4), 2 * ONE_MINUS_Q * (T - Q**4)),
+        ],
+        ids=["1/(1-q)", "1/(1-t)", "below-t-floor", "coefficient-remainder", "laurent", "laurent-exact"],
+    )
+    def test_fixed_cases(self, dividend, divisor):
+        expected = division_outcome(divide_reference, dividend, divisor)
+        assert division_outcome(LaurentPoly.divide_exact, dividend, divisor) == expected
+
+    def test_lower_rows_reach_above_lead(self):
+        # t - 2*q**3 leads with t; its lower row reaches q**3, three above the lead
+        b = T - monomial(2, 0, 3)
+        a = LaurentPoly({(2, 0): 3, (1, -1): -1, (0, 2): 5, (-1, 0): 1})
+        assert (a * b).divide_exact(b) == divide_reference(a * b, b) == a
 
 
 class TestRingAxioms:

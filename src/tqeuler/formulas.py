@@ -10,11 +10,12 @@ success criterion; any :class:`~tqeuler.exactalg.NonDivisibleError` escaping
 from here means a transcription bug, never data.
 
 The ballot-form routes ``sum_k ballot(n,k) * K_k`` are each written as their
-kernel ``K_k`` passed to :func:`tqeuler.qkit._ballot_sum`, which owns the
-outer sum and its ``n >= 0`` check.  A kernel returns ``K_k`` as a list of
-``(c, a, b, factors)`` items, each ``c * t**a * q**b * prod(factors)``; these,
-and the sums of :func:`tk_special` and :func:`tk_prodinger`, are summed in
-one packed int by :func:`tqeuler.exactalg._sum_of_products`.
+kernel ``K_k``, a module-level function passed to :func:`tqeuler.qkit._ballot_sum`,
+which owns the outer sum and its ``n >= 0`` check and sums each ``K_k`` once
+per run.  A kernel returns ``K_k`` as a list of ``(c, a, b, factors)`` items,
+each ``c * t**a * q**b * prod(factors)``; these, and the sums of
+:func:`tk_special` and :func:`tk_prodinger`, are summed in one packed int by
+:func:`tqeuler.exactalg._sum_of_products`.
 """
 
 from __future__ import annotations
@@ -268,17 +269,25 @@ def beta_step_holds(eps: int, b: int, k: int) -> bool:
 # normalized (t,q)-Euler number formulas
 
 
+def _euler_ballot_kernel(k: int) -> list[Item]:
+    return [(1, k, k * (k + 1), (tk_recurrence(k).invert_variables(),))]
+
+
 def euler_hat_ballot(n: int) -> LaurentPoly:
     """``sum_k ballot(n,k) * t**k * q**(k(k+1)) * T_k(1/t, 1/q)``.
 
     Equals the continued-fraction value ``euler_hat(n)``.
     """
-    return _ballot_sum(n, lambda k: [(1, k, k * (k + 1), (tk_recurrence(k).invert_variables(),))])
+    return _ballot_sum(n, _euler_ballot_kernel)
+
+
+def _secant_kernel(k: int) -> list[Item]:
+    return [(1, 0, k * (k + 1), (square_sum(k).invert_variables(),))]
 
 
 def secant_hat_closed(n: int) -> LaurentPoly:
     """``(1-q)**(2n) * E_{2n}(q)`` as a ballot sum over shifted square sums."""
-    return _ballot_sum(n, lambda k: [(1, 0, k * (k + 1), (square_sum(k).invert_variables(),))])
+    return _ballot_sum(n, _secant_kernel)
 
 
 def a_k_inverse(k: int) -> LaurentPoly:
@@ -286,51 +295,59 @@ def a_k_inverse(k: int) -> LaurentPoly:
     return (monomial(-1, 0, 1) * a_k_poly(k).invert_variables()).divide_exact(ONE_MINUS_Q)
 
 
+def _tangent_kernel(k: int) -> list[Item]:
+    return [(1, 0, k * (k + 2), (a_k_inverse(k),))]
+
+
 def tangent_hat_closed(n: int) -> LaurentPoly:
     """``(1-q)**(2n) * E_{2n+1}(q)`` as a ballot sum over ``A_k(1/q)``."""
-    return _ballot_sum(n, lambda k: [(1, 0, k * (k + 2), (a_k_inverse(k),))])
+    return _ballot_sum(n, _tangent_kernel)
+
+
+def _touchard_riordan_kernel(k: int) -> list[Item]:
+    return [(-1 if k % 2 else 1, 0, k * (k + 1) // 2, ())]
 
 
 def dn_touchard_riordan(n: int) -> LaurentPoly:
     """``(1-q)**n * d_n = sum_k ballot(n,k) * (-1)**k * q**(k(k+1)/2)``."""
-    return _ballot_sum(n, lambda k: [(-1 if k % 2 else 1, 0, k * (k + 1) // 2, ())])
+    return _ballot_sum(n, _touchard_riordan_kernel)
+
+
+def _josuat_verges_kernel(k: int) -> list[Item]:
+    return [
+        (-1 if (k + i) % 2 else 1, k - j, k - j + math.comb(j + 1, 2),
+         (bj, gauss_binom(2 * k - 2 * j, i)))
+        for j in range(2 * k + 1) if (bj := gauss_binom(2 * k - j, j))
+        for i in range(2 * k - 2 * j + 1)
+    ]
 
 
 def euler_hat_josuat_verges(n: int) -> LaurentPoly:
     """The moment-style triple sum for ``euler_hat(n)`` with base-q binomials."""
+    return _ballot_sum(n, _josuat_verges_kernel)
 
-    def kernel(k: int) -> list[Item]:
-        return [
-            (-1 if (k + i) % 2 else 1, k - j, k - j + math.comb(j + 1, 2),
-             (bj, gauss_binom(2 * k - 2 * j, i)))
-            for j in range(2 * k + 1) if (bj := gauss_binom(2 * k - j, j))
-            for i in range(2 * k - 2 * j + 1)
-        ]
 
-    return _ballot_sum(n, kernel)
+def _odd_pochhammer_kernel(k: int) -> list[Item]:
+    # (-q)**k times the inner sum, folded into each item
+    return [
+        (-1 if k % 2 else 1, i, k + math.comb(k - i, 2),
+         (odd_pochhammer(i), gauss_binom(k + i, k - i)))
+        for i in range(k + 1)
+    ]
 
 
 def euler_hat_odd_pochhammer(n: int) -> LaurentPoly:
     """The single-binomial sum for ``euler_hat(n)`` with odd-base Pochhammers."""
+    return _ballot_sum(n, _odd_pochhammer_kernel)
 
-    odd = [odd_pochhammer(i) for i in range(n + 1)]
 
-    def kernel(k: int) -> list[Item]:
-        # (-q)**k times the inner sum, folded into each item
-        return [
-            (-1 if k % 2 else 1, i, k + math.comb(k - i, 2), (odd[i], gauss_binom(k + i, k - i)))
-            for i in range(k + 1)
-        ]
-
-    return _ballot_sum(n, kernel)
+def _secant_original_kernel(k: int) -> list[Item]:
+    return [(-1 if (i + k) % 2 else 1, 0, i * (2 * k - i) + k, ()) for i in range(2 * k + 1)]
 
 
 def secant_hat_original(n: int) -> LaurentPoly:
     """``(1-q)**(2n) * E_{2n}(q)`` in the unshifted index form."""
-    return _ballot_sum(
-        n,
-        lambda k: [(-1 if (i + k) % 2 else 1, 0, i * (2 * k - i) + k, ()) for i in range(2 * k + 1)],
-    )
+    return _ballot_sum(n, _secant_original_kernel)
 
 
 def tangent_hat_original(n: int) -> LaurentPoly:
@@ -350,6 +367,12 @@ def tangent_hat_original(n: int) -> LaurentPoly:
     )
 
 
+def _minus_q_kernel(k: int) -> list[Item]:
+    sign = -1 if k % 2 else 1
+    pair = monomial(sign, 0, k * k) + monomial(sign, 0, (k + 1) ** 2)
+    return [(1, 0, 0, (pair.divide_exact(_ONE_PLUS_Q),))]
+
+
 def euler_hat_at_minus_q(n: int) -> LaurentPoly:
     """``euler_hat(n)`` at ``t = -q``: ballot sum of
     ``(-1)**k * (q**(k*k) + q**((k+1)**2)) / (1+q)``.
@@ -357,18 +380,16 @@ def euler_hat_at_minus_q(n: int) -> LaurentPoly:
     Each summand is divided exactly on its own: ``q**(k*k) * (1 + q**(2k+1))``
     is divisible by ``1 + q`` because the inner exponent is odd.
     """
+    return _ballot_sum(n, _minus_q_kernel)
 
-    def kernel(k: int) -> list[Item]:
-        sign = -1 if k % 2 else 1
-        pair = monomial(sign, 0, k * k) + monomial(sign, 0, (k + 1) ** 2)
-        return [(1, 0, 0, (pair.divide_exact(_ONE_PLUS_Q),))]
 
-    return _ballot_sum(n, kernel)
+def _minus_inv_q_kernel(k: int) -> list[Item]:
+    return [(1, 0, 0, (square_sum(k),))]
 
 
 def euler_hat_at_minus_inv_q(n: int) -> LaurentPoly:
     """``euler_hat(n)`` at ``t = -1/q``: ballot sum of the plain square sums."""
-    return _ballot_sum(n, lambda k: [(1, 0, 0, (square_sum(k),))])
+    return _ballot_sum(n, _minus_inv_q_kernel)
 
 
 def dist_box_closed(m: int, n: int) -> LaurentPoly:
@@ -445,28 +466,20 @@ def zeng_value(
         raise ZeroDenominatorError("t0 and q0 must be nonzero")
     br = bracket or DEFAULT_ZENG_BRACKET
 
-    def q_int_val(m: int) -> Fraction:
-        if q0 == 1:
-            return Fraction(m)
-        return (1 - q0**m) / (1 - q0)
-
+    fact, q_ints = [Fraction(1)], [Fraction(1)]  # fact[m] = [1]..[2m]; q_ints[l] = [2][4]..[2l]
+    for r in range(1, n + 1):
+        fact.append(fact[-1] * br(2 * r - 1, t0, q0) * br(2 * r, t0, q0))
+        q_ints.append(q_ints[-1] * (2 * r if q0 == 1 else (1 - q0 ** (2 * r)) / (1 - q0)))
+    power = [br(2 * i + 1, t0, q0) ** (2 * n) for i in range(n + 1)]
+    # [2s + 2] at t0**2 for every s = kk + i with kk != i, i.e. s = 1 .. 2n-1
+    square = {s: br(2 * s + 2, t0 * t0, q0) for s in range(1, 2 * n)}
     total = Fraction(0)
     for m in range(n + 1):
-        fact = Fraction(1)
-        for r in range(1, 2 * m + 1):
-            fact *= br(r, t0, q0)
         for i in range(m + 1):
-            expo = 2 * m - 2 * i * n + i * i - n - i
-            numerator = q0**expo * fact * br(2 * i + 1, t0, q0) ** (2 * n)
-            denominator = Fraction(1)
-            for r in range(1, i + 1):
-                denominator *= q_int_val(2 * r)
-            for r in range(1, m - i + 1):
-                denominator *= q_int_val(2 * r)
-            for kk in range(m + 1):
-                if kk != i:
-                    denominator *= br(2 * kk + 2 * i + 2, t0 * t0, q0)
+            others = math.prod(square[kk + i] for kk in range(m + 1) if kk != i)
+            denominator = q_ints[i] * q_ints[m - i] * others
             if denominator == 0:
                 raise ZeroDenominatorError("a bracket factor vanished at the sample point")
+            numerator = q0 ** (2 * m - 2 * i * n + i * i - n - i) * fact[m] * power[i]
             total += (-1) ** (n - i) * numerator / denominator
     return total * t0 ** (-n)

@@ -4,15 +4,17 @@ q-integers, q-Pochhammer symbols (including shifted bases such as
 ``-q**(1-b)``), Gaussian binomial coefficients in base q and base q**2,
 ballot numbers, and the auxiliary polynomial family ``(1-q) * A_k(q)``.
 
-All functions are pure.  Two memo tables, the Gaussian binomials and the
-q-Pochhammer symbols, are append-only, so results are identical under
-concurrent use; ``tqeuler.clear_caches()`` empties them.
+All functions are pure.  The memo tables (Gaussian binomials, q-Pochhammer
+symbols, each ballot kernel's ``K_k``) are append-only, so results are
+identical under concurrent use; ``tqeuler.clear_caches()`` empties them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mul
 from typing import Callable, Iterable
 
 from .exactalg import Item, LaurentPoly, ONE, ONE_MINUS_Q, ZERO, _sum_of_products, monomial
@@ -147,18 +149,40 @@ def ballot(n: int, k: int) -> int:
     return c(2 * n, n - k) - c(2 * n, n - k - 1)
 
 
+# each ballot kernel's K_k as dense t-rows (e_t, lowest e_q, coefficients), by (kernel, k)
+_KERNEL_ROWS: dict[tuple[Callable, int], list[tuple[int, int, tuple[int, ...]]]] = {}
+
+
 def _ballot_sum(n: int, kernel: Callable[[int], Iterable[Item]]) -> LaurentPoly:
     """The ballot expansion ``sum_{k=0}^{n} ballot(n,k) * K_k``.
 
-    ``kernel(k)`` gives ``K_k`` as ``(c, a, b, factors)`` items (see
-    :func:`tqeuler.exactalg._sum_of_products`), and ``ballot(n,k)`` is folded into each ``c``,
-    so the whole expansion is one packed sum.  Kept out of ``__all__`` so that profiling
-    wrappers, which follow ``__all__``, charge the time of each expansion to its formula.
+    ``kernel(k)`` gives ``K_k`` as :func:`tqeuler.exactalg._sum_of_products` items.  Each ``K_k``
+    is summed once per ``(kernel, k)`` and kept as dense rows, so a kernel must be module-level;
+    each ``n`` only adds weighted rows.  Kept out of ``__all__`` so that profiling wrappers,
+    which follow ``__all__``, charge the time of each expansion to its formula.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _sum_of_products(
-        (ballot(n, k) * c, a, b, factors) for k in range(n + 1) for c, a, b, factors in kernel(k)
+    rows = []  # (ballot(n,k), e_t, lowest e_q, coefficients) for every dense row of every K_k
+    for k in range(n + 1):
+        if (kernel, k) not in _KERNEL_ROWS:
+            by_t: dict[int, dict[int, int]] = {}
+            for (et, eq), c in _sum_of_products(kernel(k))._terms.items():
+                by_t.setdefault(et, {})[eq] = c
+            _KERNEL_ROWS[kernel, k] = [
+                (et, min(r), tuple(map(r.get, range(min(r), max(r) + 1), repeat(0))))
+                for et, r in by_t.items()
+            ]
+        w = ballot(n, k)
+        rows += ((w, *row) for row in _KERNEL_ROWS[kernel, k])
+    q0 = min((lo for _, _, lo, _ in rows), default=0)
+    width = max((lo + len(cs) for _, _, lo, cs in rows), default=0) - q0
+    acc = {et: [0] * width for _, et, _, _ in rows}
+    for w, et, lo, cs in rows:
+        row, s = acc[et], lo - q0
+        row[s : s + len(cs)] = map(add, row[s : s + len(cs)], map(mul, cs, repeat(w)))
+    return LaurentPoly._trusted(
+        {(et, e): c for et, row in acc.items() for e, c in enumerate(row, q0) if c}
     )
 
 

@@ -19,10 +19,11 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable
 
 from . import cfrac, combinat, formulas, qkit
-from .exactalg import LaurentPoly, ONE, ONE_MINUS_Q, Q, ZERO, const, monomial
+from .exactalg import Item, LaurentPoly, ONE, ONE_MINUS_Q, Q, ZERO, const, monomial
 
 __all__ = [
     "Bounds",
@@ -204,17 +205,19 @@ def _step_rules(weights: str) -> tuple[Side, Side]:
     return qkit.q_int, qkit.q_int
 
 
-_MARKED_SUMS: dict[tuple[int, str], LaurentPoly] = {}
+def _marked_kernel(weights: str, k: int) -> list[Item]:
+    """``K_k`` of ``ballot-reduction``: the length-2k marked-path sum, each step weight less one."""
+    up, down = _step_rules(weights)
+    marked = combinat.md_star_weight_sum_general(k, lambda h: up(h) - ONE, lambda h: down(h) - ONE)
+    return [(1, 0, 0, (marked,))]
+
+
+# one module-level kernel per weight rule, so that each marked sum is walked once per run
+_MARKED_KERNELS = {weights: partial(_marked_kernel, weights) for weights in ("euler", "q-int")}
 
 
 def _ballot_marked_sum(n: int, weights: str) -> LaurentPoly:
-    up, down = _step_rules(weights)
-    rules = (lambda h: up(h) - ONE, lambda h: down(h) - ONE)
-    # each marked sum is walked once per (k, weights): the rule lambdas are new on every call
-    for k in range(n + 1):
-        if (k, weights) not in _MARKED_SUMS:
-            _MARKED_SUMS[k, weights] = combinat.md_star_weight_sum_general(k, *rules)
-    return qkit._ballot_sum(n, lambda k: [(1, 0, 0, (_MARKED_SUMS[k, weights],))])
+    return qkit._ballot_sum(n, _MARKED_KERNELS[weights])
 
 
 def _degenerate(eps: int, expected: Side, what: str) -> Check:

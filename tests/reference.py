@@ -12,11 +12,17 @@ step-weight rule pairs the marked-path sums are tested and frozen with.
 ``pochhammer_product`` is the uncached product loop that the cached
 ``tqeuler.qkit.pochhammer`` is tested against, and ``divide_reference`` the
 term-dict long division that ``LaurentPoly.divide_exact`` is tested against.
+``ballot_sum_reference`` is the ballot expansion as one packed sum with every
+kernel evaluated again for each n, which the cached ``tqeuler.qkit._ballot_sum``
+is tested against, and ``zeng_value_reference`` the double sum with every
+bracket evaluated where it occurs, which ``tqeuler.formulas.zeng_value`` is
+tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 from tqeuler.combinat import (
@@ -27,8 +33,16 @@ from tqeuler.combinat import (
     _partitions_in_staircase,
     dyck_paths,
 )
-from tqeuler.exactalg import LaurentPoly, NonDivisibleError, ONE, ZERO, monomial
-from tqeuler.qkit import q_int
+from tqeuler.exactalg import (
+    LaurentPoly,
+    NonDivisibleError,
+    ONE,
+    ZERO,
+    ZeroDenominatorError,
+    _sum_of_products,
+    monomial,
+)
+from tqeuler.qkit import ballot, q_int
 
 
 @dataclass(frozen=True)
@@ -137,6 +151,54 @@ def divide_reference(dividend: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly
             else:
                 del rem[e]
     return LaurentPoly(quo)
+
+
+def ballot_sum_reference(n: int, kernel) -> LaurentPoly:
+    """``sum_{k=0}^{n} ballot(n,k) * K_k`` with ``ballot(n,k)`` folded into each
+    kernel item's coefficient, so that the whole expansion is one packed sum."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _sum_of_products(
+        (ballot(n, k) * c, a, b, factors) for k in range(n + 1) for c, a, b, factors in kernel(k)
+    )
+
+
+def zeng_value_reference(n: int, t0, q0, bracket) -> Fraction:
+    """The double-sum rational evaluation of ``E_n(t, q)`` at ``(t0, q0)``,
+    one bracket call per occurrence."""
+    if n < 0 or n > 5:
+        raise ValueError("n must be between 0 and 5")
+    t0 = Fraction(t0)
+    q0 = Fraction(q0)
+    if t0 == 0 or q0 == 0:
+        raise ZeroDenominatorError("t0 and q0 must be nonzero")
+    br = bracket
+
+    def q_int_val(m: int) -> Fraction:
+        if q0 == 1:
+            return Fraction(m)
+        return (1 - q0**m) / (1 - q0)
+
+    total = Fraction(0)
+    for m in range(n + 1):
+        fact = Fraction(1)
+        for r in range(1, 2 * m + 1):
+            fact *= br(r, t0, q0)
+        for i in range(m + 1):
+            expo = 2 * m - 2 * i * n + i * i - n - i
+            numerator = q0**expo * fact * br(2 * i + 1, t0, q0) ** (2 * n)
+            denominator = Fraction(1)
+            for r in range(1, i + 1):
+                denominator *= q_int_val(2 * r)
+            for r in range(1, m - i + 1):
+                denominator *= q_int_val(2 * r)
+            for kk in range(m + 1):
+                if kk != i:
+                    denominator *= br(2 * kk + 2 * i + 2, t0 * t0, q0)
+            if denominator == 0:
+                raise ZeroDenominatorError("a bracket factor vanished at the sample point")
+            total += (-1) ** (n - i) * numerator / denominator
+    return total * t0 ** (-n)
 
 
 def enum_md_star(k: int) -> list[MarkedDyckPath]:

@@ -1,9 +1,13 @@
+import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from reference import ballot_sum_reference, zeng_value_reference
 
 import tqeuler
-from tqeuler import cfrac, combinat, formulas, qkit, registry
+from tqeuler import cfrac, cli, combinat, formulas, qkit, registry
 from tqeuler.exactalg import LaurentPoly, ONE, Q, T, ZeroDenominatorError, const, monomial
 from tqeuler.formulas import (
     DEFAULT_ZENG_BRACKET,
@@ -41,6 +45,32 @@ T1 = LaurentPoly({(0, 0): 1, (0, 1): -1, (1, 1): -1})
 T2 = LaurentPoly(
     {(0, 0): 1, (0, 1): -1, (1, 1): -1, (0, 3): -1, (2, 3): 1, (0, 4): 1, (1, 4): 1}
 )
+
+# Every qkit._ballot_sum route: its value at n, the namespace and key its kernel
+# is looked up in when the route runs, and the largest n the registry asks for.
+BALLOT_ROUTES = {
+    **{
+        name: (lambda n, name=name: getattr(formulas, name)(n), vars(formulas), kernel, 12)
+        for name, kernel in (
+            ("euler_hat_ballot", "_euler_ballot_kernel"),
+            ("secant_hat_closed", "_secant_kernel"),
+            ("tangent_hat_closed", "_tangent_kernel"),
+            ("dn_touchard_riordan", "_touchard_riordan_kernel"),
+            ("euler_hat_josuat_verges", "_josuat_verges_kernel"),
+            ("euler_hat_odd_pochhammer", "_odd_pochhammer_kernel"),
+            ("secant_hat_original", "_secant_original_kernel"),
+            ("euler_hat_at_minus_q", "_minus_q_kernel"),
+            ("euler_hat_at_minus_inv_q", "_minus_inv_q_kernel"),
+        )
+    },
+    **{
+        f"ballot-reduction-{weights}": (
+            lambda n, weights=weights: registry._ballot_marked_sum(n, weights),
+            registry._MARKED_KERNELS, weights, 5,
+        )
+        for weights in ("euler", "q-int")
+    },
+}
 
 # empirical degree spans of T_k: t-exponents cover [0, k], q-exponents [0, k^2]
 TK_DEGREE_BOX = {k: (0, k, 0, k * k) for k in range(9)}
@@ -206,6 +236,63 @@ class TestEulerFormulas:
             assert euler_hat_at_minus_inv_q(n) == eh.substitute_t(-1, -1)
 
 
+class TestBallotSum:
+    """The cached ballot expansion against the one-packed-sum reference."""
+
+    @pytest.mark.parametrize("route, space, kernel, top", BALLOT_ROUTES.values(), ids=list(BALLOT_ROUTES))
+    def test_matches_reference_cold_and_warm(self, route, space, kernel, top):
+        rng = random.Random(kernel)
+        ns = list(range(min(top, 10) + 1))
+        tqeuler.clear_caches()
+        for _ in ("cold", "warm"):
+            rng.shuffle(ns)
+            got = [route(n) for n in ns]
+            assert got == [ballot_sum_reference(n, space[kernel]) for n in ns]
+
+    def test_each_kernel_runs_once_per_k(self, monkeypatch):
+        tqeuler.clear_caches()
+        calls = Counter()
+        for _, space, kernel, _ in BALLOT_ROUTES.values():
+
+            def spy(k, real=space[kernel], name=kernel):
+                calls[name, k] += 1
+                return real(k)
+
+            monkeypatch.setitem(space, kernel, spy)
+        for route, _, _, top in BALLOT_ROUTES.values():
+            for n in [*range(top + 1), *reversed(range(top + 1))]:
+                route(n)
+        assert calls == Counter(
+            {(kernel, k): 1 for _, _, kernel, top in BALLOT_ROUTES.values() for k in range(top + 1)}
+        )
+        assert len(qkit._KERNEL_ROWS) <= len(BALLOT_ROUTES) * 13
+
+    def test_negative_n_is_rejected(self):
+        for route, *_ in BALLOT_ROUTES.values():
+            with pytest.raises(ValueError):
+                route(-1)
+
+    def test_mutated_kernel_fails_verify_through_a_warm_cache(self, monkeypatch, capsys):
+        argv = ["verify", "--select", "euler-josuat-verges", "--max-n", "4"]
+        assert cli.main(argv) == 0  # every K_k with k <= 4 is now cached
+
+        def bumped(k):
+            # exact copy of the Josuat-Verges kernel with ONE EXPONENT bumped:
+            # q**C(j+1, 2) becomes q**(C(j+1, 2) + 1)
+            return [
+                (-1 if (k + i) % 2 else 1, k - j, k - j + math.comb(j + 1, 2) + 1,
+                 (bj, qkit.gauss_binom(2 * k - 2 * j, i)))
+                for j in range(2 * k + 1) if (bj := qkit.gauss_binom(2 * k - j, j))
+                for i in range(2 * k - 2 * j + 1)
+            ]
+
+        monkeypatch.setattr(formulas, "_josuat_verges_kernel", bumped)
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        out = capsys.readouterr().out
+        assert "fail" in out and "fail=0" not in out
+
+
 class TestDistBoxClosed:
     def test_one_one(self):
         assert dist_box_closed(1, 1) == LaurentPoly({(0, 0): 1, (1, 1): 1})
@@ -247,6 +334,19 @@ class TestZeng:
                 assert zeng_value(n, t0, q0, zeng_bracket_qint) == ref
                 assert zeng_value(n, t0, q0, zeng_bracket_additive) != ref
 
+    @pytest.mark.parametrize("bracket", [zeng_bracket_qint, zeng_bracket_additive])
+    def test_matches_reference(self, bracket):
+        points = ZENG_SAMPLE_POINTS + ((Fraction(2), Fraction(1)), (Fraction(3), Fraction(-1)))
+        for n in range(6):
+            for t0, q0 in points:
+                outcomes = []
+                for value in (zeng_value, zeng_value_reference):
+                    try:
+                        outcomes.append(value(n, t0, q0, bracket))
+                    except ZeroDenominatorError as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1]
+
     def test_rejects_bad_points(self):
         with pytest.raises(ZeroDenominatorError):
             zeng_value(1, 0, Fraction(1, 2))
@@ -274,6 +374,8 @@ def test_clear_caches_changes_no_result():
                 for sign in (1, -1) for power in range(-3, 4) for length in range(6)
             ],
             [registry._ballot_marked_sum(n, w) for n in range(5) for w in ("euler", "q-int")],
+            # every ballot route out of order: each K_k is summed on its first request
+            [route(n) for route, *_, top in BALLOT_ROUTES.values() for n in (9, 3, 11, 0) if n <= top],
             [
                 (c.id, c.params, c.status, c.detail)
                 for c in tqeuler.run_verification(max_n=3, max_k=3, max_b=2).cases
@@ -284,7 +386,7 @@ def test_clear_caches_changes_no_result():
     tqeuler.clear_caches()
     assert tk_recurrence.cache_info().currsize == 0
     assert not (qkit._GAUSS_CACHE or cfrac._euler_cache or cfrac._dn_cache)
-    assert not (formulas._TK_AT or qkit._POCH_CACHE or registry._MARKED_SUMS)
+    assert not (formulas._TK_AT or qkit._POCH_CACHE or qkit._KERNEL_ROWS)
     assert results() == warm
 
 

@@ -47,13 +47,15 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Empty every memo the package keeps: T_k by recurrence, T_k at
     ``t = eps * q**b`` (``formulas.tk_at``), the Gaussian binomials, the
-    q-Pochhammer symbols, the ``euler_hat``/``dn_hat`` moments and each
-    ballot kernel's ``K_k`` (``qkit._ballot_sum``).  Results never depend
-    on cache contents; this only makes the next computation run cold."""
+    q-Pochhammer and odd q-Pochhammer symbols, the ``euler_hat``/``dn_hat``
+    moments and each ballot kernel's ``K_k`` (``qkit._ballot_sum``).  Results
+    never depend on cache contents; this only makes the next computation run
+    cold."""
     formulas.tk_recurrence.cache_clear()
     formulas._TK_AT.clear()
     qkit._GAUSS_CACHE.clear()
     qkit._POCH_CACHE.clear()
+    qkit._ODD_POCH_CACHE.clear()
     cfrac._euler_cache.clear()
     cfrac._dn_cache.clear()
     qkit._KERNEL_ROWS.clear()

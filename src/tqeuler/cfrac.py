@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .exactalg import Box, LaurentPoly, ONE, ONE_MINUS_Q, ZERO, _Layout
+from .qkit import euler_down, euler_up
 
 __all__ = [
     "sfrac_moments",
@@ -144,7 +145,7 @@ def _decode(layout: _Layout | None, entry: Packed | None) -> LaurentPoly:
         return ZERO
     if layout is None:  # no nonzero c_h: the entry is moment 0
         return ONE
-    return LaurentPoly._trusted(layout.unpack(*entry))
+    return layout.unpack(*entry)
 
 
 def _max_pair(a: tuple[int, int] | None, b: tuple[int, int]) -> tuple[int, int]:
@@ -153,7 +154,7 @@ def _max_pair(a: tuple[int, int] | None, b: tuple[int, int]) -> tuple[int, int]:
 
 def euler_coeff(h: int) -> LaurentPoly:
     """``(1 - q**h) * (1 - t*q**h)``, the normalized fraction coefficient."""
-    return LaurentPoly({(0, 0): 1, (0, h): -1}) * LaurentPoly({(0, 0): 1, (1, h): -1})
+    return euler_up(h) * euler_down(h)
 
 
 Entry = LaurentPoly | tuple[_Layout | None, Packed | None]
@@ -189,7 +190,7 @@ def euler_hat(n: int) -> LaurentPoly:
 
 def dn_hat(n: int) -> LaurentPoly:
     """``(1-q)**n * d_n``: moments of the fraction with ``c_h = 1 - q**h``."""
-    return _cached_moment(_dn_cache, lambda h: LaurentPoly({(0, 0): 1, (0, h): -1}), n)
+    return _cached_moment(_dn_cache, euler_up, n)
 
 
 def en_even_q(n: int) -> LaurentPoly:

@@ -15,7 +15,7 @@ import os
 import sys
 import time
 
-from . import cfrac, clear_caches, combinat, formulas, registry
+from . import cfrac, clear_caches, combinat, formulas, qkit, registry
 from .exactalg import ONE_MINUS_Q, LaurentPoly
 
 
@@ -125,7 +125,7 @@ def _bench_methods(n: int):
         return formulas.euler_hat_odd_pochhammer(n)
 
     def dyck_brute():
-        return combinat.dyck_weight_sum(n, combinat.euler_up, combinat.euler_down)
+        return combinat.dyck_weight_sum(n, qkit.euler_up, qkit.euler_down)
 
     return [
         ("moment-dp", moment_dp),

@@ -30,12 +30,9 @@ __all__ = [
     "enum_partitions_in_box",
     "box_size_polynomial",
     "dist_box_polynomial",
-    "dyck_paths",
     "dyck_weight_sum",
     "md_star_weight_sum",
     "md_star_weight_sum_general",
-    "euler_up",
-    "euler_down",
     "delta_prime_weight_sum",
     "enum_sop",
     "sop_weight_sum",
@@ -111,10 +108,6 @@ class Partition:
             sum(1 for p in self.parts if p >= j) for j in range(1, self.parts[0] + 1)
         )
 
-    def distinct_count(self) -> int:
-        """Number of distinct part sizes; equals the number of inner corners."""
-        return len(set(self.parts))
-
     def inner_corners(self) -> list[tuple[int, int]]:
         """Cells (i, parts[i]) whose removal leaves a partition."""
         out = []
@@ -184,21 +177,6 @@ def dist_box_polynomial(m: int, n: int) -> LaurentPoly:
 
 # ---------------------------------------------------------------------------
 # Dyck paths
-
-
-def dyck_paths(n: int) -> Iterator[tuple[int, ...]]:
-    """All Dyck paths of length 2n as tuples of +1 (up) and -1 (down)."""
-
-    def rec(path: tuple[int, ...], height: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield path
-            return
-        if height + 1 <= remaining - 1:
-            yield from rec(path + (1,), height + 1, remaining - 1)
-        if height > 0:
-            yield from rec(path + (-1,), height - 1, remaining - 1)
-
-    yield from rec((), 0, 2 * n)
 
 
 WeightRule = Callable[[int], LaurentPoly]
@@ -287,16 +265,6 @@ def _u_rule(h: int) -> LaurentPoly:
 
 def _v_rule(h: int) -> LaurentPoly:
     return monomial(-1, 1, h)  # -t*q**h
-
-
-def euler_up(h: int) -> LaurentPoly:
-    """``1 - q**h``, the Euler weight of an up step to height h."""
-    return LaurentPoly({(0, 0): 1, (0, h): -1})
-
-
-def euler_down(h: int) -> LaurentPoly:
-    """``1 - t*q**h``, the Euler weight of a down step from height h."""
-    return LaurentPoly({(0, 0): 1, (1, h): -1})
 
 
 def md_star_weight_sum_general(k: int, up_rule: WeightRule, down_rule: WeightRule) -> LaurentPoly:

@@ -19,12 +19,16 @@ tested against.  Each factor's box, l1 norm and packed ints (one per layout it
 was packed at) live on the factor, in the lazily filled ``_pack_facts`` slot,
 so a polynomial shared by many sums is packed once per layout.
 
-``LaurentPoly.divide_exact`` sweeps the remainder as dense t-rows, one visit
-per slot of the q-span, with each row's q-range derived from the divisor (row
-j below the dividend's top t-row reaches at most
-``top_q + j * max(0, d_top_q - lead_q)``); the term-dict loop that rescans the
-remainder for its leading term at every step is its reference, in
-``tests/reference.py``.
+The dense t-row form lives here too.  ``LaurentPoly._rows`` gives one
+``(e_t, lowest e_q, coefficients)`` row per nonzero t-row and
+``LaurentPoly._from_rows`` is its inverse; ``_sum_rows`` folds weighted sums of
+such rows, and ``_Layout.unpack`` decodes a packed int row by row.  Callers
+cache rows (``formulas.tk_at``, ``qkit._ballot_sum``) but never build them.
+
+``LaurentPoly.divide_exact`` takes a divisor with one t-row, ``t**d * g(q)``,
+and divides each dense row of the dividend by ``g`` on its own; the term-dict
+loop that rescans the remainder for its leading term at every step is its
+reference, in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from operator import index
+from itertools import repeat
+from operator import add, index, mul, neg, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -65,6 +70,7 @@ class ZeroDenominatorError(ZeroDivisionError):
 
 ExpPair = tuple[int, int]
 Box = tuple[int, int, int, int]  # (min t-exp, max t-exp, min q-exp, max q-exp)
+Row = tuple[int, int, tuple[int, ...]]  # (e_t, lowest e_q, coefficients from there up)
 
 
 class LaurentPoly:
@@ -140,15 +146,7 @@ class LaurentPoly:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        other = self._coerce(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPoly._trusted(out)
+        return LaurentPoly._trusted(_accumulate(dict(self._terms), self._coerce(other)._terms.items()))
 
     __radd__ = __add__
 
@@ -156,15 +154,8 @@ class LaurentPoly:
         return LaurentPoly._trusted({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        other = self._coerce(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) - c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPoly._trusted(out)
+        terms = self._coerce(other)._terms
+        return LaurentPoly._trusted(_accumulate(dict(self._terms), zip(terms, map(neg, terms.values()))))
 
     def __rsub__(self, other: int) -> "LaurentPoly":
         return self._coerce(other) - self
@@ -190,80 +181,56 @@ class LaurentPoly:
     # -- exact division ------------------------------------------------------
 
     def divide_exact(self, divisor: "LaurentPoly | int") -> "LaurentPoly":
-        """Exact division in the Laurent ring.
+        """Exact division in the Laurent ring by a divisor ``t**d * g(q)`` with one t-row.
 
-        Long division over lex-leading terms: each step divides the remainder's
-        largest ``(e_t, e_q)`` term by the divisor's and subtracts that
-        quotient term times the divisor.  Raises :class:`NonDivisibleError`
-        if the divisor does not divide this polynomial exactly over the
-        integers.  The term-dict loop that rescans the remainder for its
-        largest term at every step is the reference in ``tests/reference.py``.
-
-        The remainder is held as one dense coefficient list per t-row, swept
-        once in descending lex order: a step at a slot writes only lex-smaller
-        slots (the divisor's leading term is its lex-largest), so the next
-        nonzero slot of the sweep is the remainder's leading term, and the
-        sweep costs one visit per slot of the q-span.  Row bound: a step whose
-        leading term has q-exponent e writes row j below its own at
-        ``e + eq - lead_q`` for a divisor term ``(lead_t - j, eq)``, at most
-        ``e + max(0, d_top_q - lead_q)`` with ``d_top_q`` the divisor's highest
-        q-exponent.  So, by induction from the dividend's highest q-exponent
-        ``top_q``, row j below the dividend's top t-row reaches at most
-        ``top_q + j * max(0, d_top_q - lead_q)``; each step checks its writes
-        against that bound and raises ``OverflowError`` past it.
+        A divisor with two or more t-rows raises ``ValueError`` (every divisor
+        in this package is a polynomial in q), and one that does not divide
+        exactly over the integers :class:`NonDivisibleError`.  Row e_t of the
+        quotient is row ``e_t + d`` of this polynomial divided by ``g``, so
+        each dense row is long-divided on its own, from its highest q-slot
+        down to the q-span of ``g``.  A step at slot i writes only slots
+        ``i - span .. i`` of its own row, so every index stays inside the row
+        by construction and no row bound is needed.  The term-dict loop in
+        ``tests/reference.py`` is the reference.
         """
         divisor = self._coerce(divisor)
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
-        if not self:
-            return ZERO
-        (lead_t, lead_q), lead_c = max(divisor._terms.items())
-        a_t, top_t, a_q, top_q = _box(self._terms)
-        b_t, _, b_q, d_top_q = _box(divisor._terms)
-        # Derived floors, not tuned ones: lowest t-rows (and q-columns) multiply
-        # to a nonzero lowest part in an integral domain, so an exact quotient's
-        # lowest exponents are exactly a - b, and a quotient term below a floor
-        # means there is no exact quotient.  With the floors, every quotient
-        # term, and so every remainder term, stays at or above the dividend's
-        # lowest exponents (a_t, a_q), so no slot index is negative; the sweep
-        # ends at slot (a_t, a_q).  Without the floors 1 / (1 - q) would not end.
-        floor_t, floor_q = a_t - b_t, a_q - b_q
-        rise = max(0, d_top_q - lead_q)
-        nrows = top_t - a_t + 1
-        # rows[r] holds t-exponent a_t + r, slot i of it q-exponent a_q + i
-        rows = [[0] * (top_q - a_q + 1 + (nrows - 1 - r) * rise) for r in range(nrows)]
+        rows = divisor._rows()
+        if len(rows) > 1:
+            raise ValueError("divide_exact needs a divisor with one t-row, t**d times a polynomial in q")
+        ((d_t, d_q, g),) = rows
+        span, lead = len(g) - 1, g[-1]
+        lower = [(j - span, v) for j, v in enumerate(g[:-1]) if v]  # (offset from the lead, coefficient)
+        quo = []
+        for et, lo, cs in self._rows():
+            rem, row = list(cs), [0] * max(0, len(cs) - span)
+            for i in range(len(rem) - 1, span - 1, -1):
+                if rem[i]:
+                    # a nonzero remainder stays in rem[i], which no later step writes
+                    c, rem[i] = divmod(rem[i], lead)
+                    row[i - span] = c
+                    for off, v in lower:
+                        rem[i + off] -= c * v
+            if any(rem):
+                raise NonDivisibleError(f"{divisor!r} does not divide {self!r}")
+            quo.append((et - d_t, lo - d_q, row))
+        return LaurentPoly._from_rows(quo)
+
+    # -- dense rows ------------------------------------------------------------
+
+    def _rows(self) -> tuple[Row, ...]:
+        """One ``(e_t, lowest e_q, coefficients up to the highest e_q)`` per nonzero t-row."""
+        by_t: dict[int, dict[int, int]] = {}
         for (et, eq), c in self._terms.items():
-            rows[et - a_t][eq - a_q] = c
-        # the divisor's other terms by row offset j = lead_t - e_t, each as
-        # (q-offset from lead_q, coefficient), with the highest q-offset per row
-        split: dict[int, list[tuple[int, int]]] = {}
-        for (et, eq), vc in divisor._terms.items():
-            if (et, eq) != (lead_t, lead_q):
-                split.setdefault(lead_t - et, []).append((eq - lead_q, vc))
-        same = split.pop(0, [])
-        lower = [(j, max(off for off, _ in terms), terms) for j, terms in split.items()]
-        quo: dict[ExpPair, int] = {}
-        for r in range(nrows - 1, -1, -1):
-            row = rows[r]
-            dt = a_t + r - lead_t
-            for i in range(len(row) - 1, -1, -1):
-                v = row[i]
-                if not v:
-                    continue
-                c, rmd = divmod(v, lead_c)
-                dq = a_q + i - lead_q
-                if rmd or dt < floor_t or dq < floor_q:
-                    raise NonDivisibleError(f"{divisor!r} does not divide {self!r}")
-                quo[(dt, dq)] = c  # slots are visited once in descending lex order; c != 0
-                for off, vc in same:
-                    row[i + off] -= c * vc
-                for j, reach, terms in lower:
-                    below = rows[r - j]
-                    if i + reach >= len(below):
-                        raise OverflowError("division remainder leaves its derived row bound")
-                    for off, vc in terms:
-                        below[i + off] -= c * vc
-        return LaurentPoly._trusted(quo)
+            by_t.setdefault(et, {})[eq] = c
+        return tuple((et, lo, tuple(map(r.get, range(lo, max(r) + 1), repeat(0))))
+                     for et, r in by_t.items() for lo in (min(r),))
+
+    @classmethod
+    def _from_rows(cls, rows: Iterable[tuple[int, int, Iterable[int]]]) -> "LaurentPoly":
+        """The polynomial of rows with distinct e_t, zeros dropped; inverse of :meth:`_rows`."""
+        return cls._trusted({(et, e): c for et, lo, cs in rows for e, c in enumerate(cs, lo) if c})
 
     # -- substitutions -------------------------------------------------------
 
@@ -272,16 +239,11 @@ class LaurentPoly:
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         power = index(power)
-        out: dict[ExpPair, int] = {}
+        out: dict[int, int] = {}
         for (et, eq), c in self._terms.items():
-            s = c if (sign == 1 or et % 2 == 0) else -c
-            e = (0, eq + et * power)
-            tot = out.get(e, 0) + s
-            if tot:
-                out[e] = tot
-            else:
-                out.pop(e, None)
-        return LaurentPoly._trusted(out)  # int exponents, zero sums popped above
+            e = eq + et * power
+            out[e] = out.get(e, 0) + (c if sign == 1 or et % 2 == 0 else -c)
+        return LaurentPoly._trusted({(0, e): c for e, c in out.items() if c})
 
     def substitute_t_zero(self) -> "LaurentPoly":
         """Substitute ``t = 0``; requires that no negative ``t`` exponent occurs."""
@@ -365,6 +327,17 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.render()})"
+
+
+def _accumulate(out: dict[ExpPair, int], terms: Iterable[tuple[ExpPair, int]]) -> dict[ExpPair, int]:
+    """Add ``terms`` into the term dict ``out`` in place, popping zero sums; returns ``out``."""
+    for e, c in terms:
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
 
 
 def _mul_dict(a: Mapping[ExpPair, int], b: Mapping[ExpPair, int]) -> dict[ExpPair, int]:
@@ -479,11 +452,11 @@ class _Layout(NamedTuple):
         bits = 8 * width
         return [(c, bits * ((et - tmin) * stride + eq - qmin)) for (et, eq), c in terms.items()]
 
-    def unpack(self, value: int, box: Box) -> dict[ExpPair, int]:
-        """Decode the terms inside ``box`` from a packed int whose slot 0 is (tmin, qmin).
+    def unpack(self, value: int, box: Box) -> LaurentPoly:
+        """Decode the polynomial inside ``box`` from a packed int whose slot 0 is (tmin, qmin).
 
         Adding the half-offset makes every slot nonnegative, so the bytes split
-        with no borrows; only the box is read.
+        with no borrows; only the box is read, one dense row per t-row.
 
         Correctness rests on the caller's derived bounds, which the tests check
         against the dict references.  The one check made here is on the whole
@@ -501,13 +474,10 @@ class _Layout(NamedTuple):
             raise OverflowError("packed value does not fit its derived degree box")
         slots = _to_slots(value, width, nslots)
         half = 1 << (8 * width - 1)
-        out: dict[ExpPair, int] = {}
-        for et in range(tmin, tmax + 1):
-            lo = (et - tmin) * stride
-            for eq, v in enumerate(slots[lo : lo + cols], qmin):
-                if v != half:
-                    out[(et, eq)] = v - half
-        return out
+        return LaurentPoly._from_rows(
+            (et, qmin, map(sub, slots[lo : lo + cols], repeat(half)))
+            for et, lo in zip(range(tmin, tmax + 1), range(0, nslots, stride))
+        )
 
 
 Item = tuple[int, int, int, Sequence[LaurentPoly]]  # (c, a, b, (p_1, ...))
@@ -556,7 +526,19 @@ def _sum_of_products(items: Iterable[Item]) -> LaurentPoly:
                 v = packed[key] = layout.pack(p._terms, box)
             value *= v
         total += value << (bits * ((lo_t - tmin) * stride + lo_q - qmin))
-    return LaurentPoly._trusted(layout.unpack(total, (tmin, tmax, qmin, qmax)))
+    return layout.unpack(total, (tmin, tmax, qmin, qmax))
+
+
+def _sum_rows(pairs: Iterable[tuple[int, Iterable[Row]]]) -> LaurentPoly:
+    """``sum w * p`` over ``(w, p._rows())`` pairs, folded row by row into one dense row per e_t."""
+    rows = [(w, *row) for w, p_rows in pairs for row in p_rows]
+    q0 = min((lo for _, _, lo, _ in rows), default=0)
+    width = max((lo + len(cs) for _, _, lo, cs in rows), default=0) - q0
+    acc = {et: [0] * width for _, et, _, _ in rows}
+    for w, et, lo, cs in rows:
+        row, s = acc[et], lo - q0
+        row[s : s + len(cs)] = map(add, row[s : s + len(cs)], map(mul, cs, repeat(w)))
+    return LaurentPoly._from_rows((et, q0, row) for et, row in acc.items())
 
 
 _PackFacts = tuple[Box, int, dict[tuple[int, int], int]]  # (box, l1 norm, packed ints by key)

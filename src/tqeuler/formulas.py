@@ -15,7 +15,9 @@ which owns the outer sum and its ``n >= 0`` check and sums each ``K_k`` once
 per run.  A kernel returns ``K_k`` as a list of ``(c, a, b, factors)`` items,
 each ``c * t**a * q**b * prod(factors)``; these, and the sums of
 :func:`tk_special` and :func:`tk_prodinger`, are summed in one packed int by
-:func:`tqeuler.exactalg._sum_of_products`.
+:func:`tqeuler.exactalg._sum_of_products`.  :func:`tk_at` caches its values in
+the dense-row form of ``exactalg``, and every exact division here is by a
+polynomial in q alone.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .exactalg import (
     ONE,
     ONE_MINUS_Q,
     ZERO,
+    Row,
     ZeroDenominatorError,
     _sum_of_products,
     monomial,
@@ -223,24 +226,18 @@ def tk_at_minus_inv_q(k: int) -> LaurentPoly:
 # single-power substitutions of T_k and their step relations
 
 
-_TK_AT: dict[tuple[int, int, int], tuple[int, tuple[int, ...]]] = {}
+_TK_AT: dict[tuple[int, int, int], tuple[Row, ...]] = {}
 
 
 def tk_at(eps: int, b: int, k: int) -> LaurentPoly:
     """T_k at ``t = eps * q**b`` by direct substitution into :func:`tk_recurrence`.
 
-    Cached as a dense row ``(lowest q-exponent, coefficients)``, from which a
-    hit rebuilds the polynomial: a cached term dict costs several times more.
+    Cached as ``LaurentPoly._rows()``, from which each call rebuilds the
+    polynomial: a cached term dict costs several times more.
     """
-    row = _TK_AT.get((eps, b, k))
-    if row is None:
-        value = tk_recurrence(k).substitute_t(eps, b)
-        eqs = [eq for _, eq in value.terms] or [0]
-        lo = min(eqs)
-        _TK_AT[eps, b, k] = (lo, tuple(value.terms.get((0, e), 0) for e in range(lo, max(eqs) + 1)))
-        return value
-    lo, coeffs = row
-    return LaurentPoly._trusted({(0, e): c for e, c in enumerate(coeffs, lo) if c})
+    if (eps, b, k) not in _TK_AT:
+        _TK_AT[eps, b, k] = tk_recurrence(k).substitute_t(eps, b)._rows()
+    return LaurentPoly._from_rows(_TK_AT[eps, b, k])
 
 
 def alpha_step_holds(eps: int, b: int, k: int) -> bool:

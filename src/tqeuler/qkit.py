@@ -1,23 +1,24 @@
 """q-calculus building blocks.
 
-q-integers, q-Pochhammer symbols (including shifted bases such as
-``-q**(1-b)``), Gaussian binomial coefficients in base q and base q**2,
-ballot numbers, and the auxiliary polynomial family ``(1-q) * A_k(q)``.
+q-integers, the Euler step weights ``1 - q**h`` and ``1 - t*q**h``,
+q-Pochhammer symbols (including shifted bases such as ``-q**(1-b)``),
+Gaussian binomial coefficients in base q and base q**2, ballot numbers, and
+the auxiliary polynomial family ``(1-q) * A_k(q)``.
 
 All functions are pure.  The memo tables (Gaussian binomials, q-Pochhammer
-symbols, each ballot kernel's ``K_k``) are append-only, so results are
-identical under concurrent use; ``tqeuler.clear_caches()`` empties them.
+and odd q-Pochhammer symbols, each ballot kernel's ``K_k``) are append-only,
+so results are identical under concurrent use; ``tqeuler.clear_caches()``
+empties them.  ``K_k`` is kept in the dense-row form of ``exactalg``
+(``LaurentPoly._rows``) and summed over k by ``exactalg._sum_rows``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, mul
 from typing import Callable, Iterable
 
-from .exactalg import Item, LaurentPoly, ONE, ONE_MINUS_Q, ZERO, _sum_of_products, monomial
+from .exactalg import Item, LaurentPoly, ONE, ONE_MINUS_Q, ZERO, Row, _sum_of_products, _sum_rows, monomial
 
 __all__ = [
     "QSymbolSpec",
@@ -30,6 +31,8 @@ __all__ = [
     "a_k_poly",
     "square_sum",
     "neg_q_power",
+    "euler_up",
+    "euler_down",
 ]
 
 
@@ -43,6 +46,16 @@ def q_int(n: int) -> LaurentPoly:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return LaurentPoly({(0, i): 1 for i in range(n)})
+
+
+def euler_up(h: int) -> LaurentPoly:
+    """``1 - q**h``, the Euler weight of an up step to height h."""
+    return LaurentPoly({(0, 0): 1, (0, h): -1})
+
+
+def euler_down(h: int) -> LaurentPoly:
+    """``1 - t*q**h``, the Euler weight of a down step from height h."""
+    return LaurentPoly({(0, 0): 1, (1, h): -1})
 
 
 @dataclass(frozen=True)
@@ -79,14 +92,22 @@ def pochhammer(spec: QSymbolSpec) -> LaurentPoly:
     return _POCH_CACHE[spec]
 
 
+_ODD_POCH_CACHE: dict[int, LaurentPoly] = {}
+
+
 def odd_pochhammer(i: int) -> LaurentPoly:
-    """``(q; q**2)_i``: the product of ``(1 - q**(2j+1))`` for ``j = 0 .. i-1``."""
+    """``(q; q**2)_i``: the product of ``(1 - q**(2j+1))`` for ``j = 0 .. i-1``.
+
+    Cached like :func:`pochhammer`: a miss multiplies the cached symbol one
+    factor shorter by the last factor.
+    """
     if i < 0:
         raise ValueError("i must be nonnegative")
-    out = ONE
-    for j in range(i):
-        out = out * LaurentPoly({(0, 0): 1, (0, 2 * j + 1): -1})
-    return out
+    if i == 0:
+        return ONE
+    if i not in _ODD_POCH_CACHE:
+        _ODD_POCH_CACHE.setdefault(i, odd_pochhammer(i - 1) * (ONE - monomial(1, 0, 2 * i - 1)))
+    return _ODD_POCH_CACHE[i]
 
 
 _GAUSS_CACHE: dict[tuple[int, int, bool], LaurentPoly] = {}
@@ -149,8 +170,8 @@ def ballot(n: int, k: int) -> int:
     return c(2 * n, n - k) - c(2 * n, n - k - 1)
 
 
-# each ballot kernel's K_k as dense t-rows (e_t, lowest e_q, coefficients), by (kernel, k)
-_KERNEL_ROWS: dict[tuple[Callable, int], list[tuple[int, int, tuple[int, ...]]]] = {}
+# each ballot kernel's K_k as LaurentPoly._rows(), by (kernel, k)
+_KERNEL_ROWS: dict[tuple[Callable, int], tuple[Row, ...]] = {}
 
 
 def _ballot_sum(n: int, kernel: Callable[[int], Iterable[Item]]) -> LaurentPoly:
@@ -163,27 +184,10 @@ def _ballot_sum(n: int, kernel: Callable[[int], Iterable[Item]]) -> LaurentPoly:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rows = []  # (ballot(n,k), e_t, lowest e_q, coefficients) for every dense row of every K_k
     for k in range(n + 1):
         if (kernel, k) not in _KERNEL_ROWS:
-            by_t: dict[int, dict[int, int]] = {}
-            for (et, eq), c in _sum_of_products(kernel(k))._terms.items():
-                by_t.setdefault(et, {})[eq] = c
-            _KERNEL_ROWS[kernel, k] = [
-                (et, min(r), tuple(map(r.get, range(min(r), max(r) + 1), repeat(0))))
-                for et, r in by_t.items()
-            ]
-        w = ballot(n, k)
-        rows += ((w, *row) for row in _KERNEL_ROWS[kernel, k])
-    q0 = min((lo for _, _, lo, _ in rows), default=0)
-    width = max((lo + len(cs) for _, _, lo, cs in rows), default=0) - q0
-    acc = {et: [0] * width for _, et, _, _ in rows}
-    for w, et, lo, cs in rows:
-        row, s = acc[et], lo - q0
-        row[s : s + len(cs)] = map(add, row[s : s + len(cs)], map(mul, cs, repeat(w)))
-    return LaurentPoly._trusted(
-        {(et, e): c for et, row in acc.items() for e, c in enumerate(row, q0) if c}
-    )
+            _KERNEL_ROWS[kernel, k] = _sum_of_products(kernel(k))._rows()
+    return _sum_rows((ballot(n, k), _KERNEL_ROWS[kernel, k]) for k in range(n + 1))
 
 
 def a_k_poly(k: int) -> LaurentPoly:

@@ -201,7 +201,7 @@ def _d(n: int) -> LaurentPoly:
 
 def _step_rules(weights: str) -> tuple[Side, Side]:
     if weights == "euler":
-        return combinat.euler_up, combinat.euler_down
+        return qkit.euler_up, qkit.euler_down
     return qkit.q_int, qkit.q_int
 
 
@@ -361,7 +361,7 @@ REGISTRY: tuple[Identity, ...] = (
     Identity("euler-josuat-verges", "continued-fraction moments equal the moment-style triple sum",
         _N, _same(lambda n: formulas.euler_hat_josuat_verges(n), _euler_hat)),
     Identity("euler-dyck-oracle", "continued-fraction moments equal the brute-force weighted Dyck sum",
-        _N, _same(lambda n: combinat.dyck_weight_sum(n, combinat.euler_up, combinat.euler_down),
+        _N, _same(lambda n: combinat.dyck_weight_sum(n, qkit.euler_up, qkit.euler_down),
                   _euler_hat, cap=("n", 6, "brute-force Dyck oracle"))),
     Identity("touchard-riordan", "ballot closed form for the normalized d_n equals its fraction moments",
         _N, _same(lambda n: formulas.dn_touchard_riordan(n), lambda n: cfrac.dn_hat(n))),

@@ -6,8 +6,8 @@ corners, one object per leaf.  Summing ``MarkedDyckPath.weight`` or
 ``DeltaConfig.weight`` over them gives the values that
 ``tqeuler.combinat.md_star_weight_sum_general`` and
 ``tqeuler.combinat.delta_prime_weight_sum`` compute without building the
-objects, and summing ``dyck_path_weight`` over ``dyck_paths`` gives
-``tqeuler.combinat.dyck_weight_sum``.  ``MD_STAR_RULES`` names the
+objects, and summing ``dyck_path_weight`` over ``dyck_paths`` (every Dyck
+path, one at a time) gives ``tqeuler.combinat.dyck_weight_sum``.  ``MD_STAR_RULES`` names the
 step-weight rule pairs the marked-path sums are tested and frozen with.
 ``pochhammer_product`` is the uncached product loop that the cached
 ``tqeuler.qkit.pochhammer`` is tested against, and ``divide_reference`` the
@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Iterator
 
 from tqeuler.combinat import (
     Partition,
@@ -31,7 +32,6 @@ from tqeuler.combinat import (
     _check_cutoff,
     _outer_corners_in_staircase,
     _partitions_in_staircase,
-    dyck_paths,
 )
 from tqeuler.exactalg import (
     LaurentPoly,
@@ -42,7 +42,7 @@ from tqeuler.exactalg import (
     _sum_of_products,
     monomial,
 )
-from tqeuler.qkit import ballot, q_int
+from tqeuler.qkit import ballot, euler_down, q_int
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,21 @@ class MarkedDyckPath:
         return w
 
 
+def dyck_paths(n: int) -> Iterator[tuple[int, ...]]:
+    """All Dyck paths of length 2n as tuples of +1 (up) and -1 (down)."""
+
+    def rec(path: tuple[int, ...], height: int, remaining: int) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield path
+            return
+        if height + 1 <= remaining - 1:
+            yield from rec(path + (1,), height + 1, remaining - 1)
+        if height > 0:
+            yield from rec(path + (-1,), height - 1, remaining - 1)
+
+    yield from rec((), 0, 2 * n)
+
+
 def dyck_path_weight(
     path: tuple[int, ...], up_rule: WeightRule, down_rule: WeightRule
 ) -> LaurentPoly:
@@ -106,7 +121,7 @@ def dyck_path_weight(
 MD_STAR_RULES: dict[str, tuple[WeightRule, WeightRule]] = {
     "u-v": (lambda h: monomial(-1, 0, h), lambda h: monomial(-1, 1, h)),
     "ballot-q-int": (lambda h: q_int(h) - ONE, lambda h: q_int(h) - ONE),
-    "q-int-euler-down": (q_int, lambda h: LaurentPoly({(0, 0): 1, (1, h): -1})),
+    "q-int-euler-down": (q_int, euler_down),
 }
 
 

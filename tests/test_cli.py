@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,46 @@ from tqeuler.registry import RegistryConfigError, run_verification
 
 def json_dumps_terms(poly):
     return json.dumps(poly.json_terms(), indent=2, sort_keys=True)
+
+
+def seidel_zigzag(count):
+    """Euler zigzag numbers E_0 .. E_{count-1} (secant numbers at even, tangent
+    numbers at odd index) by Seidel's boustrophedon triangle."""
+    row, out = [1], [1]
+    while len(out) < count:
+        nxt = [0]
+        for v in reversed(row):
+            nxt.append(nxt[-1] + v)
+        row = nxt
+        out.append(row[-1])
+    return out
+
+
+def compute_json(capsys, target, n):
+    """The polynomial that ``tqeuler compute <target> --n <n> --format json`` prints."""
+    assert cli.main(["compute", target, "--n", str(n), "--format", "json"]) == 0
+    return LaurentPoly({(r["et"], r["eq"]): int(r["c"]) for r in json.loads(capsys.readouterr().out)})
+
+
+class TestDivisionTargets:
+    """``compute d``, ``e-even`` and ``e-odd`` divide a moment exactly by a power of
+    1 - q; at n = 12 that is (1-q)**24, a power no registry identity divides by."""
+
+    def test_seidel_zigzag(self):
+        assert seidel_zigzag(8) == [1, 1, 1, 2, 5, 16, 61, 272]
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_values_at_q_one_and_multiplied_back(self, n, capsys):
+        one_minus_q = LaurentPoly({(0, 0): 1, (0, 1): -1})
+        zigzag = seidel_zigzag(2 * n + 2)
+        even, odd, d = (compute_json(capsys, target, n) for target in ("e-even", "e-odd", "d"))
+        assert even.evaluate(1, 1) == zigzag[2 * n]
+        assert odd.evaluate(1, 1) == zigzag[2 * n + 1]
+        assert d.evaluate(1, 1) == math.prod(range(1, 2 * n, 2))
+        hat = cfrac.euler_hat(n)
+        assert even * one_minus_q ** (2 * n) == hat.substitute_t(1, 0)
+        assert odd * one_minus_q ** (2 * n) == hat.substitute_t(1, 1)
+        assert d * one_minus_q**n == cfrac.dn_hat(n)
 
 
 class TestCompute:

@@ -17,7 +17,6 @@ from tqeuler.combinat import (
     count_13_2_patterns,
     delta_prime_weight_sum,
     dist_box_polynomial,
-    dyck_paths,
     dyck_weight_sum,
     enum_alternating,
     enum_partitions_in_box,
@@ -34,9 +33,9 @@ from tqeuler.combinat import (
 )
 from tqeuler.exactalg import LaurentPoly, ONE, Q, T, ZERO, const, monomial
 from tqeuler.formulas import tk_recurrence
-from tqeuler.qkit import ballot, gauss_binom, q_int
+from tqeuler.qkit import ballot, euler_down, euler_up, gauss_binom, q_int
 
-from reference import MD_STAR_RULES, dyck_path_weight, enum_delta_prime, enum_md_star
+from reference import MD_STAR_RULES, dyck_path_weight, dyck_paths, enum_delta_prime, enum_md_star
 
 ONE_MINUS_Q = ONE - Q
 DATA = Path(__file__).parent / "data"
@@ -55,14 +54,6 @@ def rule_inputs(draw, max_k):
     return k, draw(rules), draw(rules)
 
 
-def euler_up(h):
-    return LaurentPoly({(0, 0): 1, (0, h): -1})
-
-
-def euler_down(h):
-    return LaurentPoly({(0, 0): 1, (1, h): -1})
-
-
 class TestPartition:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -79,7 +70,7 @@ class TestPartition:
     def test_corners_and_dist(self):
         lam = Partition([3, 3, 1])
         assert lam.inner_corners() == [(2, 3), (3, 1)]
-        assert lam.distinct_count() == 2
+        assert len(set(lam.parts)) == 2
 
 
 class TestBoxEnumeration:
@@ -113,7 +104,7 @@ class TestBoxEnumeration:
             for n in range(7):
                 lams = list(enum_partitions_in_box(m, n))
                 size = sum((monomial(1, 0, lam.size) for lam in lams), ZERO)
-                dist = sum((monomial(1, lam.distinct_count(), lam.size) for lam in lams), ZERO)
+                dist = sum((monomial(1, len(set(lam.parts)), lam.size) for lam in lams), ZERO)
                 assert box_size_polynomial(m, n) == size
                 assert dist_box_polynomial(m, n) == dist
 

@@ -368,6 +368,7 @@ def test_clear_caches_changes_no_result():
             [qkit.gauss_binom(n, k) for n in range(7) for k in range(n + 1)],
             [euler_hat_ballot(n) for n in range(5)],
             [euler_hat_odd_pochhammer(n) for n in range(5)],
+            [qkit.odd_pochhammer(i) for i in (6, 2, 9, 0)],
             [tk_at(eps, b, k) for eps in (1, -1) for b in range(-3, 4) for k in range(6)],
             [
                 qkit.pochhammer(qkit.QSymbolSpec(sign, power, length))
@@ -386,7 +387,7 @@ def test_clear_caches_changes_no_result():
     tqeuler.clear_caches()
     assert tk_recurrence.cache_info().currsize == 0
     assert not (qkit._GAUSS_CACHE or cfrac._euler_cache or cfrac._dn_cache)
-    assert not (formulas._TK_AT or qkit._POCH_CACHE or qkit._KERNEL_ROWS)
+    assert not (formulas._TK_AT or qkit._POCH_CACHE or qkit._KERNEL_ROWS or qkit._ODD_POCH_CACHE)
     assert results() == warm
 
 

@@ -4,12 +4,14 @@ import pytest
 from reference import pochhammer_product
 
 import tqeuler
-from tqeuler.combinat import box_size_polynomial, euler_down
+from tqeuler.combinat import box_size_polynomial
 from tqeuler.exactalg import LaurentPoly, ONE, Q, ZERO, monomial
 from tqeuler.qkit import (
     QSymbolSpec,
     a_k_poly,
     ballot,
+    euler_down,
+    euler_up,
     gauss_binom,
     neg_q_power,
     odd_pochhammer,
@@ -29,6 +31,7 @@ def test_q_int():
 
 
 def test_tq_factor():
+    assert euler_up(2) == ONE - monomial(1, 0, 2)
     assert euler_down(1) == LaurentPoly({(0, 0): 1, (1, 1): -1})
     assert euler_down(2).substitute_t(1, 0) == ONE - monomial(1, 0, 2)
     product = euler_down(1) * euler_down(2)
@@ -70,6 +73,23 @@ def test_odd_pochhammer():
     assert odd_pochhammer(0) == ONE
     assert odd_pochhammer(1) == ONE_MINUS_Q
     assert odd_pochhammer(2) == ONE_MINUS_Q * (ONE - monomial(1, 0, 3))
+    with pytest.raises(ValueError):
+        odd_pochhammer(-1)
+
+
+def test_odd_pochhammer_cached():
+    def product(i):
+        out = ONE
+        for j in range(i):
+            out = out * (ONE - monomial(1, 0, 2 * j + 1))
+        return out
+
+    tqeuler.clear_caches()
+    for _ in range(2):  # cold and out of order, then every symbol from the cache
+        for i in (7, 2, 12, 0, 5):
+            assert odd_pochhammer(i) == product(i)
+    assert sorted(tqeuler.qkit._ODD_POCH_CACHE) == list(range(1, 13))
+    assert odd_pochhammer(9) is odd_pochhammer(9)
 
 
 def test_gauss_binom_small():

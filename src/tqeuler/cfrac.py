@@ -12,15 +12,17 @@ with ``c_h = (1-q**h)(1-t*q**h)``) and of the Touchard-Riordan quantity
 ``dn_hat(n) = (1-q)**n * d_n`` (moments with ``c_h = 1-q**h``).
 
 Both are cached: a miss walks the DP once, to order n, and keeps moments 0..n
-packed (int and degree box); each is decoded the first time it is requested,
-and later requests return that same ``LaurentPoly``.
+packed (int and degree box); each, moment 0 and zero moments alike, is decoded
+by one ``_Layout.unpack`` the first time it is requested, and later requests
+return that same ``LaurentPoly``.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable
 
-from .exactalg import Box, LaurentPoly, ONE, ONE_MINUS_Q, ZERO, _Layout
+from .exactalg import Box, LaurentPoly, ONE_MINUS_Q, _Layout
 from .qkit import euler_down, euler_up
 
 __all__ = [
@@ -38,16 +40,14 @@ def sfrac_moments(coeff_fn: Callable[[int], LaurentPoly], order: int) -> list[La
 
     One :func:`_moment_walk`, with every moment decoded."""
     layout, packed = _moment_walk(coeff_fn, order)
-    return [_decode(layout, entry) for entry in packed]
+    return [layout.unpack(*entry) for entry in packed]
 
 
 Packed = tuple[int, Box]  # a moment's packed int and the degree box it is decoded from
 
 
-def _moment_walk(
-    coeff_fn: Callable[[int], LaurentPoly], order: int
-) -> tuple[_Layout | None, list[Packed | None]]:
-    """The layout and, per moment 0..order, its :data:`Packed` entry or None if it is zero.
+def _moment_walk(coeff_fn: Callable[[int], LaurentPoly], order: int) -> tuple[_Layout, list[Packed]]:
+    """The layout and, per moment 0..order, its :data:`Packed` entry.
 
     Walks all lattice prefixes step by step: up steps carry weight 1, a down
     step from height h carries ``c_h``.  A prefix at step s and height h only
@@ -57,15 +57,21 @@ def _moment_walk(
     The state at each height is one packed int (see ``exactalg._Layout``), so an
     up step is an int addition and a down step is a sum of shifted integer
     multiples, one per term of ``c_h``; no polynomial is built here, and
-    :func:`_decode` unpacks a moment.  The layout is derived before the walk
-    (with no nonzero ``c_h`` there is none, and only moment 0 is nonzero):
+    ``_Layout.unpack`` decodes a moment.  The layout is derived before the walk:
 
     * Every ``c_h`` is divided by ``t**tmin * q**qmin``, the smallest exponents
-      over all ``c_h``, so every exponent is nonnegative.  A path to moment m
-      has exactly m down steps, so moment m is multiplied back by
-      ``t**(m*tmin) * q**(m*qmin)``.
-    * The degree box of each moment comes from a max-plus pass over the same
-      lattice; the row stride exceeds every moment's q-degree.
+      over all ``c_h`` (0 if every ``c_h`` is zero), so every exponent is
+      nonnegative.  A path to moment m has exactly m down steps, so moment m
+      is multiplied back by ``t**(m*tmin) * q**(m*qmin)``.
+    * Degree box.  A Dyck path of length 2m has at most ``m - h + 1`` down
+      steps from height h or above: each is matched with an up step to the
+      same height, and h - 1 of the m up steps go to heights 1..h-1.  So its
+      j-th highest down step is at height at most ``m - j + 1``.  Let D(h) be
+      the largest shifted t-degree (or q-degree) over ``c_1 .. c_h``, 0 for a
+      zero ``c``; D is nondecreasing, so every shifted degree of moment m is
+      at most ``D(1) + ... + D(m)``.  These prefix sums are the boxes, and the
+      row stride is moment ``order``'s q-bound plus 1.  For :func:`euler_coeff`
+      and ``euler_up`` the single-peak path reaches the bound.
     * Moment m is a sum over at most 4**m Dyck paths of products of m
       coefficients, so each of its coefficients is at most
       ``(4 * max_h |c_h|_1)**order`` in magnitude; the slot width holds that
@@ -74,40 +80,21 @@ def _moment_walk(
     if order < 0:
         raise ValueError("order must be nonnegative")
     c = {h: LaurentPoly._coerce(coeff_fn(h)).terms for h in range(1, order + 1)}
-    live = [terms for terms in c.values() if terms]
-    packed: list[Packed | None] = [(1, (0, 0, 0, 0))]  # moment 0
-    if not live:
-        return None, packed + [None] * order
-    tmin = min(et for terms in live for et, _ in terms)
-    qmin = min(eq for terms in live for _, eq in terms)
-    norm = max(sum(map(abs, terms.values())) for terms in live)
-
-    # Max-plus pass: the largest shifted t- and q-exponent reachable at each
-    # lattice point; None marks a point no nonzero path reaches.
-    tdeg = {h: max(et for et, _ in terms) - tmin for h, terms in c.items() if terms}
-    qdeg = {h: max(eq for _, eq in terms) - qmin for h, terms in c.items() if terms}
-    reach: list[tuple[int, int] | None] = [(0, 0)]
-    boxes = [(0, 0)]
-    for step in range(1, 2 * order + 1):
-        top = min(order, 2 * order - step)
-        nxt: list[tuple[int, int] | None] = [None] * (top + 1)
-        for h, here in enumerate(reach):
-            if here is None:
-                continue
-            if h + 1 <= top:
-                nxt[h + 1] = _max_pair(nxt[h + 1], here)
-            if h >= 1 and h in tdeg:
-                nxt[h - 1] = _max_pair(nxt[h - 1], (here[0] + tdeg[h], here[1] + qdeg[h]))
-        reach = nxt
-        if step % 2 == 0:
-            boxes.append(reach[0])
-    stride = max(box[1] for box in boxes if box is not None) + 1
-    layout = _Layout.fitting(stride, (4 * norm) ** order)
+    tmin = min((et for terms in c.values() for et, _ in terms), default=0)
+    qmin = min((eq for terms in c.values() for _, eq in terms), default=0)
+    norm = max((sum(map(abs, terms.values())) for terms in c.values()), default=0)
+    # shifted degrees of each c_h, their running maxima D(h), and moment m's bound D(1) + ... + D(m)
+    tdeg = (max((et - tmin for et, _ in terms), default=0) for terms in c.values())
+    qdeg = (max((eq - qmin for _, eq in terms), default=0) for terms in c.values())
+    tbound = list(accumulate(accumulate(tdeg, max), initial=0))
+    qbound = list(accumulate(accumulate(qdeg, max), initial=0))
+    layout = _Layout.fitting(qbound[-1] + 1, (4 * norm) ** order)
 
     # The walk itself, on packed ints: the down step from h sums one shifted
     # multiple of the state per term of c_h.
     down = {h: layout.shifts(terms, tmin, qmin) for h, terms in c.items()}
     state = [1]
+    packed: list[Packed] = [(1, (0, 0, 0, 0))]  # moment 0
     for step in range(1, 2 * order + 1):
         top = min(order, 2 * order - step)
         nxt_state = [0] * (top + 1)
@@ -130,26 +117,9 @@ def _moment_walk(
         state = nxt_state
         if step % 2 == 0:
             m = step // 2
-            box = boxes[m]
-            if box is None:
-                packed.append(None)
-            else:
-                mbox = (m * tmin, m * tmin + box[0], m * qmin, m * qmin + box[1])
-                packed.append((state[0], mbox))
+            mbox = (m * tmin, m * tmin + tbound[m], m * qmin, m * qmin + qbound[m])
+            packed.append((state[0], mbox))
     return layout, packed
-
-
-def _decode(layout: _Layout | None, entry: Packed | None) -> LaurentPoly:
-    """The moment that a :func:`_moment_walk` entry stands for."""
-    if entry is None:
-        return ZERO
-    if layout is None:  # no nonzero c_h: the entry is moment 0
-        return ONE
-    return layout.unpack(*entry)
-
-
-def _max_pair(a: tuple[int, int] | None, b: tuple[int, int]) -> tuple[int, int]:
-    return b if a is None else (max(a[0], b[0]), max(a[1], b[1]))
 
 
 def euler_coeff(h: int) -> LaurentPoly:
@@ -157,7 +127,7 @@ def euler_coeff(h: int) -> LaurentPoly:
     return euler_up(h) * euler_down(h)
 
 
-Entry = LaurentPoly | tuple[_Layout | None, Packed | None]
+Entry = LaurentPoly | tuple[_Layout, Packed]
 _euler_cache: dict[int, Entry] = {}
 _dn_cache: dict[int, Entry] = {}
 
@@ -179,7 +149,7 @@ def _cached_moment(
             cache.setdefault(m, (layout, entry))
     value = cache[n]
     if not isinstance(value, LaurentPoly):
-        value = cache[n] = _decode(*value)
+        value = cache[n] = value[0].unpack(*value[1])
     return value
 
 

@@ -13,11 +13,13 @@ All values are immutable after construction and all operations are pure.
 ``_sum_of_products``, which forms a whole sum of
 ``c * t**a * q**b * p_1 * ... * p_m`` items in one packed int, with every
 coefficient bounded by ``sum |c| * prod |p_i|_1``; the moment DP
-(``cfrac._moment_walk``, whose moments ``cfrac._decode`` unpacks) is the other
-user of ``_Layout``.  ``_mul_dict`` and ``__add__`` are the reference both are
-tested against.  Each factor's box, l1 norm and packed ints (one per layout it
-was packed at) live on the factor, in the lazily filled ``_pack_facts`` slot,
-so a polynomial shared by many sums is packed once per layout.
+(``cfrac._moment_walk``, each of whose moments ``_Layout.unpack`` decodes) is
+the other user of ``_Layout``.  Slots are signed, and only the codec pair
+``_to_int``/``_to_slots`` knows the half-offset that splits an int into them.
+``_mul_dict`` and ``__add__`` are the reference both are tested against.
+Each factor's box, l1 norm and packed ints (one per layout it was packed at)
+live on the factor, in the lazily filled ``_pack_facts`` slot, so a
+polynomial shared by many sums is packed once per layout.
 
 The dense t-row form lives here too.  ``LaurentPoly._rows`` gives one
 ``(e_t, lowest e_q, coefficients)`` row per nonzero t-row and
@@ -37,7 +39,7 @@ import sys
 from array import array
 from fractions import Fraction
 from itertools import repeat
-from operator import add, index, mul, neg, sub
+from operator import add, index, mul, neg
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -367,7 +369,7 @@ def _mul_dict(a: Mapping[ExpPair, int], b: Mapping[ExpPair, int]) -> dict[ExpPai
 
 # array typecodes by item size.  On little-endian machines slots of these widths
 # convert in C; other widths, and all widths on big-endian ones, convert per slot.
-_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
+_TYPECODES = {array(code).itemsize: code for code in "qlihb"}
 if sys.byteorder != "little":
     _TYPECODES = {}
 
@@ -396,28 +398,43 @@ def _half_offset(width: int, nslots: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * nslots, "little")
 
 
-def _to_int(slots: list[int], width: int) -> int:
-    """The little-endian int whose ``width``-byte slots hold ``slots`` (each nonnegative)."""
+def _to_int(slots: Sequence[int], width: int) -> int:
+    """``sum slots[k] * 2**(8*width*k)``; a slot that does not fit ``width`` signed bytes raises ``OverflowError``.
+
+    The slots are written in two's complement; flipping each one's top bit adds
+    the half-offset, which is then taken off the whole int."""
     code = _TYPECODES.get(width)
-    if code:
-        return int.from_bytes(array(code, slots), "little")
-    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in slots), "little")
+    raw = array(code, slots) if code else b"".join(v.to_bytes(width, "little", signed=True) for v in slots)
+    half = _half_offset(width, len(slots))
+    return (int.from_bytes(raw, "little") ^ half) - half
 
 
 def _to_slots(value: int, width: int, nslots: int) -> Sequence[int]:
-    """The ``nslots`` unsigned ``width``-byte slots of a nonnegative int; inverse of ``_to_int``."""
-    raw = value.to_bytes(width * nslots, "little")
+    """The ``nslots`` signed ``width``-byte slots of ``value``; inverse of ``_to_int``.
+
+    With the half-offset added every slot is nonnegative, so the bytes split with
+    no borrows, and flipping each top bit gives two's complement.  ``OverflowError``
+    means the offset value is negative or longer than ``nslots`` slots: a broken
+    degree box or top slot.  An interior slot's overflow carries and is not detected.
+    """
+    half = _half_offset(width, nslots)
+    value += half
+    if value < 0 or value.bit_length() > 8 * width * nslots:
+        raise OverflowError("packed value does not fit its derived degree box")
+    raw = (value ^ half).to_bytes(width * nslots, "little")
     code = _TYPECODES.get(width)
     if code:
         return array(code, raw)
-    return [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width)]
+    return [int.from_bytes(raw[k : k + width], "little", signed=True) for k in range(0, len(raw), width)]
 
 
 class _Layout(NamedTuple):
     """Where a packed int keeps its terms: t-rows ``stride`` slots apart, ``width`` bytes a slot.
 
     Callers derive a stride above every q-span they decode and a bound on every
-    coefficient; slot widths, offsets and bit positions stay in this class.
+    coefficient; slot widths and bit positions stay in this class, and the
+    signed-slot codec ``_to_int``/``_to_slots`` is the only code that knows
+    the half-offset.
     """
 
     stride: int
@@ -429,18 +446,13 @@ class _Layout(NamedTuple):
         return cls(stride, _slot_bytes(bound))
 
     def pack(self, terms: Mapping[ExpPair, int], box: Box) -> int:
-        """The int of ``terms``, which lie inside ``box``; slot 0 is (tmin, qmin).
-
-        Every slot is written with the half-offset added, so it is nonnegative,
-        and the offset is subtracted from the whole int at the end.
-        """
+        """The int of ``terms``, which lie inside ``box``; slot 0 is (tmin, qmin)."""
         stride, width = self
         tmin, tmax, qmin, qmax = box
-        half = 1 << (8 * width - 1)
-        slots = [half] * ((tmax - tmin) * stride + qmax - qmin + 1)
+        slots = [0] * ((tmax - tmin) * stride + qmax - qmin + 1)
         for (et, eq), c in terms.items():
-            slots[(et - tmin) * stride + eq - qmin] = half + c
-        return _to_int(slots, width) - _half_offset(width, len(slots))
+            slots[(et - tmin) * stride + eq - qmin] = c
+        return _to_int(slots, width)
 
     def shifts(self, terms: Mapping[ExpPair, int], tmin: int, qmin: int) -> list[tuple[int, int]]:
         """``(coefficient, bit shift)`` per term, for terms with exponents from (tmin, qmin).
@@ -455,28 +467,17 @@ class _Layout(NamedTuple):
     def unpack(self, value: int, box: Box) -> LaurentPoly:
         """Decode the polynomial inside ``box`` from a packed int whose slot 0 is (tmin, qmin).
 
-        Adding the half-offset makes every slot nonnegative, so the bytes split
-        with no borrows; only the box is read, one dense row per t-row.
-
-        Correctness rests on the caller's derived bounds, which the tests check
-        against the dict references.  The one check made here is on the whole
-        int: ``OverflowError`` is raised when the offset value is negative or
-        has more bits than the box holds, i.e. when the degree box or the top
-        slot is broken.  A coefficient too large for an interior slot carries
-        into the next slot and is not detected.
+        Only the box is read, one dense row per t-row.  Correctness rests on
+        the caller's derived bounds, which the tests check against the dict
+        references; the one check made is ``_to_slots``'s on the whole int.
         """
         stride, width = self
         tmin, tmax, qmin, qmax = box
         cols = qmax - qmin + 1
         nslots = (tmax - tmin) * stride + cols
-        value += _half_offset(width, nslots)
-        if value < 0 or value.bit_length() > 8 * width * nslots:
-            raise OverflowError("packed value does not fit its derived degree box")
         slots = _to_slots(value, width, nslots)
-        half = 1 << (8 * width - 1)
         return LaurentPoly._from_rows(
-            (et, qmin, map(sub, slots[lo : lo + cols], repeat(half)))
-            for et, lo in zip(range(tmin, tmax + 1), range(0, nslots, stride))
+            (et, qmin, slots[lo : lo + cols]) for et, lo in zip(range(tmin, tmax + 1), range(0, nslots, stride))
         )
 
 

@@ -14,7 +14,9 @@ step-weight rule pairs the marked-path sums are tested and frozen with.
 term-dict long division that ``LaurentPoly.divide_exact`` is tested against.
 ``ballot_sum_reference`` is the ballot expansion as one packed sum with every
 kernel evaluated again for each n, which the cached ``tqeuler.qkit._ballot_sum``
-is tested against, and ``zeng_value_reference`` the double sum with every
+is tested against, ``moment_boxes_reference`` the max-plus pass over the moment
+DP's lattice, whose tight degree boxes lie inside the closed bounds of
+``tqeuler.cfrac._moment_walk``, and ``zeng_value_reference`` the double sum with every
 bracket evaluated where it occurs, which ``tqeuler.formulas.zeng_value`` is
 tested against.
 """
@@ -34,6 +36,7 @@ from tqeuler.combinat import (
     _partitions_in_staircase,
 )
 from tqeuler.exactalg import (
+    Box,
     LaurentPoly,
     NonDivisibleError,
     ONE,
@@ -176,6 +179,48 @@ def ballot_sum_reference(n: int, kernel) -> LaurentPoly:
     return _sum_of_products(
         (ballot(n, k) * c, a, b, factors) for k in range(n + 1) for c, a, b, factors in kernel(k)
     )
+
+
+def moment_boxes_reference(coeff_fn, order: int) -> tuple[int, list[Box | None]]:
+    """The row stride and per-moment degree boxes of the S-fraction moment DP, by a
+    max-plus pass over its lattice: the largest shifted t- and q-exponent that a
+    nonzero path reaches at each point.  A moment that no nonzero path reaches
+    has box None, and the stride is the largest q-span plus 1.
+
+    Exponents are shifted by the smallest over ``c_1 .. c_order`` as in
+    ``tqeuler.cfrac._moment_walk``, whose closed prefix-sum bound is tested
+    against these boxes."""
+    c = {h: LaurentPoly._coerce(coeff_fn(h)).terms for h in range(1, order + 1)}
+    live = [terms for terms in c.values() if terms]
+    tmin = min((et for terms in live for et, _ in terms), default=0)
+    qmin = min((eq for terms in live for _, eq in terms), default=0)
+    tdeg = {h: max(et for et, _ in terms) - tmin for h, terms in c.items() if terms}
+    qdeg = {h: max(eq for _, eq in terms) - qmin for h, terms in c.items() if terms}
+
+    def max_pair(a, b):
+        return b if a is None else (max(a[0], b[0]), max(a[1], b[1]))
+
+    reach: list[tuple[int, int] | None] = [(0, 0)]
+    shifted = [(0, 0)]
+    for step in range(1, 2 * order + 1):
+        top = min(order, 2 * order - step)
+        nxt: list[tuple[int, int] | None] = [None] * (top + 1)
+        for h, here in enumerate(reach):
+            if here is None:
+                continue
+            if h + 1 <= top:
+                nxt[h + 1] = max_pair(nxt[h + 1], here)
+            if h >= 1 and h in tdeg:
+                nxt[h - 1] = max_pair(nxt[h - 1], (here[0] + tdeg[h], here[1] + qdeg[h]))
+        reach = nxt
+        if step % 2 == 0:
+            shifted.append(reach[0])
+    stride = max(box[1] for box in shifted if box is not None) + 1
+    boxes = [
+        None if box is None else (m * tmin, m * tmin + box[0], m * qmin, m * qmin + box[1])
+        for m, box in enumerate(shifted)
+    ]
+    return stride, boxes
 
 
 def zeng_value_reference(n: int, t0, q0, bracket) -> Fraction:

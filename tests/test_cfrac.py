@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tqeuler import clear_caches
 from tqeuler.cfrac import (
+    _moment_walk,
     dn_hat,
     en_even_q,
     en_odd_q,
@@ -14,7 +15,9 @@ from tqeuler.cfrac import (
     sfrac_moments,
 )
 from tqeuler.exactalg import LaurentPoly, ONE, Q, T, ZERO, _Layout, const
-from tqeuler.qkit import q_int
+from tqeuler.qkit import euler_up, q_int
+
+from reference import moment_boxes_reference
 
 ONE_MINUS_Q = ONE - Q
 
@@ -97,17 +100,17 @@ def unpacked_boxes(monkeypatch):
 
 
 def test_cold_request_unpacks_one_moment(unpacked_boxes):
-    for n in range(1, 13):
+    for n in range(13):
         clear_caches()
         unpacked_boxes.clear()
         euler_hat(n)
         assert len(unpacked_boxes) == 1
-    # the compute e ladder: every n misses, and each decodes only moment n
+    # the compute e ladder: every n misses, and each decodes only moment n, moment 0 included
     clear_caches()
     unpacked_boxes.clear()
     for n in range(13):
         euler_hat(n)
-    assert len(unpacked_boxes) == 12
+    assert len(unpacked_boxes) == 13
 
 
 def test_stored_moment_unpacked_on_first_request_only(unpacked_boxes):
@@ -142,6 +145,42 @@ def test_packed_dp_matches_dict_dp_on_tables(table):
         return table[h - 1]
 
     assert sfrac_moments(coeff_fn, len(table)) == sfrac_moments_dict(coeff_fn, len(table))
+
+
+def walk_boxes(coeff_fn, order):
+    layout, packed = _moment_walk(coeff_fn, order)
+    return layout.stride, [box for _, box in packed]
+
+
+@pytest.mark.parametrize("coeff_fn", [euler_coeff, euler_up], ids=["euler", "dn"])
+def test_closed_bound_is_tight_for_euler_tables(coeff_fn):
+    # the single-peak path reaches every moment's bound, so the layout is the max-plus one
+    for order in range(1, 31):
+        assert walk_boxes(coeff_fn, order) == moment_boxes_reference(coeff_fn, order)
+
+
+@settings(deadline=None)
+@given(coefficient_tables())
+def test_closed_bound_contains_max_plus_boxes(table):
+    def coeff_fn(h):
+        return table[h - 1]
+
+    stride, boxes = walk_boxes(coeff_fn, len(table))
+    ref_stride, ref_boxes = moment_boxes_reference(coeff_fn, len(table))
+    assert ref_stride <= stride
+    for (t0, t1, q0, q1), ref in zip(boxes, ref_boxes):
+        if ref is not None:
+            assert t0 <= ref[0] <= ref[1] <= t1 and q0 <= ref[2] <= ref[3] <= q1
+
+
+def test_zero_coefficients():
+    assert sfrac_moments(lambda h: 0, 3) == [ONE, ZERO, ZERO, ZERO]
+    table = [ONE - T * Q, ZERO, Q * Q - 3 * T, ONE + T]
+
+    def coeff_fn(h):
+        return table[h - 1]
+
+    assert sfrac_moments(coeff_fn, 4) == sfrac_moments_dict(coeff_fn, 4)
 
 
 def test_int_coefficients():

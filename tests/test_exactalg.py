@@ -191,11 +191,22 @@ class TestPackedMul:
 
     @pytest.mark.parametrize("width", range(1, 10))
     def test_slot_conversion_roundtrip(self, width):
-        top = (1 << (8 * width)) - 1
-        slots = [0, 1, top, top >> 1, 1 << (8 * width - 1), 0]
+        # widths 1, 2, 4 and 8 convert through array, the others per slot
+        half = 1 << (8 * width - 1)
+        slots = [0, 1, -1, half - 1, -half, 0]
         value = _to_int(slots, width)
         assert value == sum(v << (8 * width * k) for k, v in enumerate(slots))
         assert list(_to_slots(value, width, len(slots))) == slots
+
+    @pytest.mark.parametrize("per_slot", [False, True], ids=["array", "per-slot"])
+    @pytest.mark.parametrize("width", [1, 2, 4, 8])
+    def test_to_int_rejects_slot_outside_width(self, width, per_slot, monkeypatch):
+        if per_slot:
+            monkeypatch.setattr(exactalg, "_TYPECODES", {})
+        half = 1 << (8 * width - 1)
+        for bad in (half, -half - 1):
+            with pytest.raises(OverflowError):
+                _to_int([0, bad, 0], width)
 
     @given(pack_operands(), pack_operands())
     def test_per_slot_conversion_matches(self, a, b):

@@ -5,7 +5,8 @@ here explicitly at desk scale: partitions in boxes and staircases, weighted
 Dyck paths, marked Dyck paths without marked peaks, staircase arrow
 configurations, self-conjugate overpartitions, the three lattice-path
 families on west/southwest and west/south steps, and alternating
-permutations.
+permutations.  The 13-2 statistic on alternating permutations is summed by
+a transfer over the state of the last entry, derived from the pattern alone.
 
 Enumerators fail loudly past their cutoffs instead of truncating silently.
 """
@@ -40,7 +41,6 @@ __all__ = [
     "l_path_weight_sum",
     "lprime_path_weight_sum",
     "enum_alternating",
-    "count_13_2_patterns",
     "alt_statistic_polynomial",
 ]
 
@@ -602,13 +602,18 @@ def lprime_path_weight_sum(b: int, k: int, m: int, n: int, eps: int) -> LaurentP
 def enum_alternating(n: int) -> list[tuple[int, ...]]:
     """All up-down alternating permutations of {1, ..., n}
     (first ascent, then descent, alternating), in lexicographic order.
+    A negative size has none.
 
     Still brute force: one leaf per permutation, built depth first.  Each
     position tries only its admissible values in increasing order: the
     unused values above the last entry at a rising position, those below it
-    at a falling one, cut from the sorted unused list by bisection.
+    at a falling one, cut from the sorted unused list by bisection.  The
+    registry does not list them: ``alt_statistic_polynomial`` counts them by
+    state, and this is the definition its counts are tested against.
     """
     _check_cutoff("alternating", n)
+    if n < 0:
+        return []
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: tuple[int, ...], last: int, unused: list[int], rising: bool) -> None:
@@ -625,23 +630,47 @@ def enum_alternating(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def count_13_2_patterns(perm: Sequence[int]) -> int:
-    """Occurrences of the vincular pattern 13-2: an adjacent rise
-    ``perm[i] < perm[i+1]`` with a later entry strictly between the two."""
-    n = len(perm)
-    total = 0
-    for i in range(n - 1):
-        a, b = perm[i], perm[i + 1]
-        if a < b:
-            total += sum(1 for j in range(i + 2, n) if a < perm[j] < b)
-    return total
-
-
 def alt_statistic_polynomial(n: int) -> LaurentPoly:
-    """Distribution ``sum q**count_13_2_patterns(pi)`` over alternating permutations.
+    """Distribution of the 13-2 pattern count over the up-down alternating
+    permutations of {1, ..., n}, as a polynomial in q; ZERO for negative n.
 
-    It reproduces the classical q-secant and q-tangent values (verified in the
-    test suite for permutation sizes up to 8).
+    Counted by the state of the last entry instead of permutation by
+    permutation.  An occurrence of 13-2 is an adjacent rise ``a < b`` with a
+    later entry strictly between ``a`` and ``b``.  Every unused value comes
+    after the current position, so a rise from the last entry to the j-th
+    smallest unused value above it (j = 0, 1, ...) closes exactly j
+    occurrences, known when the step is taken; a fall closes none.  The
+    completions of a prefix therefore depend only on its state ``(below,
+    above, rising)``: the numbers of unused values under and over the last
+    entry, and whether the next step rises.  With F the generating
+    polynomial of the completions,
+
+        F(0, 0, .) = 1,
+        F(b, a, rising)  = sum_{j<a} q**j * F(b + j, a - 1 - j, falling),
+        F(b, a, falling) = sum_{j<b} F(j, b - 1 - j + a, rising),
+
+    and the result is F(n, 0, falling): a virtual first entry n+1 admits
+    every value and makes the next step a rise.  Nothing here comes from the
+    S-fraction or the Dyck paths behind ``cfrac.en_even_q``/``en_odd_q``, so
+    the transfer stays an independent check of them.  Its value at q = 1 is
+    ``len(enum_alternating(n))``.
     """
-    return LaurentPoly(Counter((0, count_13_2_patterns(perm)) for perm in enum_alternating(n)))
+    _check_cutoff("alternating", n)
+    if n < 0:
+        return ZERO
 
+    @cache
+    def completions(below: int, above: int, rising: bool) -> Counter[int]:
+        if not below and not above:
+            return Counter({0: 1})
+        out: Counter[int] = Counter()
+        if rising:
+            for j in range(above):
+                for e, c in completions(below + j, above - 1 - j, False).items():
+                    out[e + j] += c
+        else:
+            for j in range(below):
+                out.update(completions(j, below - 1 - j + above, True))
+        return out
+
+    return LaurentPoly({(0, e): c for e, c in completions(n, 0, False).items()})

@@ -30,7 +30,9 @@ cache rows (``formulas.tk_at``, ``qkit._ballot_sum``) but never build them.
 ``LaurentPoly.divide_exact`` takes a divisor with one t-row, ``t**d * g(q)``,
 and divides each dense row of the dividend by ``g`` on its own; the term-dict
 loop that rescans the remainder for its leading term at every step is its
-reference, in ``tests/reference.py``.
+reference, in ``tests/reference.py``.  So is the term-by-term Fraction loop
+for ``LaurentPoly.evaluate``, which sums integer numerators over one common
+denominator instead.
 """
 
 from __future__ import annotations
@@ -279,16 +281,27 @@ class LaurentPoly:
         """Exact rational value at ``(t0, q0)``.
 
         Raises :class:`ZeroDenominatorError` when a negative exponent meets a
-        zero base.
+        zero base.  With ``t0 = a/b`` and ``q0 = c/d`` in lowest terms, the
+        terms are summed as integers over the common denominator
+        ``b**(tmax-tmin) * d**(qmax-qmin)``, and one Fraction is built at the
+        end, times ``t0**tmin * q0**qmin``.
         """
         t0 = Fraction(t0)
         q0 = Fraction(q0)
-        total = Fraction(0)
-        for (et, eq), c in self._terms.items():
-            if (et < 0 and t0 == 0) or (eq < 0 and q0 == 0):
-                raise ZeroDenominatorError("negative exponent at a zero base")
-            total += c * t0**et * q0**eq
-        return total
+        if not self._terms:
+            return Fraction(0)
+        tmin, tmax, qmin, qmax = _box(self._terms)
+        if (tmin < 0 and t0 == 0) or (qmin < 0 and q0 == 0):
+            raise ZeroDenominatorError("negative exponent at a zero base")
+        tnum = _powers(t0.numerator, tmax - tmin)
+        tden = _powers(t0.denominator, tmax - tmin)
+        qnum = _powers(q0.numerator, qmax - qmin)
+        qden = _powers(q0.denominator, qmax - qmin)
+        total = sum(
+            c * tnum[et - tmin] * tden[tmax - et] * qnum[eq - qmin] * qden[qmax - eq]
+            for (et, eq), c in self._terms.items()
+        )
+        return Fraction(total, tden[-1] * qden[-1]) * t0**tmin * q0**qmin
 
     # -- canonical renderings -------------------------------------------------
 
@@ -378,6 +391,11 @@ def _box(terms: Mapping[ExpPair, int]) -> Box:
     """The degree box of a nonempty term dict."""
     ets, eqs = zip(*terms)
     return (min(ets), max(ets), min(eqs), max(eqs))
+
+
+def _powers(base: int, top: int) -> list[int]:
+    """``[base**0, base**1, ..., base**top]``."""
+    return [base**k for k in range(top + 1)]
 
 
 def _slot_bytes(bound: int) -> int:

@@ -18,15 +18,20 @@ is tested against, ``moment_boxes_reference`` the max-plus pass over the moment
 DP's lattice, whose tight degree boxes lie inside the closed bounds of
 ``tqeuler.cfrac._moment_walk``, and ``zeng_value_reference`` the double sum with every
 bracket evaluated where it occurs, which ``tqeuler.formulas.zeng_value`` is
-tested against.
+tested against.  ``evaluate_reference`` is the term-by-term Fraction loop that
+``LaurentPoly.evaluate`` is tested against, and ``alt_statistic_reference``
+counts ``count_13_2_patterns`` over every permutation of
+``tqeuler.combinat.enum_alternating``, which the state transfer of
+``tqeuler.combinat.alt_statistic_polynomial`` is tested against.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from tqeuler.combinat import (
     Partition,
@@ -34,6 +39,7 @@ from tqeuler.combinat import (
     _check_cutoff,
     _outer_corners_in_staircase,
     _partitions_in_staircase,
+    enum_alternating,
 )
 from tqeuler.exactalg import (
     Box,
@@ -221,6 +227,36 @@ def moment_boxes_reference(coeff_fn, order: int) -> tuple[int, list[Box | None]]
         for m, box in enumerate(shifted)
     ]
     return stride, boxes
+
+
+def evaluate_reference(poly: LaurentPoly, t0, q0) -> Fraction:
+    """``poly`` at ``(t0, q0)``, one Fraction power and one Fraction add per term."""
+    t0 = Fraction(t0)
+    q0 = Fraction(q0)
+    total = Fraction(0)
+    for (et, eq), c in poly.terms.items():
+        if (et < 0 and t0 == 0) or (eq < 0 and q0 == 0):
+            raise ZeroDenominatorError("negative exponent at a zero base")
+        total += c * t0**et * q0**eq
+    return total
+
+
+def count_13_2_patterns(perm: Sequence[int]) -> int:
+    """Occurrences of the vincular pattern 13-2: an adjacent rise
+    ``perm[i] < perm[i+1]`` with a later entry strictly between the two."""
+    n = len(perm)
+    total = 0
+    for i in range(n - 1):
+        a, b = perm[i], perm[i + 1]
+        if a < b:
+            total += sum(1 for j in range(i + 2, n) if a < perm[j] < b)
+    return total
+
+
+def alt_statistic_reference(m: int) -> LaurentPoly:
+    """``sum q**count_13_2_patterns(pi)`` over ``enum_alternating(m)``, one
+    permutation at a time."""
+    return LaurentPoly(Counter((0, count_13_2_patterns(perm)) for perm in enum_alternating(m)))
 
 
 def zeng_value_reference(n: int, t0, q0, bracket) -> Fraction:

@@ -14,7 +14,6 @@ from tqeuler.combinat import (
     Partition,
     alt_statistic_polynomial,
     box_size_polynomial,
-    count_13_2_patterns,
     delta_prime_weight_sum,
     dist_box_polynomial,
     dyck_weight_sum,
@@ -35,7 +34,15 @@ from tqeuler.exactalg import LaurentPoly, ONE, Q, T, ZERO, const, monomial
 from tqeuler.formulas import tk_recurrence
 from tqeuler.qkit import ballot, euler_down, euler_up, gauss_binom, q_int
 
-from reference import MD_STAR_RULES, dyck_path_weight, dyck_paths, enum_delta_prime, enum_md_star
+from reference import (
+    MD_STAR_RULES,
+    alt_statistic_reference,
+    count_13_2_patterns,
+    dyck_path_weight,
+    dyck_paths,
+    enum_delta_prime,
+    enum_md_star,
+)
 
 ONE_MINUS_Q = ONE - Q
 DATA = Path(__file__).parent / "data"
@@ -175,6 +182,8 @@ class TestDyck:
         assert list(dyck_paths(-1)) == []
         assert dyck_weight_sum(-1, lambda h: ONE, lambda h: ONE) == ZERO
         assert md_star_weight_sum_general(-1, _u_rule, _v_rule) == ZERO
+        assert enum_alternating(-1) == []
+        assert alt_statistic_polynomial(-2) == ZERO
 
 
 class TestMarkedDyck:
@@ -373,11 +382,23 @@ class TestAlternating:
     def test_statistic_matches_q_euler(self):
         # resolves the statistic question: the 13-2 pattern count on up-down
         # alternating permutations reproduces both classical families
-        for n in range(9):
+        for n in range(10):
             ref = cfrac.en_even_q(n // 2) if n % 2 == 0 else cfrac.en_odd_q(n // 2)
             assert alt_statistic_polynomial(n) == ref
+
+    def test_transfer_matches_enumeration(self):
+        # the state transfer against counting the pattern on every permutation,
+        # over the whole cutoff range
+        for m in range(10):
+            assert alt_statistic_polynomial(m) == alt_statistic_reference(m)
+
+    def test_transfer_at_q1_counts_permutations(self):
+        for m in range(10):
+            assert alt_statistic_polynomial(m).evaluate(1, 1) == len(enum_alternating(m))
 
     def test_cutoff(self):
         with pytest.raises(CutoffExceededError):
             enum_alternating(10)
+        with pytest.raises(CutoffExceededError):
+            alt_statistic_polynomial(10)
 

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tqeuler.exactalg import (
     LaurentPoly,
@@ -27,7 +27,7 @@ from tqeuler.exactalg import (
 )
 from tqeuler.qkit import QSymbolSpec, pochhammer
 
-from reference import divide_reference
+from reference import divide_reference, evaluate_reference
 
 ONE_MINUS_Q = LaurentPoly({(0, 0): 1, (0, 1): -1})
 T1 = LaurentPoly({(0, 0): 1, (0, 1): -1, (1, 1): -1})  # 1 - q - t*q
@@ -601,6 +601,27 @@ class TestEvaluate:
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominatorError):
             monomial(1, 0, -1).evaluate(1, 0)
+
+    @given(
+        laurent_polys(),
+        st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=9)),
+        st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=9)),
+    )
+    @example(LaurentPoly({(-3, 2): 5, (2, -3): -7, (0, 0): 1}), Fraction(-2, 3), Fraction(5, 7))
+    @example(LaurentPoly({(1, -1): 2}), 0, Fraction(1, 2))
+    @example(LaurentPoly({(1, -1): 2}), Fraction(1, 2), 0)
+    @example(T1, 0, 0)
+    @example(ZERO, 0, 0)
+    def test_matches_term_by_term_reference(self, p, t0, q0):
+        try:
+            want = evaluate_reference(p, t0, q0)
+        except ZeroDenominatorError:
+            with pytest.raises(ZeroDenominatorError):
+                p.evaluate(t0, q0)
+            return
+        got = p.evaluate(t0, q0)
+        assert type(got) is Fraction
+        assert got == want
 
 
 class TestRendering:

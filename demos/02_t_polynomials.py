@@ -31,8 +31,3 @@ for k in range(4):
     lhs = combinat.md_star_weight_sum(k)
     rhs = monomial(1, k, k * (k + 1)) * formulas.tk_recurrence(k).invert_variables()
     print(f"k={k}: {lhs}   == {rhs}: {lhs == rhs}")
-
-print()
-print("A few of the enumerated objects behind k = 2:")
-for nu in combinat.enum_sop(2)[:4]:
-    print("  ", nu.shape.parts, sorted(nu.marks))

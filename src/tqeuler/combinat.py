@@ -8,6 +8,10 @@ families on west/southwest and west/south steps, and alternating
 permutations.  The 13-2 statistic on alternating permutations is summed by
 a transfer over the state of the last entry, derived from the pattern alone.
 
+Every oracle enumerates its leaves, tallies their exponents and builds one
+polynomial from the tally, using nothing from ``formulas``.  A partition is
+a weakly decreasing tuple of positive parts.
+
 Enumerators fail loudly past their cutoffs instead of truncating silently.
 """
 
@@ -15,10 +19,9 @@ from __future__ import annotations
 
 from bisect import bisect
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, product
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import combinations
+from typing import Callable, Sequence
 
 from .exactalg import LaurentPoly, ZERO, monomial
 from .qkit import QSymbolSpec, pochhammer
@@ -26,16 +29,12 @@ from .qkit import QSymbolSpec, pochhammer
 __all__ = [
     "CutoffExceededError",
     "InvalidEndpointError",
-    "Partition",
-    "Overpartition",
-    "enum_partitions_in_box",
     "box_size_polynomial",
     "dist_box_polynomial",
     "dyck_weight_sum",
     "md_star_weight_sum",
     "md_star_weight_sum_general",
     "delta_prime_weight_sum",
-    "enum_sop",
     "sop_weight_sum",
     "m_path_weight_sum",
     "l_path_weight_sum",
@@ -72,58 +71,7 @@ def _check_cutoff(family: str, value: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# partitions
-
-
-class Partition:
-    """Weakly decreasing sequence of positive integers, identified with its
-    Ferrers diagram (row i has parts[i-1] cells)."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
-        for i, p in enumerate(parts):
-            if p <= 0:
-                raise ValueError("parts must be positive")
-            if i and parts[i - 1] < p:
-                raise ValueError("parts must be weakly decreasing")
-        self.parts = parts
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def part(self, i: int) -> int:
-        """1-based part access with zero padding beyond the last part."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
-
-    def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition()
-        return Partition(
-            sum(1 for p in self.parts if p >= j) for j in range(1, self.parts[0] + 1)
-        )
-
-    def inner_corners(self) -> list[tuple[int, int]]:
-        """Cells (i, parts[i]) whose removal leaves a partition."""
-        out = []
-        for i in range(1, len(self.parts) + 1):
-            if self.part(i) > self.part(i + 1):
-                out.append((i, self.part(i)))
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __repr__(self) -> str:
-        return f"Partition{self.parts}"
+# partitions, as weakly decreasing tuples of positive parts
 
 
 def _bounded_parts(bounds: Sequence[int]) -> list[tuple[int, ...]]:
@@ -141,21 +89,20 @@ def _bounded_parts(bounds: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 def _box_parts(m: int, n: int) -> list[tuple[int, ...]]:
+    """All partitions in the box with m rows and n columns."""
     if m < 0 or n < 0:
         raise ValueError("box dimensions must be nonnegative")
     return _bounded_parts([n] * m)
 
 
-def enum_partitions_in_box(m: int, n: int) -> Iterator[Partition]:
-    """All partitions contained in the box with m rows and n columns."""
-    for parts in _box_parts(m, n):
-        yield Partition(parts)
+def _staircase_parts(k: int) -> list[tuple[int, ...]]:
+    """All partitions in the staircase (k, k-1, ..., 1); only () for k <= 0."""
+    return _bounded_parts(range(k, 0, -1))
 
 
-def _partitions_in_staircase(k: int) -> Iterator[Partition]:
-    """All partitions contained in the staircase (k, k-1, ..., 1)."""
-    for parts in _bounded_parts([k - i for i in range(k)]):
-        yield Partition(parts)
+def _conjugate(parts: Sequence[int]) -> tuple[int, ...]:
+    """The conjugate partition: its j-th part counts the parts >= j."""
+    return tuple(sum(1 for p in parts if p >= j) for j in range(1, (parts[0] if parts else 0) + 1))
 
 
 def box_size_polynomial(m: int, n: int) -> LaurentPoly:
@@ -320,17 +267,12 @@ def md_star_weight_sum(k: int) -> LaurentPoly:
 # staircase arrow configurations
 
 
-def _outer_corners_in_staircase(lam: Partition, k: int) -> list[tuple[int, int]]:
-    """Outer corners of lam that lie inside the staircase of size k."""
-    out = []
-    top = min(len(lam) + 1, k)
-    for i in range(1, top + 1):
-        j = lam.part(i) + 1
-        if i > 1 and lam.part(i - 1) < j:
-            continue
-        if j <= k + 1 - i:
-            out.append((i, j))
-    return out
+def _outer_corners_in_staircase(padded: Sequence[int], k: int) -> list[tuple[int, int]]:
+    """Outer corners ``(i, parts[i] + 1)`` of a shape that lie inside the
+    staircase of size k, read from its parts padded with zeros to length k."""
+    return [
+        (i, p + 1) for i, p in enumerate(padded, 1) if (i == 1 or padded[i - 2] > p) and p + i <= k
+    ]
 
 
 def _mask_sums(values: Sequence[int]) -> list[int]:
@@ -350,7 +292,8 @@ def delta_prime_weight_sum(k: int) -> LaurentPoly:
     size k; the arrow in row i has length ``(k+1-i) - parts[i]``, the arrow
     in column j ``(k+1-j) - conjugate parts[j]``.  Configurations in which an
     outer corner of the shape is covered by both a row and a column arrow
-    are forbidden.
+    are forbidden.  The shape is a part tuple padded with zeros to length k,
+    and so is its conjugate.  A negative k has no configuration.
 
     Still brute force: every (shape, row arrows, column arrows) configuration
     is one leaf, visited once.  For each shape the row and column arrows are
@@ -365,20 +308,22 @@ def delta_prime_weight_sum(k: int) -> LaurentPoly:
     ``formulas``, so it stays an independent check of the T_k recurrence.
     """
     _check_cutoff("delta", k)
+    if k < 0:
+        return ZERO
     full = 1 << k
     pop = _mask_sums([1] * k)
     sign = [-1 if p & 1 else 1 for p in pop]
     counts: list[dict[int, int]] = [{} for _ in range(k + 1)]  # [#R][q exponent]
-    for lam in _partitions_in_staircase(k - 1):
-        rsum = _mask_sums([k + 1 - i - lam.part(i) for i in range(1, k + 1)])
-        csum = _mask_sums(
-            [k + 1 - j - sum(1 for p in lam.parts if p >= j) for j in range(1, k + 1)]
-        )
+    for parts in _staircase_parts(k - 1):
+        padded = parts + (0,) * (k - len(parts))
+        conj = _conjugate(parts)
+        rsum = _mask_sums([k - i - p for i, p in enumerate(padded)])
+        csum = _mask_sums([k - j - p for j, p in enumerate(conj + (0,) * (k - len(conj)))])
         corner_cols = [0] * k
-        for i, j in _outer_corners_in_staircase(lam, k):
+        for i, j in _outer_corners_in_staircase(padded, k):
             corner_cols[i - 1] |= 1 << (j - 1)
         forb = _mask_sums(corner_cols)  # corner columns are distinct: sum is OR
-        base = 2 * lam.size
+        base = 2 * sum(parts)
         for r in range(full):
             row = counts[pop[r]]
             blocked = forb[r]
@@ -398,66 +343,37 @@ def delta_prime_weight_sum(k: int) -> LaurentPoly:
 # self-conjugate overpartitions
 
 
-@dataclass(frozen=True)
-class Overpartition:
-    """Partition in which some inner corners carry marks."""
-
-    shape: Partition
-    marks: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        corners = set(self.shape.inner_corners())
-        if not set(self.marks) <= corners:
-            raise ValueError("every mark must sit on an inner corner")
-
-    @property
-    def size(self) -> int:
-        return self.shape.size
-
-    def mark_count(self) -> int:
-        return len(self.marks)
-
-    def diagonal_count(self) -> int:
-        return sum(1 for i in range(1, len(self.shape) + 1) if self.shape.part(i) >= i)
-
-    def conjugate(self) -> "Overpartition":
-        return Overpartition(
-            self.shape.conjugate(), frozenset((j, i) for i, j in self.marks)
-        )
-
-    def weight(self) -> LaurentPoly:
-        """``(-1)**(diag + mk//2) * t**mk * q**size`` (the sop weight)."""
-        sign = self.diagonal_count() + self.mark_count() // 2
-        return monomial(-1 if sign % 2 else 1, self.mark_count(), self.size)
-
-
-def enum_sop(k: int) -> list[Overpartition]:
-    """All self-conjugate overpartitions whose shape fits in the k-by-k box."""
-    _check_cutoff("sop", k)
-    out: list[Overpartition] = []
-    for lam in enum_partitions_in_box(k, k):
-        if lam != lam.conjugate():
-            continue
-        corners = lam.inner_corners()
-        # orbits under conjugation: symmetric pairs and diagonal singletons
-        orbits: list[tuple[tuple[int, int], ...]] = []
-        for (i, j) in corners:
-            if i < j:
-                orbits.append(((i, j), (j, i)))
-            elif i == j:
-                orbits.append(((i, j),))
-        for choice in product((False, True), repeat=len(orbits)):
-            marks = frozenset(
-                cell for orbit, chosen in zip(orbits, choice) if chosen for cell in orbit
-            )
-            out.append(Overpartition(lam, marks))
-    return out
-
-
 def sop_weight_sum(k: int) -> LaurentPoly:
+    """Signed sum over the self-conjugate overpartitions whose shape fits in
+    the k-by-k box; ZERO for negative k.
+
+    Marks sit on inner corners ``(i, parts[i])`` and are closed under the
+    mirror ``(i, j) -> (j, i)``, so they form a union of corner orbits: a
+    mirrored pair with i < j, or one corner on the diagonal.  With ``diag``
+    the number of parts ``parts[i] >= i`` and ``mk`` the number of marks, the
+    weight is ``(-1)**(diag + mk//2) * t**mk * q**|shape|``.
+
+    Still brute force: each subset of the corner orbits of each
+    self-conjugate shape is one leaf, which adds its sign to a count keyed
+    by ``(mk, |shape|)``.
+    """
+    _check_cutoff("sop", k)
+    if k < 0:
+        return ZERO
     tally: Counter[tuple[int, int]] = Counter()
-    for nu in enum_sop(k):
-        tally.update(nu.weight().terms)
+    for parts in _box_parts(k, k):
+        if parts != _conjugate(parts):
+            continue
+        size = sum(parts)
+        diag = sum(1 for i, p in enumerate(parts, 1) if p >= i)
+        # the inner corner of row i sits in column p; keep one corner per orbit
+        orbits = [
+            2 if i < p else 1
+            for i, (p, below) in enumerate(zip(parts, parts[1:] + (0,)), 1)
+            if p > below and i <= p
+        ]
+        for mk in _mask_sums(orbits):
+            tally[mk, size] += -1 if (diag + mk // 2) % 2 else 1
     return LaurentPoly(tally)
 
 
@@ -470,16 +386,21 @@ _ONE_PLUS_T = LaurentPoly({(0, 0): 1, (1, 0): 1})
 
 def m_path_weight_sum(k: int) -> LaurentPoly:
     """Signed area-weighted sum over west/southwest paths from (k, 0) to the
-    y-axis.
+    y-axis; ZERO for negative k.
 
     Area is measured with the unit square worth 2 (so the unit right triangle
     under a southwest step is worth 1).  A path with j southwest steps gets
     sign (-1)**j, a factor (1 - t**2) for every southwest step immediately
     followed by a west step, and a factor (1 + t) when its last step is
     southwest.
+
+    Still brute force: each path is one leaf, which adds its sign to a count
+    keyed by ``(s + (k+1)*last, 0, area)``, s its southwest-west pairs and
+    last 1 when it ends southwest; :func:`_multiply_keys` multiplies each key
+    out once with the slots ``(1 - t**2, 1 + t)``.
     """
     _check_cutoff("m_path", k)
-    total = ZERO
+    tally: Counter[tuple[int, int, int]] = Counter()
     for j in range(k + 1):
         for sw_positions in combinations(range(k), j):
             sw = set(sw_positions)
@@ -492,11 +413,9 @@ def m_path_weight_sum(k: int) -> LaurentPoly:
                 else:
                     area += -2 * y
             s = sum(1 for i in sw if i + 1 < k and i + 1 not in sw)
-            w = monomial(-1 if j % 2 else 1, 0, area) * _ONE_MINUS_T2**s
-            if k > 0 and (k - 1) in sw:
-                w = w * _ONE_PLUS_T
-            total = total + w
-    return total
+            last = 1 if k - 1 in sw else 0
+            tally[s + (k + 1) * last, 0, area] += -1 if j % 2 else 1
+    return _multiply_keys(tally, [_ONE_MINUS_T2, _ONE_PLUS_T], k + 1)
 
 
 # ---------------------------------------------------------------------------

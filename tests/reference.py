@@ -34,11 +34,11 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from tqeuler.combinat import (
-    Partition,
     WeightRule,
     _check_cutoff,
+    _conjugate,
     _outer_corners_in_staircase,
-    _partitions_in_staircase,
+    _staircase_parts,
     enum_alternating,
 )
 from tqeuler.exactalg import (
@@ -314,8 +314,8 @@ def enum_md_star(k: int) -> list[MarkedDyckPath]:
 
 @dataclass(frozen=True)
 class DeltaConfig:
-    """A partition inside the staircase of size k-1 together with row and
-    column arrows in the complement staircase of size k.
+    """A partition inside the staircase of size k-1, as a tuple of parts,
+    together with row and column arrows in the complement staircase of size k.
 
     An arrow occupies a whole row or column of the complement, so a subset of
     row indices and a subset of column indices determines the configuration;
@@ -324,20 +324,21 @@ class DeltaConfig:
     """
 
     k: int
-    shape: Partition
+    shape: tuple[int, ...]
     row_arrows: frozenset[int]
     col_arrows: frozenset[int]
 
     def arrow_lengths(self) -> list[int]:
-        conj = self.shape.conjugate()
-        lengths = [self.k + 1 - i - self.shape.part(i) for i in sorted(self.row_arrows)]
-        lengths += [self.k + 1 - j - conj.part(j) for j in sorted(self.col_arrows)]
+        rows = self.shape + (0,) * self.k
+        cols = _conjugate(self.shape) + (0,) * self.k
+        lengths = [self.k + 1 - i - rows[i - 1] for i in sorted(self.row_arrows)]
+        lengths += [self.k + 1 - j - cols[j - 1] for j in sorted(self.col_arrows)]
         return lengths
 
     def weight(self) -> LaurentPoly:
         """``(-1)**#arrows * t**#row_arrows * q**(2|shape| + total arrow length)``."""
         arrows = len(self.row_arrows) + len(self.col_arrows)
-        expo = 2 * self.shape.size + sum(self.arrow_lengths())
+        expo = 2 * sum(self.shape) + sum(self.arrow_lengths())
         return monomial(-1 if arrows % 2 else 1, len(self.row_arrows), expo)
 
 
@@ -349,11 +350,11 @@ def enum_delta_prime(k: int) -> list[DeltaConfig]:
     """
     _check_cutoff("delta", k)
     if k == 0:
-        return [DeltaConfig(0, Partition(), frozenset(), frozenset())]
+        return [DeltaConfig(0, (), frozenset(), frozenset())]
     out: list[DeltaConfig] = []
     indices = list(range(1, k + 1))
-    for lam in _partitions_in_staircase(k - 1):
-        corners = _outer_corners_in_staircase(lam, k)
+    for lam in _staircase_parts(k - 1):
+        corners = _outer_corners_in_staircase(lam + (0,) * (k - len(lam)), k)
         for r_bits in product((False, True), repeat=k):
             rows = frozenset(i for i, b in zip(indices, r_bits) if b)
             for c_bits in product((False, True), repeat=k):

@@ -23,7 +23,7 @@ from functools import cache
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .exactalg import LaurentPoly, ZERO, monomial
+from .exactalg import LaurentPoly, ZERO, _sum_of_products, monomial
 from .qkit import QSymbolSpec, pochhammer
 
 __all__ = [
@@ -148,21 +148,22 @@ def _step_table(rule: WeightRule, n: int, slots: list[LaurentPoly]) -> list[tupl
 
 def _multiply_keys(tally: dict, slots: list[LaurentPoly], base: int) -> LaurentPoly:
     """``sum c * t**e_t * q**e_q * prod(slots[i] ** digit_i(key))`` over a
-    ``(key, e_t, e_q) -> c`` tally, with each distinct key multiplied out once
-    by ``LaurentPoly.__mul__`` and each slot power built once."""
+    ``(key, e_t, e_q) -> c`` tally, where digit i of a key is its base-``base``
+    digit i.  Each distinct key is one item of one
+    :func:`~tqeuler.exactalg._sum_of_products`: the polynomial of its counts,
+    then slot i repeated digit_i times."""
     by_key: defaultdict[int, dict[tuple[int, int], int]] = defaultdict(dict)
     for (key, et, eq), c in tally.items():
-        by_key[key][et, eq] = c
-    power = cache(lambda slot, d: slots[slot] ** d)
-    total = ZERO
+        if c:
+            by_key[key][et, eq] = c
+    items = []
     for key, terms in by_key.items():
-        w = LaurentPoly(terms)
-        for slot in range(len(slots)):
+        factors = [LaurentPoly._trusted(terms)]
+        for slot in slots:
             key, d = divmod(key, base)
-            if d:
-                w = w * power(slot, d)
-        total = total + w
-    return total
+            factors += [slot] * d
+        items.append((1, 0, 0, factors))
+    return _sum_of_products(items)
 
 
 def dyck_weight_sum(n: int, up_rule: WeightRule, down_rule: WeightRule) -> LaurentPoly:
@@ -176,8 +177,8 @@ def dyck_weight_sum(n: int, up_rule: WeightRule, down_rule: WeightRule) -> Laure
     ``(c, e_t, e_q, key)``: a step folds in a monomial weight, adds the digit
     of a multi-term one to the key (see :func:`_step_table`) or ends the
     branch on a zero one.  Each leaf adds c to a count keyed by
-    ``(key, e_t, e_q)``, and each distinct key is multiplied out once with
-    ``LaurentPoly.__mul__``.
+    ``(key, e_t, e_q)``, and :func:`_multiply_keys` multiplies every key out
+    in one packed sum.
     """
     _check_cutoff("dyck", n)
     slots: list[LaurentPoly] = []
@@ -228,8 +229,8 @@ def md_star_weight_sum_general(k: int, up_rule: WeightRule, down_rule: WeightRul
     one of :func:`dyck_weight_sum` with marks: an unmarked step folds in a
     monomial weight or adds the digit of a multi-term one to the key, a
     marked step keeps the weight, and each leaf adds c to a count keyed by
-    ``(key, e_t, e_q)``.  Each distinct key is multiplied out once with
-    ``LaurentPoly.__mul__``; with all-monomial rules the key stays 0.
+    ``(key, e_t, e_q)``.  :func:`_multiply_keys` multiplies every key out in
+    one packed sum; with all-monomial rules the key stays 0.
     """
     _check_cutoff("md_star", k)
     slots: list[LaurentPoly] = []
@@ -396,8 +397,8 @@ def m_path_weight_sum(k: int) -> LaurentPoly:
 
     Still brute force: each path is one leaf, which adds its sign to a count
     keyed by ``(s + (k+1)*last, 0, area)``, s its southwest-west pairs and
-    last 1 when it ends southwest; :func:`_multiply_keys` multiplies each key
-    out once with the slots ``(1 - t**2, 1 + t)``.
+    last 1 when it ends southwest; :func:`_multiply_keys` multiplies the keys
+    out in one packed sum with the slots ``(1 - t**2, 1 + t)``.
     """
     _check_cutoff("m_path", k)
     tally: Counter[tuple[int, int, int]] = Counter()

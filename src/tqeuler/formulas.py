@@ -389,22 +389,19 @@ def euler_hat_at_minus_inv_q(n: int) -> LaurentPoly:
     return _ballot_sum(n, _minus_inv_q_kernel)
 
 
+_X_MINUS_1 = LaurentPoly({(1, 0): 1, (0, 0): -1})
+
+
 def dist_box_closed(m: int, n: int) -> LaurentPoly:
     """Closed form of the distinct-part distribution over partitions in a box:
     ``sum_i q**C(i+1,2) * [n choose i]_q * [n+m-i choose m-i]_q * (x-1)**i``
-    with x carried in the t exponent slot."""
+    with x carried in the t exponent slot, as one packed sum."""
     if m < 0 or n < 0:
         raise ValueError("box dimensions must be nonnegative")
-    x_minus_1 = LaurentPoly({(1, 0): 1, (0, 0): -1})
-    total = ZERO
-    for i in range(m + 1):
-        total = total + (
-            monomial(1, 0, math.comb(i + 1, 2))
-            * gauss_binom(n, i)
-            * gauss_binom(n + m - i, m - i)
-            * x_minus_1**i
-        )
-    return total
+    return _sum_of_products(
+        (1, 0, math.comb(i + 1, 2), (gauss_binom(n, i), gauss_binom(n + m - i, m - i), *[_X_MINUS_1] * i))
+        for i in range(m + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +450,10 @@ def zeng_value(
 
     Exact rational arithmetic throughout; raises
     :class:`~tqeuler.exactalg.ZeroDenominatorError` when any denominator
-    factor vanishes at the chosen point.
+    factor vanishes at the chosen point.  The brackets are Fractions, each
+    evaluated once; the double sum runs on their integer numerators and
+    denominators, one ``(numerator, denominator)`` pair per term added
+    without reduction, and one Fraction is built at the end.
     """
     if n < 0 or n > 5:
         raise ValueError("n must be between 0 and 5")
@@ -463,20 +463,23 @@ def zeng_value(
         raise ZeroDenominatorError("t0 and q0 must be nonzero")
     br = bracket or DEFAULT_ZENG_BRACKET
 
+    brackets = {m: br(m, t0, q0) for m in range(1, 2 * n + 2)}  # [1] .. [2n+1]
     fact, q_ints = [Fraction(1)], [Fraction(1)]  # fact[m] = [1]..[2m]; q_ints[l] = [2][4]..[2l]
     for r in range(1, n + 1):
-        fact.append(fact[-1] * br(2 * r - 1, t0, q0) * br(2 * r, t0, q0))
+        fact.append(fact[-1] * brackets[2 * r - 1] * brackets[2 * r])
         q_ints.append(q_ints[-1] * (2 * r if q0 == 1 else (1 - q0 ** (2 * r)) / (1 - q0)))
-    power = [br(2 * i + 1, t0, q0) ** (2 * n) for i in range(n + 1)]
+    power = [brackets[2 * i + 1] ** (2 * n) for i in range(n + 1)]
     # [2s + 2] at t0**2 for every s = kk + i with kk != i, i.e. s = 1 .. 2n-1
     square = {s: br(2 * s + 2, t0 * t0, q0) for s in range(1, 2 * n)}
-    total = Fraction(0)
+    num, den = 0, 1
     for m in range(n + 1):
         for i in range(m + 1):
-            others = math.prod(square[kk + i] for kk in range(m + 1) if kk != i)
-            denominator = q_ints[i] * q_ints[m - i] * others
-            if denominator == 0:
+            below = [q_ints[i], q_ints[m - i], *(square[kk + i] for kk in range(m + 1) if kk != i)]
+            if not all(below):
                 raise ZeroDenominatorError("a bracket factor vanished at the sample point")
-            numerator = q0 ** (2 * m - 2 * i * n + i * i - n - i) * fact[m] * power[i]
-            total += (-1) ** (n - i) * numerator / denominator
-    return total * t0 ** (-n)
+            above = [q0 ** (2 * m - 2 * i * n + i * i - n - i), fact[m], power[i]]
+            # the term prod(above) / prod(below) as an unreduced integer pair
+            top = math.prod(f.numerator for f in above) * math.prod(f.denominator for f in below)
+            bottom = math.prod(f.denominator for f in above) * math.prod(f.numerator for f in below)
+            num, den = num * bottom + (-1) ** (n - i) * top * den, den * bottom
+    return Fraction(num * t0.denominator**n, den * t0.numerator**n)

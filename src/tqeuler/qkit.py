@@ -184,10 +184,15 @@ def _ballot_sum(n: int, kernel: Callable[[int], Iterable[Item]]) -> LaurentPoly:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    for k in range(n + 1):
-        if (kernel, k) not in _KERNEL_ROWS:
-            _KERNEL_ROWS[kernel, k] = _sum_of_products(kernel(k))._rows()
-    return _sum_rows((ballot(n, k), _KERNEL_ROWS[kernel, k]) for k in range(n + 1))
+    return _sum_rows((ballot(n, k), _kernel_rows(kernel, k)) for k in range(n + 1))
+
+
+def _kernel_rows(kernel: Callable[[int], Iterable[Item]], k: int) -> tuple[Row, ...]:
+    """``K_k`` of a module-level ``kernel`` as dense rows, summed on the first request only."""
+    rows = _KERNEL_ROWS.get((kernel, k))
+    if rows is None:
+        rows = _KERNEL_ROWS.setdefault((kernel, k), _sum_of_products(kernel(k))._rows())
+    return rows
 
 
 def a_k_poly(k: int) -> LaurentPoly:

@@ -212,12 +212,25 @@ def _marked_kernel(weights: str, k: int) -> list[Item]:
     return [(1, 0, 0, (marked,))]
 
 
-# one module-level kernel per weight rule, so that each marked sum is walked once per run
-_MARKED_KERNELS = {weights: partial(_marked_kernel, weights) for weights in ("euler", "q-int")}
+def _euler_marked_kernel(k: int) -> list[Item]:
+    """``K_k`` under the Euler rules: ``1 - q**h`` less one is ``-q**h`` and ``1 - t*q**h``
+    less one is ``-t*q**h``, the rules of ``combinat.md_star_weight_sum``, so this is the
+    sum ``markpath-transfer`` checks."""
+    return [(1, 0, 0, (combinat.md_star_weight_sum(k),))]
+
+
+# one module-level kernel per weight rule, so that each marked sum is walked once per run;
+# ``markpath-transfer`` reads the Euler one from the same table
+_MARKED_KERNELS = {"euler": _euler_marked_kernel, "q-int": partial(_marked_kernel, "q-int")}
 
 
 def _ballot_marked_sum(n: int, weights: str) -> LaurentPoly:
     return qkit._ballot_sum(n, _MARKED_KERNELS[weights])
+
+
+def _md_star(k: int) -> LaurentPoly:
+    """``combinat.md_star_weight_sum(k)``, walked once per run and shared with ``ballot-reduction``."""
+    return LaurentPoly._from_rows(qkit._kernel_rows(_euler_marked_kernel, k))
 
 
 def _degenerate(eps: int, expected: Side, what: str) -> Check:
@@ -386,7 +399,7 @@ REGISTRY: tuple[Identity, ...] = (
         _K, _same(lambda k: combinat.m_path_weight_sum(k), _tk,
                   cap=("k", 7, "west/southwest path oracle"))),
     Identity("markpath-transfer", "marked-Dyck weight sum equals t^k q^(k(k+1)) T_k(1/t, 1/q)",
-        _K, _same(lambda k: combinat.md_star_weight_sum(k),
+        _K, _same(_md_star,
                   lambda k: monomial(1, k, k * (k + 1)) * formulas.tk_recurrence(k).invert_variables(),
                   cap=("k", 5, "marked Dyck path oracle"))),
     Identity("tk-functional", "(1-tq) T_k(tq,q) = T_k(t,q) + t^2 q^(2k+1) T_{k-1}(t,q)",
@@ -486,6 +499,8 @@ def identity_ids() -> list[str]:
 
 
 def _select_identities(select: str | None) -> list[Identity]:
+    if select is not None and not isinstance(select, str):
+        raise RegistryConfigError(f"selector must be a comma-separated string, got {type(select).__name__}")
     if not select:
         return list(REGISTRY)
     wanted = [s.strip() for s in select.split(",") if s.strip()]

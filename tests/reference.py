@@ -12,9 +12,11 @@ step-weight rule pairs the marked-path sums are tested and frozen with.
 ``pochhammer_product`` is the uncached product loop that the cached
 ``tqeuler.qkit.pochhammer`` is tested against, and ``divide_reference`` the
 term-dict long division that ``LaurentPoly.divide_exact`` is tested against.
-``ballot_sum_reference`` is the ballot expansion as one packed sum with every
-kernel evaluated again for each n, which the cached ``tqeuler.qkit._ballot_sum``
-is tested against, ``moment_boxes_reference`` the max-plus pass over the moment
+``multiply_keys_reference`` multiplies a key tally out key by key with
+``LaurentPoly.__mul__``, which the packed ``tqeuler.combinat._multiply_keys``
+is tested against.  ``ballot_sum_reference`` is the ballot expansion as one
+packed sum with every kernel evaluated again for each n, which the cached
+``tqeuler.qkit._ballot_sum`` is tested against, ``moment_boxes_reference`` the max-plus pass over the moment
 DP's lattice, whose tight degree boxes lie inside the closed bounds of
 ``tqeuler.cfrac._moment_walk``, and ``zeng_value_reference`` the double sum with every
 bracket evaluated where it occurs, which ``tqeuler.formulas.zeng_value`` is
@@ -27,9 +29,10 @@ counts ``count_13_2_patterns`` over every permutation of
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -175,6 +178,27 @@ def divide_reference(dividend: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly
             else:
                 del rem[e]
     return LaurentPoly(quo)
+
+
+def multiply_keys_reference(tally: dict, slots: list[LaurentPoly], base: int) -> LaurentPoly:
+    """``sum c * t**e_t * q**e_q * prod(slots[i] ** digit_i(key))`` over a
+    ``(key, e_t, e_q) -> c`` tally, each distinct key multiplied out with
+    ``LaurentPoly.__mul__`` and added to a running total, each slot power
+    built once; the dict loop that the packed
+    ``tqeuler.combinat._multiply_keys`` is tested against."""
+    by_key: defaultdict[int, dict[tuple[int, int], int]] = defaultdict(dict)
+    for (key, et, eq), c in tally.items():
+        by_key[key][et, eq] = c
+    power = cache(lambda slot, d: slots[slot] ** d)
+    total = ZERO
+    for key, terms in by_key.items():
+        w = LaurentPoly(terms)
+        for slot in range(len(slots)):
+            key, d = divmod(key, base)
+            if d:
+                w = w * power(slot, d)
+        total = total + w
+    return total
 
 
 def ballot_sum_reference(n: int, kernel) -> LaurentPoly:

@@ -215,6 +215,9 @@ class TestVerify:
             run_verification(max_n=-1)
         with pytest.raises(RegistryConfigError):
             run_verification(select=" , ")
+        for select in (["tk-closed"], ("tk-closed",), [], 5):
+            with pytest.raises(RegistryConfigError, match="comma-separated string"):
+                run_verification(select=select)
 
     @pytest.mark.parametrize("target", ["missing/x.json", "."])
     def test_json_path_not_writable(self, tmp_path, capsys, target):

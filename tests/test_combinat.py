@@ -24,6 +24,7 @@ from tqeuler.combinat import (
     sop_weight_sum,
     _box_parts,
     _conjugate,
+    _multiply_keys,
     _staircase_parts,
     _u_rule,
     _v_rule,
@@ -40,6 +41,7 @@ from reference import (
     dyck_paths,
     enum_delta_prime,
     enum_md_star,
+    multiply_keys_reference,
 )
 
 ONE_MINUS_Q = ONE - Q
@@ -57,6 +59,25 @@ def rule_inputs(draw, max_k):
     )
     rules = st.lists(value, min_size=k, max_size=k)
     return k, draw(rules), draw(rules)
+
+
+@st.composite
+def key_tallies(draw):
+    """A ``(key, e_t, e_q) -> count`` tally over up to three slots, each slot
+    zero, a monomial or a sum of up to three terms, every key digit in 0..n
+    and the base n+1."""
+    n = draw(st.integers(0, 4))
+    term = st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(-2, 2))
+    poly = st.lists(term, max_size=3).map(
+        lambda terms: sum((monomial(c, et, eq) for c, et, eq in terms), ZERO)
+    )
+    slots = draw(st.lists(poly, max_size=3))
+    key = st.lists(st.integers(0, n), min_size=len(slots), max_size=len(slots)).map(
+        lambda digits: sum(d * (n + 1) ** i for i, d in enumerate(digits))
+    )
+    exponents = st.tuples(key, st.integers(-2, 2), st.integers(-2, 2))
+    tally = draw(st.dictionaries(exponents, st.integers(-3, 3), max_size=8))
+    return tally, slots, n + 1
 
 
 class TestPartition:
@@ -177,7 +198,27 @@ class TestDyck:
         assert m_path_weight_sum(-1) == ZERO
 
 
+class TestMultiplyKeys:
+    # keys 1 and 3 in base 3 are the digits (1, 0) and (0, 1): their (1+t)
+    # products cancel; key 3 in base 4 is (1-q)**3, the top digit; a zero
+    # count and a zero slot drop their items
+    @example(({(1, 0, 0): 1, (3, 0, 0): -1}, [ONE + T, ONE + T], 3))
+    @example(({(3, 0, 1): 2, (0, 1, 0): -1}, [ONE - Q], 4))
+    @example(({(0, 0, 0): 0, (1, 0, 0): 5, (2, 1, 1): 1}, [ZERO, monomial(-2, 1, -1)], 2))
+    @example(({}, [ONE + T], 2))
+    @given(key_tallies())
+    def test_packed_matches_dict_loop(self, inputs):
+        tally, slots, base = inputs
+        assert _multiply_keys(tally, slots, base) == multiply_keys_reference(tally, slots, base)
+
+
 class TestMarkedDyck:
+    def test_euler_rules_less_one_are_the_starred_rules(self):
+        # so the Euler kernel of ballot-reduction is md_star_weight_sum itself
+        for h in range(1, 9):
+            assert euler_up(h) - ONE == _u_rule(h)
+            assert euler_down(h) - ONE == _v_rule(h)
+
     def test_k0(self):
         assert md_star_weight_sum(0) == ONE
 

@@ -336,7 +336,10 @@ class TestZeng:
 
     @pytest.mark.parametrize("bracket", [zeng_bracket_qint, zeng_bracket_additive])
     def test_matches_reference(self, bracket):
-        points = ZENG_SAMPLE_POINTS + ((Fraction(2), Fraction(1)), (Fraction(3), Fraction(-1)))
+        # the extra points raise: q = 1 in the quotient bracket, q = -1 through the vanishing
+        # [2] of q_ints when n >= 1, and t = 0 always
+        raising = ((Fraction(2), Fraction(1)), (Fraction(3), Fraction(-1)), (Fraction(0), Fraction(1, 2)))
+        points = ZENG_SAMPLE_POINTS + raising
         for n in range(6):
             for t0, q0 in points:
                 outcomes = []

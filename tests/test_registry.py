@@ -1,6 +1,9 @@
 import hashlib
 import json
+from collections import Counter
 
+import tqeuler
+from tqeuler import combinat
 from tqeuler.registry import run_verification
 
 # sha256 of every case's id, params (in order), status and detail, at the
@@ -21,3 +24,27 @@ def test_default_report_frozen():
 
 def test_max_report_frozen():
     assert report_sha256(run_verification(12, 10, 8)) == MAX_REPORT_SHA256
+
+
+def test_default_run_walks_each_euler_marked_sum_once(monkeypatch):
+    # markpath-transfer and ballot-reduction share K_k = md_star_weight_sum(k), k <= 5;
+    # a walk counts as Euler-ruled by the values of its rules, whatever functions carry them
+    calls = Counter()
+    walk = combinat.md_star_weight_sum_general
+
+    def counting(k, up_rule, down_rule):
+        heights = range(1, k + 2)
+        if all(up_rule(h) == combinat._u_rule(h) and down_rule(h) == combinat._v_rule(h) for h in heights):
+            calls[k] += 1
+        return walk(k, up_rule, down_rule)
+
+    monkeypatch.setattr(combinat, "md_star_weight_sum_general", counting)
+    tqeuler.clear_caches()
+    run_verification()
+    assert calls == Counter(range(6))
+
+
+def test_second_run_after_clear_caches_gives_the_same_report():
+    first = report_sha256(run_verification())
+    tqeuler.clear_caches()
+    assert report_sha256(run_verification()) == first == DEFAULT_REPORT_SHA256

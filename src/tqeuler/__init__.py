@@ -34,23 +34,28 @@ from .cfrac import sfrac_moments, euler_hat, dn_hat, en_even_q, en_odd_q
 from .combinat import CutoffExceededError, InvalidEndpointError
 from .formulas import SpecializationKey, tk_recurrence, tk_closed, tk_special
 from .registry import run_verification, identity_ids, VerificationReport
-from . import cfrac, formulas, qkit, registry
+from . import cfrac, combinat, formulas, qkit, registry
 
 __version__ = "0.1.0"
 
+# Captured at import: a profiling wrapper that later replaces a public name
+# need not carry ``cache_clear``.
+_CACHES = (
+    formulas.tk_recurrence,
+    formulas._tk_at_rows,
+    qkit.pochhammer,
+    qkit.odd_pochhammer,
+    qkit._gauss,
+    qkit._kernel_rows,
+    cfrac.euler_hat,
+    cfrac.dn_hat,
+    combinat._completions,
+)
+
 
 def clear_caches() -> None:
-    """Empty every memo the package keeps: T_k by recurrence, T_k at
-    ``t = eps * q**b`` (``formulas.tk_at``), the Gaussian binomials, the
-    q-Pochhammer and odd q-Pochhammer symbols, the ``euler_hat``/``dn_hat``
-    moments and each ballot kernel's ``K_k`` (``qkit._ballot_sum``).  Results
-    never depend on cache contents; this only makes the next computation run
-    cold."""
-    formulas.tk_recurrence.cache_clear()
-    formulas._TK_AT.clear()
-    qkit._GAUSS_CACHE.clear()
-    qkit._POCH_CACHE.clear()
-    qkit._ODD_POCH_CACHE.clear()
-    cfrac._euler_cache.clear()
-    cfrac._dn_cache.clear()
-    qkit._KERNEL_ROWS.clear()
+    """Empty every memo the package keeps, the ``functools.cache`` functions in
+    ``_CACHES``.  Results never depend on cache contents; this only makes the
+    next computation run cold."""
+    for memo in _CACHES:
+        memo.cache_clear()

@@ -11,14 +11,14 @@ numbers ``euler_hat(n) = (1-q)**(2n) * E_n(t,q)`` (moments of the fraction
 with ``c_h = (1-q**h)(1-t*q**h)``) and of the Touchard-Riordan quantity
 ``dn_hat(n) = (1-q)**n * d_n`` (moments with ``c_h = 1-q**h``).
 
-Both are cached: a miss walks the DP once, to order n, and keeps moments 0..n
-packed (int and degree box); each, moment 0 and zero moments alike, is decoded
-by one ``_Layout.unpack`` the first time it is requested, and later requests
-return that same ``LaurentPoly``.
+Both are cached by n: a miss walks the DP once, to order n, and decodes
+moment n alone by one ``_Layout.unpack``; later requests return that same
+``LaurentPoly``.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import accumulate
 from typing import Callable
 
@@ -127,40 +127,22 @@ def euler_coeff(h: int) -> LaurentPoly:
     return euler_up(h) * euler_down(h)
 
 
-Entry = LaurentPoly | tuple[_Layout, Packed]
-_euler_cache: dict[int, Entry] = {}
-_dn_cache: dict[int, Entry] = {}
+def _moment(coeff_fn: Callable[[int], LaurentPoly], n: int) -> LaurentPoly:
+    """Moment n alone: one :func:`_moment_walk` to order n and one decode."""
+    layout, packed = _moment_walk(coeff_fn, n)
+    return layout.unpack(*packed[n])
 
 
-def _cached_moment(
-    cache: dict[int, Entry], coeff_fn: Callable[[int], LaurentPoly], n: int
-) -> LaurentPoly:
-    """Moment n of the fraction with coefficients ``coeff_fn``, through ``cache``.
-
-    A miss walks to order n and stores each moment up to n that has no entry
-    yet as the layout and its :data:`Packed` entry.  The first request for a
-    moment decodes it in place; a decoded value is never replaced.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n not in cache:
-        layout, packed = _moment_walk(coeff_fn, n)
-        for m, entry in enumerate(packed):
-            cache.setdefault(m, (layout, entry))
-    value = cache[n]
-    if not isinstance(value, LaurentPoly):
-        value = cache[n] = value[0].unpack(*value[1])
-    return value
-
-
+@cache
 def euler_hat(n: int) -> LaurentPoly:
     """Normalized (t,q)-Euler number ``(1-q)**(2n) * E_n(t,q)``."""
-    return _cached_moment(_euler_cache, euler_coeff, n)
+    return _moment(euler_coeff, n)
 
 
+@cache
 def dn_hat(n: int) -> LaurentPoly:
     """``(1-q)**n * d_n``: moments of the fraction with ``c_h = 1 - q**h``."""
-    return _cached_moment(_dn_cache, euler_up, n)
+    return _moment(euler_up, n)
 
 
 def en_even_q(n: int) -> LaurentPoly:

@@ -85,6 +85,7 @@ def _bounded_parts(bounds: Sequence[int]) -> list[tuple[int, ...]]:
         out.append(prefix)
 
     rec((), 0, max(bounds, default=0))
+    del rec  # rec reaches itself through this cell; emptying it leaves no reference cycle
     return out
 
 
@@ -200,6 +201,7 @@ def dyck_weight_sum(n: int, up_rule: WeightRule, down_rule: WeightRule) -> Laure
                 walk(c * sc, et + st, eq + sq, key + sd, h - 1, remaining - 1)
 
     walk(1, 0, 0, 0, 0, 2 * n)
+    del walk  # as in _bounded_parts: no reference cycle is left behind
     return _multiply_keys(tally, slots, n + 1)
 
 
@@ -255,6 +257,7 @@ def md_star_weight_sum_general(k: int, up_rule: WeightRule, down_rule: WeightRul
                 walk(c, et, eq, key, h - 1, remaining - 1, False)
 
     walk(1, 0, 0, 0, 0, 2 * k, False)
+    del walk  # as in _bounded_parts: no reference cycle is left behind
     return _multiply_keys(tally, slots, k + 1)
 
 
@@ -547,6 +550,7 @@ def enum_alternating(n: int) -> list[tuple[int, ...]]:
 
     # a virtual entry n+1 before the first admits every value, and makes the next step a rise
     rec((), n + 1, list(range(1, n + 1)), False)
+    del rec  # as in _bounded_parts: no reference cycle is left behind
     return out
 
 
@@ -578,19 +582,20 @@ def alt_statistic_polynomial(n: int) -> LaurentPoly:
     _check_cutoff("alternating", n)
     if n < 0:
         return ZERO
+    return LaurentPoly({(0, e): c for e, c in _completions(n, 0, False).items()})
 
-    @cache
-    def completions(below: int, above: int, rising: bool) -> Counter[int]:
-        if not below and not above:
-            return Counter({0: 1})
-        out: Counter[int] = Counter()
-        if rising:
-            for j in range(above):
-                for e, c in completions(below + j, above - 1 - j, False).items():
-                    out[e + j] += c
-        else:
-            for j in range(below):
-                out.update(completions(j, below - 1 - j + above, True))
-        return out
 
-    return LaurentPoly({(0, e): c for e, c in completions(n, 0, False).items()})
+@cache
+def _completions(below: int, above: int, rising: bool) -> Counter[int]:
+    """F(below, above, rising) of :func:`alt_statistic_polynomial`, as exponent counts."""
+    if not below and not above:
+        return Counter({0: 1})
+    out: Counter[int] = Counter()
+    if rising:
+        for j in range(above):
+            for e, c in _completions(below + j, above - 1 - j, False).items():
+                out[e + j] += c
+    else:
+        for j in range(below):
+            out.update(_completions(j, below - 1 - j + above, True))
+    return out

@@ -24,8 +24,9 @@ polynomial shared by many sums is packed once per layout.
 The dense t-row form lives here too.  ``LaurentPoly._rows`` gives one
 ``(e_t, lowest e_q, coefficients)`` row per nonzero t-row and
 ``LaurentPoly._from_rows`` is its inverse; ``_sum_rows`` folds weighted sums of
-such rows, and ``_Layout.unpack`` decodes a packed int row by row.  Callers
-cache rows (``formulas.tk_at``, ``qkit._ballot_sum``) but never build them.
+such rows, and ``_Layout.unpack`` decodes a packed int row by row.  The memos
+``formulas._tk_at_rows`` and ``qkit._kernel_rows`` keep what ``_rows`` returns
+and never assemble rows themselves.
 
 ``LaurentPoly.divide_exact`` takes a divisor with one t-row, ``t**d * g(q)``,
 and divides each dense row of the dividend by ``g`` on its own; the term-dict

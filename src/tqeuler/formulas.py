@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Callable
 
 from .exactalg import (
@@ -76,7 +76,6 @@ __all__ = [
     "dist_box_closed",
     "a_k_inverse",
     "zeng_value",
-    "zeng_bracket_additive",
     "zeng_bracket_qint",
     "DEFAULT_ZENG_BRACKET",
     "ZENG_SAMPLE_POINTS",
@@ -94,7 +93,7 @@ def _neg_q(e: int, *factors: LaurentPoly) -> Item:
 # the T_k family
 
 
-@lru_cache(maxsize=None)
+@cache
 def tk_recurrence(k: int) -> LaurentPoly:
     """T_k by its defining recurrence.
 
@@ -226,18 +225,18 @@ def tk_at_minus_inv_q(k: int) -> LaurentPoly:
 # single-power substitutions of T_k and their step relations
 
 
-_TK_AT: dict[tuple[int, int, int], tuple[Row, ...]] = {}
-
-
 def tk_at(eps: int, b: int, k: int) -> LaurentPoly:
     """T_k at ``t = eps * q**b`` by direct substitution into :func:`tk_recurrence`.
 
     Cached as ``LaurentPoly._rows()``, from which each call rebuilds the
     polynomial: a cached term dict costs several times more.
     """
-    if (eps, b, k) not in _TK_AT:
-        _TK_AT[eps, b, k] = tk_recurrence(k).substitute_t(eps, b)._rows()
-    return LaurentPoly._from_rows(_TK_AT[eps, b, k])
+    return LaurentPoly._from_rows(_tk_at_rows(eps, b, k))
+
+
+@cache
+def _tk_at_rows(eps: int, b: int, k: int) -> tuple[Row, ...]:
+    return tk_recurrence(k).substitute_t(eps, b)._rows()
 
 
 def alpha_step_holds(eps: int, b: int, k: int) -> bool:
@@ -409,13 +408,6 @@ def dist_box_closed(m: int, n: int) -> LaurentPoly:
 
 
 Bracket = Callable[[int, Fraction, Fraction], Fraction]
-
-
-def zeng_bracket_additive(m: int, t0: Fraction, q0: Fraction) -> Fraction:
-    """Candidate bracket reading ``[m] = t*q**m + (1 + q + ... + q**(m-1))``."""
-    if q0 == 1:
-        return t0 + m
-    return t0 * q0**m + (1 - q0**m) / (1 - q0)
 
 
 def zeng_bracket_qint(m: int, t0: Fraction, q0: Fraction) -> Fraction:

@@ -5,17 +5,19 @@ q-Pochhammer symbols (including shifted bases such as ``-q**(1-b)``),
 Gaussian binomial coefficients in base q and base q**2, ballot numbers, and
 the auxiliary polynomial family ``(1-q) * A_k(q)``.
 
-All functions are pure.  The memo tables (Gaussian binomials, q-Pochhammer
-and odd q-Pochhammer symbols, each ballot kernel's ``K_k``) are append-only,
-so results are identical under concurrent use; ``tqeuler.clear_caches()``
-empties them.  ``K_k`` is kept in the dense-row form of ``exactalg``
-(``LaurentPoly._rows``) and summed over k by ``exactalg._sum_rows``.
+All functions are pure.  The Gaussian binomials, the q-Pochhammer and odd
+q-Pochhammer symbols and each ballot kernel's ``K_k`` are memoised with
+``functools.cache``, so concurrent callers get equal results;
+``tqeuler.clear_caches()`` empties them.  ``K_k`` is kept in the dense-row
+form of ``exactalg`` (``LaurentPoly._rows``) and summed over k by
+``exactalg._sum_rows``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable
 
 from .exactalg import Item, LaurentPoly, ONE, ONE_MINUS_Q, ZERO, Row, _sum_of_products, _sum_rows, monomial
@@ -49,13 +51,13 @@ def q_int(n: int) -> LaurentPoly:
 
 
 def euler_up(h: int) -> LaurentPoly:
-    """``1 - q**h``, the Euler weight of an up step to height h."""
-    return LaurentPoly({(0, 0): 1, (0, h): -1})
+    """``1 - q**h``, the Euler weight of an up step to height h; 0 at h = 0."""
+    return ONE - monomial(1, 0, h)
 
 
 def euler_down(h: int) -> LaurentPoly:
     """``1 - t*q**h``, the Euler weight of a down step from height h."""
-    return LaurentPoly({(0, 0): 1, (1, h): -1})
+    return ONE - monomial(1, 1, h)
 
 
 @dataclass(frozen=True)
@@ -73,9 +75,7 @@ class QSymbolSpec:
             raise ValueError("length must be nonnegative")
 
 
-_POCH_CACHE: dict[QSymbolSpec, LaurentPoly] = {}
-
-
+@cache
 def pochhammer(spec: QSymbolSpec) -> LaurentPoly:
     """Product of ``(1 - sign * q**(base_power + i))`` for ``i = 0 .. length-1``.
 
@@ -84,17 +84,13 @@ def pochhammer(spec: QSymbolSpec) -> LaurentPoly:
     """
     if spec.length == 0:
         return ONE
-    if spec not in _POCH_CACHE:
-        sign, power, length = spec.base_sign, spec.base_power, spec.length
-        shorter = pochhammer(QSymbolSpec(sign, power, length - 1))
-        # built by subtraction so that a factor 1 -+ q**0 is exactly 0 or 2
-        _POCH_CACHE.setdefault(spec, shorter * (ONE - monomial(sign, 0, power + length - 1)))
-    return _POCH_CACHE[spec]
+    sign, power, length = spec.base_sign, spec.base_power, spec.length
+    shorter = pochhammer(QSymbolSpec(sign, power, length - 1))
+    # built by subtraction so that a factor 1 -+ q**0 is exactly 0 or 2
+    return shorter * (ONE - monomial(sign, 0, power + length - 1))
 
 
-_ODD_POCH_CACHE: dict[int, LaurentPoly] = {}
-
-
+@cache
 def odd_pochhammer(i: int) -> LaurentPoly:
     """``(q; q**2)_i``: the product of ``(1 - q**(2j+1))`` for ``j = 0 .. i-1``.
 
@@ -105,12 +101,7 @@ def odd_pochhammer(i: int) -> LaurentPoly:
         raise ValueError("i must be nonnegative")
     if i == 0:
         return ONE
-    if i not in _ODD_POCH_CACHE:
-        _ODD_POCH_CACHE.setdefault(i, odd_pochhammer(i - 1) * (ONE - monomial(1, 0, 2 * i - 1)))
-    return _ODD_POCH_CACHE[i]
-
-
-_GAUSS_CACHE: dict[tuple[int, int, bool], LaurentPoly] = {}
+    return odd_pochhammer(i - 1) * (ONE - monomial(1, 0, 2 * i - 1))
 
 
 def gauss_binom(n: int, k: int, squared: bool = False) -> LaurentPoly:
@@ -123,24 +114,19 @@ def gauss_binom(n: int, k: int, squared: bool = False) -> LaurentPoly:
     """
     if k < 0 or n < 0 or k > n:
         return ZERO
-    return _gauss(n, k, squared)
+    return _gauss(n, min(k, n - k), squared)
 
 
-def _gauss(n: int, k: int, squared: bool = False) -> LaurentPoly:
-    k = min(k, n - k)
+@cache
+def _gauss(n: int, k: int, squared: bool) -> LaurentPoly:
+    """``[n, k]`` for ``0 <= k <= n - k``; every call passes the smaller index and a
+    positional ``squared``, so each value has one cache key and one object."""
     if k == 0:
         return ONE
-    key = (n, k, squared)
-    cached = _GAUSS_CACHE.get(key)
-    if cached is not None:
-        return cached
     if squared:
-        value = _gauss(n, k).scale_q(2)
-    else:
-        # q-Pascal: [n,k] = [n-1,k-1] + q^k [n-1,k]
-        value = _gauss(n - 1, k - 1) + monomial(1, 0, k) * _gauss(n - 1, k)
-    _GAUSS_CACHE.setdefault(key, value)
-    return _GAUSS_CACHE[key]
+        return _gauss(n, k, False).scale_q(2)
+    # q-Pascal: [n,k] = [n-1,k-1] + q^k [n-1,k]
+    return _gauss(n - 1, k - 1, False) + monomial(1, 0, k) * _gauss(n - 1, min(k, n - 1 - k), False)
 
 
 def partition_box_binom(rows: int, cols: int, squared: bool = False) -> LaurentPoly:
@@ -170,10 +156,6 @@ def ballot(n: int, k: int) -> int:
     return c(2 * n, n - k) - c(2 * n, n - k - 1)
 
 
-# each ballot kernel's K_k as LaurentPoly._rows(), by (kernel, k)
-_KERNEL_ROWS: dict[tuple[Callable, int], tuple[Row, ...]] = {}
-
-
 def _ballot_sum(n: int, kernel: Callable[[int], Iterable[Item]]) -> LaurentPoly:
     """The ballot expansion ``sum_{k=0}^{n} ballot(n,k) * K_k``.
 
@@ -187,12 +169,10 @@ def _ballot_sum(n: int, kernel: Callable[[int], Iterable[Item]]) -> LaurentPoly:
     return _sum_rows((ballot(n, k), _kernel_rows(kernel, k)) for k in range(n + 1))
 
 
+@cache
 def _kernel_rows(kernel: Callable[[int], Iterable[Item]], k: int) -> tuple[Row, ...]:
     """``K_k`` of a module-level ``kernel`` as dense rows, summed on the first request only."""
-    rows = _KERNEL_ROWS.get((kernel, k))
-    if rows is None:
-        rows = _KERNEL_ROWS.setdefault((kernel, k), _sum_of_products(kernel(k))._rows())
-    return rows
+    return _sum_of_products(kernel(k))._rows()
 
 
 def a_k_poly(k: int) -> LaurentPoly:
@@ -214,4 +194,6 @@ def a_k_poly(k: int) -> LaurentPoly:
 
 def square_sum(m: int) -> LaurentPoly:
     """``sum_{i=-m}^{m} (-q)**(i*i)``; ``i*i`` has the parity of ``i``."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
     return LaurentPoly._trusted({(0, 0): 1, **{(0, i * i): 2 * (-1) ** i for i in range(1, m + 1)}})

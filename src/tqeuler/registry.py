@@ -9,8 +9,8 @@ surface: the CLI ``verify`` command simply executes it.
 
 Checks resolve formula functions through the :mod:`tqeuler.formulas` module
 object at call time, so replacing a formula (for example in a mutation test)
-is observed by the runner.  A value already in a memo table is not computed
-again; ``tqeuler.clear_caches()`` empties them all.
+is observed by the runner.  A value already memoised is not computed again;
+``tqeuler.clear_caches()`` empties every memo.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tqeuler import clear_caches
+from tqeuler import cfrac, clear_caches
 from tqeuler.cfrac import (
     _moment_walk,
     dn_hat,
@@ -113,14 +113,24 @@ def test_cold_request_unpacks_one_moment(unpacked_boxes):
     assert len(unpacked_boxes) == 13
 
 
-def test_stored_moment_unpacked_on_first_request_only(unpacked_boxes):
+def test_smaller_moment_walks_once_after_a_larger_one(unpacked_boxes, monkeypatch):
+    # euler_hat(12) keeps moment 12 alone, so moment 5 walks to order 5 on its first request
+    walks = []
+    walk = cfrac._moment_walk
+
+    def counting(coeff_fn, order):
+        walks.append(order)
+        return walk(coeff_fn, order)
+
+    monkeypatch.setattr(cfrac, "_moment_walk", counting)
     clear_caches()
     euler_hat(12)
+    walks.clear()
     unpacked_boxes.clear()
     euler_hat(5)
-    assert len(unpacked_boxes) == 1
+    assert (walks, len(unpacked_boxes)) == ([5], 1)
     euler_hat(5)
-    assert len(unpacked_boxes) == 1
+    assert (walks, len(unpacked_boxes)) == ([5], 1)
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from itertools import permutations
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
+import tqeuler
 from tqeuler import cfrac
 from tqeuler.combinat import (
     CutoffExceededError,
@@ -422,3 +424,40 @@ class TestAlternating:
         with pytest.raises(CutoffExceededError):
             alt_statistic_polynomial(10)
 
+
+ORACLE_CALLS = {
+    "box_size_polynomial": lambda: box_size_polynomial(4, 3),
+    "dist_box_polynomial": lambda: dist_box_polynomial(3, 4),
+    "dyck_weight_sum": lambda: dyck_weight_sum(5, euler_up, euler_down),
+    "md_star_weight_sum": lambda: md_star_weight_sum(4),
+    "md_star_weight_sum_general": lambda: md_star_weight_sum_general(3, q_int, q_int),
+    "delta_prime_weight_sum": lambda: delta_prime_weight_sum(4),
+    "sop_weight_sum": lambda: sop_weight_sum(4),
+    "m_path_weight_sum": lambda: m_path_weight_sum(5),
+    "l_path_weight_sum": lambda: l_path_weight_sum(4, 3, 1, 0, -1),
+    "lprime_path_weight_sum": lambda: lprime_path_weight_sum(4, 3, 0, 1, 1),
+    "enum_alternating": lambda: enum_alternating(6),
+    "alt_statistic_polynomial": lambda: alt_statistic_polynomial(8),
+}
+
+
+def cyclic_garbage(call) -> int:
+    """How many objects ``call()`` leaves that only the cyclic collector frees."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("call", ORACLE_CALLS.values(), ids=list(ORACLE_CALLS))
+def test_oracle_leaves_no_cyclic_garbage(call):
+    tqeuler.clear_caches()
+    assert cyclic_garbage(call) == 0
+
+
+def test_default_run_leaves_no_cyclic_garbage():
+    tqeuler.clear_caches()
+    assert cyclic_garbage(tqeuler.run_verification) == 0

@@ -34,7 +34,6 @@ from tqeuler.formulas import (
     tk_prodinger,
     tk_recurrence,
     tk_special,
-    zeng_bracket_additive,
     zeng_bracket_qint,
     zeng_value,
 )
@@ -45,6 +44,15 @@ T1 = LaurentPoly({(0, 0): 1, (0, 1): -1, (1, 1): -1})
 T2 = LaurentPoly(
     {(0, 0): 1, (0, 1): -1, (1, 1): -1, (0, 3): -1, (2, 3): 1, (0, 4): 1, (1, 4): 1}
 )
+
+
+def zeng_bracket_additive(m: int, t0: Fraction, q0: Fraction) -> Fraction:
+    """The rejected bracket reading ``[m] = t*q**m + (1 + q + ... + q**(m-1))``: a
+    negative control for :data:`~tqeuler.formulas.DEFAULT_ZENG_BRACKET`."""
+    if q0 == 1:
+        return t0 + m
+    return t0 * q0**m + (1 - q0**m) / (1 - q0)
+
 
 # Every qkit._ballot_sum route: its value at n, the namespace and key its kernel
 # is looked up in when the route runs, and the largest n the registry asks for.
@@ -265,7 +273,7 @@ class TestBallotSum:
         assert calls == Counter(
             {(kernel, k): 1 for _, _, kernel, top in BALLOT_ROUTES.values() for k in range(top + 1)}
         )
-        assert len(qkit._KERNEL_ROWS) <= len(BALLOT_ROUTES) * 13
+        assert qkit._kernel_rows.cache_info().currsize <= len(BALLOT_ROUTES) * 13
 
     def test_negative_n_is_rejected(self):
         for route, *_ in BALLOT_ROUTES.values():
@@ -362,7 +370,7 @@ class TestZeng:
 def test_clear_caches_changes_no_result():
     def results():
         return (
-            # out of order first: stored packed moments are decoded on request
+            # out of order first: each request walks to its own order
             [cfrac.euler_hat(n) for n in (9, 4, 11, 0, 10)],
             [cfrac.dn_hat(n) for n in (8, 3, 0, 9)],
             [cfrac.euler_hat(n) for n in range(7)],
@@ -387,11 +395,25 @@ def test_clear_caches_changes_no_result():
         )
 
     warm = results()
+    memos = (tk_recurrence, formulas._tk_at_rows, qkit._gauss, cfrac.euler_hat, cfrac.dn_hat,
+             qkit.pochhammer, qkit._kernel_rows, qkit.odd_pochhammer)
     tqeuler.clear_caches()
-    assert tk_recurrence.cache_info().currsize == 0
-    assert not (qkit._GAUSS_CACHE or cfrac._euler_cache or cfrac._dn_cache)
-    assert not (formulas._TK_AT or qkit._POCH_CACHE or qkit._KERNEL_ROWS or qkit._ODD_POCH_CACHE)
+    assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
     assert results() == warm
+
+
+def test_clear_caches_empties_every_memo():
+    # every functools cache in these modules, so a memo that clear_caches leaves out fails here
+    memos = {
+        f"{fn.__module__}.{fn.__qualname__}": fn
+        for module in (qkit, formulas, cfrac, combinat)
+        for fn in vars(module).values()
+        if hasattr(fn, "cache_clear")
+    }
+    tqeuler.run_verification(max_n=3, max_k=3, max_b=2)
+    assert all(memo.cache_info().currsize for memo in memos.values())
+    tqeuler.clear_caches()
+    assert {name: memo.cache_info().currsize for name, memo in memos.items()} == dict.fromkeys(memos, 0)
 
 
 @pytest.fixture(scope="module")

@@ -30,6 +30,13 @@ def test_q_int():
     assert q_int(3) == LaurentPoly({(0, 0): 1, (0, 1): 1, (0, 2): 1})
 
 
+@pytest.mark.parametrize("h", range(9))
+def test_euler_weights_at_every_height(h):
+    # at h = 0 the up weight is 1 - q**0 = 0 and the down weight 1 - t
+    assert euler_up(h) == ONE - monomial(1, 0, h)
+    assert euler_down(h) == ONE - monomial(1, 1, h)
+
+
 def test_tq_factor():
     assert euler_up(2) == ONE - monomial(1, 0, 2)
     assert euler_down(1) == LaurentPoly({(0, 0): 1, (1, 1): -1})
@@ -88,7 +95,9 @@ def test_odd_pochhammer_cached():
     for _ in range(2):  # cold and out of order, then every symbol from the cache
         for i in (7, 2, 12, 0, 5):
             assert odd_pochhammer(i) == product(i)
-    assert sorted(tqeuler.qkit._ODD_POCH_CACHE) == list(range(1, 13))
+    # a miss fills every shorter symbol: exactly i = 0 .. 12 were built, each once
+    info = odd_pochhammer.cache_info()
+    assert (info.currsize, info.misses) == (13, 13)
     assert odd_pochhammer(9) is odd_pochhammer(9)
 
 
@@ -160,6 +169,8 @@ def test_square_sum():
     assert square_sum(0) == ONE
     assert square_sum(1) == LaurentPoly({(0, 0): 1, (0, 1): -2})
     assert square_sum(2) == LaurentPoly({(0, 0): 1, (0, 1): -2, (0, 4): 2})
+    with pytest.raises(ValueError):
+        square_sum(-1)
 
 
 def test_neg_q_power():

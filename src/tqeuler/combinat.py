@@ -2,7 +2,8 @@
 
 Every object family the closed formulas are checked against is enumerated
 here explicitly at desk scale: partitions in boxes and staircases, weighted
-Dyck paths, marked Dyck paths without marked peaks, staircase arrow
+Dyck paths and marked Dyck paths without marked peaks (one walk, in which a
+plain Dyck path is a marked one whose marks weigh 0), staircase arrow
 configurations, self-conjugate overpartitions, the three lattice-path
 families on west/southwest and west/south steps, and alternating
 permutations.  The 13-2 statistic on alternating permutations is summed by
@@ -23,7 +24,7 @@ from functools import cache
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .exactalg import LaurentPoly, ZERO, _sum_of_products, monomial
+from .exactalg import LaurentPoly, ZERO, _ONE_MINUS_T2, _ONE_PLUS_T, _sum_of_products, monomial
 from .qkit import QSymbolSpec, pochhammer
 
 __all__ = [
@@ -107,7 +108,8 @@ def _conjugate(parts: Sequence[int]) -> tuple[int, ...]:
 
 
 def box_size_polynomial(m: int, n: int) -> LaurentPoly:
-    """Generating polynomial ``sum q**|lam|`` over partitions in B(m, n)."""
+    """Generating polynomial ``sum q**|lam|`` over partitions in B(m, n);
+    a negative dimension raises ``ValueError``."""
     _check_cutoff("partition", max(m, n))
     return LaurentPoly(Counter((0, sum(parts)) for parts in _box_parts(m, n)))
 
@@ -116,6 +118,8 @@ def dist_box_polynomial(m: int, n: int) -> LaurentPoly:
     """``sum x**dist(lam) * q**|lam|`` over partitions in B(m, n), by enumeration.
 
     The x variable is carried in the t exponent slot of :class:`LaurentPoly`.
+    A negative dimension raises ``ValueError``, as in
+    :func:`tqeuler.formulas.dist_box_closed`.
     """
     _check_cutoff("partition", max(m, n))
     return LaurentPoly(
@@ -124,7 +128,7 @@ def dist_box_polynomial(m: int, n: int) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# Dyck paths
+# Dyck paths, plain and marked without marked peaks
 
 
 WeightRule = Callable[[int], LaurentPoly]
@@ -167,46 +171,63 @@ def _multiply_keys(tally: dict, slots: list[LaurentPoly], base: int) -> LaurentP
     return _sum_of_products(items)
 
 
-def dyck_weight_sum(n: int, up_rule: WeightRule, down_rule: WeightRule) -> LaurentPoly:
-    """Sum over Dyck paths of length 2n of the products of step weights.
+def _marked_walk(n: int, up_rule: WeightRule, down_rule: WeightRule, mark: int) -> LaurentPoly:
+    """Sum over marked Dyck paths of length 2n without marked peaks of the
+    products of step weights; ZERO for negative n.
 
-    An up step between heights h-1 and h carries ``up_rule(h)``, a down step
-    between h and h-1 carries ``down_rule(h)``.
+    A step may carry a mark, and a marked peak is a marked up step followed
+    directly by a marked down step.  An unmarked up step between heights h-1
+    and h weighs ``up_rule(h)``, an unmarked down step between h and h-1
+    weighs ``down_rule(h)``, and a marked step weighs ``mark``.  With
+    ``mark = 0`` every marked branch is pruned, and the sum runs over the
+    plain Dyck paths.
 
     Still brute force: one leaf per path, and nothing memoised across
-    (height, remaining) states.  The walk goes depth first over the ints
-    ``(c, e_t, e_q, key)``: a step folds in a monomial weight, adds the digit
-    of a multi-term one to the key (see :func:`_step_table`) or ends the
-    branch on a zero one.  Each leaf adds c to a count keyed by
-    ``(key, e_t, e_q)``, and :func:`_multiply_keys` multiplies every key out
-    in one packed sum.
+    (height, remaining, last step) states, which would turn the marked sum
+    into the transfer-matrix recurrence it is checked against.  The walk goes
+    depth first over the ints ``(c, e_t, e_q, key)``: a step folds in a
+    monomial weight, adds the digit of a multi-term one to the key (see
+    :func:`_step_table`) or ends the branch on a zero one.  Each leaf adds c
+    to a count keyed by ``(key, e_t, e_q)``, and :func:`_multiply_keys`
+    multiplies every key out in one packed sum; with all-monomial rules the
+    key stays 0.
     """
-    _check_cutoff("dyck", n)
     slots: list[LaurentPoly] = []
     up = _step_table(up_rule, n, slots)
     down = _step_table(down_rule, n, slots)
     tally: defaultdict[tuple[int, int, int], int] = defaultdict(int)
 
-    def walk(c: int, et: int, eq: int, key: int, h: int, remaining: int) -> None:
+    def walk(c: int, et: int, eq: int, key: int, h: int, remaining: int, after_marked_up: bool) -> None:
         if remaining == 0:
             tally[key, et, eq] += c
             return
         if h + 1 <= remaining - 1:
             sc, st, sq, sd = up[h + 1]
             if sc:
-                walk(c * sc, et + st, eq + sq, key + sd, h + 1, remaining - 1)
+                walk(c * sc, et + st, eq + sq, key + sd, h + 1, remaining - 1, False)
+            if mark:
+                walk(c * mark, et, eq, key, h + 1, remaining - 1, True)
         if h > 0:
             sc, st, sq, sd = down[h]
             if sc:
-                walk(c * sc, et + st, eq + sq, key + sd, h - 1, remaining - 1)
+                walk(c * sc, et + st, eq + sq, key + sd, h - 1, remaining - 1, False)
+            if mark and not after_marked_up:  # a marked down step here would close a marked peak
+                walk(c * mark, et, eq, key, h - 1, remaining - 1, False)
 
-    walk(1, 0, 0, 0, 0, 2 * n)
+    walk(1, 0, 0, 0, 0, 2 * n, False)
     del walk  # as in _bounded_parts: no reference cycle is left behind
     return _multiply_keys(tally, slots, n + 1)
 
 
-# ---------------------------------------------------------------------------
-# marked Dyck paths without marked peaks
+def dyck_weight_sum(n: int, up_rule: WeightRule, down_rule: WeightRule) -> LaurentPoly:
+    """Sum over Dyck paths of length 2n of the products of step weights.
+
+    An up step between heights h-1 and h carries ``up_rule(h)``, a down step
+    between h and h-1 carries ``down_rule(h)``.  This is :func:`_marked_walk`
+    with marks weighing 0: one leaf per path.
+    """
+    _check_cutoff("dyck", n)
+    return _marked_walk(n, up_rule, down_rule, 0)
 
 
 def _u_rule(h: int) -> LaurentPoly:
@@ -221,44 +242,12 @@ def md_star_weight_sum_general(k: int, up_rule: WeightRule, down_rule: WeightRul
     """Sum over marked Dyck paths of length 2k without marked peaks of the
     products of step weights.
 
-    A step may carry a mark, and a marked peak is a marked up step followed
-    directly by a marked down step.  Unmarked steps weigh as in
-    :func:`dyck_weight_sum`; marked steps weigh 1.
-
-    Still brute force: one leaf per marked path, and nothing memoised across
-    (height, remaining, last step) states, which would turn this oracle into
-    the transfer-matrix recurrence it is checked against.  The walk is the
-    one of :func:`dyck_weight_sum` with marks: an unmarked step folds in a
-    monomial weight or adds the digit of a multi-term one to the key, a
-    marked step keeps the weight, and each leaf adds c to a count keyed by
-    ``(key, e_t, e_q)``.  :func:`_multiply_keys` multiplies every key out in
-    one packed sum; with all-monomial rules the key stays 0.
+    Unmarked steps weigh as in :func:`dyck_weight_sum`; marked steps weigh 1.
+    This is :func:`_marked_walk` with marks weighing 1: one leaf per marked
+    path.
     """
     _check_cutoff("md_star", k)
-    slots: list[LaurentPoly] = []
-    up = _step_table(up_rule, k, slots)
-    down = _step_table(down_rule, k, slots)
-    tally: defaultdict[tuple[int, int, int], int] = defaultdict(int)
-
-    def walk(c: int, et: int, eq: int, key: int, h: int, remaining: int, after_marked_up: bool) -> None:
-        if remaining == 0:
-            tally[key, et, eq] += c
-            return
-        if h + 1 <= remaining - 1:
-            sc, st, sq, sd = up[h + 1]
-            if sc:
-                walk(c * sc, et + st, eq + sq, key + sd, h + 1, remaining - 1, False)
-            walk(c, et, eq, key, h + 1, remaining - 1, True)
-        if h > 0:
-            sc, st, sq, sd = down[h]
-            if sc:
-                walk(c * sc, et + st, eq + sq, key + sd, h - 1, remaining - 1, False)
-            if not after_marked_up:  # a marked down step here would close a marked peak
-                walk(c, et, eq, key, h - 1, remaining - 1, False)
-
-    walk(1, 0, 0, 0, 0, 2 * k, False)
-    del walk  # as in _bounded_parts: no reference cycle is left behind
-    return _multiply_keys(tally, slots, k + 1)
+    return _marked_walk(k, up_rule, down_rule, 1)
 
 
 def md_star_weight_sum(k: int) -> LaurentPoly:
@@ -383,9 +372,6 @@ def sop_weight_sum(k: int) -> LaurentPoly:
 
 # ---------------------------------------------------------------------------
 # west/southwest paths from (k, 0) to the negative y-axis
-
-_ONE_MINUS_T2 = LaurentPoly({(0, 0): 1, (2, 0): -1})
-_ONE_PLUS_T = LaurentPoly({(0, 0): 1, (1, 0): 1})
 
 
 def m_path_weight_sum(k: int) -> LaurentPoly:

@@ -33,9 +33,12 @@ from .exactalg import (
     LaurentPoly,
     ONE,
     ONE_MINUS_Q,
+    T,
     ZERO,
     Row,
     ZeroDenominatorError,
+    _ONE_MINUS_T2,
+    _ONE_PLUS_T,
     _sum_of_products,
     monomial,
 )
@@ -43,7 +46,6 @@ from .qkit import (
     QSymbolSpec,
     _ballot_sum,
     a_k_poly,
-    ballot,
     gauss_binom,
     neg_q_power,
     odd_pochhammer,
@@ -105,13 +107,11 @@ def tk_recurrence(k: int) -> LaurentPoly:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return ONE
-    one_plus_t = LaurentPoly({(0, 0): 1, (1, 0): 1})
-    one_minus_t2 = LaurentPoly({(0, 0): 1, (2, 0): -1})
-    total = tk_recurrence(k - 1) + one_plus_t * neg_q_power(k * k)
+    total = tk_recurrence(k - 1) + _ONE_PLUS_T * neg_q_power(k * k)
     acc = ZERO
     for i in range(1, k):
         acc = acc + neg_q_power(k * k - i * i) * tk_recurrence(i - 1)
-    return total + one_minus_t2 * acc
+    return total + _ONE_MINUS_T2 * acc
 
 
 def tk_closed(k: int) -> LaurentPoly:
@@ -123,7 +123,7 @@ def tk_closed(k: int) -> LaurentPoly:
         for i in range(j + 1):
             sign = -1 if (j + i) % 2 else 1
             head = monomial(sign, 2 * i, j * j + i * i + i)
-            inner = gauss_binom(k - i, j - i, squared=True) + monomial(1, 1, 0) * gauss_binom(
+            inner = gauss_binom(k - i, j - i, squared=True) + T * gauss_binom(
                 k - i - 1, j - i - 1, squared=True
             )
             total = total + head * gauss_binom(k - j, i, squared=True) * inner
@@ -346,6 +346,17 @@ def secant_hat_original(n: int) -> LaurentPoly:
     return _ballot_sum(n, _secant_original_kernel)
 
 
+def _tangent_original_kernel(k: int) -> list[Item]:
+    # the form sums (ballot(n,k) + ballot(n,k+1)) * L_k with
+    # L_k = sum_{i<2k+2} (-1)**(i+k) * q**(i(2k+2-i)); grouped by ballot number,
+    # K_k = L_k + L_{k-1}, where L_{-1} is the empty sum
+    return [
+        (-1 if (i + m) % 2 else 1, 0, i * (2 * m + 2 - i), ())
+        for m in (k, k - 1)
+        for i in range(2 * m + 2)
+    ]
+
+
 def tangent_hat_original(n: int) -> LaurentPoly:
     """``(1-q)**(2n+1) * E_{2n+1}(q)`` in the unshifted index form.
 
@@ -353,14 +364,7 @@ def tangent_hat_original(n: int) -> LaurentPoly:
     the two are compared as ``tangent_hat_original(n) ==
     (1-q) * tangent_hat_closed(n)`` so the prefactor conventions never mix.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    # ballot(n,k) + ballot(n,k+1) is C(2n+1, n-k) - C(2n+1, n-k-1), by Pascal's rule
-    return _sum_of_products(
-        ((ballot(n, k) + ballot(n, k + 1)) * (-1 if (i + k) % 2 else 1), 0, i * (2 * k + 2 - i), ())
-        for k in range(n + 1)
-        for i in range(2 * k + 2)
-    )
+    return _ballot_sum(n, _tangent_original_kernel)
 
 
 def _minus_q_kernel(k: int) -> list[Item]:

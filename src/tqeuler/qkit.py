@@ -146,9 +146,10 @@ def partition_box_binom(rows: int, cols: int, squared: bool = False) -> LaurentP
 
 
 def ballot(n: int, k: int) -> int:
-    """``C(2n, n-k) - C(2n, n-k-1)`` with out-of-range binomials equal to 0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    """``C(2n, n-k) - C(2n, n-k-1)`` with out-of-range binomials equal to 0;
+    ``n`` and ``k`` must be nonnegative."""
+    if n < 0 or k < 0:
+        raise ValueError("n and k must be nonnegative")
 
     def c(m: int, j: int) -> int:
         return math.comb(m, j) if 0 <= j <= m else 0

@@ -24,7 +24,10 @@ tested against.  ``evaluate_reference`` is the term-by-term Fraction loop that
 ``LaurentPoly.evaluate`` is tested against, and ``alt_statistic_reference``
 counts ``count_13_2_patterns`` over every permutation of
 ``tqeuler.combinat.enum_alternating``, which the state transfer of
-``tqeuler.combinat.alt_statistic_polynomial`` is tested against.
+``tqeuler.combinat.alt_statistic_polynomial`` is tested against.  The last
+section defines each remaining public function of ``tqeuler.qkit`` and
+``tqeuler.combinat`` one term, path or permutation at a time, for the
+boundary table of ``test_boundaries.py``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
 from typing import Iterator, Sequence
 
 from tqeuler.combinat import (
@@ -49,6 +52,7 @@ from tqeuler.exactalg import (
     LaurentPoly,
     NonDivisibleError,
     ONE,
+    T,
     ZERO,
     ZeroDenominatorError,
     _sum_of_products,
@@ -373,6 +377,8 @@ def enum_delta_prime(k: int) -> list[DeltaConfig]:
     arrow and a column arrow.
     """
     _check_cutoff("delta", k)
+    if k < 0:
+        return []
     if k == 0:
         return [DeltaConfig(0, (), frozenset(), frozenset())]
     out: list[DeltaConfig] = []
@@ -387,3 +393,157 @@ def enum_delta_prime(k: int) -> list[DeltaConfig]:
                     continue
                 out.append(DeltaConfig(k, lam, rows, cols))
     return out
+
+
+# ---------------------------------------------------------------------------
+# definitions of the public qkit and combinat functions, for the boundary table
+
+
+def q_power(e: int) -> LaurentPoly:
+    """``q**e`` for any integer e, as a power of ``q`` or of ``1/q``."""
+    return monomial(1, 0, 1) ** e if e >= 0 else monomial(1, 0, -1) ** -e
+
+
+def q_int_reference(n: int) -> LaurentPoly:
+    return sum((q_power(i) for i in range(n)), ZERO)
+
+
+def odd_pochhammer_reference(i: int) -> LaurentPoly:
+    out = ONE
+    for j in range(i):
+        out = out * (ONE - q_power(2 * j + 1))
+    return out
+
+
+def gauss_binom_reference(n: int, k: int) -> LaurentPoly:
+    """``(q;q)_n / ((q;q)_k (q;q)_{n-k})`` by long division; 0 out of range."""
+    if not 0 <= k <= n:
+        return ZERO
+    return divide_reference(
+        pochhammer_product(1, 1, n), pochhammer_product(1, 1, k) * pochhammer_product(1, 1, n - k)
+    )
+
+
+def ballot_paths(n: int, k: int) -> int:
+    """Number of up/down paths of 2n unit steps that never go below 0 and end at height 2k."""
+    return sum(
+        1
+        for steps in product((1, -1), repeat=2 * n)
+        if sum(steps) == 2 * k and all(sum(steps[: i + 1]) >= 0 for i in range(2 * n))
+    )
+
+
+def square_sum_reference(m: int) -> LaurentPoly:
+    return sum((q_power(i * i) * (-1) ** (i * i) for i in range(-m, m + 1)), ZERO)
+
+
+def a_k_reference(k: int) -> LaurentPoly:
+    """``(1-q) * A_k(q)``: ``1 - q`` at k = 0, else the square sums of k and k-1."""
+    if k == 0:
+        return ONE - q_power(1)
+    return square_sum_reference(k) + q_power(2 * k + 1) * square_sum_reference(k - 1)
+
+
+def box_partitions(m: int, n: int) -> list[tuple[int, ...]]:
+    """Every partition in the box with m rows and n columns, padded with zeros to m parts;
+    none when a dimension is negative."""
+    if m < 0 or n < 0:
+        return []
+    return [tuple(reversed(c)) for c in combinations_with_replacement(range(n + 1), m)]
+
+
+def box_size_reference(m: int, n: int) -> LaurentPoly:
+    return LaurentPoly(Counter((0, sum(p)) for p in box_partitions(m, n)))
+
+
+def dist_box_reference(m: int, n: int) -> LaurentPoly:
+    return LaurentPoly(Counter((len(set(p) - {0}), sum(p)) for p in box_partitions(m, n)))
+
+
+def sop_reference(k: int) -> LaurentPoly:
+    """Signed sum over self-conjugate overpartitions in the k-by-k box: every set of
+    marked inner corners that the mirror ``(i, j) -> (j, i)`` maps to itself, one at a time."""
+    total = ZERO
+    for padded in box_partitions(k, k):
+        parts = tuple(p for p in padded if p)
+        if parts != _conjugate(parts):
+            continue
+        corners = [(i, p) for i, p in enumerate(parts, 1) if p > (parts + (0,))[i]]
+        diag = sum(1 for i, p in enumerate(parts, 1) if p >= i)
+        for bits in product((False, True), repeat=len(corners)):
+            marked = {c for c, b in zip(corners, bits) if b}
+            if all((j, i) in marked for i, j in marked):
+                mk = len(marked)
+                total = total + monomial((-1) ** (diag + mk // 2), mk, sum(parts))
+    return total
+
+
+def m_path_reference(k: int) -> LaurentPoly:
+    """The signed area sum of ``m_path_weight_sum``, one west/southwest step sequence at a time."""
+    if k < 0:
+        return ZERO
+    one_minus_t2, one_plus_t = ONE - T * T, ONE + T
+    total = ZERO
+    for steps in product((0, 1), repeat=k):  # 1 is a southwest step
+        y = area = 0
+        w = ONE
+        for i, sw in enumerate(steps):
+            area += -2 * y + sw
+            y -= sw
+            if sw and i + 1 < k and not steps[i + 1]:
+                w = w * one_minus_t2
+        if k and steps[-1]:
+            w = w * one_plus_t
+        total = total + monomial((-1) ** sum(steps), 0, area) * w
+    return total
+
+
+def l_path_reference(b: int, k: int, m: int, n: int, eps: int) -> LaurentPoly:
+    """The cleared sum of ``l_path_weight_sum``, one west/southwest step sequence at a time."""
+    total = ZERO
+    for steps in product((0, 1), repeat=max(b - m, 0)):  # 1 is a southwest step
+        x, y, area = b, k, 0
+        for sw in steps:
+            if not sw and y == 0:
+                break  # a west step on the x-axis
+            area += 2 * (k - y) + sw
+            x, y = x - 1, y - sw
+        else:
+            if (x, y) == (m, n):
+                total = total + q_power(area + (2 * m * k if n == 0 else 0))
+    height = q_power(sum(2 * i for i in range(n + 1, k + 1)))
+    return pochhammer_product(eps, 1, m) * total * height
+
+
+def lprime_path_reference(b: int, k: int, m: int, n: int, eps: int) -> LaurentPoly:
+    """The sum of ``lprime_path_weight_sum``, one west/south step sequence at a time."""
+    total = ZERO
+    for steps in product((0, 1), repeat=max(b - m, 0) + max(k - n, 0)):  # 1 is a south step
+        x, y, area = b, k, 0
+        for south in steps:
+            if south:
+                if x == 0:
+                    break  # a south step on the y-axis
+                y -= 1
+            else:
+                if y == 0:
+                    break  # a west step on the x-axis
+                area += 2 * (k - y)
+                x -= 1
+        else:
+            if (x, y) == (m, n):
+                total = total + q_power(-area - (2 * m * k if n == 0 else 0))
+    height = ONE
+    for i in range(n + 1, k + 1):
+        height = height * monomial(-1, 0, 2 * i + 1)
+    return pochhammer_product(eps, 1 - b, max(b - m, 0)) * total * height
+
+
+def alternating_reference(n: int) -> list[tuple[int, ...]]:
+    """The up-down permutations of {1, ..., n}, filtered from all permutations in order."""
+    if n < 0:
+        return []
+    return [
+        p for p in permutations(range(1, n + 1))
+        if all((p[i] < p[i + 1]) == (i % 2 == 0) for i in range(n - 1))
+    ]

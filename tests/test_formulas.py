@@ -67,6 +67,7 @@ BALLOT_ROUTES = {
             ("euler_hat_josuat_verges", "_josuat_verges_kernel"),
             ("euler_hat_odd_pochhammer", "_odd_pochhammer_kernel"),
             ("secant_hat_original", "_secant_original_kernel"),
+            ("tangent_hat_original", "_tangent_original_kernel"),
             ("euler_hat_at_minus_q", "_minus_q_kernel"),
             ("euler_hat_at_minus_inv_q", "_minus_inv_q_kernel"),
         )

@@ -151,6 +151,13 @@ def test_ballot_values():
         assert sum(ballot(n, k) for k in range(n + 1)) == math.comb(2 * n, n)
 
 
+@pytest.mark.parametrize("n, k", [(-1, 0), (2, -1), (0, -1), (-1, -1)])
+def test_ballot_rejects_negative_arguments(n, k):
+    # ballot(2, -1) once returned the formula value -2 instead of raising
+    with pytest.raises(ValueError):
+        ballot(n, k)
+
+
 def test_a_k_poly():
     assert a_k_poly(0) == ONE_MINUS_Q
     assert a_k_poly(1) == LaurentPoly({(0, 0): 1, (0, 1): -2, (0, 3): 1})

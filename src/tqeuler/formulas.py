@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import index
 from typing import Callable
 
 from .exactalg import (
@@ -151,6 +152,7 @@ class SpecializationKey:
     def __post_init__(self):
         if self.eps not in (1, -1):
             raise ValueError("eps must be +1 or -1")
+        index(self.b)  # TypeError for a non-integer b
 
 
 def tk_special(key: SpecializationKey, k: int) -> LaurentPoly:

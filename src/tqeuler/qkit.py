@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from operator import index
 from typing import Callable, Iterable
 
 from .exactalg import Item, LaurentPoly, ONE, ONE_MINUS_Q, ZERO, Row, _sum_of_products, _sum_rows, monomial
@@ -112,6 +113,7 @@ def gauss_binom(n: int, k: int, squared: bool = False) -> LaurentPoly:
     set, every ``q`` in the result is replaced by ``q**2``.  Both forms are
     cached, so a repeated call returns the same object.
     """
+    n, k = index(n), index(k)  # before the cache: a float size recursed forever
     if k < 0 or n < 0 or k > n:
         return ZERO
     return _gauss(n, min(k, n - k), squared)
@@ -157,23 +159,24 @@ def ballot(n: int, k: int) -> int:
     return c(2 * n, n - k) - c(2 * n, n - k - 1)
 
 
-def _ballot_sum(n: int, kernel: Callable[[int], Iterable[Item]]) -> LaurentPoly:
+def _ballot_sum(n: int, kernel: Callable[..., Iterable[Item]], *args) -> LaurentPoly:
     """The ballot expansion ``sum_{k=0}^{n} ballot(n,k) * K_k``.
 
-    ``kernel(k)`` gives ``K_k`` as :func:`tqeuler.exactalg._sum_of_products` items.  Each ``K_k``
-    is summed once per ``(kernel, k)`` and kept as dense rows, so a kernel must be module-level;
-    each ``n`` only adds weighted rows.  Kept out of ``__all__`` so that profiling wrappers,
-    which follow ``__all__``, charge the time of each expansion to its formula.
+    ``kernel(k, *args)`` gives ``K_k`` as :func:`tqeuler.exactalg._sum_of_products` items.  Each
+    ``K_k`` is summed once per ``(kernel, k, *args)`` and kept as dense rows: the kernel's
+    arguments join the cache key, so a kernel must be module-level and takes its parameters as
+    arguments; each ``n`` only adds weighted rows.  Kept out of ``__all__`` so that profiling
+    wrappers, which follow ``__all__``, charge the time of each expansion to its formula.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _sum_rows((ballot(n, k), _kernel_rows(kernel, k)) for k in range(n + 1))
+    return _sum_rows((ballot(n, k), _kernel_rows(kernel, k, *args)) for k in range(n + 1))
 
 
 @cache
-def _kernel_rows(kernel: Callable[[int], Iterable[Item]], k: int) -> tuple[Row, ...]:
+def _kernel_rows(kernel: Callable[..., Iterable[Item]], k: int, *args) -> tuple[Row, ...]:
     """``K_k`` of a module-level ``kernel`` as dense rows, summed on the first request only."""
-    return _sum_of_products(kernel(k))._rows()
+    return _sum_of_products(kernel(k, *args))._rows()
 
 
 def a_k_poly(k: int) -> LaurentPoly:

@@ -3,9 +3,10 @@
 Each identity is one row of the table ``REGISTRY``: a stable id, a
 human-readable description, a parameter grid derived from the requested
 bounds, and a check mapping one parameter point to a pass/fail/skipped
-outcome.  Most checks compare two sides for exact equality (``_same``) or
-test one predicate (``_holds``).  The registry is the product's test
-surface: the CLI ``verify`` command simply executes it.
+outcome.  Every equality check is ``_same`` over two or more sides, which
+passes when all of them are equal; the three boolean predicates use
+``_holds``.  The registry is the product's test surface: the CLI ``verify``
+command simply executes it.
 
 Checks resolve formula functions through the :mod:`tqeuler.formulas` module
 object at call time, so replacing a formula (for example in a mutation test)
@@ -19,7 +20,6 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Iterable
 
 from . import cfrac, combinat, formulas, qkit
@@ -135,37 +135,33 @@ class Identity:
     check: Check
 
 
-def _eq(lhs: LaurentPoly, rhs: LaurentPoly) -> tuple[str, str | None]:
-    if lhs == rhs:
-        return "pass", None
-    return "fail", f"lhs = {lhs.render()} ; rhs = {rhs.render()}"
+Side = Callable[..., object]
 
 
-def _flag(ok: bool, note: str) -> tuple[str, str | None]:
-    return ("pass", None) if ok else ("fail", note)
+def _same(*sides: Side, cap: tuple[str, int, str] | None = None) -> Check:
+    """The check that every ``side(**params)`` is equal.
 
-
-Side = Callable[..., LaurentPoly]
-
-
-def _same(lhs: Side, rhs: Side, cap: tuple[str, int, str] | None = None) -> Check:
-    """The check ``lhs(**params) == rhs(**params)``.
-
-    ``cap = (param, top, oracle)`` skips every cell whose ``param`` exceeds
-    ``top``: the brute-force ``oracle`` on one side is too slow past it.
+    A failure lists every value, first to last, as ``lhs = ... ; rhs = ...``
+    with any middle side as ``mid``.  ``cap = (param, top, oracle)`` skips
+    every cell whose ``param`` exceeds ``top``: the brute-force ``oracle`` on
+    one side is too slow past it.
     """
+    names = ("lhs", *["mid"] * (len(sides) - 2), "rhs")
 
     def check(p: dict) -> tuple[str, str | None]:
         if cap is not None and p[cap[0]] > cap[1]:
             return "skipped", f"{cap[2]} capped at {cap[0]} <= {cap[1]}"
-        return _eq(lhs(**p), rhs(**p))
+        values = [side(**p) for side in sides]
+        if values.count(values[0]) == len(values):
+            return "pass", None
+        return "fail", " ; ".join(f"{name} = {v}" for name, v in zip(names, values))
 
     return check
 
 
 def _holds(pred: Callable[..., bool], note: str) -> Check:
     """The check that ``pred(**params)`` is true; ``note`` is formatted with the params."""
-    return lambda p: _flag(pred(**p), note.format(**p))
+    return lambda p: ("pass", None) if pred(**p) else ("fail", note.format(**p))
 
 
 # Each side is a lambda so that it looks ``formulas.*``, ``cfrac.*`` and the
@@ -205,95 +201,25 @@ def _step_rules(weights: str) -> tuple[Side, Side]:
     return qkit.q_int, qkit.q_int
 
 
-def _marked_kernel(weights: str, k: int) -> list[Item]:
-    """``K_k`` of ``ballot-reduction``: the length-2k marked-path sum, each step weight less one."""
+def _marked_kernel(k: int, weights: str) -> list[Item]:
+    """``K_k`` of ``ballot-reduction``: the length-2k marked-path sum, each step weight less one.
+
+    Under the Euler rules ``1 - q**h`` less one is ``-q**h`` and ``1 - t*q**h`` less one is
+    ``-t*q**h``, so ``K_k`` is ``combinat.md_star_weight_sum(k)``, the sum ``markpath-transfer``
+    checks.  Both read it from ``qkit._kernel_rows`` under one key, so it is walked once per run.
+    """
     up, down = _step_rules(weights)
     marked = combinat.md_star_weight_sum_general(k, lambda h: up(h) - ONE, lambda h: down(h) - ONE)
     return [(1, 0, 0, (marked,))]
 
 
-def _euler_marked_kernel(k: int) -> list[Item]:
-    """``K_k`` under the Euler rules: ``1 - q**h`` less one is ``-q**h`` and ``1 - t*q**h``
-    less one is ``-t*q**h``, the rules of ``combinat.md_star_weight_sum``, so this is the
-    sum ``markpath-transfer`` checks."""
-    return [(1, 0, 0, (combinat.md_star_weight_sum(k),))]
-
-
-# one module-level kernel per weight rule, so that each marked sum is walked once per run;
-# ``markpath-transfer`` reads the Euler one from the same table
-_MARKED_KERNELS = {"euler": _euler_marked_kernel, "q-int": partial(_marked_kernel, "q-int")}
-
-
 def _ballot_marked_sum(n: int, weights: str) -> LaurentPoly:
-    return qkit._ballot_sum(n, _MARKED_KERNELS[weights])
+    return qkit._ballot_sum(n, _marked_kernel, weights)
 
 
 def _md_star(k: int) -> LaurentPoly:
     """``combinat.md_star_weight_sum(k)``, walked once per run and shared with ``ballot-reduction``."""
-    return LaurentPoly._from_rows(qkit._kernel_rows(_euler_marked_kernel, k))
-
-
-def _degenerate(eps: int, expected: Side, what: str) -> Check:
-    """At ``t = eps`` the substitution formula is ``expected(k)`` and matches direct substitution."""
-
-    def check(p: dict) -> tuple[str, str | None]:
-        k = p["k"]
-        lhs = formulas.tk_special(formulas.SpecializationKey(eps, 0), k)
-        if lhs != expected(k):
-            return "fail", f"substitution formula at t={eps} is not {what} for k={k}"
-        return _eq(lhs, formulas.tk_at(eps, 0, k))
-
-    return check
-
-
-def _alternating_anchor(odd: int) -> Check:
-    """The q = 1 value of E_{2n+odd} against the table and the permutation count,
-    read at q = 1 from the 13-2 distribution of ``combinat.alt_statistic_polynomial``."""
-    numbers = TANGENT_NUMBERS if odd else SECANT_NUMBERS
-
-    def check(p: dict) -> tuple[str, str | None]:
-        n = p["n"]
-        value = (cfrac.en_odd_q if odd else cfrac.en_even_q)(n).evaluate(1, 1)
-        count = combinat.alt_statistic_polynomial(2 * n + odd).evaluate(1, 1)
-        ok = value == numbers[n] == count
-        return _flag(ok, f"E_{2*n+odd}(1) = {value}, permutation count = {count}")
-
-    return check
-
-
-def _chk_dn_anchor(p: dict):
-    n = p["n"]
-    value = _d(n).evaluate(1, 1)
-    oracle = combinat.dyck_weight_sum(n, lambda h: ONE, lambda h: const(h)).evaluate(1, 1)
-    ok = value == ODD_DOUBLE_FACTORIALS[n] == oracle
-    return _flag(ok, f"d_{n}(1) = {value}, weighted Dyck count = {oracle}")
-
-
-def _chk_zeng(p: dict):
-    n = p["n"]
-    t0 = Fraction(p["t"])
-    q0 = Fraction(p["q"])
-    got = formulas.zeng_value(n, t0, q0)
-    want = cfrac.euler_hat(n).evaluate(t0, q0) / (1 - q0) ** (2 * n)
-    return _flag(got == want, f"zeng value {got} != rational evaluation {want}")
-
-
-def _chk_gauss_pascal(p: dict):
-    n = p["n"]
-    for k in range(n + 1):
-        lhs = qkit.gauss_binom(n, k)
-        rhs = qkit.gauss_binom(n - 1, k - 1) + monomial(1, 0, k) * qkit.gauss_binom(n - 1, k)
-        if lhs != rhs:
-            return "fail", f"q-Pascal fails at ({n}, {k})"
-    return "pass", None
-
-
-def _chk_gauss_symmetry(p: dict):
-    n = p["n"]
-    for k in range(n + 1):
-        if qkit.gauss_binom(n, k) != qkit.gauss_binom(n, n - k):
-            return "fail", f"symmetry fails at ({n}, {k})"
-    return "pass", None
+    return LaurentPoly._from_rows(qkit._kernel_rows(_marked_kernel, k, "euler"))
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +343,11 @@ REGISTRY: tuple[Identity, ...] = (
         _bk_grid(1), _same(lambda b, k: formulas.tk_prodinger(b, k),
                            lambda b, k: formulas.tk_at(1, b, k))),
     Identity("tk-at-one", "t = 1 specialization degenerates to the square sum",
-        _K, _degenerate(1, lambda k: qkit.square_sum(k), "the square sum")),
+        _K, _same(lambda k: formulas.tk_special(formulas.SpecializationKey(1, 0), k),
+                  lambda k: qkit.square_sum(k), lambda k: formulas.tk_at(1, 0, k))),
     Identity("tk-at-minus-one", "t = -1 specialization degenerates to 1",
-        _K, _degenerate(-1, lambda k: ONE, "1")),
+        _K, _same(lambda k: formulas.tk_special(formulas.SpecializationKey(-1, 0), k),
+                  lambda k: ONE, lambda k: formulas.tk_at(-1, 0, k))),
     Identity("tk-at-q", "t = q specialization recovers the tangent-side kernel",
         _K1, _same(lambda k: formulas.tk_special(formulas.SpecializationKey(1, 1), k),
                    lambda k: qkit.a_k_poly(k).divide_exact(ONE_MINUS_Q))),
@@ -476,21 +404,34 @@ REGISTRY: tuple[Identity, ...] = (
     Identity("euler-minus-inv-q", "ballot closed form at t = -1/q",
         _N, _same(lambda n: formulas.euler_hat_at_minus_inv_q(n), _euler_at(-1, -1))),
     Identity("secant-anchor", "q = 1 secant values against alternating permutation counts",
-        _axis("n", 0, lambda bounds: min(bounds.max_n, 4)), _alternating_anchor(0)),
+        _axis("n", 0, lambda bounds: min(bounds.max_n, 4)),
+        _same(lambda n: cfrac.en_even_q(n).evaluate(1, 1), lambda n: SECANT_NUMBERS[n],
+              lambda n: combinat.alt_statistic_polynomial(2 * n).evaluate(1, 1))),
     Identity("tangent-anchor", "q = 1 tangent values against alternating permutation counts",
-        _axis("n", 0, lambda bounds: min(bounds.max_n, 4)), _alternating_anchor(1)),
+        _axis("n", 0, lambda bounds: min(bounds.max_n, 4)),
+        _same(lambda n: cfrac.en_odd_q(n).evaluate(1, 1), lambda n: TANGENT_NUMBERS[n],
+              lambda n: combinat.alt_statistic_polynomial(2 * n + 1).evaluate(1, 1))),
     Identity("dn-anchor", "d_n(1) against height-weighted Dyck counts",
-        _axis("n", 0, lambda bounds: min(bounds.max_n, 5)), _chk_dn_anchor),
+        _axis("n", 0, lambda bounds: min(bounds.max_n, 5)),
+        _same(lambda n: _d(n).evaluate(1, 1), lambda n: ODD_DOUBLE_FACTORIALS[n],
+              lambda n: combinat.dyck_weight_sum(n, lambda h: ONE, const).evaluate(1, 1))),
     Identity("alternating-statistic", "13-2 pattern distribution equals the classical q-Euler values",
         _axis("n", 0, lambda bounds: min(2 * bounds.max_n, 8)),
         _same(lambda n: combinat.alt_statistic_polynomial(n),
               lambda n: cfrac.en_odd_q(n // 2) if n % 2 else cfrac.en_even_q(n // 2))),
     Identity("zeng-numeric", "rational double-sum evaluation matches the fraction moments",
-        _zeng_grid, _chk_zeng),
+        _zeng_grid, _same(lambda n, t, q: formulas.zeng_value(n, Fraction(t), Fraction(q)),
+                          lambda n, t, q: cfrac.euler_hat(n).evaluate(Fraction(t), Fraction(q))
+                          / (1 - Fraction(q)) ** (2 * n))),
     Identity("gauss-pascal", "q-Pascal recurrence for Gaussian binomials",
-        _axis("n", 1, lambda bounds: 20), _chk_gauss_pascal),
+        _axis("n", 1, lambda bounds: 20),
+        _same(lambda n: [qkit.gauss_binom(n, k) for k in range(n + 1)],
+              lambda n: [qkit.gauss_binom(n - 1, k - 1) + monomial(1, 0, k) * qkit.gauss_binom(n - 1, k)
+                         for k in range(n + 1)])),
     Identity("gauss-symmetry", "Gaussian binomial symmetry",
-        _axis("n", 0, lambda bounds: 20), _chk_gauss_symmetry),
+        _axis("n", 0, lambda bounds: 20),
+        _same(lambda n: [qkit.gauss_binom(n, k) for k in range(n + 1)],
+              lambda n: [qkit.gauss_binom(n, n - k) for k in range(n + 1)])),
 )
 
 

@@ -205,13 +205,13 @@ def multiply_keys_reference(tally: dict, slots: list[LaurentPoly], base: int) ->
     return total
 
 
-def ballot_sum_reference(n: int, kernel) -> LaurentPoly:
-    """``sum_{k=0}^{n} ballot(n,k) * K_k`` with ``ballot(n,k)`` folded into each
-    kernel item's coefficient, so that the whole expansion is one packed sum."""
+def ballot_sum_reference(n: int, kernel, *args) -> LaurentPoly:
+    """``sum_{k=0}^{n} ballot(n,k) * K_k``, ``K_k = kernel(k, *args)``, with ``ballot(n,k)``
+    folded into each kernel item's coefficient, so that the whole expansion is one packed sum."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     return _sum_of_products(
-        (ballot(n, k) * c, a, b, factors) for k in range(n + 1) for c, a, b, factors in kernel(k)
+        (ballot(n, k) * c, a, b, factors) for k in range(n + 1) for c, a, b, factors in kernel(k, *args)
     )
 
 

@@ -1,23 +1,30 @@
-"""Every public function of ``qkit`` and ``combinat`` at the edges of its range.
+"""Every public function of ``qkit``, ``combinat``, ``cfrac`` and ``formulas``
+at the edges of its range.
 
-``TABLE`` has one row per name in ``qkit.__all__`` and ``combinat.__all__``
-apart from the two error classes: the call at size s, its definition from
-``reference``, the enumeration cutoff (None in ``qkit``, which has none) and
-the error documented for a negative size (None where the call is defined
-there, which for an oracle means the family is empty and the value ZERO).
-Each row runs at -1 and 0, and with a cutoff also at the cutoff and one past
-it.  The marked-path and arrow sums at their cutoff 6 are read from the
-frozen outputs in ``tests/data``, which ``make_fixtures.py`` writes from the
-same reference enumerators.
+``TABLE`` has one row per name in the four ``__all__`` lists apart from the
+two error classes of ``combinat`` and the two data constants of ``formulas``
+(``DEFAULT_ZENG_BRACKET`` is ``zeng_bracket_qint`` under its adopted name):
+the call at size s, its definition (from ``reference``, or the documented
+base value where -1 raises), the enumeration cutoff (None outside
+``combinat``) and the error documented for a negative size (None where the
+call is defined there, which for an oracle means the family is empty and the
+value ZERO).  A call whose range starts at 1 (the functional equation and
+the two step relations) is made at s + 1, so -1 is again just below its
+range.  Each row runs at -1 and 0, and with a cutoff also at the cutoff and
+one past it.  The marked-path and arrow sums at their cutoff 6 are read from
+the frozen outputs in ``tests/data``, which ``make_fixtures.py`` writes from
+the same reference enumerators.
 """
 
 import json
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import pytest
 
-from tqeuler import combinat, qkit
+from tqeuler import cfrac, combinat, formulas, qkit
+from tqeuler.cfrac import dn_hat, en_even_q, en_odd_q, euler_coeff, euler_hat, sfrac_moments
 from tqeuler.combinat import (
     CutoffExceededError,
     alt_statistic_polynomial,
@@ -33,7 +40,34 @@ from tqeuler.combinat import (
     md_star_weight_sum_general,
     sop_weight_sum,
 )
-from tqeuler.exactalg import ONE, T, LaurentPoly, ZERO
+from tqeuler.exactalg import ONE, ONE_MINUS_Q, Q, T, LaurentPoly, ZERO
+from tqeuler.formulas import (
+    SpecializationKey,
+    a_k_inverse,
+    alpha_step_holds,
+    beta_step_holds,
+    dist_box_closed,
+    dn_touchard_riordan,
+    euler_hat_at_minus_inv_q,
+    euler_hat_at_minus_q,
+    euler_hat_ballot,
+    euler_hat_josuat_verges,
+    euler_hat_odd_pochhammer,
+    secant_hat_closed,
+    secant_hat_original,
+    tangent_hat_closed,
+    tangent_hat_original,
+    tk_at,
+    tk_at_minus_inv_q,
+    tk_at_minus_q,
+    tk_closed,
+    tk_functional_equation_holds,
+    tk_prodinger,
+    tk_recurrence,
+    tk_special,
+    zeng_bracket_qint,
+    zeng_value,
+)
 from tqeuler.qkit import (
     QSymbolSpec,
     a_k_poly,
@@ -75,6 +109,7 @@ from reference import (
 
 DATA = Path(__file__).parent / "data"
 ERROR_CLASSES = {"CutoffExceededError", "InvalidEndpointError"}
+DATA_CONSTANTS = {"DEFAULT_ZENG_BRACKET", "ZENG_SAMPLE_POINTS"}
 
 
 def _frozen(name: str, group: str | None = None) -> dict[int, LaurentPoly]:
@@ -144,6 +179,43 @@ TABLE = {
                                   lambda s: lprime_path_reference(s, 2, 1, 0, 1), 6, ValueError),
     "enum_alternating": Row(enum_alternating, alternating_reference, 9, None),
     "alt_statistic_polynomial": Row(alt_statistic_polynomial, alt_statistic_reference, 9, None),
+    # cfrac: a moment of order 0 is the empty path's 1, and order -1 has none
+    "sfrac_moments": Row(lambda s: sfrac_moments(euler_coeff, s), lambda s: [ONE], None, ValueError),
+    "euler_coeff": Row(euler_coeff, lambda h: (ONE - q_power(h)) * (ONE - T * q_power(h)), None, None),
+    "euler_hat": Row(euler_hat, lambda s: ONE, None, ValueError),
+    "dn_hat": Row(dn_hat, lambda s: ONE, None, ValueError),
+    "en_even_q": Row(en_even_q, lambda s: ONE, None, ValueError),
+    "en_odd_q": Row(en_odd_q, lambda s: ONE, None, ValueError),
+    # formulas: T_0 = 1, each normalized Euler route is 1 at n = 0 (the unshifted tangent
+    # form carries one more factor 1 - q), and each step relation holds at its first point
+    "SpecializationKey": Row(lambda s: tk_special(SpecializationKey(1, s), 1),
+                             lambda b: ONE - Q - q_power(b + 1), None, None),
+    "tk_recurrence": Row(tk_recurrence, lambda s: ONE, None, ValueError),
+    "tk_closed": Row(tk_closed, lambda s: ONE, None, ValueError),
+    "tk_functional_equation_holds": Row(lambda s: tk_functional_equation_holds(s + 1),
+                                        lambda s: True, None, ValueError),
+    "tk_special": Row(lambda s: tk_special(SpecializationKey(-1, 2), s), lambda s: ONE, None, ValueError),
+    "tk_prodinger": Row(lambda s: tk_prodinger(1, s), lambda s: ONE, None, ValueError),
+    "tk_at": Row(lambda s: tk_at(-1, -2, s), lambda s: ONE, None, ValueError),
+    "tk_at_minus_q": Row(tk_at_minus_q, lambda s: ONE, None, ValueError),
+    "tk_at_minus_inv_q": Row(tk_at_minus_inv_q, lambda s: ONE, None, ValueError),
+    "alpha_step_holds": Row(lambda s: alpha_step_holds(1, 1, s + 1), lambda s: True, None, ValueError),
+    "beta_step_holds": Row(lambda s: beta_step_holds(-1, 1, s + 1), lambda s: True, None, ValueError),
+    "euler_hat_ballot": Row(euler_hat_ballot, lambda s: ONE, None, ValueError),
+    "secant_hat_closed": Row(secant_hat_closed, lambda s: ONE, None, ValueError),
+    "tangent_hat_closed": Row(tangent_hat_closed, lambda s: ONE, None, ValueError),
+    "dn_touchard_riordan": Row(dn_touchard_riordan, lambda s: ONE, None, ValueError),
+    "euler_hat_josuat_verges": Row(euler_hat_josuat_verges, lambda s: ONE, None, ValueError),
+    "euler_hat_odd_pochhammer": Row(euler_hat_odd_pochhammer, lambda s: ONE, None, ValueError),
+    "secant_hat_original": Row(secant_hat_original, lambda s: ONE, None, ValueError),
+    "tangent_hat_original": Row(tangent_hat_original, lambda s: ONE_MINUS_Q, None, ValueError),
+    "euler_hat_at_minus_q": Row(euler_hat_at_minus_q, lambda s: ONE, None, ValueError),
+    "euler_hat_at_minus_inv_q": Row(euler_hat_at_minus_inv_q, lambda s: ONE, None, ValueError),
+    "dist_box_closed": Row(lambda s: dist_box_closed(s, 2), lambda s: ONE, None, ValueError),
+    "a_k_inverse": Row(a_k_inverse, lambda s: ONE, None, ValueError),
+    "zeng_value": Row(lambda s: zeng_value(s, 2, Fraction(1, 2)), lambda s: 1, None, ValueError),
+    "zeng_bracket_qint": Row(lambda m: zeng_bracket_qint(m, Fraction(2), Fraction(1, 2)),
+                             lambda m: (1 - 2 * Fraction(1, 2) ** m) / (1 - Fraction(1, 2)), None, None),
 }
 
 CASES = [
@@ -154,7 +226,8 @@ CASES = [
 
 
 def test_table_covers_every_public_name():
-    assert set(TABLE) == (set(qkit.__all__) | set(combinat.__all__)) - ERROR_CLASSES
+    public = {*qkit.__all__, *combinat.__all__, *cfrac.__all__, *formulas.__all__}
+    assert set(TABLE) == public - ERROR_CLASSES - DATA_CONSTANTS
 
 
 @pytest.mark.parametrize("name, s", CASES)
@@ -168,3 +241,16 @@ def test_boundary(name, s):
             row.call(s)
     else:
         assert row.call(s) == row.reference(s)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gauss_binom(2.5, 1),
+    lambda: gauss_binom(3, 1.0),
+    lambda: (gauss_binom(4, 2, squared=True), gauss_binom(4.0, 2, squared=True)),
+    lambda: SpecializationKey(1, 1.5),
+    lambda: tk_prodinger(1.5, 2),
+], ids=["gauss_binom-n", "gauss_binom-k", "gauss_binom-warm-cache", "SpecializationKey-b", "tk_prodinger-b"])
+def test_non_integer_size_raises_type_error(call):
+    # a float size used to recurse in qkit._gauss until RecursionError
+    with pytest.raises(TypeError):
+        call()

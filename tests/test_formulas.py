@@ -55,10 +55,11 @@ def zeng_bracket_additive(m: int, t0: Fraction, q0: Fraction) -> Fraction:
 
 
 # Every qkit._ballot_sum route: its value at n, the namespace and key its kernel
-# is looked up in when the route runs, and the largest n the registry asks for.
+# is looked up in when the route runs, the arguments the route passes the kernel
+# after k, and the largest n the registry asks for.
 BALLOT_ROUTES = {
     **{
-        name: (lambda n, name=name: getattr(formulas, name)(n), vars(formulas), kernel, 12)
+        name: (lambda n, name=name: getattr(formulas, name)(n), vars(formulas), kernel, (), 12)
         for name, kernel in (
             ("euler_hat_ballot", "_euler_ballot_kernel"),
             ("secant_hat_closed", "_secant_kernel"),
@@ -75,7 +76,7 @@ BALLOT_ROUTES = {
     **{
         f"ballot-reduction-{weights}": (
             lambda n, weights=weights: registry._ballot_marked_sum(n, weights),
-            registry._MARKED_KERNELS, weights, 5,
+            vars(registry), "_marked_kernel", (weights,), 5,
         )
         for weights in ("euler", "q-int")
     },
@@ -248,31 +249,33 @@ class TestEulerFormulas:
 class TestBallotSum:
     """The cached ballot expansion against the one-packed-sum reference."""
 
-    @pytest.mark.parametrize("route, space, kernel, top", BALLOT_ROUTES.values(), ids=list(BALLOT_ROUTES))
-    def test_matches_reference_cold_and_warm(self, route, space, kernel, top):
-        rng = random.Random(kernel)
+    @pytest.mark.parametrize("route, space, kernel, args, top", BALLOT_ROUTES.values(), ids=list(BALLOT_ROUTES))
+    def test_matches_reference_cold_and_warm(self, route, space, kernel, args, top):
+        rng = random.Random(" ".join((kernel, *args)))
         ns = list(range(min(top, 10) + 1))
         tqeuler.clear_caches()
         for _ in ("cold", "warm"):
             rng.shuffle(ns)
             got = [route(n) for n in ns]
-            assert got == [ballot_sum_reference(n, space[kernel]) for n in ns]
+            assert got == [ballot_sum_reference(n, space[kernel], *args) for n in ns]
 
     def test_each_kernel_runs_once_per_k(self, monkeypatch):
         tqeuler.clear_caches()
         calls = Counter()
-        for _, space, kernel, _ in BALLOT_ROUTES.values():
+        # one spy per kernel: the two ballot-reduction routes share one, with different arguments
+        kernels = {kernel: space for _, space, kernel, _, _ in BALLOT_ROUTES.values()}
+        for kernel, space in kernels.items():
 
-            def spy(k, real=space[kernel], name=kernel):
-                calls[name, k] += 1
-                return real(k)
+            def spy(k, *args, real=space[kernel], name=kernel):
+                calls[name, k, *args] += 1
+                return real(k, *args)
 
             monkeypatch.setitem(space, kernel, spy)
-        for route, _, _, top in BALLOT_ROUTES.values():
+        for route, *_, top in BALLOT_ROUTES.values():
             for n in [*range(top + 1), *reversed(range(top + 1))]:
                 route(n)
         assert calls == Counter(
-            {(kernel, k): 1 for _, _, kernel, top in BALLOT_ROUTES.values() for k in range(top + 1)}
+            {(kernel, k, *args): 1 for _, _, kernel, args, top in BALLOT_ROUTES.values() for k in range(top + 1)}
         )
         assert qkit._kernel_rows.cache_info().currsize <= len(BALLOT_ROUTES) * 13
 

@@ -111,9 +111,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if report.failed else 0
 
 
-_BENCH_CAP = registry.HARD_MAX_N
-
-
 def _bench_methods(n: int):
     def moment_dp():
         return cfrac.euler_hat(n)
@@ -131,13 +128,13 @@ def _bench_methods(n: int):
         ("moment-dp", moment_dp),
         ("ballot-form", ballot_form),
         ("odd-poch-sum", odd_poch_sum),
-        ("dyck-brute", dyck_brute if n <= 6 else None),
+        ("dyck-brute", dyck_brute if n <= registry.DYCK_ORACLE_MAX_N else None),
     ]
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if not (0 <= args.max_n <= _BENCH_CAP):
-        return _fail(f"--max-n must be in 0..{_BENCH_CAP}")
+    if not (0 <= args.max_n <= registry.HARD_MAX_N):
+        return _fail(f"--max-n must be in 0..{registry.HARD_MAX_N}")
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "method", "ms", "terms"])
     for n in range(args.max_n + 1):

@@ -24,8 +24,8 @@ from functools import cache
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .exactalg import LaurentPoly, ZERO, _ONE_MINUS_T2, _ONE_PLUS_T, _sum_of_products, monomial
-from .qkit import QSymbolSpec, pochhammer
+from .exactalg import LaurentPoly, ONE, ZERO, _ONE_MINUS_T2, _ONE_PLUS_T, _sum_of_products, monomial
+from .qkit import QSymbolSpec, euler_down, euler_up, pochhammer
 
 __all__ = [
     "CutoffExceededError",
@@ -230,14 +230,6 @@ def dyck_weight_sum(n: int, up_rule: WeightRule, down_rule: WeightRule) -> Laure
     return _marked_walk(n, up_rule, down_rule, 0)
 
 
-def _u_rule(h: int) -> LaurentPoly:
-    return monomial(-1, 0, h)  # -q**h
-
-
-def _v_rule(h: int) -> LaurentPoly:
-    return monomial(-1, 1, h)  # -t*q**h
-
-
 def md_star_weight_sum_general(k: int, up_rule: WeightRule, down_rule: WeightRule) -> LaurentPoly:
     """Sum over marked Dyck paths of length 2k without marked peaks of the
     products of step weights.
@@ -251,9 +243,9 @@ def md_star_weight_sum_general(k: int, up_rule: WeightRule, down_rule: WeightRul
 
 
 def md_star_weight_sum(k: int) -> LaurentPoly:
-    """Weight sum over the starred family with the fixed rules
-    ``(-q, -q**2, ...)`` on up steps and ``(-t*q, -t*q**2, ...)`` on down steps."""
-    return md_star_weight_sum_general(k, _u_rule, _v_rule)
+    """Weight sum over the starred family: each step weighs its Euler weight less
+    one, ``-q**h`` on an up step and ``-t*q**h`` on a down step."""
+    return md_star_weight_sum_general(k, lambda h: euler_up(h) - ONE, lambda h: euler_down(h) - ONE)
 
 
 # ---------------------------------------------------------------------------

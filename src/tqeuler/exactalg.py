@@ -592,4 +592,5 @@ T = monomial(1, 1, 0)
 Q = monomial(1, 0, 1)
 ONE_MINUS_Q = LaurentPoly({(0, 0): 1, (0, 1): -1})
 _ONE_PLUS_T = LaurentPoly({(0, 0): 1, (1, 0): 1})
+_ONE_PLUS_Q = LaurentPoly({(0, 0): 1, (0, 1): 1})
 _ONE_MINUS_T2 = LaurentPoly({(0, 0): 1, (2, 0): -1})

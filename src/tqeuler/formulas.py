@@ -39,6 +39,7 @@ from .exactalg import (
     Row,
     ZeroDenominatorError,
     _ONE_MINUS_T2,
+    _ONE_PLUS_Q,
     _ONE_PLUS_T,
     _sum_of_products,
     monomial,
@@ -84,8 +85,6 @@ __all__ = [
     "ZENG_SAMPLE_POINTS",
 ]
 
-_ONE_PLUS_Q = LaurentPoly({(0, 0): 1, (0, 1): 1})
-
 
 def _neg_q(e: int, *factors: LaurentPoly) -> Item:
     """The item ``(-q)**e * prod(factors)`` for :func:`~tqeuler.exactalg._sum_of_products`."""
@@ -104,7 +103,7 @@ def tk_recurrence(k: int) -> LaurentPoly:
     ``T_k = T_{k-1} + (1+t)(-q)**(k*k)
     + (1-t**2) * sum_{i=1}^{k-1} (-q)**(k*k - i*i) * T_{i-1}``.
     """
-    if k < 0:
+    if index(k) < 0:  # TypeError for a non-integer, which would otherwise count down past 0
         raise ValueError("k must be nonnegative")
     if k == 0:
         return ONE
@@ -231,9 +230,11 @@ def tk_at(eps: int, b: int, k: int) -> LaurentPoly:
     """T_k at ``t = eps * q**b`` by direct substitution into :func:`tk_recurrence`.
 
     Cached as ``LaurentPoly._rows()``, from which each call rebuilds the
-    polynomial: a cached term dict costs several times more.
+    polynomial: a cached term dict costs several times more.  ``b`` and ``k``
+    pass through ``operator.index`` before the cache, so that an integral float
+    cannot reach the entry of an equal int.
     """
-    return LaurentPoly._from_rows(_tk_at_rows(eps, b, k))
+    return LaurentPoly._from_rows(_tk_at_rows(eps, index(b), index(k)))
 
 
 @cache

@@ -72,7 +72,9 @@ class QSymbolSpec:
     def __post_init__(self):
         if self.base_sign not in (1, -1):
             raise ValueError("base_sign must be +1 or -1")
-        if self.length < 0:
+        # TypeError for a non-integer: an equal spec with an int field may already be cached
+        index(self.base_power)
+        if index(self.length) < 0:
             raise ValueError("length must be nonnegative")
 
 
@@ -98,7 +100,7 @@ def odd_pochhammer(i: int) -> LaurentPoly:
     Cached like :func:`pochhammer`: a miss multiplies the cached symbol one
     factor shorter by the last factor.
     """
-    if i < 0:
+    if index(i) < 0:  # TypeError for a non-integer, which would otherwise count down past 0
         raise ValueError("i must be nonnegative")
     if i == 0:
         return ONE

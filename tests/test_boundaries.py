@@ -1,19 +1,28 @@
-"""Every public function of ``qkit``, ``combinat``, ``cfrac`` and ``formulas``
-at the edges of its range.
+"""Every public function of ``qkit``, ``combinat``, ``cfrac``, ``formulas``
+and ``exactalg`` at the edges of its range.
 
-``TABLE`` has one row per name in the four ``__all__`` lists apart from the
-two error classes of ``combinat`` and the two data constants of ``formulas``
-(``DEFAULT_ZENG_BRACKET`` is ``zeng_bracket_qint`` under its adopted name):
-the call at size s, its definition (from ``reference``, or the documented
-base value where -1 raises), the enumeration cutoff (None outside
-``combinat``) and the error documented for a negative size (None where the
-call is defined there, which for an oracle means the family is empty and the
-value ZERO).  A call whose range starts at 1 (the functional equation and
-the two step relations) is made at s + 1, so -1 is again just below its
-range.  Each row runs at -1 and 0, and with a cutoff also at the cutoff and
-one past it.  The marked-path and arrow sums at their cutoff 6 are read from
-the frozen outputs in ``tests/data``, which ``make_fixtures.py`` writes from
-the same reference enumerators.
+``TABLE`` has one row per name in the first four ``__all__`` lists apart
+from the two error classes of ``combinat`` and the two data constants of
+``formulas`` (``DEFAULT_ZENG_BRACKET`` is ``zeng_bracket_qint`` under its
+adopted name), and one row per callable of ``exactalg.__all__`` apart from
+its two error classes, where ``LaurentPoly`` has one row per method that
+takes a size, named ``LaurentPoly.<method>``.  A row holds the call at size
+s, its definition (from ``reference``, or the documented base value where -1
+raises), the enumeration cutoff (None outside ``combinat``) and the error
+documented for a negative size (None where the call is defined there, which
+for an oracle means the family is empty and the value ZERO).  A call whose
+range starts at 1 is made at s + 1, so -1 is again just below its range:
+the functional equation, the two step relations, the factor of
+``scale_q``, the sign of ``substitute_t`` and the divisor of
+``divide_exact``.  Each row runs at -1 and 0, and with a cutoff also at the
+cutoff and one past it.  The marked-path and arrow sums at their cutoff 6
+are read from the frozen outputs in ``tests/data``, which
+``make_fixtures.py`` writes from the same reference enumerators.
+
+A negative size has two conventions here, and both stay until one is chosen
+for every function: ``box_size_polynomial(-1, 2)`` raises ``ValueError``,
+while ``partition_box_binom(-1, 2)``, ``gauss_binom`` and the path oracles
+give ``ZERO``.  The table records each as it is.
 """
 
 import json
@@ -23,7 +32,8 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from tqeuler import cfrac, combinat, formulas, qkit
+import tqeuler
+from tqeuler import cfrac, combinat, exactalg, formulas, qkit
 from tqeuler.cfrac import dn_hat, en_even_q, en_odd_q, euler_coeff, euler_hat, sfrac_moments
 from tqeuler.combinat import (
     CutoffExceededError,
@@ -40,7 +50,7 @@ from tqeuler.combinat import (
     md_star_weight_sum_general,
     sop_weight_sum,
 )
-from tqeuler.exactalg import ONE, ONE_MINUS_Q, Q, T, LaurentPoly, ZERO
+from tqeuler.exactalg import ONE, ONE_MINUS_Q, Q, T, LaurentPoly, ZERO, const, monomial
 from tqeuler.formulas import (
     SpecializationKey,
     a_k_inverse,
@@ -108,7 +118,7 @@ from reference import (
 )
 
 DATA = Path(__file__).parent / "data"
-ERROR_CLASSES = {"CutoffExceededError", "InvalidEndpointError"}
+ERROR_CLASSES = {"CutoffExceededError", "InvalidEndpointError", "NonDivisibleError", "ZeroDenominatorError"}
 DATA_CONSTANTS = {"DEFAULT_ZENG_BRACKET", "ZENG_SAMPLE_POINTS"}
 
 
@@ -216,6 +226,19 @@ TABLE = {
     "zeng_value": Row(lambda s: zeng_value(s, 2, Fraction(1, 2)), lambda s: 1, None, ValueError),
     "zeng_bracket_qint": Row(lambda m: zeng_bracket_qint(m, Fraction(2), Fraction(1, 2)),
                              lambda m: (1 - 2 * Fraction(1, 2) ** m) / (1 - Fraction(1, 2)), None, None),
+    # exactalg: a Laurent exponent may be negative, a power, a q-scale factor and a
+    # t-sign may not, and a divisor may not be 0
+    "monomial": Row(lambda s: monomial(1, 0, s), q_power, None, None),
+    "const": Row(const, lambda c: ONE * c, None, None),
+    "LaurentPoly.__pow__": Row(lambda s: ONE_MINUS_Q**s, lambda s: ONE, None, ValueError),
+    "LaurentPoly.scale_q": Row(lambda s: ONE_MINUS_Q.scale_q(s + 1), lambda s: ONE - q_power(s + 1),
+                               None, ValueError),
+    "LaurentPoly.substitute_t": Row(lambda s: (ONE + T).substitute_t(s + 1, 2), lambda s: ONE + q_power(2),
+                                    None, ValueError),
+    "LaurentPoly.shift_t_by_q": Row(lambda s: (ONE + T).shift_t_by_q(s), lambda s: ONE + T * q_power(s),
+                                    None, None),
+    "LaurentPoly.divide_exact": Row(lambda s: ONE_MINUS_Q.divide_exact(s + 1), lambda s: ONE_MINUS_Q,
+                                    None, ZeroDivisionError),
 }
 
 CASES = [
@@ -226,8 +249,9 @@ CASES = [
 
 
 def test_table_covers_every_public_name():
-    public = {*qkit.__all__, *combinat.__all__, *cfrac.__all__, *formulas.__all__}
-    assert set(TABLE) == public - ERROR_CLASSES - DATA_CONSTANTS
+    public = {*qkit.__all__, *combinat.__all__, *cfrac.__all__, *formulas.__all__,
+              *(name for name in exactalg.__all__ if callable(getattr(exactalg, name)))}
+    assert {name.partition(".")[0] for name in TABLE} == public - ERROR_CLASSES - DATA_CONSTANTS
 
 
 @pytest.mark.parametrize("name, s", CASES)
@@ -249,8 +273,44 @@ def test_boundary(name, s):
     lambda: (gauss_binom(4, 2, squared=True), gauss_binom(4.0, 2, squared=True)),
     lambda: SpecializationKey(1, 1.5),
     lambda: tk_prodinger(1.5, 2),
-], ids=["gauss_binom-n", "gauss_binom-k", "gauss_binom-warm-cache", "SpecializationKey-b", "tk_prodinger-b"])
+    lambda: monomial(1, 0, 1.5),
+    lambda: const(1.5),
+    lambda: ONE_MINUS_Q**2.0,
+    lambda: ONE_MINUS_Q.scale_q(2.0),
+    lambda: (ONE + T).substitute_t(1, 1.5),
+    lambda: (ONE + T).shift_t_by_q(1.5),
+    lambda: ONE_MINUS_Q.divide_exact(1.0),
+], ids=["gauss_binom-n", "gauss_binom-k", "gauss_binom-warm-cache", "SpecializationKey-b", "tk_prodinger-b",
+        "monomial", "const", "LaurentPoly.__pow__", "LaurentPoly.scale_q", "LaurentPoly.substitute_t",
+        "LaurentPoly.shift_t_by_q", "LaurentPoly.divide_exact"])
 def test_non_integer_size_raises_type_error(call):
     # a float size used to recurse in qkit._gauss until RecursionError
     with pytest.raises(TypeError):
         call()
+
+
+def test_divide_exact_needs_a_divisor_with_one_t_row():
+    with pytest.raises(ValueError):
+        (ONE - T * T).divide_exact(ONE + T)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: pochhammer(QSymbolSpec(1, 0, s)),
+    odd_pochhammer,
+    lambda s: gauss_binom(s, 1),
+    tk_recurrence,
+    lambda s: tk_at(1, 0, s),
+    lambda s: tk_at(1, s, 2),
+    euler_hat,
+    dn_hat,
+], ids=["pochhammer", "odd_pochhammer", "gauss_binom", "tk_recurrence", "tk_at-k", "tk_at-b", "euler_hat",
+        "dn_hat"])
+@pytest.mark.parametrize("size", [2.0, 2.5])
+def test_non_integer_size_raises_type_error_cold_and_warm(call, size):
+    # a memo keyed by an equal spec or tuple must not turn 2.0 into the value at 2
+    tqeuler.clear_caches()
+    with pytest.raises(TypeError):
+        call(size)
+    call(2)
+    with pytest.raises(TypeError):
+        call(size)

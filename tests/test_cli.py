@@ -281,6 +281,18 @@ class TestBench:
         out = capsys.readouterr().out
         assert "7,dyck-brute,cutoff," in out
 
+    def test_dyck_cutoff_is_the_verify_range(self, capsys):
+        # bench and verify run the brute-force Dyck oracle over one range
+        assert cli.main(["bench", "--max-n", "8"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        cut = {int(n) for n, method, ms, _ in rows if method == "dyck-brute" and ms == "cutoff"}
+        assert cli.main(["verify", "--max-n", "8", "--select", "euler-dyck-oracle", "--format", "json"]) == 0
+        cases = json.loads(capsys.readouterr().out)["cases"]
+        skipped = {c["params"]["n"] for c in cases if c["status"] == "skipped"}
+        assert cut == skipped == set(range(registry.DYCK_ORACLE_MAX_N + 1, 9))
+        assert {c["detail"] for c in cases if c["status"] == "skipped"} == {
+            f"brute-force Dyck oracle capped at n <= {registry.DYCK_ORACLE_MAX_N}"}
+
     def test_bad_bounds(self):
         assert cli.main(["bench", "--max-n", "99"]) == 2
 

@@ -27,8 +27,6 @@ from tqeuler.combinat import (
     _conjugate,
     _multiply_keys,
     _staircase_parts,
-    _u_rule,
-    _v_rule,
 )
 from tqeuler.exactalg import LaurentPoly, ONE, Q, T, ZERO, const, monomial
 from tqeuler.formulas import tk_recurrence
@@ -193,7 +191,7 @@ class TestDyck:
     def test_negative_length_is_empty(self):
         assert list(dyck_paths(-1)) == []
         assert dyck_weight_sum(-1, lambda h: ONE, lambda h: ONE) == ZERO
-        assert md_star_weight_sum_general(-1, _u_rule, _v_rule) == ZERO
+        assert md_star_weight_sum_general(-1, *MD_STAR_RULES["u-v"]) == ZERO
         assert enum_alternating(-1) == []
         assert alt_statistic_polynomial(-2) == ZERO
         assert delta_prime_weight_sum(-1) == ZERO
@@ -217,10 +215,11 @@ class TestMultiplyKeys:
 
 class TestMarkedDyck:
     def test_euler_rules_less_one_are_the_starred_rules(self):
-        # so the Euler kernel of ballot-reduction is md_star_weight_sum itself
+        # md_star_weight_sum weighs each step by its Euler weight less one: these
+        # are the starred rules -q**h and -t*q**h
         for h in range(1, 9):
-            assert euler_up(h) - ONE == _u_rule(h)
-            assert euler_down(h) - ONE == _v_rule(h)
+            assert euler_up(h) - ONE == monomial(-1, 0, h)
+            assert euler_down(h) - ONE == monomial(-1, 1, h)
 
     def test_k0(self):
         assert md_star_weight_sum(0) == ONE
@@ -290,7 +289,7 @@ class TestMarkedDyck:
 
     def test_oracle_cutoff(self):
         with pytest.raises(CutoffExceededError):
-            md_star_weight_sum_general(7, _u_rule, _v_rule)
+            md_star_weight_sum_general(7, *MD_STAR_RULES["u-v"])
 
 
 class TestDeltaConfigs:

@@ -4,6 +4,7 @@ from collections import Counter
 
 import tqeuler
 from tqeuler import combinat
+from tqeuler.exactalg import monomial
 from tqeuler.registry import run_verification
 
 # sha256 of every case's id, params (in order), status and detail, at the
@@ -34,7 +35,7 @@ def test_default_run_walks_each_euler_marked_sum_once(monkeypatch):
 
     def counting(k, up_rule, down_rule):
         heights = range(1, k + 2)
-        if all(up_rule(h) == combinat._u_rule(h) and down_rule(h) == combinat._v_rule(h) for h in heights):
+        if all(up_rule(h) == monomial(-1, 0, h) and down_rule(h) == monomial(-1, 1, h) for h in heights):
             calls[k] += 1
         return walk(k, up_rule, down_rule)
 

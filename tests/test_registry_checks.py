@@ -1,4 +1,5 @@
-"""The failure path of the registry's many-sided equality rows.
+"""The failure path of the registry's ``_same`` rows: the many-sided
+equalities and the predicates, whose second side is the constant ``True``.
 
 Each row of ``FAILURES`` replaces one side of an identity, runs that identity
 at the default bounds and recomputes every side of every cell here, from the
@@ -27,6 +28,11 @@ SECANT = (1, 1, 5, 61, 1385)  # E_0, E_2, ..., E_8
 TANGENT = (1, 2, 16, 272, 7936)  # E_1, E_3, ..., E_9
 ODD_DOUBLE_FACTORIALS = (1, 1, 3, 15, 105, 945)
 ZENG = formulas.zeng_value  # the real one, read before any test replaces it
+
+
+def _false_at(real, cell):
+    """The predicate ``real`` with its value at the params ``cell`` turned to ``False``."""
+    return lambda *params: params != cell and real(*params)
 
 
 def _bumped(real):
@@ -59,6 +65,13 @@ FAILURES = {
     "gauss-symmetry": (qkit, "gauss_binom", _bumped,
                        lambda new, n: ([new(n, k) for k in range(n + 1)], [new(n, n - k) for k in range(n + 1)]),
                        1),
+    # a predicate false at one cell fails that cell alone, as "lhs = False ; rhs = True"
+    "tk-functional": (formulas, "tk_functional_equation_holds", lambda real: _false_at(real, (3,)),
+                      lambda new, k: (new(k), True), 1),
+    "alpha-recurrence": (formulas, "alpha_step_holds", lambda real: _false_at(real, (-1, 2, 3)),
+                         lambda new, eps, b, k: (new(eps, b, k), True), 1),
+    "beta-recurrence": (formulas, "beta_step_holds", lambda real: _false_at(real, (1, 4, 6)),
+                        lambda new, eps, b, k: (new(eps, b, k), True), 1),
 }
 
 

@@ -47,6 +47,7 @@ _CACHES = (
     qkit.odd_pochhammer,
     qkit._gauss,
     qkit._kernel_rows,
+    qkit.square_sum,
     cfrac.euler_hat,
     cfrac.dn_hat,
     combinat._completions,

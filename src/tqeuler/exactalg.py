@@ -22,11 +22,13 @@ live on the factor, in the lazily filled ``_pack_facts`` slot, so a
 polynomial shared by many sums is packed once per layout.
 
 The dense t-row form lives here too.  ``LaurentPoly._rows`` gives one
-``(e_t, lowest e_q, coefficients)`` row per nonzero t-row and
-``LaurentPoly._from_rows`` is its inverse; ``_sum_rows`` folds weighted sums of
-such rows, and ``_Layout.unpack`` decodes a packed int row by row.  The memos
-``formulas._tk_at_rows`` and ``qkit._kernel_rows`` keep what ``_rows`` returns
-and never assemble rows themselves.
+``(e_t, lowest e_q, coefficients)`` row per nonzero t-row and keeps them in a
+second lazily filled slot, ``_row_memo``; ``LaurentPoly._from_rows`` is its
+inverse.  ``_sum_rows`` folds weighted sums of such rows (``substitute_t`` is
+one) and leaves the folded rows in its result's memo, and ``_Layout.unpack``
+decodes a packed int row by row.  The memos ``formulas._tk_at_rows`` and
+``qkit._kernel_rows`` keep what ``_rows`` returns and never assemble rows
+themselves.
 
 ``LaurentPoly.divide_exact`` takes a divisor with one t-row, ``t**d * g(q)``,
 and divides each dense row of the dividend by ``g`` on its own; the term-dict
@@ -93,9 +95,11 @@ class LaurentPoly:
 
     ``_pack_facts`` stays unset until the polynomial is first a factor of
     ``_sum_of_products``, which then keeps its box, norm and packed ints there.
+    ``_row_memo``, the dense rows, stays unset until ``_rows`` is first read,
+    unless ``_sum_rows`` made the polynomial and left its rows there.
     """
 
-    __slots__ = ("_terms", "_pack_facts")
+    __slots__ = ("_terms", "_pack_facts", "_row_memo")
 
     def __init__(self, terms: Mapping[ExpPair, int] | None = None):
         clean: dict[ExpPair, int] = {}
@@ -225,12 +229,17 @@ class LaurentPoly:
     # -- dense rows ------------------------------------------------------------
 
     def _rows(self) -> tuple[Row, ...]:
-        """One ``(e_t, lowest e_q, coefficients up to the highest e_q)`` per nonzero t-row."""
-        by_t: dict[int, dict[int, int]] = {}
-        for (et, eq), c in self._terms.items():
-            by_t.setdefault(et, {})[eq] = c
-        return tuple((et, lo, tuple(map(r.get, range(lo, max(r) + 1), repeat(0))))
-                     for et, r in by_t.items() for lo in (min(r),))
+        """One ``(e_t, lowest e_q, coefficients up to the highest e_q)`` per nonzero t-row,
+        made on first use and kept in the ``_row_memo`` slot."""
+        try:
+            return self._row_memo
+        except AttributeError:
+            by_t: dict[int, dict[int, int]] = {}
+            for (et, eq), c in self._terms.items():
+                by_t.setdefault(et, {})[eq] = c
+            rows = self._row_memo = tuple((et, lo, tuple(map(r.get, range(lo, max(r) + 1), repeat(0))))
+                                          for et, r in by_t.items() for lo in (min(r),))
+            return rows
 
     @classmethod
     def _from_rows(cls, rows: Iterable[tuple[int, int, Iterable[int]]]) -> "LaurentPoly":
@@ -240,15 +249,13 @@ class LaurentPoly:
     # -- substitutions -------------------------------------------------------
 
     def substitute_t(self, sign: int, power: int) -> "LaurentPoly":
-        """Substitute ``t = sign * q**power`` with ``sign`` in ``{+1, -1}``."""
+        """Substitute ``t = sign * q**power`` with ``sign`` in ``{+1, -1}``: ``_sum_rows`` folds
+        row e_t of :meth:`_rows`, times ``sign**e_t``, into one q-row at offset ``e_t * power``."""
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         power = index(power)
-        out: dict[int, int] = {}
-        for (et, eq), c in self._terms.items():
-            e = eq + et * power
-            out[e] = out.get(e, 0) + (c if sign == 1 or et % 2 == 0 else -c)
-        return LaurentPoly._trusted({(0, e): c for e, c in out.items() if c})
+        return _sum_rows((-1 if sign < 0 and et % 2 else 1, ((0, lo + et * power, cs),))
+                         for et, lo, cs in self._rows())
 
     def substitute_t_zero(self) -> "LaurentPoly":
         """Substitute ``t = 0``; requires that no negative ``t`` exponent occurs."""
@@ -517,27 +524,33 @@ def _sum_of_products(items: Iterable[Item]) -> LaurentPoly:
     every stride, so it is keyed by ``(0, width)``, a multi-row one by
     ``(stride, width)``.
     """
-    live: list[tuple[int, int, int, list[tuple[LaurentPoly, _PackFacts]]]] = []
-    tmin, tmax, qmin, qmax = sys.maxsize, -sys.maxsize, sys.maxsize, -sys.maxsize
+    live: list[tuple[int, int, int, int, int, list[tuple[LaurentPoly, _PackFacts]]]] = []
     bound = 0
     for c, a, b, factors in items:
-        if not c or not all(factors):
+        if not c:
             continue
         lo_t, hi_t, lo_q, hi_q, size = a, a, b, b, abs(c)
-        facts = [(p, _pack_facts(p)) for p in factors]
-        for _, ((t0, t1, q0, q1), norm, _) in facts:
+        facts = []
+        for p in factors:
+            if not p._terms:
+                break
+            f = _pack_facts(p)
+            (t0, t1, q0, q1), norm, _ = f
             lo_t, hi_t, lo_q, hi_q, size = lo_t + t0, hi_t + t1, lo_q + q0, hi_q + q1, size * norm
-        tmin, tmax, qmin, qmax = min(tmin, lo_t), max(tmax, hi_t), min(qmin, lo_q), max(qmax, hi_q)
-        bound += size
-        live.append((c, lo_t, lo_q, facts))
+            facts.append((p, f))
+        else:
+            bound += size
+            live.append((c, lo_t, hi_t, lo_q, hi_q, facts))
     if not live:
         return ZERO
+    _, lo_ts, hi_ts, lo_qs, hi_qs, _ = zip(*live)
+    tmin, tmax, qmin, qmax = min(lo_ts), max(hi_ts), min(lo_qs), max(hi_qs)
     stride = qmax - qmin + 1
     layout = _Layout.fitting(stride, bound)
     rows_key, row_key = (stride, layout.width), (0, layout.width)
     bits = 8 * layout.width
     total = 0
-    for c, lo_t, lo_q, facts in live:
+    for c, lo_t, _, lo_q, _, facts in live:
         value = c
         for p, (box, _, packed) in facts:
             key = row_key if box[0] == box[1] else rows_key
@@ -550,15 +563,25 @@ def _sum_of_products(items: Iterable[Item]) -> LaurentPoly:
 
 
 def _sum_rows(pairs: Iterable[tuple[int, Iterable[Row]]]) -> LaurentPoly:
-    """``sum w * p`` over ``(w, p._rows())`` pairs, folded row by row into one dense row per e_t."""
+    """``sum w * p`` over ``(w, p._rows())`` pairs, folded row by row into one dense row per e_t;
+    the folded rows, cut to their nonzero ends, are the result's ``_rows``."""
     rows = [(w, *row) for w, p_rows in pairs for row in p_rows]
-    q0 = min((lo for _, _, lo, _ in rows), default=0)
-    width = max((lo + len(cs) for _, _, lo, cs in rows), default=0) - q0
+    q0 = min([lo for _, _, lo, _ in rows], default=0)
+    width = max([lo + len(cs) for _, _, lo, cs in rows], default=0) - q0
     acc = {et: [0] * width for _, et, _, _ in rows}
     for w, et, lo, cs in rows:
         row, s = acc[et], lo - q0
-        row[s : s + len(cs)] = map(add, row[s : s + len(cs)], map(mul, cs, repeat(w)))
-    return LaurentPoly._from_rows((et, q0, row) for et, row in acc.items())
+        row[s : s + len(cs)] = map(add, row[s : s + len(cs)], cs if w == 1 else map(mul, cs, repeat(w)))
+    out = []
+    for et, row in acc.items():
+        while row and not row[-1]:
+            row.pop()
+        if row:
+            lo = next(i for i, c in enumerate(row) if c)
+            out.append((et, q0 + lo, tuple(row[lo:])))
+    p = LaurentPoly._from_rows(out)
+    p._row_memo = tuple(out)
+    return p
 
 
 _PackFacts = tuple[Box, int, dict[tuple[int, int], int]]  # (box, l1 norm, packed ints by key)

@@ -200,9 +200,10 @@ def tk_prodinger(b: int, k: int) -> LaurentPoly:
     """T_k at ``t = q**b`` (b >= 1) by the alternative binomial double sum."""
     if b < 1 or k < 0:
         raise ValueError("need b >= 1 and k >= 0")
+    heads = [gauss_binom(b, i) for i in range(b + 1)]
+    tails = [gauss_binom(m + b, b) for m in range(2 * k + 1)]  # [k+j+b, b] at m = k + j
     return _sum_of_products(
-        (-1 if j % 2 else 1, 0, math.comb(i + 1, 2) + j * j + i * (k + j),
-         (gauss_binom(b, i), gauss_binom(k + j + b, b)))
+        (-1 if j % 2 else 1, 0, math.comb(i + 1, 2) + j * j + i * (k + j), (heads[i], tails[k + j]))
         for i in range(b + 1)
         for j in range(-k, k - i + 1)
     )
@@ -230,7 +231,9 @@ def tk_at(eps: int, b: int, k: int) -> LaurentPoly:
     """T_k at ``t = eps * q**b`` by direct substitution into :func:`tk_recurrence`.
 
     Cached as ``LaurentPoly._rows()``, from which each call rebuilds the
-    polynomial: a cached term dict costs several times more.  ``b`` and ``k``
+    polynomial: a cached term dict costs several times more.  A miss folds the
+    kept rows of ``tk_recurrence(k)`` into one q-row, which the substituted
+    polynomial already holds, so no dict-to-row pass is made.  ``b`` and ``k``
     pass through ``operator.index`` before the cache, so that an integral float
     cannot reach the entry of an equal int.
     """

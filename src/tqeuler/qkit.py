@@ -6,8 +6,8 @@ Gaussian binomial coefficients in base q and base q**2, ballot numbers, and
 the auxiliary polynomial family ``(1-q) * A_k(q)``.
 
 All functions are pure.  The Gaussian binomials, the q-Pochhammer and odd
-q-Pochhammer symbols and each ballot kernel's ``K_k`` are memoised with
-``functools.cache``, so concurrent callers get equal results;
+q-Pochhammer symbols, the square sums and each ballot kernel's ``K_k`` are
+memoised with ``functools.cache``, so concurrent callers get equal results;
 ``tqeuler.clear_caches()`` empties them.  ``K_k`` is kept in the dense-row
 form of ``exactalg`` (``LaurentPoly._rows``) and summed over k by
 ``exactalg._sum_rows``.
@@ -198,8 +198,10 @@ def a_k_poly(k: int) -> LaurentPoly:
     return first + monomial(1, 0, 2 * k + 1) * second
 
 
+@cache
 def square_sum(m: int) -> LaurentPoly:
-    """``sum_{i=-m}^{m} (-q)**(i*i)``; ``i*i`` has the parity of ``i``."""
-    if m < 0:
+    """``sum_{i=-m}^{m} (-q)**(i*i)``; ``i*i`` has the parity of ``i``.  Cached, so that
+    a square sum keeps its packed forms from one packed sum to the next."""
+    if index(m) < 0:  # TypeError for a non-integer, whose key never meets an int's
         raise ValueError("m must be nonnegative")
     return LaurentPoly._trusted({(0, 0): 1, **{(0, i * i): 2 * (-1) ** i for i in range(1, m + 1)}})

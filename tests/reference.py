@@ -21,7 +21,9 @@ DP's lattice, whose tight degree boxes lie inside the closed bounds of
 ``tqeuler.cfrac._moment_walk``, and ``zeng_value_reference`` the double sum with every
 bracket evaluated where it occurs, which ``tqeuler.formulas.zeng_value`` is
 tested against.  ``evaluate_reference`` is the term-by-term Fraction loop that
-``LaurentPoly.evaluate`` is tested against, and ``alt_statistic_reference``
+``LaurentPoly.evaluate`` is tested against, ``substitute_t_reference`` the
+term-by-term loop that the row fold of ``LaurentPoly.substitute_t`` is tested
+against, and ``alt_statistic_reference``
 counts ``count_13_2_patterns`` over every permutation of
 ``tqeuler.combinat.enum_alternating``, which the state transfer of
 ``tqeuler.combinat.alt_statistic_polynomial`` is tested against.  The last
@@ -267,6 +269,15 @@ def evaluate_reference(poly: LaurentPoly, t0, q0) -> Fraction:
             raise ZeroDenominatorError("negative exponent at a zero base")
         total += c * t0**et * q0**eq
     return total
+
+
+def substitute_t_reference(poly: LaurentPoly, sign: int, power: int) -> LaurentPoly:
+    """``poly`` at ``t = sign * q**power``, one term at a time."""
+    out: dict[int, int] = {}
+    for (et, eq), c in poly.terms.items():
+        e = eq + et * power
+        out[e] = out.get(e, 0) + (c if sign == 1 or et % 2 == 0 else -c)
+    return LaurentPoly({(0, e): c for e, c in out.items()})
 
 
 def count_13_2_patterns(perm: Sequence[int]) -> int:

@@ -303,8 +303,9 @@ def test_divide_exact_needs_a_divisor_with_one_t_row():
     lambda s: tk_at(1, s, 2),
     euler_hat,
     dn_hat,
+    square_sum,
 ], ids=["pochhammer", "odd_pochhammer", "gauss_binom", "tk_recurrence", "tk_at-k", "tk_at-b", "euler_hat",
-        "dn_hat"])
+        "dn_hat", "square_sum"])
 @pytest.mark.parametrize("size", [2.0, 2.5])
 def test_non_integer_size_raises_type_error_cold_and_warm(call, size):
     # a memo keyed by an equal spec or tuple must not turn 2.0 into the value at 2

@@ -27,7 +27,7 @@ from tqeuler.exactalg import (
 )
 from tqeuler.qkit import QSymbolSpec, pochhammer
 
-from reference import divide_reference, evaluate_reference
+from reference import divide_reference, evaluate_reference, substitute_t_reference
 
 ONE_MINUS_Q = LaurentPoly({(0, 0): 1, (0, 1): -1})
 T1 = LaurentPoly({(0, 0): 1, (0, 1): -1, (1, 1): -1})  # 1 - q - t*q
@@ -104,6 +104,11 @@ def assert_canonical(p):
     assert p == LaurentPoly(dict(p.terms))
 
 
+def fresh(p):
+    """A copy of ``p`` with none of its memo slots filled."""
+    return LaurentPoly._trusted(dict(p._terms))
+
+
 class TestTrustedResults:
     """Ring operations skip validation, so their results must already be canonical."""
 
@@ -172,6 +177,13 @@ class TestRows:
         result = exactalg._sum_rows((w, p._rows()) for w, p in pairs)
         assert result == sum((w * p for w, p in pairs), ZERO)
         assert_canonical(result)
+        # the rows it leaves in its result are the rows of its terms
+        assert result._rows() == fresh(result)._rows()
+
+    @given(st.one_of(laurent_polys(), pack_operands()))
+    def test_rows_are_kept(self, p):
+        assert p._rows() is p._rows()
+        assert p._rows() == fresh(p)._rows()
 
 
 class TestPackedMul:
@@ -537,6 +549,31 @@ class TestDivisionReference:
         assert division_outcome(LaurentPoly.divide_exact, dividend, divisor) == expected
 
 
+class TestRowMemo:
+    """A polynomial whose rows were read gives the same results as a fresh copy."""
+
+    @given(one_row_divisors(), st.one_of(pack_operands(), laurent_polys()))
+    def test_divide_exact(self, b, a):
+        for dividend in (a * b, a):
+            want = division_outcome(LaurentPoly.divide_exact, fresh(dividend), fresh(b))
+            dividend._rows(), b._rows()
+            assert division_outcome(LaurentPoly.divide_exact, dividend, b) == want
+
+    @given(sum_items())
+    def test_sum_of_products(self, items):
+        want = _sum_of_products([(c, a, b, tuple(map(fresh, factors))) for c, a, b, factors in items])
+        for _, _, _, factors in items:
+            for p in factors:
+                p._rows()
+        assert _sum_of_products(items) == want
+
+    @given(st.one_of(laurent_polys(), pack_operands()), st.sampled_from([1, -1]), st.integers(-9, 9))
+    def test_substitute_t(self, p, sign, power):
+        want = fresh(p).substitute_t(sign, power)
+        p._rows()
+        assert p.substitute_t(sign, power) == want
+
+
 class TestRingAxioms:
     def test_axioms_random_triples(self):
         # associativity, commutativity, distributivity on 1000 seeded triples
@@ -587,6 +624,25 @@ class TestSubstitution:
 
     def test_scale_q(self):
         assert (ONE - Q).scale_q(2) == ONE - monomial(1, 0, 2)
+
+    @given(st.one_of(laurent_polys(), pack_operands()), st.sampled_from([1, -1]), st.integers(-9, 9))
+    @example(ZERO, 1, 0)
+    @example(ONE + T, -1, 0)
+    @example(T - monomial(1, 0, 3) + monomial(5, 2, -1), 1, 3)
+    def test_matches_term_by_term_reference(self, p, sign, power):
+        want = substitute_t_reference(p, sign, power)
+        for _ in range(2):  # the second call reads the rows kept by the first
+            got = p.substitute_t(sign, power)
+            assert got == want
+            assert_canonical(got)
+            assert got._rows() == fresh(got)._rows()
+
+    @given(st.one_of(laurent_polys(), pack_operands()), st.sampled_from([1, -1]), st.integers(-9, 9))
+    def test_cancels_to_zero(self, p, sign, power):
+        # t - sign * q**power vanishes at t = sign * q**power, and so does every multiple of it
+        got = (p * (T - monomial(sign, 0, power))).substitute_t(sign, power)
+        assert got == ZERO
+        assert got._rows() == ()
 
 
 class TestEvaluate:

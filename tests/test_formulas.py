@@ -400,7 +400,7 @@ def test_clear_caches_changes_no_result():
 
     warm = results()
     memos = (tk_recurrence, formulas._tk_at_rows, qkit._gauss, cfrac.euler_hat, cfrac.dn_hat,
-             qkit.pochhammer, qkit._kernel_rows, qkit.odd_pochhammer)
+             qkit.pochhammer, qkit._kernel_rows, qkit.odd_pochhammer, qkit.square_sum)
     tqeuler.clear_caches()
     assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
     assert results() == warm

@@ -163,7 +163,7 @@ def _multiply_keys(tally: dict, slots: list[LaurentPoly], base: int) -> LaurentP
             by_key[key][et, eq] = c
     items = []
     for key, terms in by_key.items():
-        factors = [LaurentPoly._trusted(terms)]
+        factors = [LaurentPoly(terms)]
         for slot in slots:
             key, d = divmod(key, base)
             factors += [slot] * d

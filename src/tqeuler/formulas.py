@@ -16,7 +16,7 @@ per run.  A kernel returns ``K_k`` as a list of ``(c, a, b, factors)`` items,
 each ``c * t**a * q**b * prod(factors)``; these, and the sums of
 :func:`tk_special` and :func:`tk_prodinger`, are summed in one packed int by
 :func:`tqeuler.exactalg._sum_of_products`.  :func:`tk_at` caches its values in
-the dense-row form of ``exactalg``, and every exact division here is by a
+the row form of ``exactalg``, and every exact division here is by a
 polynomial in q alone.
 """
 
@@ -34,7 +34,6 @@ from .exactalg import (
     LaurentPoly,
     ONE,
     ONE_MINUS_Q,
-    T,
     ZERO,
     Row,
     ZeroDenominatorError,
@@ -118,16 +117,14 @@ def tk_closed(k: int) -> LaurentPoly:
     """T_k as the double sum over base-q**2 binomial coefficients."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    total = ZERO
-    for j in range(k + 1):
-        for i in range(j + 1):
-            sign = -1 if (j + i) % 2 else 1
-            head = monomial(sign, 2 * i, j * j + i * i + i)
-            inner = gauss_binom(k - i, j - i, squared=True) + T * gauss_binom(
-                k - i - 1, j - i - 1, squared=True
-            )
-            total = total + head * gauss_binom(k - j, i, squared=True) * inner
-    return total
+    # (-1)**(j+i) * t**(2i) * q**(j*j + i*i + i) * [k-j, i] * ([k-i, j-i] + t * [k-i-1, j-i-1]), two items
+    return _sum_of_products(
+        (-1 if (j + i) % 2 else 1, 2 * i + dt, j * j + i * i + i,
+         (gauss_binom(k - j, i, squared=True), gauss_binom(k - i - dt, j - i - dt, squared=True)))
+        for j in range(k + 1)
+        for i in range(j + 1)
+        for dt in (0, 1)
+    )
 
 
 def tk_functional_equation_holds(k: int) -> bool:
@@ -230,19 +227,17 @@ def tk_at_minus_inv_q(k: int) -> LaurentPoly:
 def tk_at(eps: int, b: int, k: int) -> LaurentPoly:
     """T_k at ``t = eps * q**b`` by direct substitution into :func:`tk_recurrence`.
 
-    Cached as ``LaurentPoly._rows()``, from which each call rebuilds the
-    polynomial: a cached term dict costs several times more.  A miss folds the
-    kept rows of ``tk_recurrence(k)`` into one q-row, which the substituted
-    polynomial already holds, so no dict-to-row pass is made.  ``b`` and ``k``
+    Cached as rows, which each call wraps as they are in a fresh polynomial: a
+    miss folds the rows of ``tk_recurrence(k)`` into one q-row.  ``b`` and ``k``
     pass through ``operator.index`` before the cache, so that an integral float
     cannot reach the entry of an equal int.
     """
-    return LaurentPoly._from_rows(_tk_at_rows(eps, index(b), index(k)))
+    return LaurentPoly._trusted(_tk_at_rows(eps, index(b), index(k)))
 
 
 @cache
 def _tk_at_rows(eps: int, b: int, k: int) -> tuple[Row, ...]:
-    return tk_recurrence(k).substitute_t(eps, b)._rows()
+    return tk_recurrence(k).substitute_t(eps, b)._rows
 
 
 def alpha_step_holds(eps: int, b: int, k: int) -> bool:

@@ -8,9 +8,9 @@ the auxiliary polynomial family ``(1-q) * A_k(q)``.
 All functions are pure.  The Gaussian binomials, the q-Pochhammer and odd
 q-Pochhammer symbols, the square sums and each ballot kernel's ``K_k`` are
 memoised with ``functools.cache``, so concurrent callers get equal results;
-``tqeuler.clear_caches()`` empties them.  ``K_k`` is kept in the dense-row
-form of ``exactalg`` (``LaurentPoly._rows``) and summed over k by
-``exactalg._sum_rows``.
+``tqeuler.clear_caches()`` empties them.  ``K_k`` is kept as the rows
+of its polynomial (``LaurentPoly._rows``), the one form of ``exactalg``, and
+summed over k by ``exactalg._sum_rows``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,9 @@ def q_int(n: int) -> LaurentPoly:
     """The q-integer ``1 + q + ... + q**(n-1)``; ``q_int(0) == 0``."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return LaurentPoly({(0, i): 1 for i in range(n)})
+    # one row, wrapped as it is: through the validating constructor the q-integer
+    # oracle tests of tests/test_combinat.py took about 0.4 s longer
+    return LaurentPoly._trusted(((0, 0, (1,) * n),) if n else ())
 
 
 def euler_up(h: int) -> LaurentPoly:
@@ -177,8 +179,8 @@ def _ballot_sum(n: int, kernel: Callable[..., Iterable[Item]], *args) -> Laurent
 
 @cache
 def _kernel_rows(kernel: Callable[..., Iterable[Item]], k: int, *args) -> tuple[Row, ...]:
-    """``K_k`` of a module-level ``kernel`` as dense rows, summed on the first request only."""
-    return _sum_of_products(kernel(k, *args))._rows()
+    """``K_k`` of a module-level ``kernel`` as rows, summed on the first request only."""
+    return _sum_of_products(kernel(k, *args))._rows
 
 
 def a_k_poly(k: int) -> LaurentPoly:
@@ -204,4 +206,4 @@ def square_sum(m: int) -> LaurentPoly:
     a square sum keeps its packed forms from one packed sum to the next."""
     if index(m) < 0:  # TypeError for a non-integer, whose key never meets an int's
         raise ValueError("m must be nonnegative")
-    return LaurentPoly._trusted({(0, 0): 1, **{(0, i * i): 2 * (-1) ** i for i in range(1, m + 1)}})
+    return LaurentPoly({(0, 0): 1, **{(0, i * i): 2 * (-1) ** i for i in range(1, m + 1)}})

@@ -216,7 +216,7 @@ def _ballot_marked_sum(n: int, weights: str) -> LaurentPoly:
 
 def _md_star(k: int) -> LaurentPoly:
     """``combinat.md_star_weight_sum(k)``, walked once per run and shared with ``ballot-reduction``."""
-    return LaurentPoly._from_rows(qkit._kernel_rows(_marked_kernel, k, "euler"))
+    return LaurentPoly._trusted(qkit._kernel_rows(_marked_kernel, k, "euler"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,10 @@
 import pytest
+from hypothesis import settings
+
+# ``--hypothesis-profile=ci`` runs every property test ten times longer and with no
+# deadline; CI runs tests/test_exactalg.py, the row arithmetic against its term-dict
+# references, under it.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 ACCEPTANCE_RESULTS: dict[str, tuple[bool, str]] = {}
 

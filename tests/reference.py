@@ -12,6 +12,10 @@ step-weight rule pairs the marked-path sums are tested and frozen with.
 ``pochhammer_product`` is the uncached product loop that the cached
 ``tqeuler.qkit.pochhammer`` is tested against, and ``divide_reference`` the
 term-dict long division that ``LaurentPoly.divide_exact`` is tested against.
+``mul_reference`` and ``add_reference`` are the schoolbook term-dict product
+and the term-dict sum that the row arithmetic of ``LaurentPoly`` is tested
+against, and ``exponent_map_reference`` moves every term of a polynomial by
+an exponent map, the reference for its injective substitutions.
 ``multiply_keys_reference`` multiplies a key tally out key by key with
 ``LaurentPoly.__mul__``, which the packed ``tqeuler.combinat._multiply_keys``
 is tested against.  ``ballot_sum_reference`` is the ballot expansion as one
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, permutations, product
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from tqeuler.combinat import (
     WeightRule,
@@ -51,6 +55,7 @@ from tqeuler.combinat import (
 )
 from tqeuler.exactalg import (
     Box,
+    ExpPair,
     LaurentPoly,
     NonDivisibleError,
     ONE,
@@ -184,6 +189,37 @@ def divide_reference(dividend: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly
             else:
                 del rem[e]
     return LaurentPoly(quo)
+
+
+def mul_reference(a: Mapping[ExpPair, int], b: Mapping[ExpPair, int]) -> dict[ExpPair, int]:
+    """The schoolbook product of two term dicts, zero sums popped."""
+    out: dict[ExpPair, int] = {}
+    for (at, aq), ac in a.items():
+        for (bt, bq), bc in b.items():
+            e = (at + bt, aq + bq)
+            s = out.get(e, 0) + ac * bc
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def add_reference(a: Mapping[ExpPair, int], b: Mapping[ExpPair, int], w: int = 1) -> dict[ExpPair, int]:
+    """``a + w * b`` on term dicts: b's terms times w added into a copy of a, zero sums popped."""
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + w * c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def exponent_map_reference(poly: LaurentPoly, fn) -> dict[ExpPair, int]:
+    """The term dict with each term ``(e_t, e_q) -> c`` of ``poly`` moved to ``fn(e_t, e_q) -> c``."""
+    return {fn(et, eq): c for (et, eq), c in poly.terms.items()}
 
 
 def multiply_keys_reference(tally: dict, slots: list[LaurentPoly], base: int) -> LaurentPoly:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -99,6 +100,18 @@ class TestCompute:
     def test_json_render_hypothesis(self, terms):
         poly = LaurentPoly(terms)
         assert cli._render_poly(poly, "json") == json_dumps_terms(poly)
+
+    def test_every_output_frozen(self, capsys):
+        # The renderers read a polynomial's rows: every compute output, in every
+        # format, stays byte for byte as this digest froze it.
+        out = hashlib.sha256()
+        for fmt in ("text", "json", "csv"):
+            for target, flag, top in (("e", "--n", 12), ("d", "--n", 12), ("e-even", "--n", 12),
+                                      ("e-odd", "--n", 12), ("t", "--k", 10)):
+                for n in range(top + 1):
+                    assert cli.main(["compute", target, flag, str(n), "--format", fmt]) == 0
+                    out.update(capsys.readouterr().out.encode())
+        assert out.hexdigest() == "89ee7ed1fae22abcb62e4eaa1f15ea6be46344077a37c73c83fbe1da2e457c86"
 
     def test_csv_format(self, capsys):
         assert cli.main(["compute", "t", "--k", "0", "--format", "csv"]) == 0

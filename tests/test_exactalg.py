@@ -19,7 +19,6 @@ from tqeuler.exactalg import (
 from tqeuler import exactalg
 from tqeuler.exactalg import (
     _Layout,
-    _mul_dict,
     _slot_bytes,
     _sum_of_products,
     _to_int,
@@ -27,7 +26,14 @@ from tqeuler.exactalg import (
 )
 from tqeuler.qkit import QSymbolSpec, pochhammer
 
-from reference import divide_reference, evaluate_reference, substitute_t_reference
+from reference import (
+    add_reference,
+    divide_reference,
+    evaluate_reference,
+    exponent_map_reference,
+    mul_reference,
+    substitute_t_reference,
+)
 
 ONE_MINUS_Q = LaurentPoly({(0, 0): 1, (0, 1): -1})
 T1 = LaurentPoly({(0, 0): 1, (0, 1): -1, (1, 1): -1})  # 1 - q - t*q
@@ -98,15 +104,24 @@ class TestIntegerInput:
 
 
 def assert_canonical(p):
-    for (et, eq), c in p.terms.items():
-        assert type(et) is int and type(eq) is int and type(c) is int
-        assert c != 0
+    """The row invariant: a tuple of ``(e_t, lowest e_q, coefficients)`` rows with e_t
+    sorted and distinct, each a tuple of ints with nonzero ends, no empty row."""
+    rows = p._rows
+    assert type(rows) is tuple
+    ets = [row[0] for row in rows]
+    assert ets == sorted(set(ets))
+    for row in rows:
+        assert type(row) is tuple and len(row) == 3
+        et, lo, cs = row
+        assert type(et) is int and type(lo) is int and type(cs) is tuple
+        assert cs and cs[0] and cs[-1]
+        assert all(type(c) is int for c in cs)
     assert p == LaurentPoly(dict(p.terms))
 
 
 def fresh(p):
-    """A copy of ``p`` with none of its memo slots filled."""
-    return LaurentPoly._trusted(dict(p._terms))
+    """A copy of ``p`` built from its terms by the validating constructor, with no pack facts."""
+    return LaurentPoly(dict(p.terms))
 
 
 class TestTrustedResults:
@@ -114,7 +129,7 @@ class TestTrustedResults:
 
     @given(laurent_polys(), laurent_polys())
     def test_results_canonical(self, a, b):
-        for result in (a + b, a - b, b - a, 3 - a, -a, a * b):
+        for result in (a + b, a - b, b - a, 3 - a, a + 3, -a, a * b, 2 * a, a * -1, a**2, a**0):
             assert_canonical(result)
 
     @given(laurent_polys(), laurent_polys())
@@ -156,34 +171,39 @@ def one_row_divisors(draw):
 
 
 class TestRows:
-    """The dense t-row form against the term dicts it stands for."""
+    """The dense t-rows, the one form, against the term dicts they stand for."""
 
     @given(st.one_of(laurent_polys(), pack_operands()))
     def test_roundtrip(self, p):
-        rows = p._rows()
-        assert LaurentPoly._from_rows(rows) == p
-        assert len({et for et, _, _ in rows}) == len(rows)
+        assert_canonical(p)
+        rows = p._rows
+        assert fresh(p)._rows == rows
         for et, lo, cs in rows:
-            assert cs[0] and cs[-1]
             assert all(p.terms.get((et, e), 0) == c for e, c in enumerate(cs, lo))
+        assert len(p) == len(p.terms) == sum(1 for _, _, cs in rows for c in cs if c)
 
     def test_zero(self):
-        assert ZERO._rows() == ()
-        assert LaurentPoly._from_rows([]) == ZERO
-        assert LaurentPoly._from_rows([(2, -1, [0, 0])]) == ZERO
+        assert ZERO._rows == ()
+        for zero in (LaurentPoly(), LaurentPoly({}), LaurentPoly({(2, -1): 0}), monomial(0, 3, 4), const(0)):
+            assert zero._rows == () and zero == ZERO == 0
 
     @given(st.lists(st.tuples(st.integers(-2**70, 2**70), laurent_polys()), max_size=5))
     def test_sum_rows(self, pairs):
-        result = exactalg._sum_rows((w, p._rows()) for w, p in pairs)
+        result = exactalg._sum_rows((w, p._rows) for w, p in pairs)
+        want = {}
+        for w, p in pairs:
+            want = add_reference(want, p.terms, w)
+        assert dict(result.terms) == want
         assert result == sum((w * p for w, p in pairs), ZERO)
         assert_canonical(result)
-        # the rows it leaves in its result are the rows of its terms
-        assert result._rows() == fresh(result)._rows()
 
     @given(st.one_of(laurent_polys(), pack_operands()))
     def test_rows_are_kept(self, p):
-        assert p._rows() is p._rows()
-        assert p._rows() == fresh(p)._rows()
+        # an operation that leaves a polynomial unchanged gives back rows equal to its own
+        for same in (p + ZERO, ZERO + p, p - ZERO, p * ONE, ONE * p, -(-p), p.shift_t_by_q(0), p.scale_q(1),
+                     p.invert_variables().invert_variables()):
+            assert same._rows == p._rows
+            assert_canonical(same)
 
 
 class TestPackedMul:
@@ -191,14 +211,14 @@ class TestPackedMul:
 
     @given(pack_operands(), pack_operands())
     def test_matches_dict_reference(self, a, b):
-        assert packed(a, b) == _mul_dict(a.terms, b.terms) == (a * b).terms
+        assert packed(a, b) == mul_reference(a.terms, b.terms) == (a * b).terms
 
     def test_cancelling_slots(self):
         # (1 + q + ... + q^9)(1 - q + ... - q^9) = (1 - q^10)(1 + q^2 + ... + q^8)
         a = LaurentPoly({(0, i): 1 for i in range(10)})
         b = LaurentPoly({(0, i): (-1) ** i for i in range(10)})
         product = packed(a, b)
-        assert product == _mul_dict(a.terms, b.terms)
+        assert product == mul_reference(a.terms, b.terms)
         assert sorted(product) == [(0, e) for e in range(0, 20, 2)]
 
     @pytest.mark.parametrize("width", range(1, 10))
@@ -228,28 +248,41 @@ class TestPackedMul:
         saved = dict(exactalg._TYPECODES)
         exactalg._TYPECODES.clear()
         try:
-            assert packed(a, b) == reference == _mul_dict(a.terms, b.terms)
+            assert packed(a, b) == reference == mul_reference(a.terms, b.terms)
         finally:
             exactalg._TYPECODES.update(saved)
+
+    @pytest.mark.parametrize("per_slot", [False, True], ids=["array", "per-slot"])
+    def test_unpack_cuts_rows(self, per_slot, monkeypatch):
+        # 3 rows by 4 columns: zeros at both ends of row 0, an all-zero row 1, and
+        # row 2 cut at its top; every row leaves as a tuple, never an array slice
+        if per_slot:
+            monkeypatch.setattr(exactalg, "_TYPECODES", {})
+        layout, box = _Layout(stride=4, width=1), (5, 7, -2, 1)
+        slots = [0, 3, -1, 0] + [0] * 4 + [7, 0, 0, 0]
+        got = layout.unpack(_to_int(slots, 1), box)
+        assert got._rows == ((5, -1, (3, -1)), (7, -2, (7,)))
+        assert_canonical(got)
 
     def test_unpack_rejects_value_outside_box(self):
         # 2 rows by 3 columns with stride 4: 7 one-byte slots
         layout, box = _Layout(stride=4, width=1), (0, 1, 0, 2)
         assert layout.unpack(-5 << 48, box) == monomial(-5, 1, 2)
+        assert_canonical(layout.unpack(-5 << 48, box))
         for value in (1 << 56, -(1 << 56) - 1, 128 << 48, -129 << 48):
             with pytest.raises(OverflowError):
                 layout.unpack(value, box)
 
 
 def sum_reference(items):
-    """The dict reference: sum of monomial(c, a, b) * factors via _mul_dict and __add__."""
-    total = ZERO
+    """The dict reference: sum of monomial(c, a, b) * factors via the term-dict product and sum."""
+    total = {}
     for c, a, b, factors in items:
-        term = monomial(c, a, b).terms
+        term = {(a, b): c} if c else {}
         for p in factors:
-            term = _mul_dict(term, p.terms)
-        total = total + LaurentPoly(term)
-    return total
+            term = mul_reference(term, p.terms)
+        total = add_reference(total, term)
+    return LaurentPoly(total)
 
 
 @st.composite
@@ -268,9 +301,9 @@ def pack_calls(monkeypatch):
     calls = []
     pack = _Layout.pack
 
-    def spy(self, terms, box):
+    def spy(self, rows, box):
         calls.append(tuple(self))
-        return pack(self, terms, box)
+        return pack(self, rows, box)
 
     monkeypatch.setattr(_Layout, "pack", spy)
     return calls
@@ -317,9 +350,9 @@ class TestPackedSum:
         calls = []
         pack = _Layout.pack
 
-        def spy(self, terms, box):
+        def spy(self, rows, box):
             calls.append(box)
-            return pack(self, terms, box)
+            return pack(self, rows, box)
 
         monkeypatch.setattr(_Layout, "pack", spy)
         p = LaurentPoly({(0, i): 1 for i in range(10)})
@@ -479,7 +512,7 @@ class TestDivision:
     def test_roundtrip_hypothesis(self, a, b):
         quo = (a * b).divide_exact(b)
         assert quo == a
-        assert 0 not in quo.terms.values()
+        assert_canonical(quo)
 
     @given(
         laurent_polys(),
@@ -550,28 +583,108 @@ class TestDivisionReference:
 
 
 class TestRowMemo:
-    """A polynomial whose rows were read gives the same results as a fresh copy."""
+    """Results do not depend on how an operand was made: a result of ring operations,
+    whose pack facts a packed sum may have filled, gives what its copy from the
+    validating constructor gives."""
 
     @given(one_row_divisors(), st.one_of(pack_operands(), laurent_polys()))
     def test_divide_exact(self, b, a):
         for dividend in (a * b, a):
             want = division_outcome(LaurentPoly.divide_exact, fresh(dividend), fresh(b))
-            dividend._rows(), b._rows()
+            _sum_of_products([(1, 0, 0, (dividend, b))])  # fills both pack facts
             assert division_outcome(LaurentPoly.divide_exact, dividend, b) == want
 
     @given(sum_items())
     def test_sum_of_products(self, items):
         want = _sum_of_products([(c, a, b, tuple(map(fresh, factors))) for c, a, b, factors in items])
-        for _, _, _, factors in items:
-            for p in factors:
-                p._rows()
-        assert _sum_of_products(items) == want
+        for _ in range(2):  # the second sum reads the packs the first kept
+            got = _sum_of_products(items)
+            assert got == want
+            assert_canonical(got)
 
     @given(st.one_of(laurent_polys(), pack_operands()), st.sampled_from([1, -1]), st.integers(-9, 9))
     def test_substitute_t(self, p, sign, power):
         want = fresh(p).substitute_t(sign, power)
-        p._rows()
+        _sum_of_products([(1, 0, 0, (p,))])
         assert p.substitute_t(sign, power) == want
+
+
+@st.composite
+def sparse_polys(draw, max_terms=6):
+    """Few terms, far apart: exponents up to +-60, small or huge coefficients."""
+    big = draw(st.sampled_from([9, 2**70]))
+    exps = st.integers(-60, 60)
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        terms[(draw(exps), draw(exps))] = draw(st.integers(-big, big))
+    return LaurentPoly(terms)
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """``(a, b)`` whose sum is a sparse ``r``: a holds r plus a part p that b takes away,
+    so rows of a + b cancel at either end, in the middle or down to ZERO."""
+    p, r = draw(sparse_polys()), draw(st.one_of(st.just(ZERO), sparse_polys(max_terms=3)))
+    shared = draw(st.sampled_from([ZERO, monomial(1, 0, -60), monomial(-3, 1, 60), T - Q]))
+    return p + r + shared, -p - shared
+
+
+@st.composite
+def cancelling_products(draw):
+    """``(a, b)`` with terms of ``a * b`` that cancel: (x + y)(x - y) loses its cross terms,
+    which cancel in the middle of a row or a whole row, times sparse cofactors."""
+    mono = st.builds(monomial, st.sampled_from([1, -2, 3]), st.integers(-30, 30), st.integers(-30, 30))
+    x, y = draw(mono), draw(mono)
+    u, v = draw(sparse_polys(max_terms=3)), draw(sparse_polys(max_terms=3))
+    return (x + y) * (u if u else ONE), (x - y) * (v if v else ONE)
+
+
+class TestSparseWide:
+    """Row arithmetic on sparse, wide-span operands against the term-dict references."""
+
+    @given(st.one_of(st.tuples(sparse_polys(), sparse_polys()), cancelling_pairs()))
+    def test_add_sub(self, pair):
+        a, b = pair
+        for got, want in ((a + b, add_reference(a.terms, b.terms)), (b + a, add_reference(a.terms, b.terms)),
+                          (a - b, add_reference(a.terms, b.terms, -1)), (b - a, add_reference(b.terms, a.terms, -1)),
+                          (-a, add_reference({}, a.terms, -1))):
+            assert dict(got.terms) == want
+            assert_canonical(got)
+
+    @given(st.one_of(st.tuples(sparse_polys(), sparse_polys()), cancelling_products(), cancelling_pairs()))
+    def test_mul(self, pair):
+        a, b = pair
+        want = mul_reference(a.terms, b.terms)
+        for got in (a * b, b * a):
+            assert dict(got.terms) == want
+            assert_canonical(got)
+
+    @given(sparse_polys(), st.integers(-3, 3), st.integers(-60, 60),
+           st.sampled_from([ONE_MINUS_Q, 2 + Q, ONE - monomial(1, 0, 40), monomial(3, 0, 25) - monomial(1, 0, -20)]))
+    def test_divide_exact(self, a, dt, dq, g):
+        divisor = monomial(1, dt, dq) * g  # one t-row, up to 60 q-slots
+        for dividend in (a * divisor, a * divisor + monomial(1, 0, 60), a):
+            got = division_outcome(LaurentPoly.divide_exact, dividend, divisor)
+            assert got == division_outcome(divide_reference, dividend, divisor)
+            if got is not NonDivisibleError:
+                assert_canonical(dividend.divide_exact(divisor))
+
+    @given(sparse_polys(), st.sampled_from([1, -1]), st.integers(-9, 9), st.integers(1, 5))
+    def test_substitutions(self, p, sign, r, f):
+        cases = [
+            (p.substitute_t(sign, r), dict(substitute_t_reference(p, sign, r).terms)),
+            (p.shift_t_by_q(r), exponent_map_reference(p, lambda et, eq: (et, eq + r * et))),
+            (p.scale_q(f), exponent_map_reference(p, lambda et, eq: (et, eq * f))),
+            (p.invert_variables(), exponent_map_reference(p, lambda et, eq: (-et, -eq))),
+        ]
+        if all(et >= 0 for et, _ in p.terms):
+            cases.append((p.substitute_t_zero(), {e: c for e, c in p.terms.items() if e[0] == 0}))
+        else:
+            with pytest.raises(ZeroDenominatorError):
+                p.substitute_t_zero()
+        for got, want in cases:
+            assert dict(got.terms) == want
+            assert_canonical(got)
 
 
 class TestRingAxioms:
@@ -631,18 +744,16 @@ class TestSubstitution:
     @example(T - monomial(1, 0, 3) + monomial(5, 2, -1), 1, 3)
     def test_matches_term_by_term_reference(self, p, sign, power):
         want = substitute_t_reference(p, sign, power)
-        for _ in range(2):  # the second call reads the rows kept by the first
-            got = p.substitute_t(sign, power)
-            assert got == want
-            assert_canonical(got)
-            assert got._rows() == fresh(got)._rows()
+        got = p.substitute_t(sign, power)
+        assert got == want
+        assert_canonical(got)
 
     @given(st.one_of(laurent_polys(), pack_operands()), st.sampled_from([1, -1]), st.integers(-9, 9))
     def test_cancels_to_zero(self, p, sign, power):
         # t - sign * q**power vanishes at t = sign * q**power, and so does every multiple of it
         got = (p * (T - monomial(sign, 0, power))).substitute_t(sign, power)
         assert got == ZERO
-        assert got._rows() == ()
+        assert got._rows == ()
 
 
 class TestEvaluate:

@@ -42,11 +42,12 @@ __version__ = "0.1.0"
 # need not carry ``cache_clear``.
 _CACHES = (
     formulas.tk_recurrence,
-    formulas._tk_at_rows,
+    formulas._tk_at,
+    qkit.q_int,
     qkit.pochhammer,
     qkit.odd_pochhammer,
     qkit._gauss,
-    qkit._kernel_rows,
+    qkit._kernel,
     qkit.square_sum,
     cfrac.euler_hat,
     cfrac.dn_hat,

@@ -28,13 +28,7 @@ def _render_poly(poly: LaurentPoly, fmt: str) -> str:
     if fmt == "text":
         return poly.render()
     if fmt == "json":
-        # The bytes of json.dumps(poly.json_terms(), indent=2, sort_keys=True), written
-        # directly from the rows, in term order: with indent set, json.dumps runs its
-        # pure-Python encoder.  Keys are in sorted order and c is a decimal string.
-        # Through sorted_terms() the euler-ladder benchmark's op_s was 6.5% higher.
-        records = [f'  {{\n    "c": "{c}",\n    "eq": {eq},\n    "et": {et}\n  }}'
-                   for et, lo, cs in poly._rows for eq, c in enumerate(cs, lo) if c]
-        return "[\n" + ",\n".join(records) + "\n]" if records else "[]"
+        return poly.json_text()
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["et", "eq", "c"])

@@ -108,8 +108,8 @@ def _conjugate(parts: Sequence[int]) -> tuple[int, ...]:
 
 
 def box_size_polynomial(m: int, n: int) -> LaurentPoly:
-    """Generating polynomial ``sum q**|lam|`` over partitions in B(m, n);
-    a negative dimension raises ``ValueError``."""
+    """Generating polynomial ``sum q**|lam|`` over partitions in B(m, n); a negative
+    dimension raises ``ValueError``, as a box with -1 rows is no object to enumerate."""
     _check_cutoff("partition", max(m, n))
     return LaurentPoly(Counter((0, sum(parts)) for parts in _box_parts(m, n)))
 
@@ -119,7 +119,7 @@ def dist_box_polynomial(m: int, n: int) -> LaurentPoly:
 
     The x variable is carried in the t exponent slot of :class:`LaurentPoly`.
     A negative dimension raises ``ValueError``, as in
-    :func:`tqeuler.formulas.dist_box_closed`.
+    :func:`tqeuler.formulas.dist_box_closed`: a box with -1 rows is no object.
     """
     _check_cutoff("partition", max(m, n))
     return LaurentPoly(
@@ -242,10 +242,12 @@ def md_star_weight_sum_general(k: int, up_rule: WeightRule, down_rule: WeightRul
     return _marked_walk(k, up_rule, down_rule, 1)
 
 
-def md_star_weight_sum(k: int) -> LaurentPoly:
-    """Weight sum over the starred family: each step weighs its Euler weight less
-    one, ``-q**h`` on an up step and ``-t*q**h`` on a down step."""
-    return md_star_weight_sum_general(k, lambda h: euler_up(h) - ONE, lambda h: euler_down(h) - ONE)
+def md_star_weight_sum(k: int, up_rule: WeightRule = euler_up,
+                       down_rule: WeightRule = euler_down) -> LaurentPoly:
+    """Weight sum over the starred family: each unmarked step weighs its rule's
+    weight less one, by default the Euler weights, ``-q**h`` on an up step and
+    ``-t*q**h`` on a down step."""
+    return md_star_weight_sum_general(k, lambda h: up_rule(h) - ONE, lambda h: down_rule(h) - ONE)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,8 @@ which owns the outer sum and its ``n >= 0`` check and sums each ``K_k`` once
 per run.  A kernel returns ``K_k`` as a list of ``(c, a, b, factors)`` items,
 each ``c * t**a * q**b * prod(factors)``; these, and the sums of
 :func:`tk_special` and :func:`tk_prodinger`, are summed in one packed int by
-:func:`tqeuler.exactalg._sum_of_products`.  :func:`tk_at` caches its values in
-the row form of ``exactalg``, and every exact division here is by a
-polynomial in q alone.
+:func:`tqeuler.exactalg._sum_of_products`.  :func:`tk_at` caches its values,
+and every exact division here is by a polynomial in q alone.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .exactalg import (
     ONE,
     ONE_MINUS_Q,
     ZERO,
-    Row,
     ZeroDenominatorError,
     _ONE_MINUS_T2,
     _ONE_PLUS_Q,
@@ -227,17 +225,17 @@ def tk_at_minus_inv_q(k: int) -> LaurentPoly:
 def tk_at(eps: int, b: int, k: int) -> LaurentPoly:
     """T_k at ``t = eps * q**b`` by direct substitution into :func:`tk_recurrence`.
 
-    Cached as rows, which each call wraps as they are in a fresh polynomial: a
-    miss folds the rows of ``tk_recurrence(k)`` into one q-row.  ``b`` and ``k``
-    pass through ``operator.index`` before the cache, so that an integral float
-    cannot reach the entry of an equal int.
+    Cached, so a repeated call returns the same object: a miss folds the t-rows
+    of ``tk_recurrence(k)`` into one q-row.  ``b`` and ``k`` pass through
+    ``operator.index`` before the cache, so that an integral float cannot reach
+    the entry of an equal int.
     """
-    return LaurentPoly._trusted(_tk_at_rows(eps, index(b), index(k)))
+    return _tk_at(eps, index(b), index(k))
 
 
 @cache
-def _tk_at_rows(eps: int, b: int, k: int) -> tuple[Row, ...]:
-    return tk_recurrence(k).substitute_t(eps, b)._rows
+def _tk_at(eps: int, b: int, k: int) -> LaurentPoly:
+    return tk_recurrence(k).substitute_t(eps, b)
 
 
 def alpha_step_holds(eps: int, b: int, k: int) -> bool:

@@ -5,12 +5,11 @@ q-Pochhammer symbols (including shifted bases such as ``-q**(1-b)``),
 Gaussian binomial coefficients in base q and base q**2, ballot numbers, and
 the auxiliary polynomial family ``(1-q) * A_k(q)``.
 
-All functions are pure.  The Gaussian binomials, the q-Pochhammer and odd
-q-Pochhammer symbols, the square sums and each ballot kernel's ``K_k`` are
-memoised with ``functools.cache``, so concurrent callers get equal results;
-``tqeuler.clear_caches()`` empties them.  ``K_k`` is kept as the rows
-of its polynomial (``LaurentPoly._rows``), the one form of ``exactalg``, and
-summed over k by ``exactalg._sum_rows``.
+All functions are pure.  The q-integers, the Gaussian binomials, the q-Pochhammer
+and odd q-Pochhammer symbols, the square sums and each ballot kernel's ``K_k``
+are memoised with ``functools.cache``, so concurrent callers get equal results;
+``tqeuler.clear_caches()`` empties them.  Each memo keeps the polynomial
+itself, and ``K_k`` is summed over k by ``exactalg._sum_rows``.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from functools import cache
 from operator import index
 from typing import Callable, Iterable
 
-from .exactalg import Item, LaurentPoly, ONE, ONE_MINUS_Q, ZERO, Row, _sum_of_products, _sum_rows, monomial
+from .exactalg import Item, LaurentPoly, ONE, ONE_MINUS_Q, ZERO, _sum_of_products, _sum_rows, monomial
 
 __all__ = [
     "QSymbolSpec",
@@ -44,13 +43,12 @@ def neg_q_power(e: int) -> LaurentPoly:
     return monomial(-1 if e % 2 else 1, 0, e)
 
 
+@cache
 def q_int(n: int) -> LaurentPoly:
-    """The q-integer ``1 + q + ... + q**(n-1)``; ``q_int(0) == 0``."""
-    if n < 0:
+    """The q-integer ``1 + q + ... + q**(n-1)``; ``q_int(0) == 0``.  Cached like :func:`square_sum`."""
+    if index(n) < 0:  # TypeError for a non-integer, whose key never meets an int's
         raise ValueError("n must be nonnegative")
-    # one row, wrapped as it is: through the validating constructor the q-integer
-    # oracle tests of tests/test_combinat.py took about 0.4 s longer
-    return LaurentPoly._trusted(((0, 0, (1,) * n),) if n else ())
+    return LaurentPoly({(0, e): 1 for e in range(n)})
 
 
 def euler_up(h: int) -> LaurentPoly:
@@ -112,10 +110,10 @@ def odd_pochhammer(i: int) -> LaurentPoly:
 def gauss_binom(n: int, k: int, squared: bool = False) -> LaurentPoly:
     """Gaussian binomial coefficient.
 
-    Out-of-range arguments (``k < 0``, ``k > n`` or ``n < 0``) give 0, the
-    convention the q-series sums in this package rely on.  With ``squared``
-    set, every ``q`` in the result is replaced by ``q**2``.  Both forms are
-    cached, so a repeated call returns the same object.
+    Out-of-range arguments (``k < 0``, ``k > n`` or ``n < 0``) give 0: the
+    q-series sums in this package run past their range and truncate on it.
+    With ``squared`` set, every ``q`` in the result is replaced by ``q**2``.
+    Both forms are cached, so a repeated call returns the same object.
     """
     n, k = index(n), index(k)  # before the cache: a float size recursed forever
     if k < 0 or n < 0 or k > n:
@@ -138,11 +136,11 @@ def _gauss(n: int, k: int, squared: bool) -> LaurentPoly:
 def partition_box_binom(rows: int, cols: int, squared: bool = False) -> LaurentPoly:
     """Generating function of partitions inside a ``rows x cols`` box.
 
-    Equals ``gauss_binom(rows + cols, rows)`` for nonnegative dimensions.
-    A box with zero rows contains only the empty partition, even when the
-    column count is negative; that degenerate corner is where this differs
-    from the out-of-range-is-zero convention of :func:`gauss_binom`, and it
-    is exactly the reading the lattice-path closed forms rely on.
+    Equals ``gauss_binom(rows + cols, rows)`` for nonnegative dimensions.  A
+    negative dimension gives 0, so that the lattice-path closed forms truncate
+    on it as the q-series sums do on :func:`gauss_binom`; but a box with zero
+    rows holds the empty partition even when the column count is negative,
+    the reading those closed forms rely on.
     """
     if rows == 0:
         return ONE
@@ -167,20 +165,20 @@ def _ballot_sum(n: int, kernel: Callable[..., Iterable[Item]], *args) -> Laurent
     """The ballot expansion ``sum_{k=0}^{n} ballot(n,k) * K_k``.
 
     ``kernel(k, *args)`` gives ``K_k`` as :func:`tqeuler.exactalg._sum_of_products` items.  Each
-    ``K_k`` is summed once per ``(kernel, k, *args)`` and kept as dense rows: the kernel's
+    ``K_k`` is summed once per ``(kernel, k, *args)`` and kept by :func:`_kernel`: the kernel's
     arguments join the cache key, so a kernel must be module-level and takes its parameters as
-    arguments; each ``n`` only adds weighted rows.  Kept out of ``__all__`` so that profiling
+    arguments; each ``n`` only adds the weighted ``K_k``.  Kept out of ``__all__`` so that profiling
     wrappers, which follow ``__all__``, charge the time of each expansion to its formula.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _sum_rows((ballot(n, k), _kernel_rows(kernel, k, *args)) for k in range(n + 1))
+    return _sum_rows((ballot(n, k), _kernel(kernel, k, *args)) for k in range(n + 1))
 
 
 @cache
-def _kernel_rows(kernel: Callable[..., Iterable[Item]], k: int, *args) -> tuple[Row, ...]:
-    """``K_k`` of a module-level ``kernel`` as rows, summed on the first request only."""
-    return _sum_of_products(kernel(k, *args))._rows
+def _kernel(kernel: Callable[..., Iterable[Item]], k: int, *args) -> LaurentPoly:
+    """``K_k`` of a module-level ``kernel``, summed on the first request only."""
+    return _sum_of_products(kernel(k, *args))
 
 
 def a_k_poly(k: int) -> LaurentPoly:

@@ -199,15 +199,12 @@ def _step_rules(weights: str) -> tuple[Side, Side]:
 
 
 def _marked_kernel(k: int, weights: str) -> list[Item]:
-    """``K_k`` of ``ballot-reduction``: the length-2k marked-path sum, each step weight less one.
+    """``K_k`` of ``ballot-reduction``: ``combinat.md_star_weight_sum`` under the rules ``weights``.
 
-    Under the Euler rules ``K_k`` is ``combinat.md_star_weight_sum(k)``, the sum
-    ``markpath-transfer`` checks.  Both read it from ``qkit._kernel_rows`` under one key, so it
-    is walked once per run.
+    Under the Euler rules ``K_k`` is the sum ``markpath-transfer`` checks.  Both read it from
+    ``qkit._kernel`` under one key, so it is walked once per run.
     """
-    up, down = _step_rules(weights)
-    marked = combinat.md_star_weight_sum_general(k, lambda h: up(h) - ONE, lambda h: down(h) - ONE)
-    return [(1, 0, 0, (marked,))]
+    return [(1, 0, 0, (combinat.md_star_weight_sum(k, *_step_rules(weights)),))]
 
 
 def _ballot_marked_sum(n: int, weights: str) -> LaurentPoly:
@@ -215,8 +212,8 @@ def _ballot_marked_sum(n: int, weights: str) -> LaurentPoly:
 
 
 def _md_star(k: int) -> LaurentPoly:
-    """``combinat.md_star_weight_sum(k)``, walked once per run and shared with ``ballot-reduction``."""
-    return LaurentPoly._trusted(qkit._kernel_rows(_marked_kernel, k, "euler"))
+    """``combinat.md_star_weight_sum(k)``, read from ``qkit._kernel`` as ``ballot-reduction`` keeps it."""
+    return qkit._kernel(_marked_kernel, k, "euler")
 
 
 # ---------------------------------------------------------------------------

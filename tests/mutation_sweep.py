@@ -1,0 +1,84 @@
+"""Mutation sweep: does some ``verify`` cell depend on every public route?
+
+For each callable in the ``__all__`` of ``qkit``, ``combinat``, ``formulas``
+and ``cfrac``, :func:`sweep` binds a wrapper that changes every result of
+the callable wherever the package binds the original, empties the caches,
+runs the verification matrix and counts the failing cells.  A name that
+fails no cell is a route no identity depends on; ``UNCHECKED`` names the
+three that may, each with its reason, and each must fail none.
+
+Run as a script, it sweeps at the given bounds (the ``verify`` defaults
+8 6 4 when none are given), prints each name's count and exits with 1 unless
+the names that fail no cell are exactly ``UNCHECKED``::
+
+    PYTHONPATH=src python tests/mutation_sweep.py [MAX_N MAX_K MAX_B]
+"""
+
+import sys
+from fractions import Fraction
+
+import tqeuler
+from tqeuler import cfrac, combinat, formulas, qkit
+from tqeuler.exactalg import LaurentPoly, monomial
+
+UNCHECKED = {
+    "q_int": "the rule of the q-int ballot-reduction cells, an identity that holds for any rule",
+    "enum_alternating": "the definition that the alternating-permutation state count is tested against",
+    "sfrac_moments": "verify decodes only the moment it needs: decoding every moment made euler-ladder 19% slower",
+}
+
+_NUDGE = monomial(1, 7, 99)
+
+
+def changed(value):
+    """``value`` changed: a polynomial gets ``+ t^7 q^99``, a bool is negated, an int or
+    a Fraction gets ``+ 1``, and a list or tuple has each item changed."""
+    if isinstance(value, LaurentPoly):
+        return value + _NUDGE
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, Fraction)):
+        return value + 1
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(changed, value))
+    raise TypeError(f"no change is defined for a {type(value).__name__} result")
+
+
+def routes() -> list[tuple[str, object]]:
+    """``(name, callable)`` for each function in the four ``__all__`` lists; classes are skipped."""
+    return [(name, fn) for mod in (qkit, combinat, formulas, cfrac) for name in mod.__all__
+            for fn in [getattr(mod, name)] if callable(fn) and not isinstance(fn, type)]
+
+
+def failing_cells(fn, max_n: int, max_k: int, max_b: int) -> int:
+    """The number of cells of ``run_verification`` that fail with every result of ``fn`` changed."""
+
+    def wrapper(*args, **kwargs):
+        return changed(fn(*args, **kwargs))
+
+    modules = [mod for name, mod in list(sys.modules.items()) if name == "tqeuler" or name.startswith("tqeuler.")]
+    bound = [(mod, attr) for mod in modules for attr, value in vars(mod).items() if value is fn]
+    try:
+        for mod, attr in bound:
+            setattr(mod, attr, wrapper)
+        tqeuler.clear_caches()
+        report = tqeuler.run_verification(max_n=max_n, max_k=max_k, max_b=max_b)
+    finally:
+        for mod, attr in bound:
+            setattr(mod, attr, fn)
+        tqeuler.clear_caches()
+    return sum(case.status == "fail" for case in report.cases)
+
+
+def sweep(max_n: int, max_k: int, max_b: int) -> dict[str, int]:
+    """Failing cells by name, for every name of :func:`routes`."""
+    return {name: failing_cells(fn, max_n, max_k, max_b) for name, fn in routes()}
+
+
+if __name__ == "__main__":
+    counts = sweep(*map(int, sys.argv[1:] or (8, 6, 4)))
+    for name, fails in counts.items():
+        print(f"{fails:6d}  {name}")
+    unchecked = {name for name, fails in counts.items() if not fails}
+    print(f"fail no cell: {sorted(unchecked)}")
+    sys.exit(0 if unchecked == set(UNCHECKED) else 1)

@@ -19,10 +19,14 @@ cutoff and one past it.  The marked-path and arrow sums at their cutoff 6
 are read from the frozen outputs in ``tests/data``, which
 ``make_fixtures.py`` writes from the same reference enumerators.
 
-A negative size has two conventions here, and both stay until one is chosen
-for every function: ``box_size_polynomial(-1, 2)`` raises ``ValueError``,
-while ``partition_box_binom(-1, 2)``, ``gauss_binom`` and the path oracles
-give ``ZERO``.  The table records each as it is.
+A negative size has two conventions here, and both stay.  The box oracles
+``box_size_polynomial(-1, 2)`` and ``dist_box_polynomial`` raise
+``ValueError``: a box with -1 rows is no object to enumerate.
+``partition_box_binom(-1, 2)`` and ``gauss_binom`` give ``ZERO``: the
+q-series sums truncate on it.  A family with no member of size -1, as of
+``m_path_weight_sum``, sums to ``ZERO``, and the two lattice-path oracles
+raise ``ValueError`` for a negative coordinate.  The table records each as
+it is.
 """
 
 import json

@@ -1,6 +1,9 @@
+import json
 import math
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -189,7 +192,7 @@ class TestRows:
 
     @given(st.lists(st.tuples(st.integers(-2**70, 2**70), laurent_polys()), max_size=5))
     def test_sum_rows(self, pairs):
-        result = exactalg._sum_rows((w, p._rows) for w, p in pairs)
+        result = exactalg._sum_rows(pairs)
         want = {}
         for w, p in pairs:
             want = add_reference(want, p.terms, w)
@@ -809,3 +812,16 @@ class TestRendering:
             {"et": 0, "eq": 1, "c": "-1"},
             {"et": 1, "eq": 1, "c": "-1"},
         ]
+
+    def test_json_text_is_json_dumps(self):
+        for p in (T1, ZERO, monomial(-(2**200), -3, 5)):
+            assert p.json_text() == json.dumps(p.json_terms(), indent=2, sort_keys=True)
+
+
+def test_only_exactalg_knows_the_row_layout():
+    # no other module reads or wraps a polynomial's rows or names the row type
+    name = re.compile(r"\b(_rows|_trusted|Row)\b")
+    hits = [f"{path.name}:{n}" for path in sorted(Path(exactalg.__file__).parent.glob("*.py"))
+            if path.name != "exactalg.py"
+            for n, line in enumerate(path.read_text().splitlines(), 1) if name.search(line)]
+    assert hits == []

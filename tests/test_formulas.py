@@ -277,7 +277,7 @@ class TestBallotSum:
         assert calls == Counter(
             {(kernel, k, *args): 1 for _, _, kernel, args, top in BALLOT_ROUTES.values() for k in range(top + 1)}
         )
-        assert qkit._kernel_rows.cache_info().currsize <= len(BALLOT_ROUTES) * 13
+        assert qkit._kernel.cache_info().currsize <= len(BALLOT_ROUTES) * 13
 
     def test_negative_n_is_rejected(self):
         for route, *_ in BALLOT_ROUTES.values():
@@ -399,8 +399,8 @@ def test_clear_caches_changes_no_result():
         )
 
     warm = results()
-    memos = (tk_recurrence, formulas._tk_at_rows, qkit._gauss, cfrac.euler_hat, cfrac.dn_hat,
-             qkit.pochhammer, qkit._kernel_rows, qkit.odd_pochhammer, qkit.square_sum)
+    memos = (tk_recurrence, formulas._tk_at, qkit._gauss, cfrac.euler_hat, cfrac.dn_hat,
+             qkit.pochhammer, qkit._kernel, qkit.odd_pochhammer, qkit.square_sum)
     tqeuler.clear_caches()
     assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
     assert results() == warm

@@ -4,8 +4,8 @@ Every object family the closed formulas are checked against is enumerated
 here explicitly at desk scale: partitions in boxes and staircases, weighted
 Dyck paths and marked Dyck paths without marked peaks (one walk, in which a
 plain Dyck path is a marked one whose marks weigh 0), staircase arrow
-configurations, self-conjugate overpartitions, the three lattice-path
-families on west/southwest and west/south steps, and alternating
+configurations, self-conjugate overpartitions, the M, L and L' lattice
+paths (one walk on west and southwest or south steps), and alternating
 permutations.  The 13-2 statistic on alternating permutations is summed by
 a transfer over the state of the last entry, derived from the pattern alone.
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 from bisect import bisect
 from collections import Counter, defaultdict
 from functools import cache
-from itertools import combinations
 from typing import Callable, Sequence
 
 from .exactalg import LaurentPoly, ONE, ZERO, _ONE_MINUS_T2, _ONE_PLUS_T, _sum_of_products, monomial
@@ -365,7 +364,31 @@ def sop_weight_sum(k: int) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# west/southwest paths from (k, 0) to the negative y-axis
+# lattice paths on west and down steps: the M, L and L' families
+
+
+def _lattice_walk(b: int, k: int, m: int, n: int, dx: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every path from (b, k) to (m, n) on west steps (-1, 0) and down steps
+    (-dx, -1), southwest for ``dx = 1`` and south for ``dx = 0``, as
+    ``(word, area)``: one word flag per step, 1 for a down step, and the
+    doubled area under the line y = k, to which a step from (x, y) to
+    (x', y') adds ``(x - x') * (2*(k - y) + y - y')``.  A west step needs
+    ``y > 0`` and ``x > m``; a down step ``y > n``, ``x > 0`` and ``x - dx >= m``.
+    Still brute force: one leaf per path, depth first, no memo across states.
+    """
+    leaves: list[tuple[tuple[int, ...], int]] = []
+
+    def walk(x: int, y: int, word: tuple[int, ...], area: int) -> None:
+        if x == m and y == n:
+            leaves.append((word, area))
+        if y > 0 and x > m:  # west: x - x' = 1, y - y' = 0
+            walk(x - 1, y, word + (0,), area + 2 * (k - y))
+        if y > n and x > 0 and x - dx >= m:  # down: x - x' = dx, y - y' = 1
+            walk(x - dx, y - 1, word + (1,), area + dx * (2 * (k - y) + 1))
+
+    walk(b, k, (), 0)
+    del walk  # as in _bounded_parts: no reference cycle is left behind
+    return leaves
 
 
 def m_path_weight_sum(k: int) -> LaurentPoly:
@@ -378,123 +401,67 @@ def m_path_weight_sum(k: int) -> LaurentPoly:
     followed by a west step, and a factor (1 + t) when its last step is
     southwest.
 
-    Still brute force: each path is one leaf, which adds its sign to a count
-    keyed by ``(s + (k+1)*last, 0, area)``, s its southwest-west pairs and
-    last 1 when it ends southwest; :func:`_multiply_keys` multiplies the keys
-    out in one packed sum with the slots ``(1 - t**2, 1 + t)``.
+    Shifted up by k, they are the :func:`_lattice_walk` paths from (k, k) to
+    each (0, n), areas unchanged (a west step meets y = 0 only at x = 0, so
+    the x-axis rule never applies).  Each adds its sign to a count keyed by
+    ``(s + (k+1)*last, 0, area)``, s its southwest-west pairs and last 1 when
+    it ends southwest; :func:`_multiply_keys` multiplies the keys out in one
+    packed sum with the slots ``(1 - t**2, 1 + t)``.
     """
     _check_cutoff("m_path", k)
     tally: Counter[tuple[int, int, int]] = Counter()
-    for j in range(k + 1):
-        for sw_positions in combinations(range(k), j):
-            sw = set(sw_positions)
-            area = 0
-            y = 0
-            for i in range(k):
-                if i in sw:
-                    area += -2 * y + 1
-                    y -= 1
-                else:
-                    area += -2 * y
-            s = sum(1 for i in sw if i + 1 < k and i + 1 not in sw)
-            last = 1 if k - 1 in sw else 0
-            tally[s + (k + 1) * last, 0, area] += -1 if j % 2 else 1
+    for n in range(k + 1):
+        for word, area in _lattice_walk(k, k, 0, n, 1):
+            s = sum(1 for a, b in zip(word, word[1:]) if a and not b)
+            tally[s + (k + 1) * (word[-1] if word else 0), 0, area] += (-1) ** (k - n)
     return _multiply_keys(tally, [_ONE_MINUS_T2, _ONE_PLUS_T], k + 1)
 
 
-# ---------------------------------------------------------------------------
-# west/southwest paths inside the (b, k) rectangle, and west/south paths
-
-
-def _validate_endpoint(b: int, k: int, m: int, n: int) -> None:
+def _validate_endpoint(b: int, k: int, m: int, n: int, eps: int) -> None:
+    """The L and L' argument checks: coordinates, then axis, cutoff and eps."""
     if m < 0 or n < 0 or b < 0 or k < 0:
         raise ValueError("coordinates must be nonnegative")
     if m * n != 0:
         raise InvalidEndpointError("endpoint must lie on an axis (m*n = 0)")
+    _check_cutoff("l_path", max(b, k))
+    if eps not in (1, -1):
+        raise ValueError("eps must be +1 or -1")
 
 
 def l_path_weight_sum(b: int, k: int, m: int, n: int, eps: int) -> LaurentPoly:
     """Cleared weight sum over west/southwest paths from (b, k) to (m, n)
-    with no west step on the x-axis.
+    with no west step on the x-axis: the southwest :func:`_lattice_walk`.
 
-    The fraction-valued path weight is ``q**A(R)`` times
-    ``1/(1 - eps*q**i)`` for ``i = m+1 .. b`` times ``q**(2i)`` for
-    ``i = n+1 .. k``, where A(R) is the doubled area above the path inside
-    the (b, k) rectangle.  The returned polynomial is that sum multiplied
-    through by ``(eps*q; q)_b``, i.e. the Pochhammer denominator is cleared,
-    leaving the factor ``(eps*q; q)_m``.
+    The fraction-valued path weight is ``q**A(R)`` times ``1/(1 - eps*q**i)``
+    for ``i = m+1 .. b`` times ``q**(2i)`` for ``i = n+1 .. k``, where A(R) is
+    the doubled area above the path inside the (b, k) rectangle: the walk's
+    area plus the strip ``2*m*k`` left of the endpoint, 0 off the x-axis.
+    The returned polynomial is that sum multiplied through by
+    ``(eps*q; q)_b``: the Pochhammer denominator is cleared, leaving the
+    factor ``(eps*q; q)_m``.
     """
-    _validate_endpoint(b, k, m, n)
-    _check_cutoff("l_path", max(b, k))
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    steps = b - m
-    sw_count = k - n
-    if steps < 0 or sw_count < 0 or sw_count > steps:
-        return ZERO
-    pure: Counter[tuple[int, int]] = Counter()
-    for sw_positions in combinations(range(steps), sw_count):
-        sw = set(sw_positions)
-        if n == 0 and steps > 0 and (steps - 1) not in sw:
-            continue  # a west step after the final descent would sit on the x-axis
-        area = 0
-        y = k
-        for i in range(steps):
-            if i in sw:
-                area += 2 * (k - y) + 1
-                y -= 1
-            else:
-                area += 2 * (k - y)
-        if n == 0:
-            area += 2 * m * k
-        pure[0, area] += 1
+    _validate_endpoint(b, k, m, n, eps)
+    pure = Counter((0, area + 2 * m * k) for _, area in _lattice_walk(b, k, m, n, 1))
     height_factor = monomial(1, 0, k * (k + 1) - n * (n + 1))
     return pochhammer(QSymbolSpec(eps, 1, m)) * LaurentPoly(pure) * height_factor
 
 
 def lprime_path_weight_sum(b: int, k: int, m: int, n: int, eps: int) -> LaurentPoly:
     """Weight sum over west/south paths from (b, k) to (m, n) with no west
-    step on the x-axis and no south step on the y-axis.
+    step on the x-axis and no south step on the y-axis: the south
+    :func:`_lattice_walk`.
 
-    The weight is ``q**(-A(R))`` times ``(1 - eps*q**(1-i))`` for
-    ``i = m+1 .. b`` times ``(-q**(2i+1))`` for ``i = n+1 .. k``; this is
-    already a Laurent polynomial, so no clearing is needed.
+    The weight is ``q**(-A(R))``, A(R) as in :func:`l_path_weight_sum`, times
+    ``(1 - eps*q**(1-i))`` for ``i = m+1 .. b`` times ``(-q**(2i+1))`` for
+    ``i = n+1 .. k``; this is already a Laurent polynomial, so no clearing
+    is needed.
     """
-    _validate_endpoint(b, k, m, n)
-    _check_cutoff("l_path", max(b, k))
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    w_count = b - m
-    s_count = k - n
-    if w_count < 0 or s_count < 0:
+    _validate_endpoint(b, k, m, n, eps)
+    if b < m or k < n:  # no path, and a Pochhammer symbol of negative length
         return ZERO
-    total_steps = w_count + s_count
-    pure: Counter[tuple[int, int]] = Counter()
-    for s_positions in combinations(range(total_steps), s_count):
-        south = set(s_positions)
-        x, y = b, k
-        area = 0
-        ok = True
-        for i in range(total_steps):
-            if i in south:
-                if x == 0:
-                    ok = False
-                    break
-                y -= 1
-            else:
-                if y == 0:
-                    ok = False
-                    break
-                area += 2 * (k - y)
-                x -= 1
-        if not ok:
-            continue
-        if n == 0:
-            area += 2 * m * k
-        pure[0, -area] += 1
+    pure = Counter((0, -area - 2 * m * k) for _, area in _lattice_walk(b, k, m, n, 0))
     prefactor = pochhammer(QSymbolSpec(eps, 1 - b, b - m))
-    sign = -1 if (k - n) % 2 else 1
-    height_factor = monomial(sign, 0, k * (k + 2) - n * (n + 2))
+    height_factor = monomial((-1) ** (k - n), 0, k * (k + 2) - n * (n + 2))
     return prefactor * LaurentPoly(pure) * height_factor
 
 

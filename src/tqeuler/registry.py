@@ -20,6 +20,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import index
 from typing import Callable, Iterable
 
 from . import cfrac, combinat, formulas, qkit
@@ -56,7 +57,8 @@ class RegistryConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Bounds:
-    """The verification bounds; a value outside its hard cap raises :class:`RegistryConfigError`."""
+    """The verification bounds; a non-integer raises ``TypeError`` (each goes through
+    :func:`operator.index`), a value outside its hard cap :class:`RegistryConfigError`."""
 
     max_n: int
     max_k: int
@@ -64,7 +66,7 @@ class Bounds:
 
     def __post_init__(self):
         for name, top in (("max_n", HARD_MAX_N), ("max_k", HARD_MAX_K), ("max_b", HARD_MAX_B)):
-            if not 0 <= getattr(self, name) <= top:
+            if not 0 <= index(getattr(self, name)) <= top:
                 raise RegistryConfigError(f"{name} must be in 0..{top}")
 
 

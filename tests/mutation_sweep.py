@@ -3,13 +3,13 @@
 For each callable in the ``__all__`` of ``qkit``, ``combinat``, ``formulas``
 and ``cfrac``, :func:`sweep` binds a wrapper that changes every result of
 the callable wherever the package binds the original, empties the caches,
-runs the verification matrix and counts the failing cells.  A name that
-fails no cell is a route no identity depends on; ``UNCHECKED`` names the
-three that may, each with its reason, and each must fail none.
+runs the verification matrix and collects the ids of the failing cells.  A
+name that fails no cell is a route no identity depends on; ``UNCHECKED``
+names the three that may, each with its reason, and each must fail none.
 
 Run as a script, it sweeps at the given bounds (the ``verify`` defaults
-8 6 4 when none are given), prints each name's count and exits with 1 unless
-the names that fail no cell are exactly ``UNCHECKED``::
+8 6 4 when none are given), prints each name's failing ids and exits with 1
+unless the names that fail no cell are exactly ``UNCHECKED``::
 
     PYTHONPATH=src python tests/mutation_sweep.py [MAX_N MAX_K MAX_B]
 """
@@ -50,8 +50,8 @@ def routes() -> list[tuple[str, object]]:
             for fn in [getattr(mod, name)] if callable(fn) and not isinstance(fn, type)]
 
 
-def failing_cells(fn, max_n: int, max_k: int, max_b: int) -> int:
-    """The number of cells of ``run_verification`` that fail with every result of ``fn`` changed."""
+def failing_ids(fn, max_n: int, max_k: int, max_b: int) -> set[str]:
+    """The ids of the cells of ``run_verification`` that fail with every result of ``fn`` changed."""
 
     def wrapper(*args, **kwargs):
         return changed(fn(*args, **kwargs))
@@ -67,18 +67,18 @@ def failing_cells(fn, max_n: int, max_k: int, max_b: int) -> int:
         for mod, attr in bound:
             setattr(mod, attr, fn)
         tqeuler.clear_caches()
-    return sum(case.status == "fail" for case in report.cases)
+    return {case.id for case in report.cases if case.status == "fail"}
 
 
-def sweep(max_n: int, max_k: int, max_b: int) -> dict[str, int]:
-    """Failing cells by name, for every name of :func:`routes`."""
-    return {name: failing_cells(fn, max_n, max_k, max_b) for name, fn in routes()}
+def sweep(max_n: int, max_k: int, max_b: int) -> dict[str, set[str]]:
+    """Failing ids by name, for every name of :func:`routes`."""
+    return {name: failing_ids(fn, max_n, max_k, max_b) for name, fn in routes()}
 
 
 if __name__ == "__main__":
-    counts = sweep(*map(int, sys.argv[1:] or (8, 6, 4)))
-    for name, fails in counts.items():
-        print(f"{fails:6d}  {name}")
-    unchecked = {name for name, fails in counts.items() if not fails}
+    failing = sweep(*map(int, sys.argv[1:] or (8, 6, 4)))
+    for name, ids in failing.items():
+        print(f"{name}: {', '.join(sorted(ids)) or '-'}")
+    unchecked = {name for name, ids in failing.items() if not ids}
     print(f"fail no cell: {sorted(unchecked)}")
     sys.exit(0 if unchecked == set(UNCHECKED) else 1)

@@ -223,6 +223,13 @@ class TestVerify:
         # the text report keeps whole milliseconds
         assert " n=1 (12345 ms)\n" in registry.VerificationReport([slow]).render_text()
 
+    @pytest.mark.parametrize("select", [None, "gauss"])
+    @pytest.mark.parametrize("bound", ["max_n", "max_k", "max_b"])
+    def test_non_integer_bound_raises_before_any_check(self, bound, select):
+        # raised by Bounds before any grid is built, also for a selection whose grids never read it
+        with pytest.raises(TypeError):
+            run_verification(**{bound: 2.5}, select=select)
+
     def test_registry_config_errors(self):
         with pytest.raises(RegistryConfigError):
             run_verification(max_n=-1)

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import math
 from pathlib import Path
@@ -41,6 +42,9 @@ from reference import (
     dyck_paths,
     enum_delta_prime,
     enum_md_star,
+    l_path_reference,
+    lprime_path_reference,
+    m_path_reference,
     multiply_keys_reference,
 )
 
@@ -360,11 +364,28 @@ class TestMPaths:
         for k in range(8):
             assert m_path_weight_sum(k) == tk_recurrence(k)
 
+    def test_matches_enumeration(self):
+        # the walk against one step sequence at a time, over the whole cutoff range
+        for k in range(8):
+            assert m_path_weight_sum(k) == m_path_reference(k)
+
 
 class TestAxisPaths:
     def test_endpoint_validation(self):
         with pytest.raises(InvalidEndpointError):
             l_path_weight_sum(2, 2, 1, 1, 1)
+
+    @pytest.mark.parametrize("oracle", [l_path_weight_sum, lprime_path_weight_sum])
+    def test_argument_check_order(self, oracle):
+        # a negative coordinate, then an endpoint off both axes, then the cutoff, then eps
+        with pytest.raises(ValueError, match="nonnegative"):
+            oracle(9, 9, 1, -1, 5)
+        with pytest.raises(InvalidEndpointError):
+            oracle(9, 9, 1, 1, 5)
+        with pytest.raises(CutoffExceededError):
+            oracle(9, 9, 1, 0, 5)
+        with pytest.raises(ValueError, match="eps"):
+            oracle(2, 2, 1, 0, 5)
 
     def test_empty_family_is_zero(self):
         assert l_path_weight_sum(1, 3, 0, 1, 1) == ZERO  # needs more descents than steps
@@ -376,6 +397,15 @@ class TestAxisPaths:
     def test_lprime_empty_path(self):
         assert lprime_path_weight_sum(0, 1, 0, 1, 1) == ONE
         assert lprime_path_weight_sum(2, 0, 2, 0, -1) == ONE
+
+    def test_matches_enumeration(self):
+        # every axis endpoint of the cutoff range, including those one step out of reach
+        for b in range(7):
+            for k in range(7):
+                ends = [(m, 0) for m in range(b + 2)] + [(0, n) for n in range(1, k + 2)]
+                for (m, n), eps in itertools.product(ends, (1, -1)):
+                    assert l_path_weight_sum(b, k, m, n, eps) == l_path_reference(b, k, m, n, eps)
+                    assert lprime_path_weight_sum(b, k, m, n, eps) == lprime_path_reference(b, k, m, n, eps)
 
 
 class TestAlternating:

@@ -373,15 +373,17 @@ def _lattice_walk(b: int, k: int, m: int, n: int, dx: int) -> list[tuple[tuple[i
     ``(word, area)``: one word flag per step, 1 for a down step, and the
     doubled area under the line y = k, to which a step from (x, y) to
     (x', y') adds ``(x - x') * (2*(k - y) + y - y')``.  A west step needs
-    ``y > 0`` and ``x > m``; a down step ``y > n``, ``x > 0`` and ``x - dx >= m``.
-    Still brute force: one leaf per path, depth first, no memo across states.
+    ``y > 0`` and ``x - m > dx*(y - n)``, so that the ``y - n`` down steps still
+    owed fit in the columns left; a down step ``y > n``, ``x > 0`` and
+    ``x - dx >= m``.  Every branch therefore reaches (m, n).  Still brute force:
+    one leaf per path, depth first, no memo across states.
     """
     leaves: list[tuple[tuple[int, ...], int]] = []
 
     def walk(x: int, y: int, word: tuple[int, ...], area: int) -> None:
         if x == m and y == n:
             leaves.append((word, area))
-        if y > 0 and x > m:  # west: x - x' = 1, y - y' = 0
+        if y > 0 and x - m > dx * (y - n):  # west: x - x' = 1, y - y' = 0
             walk(x - 1, y, word + (0,), area + 2 * (k - y))
         if y > n and x > 0 and x - dx >= m:  # down: x - x' = dx, y - y' = 1
             walk(x - dx, y - 1, word + (1,), area + dx * (2 * (k - y) + 1))

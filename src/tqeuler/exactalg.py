@@ -8,25 +8,26 @@ floating point appears anywhere.
 
 All values are immutable after construction and all operations are pure.
 
-Dense t-rows are the one form of a polynomial (see :class:`LaurentPoly`), and
-every operation works on rows: a product slice-adds a scaled copy of one row
-per nonzero slot of another, a sum merges rows by e_t, ``_sum_rows`` folds
-weighted sums (``substitute_t`` is one) and ``divide_exact`` divides row by
-row.  No other module reads or builds a row.  A term dict is made only when
-``LaurentPoly.terms`` is read, and ``json_text`` writes from the rows; the
-term-dict product, sum and long division, and the term-by-term loops of
-``substitute_t`` and ``evaluate``, are the references in ``tests/reference.py``.
+Dense t-rows are the one form of a polynomial (see :class:`LaurentPoly`): a
+product slice-adds a scaled copy of one row per nonzero slot of another, a sum
+merges rows by e_t and ``divide_exact`` divides row by row.  No other module
+reads or builds a row.  A term dict is made only when ``LaurentPoly.terms`` is
+read, and ``json_text`` writes from the rows; the term-dict product, sum and
+long division, the dense row fold and the term-by-term loops of
+``substitute_t`` and ``evaluate`` are the references in ``tests/reference.py``.
 
-The packed (Kronecker substitution, see ``_Layout``) path has one entry point
-here, ``_sum_of_products``, which forms a whole sum of
-``c * t**a * q**b * p_1 * ... * p_m`` items in one packed int, with every
-coefficient bounded by ``sum |c| * prod |p_i|_1``; the moment DP
-(``cfrac._moment_walk``, each of whose moments ``_Layout.unpack`` decodes) is
-the other user of ``_Layout``.  Slots are signed, and only the codec pair
-``_to_int``/``_to_slots`` knows the half-offset that splits an int into them.
-Each factor's box, l1 norm and packed ints (one per layout it was packed at)
-live on the factor, in the lazily filled ``_pack_facts`` slot, so a polynomial
-shared by many sums is packed once per layout.
+Two folds go through packed ints (Kronecker substitution, see ``_Layout``):
+``substitute_t``, and ``_sum_of_products``, which forms a whole sum of
+``c * t**a * q**b * p_1 * ... * p_m`` items (a ballot expansion of ``qkit`` is
+one, an item ``(w, 0, 0, (K_k,))`` per k).  Each shift-adds packed rows into
+one int, under a derived bound on every coefficient, and ``_Layout.unpack``
+decodes it once; the moment DP (``cfrac._moment_walk``, each of whose moments
+``_Layout.unpack`` decodes) is the other user of ``_Layout``.  A polynomial
+keeps one packed int per t-row and slot width (``_row_ints``), with its box and
+l1 norm, in the lazily filled ``_pack_facts`` slot, so a polynomial shared by
+many folds converts its rows once per width.  Slots are signed, and only the
+codec ``_to_int``/``_to_bytes``/``_slots`` knows the half-offset that splits an
+int into them.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ class LaurentPoly:
     :func:`operator.index`), otherwise ``TypeError`` is raised.  Ring
     operations, whose rows are canonical by construction, bypass it through
     :meth:`_trusted`.  ``_pack_facts`` stays unset until the polynomial is
-    first a factor of ``_sum_of_products``, which then keeps its box, norm and
-    packed ints there.
+    first packed by one of the folds, which then keep its box, norm and row
+    ints there.
     """
 
     __slots__ = ("_rows", "_pack_facts")
@@ -226,13 +227,30 @@ class LaurentPoly:
     # -- substitutions -------------------------------------------------------
 
     def substitute_t(self, sign: int, power: int) -> "LaurentPoly":
-        """Substitute ``t = sign * q**power`` with ``sign`` in ``{+1, -1}``: ``_sum_rows`` folds
-        row e_t, times ``sign**e_t``, into one q-row at offset ``e_t * power``."""
+        """Substitute ``t = sign * q**power`` with ``sign`` in ``{+1, -1}``: row e_t moves to
+        q-offset ``e_t * power + lo`` with sign ``sign**e_t``, into one q-row.
+
+        The terms are distinct exponent pairs, so each slot of the result is a
+        signed sum of distinct coefficients, at most ``|p|_1`` in magnitude: the
+        slot width holds that norm.  The rows' packed ints at that width (see
+        ``_row_ints``, made once per width) are shift-added into one int, which
+        ``_Layout.unpack`` decodes once.
+        """
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         power = index(power)
-        return _sum_rows((-1 if sign < 0 and et % 2 else 1, LaurentPoly._trusted(((0, lo + et * power, cs),)))
-                         for et, lo, cs in self._rows)
+        rows = self._rows
+        if not rows:
+            return ZERO
+        offsets = [lo + et * power for et, lo, _ in rows]
+        qmin = min(offsets)
+        qmax = max([off + len(cs) for off, (_, _, cs) in zip(offsets, rows)]) - 1
+        layout = _Layout.fitting(qmax - qmin + 1, _pack_facts(self)[1])
+        bits, odd = 8 * layout.width, 1 if sign < 0 else 0
+        total = 0
+        for (et, _, _), off, v in zip(rows, offsets, _row_ints(self, layout.width)):
+            total += (-v if et & odd else v) << (bits * (off - qmin))
+        return layout.unpack(total, (0, 0, qmin, qmax))
 
     def substitute_t_zero(self) -> "LaurentPoly":
         """Substitute ``t = 0``; requires that no negative ``t`` exponent occurs."""
@@ -357,26 +375,22 @@ def _conv(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _trimmed_rows(rows: Iterable[tuple[int, int, Sequence[int]]]) -> tuple[Row, ...]:
-    """Dense rows in e_t order, each cut to its nonzero ends as a tuple of ints (an ``array``
-    slice compares unequal to a tuple); zero rows are dropped."""
-    out = []
-    for et, lo, row in rows:
-        if row[0] and row[-1]:
-            out.append((et, lo, tuple(row)))
-        else:
-            nonzero = list(map(bool, row))
-            if True in nonzero:
-                start, stop = nonzero.index(True), len(row) - nonzero[::-1].index(True)
-                out.append((et, lo + start, tuple(row[start:stop])))
-    return tuple(out)
+def _trimmed_row(et: int, lo: int, row: list[int]) -> tuple[Row, ...]:
+    """A merged row cut to its nonzero ends as a tuple of ints: one row, or none if all are 0."""
+    if row[0] and row[-1]:
+        return ((et, lo, tuple(row)),)
+    nonzero = list(map(bool, row))
+    if True not in nonzero:
+        return ()
+    start, stop = nonzero.index(True), len(row) - nonzero[::-1].index(True)
+    return ((et, lo + start, tuple(row[start:stop])),)
 
 
 def _merge(a: tuple[Row, ...], b: tuple[Row, ...], op: Callable[[int, int], int]) -> tuple[Row, ...]:
     """The rows of ``a + b`` (``op`` is ``add``) or ``a - b`` (``op`` is ``sub``), merged by e_t:
     rows of one e_t are added slot by slot and cut, and a row of one side only is kept,
-    negated when it is ``b``'s in a difference.  Adding through ``_sum_rows`` instead,
-    whose accumulator spans every row's q-range, made each benchmark workload 13-18% slower."""
+    negated when it is ``b``'s in a difference.  Adding through a dense fold instead, whose
+    accumulator spans every row's q-range, made each benchmark workload 13-18% slower."""
     out, i, n = [], 0, len(a)
     for et, lo, cs in b:
         while i < n and a[i][0] < et:
@@ -388,23 +402,10 @@ def _merge(a: tuple[Row, ...], b: tuple[Row, ...], op: Callable[[int, int], int]
             row[lo_a - start : lo_a - start + len(cs_a)] = cs_a
             s = lo - start
             row[s : s + len(cs)] = map(op, row[s : s + len(cs)], cs)
-            out += _trimmed_rows(((et, start, row),))
+            out += _trimmed_row(et, start, row)
         else:
             out.append((et, lo, cs if op is add else tuple(map(neg, cs))))
     return (*out, *a[i:])
-
-
-def _sum_rows(pairs: Iterable[tuple[int, LaurentPoly]]) -> LaurentPoly:
-    """``sum w * p`` over ``(w, p)`` pairs of an int and a polynomial, folded row by row into one
-    dense row per e_t: a ballot expansion of ``qkit._ballot_sum``, or the t-rows of ``substitute_t``."""
-    rows = [(w, *row) for w, p in pairs for row in p._rows]
-    q0 = min([lo for _, _, lo, _ in rows], default=0)
-    width = max([lo + len(cs) for _, _, lo, cs in rows], default=0) - q0
-    acc = {et: [0] * width for _, et, _, _ in rows}
-    for w, et, lo, cs in rows:
-        row, s = acc[et], lo - q0
-        row[s : s + len(cs)] = map(add, row[s : s + len(cs)], cs if w == 1 else map(mul, cs, repeat(w)))
-    return LaurentPoly._trusted(_trimmed_rows((et, q0, acc[et]) for et in sorted(acc)))
 
 
 def _box(rows: tuple[Row, ...]) -> Box:
@@ -439,7 +440,7 @@ def _slot_bytes(bound: int) -> int:
     """Bytes per slot for values in ``[-bound, bound]`` plus a spare sign bit.
 
     The width is rounded up to 1, 2, 4 or 8 bytes when that suffices, so that
-    ``_to_int`` and ``_to_slots`` convert through :mod:`array` in C.  With
+    ``_to_int`` and ``_slots`` convert through :mod:`array` in C.  With
     exact widths and per-slot conversion only, the benchmark's median ``op_s``
     rose from 0.060 to 0.071 s on ``euler-ladder`` and from 0.76 to 0.83 s on
     ``closed-forms-max`` (10 alternating pairs each, 2 cores, CPython 3.11.7).
@@ -464,32 +465,38 @@ def _to_int(slots: Sequence[int], width: int) -> int:
     return (int.from_bytes(raw, "little") ^ half) - half
 
 
-def _to_slots(value: int, width: int, nslots: int) -> Sequence[int]:
-    """The ``nslots`` signed ``width``-byte slots of ``value``; inverse of ``_to_int``.
+def _to_bytes(value: int, width: int, nslots: int) -> bytes:
+    """The ``nslots`` signed ``width``-byte slots of ``value`` in two's complement, slot 0
+    first; ``_slots`` reads them back, so the pair inverts ``_to_int``.
 
     With the half-offset added every slot is nonnegative, so the bytes split with
-    no borrows, and flipping each top bit gives two's complement.  ``OverflowError``
-    means the offset value is negative or longer than ``nslots`` slots: a broken
-    degree box or top slot.  An interior slot's overflow carries and is not detected.
+    no borrows, and flipping each top bit gives two's complement; a zero slot is
+    ``width`` zero bytes.  ``OverflowError`` means the offset value is negative or
+    longer than ``nslots`` slots: a broken degree box or top slot.  An interior
+    slot's overflow carries and is not detected.
     """
     half = _half_offset(width, nslots)
     value += half
     if value < 0 or value.bit_length() > 8 * width * nslots:
         raise OverflowError("packed value does not fit its derived degree box")
-    raw = (value ^ half).to_bytes(width * nslots, "little")
+    return (value ^ half).to_bytes(width * nslots, "little")
+
+
+def _slots(raw: bytes, width: int) -> tuple[int, ...]:
+    """The signed ``width``-byte slots of two's-complement bytes, as a tuple of ints."""
     code = _TYPECODES.get(width)
     if code:
-        return array(code, raw)
-    return [int.from_bytes(raw[k : k + width], "little", signed=True) for k in range(0, len(raw), width)]
+        return tuple(array(code, raw))
+    return tuple([int.from_bytes(raw[k : k + width], "little", signed=True) for k in range(0, len(raw), width)])
 
 
 class _Layout(NamedTuple):
     """Where a packed int keeps its terms: t-rows ``stride`` slots apart, ``width`` bytes a slot.
 
     Callers derive a stride above every q-span they decode and a bound on every
-    coefficient; slot widths and bit positions stay in this class, and the
-    signed-slot codec ``_to_int``/``_to_slots`` is the only code that knows
-    the half-offset.
+    coefficient; slot widths and bit positions stay in this class.  Slots are
+    signed: ``_to_int`` writes a row's slots into an int, and ``_to_bytes`` and
+    ``_slots`` read them back, and only that codec knows the half-offset.
     """
 
     stride: int
@@ -499,16 +506,6 @@ class _Layout(NamedTuple):
     def fitting(cls, stride: int, bound: int) -> "_Layout":
         """The layout with this stride whose slots hold every value in ``[-bound, bound]``."""
         return cls(stride, _slot_bytes(bound))
-
-    def pack(self, rows: tuple[Row, ...], box: Box) -> int:
-        """The int of ``rows``, which lie inside ``box``; slot 0 is (tmin, qmin)."""
-        stride, width = self
-        tmin, tmax, qmin, qmax = box
-        slots = [0] * ((tmax - tmin) * stride + qmax - qmin + 1)
-        for et, lo, cs in rows:
-            s = (et - tmin) * stride + lo - qmin
-            slots[s : s + len(cs)] = cs
-        return _to_int(slots, width)
 
     def shifts(self, terms: Mapping[ExpPair, int], tmin: int, qmin: int) -> list[tuple[int, int]]:
         """``(coefficient, bit shift)`` per term, for terms with exponents from (tmin, qmin).
@@ -523,19 +520,26 @@ class _Layout(NamedTuple):
     def unpack(self, value: int, box: Box) -> LaurentPoly:
         """Decode the polynomial inside ``box`` from a packed int whose slot 0 is (tmin, qmin).
 
-        Only the box is read, one dense row per t-row, each cut to its nonzero
-        ends.  Correctness rests on the caller's derived bounds, which the
-        tests check against the dict references; the one check made is
-        ``_to_slots``'s on the whole int.
+        Only the box is read, one t-row at a time.  A row is cut to its nonzero
+        ends on its two's-complement bytes, where a zero slot is ``width`` zero
+        bytes, before its slots are read.  Correctness rests on the caller's
+        derived bounds, which the tests check against the dict references; the
+        one check made is ``_to_bytes``'s on the whole int.
         """
         stride, width = self
         tmin, tmax, qmin, qmax = box
-        cols = qmax - qmin + 1
-        nslots = (tmax - tmin) * stride + cols
-        slots = _to_slots(value, width, nslots)
-        return LaurentPoly._trusted(_trimmed_rows(
-            (et, qmin, slots[s : s + cols]) for et, s in zip(range(tmin, tmax + 1), range(0, nslots, stride))
-        ))
+        span = (qmax - qmin + 1) * width
+        raw = _to_bytes(value, width, (tmax - tmin) * stride + qmax - qmin + 1)
+        rows = []
+        for et, s in zip(range(tmin, tmax + 1), range(0, len(raw), stride * width)):
+            seg = raw[s : s + span]
+            head = span - len(seg.lstrip(b"\0"))
+            if head < span:
+                head -= head % width
+                tail = len(seg.rstrip(b"\0"))
+                tail += -tail % width
+                rows.append((et, qmin + head // width, _slots(seg[head:tail], width)))
+        return LaurentPoly._trusted(tuple(rows))
 
 
 Item = tuple[int, int, int, Sequence[LaurentPoly]]  # (c, a, b, (p_1, ...))
@@ -546,16 +550,16 @@ def _sum_of_products(items: Iterable[Item]) -> LaurentPoly:
 
     The sum is one packed int, decoded once.  An item's degree box is its factors'
     boxes summed and shifted by (a, b); the decode box is the union of the item
-    boxes.  Each coefficient is at most ``sum |c| * prod |p_i|_1`` in magnitude.
-    Items with c = 0 or a zero factor are skipped.
+    boxes.  Each coefficient is at most ``sum |c| * prod |p_i|_1`` in magnitude:
+    ``sum |w| * |K_k|_1`` for a ballot expansion.  Items with c = 0 or a zero
+    factor are skipped.
 
-    Each factor's box, norm and packed ints live on the factor itself (see
-    ``_pack_facts``), so a factor is packed once per layout over every sum it
-    takes part in, not once per sum.  A one-row factor packs to the same int at
-    every stride, so it is keyed by ``(0, width)``, a multi-row one by
-    ``(stride, width)``.
+    Each factor is packed from the row ints it keeps (see ``_pack_facts``), so a
+    factor's rows are converted once per slot width over every sum it takes part
+    in: a one-row factor is its row int, and a multi-row one is its row ints
+    shift-added at the sum's stride (``_packed``).
     """
-    live: list[tuple[int, int, int, int, int, list[tuple[LaurentPoly, _PackFacts]]]] = []
+    live: list[tuple[int, int, int, int, int, list[tuple[LaurentPoly, dict]]]] = []
     bound = 0
     for c, a, b, factors in items:
         if not c:
@@ -565,10 +569,9 @@ def _sum_of_products(items: Iterable[Item]) -> LaurentPoly:
         for p in factors:
             if not p._rows:
                 break
-            f = _pack_facts(p)
-            (t0, t1, q0, q1), norm, _ = f
+            (t0, t1, q0, q1), norm, ints = _pack_facts(p)
             lo_t, hi_t, lo_q, hi_q, size = lo_t + t0, hi_t + t1, lo_q + q0, hi_q + q1, size * norm
-            facts.append((p, f))
+            facts.append((p, ints))
         else:
             bound += size
             live.append((c, lo_t, hi_t, lo_q, hi_q, facts))
@@ -578,29 +581,28 @@ def _sum_of_products(items: Iterable[Item]) -> LaurentPoly:
     tmin, tmax, qmin, qmax = min(lo_ts), max(hi_ts), min(lo_qs), max(hi_qs)
     stride = qmax - qmin + 1
     layout = _Layout.fitting(stride, bound)
-    rows_key, row_key = (stride, layout.width), (0, layout.width)
-    bits = 8 * layout.width
+    width = layout.width
+    bits = 8 * width
     total = 0
     for c, lo_t, _, lo_q, _, facts in live:
         value = c
-        for p, (box, _, packed) in facts:
-            key = row_key if box[0] == box[1] else rows_key
-            v = packed.get(key)
-            if v is None:
-                v = packed[key] = layout.pack(p._rows, box)
-            value *= v
+        for p, ints in facts:
+            row_ints = ints.get(width) or _row_ints(p, width)
+            value *= row_ints[0] if len(row_ints) == 1 else _packed(p, stride, width)
         total += value << (bits * ((lo_t - tmin) * stride + lo_q - qmin))
     return layout.unpack(total, (tmin, tmax, qmin, qmax))
 
 
-_PackFacts = tuple[Box, int, dict[tuple[int, int], int]]  # (box, l1 norm, packed ints by key)
+_PackFacts = tuple[Box, int, dict[int, tuple[int, ...]]]  # (box, l1 norm, row ints by slot width)
 
 
 def _pack_facts(p: LaurentPoly) -> _PackFacts:
-    """The box, l1 norm and packed-int memo of a nonzero polynomial, made on first use.
+    """The box, l1 norm and row ints of a nonzero polynomial, made on first use.
 
-    They are kept in the polynomial's ``_pack_facts`` slot; polynomials are
-    immutable, so the memo never goes stale.
+    The row ints are a dict from slot width to the packed int of each row (see
+    ``_row_ints``); it grows by one entry per width the polynomial is packed at.
+    All three are kept in the polynomial's ``_pack_facts`` slot; polynomials are
+    immutable, so they never go stale.
     """
     try:
         return p._pack_facts
@@ -608,6 +610,27 @@ def _pack_facts(p: LaurentPoly) -> _PackFacts:
         rows = p._rows
         facts = p._pack_facts = (_box(rows), sum([sum(map(abs, cs)) for _, _, cs in rows]), {})
         return facts
+
+
+def _row_ints(p: LaurentPoly, width: int) -> tuple[int, ...]:
+    """The packed int of each row of ``p`` at this slot width, slot 0 at the row's lowest
+    e_q, converted by ``_to_int`` on the first request for the width and kept."""
+    ints = _pack_facts(p)[2]
+    got = ints.get(width)
+    if got is None:
+        got = ints[width] = tuple([_to_int(cs, width) for _, _, cs in p._rows])
+    return got
+
+
+def _packed(p: LaurentPoly, stride: int, width: int) -> int:
+    """``p`` packed at ``(stride, width)`` with slot 0 at its box's (tmin, qmin): its row ints
+    shift-added, row e_t at slot ``(e_t - tmin) * stride + lo - qmin``."""
+    ints = _row_ints(p, width)
+    if len(ints) == 1:
+        return ints[0]
+    (tmin, _, qmin, _), _, _ = p._pack_facts
+    bits = 8 * width
+    return sum([v << (bits * ((et - tmin) * stride + lo - qmin)) for (et, lo, _), v in zip(p._rows, ints)])
 
 
 def monomial(coeff: int, et: int = 0, eq: int = 0) -> LaurentPoly:

@@ -9,7 +9,8 @@ All functions are pure.  The q-integers, the Gaussian binomials, the q-Pochhamme
 and odd q-Pochhammer symbols, the square sums and each ballot kernel's ``K_k``
 are memoised with ``functools.cache``, so concurrent callers get equal results;
 ``tqeuler.clear_caches()`` empties them.  Each memo keeps the polynomial
-itself, and ``K_k`` is summed over k by ``exactalg._sum_rows``.
+itself, and one packed ``exactalg._sum_of_products`` sums the weighted ``K_k``
+over k from the row ints each ``K_k`` keeps.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import cache
 from operator import index
 from typing import Callable, Iterable
 
-from .exactalg import Item, LaurentPoly, ONE, ONE_MINUS_Q, ZERO, _sum_of_products, _sum_rows, monomial
+from .exactalg import Item, LaurentPoly, ONE, ONE_MINUS_Q, ZERO, _sum_of_products, monomial
 
 __all__ = [
     "QSymbolSpec",
@@ -167,12 +168,15 @@ def _ballot_sum(n: int, kernel: Callable[..., Iterable[Item]], *args) -> Laurent
     ``kernel(k, *args)`` gives ``K_k`` as :func:`tqeuler.exactalg._sum_of_products` items.  Each
     ``K_k`` is summed once per ``(kernel, k, *args)`` and kept by :func:`_kernel`: the kernel's
     arguments join the cache key, so a kernel must be module-level and takes its parameters as
-    arguments; each ``n`` only adds the weighted ``K_k``.  Kept out of ``__all__`` so that profiling
-    wrappers, which follow ``__all__``, charge the time of each expansion to its formula.
+    arguments; each ``n`` only adds the weighted ``K_k``, as the items ``(ballot(n, k), 0, 0,
+    (K_k,))`` of one packed sum, whose slots hold ``sum |ballot(n, k)| * |K_k|_1``; a ``K_k``
+    converts its rows to ints once per slot width over every ``n``.  Kept out of ``__all__`` so
+    that profiling wrappers, which follow ``__all__``, charge the time of each expansion to its
+    formula.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _sum_rows((ballot(n, k), _kernel(kernel, k, *args)) for k in range(n + 1))
+    return _sum_of_products((ballot(n, k), 0, 0, (_kernel(kernel, k, *args),)) for k in range(n + 1))
 
 
 @cache

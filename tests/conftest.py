@@ -6,6 +6,21 @@ from hypothesis import settings
 # references, under it.
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--per-slot-codec", action="store_true",
+        help="empty tqeuler.exactalg._TYPECODES, so that every slot width converts one slot "
+             "at a time, as on big-endian machines, instead of through array",
+    )
+
+
+def pytest_configure(config):
+    if config.getoption("--per-slot-codec"):
+        from tqeuler import exactalg
+
+        exactalg._TYPECODES.clear()
+
 ACCEPTANCE_RESULTS: dict[str, tuple[bool, str]] = {}
 
 

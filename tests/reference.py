@@ -26,8 +26,9 @@ DP's lattice, whose tight degree boxes lie inside the closed bounds of
 bracket evaluated where it occurs, which ``tqeuler.formulas.zeng_value`` is
 tested against.  ``evaluate_reference`` is the term-by-term Fraction loop that
 ``LaurentPoly.evaluate`` is tested against, ``substitute_t_reference`` the
-term-by-term loop that the row fold of ``LaurentPoly.substitute_t`` is tested
-against, and ``alt_statistic_reference``
+term-by-term loop that the packed fold of ``LaurentPoly.substitute_t`` is tested
+against, ``sum_rows_reference`` the dense per-e_t row fold that the packed ballot
+expansion of ``tqeuler.qkit._ballot_sum`` is tested against, and ``alt_statistic_reference``
 counts ``count_13_2_patterns`` over every permutation of
 ``tqeuler.combinat.enum_alternating``, which the state transfer of
 ``tqeuler.combinat.alt_statistic_polynomial`` is tested against.  The last
@@ -42,7 +43,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, permutations, product, repeat
+from operator import add, mul
 from typing import Iterator, Mapping, Sequence
 
 from tqeuler.combinat import (
@@ -314,6 +316,19 @@ def substitute_t_reference(poly: LaurentPoly, sign: int, power: int) -> LaurentP
         e = eq + et * power
         out[e] = out.get(e, 0) + (c if sign == 1 or et % 2 == 0 else -c)
     return LaurentPoly({(0, e): c for e, c in out.items()})
+
+
+def sum_rows_reference(pairs) -> LaurentPoly:
+    """``sum w * p`` over ``(w, p)`` pairs, folded row by row into one dense row per e_t
+    that spans every row's q-range, then read back through the validating constructor."""
+    rows = [(w, *row) for w, p in pairs for row in p._rows]
+    q0 = min([lo for _, _, lo, _ in rows], default=0)
+    width = max([lo + len(cs) for _, _, lo, cs in rows], default=0) - q0
+    acc = {et: [0] * width for _, et, _, _ in rows}
+    for w, et, lo, cs in rows:
+        row, s = acc[et], lo - q0
+        row[s : s + len(cs)] = map(add, row[s : s + len(cs)], cs if w == 1 else map(mul, cs, repeat(w)))
+    return LaurentPoly({(et, q0 + j): c for et, row in acc.items() for j, c in enumerate(row) if c})
 
 
 def count_13_2_patterns(perm: Sequence[int]) -> int:

@@ -23,11 +23,13 @@ from tqeuler import exactalg
 from tqeuler.exactalg import (
     _Layout,
     _slot_bytes,
+    _slots,
     _sum_of_products,
+    _to_bytes,
     _to_int,
-    _to_slots,
 )
-from tqeuler.qkit import QSymbolSpec, pochhammer
+from tqeuler.formulas import tk_recurrence
+from tqeuler.qkit import QSymbolSpec, ballot, pochhammer
 
 from reference import (
     add_reference,
@@ -36,6 +38,7 @@ from reference import (
     exponent_map_reference,
     mul_reference,
     substitute_t_reference,
+    sum_rows_reference,
 )
 
 ONE_MINUS_Q = LaurentPoly({(0, 0): 1, (0, 1): -1})
@@ -141,6 +144,12 @@ class TestTrustedResults:
         assert 3 - a == const(3) + (-a)
 
 
+def ballot_fold(pairs):
+    """``sum w * p`` over ``(w, p)`` pairs as ``qkit._ballot_sum`` forms it: one packed sum
+    with an item ``(w, 0, 0, (p,))`` per pair."""
+    return _sum_of_products([(w, 0, 0, (p,)) for w, p in pairs])
+
+
 def packed(a, b):
     """The product a * b through the packed sum, as a term dict."""
     return dict(_sum_of_products([(1, 0, 0, (a, b))]).terms)
@@ -192,7 +201,7 @@ class TestRows:
 
     @given(st.lists(st.tuples(st.integers(-2**70, 2**70), laurent_polys()), max_size=5))
     def test_sum_rows(self, pairs):
-        result = exactalg._sum_rows(pairs)
+        result = ballot_fold(pairs)
         want = {}
         for w, p in pairs:
             want = add_reference(want, p.terms, w)
@@ -231,7 +240,7 @@ class TestPackedMul:
         slots = [0, 1, -1, half - 1, -half, 0]
         value = _to_int(slots, width)
         assert value == sum(v << (8 * width * k) for k, v in enumerate(slots))
-        assert list(_to_slots(value, width, len(slots))) == slots
+        assert _slots(_to_bytes(value, width, len(slots)), width) == tuple(slots)
 
     @pytest.mark.parametrize("per_slot", [False, True], ids=["array", "per-slot"])
     @pytest.mark.parametrize("width", [1, 2, 4, 8])
@@ -267,6 +276,20 @@ class TestPackedMul:
         assert got._rows == ((5, -1, (3, -1)), (7, -2, (7,)))
         assert_canonical(got)
 
+    @pytest.mark.parametrize("per_slot", [False, True], ids=["array", "per-slot"])
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_unpack_cuts_rows_on_whole_slots(self, width, per_slot, monkeypatch):
+        # an end slot may have zero bytes on either side of its nonzero ones (256 and -256
+        # a zero low byte, 1 zero high bytes, 2**(8*width - 2) only its top byte nonzero):
+        # the cut at the row's zero bytes keeps each end slot whole
+        if per_slot:
+            monkeypatch.setattr(exactalg, "_TYPECODES", {})
+        layout, box, top = _Layout(stride=5, width=width), (0, 2, 0, 4), 1 << (8 * width - 2)
+        slots = [0, 256, 0, 1, 0] + [-256, 0, 0, 0, 0] + [0, 0, 0, 0, top]
+        got = layout.unpack(_to_int(slots, width), box)
+        assert got._rows == ((0, 1, (256, 0, 1)), (1, 0, (-256,)), (2, 4, (top,)))
+        assert_canonical(got)
+
     def test_unpack_rejects_value_outside_box(self):
         # 2 rows by 3 columns with stride 4: 7 one-byte slots
         layout, box = _Layout(stride=4, width=1), (0, 1, 0, 2)
@@ -300,15 +323,15 @@ def sum_items(draw):
 
 @pytest.fixture
 def pack_calls(monkeypatch):
-    """The layouts ``_Layout.pack`` is called with, in call order."""
+    """``(width, slots)`` of each row ``_to_int`` converts, in call order."""
     calls = []
-    pack = _Layout.pack
+    to_int = _to_int
 
-    def spy(self, rows, box):
-        calls.append(tuple(self))
-        return pack(self, rows, box)
+    def spy(slots, width):
+        calls.append((width, tuple(slots)))
+        return to_int(slots, width)
 
-    monkeypatch.setattr(_Layout, "pack", spy)
+    monkeypatch.setattr(exactalg, "_to_int", spy)
     return calls
 
 
@@ -349,19 +372,12 @@ class TestPackedSum:
             {(-4, -7): 6, (-3, -6): -2, (0, 0): 1}
         )
 
-    def test_each_factor_packed_once(self, monkeypatch):
-        calls = []
-        pack = _Layout.pack
-
-        def spy(self, rows, box):
-            calls.append(box)
-            return pack(self, rows, box)
-
-        monkeypatch.setattr(_Layout, "pack", spy)
-        p = LaurentPoly({(0, i): 1 for i in range(10)})
-        items = [(1, k, 0, (p, p)) for k in range(4)] + [(2, 0, 1, (p, T1))]
+    def test_each_factor_packed_once(self, pack_calls):
+        # every row of each factor is converted once, at the sum's width 2: p's one row and t1's two
+        p, t1 = LaurentPoly({(0, i): 1 for i in range(10)}), fresh(T1)
+        items = [(1, k, 0, (p, p)) for k in range(4)] + [(2, 0, 1, (p, t1))]
         assert _sum_of_products(items) == sum_reference(items)
-        assert len(calls) == 2
+        assert sorted(pack_calls) == sorted([(2, (1,) * 10), (2, (1, -1)), (2, (-1,))])
 
     def test_second_sum_packs_nothing(self, pack_calls):
         p = LaurentPoly({(0, i): i + 1 for i in range(6)})
@@ -380,8 +396,9 @@ class TestPackedSum:
         for _ in range(2):
             for items in (narrow, wide):
                 assert _sum_of_products(items) == sum_reference(items)
-        assert sorted(pack_calls) == [(2, 1), (6, 1)]
-        assert sorted(m._pack_facts[2]) == [(2, 1), (6, 1)]
+        # its rows are converted once per width, so once for both strides
+        assert pack_calls == [(1, (1, -1)), (1, (-1,))]
+        assert sorted(m._pack_facts[2]) == [1]
 
     def test_one_row_factor_packed_once_per_width(self, pack_calls):
         r = LaurentPoly({(3, 0): 1, (3, 2): -2})
@@ -393,8 +410,8 @@ class TestPackedSum:
         for _ in range(2):
             for items in sums:
                 assert _sum_of_products(items) == sum_reference(items)
-        assert sorted(pack_calls) == [(3, 1), (3, 4)]
-        assert sorted(r._pack_facts[2]) == [(0, 1), (0, 4)]
+        assert pack_calls == [(1, (1, 0, -2)), (4, (1, 0, -2))]
+        assert sorted(r._pack_facts[2]) == [1, 4]
 
     @given(sum_items(), st.integers(-9, 9), st.integers(-9, 9))
     def test_cached_packs_match_reference(self, items, et, eq):
@@ -688,6 +705,94 @@ class TestSparseWide:
         for got, want in cases:
             assert dict(got.terms) == want
             assert_canonical(got)
+
+
+@st.composite
+def width_polys(draw, width):
+    """Nonzero polynomials whose l1 norm needs ``width`` bytes a slot (over 8 bytes for
+    ``width`` 16): a small part and one big coefficient on a q-exponent of its own."""
+    small = draw(laurent_polys())
+    prev = {1: 0, 2: 1, 4: 2, 8: 4, 16: 8}[width]
+    top = (1 << (8 * width - 1)) - 1 - sum(map(abs, small.terms.values()))
+    big = draw(st.integers(1 << max(0, 8 * prev - 1), top)) * draw(st.sampled_from([1, -1]))
+    return small + monomial(big, draw(st.integers(-3, 3)), draw(st.sampled_from([-9, 9])))
+
+
+def norm(p):
+    return sum(map(abs, p.terms.values()))
+
+
+def assert_width(bound, width):
+    got = _slot_bytes(bound)
+    assert got == width if width <= 8 else 8 < got <= width
+
+
+# over 8 bytes every slot converts on its own, as every width does under --per-slot-codec
+WIDTHS = pytest.mark.parametrize("width", [1, 2, 4, 8, 16])
+
+
+class TestPackedFolds:
+    """``substitute_t`` and the ballot fold, each one packed int decoded once, against the
+    term-by-term and dense-row references."""
+
+    @WIDTHS
+    @given(data=st.data(), sign=st.sampled_from([1, -1]), power=st.integers(-9, 9))
+    def test_substitute_t_at_each_width(self, width, data, sign, power):
+        # a substituted slot is a signed sum of distinct coefficients: at most the l1 norm
+        p = data.draw(width_polys(width))
+        assert_width(norm(p), width)
+        got = p.substitute_t(sign, power)
+        assert got == substitute_t_reference(p, sign, power)
+        assert_canonical(got)
+
+    @given(sparse_polys(), sparse_polys(), st.sampled_from([1, -1]), st.integers(-9, -1))
+    def test_substitute_t_cancels_at_the_row_ends(self, r, u, sign, power):
+        # u's terms cancel in pairs at t = sign * q**power, often beyond both ends of r's
+        p = r + u * (T - monomial(sign, 0, power))
+        got = p.substitute_t(sign, power)
+        assert got == substitute_t_reference(r, sign, power) == substitute_t_reference(p, sign, power)
+        assert_canonical(got)
+
+    @WIDTHS
+    @given(data=st.data(), n=st.integers(0, 14))
+    def test_ballot_fold_at_each_width(self, width, data, n):
+        # ballot-sized weights over a pool of kernels; a slot is at most sum |w| * |K_k|_1
+        pool = data.draw(st.lists(width_polys(width), min_size=1, max_size=3))
+        kernels = [data.draw(st.sampled_from(pool)) for _ in range(n + 1)]
+        pairs = [(ballot(n, k), K) for k, K in enumerate(kernels)]
+        got = ballot_fold(pairs)
+        assert got == sum_rows_reference(pairs)
+        assert dict(got.terms) == reduce_add(pairs)
+        assert_canonical(got)
+
+    @given(st.one_of(cancelling_pairs(), st.tuples(sparse_polys(), st.just(ZERO))),
+           st.integers(1, 2**70), st.sampled_from([ZERO, ONE, T - Q, monomial(1, 0, 60)]))
+    def test_ballot_fold_cancels(self, pair, w, extra):
+        # a + b cancels at either row end or down to ZERO; w * p - w * p leaves nothing
+        a, b = pair
+        for pairs in ([(1, a), (1, b)], [(w, a), (w, b), (w, extra), (-w, extra)], [(w, a), (-w, a)]):
+            got = ballot_fold(pairs)
+            assert got == sum_rows_reference(pairs)
+            assert dict(got.terms) == reduce_add(pairs)
+            assert_canonical(got)
+        assert ballot_fold([(w, a), (-w, a)])._rows == ()
+
+    def test_tk_substituted_at_17_powers_packs_its_rows_once(self, pack_calls):
+        tk = fresh(tk_recurrence(6))
+        for power in range(-8, 9):
+            for sign in (1, -1):
+                assert tk.substitute_t(sign, power) == substitute_t_reference(tk, sign, power)
+        width = _slot_bytes(norm(tk))
+        assert pack_calls == [(width, cs) for _, _, cs in tk._rows]
+        assert list(tk._pack_facts[2]) == [width]
+
+
+def reduce_add(pairs):
+    """``sum w * p`` as a term dict, through the term-dict sum."""
+    total = {}
+    for w, p in pairs:
+        total = add_reference(total, p.terms, w)
+    return total
 
 
 class TestRingAxioms:

@@ -5,7 +5,7 @@ from collections import Counter
 import tqeuler
 from tqeuler import combinat
 from tqeuler.exactalg import monomial
-from tqeuler.registry import run_verification
+from tqeuler.registry import REGISTRY, Bounds, run_verification
 
 # sha256 of every case's id, params (in order), status and detail, at the
 # default bounds and at the maximum bounds (12, 10, 8).  Any change to the
@@ -49,3 +49,32 @@ def test_second_run_after_clear_caches_gives_the_same_report():
     first = report_sha256(run_verification())
     tqeuler.clear_caches()
     assert report_sha256(run_verification()) == first == DEFAULT_REPORT_SHA256
+
+
+def outcomes(cells):
+    """``(id, params) -> (status, detail)`` of each ``(identity, params)`` cell, checked in the
+    given order; a raise is a failure with the text ``run_verification`` gives it."""
+    out = {}
+    for ident, params in cells:
+        try:
+            outcome = ident.check(params)
+        except Exception as exc:
+            outcome = ("fail", f"exception: {type(exc).__name__}: {exc}")
+        out[ident.id, tuple(params.items())] = outcome
+    return out
+
+
+def test_no_result_depends_on_run_order_or_cache_state():
+    # each identity run cold on its own, and then the whole matrix in reverse order with
+    # the caches it left warm, give the statuses and details of one full run
+    tqeuler.clear_caches()
+    full = {(c.id, tuple(c.params.items())): (c.status, c.detail) for c in run_verification().cases}
+    bounds = Bounds(8, 6, 4)
+    cold = {}
+    for ident in REGISTRY:
+        tqeuler.clear_caches()
+        cold.update(outcomes((ident, params) for params in ident.grid(bounds)))
+    assert cold == full
+    cells = [(ident, params) for ident in REGISTRY for params in ident.grid(bounds)]
+    assert outcomes(reversed(cells)) == full
+    assert len(full) == len(cells) == 1052

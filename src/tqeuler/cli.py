@@ -8,7 +8,6 @@ Exit codes: 0 on success, 1 when verification finds a failing identity,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import os
@@ -29,6 +28,8 @@ def _render_poly(poly: LaurentPoly, fmt: str) -> str:
         return poly.render()
     if fmt == "json":
         return poly.json_text()
+    import csv  # here and in cmd_bench, not at module level: only CSV output needs it
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["et", "eq", "c"])
@@ -128,6 +129,8 @@ def _bench_methods(n: int):
 def cmd_bench(args: argparse.Namespace) -> int:
     if not (0 <= args.max_n <= registry.HARD_MAX_N):
         return _fail(f"--max-n must be in 0..{registry.HARD_MAX_N}")
+    import csv
+
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "method", "ms", "terms"])
     for n in range(args.max_n + 1):

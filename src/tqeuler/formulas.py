@@ -22,12 +22,12 @@ and every exact division here is by a polynomial in q alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import index
 from typing import Callable
 
+from ._record import Record
 from .exactalg import (
     Item,
     LaurentPoly,
@@ -135,18 +135,17 @@ def tk_functional_equation_holds(k: int) -> bool:
     return lhs == rhs
 
 
-@dataclass(frozen=True)
-class SpecializationKey:
+class SpecializationKey(Record):
     """The substitution ``t = eps * q**b`` with ``eps`` in {+1, -1} and any
     integer ``b``."""
 
-    eps: int
-    b: int
+    __slots__ = ("eps", "b")
 
-    def __post_init__(self):
-        if self.eps not in (1, -1):
+    def __init__(self, eps: int, b: int):
+        if eps not in (1, -1):
             raise ValueError("eps must be +1 or -1")
-        index(self.b)  # TypeError for a non-integer b
+        index(b)  # TypeError for a non-integer b
+        self._fill(eps, b)
 
 
 def tk_special(key: SpecializationKey, k: int) -> LaurentPoly:

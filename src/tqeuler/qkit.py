@@ -16,11 +16,11 @@ over k from the row ints each ``K_k`` keeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from operator import index
 from typing import Callable, Iterable
 
+from ._record import Record
 from .exactalg import Item, LaurentPoly, ONE, ONE_MINUS_Q, ZERO, _sum_of_products, monomial
 
 __all__ = [
@@ -62,21 +62,19 @@ def euler_down(h: int) -> LaurentPoly:
     return ONE - monomial(1, 1, h)
 
 
-@dataclass(frozen=True)
-class QSymbolSpec:
+class QSymbolSpec(Record):
     """A q-Pochhammer symbol ``(sign * q**base_power; q)_length``."""
 
-    base_sign: int
-    base_power: int
-    length: int
+    __slots__ = ("base_sign", "base_power", "length")
 
-    def __post_init__(self):
-        if self.base_sign not in (1, -1):
+    def __init__(self, base_sign: int, base_power: int, length: int):
+        # TypeError for a non-integer: an equal spec with int fields may already be cached
+        if index(base_sign) not in (1, -1):
             raise ValueError("base_sign must be +1 or -1")
-        # TypeError for a non-integer: an equal spec with an int field may already be cached
-        index(self.base_power)
-        if index(self.length) < 0:
+        index(base_power)
+        if index(length) < 0:
             raise ValueError("length must be nonnegative")
+        self._fill(base_sign, base_power, length)
 
 
 @cache

@@ -16,14 +16,14 @@ is observed by the runner.  A value already memoised is not computed again;
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
 from typing import Callable, Iterable
 
 from . import cfrac, combinat, formulas, qkit
+from ._record import Record
 from .exactalg import Item, LaurentPoly, ONE, ONE_MINUS_Q, ZERO, _ONE_PLUS_Q, const, monomial
 
 __all__ = [
@@ -55,28 +55,27 @@ class RegistryConfigError(ValueError):
     """Invalid bounds or selector for a verification run."""
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(Record):
     """The verification bounds; a non-integer raises ``TypeError`` (each goes through
     :func:`operator.index`), a value outside its hard cap :class:`RegistryConfigError`."""
 
-    max_n: int
-    max_k: int
-    max_b: int
+    __slots__ = ("max_n", "max_k", "max_b")
 
-    def __post_init__(self):
-        for name, top in (("max_n", HARD_MAX_N), ("max_k", HARD_MAX_K), ("max_b", HARD_MAX_B)):
-            if not 0 <= index(getattr(self, name)) <= top:
+    def __init__(self, max_n: int, max_k: int, max_b: int):
+        for name, value, top in (("max_n", max_n, HARD_MAX_N), ("max_k", max_k, HARD_MAX_K),
+                                 ("max_b", max_b, HARD_MAX_B)):
+            if not 0 <= index(value) <= top:
                 raise RegistryConfigError(f"{name} must be in 0..{top}")
+        self._fill(max_n, max_k, max_b)
 
 
-@dataclass(frozen=True)
-class Case:
-    id: str
-    params: dict
-    status: str
-    us: int
-    detail: str | None = None
+class Case(Record):
+    """One cell of a verification run: its outcome and its time in microseconds."""
+
+    __slots__ = ("id", "params", "status", "us", "detail")
+
+    def __init__(self, id: str, params: dict, status: str, us: int, detail: str | None = None):
+        self._fill(id, params, status, us, detail)
 
     @property
     def ms(self) -> int:
@@ -89,9 +88,22 @@ class Case:
         return obj
 
 
-@dataclass
 class VerificationReport:
-    cases: list[Case] = field(default_factory=list)
+    """The cases of one run, in run order.  Mutable, so unhashable, and equal to a
+    report with equal cases."""
+
+    __hash__ = None
+
+    def __init__(self, cases: list[Case] | None = None):
+        self.cases = [] if cases is None else cases
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.cases == other.cases
+        return NotImplemented
+
+    def __repr__(self):
+        return f"VerificationReport(cases={self.cases!r})"
 
     @property
     def summary(self) -> dict[str, int]:
@@ -112,6 +124,8 @@ class VerificationReport:
         }
 
     def to_json_text(self) -> str:
+        import json  # here, not at module level: most runs write no JSON report
+
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
 
     def render_text(self) -> str:
@@ -131,6 +145,8 @@ Check = Callable[[dict], tuple[str, str | None]]
 Grid = Callable[[Bounds], Iterable[dict]]
 
 
+# A dataclass, unlike the records above: perfbench/tracer.py rebuilds REGISTRY with
+# dataclasses.replace, so dataclasses is imported for this one class.
 @dataclass(frozen=True)
 class Identity:
     id: str

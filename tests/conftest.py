@@ -3,7 +3,7 @@ from hypothesis import settings
 
 # ``--hypothesis-profile=ci`` runs every property test ten times longer and with no
 # deadline; CI runs tests/test_exactalg.py, the row arithmetic against its term-dict
-# references, under it.
+# references, and tests/test_cache_order.py, memoised calls against cold ones, under it.
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tqeuler.exactalg import (
     LaurentPoly,
@@ -321,6 +321,11 @@ def sum_items(draw):
     return draw(st.lists(st.tuples(st.integers(-big, big), exps, exps, factors), max_size=6))
 
 
+# a sum of items with coefficients near 2**200 takes several ms; under load one example
+# can pass hypothesis's default 200 ms deadline, so the sum_items() tests have none
+NO_DEADLINE = settings(deadline=None)
+
+
 @pytest.fixture
 def pack_calls(monkeypatch):
     """``(width, slots)`` of each row ``_to_int`` converts, in call order."""
@@ -338,6 +343,7 @@ def pack_calls(monkeypatch):
 class TestPackedSum:
     """The packed sum of products against the dict reference it replaces."""
 
+    @NO_DEADLINE
     @given(sum_items())
     def test_matches_dict_reference(self, items):
         result = _sum_of_products(items)
@@ -413,6 +419,7 @@ class TestPackedSum:
         assert pack_calls == [(1, (1, 0, -2)), (4, (1, 0, -2))]
         assert sorted(r._pack_facts[2]) == [1, 4]
 
+    @NO_DEADLINE
     @given(sum_items(), st.integers(-9, 9), st.integers(-9, 9))
     def test_cached_packs_match_reference(self, items, et, eq):
         # The first sum packs fresh factors, the repeat reuses every pack, and
@@ -614,6 +621,7 @@ class TestRowMemo:
             _sum_of_products([(1, 0, 0, (dividend, b))])  # fills both pack facts
             assert division_outcome(LaurentPoly.divide_exact, dividend, b) == want
 
+    @NO_DEADLINE
     @given(sum_items())
     def test_sum_of_products(self, items):
         want = _sum_of_products([(c, a, b, tuple(map(fresh, factors))) for c, a, b, factors in items])

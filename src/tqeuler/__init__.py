@@ -30,7 +30,7 @@ from .qkit import (
     a_k_poly,
     square_sum,
 )
-from .cfrac import sfrac_moments, euler_hat, dn_hat, en_even_q, en_odd_q
+from .cfrac import euler_hat, dn_hat, en_even_q, en_odd_q
 from .combinat import CutoffExceededError, InvalidEndpointError
 from .formulas import SpecializationKey, tk_recurrence, tk_closed, tk_special
 from .registry import run_verification, identity_ids, VerificationReport

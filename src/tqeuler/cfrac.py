@@ -22,11 +22,10 @@ from functools import cache
 from itertools import accumulate
 from typing import Callable
 
-from .exactalg import Box, LaurentPoly, ONE_MINUS_Q, _Layout
+from .exactalg import LaurentPoly, ONE_MINUS_Q, _Layout
 from .qkit import euler_down, euler_up
 
 __all__ = [
-    "sfrac_moments",
     "euler_coeff",
     "euler_hat",
     "dn_hat",
@@ -35,68 +34,56 @@ __all__ = [
 ]
 
 
-def sfrac_moments(coeff_fn: Callable[[int], LaurentPoly], order: int) -> list[LaurentPoly]:
-    """Moments ``mu_0 .. mu_order`` of the S-fraction with coefficients ``c_h``.
-
-    One :func:`_moment_walk`, with every moment decoded."""
-    layout, packed = _moment_walk(coeff_fn, order)
-    return [layout.unpack(*entry) for entry in packed]
-
-
-Packed = tuple[int, Box]  # a moment's packed int and the degree box it is decoded from
-
-
-def _moment_walk(coeff_fn: Callable[[int], LaurentPoly], order: int) -> tuple[_Layout, list[Packed]]:
-    """The layout and, per moment 0..order, its :data:`Packed` entry.
+def _moment(coeff_fn: Callable[[int], LaurentPoly], n: int) -> LaurentPoly:
+    """Moment n of the S-fraction with coefficients ``c_h = coeff_fn(h)``.
 
     Walks all lattice prefixes step by step: up steps carry weight 1, a down
     step from height h carries ``c_h``.  A prefix at step s and height h only
-    matters if it can still return to height 0 by step ``2*order``, so heights
-    above ``min(order, 2*order - s)`` are pruned.
+    matters if it can still return to height 0 by step ``2*n``, so heights
+    above ``min(n, 2*n - s)`` are pruned.
 
     The state at each height is one packed int (see ``exactalg._Layout``), so an
     up step is an int addition and a down step is a sum of shifted integer
-    multiples, one per term of ``c_h``; no polynomial is built here, and
-    ``_Layout.unpack`` decodes a moment.  The layout is derived before the walk:
+    multiples, one per term of ``c_h``; no polynomial is built here, and one
+    ``_Layout.unpack`` decodes moment n.  The layout is derived before the walk:
 
     * Every ``c_h`` is divided by ``t**tmin * q**qmin``, the smallest exponents
       over all ``c_h`` (0 if every ``c_h`` is zero), so every exponent is
-      nonnegative.  A path to moment m has exactly m down steps, so moment m
-      is multiplied back by ``t**(m*tmin) * q**(m*qmin)``.
-    * Degree box.  A Dyck path of length 2m has at most ``m - h + 1`` down
+      nonnegative.  A path to moment n has exactly n down steps, so the moment
+      is multiplied back by ``t**(n*tmin) * q**(n*qmin)``.
+    * Degree box.  A Dyck path of length 2n has at most ``n - h + 1`` down
       steps from height h or above: each is matched with an up step to the
-      same height, and h - 1 of the m up steps go to heights 1..h-1.  So its
-      j-th highest down step is at height at most ``m - j + 1``.  Let D(h) be
+      same height, and h - 1 of the n up steps go to heights 1..h-1.  So its
+      j-th highest down step is at height at most ``n - j + 1``.  Let D(h) be
       the largest shifted t-degree (or q-degree) over ``c_1 .. c_h``, 0 for a
-      zero ``c``; D is nondecreasing, so every shifted degree of moment m is
-      at most ``D(1) + ... + D(m)``.  These prefix sums are the boxes, and the
-      row stride is moment ``order``'s q-bound plus 1.  For :func:`euler_coeff`
-      and ``euler_up`` the single-peak path reaches the bound.
-    * Moment m is a sum over at most 4**m Dyck paths of products of m
+      zero ``c``; D is nondecreasing, so every shifted degree of moment n is
+      at most ``D(1) + ... + D(n)``.  That sum is the box, and the row stride
+      is its q-bound plus 1.  For :func:`euler_coeff` and ``euler_up`` the
+      single-peak path reaches the bound.
+    * Moment n is a sum over at most 4**n Dyck paths of products of n
       coefficients, so each of its coefficients is at most
-      ``(4 * max_h |c_h|_1)**order`` in magnitude; the slot width holds that
-      plus a sign bit (4*order + 2 bits for :func:`euler_coeff`).
+      ``(4 * max_h |c_h|_1)**n`` in magnitude; the slot width holds that
+      plus a sign bit (4*n + 2 bits for :func:`euler_coeff`).
     """
-    if order < 0:
+    if n < 0:
         raise ValueError("order must be nonnegative")
-    c = {h: LaurentPoly._coerce(coeff_fn(h)).terms for h in range(1, order + 1)}
+    c = {h: coeff_fn(h).terms for h in range(1, n + 1)}
     tmin = min((et for terms in c.values() for et, _ in terms), default=0)
     qmin = min((eq for terms in c.values() for _, eq in terms), default=0)
     norm = max((sum(map(abs, terms.values())) for terms in c.values()), default=0)
-    # shifted degrees of each c_h, their running maxima D(h), and moment m's bound D(1) + ... + D(m)
+    # shifted degrees of each c_h, their running maxima D(h), and the bound D(1) + ... + D(n)
     tdeg = (max((et - tmin for et, _ in terms), default=0) for terms in c.values())
     qdeg = (max((eq - qmin for _, eq in terms), default=0) for terms in c.values())
-    tbound = list(accumulate(accumulate(tdeg, max), initial=0))
-    qbound = list(accumulate(accumulate(qdeg, max), initial=0))
-    layout = _Layout.fitting(qbound[-1] + 1, (4 * norm) ** order)
+    tbound = sum(accumulate(tdeg, max))
+    qbound = sum(accumulate(qdeg, max))
+    layout = _Layout.fitting(qbound + 1, (4 * norm) ** n)
 
     # The walk itself, on packed ints: the down step from h sums one shifted
     # multiple of the state per term of c_h.
     down = {h: layout.shifts(terms, tmin, qmin) for h, terms in c.items()}
     state = [1]
-    packed: list[Packed] = [(1, (0, 0, 0, 0))]  # moment 0
-    for step in range(1, 2 * order + 1):
-        top = min(order, 2 * order - step)
+    for step in range(1, 2 * n + 1):
+        top = min(n, 2 * n - step)
         nxt_state = [0] * (top + 1)
         for h, x in enumerate(state):
             if not x:
@@ -115,22 +102,12 @@ def _moment_walk(coeff_fn: Callable[[int], LaurentPoly], order: int) -> tuple[_L
                         acc += (coef * x) << shift
                 nxt_state[h - 1] = acc
         state = nxt_state
-        if step % 2 == 0:
-            m = step // 2
-            mbox = (m * tmin, m * tmin + tbound[m], m * qmin, m * qmin + qbound[m])
-            packed.append((state[0], mbox))
-    return layout, packed
+    return layout.unpack(state[0], (n * tmin, n * tmin + tbound, n * qmin, n * qmin + qbound))
 
 
 def euler_coeff(h: int) -> LaurentPoly:
     """``(1 - q**h) * (1 - t*q**h)``, the normalized fraction coefficient."""
     return euler_up(h) * euler_down(h)
-
-
-def _moment(coeff_fn: Callable[[int], LaurentPoly], n: int) -> LaurentPoly:
-    """Moment n alone: one :func:`_moment_walk` to order n and one decode."""
-    layout, packed = _moment_walk(coeff_fn, n)
-    return layout.unpack(*packed[n])
 
 
 @cache

@@ -5,9 +5,10 @@ here explicitly at desk scale: partitions in boxes and staircases, weighted
 Dyck paths and marked Dyck paths without marked peaks (one walk, in which a
 plain Dyck path is a marked one whose marks weigh 0), staircase arrow
 configurations, self-conjugate overpartitions, the M, L and L' lattice
-paths (one walk on west and southwest or south steps), and alternating
-permutations.  The 13-2 statistic on alternating permutations is summed by
-a transfer over the state of the last entry, derived from the pattern alone.
+paths (one walk on west and southwest or south steps).  The 13-2 statistic
+on alternating permutations is summed by a transfer over the state of the
+last entry, derived from the pattern alone; the permutations themselves are
+listed only in ``tests/reference.py``, which tests the transfer against them.
 
 Every oracle enumerates its leaves, tallies their exponents and builds one
 polynomial from the tally, using nothing from ``formulas``.  A partition is
@@ -18,7 +19,6 @@ Enumerators fail loudly past their cutoffs instead of truncating silently.
 
 from __future__ import annotations
 
-from bisect import bisect
 from collections import Counter, defaultdict
 from functools import cache
 from typing import Callable, Sequence
@@ -39,7 +39,6 @@ __all__ = [
     "m_path_weight_sum",
     "l_path_weight_sum",
     "lprime_path_weight_sum",
-    "enum_alternating",
     "alt_statistic_polynomial",
 ]
 
@@ -471,38 +470,6 @@ def lprime_path_weight_sum(b: int, k: int, m: int, n: int, eps: int) -> LaurentP
 # alternating permutations
 
 
-def enum_alternating(n: int) -> list[tuple[int, ...]]:
-    """All up-down alternating permutations of {1, ..., n}
-    (first ascent, then descent, alternating), in lexicographic order.
-    A negative size has none.
-
-    Still brute force: one leaf per permutation, built depth first.  Each
-    position tries only its admissible values in increasing order: the
-    unused values above the last entry at a rising position, those below it
-    at a falling one, cut from the sorted unused list by bisection.  The
-    registry does not list them: ``alt_statistic_polynomial`` counts them by
-    state, and this is the definition its counts are tested against.
-    """
-    _check_cutoff("alternating", n)
-    if n < 0:
-        return []
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], last: int, unused: list[int], rising: bool) -> None:
-        if not unused:
-            out.append(prefix)
-            return
-        cut = bisect(unused, last)
-        for i in range(cut, len(unused)) if rising else range(cut):
-            v = unused[i]
-            rec(prefix + (v,), v, unused[:i] + unused[i + 1 :], not rising)
-
-    # a virtual entry n+1 before the first admits every value, and makes the next step a rise
-    rec((), n + 1, list(range(1, n + 1)), False)
-    del rec  # as in _bounded_parts: no reference cycle is left behind
-    return out
-
-
 def alt_statistic_polynomial(n: int) -> LaurentPoly:
     """Distribution of the 13-2 pattern count over the up-down alternating
     permutations of {1, ..., n}, as a polynomial in q; ZERO for negative n.
@@ -526,7 +493,7 @@ def alt_statistic_polynomial(n: int) -> LaurentPoly:
     every value and makes the next step a rise.  Nothing here comes from the
     S-fraction or the Dyck paths behind ``cfrac.en_even_q``/``en_odd_q``, so
     the transfer stays an independent check of them.  Its value at q = 1 is
-    ``len(enum_alternating(n))``.
+    the number of those permutations, the Euler zigzag number E_n.
     """
     _check_cutoff("alternating", n)
     if n < 0:

@@ -21,7 +21,7 @@ Two folds go through packed ints (Kronecker substitution, see ``_Layout``):
 ``c * t**a * q**b * p_1 * ... * p_m`` items (a ballot expansion of ``qkit`` is
 one, an item ``(w, 0, 0, (K_k,))`` per k).  Each shift-adds packed rows into
 one int, under a derived bound on every coefficient, and ``_Layout.unpack``
-decodes it once; the moment DP (``cfrac._moment_walk``, each of whose moments
+decodes it once; the moment DP (``cfrac._moment``, whose one moment
 ``_Layout.unpack`` decodes) is the other user of ``_Layout``.  A polynomial
 keeps one packed int per t-row and slot width (``_row_ints``), with its box and
 l1 norm, in the lazily filled ``_pack_facts`` slot, so a polynomial shared by

@@ -5,7 +5,7 @@ and ``cfrac``, :func:`sweep` binds a wrapper that changes every result of
 the callable wherever the package binds the original, empties the caches,
 runs the verification matrix and collects the ids of the failing cells.  A
 name that fails no cell is a route no identity depends on; ``UNCHECKED``
-names the three that may, each with its reason, and each must fail none.
+names the one that may, ``q_int``, with its reason, and it must fail none.
 
 Run as a script, it sweeps at the given bounds (the ``verify`` defaults
 8 6 4 when none are given), prints each name's failing ids and exits with 1
@@ -23,8 +23,6 @@ from tqeuler.exactalg import LaurentPoly, monomial
 
 UNCHECKED = {
     "q_int": "the rule of the q-int ballot-reduction cells, an identity that holds for any rule",
-    "enum_alternating": "the definition that the alternating-permutation state count is tested against",
-    "sfrac_moments": "verify decodes only the moment it needs: decoding every moment made euler-ladder 19% slower",
 }
 
 _NUDGE = monomial(1, 7, 99)

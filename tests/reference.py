@@ -22,23 +22,25 @@ is tested against.  ``ballot_sum_reference`` is the ballot expansion as one
 packed sum with every kernel evaluated again for each n, which the cached
 ``tqeuler.qkit._ballot_sum`` is tested against, ``moment_boxes_reference`` the max-plus pass over the moment
 DP's lattice, whose tight degree boxes lie inside the closed bounds of
-``tqeuler.cfrac._moment_walk``, and ``zeng_value_reference`` the double sum with every
+``tqeuler.cfrac._moment``, and ``zeng_value_reference`` the double sum with every
 bracket evaluated where it occurs, which ``tqeuler.formulas.zeng_value`` is
 tested against.  ``evaluate_reference`` is the term-by-term Fraction loop that
 ``LaurentPoly.evaluate`` is tested against, ``substitute_t_reference`` the
 term-by-term loop that the packed fold of ``LaurentPoly.substitute_t`` is tested
-against, ``sum_rows_reference`` the dense per-e_t row fold that the packed ballot
-expansion of ``tqeuler.qkit._ballot_sum`` is tested against, and ``alt_statistic_reference``
-counts ``count_13_2_patterns`` over every permutation of
-``tqeuler.combinat.enum_alternating``, which the state transfer of
+against, and ``sum_rows_reference`` the dense per-e_t row fold that the packed ballot
+expansion of ``tqeuler.qkit._ballot_sum`` is tested against.  ``enum_alternating``
+lists the up-down permutations depth first, ``alternating_reference`` filters
+them from all permutations, and ``alt_statistic_reference``
+counts ``count_13_2_patterns`` over every one of them, which the state transfer of
 ``tqeuler.combinat.alt_statistic_polynomial`` is tested against.  The last
 section defines each remaining public function of ``tqeuler.qkit`` and
-``tqeuler.combinat`` one term, path or permutation at a time, for the
+``tqeuler.combinat`` one term, partition or path at a time, for the
 boundary table of ``test_boundaries.py``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,7 +55,6 @@ from tqeuler.combinat import (
     _conjugate,
     _outer_corners_in_staircase,
     _staircase_parts,
-    enum_alternating,
 )
 from tqeuler.exactalg import (
     Box,
@@ -262,9 +263,9 @@ def moment_boxes_reference(coeff_fn, order: int) -> tuple[int, list[Box | None]]
     has box None, and the stride is the largest q-span plus 1.
 
     Exponents are shifted by the smallest over ``c_1 .. c_order`` as in
-    ``tqeuler.cfrac._moment_walk``, whose closed prefix-sum bound is tested
+    ``tqeuler.cfrac._moment``, whose closed prefix-sum bound is tested
     against these boxes."""
-    c = {h: LaurentPoly._coerce(coeff_fn(h)).terms for h in range(1, order + 1)}
+    c = {h: coeff_fn(h).terms for h in range(1, order + 1)}
     live = [terms for terms in c.values() if terms]
     tmin = min((et for terms in live for et, _ in terms), default=0)
     qmin = min((eq for terms in live for _, eq in terms), default=0)
@@ -329,6 +330,48 @@ def sum_rows_reference(pairs) -> LaurentPoly:
         row, s = acc[et], lo - q0
         row[s : s + len(cs)] = map(add, row[s : s + len(cs)], cs if w == 1 else map(mul, cs, repeat(w)))
     return LaurentPoly({(et, q0 + j): c for et, row in acc.items() for j, c in enumerate(row) if c})
+
+
+def enum_alternating(n: int) -> list[tuple[int, ...]]:
+    """All up-down alternating permutations of {1, ..., n}
+    (first ascent, then descent, alternating), in lexicographic order.
+    A negative size has none.
+
+    Still brute force: one leaf per permutation, built depth first.  Each
+    position tries only its admissible values in increasing order: the
+    unused values above the last entry at a rising position, those below it
+    at a falling one, cut from the sorted unused list by bisection.
+    ``tqeuler.combinat.alt_statistic_polynomial`` counts them by state, and
+    this is the definition its counts are tested against.
+    """
+    _check_cutoff("alternating", n)
+    if n < 0:
+        return []
+    out: list[tuple[int, ...]] = []
+
+    def rec(prefix: tuple[int, ...], last: int, unused: list[int], rising: bool) -> None:
+        if not unused:
+            out.append(prefix)
+            return
+        cut = bisect(unused, last)
+        for i in range(cut, len(unused)) if rising else range(cut):
+            v = unused[i]
+            rec(prefix + (v,), v, unused[:i] + unused[i + 1 :], not rising)
+
+    # a virtual entry n+1 before the first admits every value, and makes the next step a rise
+    rec((), n + 1, list(range(1, n + 1)), False)
+    del rec  # as in tqeuler.combinat._bounded_parts: no reference cycle is left behind
+    return out
+
+
+def alternating_reference(n: int) -> list[tuple[int, ...]]:
+    """The up-down permutations of {1, ..., n}, filtered from all permutations in order."""
+    if n < 0:
+        return []
+    return [
+        p for p in permutations(range(1, n + 1))
+        if all((p[i] < p[i + 1]) == (i % 2 == 0) for i in range(n - 1))
+    ]
 
 
 def count_13_2_patterns(perm: Sequence[int]) -> int:
@@ -599,13 +642,3 @@ def lprime_path_reference(b: int, k: int, m: int, n: int, eps: int) -> LaurentPo
     for i in range(n + 1, k + 1):
         height = height * monomial(-1, 0, 2 * i + 1)
     return pochhammer_product(eps, 1 - b, max(b - m, 0)) * total * height
-
-
-def alternating_reference(n: int) -> list[tuple[int, ...]]:
-    """The up-down permutations of {1, ..., n}, filtered from all permutations in order."""
-    if n < 0:
-        return []
-    return [
-        p for p in permutations(range(1, n + 1))
-        if all((p[i] < p[i + 1]) == (i % 2 == 0) for i in range(n - 1))
-    ]

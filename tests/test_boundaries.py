@@ -38,7 +38,7 @@ import pytest
 
 import tqeuler
 from tqeuler import cfrac, combinat, exactalg, formulas, qkit
-from tqeuler.cfrac import dn_hat, en_even_q, en_odd_q, euler_coeff, euler_hat, sfrac_moments
+from tqeuler.cfrac import dn_hat, en_even_q, en_odd_q, euler_coeff, euler_hat
 from tqeuler.combinat import (
     CutoffExceededError,
     alt_statistic_polynomial,
@@ -46,7 +46,6 @@ from tqeuler.combinat import (
     delta_prime_weight_sum,
     dist_box_polynomial,
     dyck_weight_sum,
-    enum_alternating,
     l_path_weight_sum,
     lprime_path_weight_sum,
     m_path_weight_sum,
@@ -101,7 +100,6 @@ from reference import (
     MD_STAR_RULES,
     a_k_reference,
     alt_statistic_reference,
-    alternating_reference,
     ballot_paths,
     box_size_reference,
     dist_box_reference,
@@ -191,10 +189,8 @@ TABLE = {
                              lambda s: l_path_reference(s, 2, 1, 0, -1), 6, ValueError),
     "lprime_path_weight_sum": Row(lambda s: lprime_path_weight_sum(s, 2, 1, 0, 1),
                                   lambda s: lprime_path_reference(s, 2, 1, 0, 1), 6, ValueError),
-    "enum_alternating": Row(enum_alternating, alternating_reference, 9, None),
     "alt_statistic_polynomial": Row(alt_statistic_polynomial, alt_statistic_reference, 9, None),
     # cfrac: a moment of order 0 is the empty path's 1, and order -1 has none
-    "sfrac_moments": Row(lambda s: sfrac_moments(euler_coeff, s), lambda s: [ONE], None, ValueError),
     "euler_coeff": Row(euler_coeff, lambda h: (ONE - q_power(h)) * (ONE - T * q_power(h)), None, None),
     "euler_hat": Row(euler_hat, lambda s: ONE, None, ValueError),
     "dn_hat": Row(dn_hat, lambda s: ONE, None, ValueError),

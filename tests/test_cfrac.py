@@ -1,18 +1,18 @@
 import functools
 import math
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tqeuler import cfrac, clear_caches
 from tqeuler.cfrac import (
-    _moment_walk,
+    _moment,
     dn_hat,
     en_even_q,
     en_odd_q,
     euler_coeff,
     euler_hat,
-    sfrac_moments,
 )
 from tqeuler.exactalg import LaurentPoly, ONE, Q, T, ZERO, _Layout, const
 from tqeuler.qkit import euler_up, q_int
@@ -54,7 +54,7 @@ def reference_moments(name):
 def test_packed_dp_matches_dict_dp(coeff_fn):
     reference = reference_moments("euler" if coeff_fn is euler_coeff else "dn")
     for n in range(13):
-        assert sfrac_moments(coeff_fn, n) == reference[: n + 1]
+        assert _moment(coeff_fn, n) == reference[n]
 
 
 MOMENTS = {"euler": euler_hat, "dn": dn_hat}
@@ -86,17 +86,25 @@ def test_lazy_cache_in_any_request_order(order):
     check_requests(order)
 
 
-@pytest.fixture
-def unpacked_boxes(monkeypatch):
+@contextmanager
+def spying_unpack():
+    """Records the ``(stride, box)`` of every ``_Layout.unpack`` made inside the block."""
     boxes = []
     unpack = _Layout.unpack
 
     def spy(self, value, box):
-        boxes.append(box)
+        boxes.append((self.stride, box))
         return unpack(self, value, box)
 
-    monkeypatch.setattr(_Layout, "unpack", spy)
-    return boxes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Layout, "unpack", spy)
+        yield boxes
+
+
+@pytest.fixture
+def unpacked_boxes():
+    with spying_unpack() as boxes:
+        yield boxes
 
 
 def test_cold_request_unpacks_one_moment(unpacked_boxes):
@@ -116,13 +124,13 @@ def test_cold_request_unpacks_one_moment(unpacked_boxes):
 def test_smaller_moment_walks_once_after_a_larger_one(unpacked_boxes, monkeypatch):
     # euler_hat(12) keeps moment 12 alone, so moment 5 walks to order 5 on its first request
     walks = []
-    walk = cfrac._moment_walk
+    walk = cfrac._moment
 
-    def counting(coeff_fn, order):
-        walks.append(order)
-        return walk(coeff_fn, order)
+    def counting(coeff_fn, n):
+        walks.append(n)
+        return walk(coeff_fn, n)
 
-    monkeypatch.setattr(cfrac, "_moment_walk", counting)
+    monkeypatch.setattr(cfrac, "_moment", counting)
     clear_caches()
     euler_hat(12)
     walks.clear()
@@ -154,19 +162,23 @@ def test_packed_dp_matches_dict_dp_on_tables(table):
     def coeff_fn(h):
         return table[h - 1]
 
-    assert sfrac_moments(coeff_fn, len(table)) == sfrac_moments_dict(coeff_fn, len(table))
+    assert [_moment(coeff_fn, m) for m in range(len(table) + 1)] == sfrac_moments_dict(coeff_fn, len(table))
 
 
-def walk_boxes(coeff_fn, order):
-    layout, packed = _moment_walk(coeff_fn, order)
-    return layout.stride, [box for _, box in packed]
+def moment_layouts(coeff_fn, order):
+    """The stride and box that moments 0..order are decoded with, one ``_moment`` each."""
+    with spying_unpack() as layouts:
+        for m in range(order + 1):
+            _moment(coeff_fn, m)
+    return layouts
 
 
 @pytest.mark.parametrize("coeff_fn", [euler_coeff, euler_up], ids=["euler", "dn"])
 def test_closed_bound_is_tight_for_euler_tables(coeff_fn):
     # the single-peak path reaches every moment's bound, so the layout is the max-plus one
-    for order in range(1, 31):
-        assert walk_boxes(coeff_fn, order) == moment_boxes_reference(coeff_fn, order)
+    for m, (stride, box) in enumerate(moment_layouts(coeff_fn, 30)):
+        ref_stride, ref_boxes = moment_boxes_reference(coeff_fn, m)
+        assert (stride, box) == (ref_stride, ref_boxes[m])
 
 
 @settings(deadline=None)
@@ -175,48 +187,48 @@ def test_closed_bound_contains_max_plus_boxes(table):
     def coeff_fn(h):
         return table[h - 1]
 
-    stride, boxes = walk_boxes(coeff_fn, len(table))
-    ref_stride, ref_boxes = moment_boxes_reference(coeff_fn, len(table))
-    assert ref_stride <= stride
-    for (t0, t1, q0, q1), ref in zip(boxes, ref_boxes):
+    for m, (stride, (t0, t1, q0, q1)) in enumerate(moment_layouts(coeff_fn, len(table))):
+        ref_stride, ref_boxes = moment_boxes_reference(coeff_fn, m)
+        assert ref_stride <= stride
+        ref = ref_boxes[m]
         if ref is not None:
             assert t0 <= ref[0] <= ref[1] <= t1 and q0 <= ref[2] <= ref[3] <= q1
 
 
 def test_zero_coefficients():
-    assert sfrac_moments(lambda h: 0, 3) == [ONE, ZERO, ZERO, ZERO]
+    assert [_moment(lambda h: ZERO, m) for m in range(4)] == [ONE, ZERO, ZERO, ZERO]
     table = [ONE - T * Q, ZERO, Q * Q - 3 * T, ONE + T]
 
     def coeff_fn(h):
         return table[h - 1]
 
-    assert sfrac_moments(coeff_fn, 4) == sfrac_moments_dict(coeff_fn, 4)
+    assert [_moment(coeff_fn, m) for m in range(5)] == sfrac_moments_dict(coeff_fn, 4)
 
 
 def test_int_coefficients():
-    assert sfrac_moments(lambda h: 2, 3) == [ONE, const(2), const(8), const(40)]
+    assert [_moment(lambda h: const(2), m) for m in range(4)] == [ONE, const(2), const(8), const(40)]
 
 
 def test_catalan_moments():
-    moments = sfrac_moments(lambda h: ONE, 4)
+    moments = [_moment(lambda h: ONE, m) for m in range(5)]
     assert [m.evaluate(1, 1) for m in moments] == [1, 1, 2, 5, 14]
 
 
 def test_constant_coefficient_catalan_powers():
     c = ONE - T * Q
-    moments = sfrac_moments(lambda h: c, 5)
+    moments = [_moment(lambda h: c, m) for m in range(6)]
     for n, mu in enumerate(moments):
         catalan = math.comb(2 * n, n) // (n + 1)
         assert mu == catalan * c**n
 
 
 def test_q_int_moments():
-    moments = sfrac_moments(q_int, 2)
+    moments = [_moment(q_int, m) for m in range(3)]
     assert moments == [ONE, ONE, const(2) + Q]
 
 
 def test_q_int_squared_at_one_gives_secant():
-    moments = sfrac_moments(lambda h: q_int(h) * q_int(h), 4)
+    moments = [_moment(lambda h: q_int(h) * q_int(h), m) for m in range(5)]
     assert [m.evaluate(1, 1) for m in moments] == [1, 1, 5, 61, 1385]
 
 
@@ -254,7 +266,7 @@ def test_degenerate_substitutions():
 
 def test_order_validation():
     with pytest.raises(ValueError):
-        sfrac_moments(lambda h: ONE, -1)
+        _moment(lambda h: ONE, -1)
     with pytest.raises(ValueError):
         euler_hat(-1)
 
@@ -263,4 +275,4 @@ def test_cache_is_write_once():
     a = euler_hat(3)
     b = euler_hat(3)
     assert a is b
-    assert euler_hat(2) == sfrac_moments(euler_coeff, 2)[2]
+    assert euler_hat(2) == _moment(euler_coeff, 2)

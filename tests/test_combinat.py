@@ -17,7 +17,6 @@ from tqeuler.combinat import (
     delta_prime_weight_sum,
     dist_box_polynomial,
     dyck_weight_sum,
-    enum_alternating,
     l_path_weight_sum,
     lprime_path_weight_sum,
     m_path_weight_sum,
@@ -40,6 +39,7 @@ from reference import (
     count_13_2_patterns,
     dyck_path_weight,
     dyck_paths,
+    enum_alternating,
     enum_delta_prime,
     enum_md_star,
     l_path_reference,
@@ -462,7 +462,6 @@ ORACLE_CALLS = {
     "m_path_weight_sum": lambda: m_path_weight_sum(5),
     "l_path_weight_sum": lambda: l_path_weight_sum(4, 3, 1, 0, -1),
     "lprime_path_weight_sum": lambda: lprime_path_weight_sum(4, 3, 0, 1, 1),
-    "enum_alternating": lambda: enum_alternating(6),
     "alt_statistic_polynomial": lambda: alt_statistic_polynomial(8),
 }
 

@@ -1,7 +1,7 @@
 """Every public route is load-bearing: changing the results of any callable in
 the ``__all__`` of ``qkit``, ``combinat``, ``formulas`` or ``cfrac`` fails at
-least one ``verify`` cell, apart from the three names of ``UNCHECKED`` (see
-``mutation_sweep.py``), each of which fails none.  ``FROZEN`` holds each
+least one ``verify`` cell, apart from ``q_int``, the one name of ``UNCHECKED``
+(see ``mutation_sweep.py``), which fails none.  ``FROZEN`` holds each
 name's failing ids at (3, 3, 2), so that an id which stops depending on a
 route, or starts to, shows."""
 
@@ -61,7 +61,6 @@ FROZEN = {  # name -> ids of the cells that fail with its results changed
     "m_path_weight_sum": {"tk-mpath"},
     "l_path_weight_sum": {"lpath-xaxis", "lpath-yaxis"},
     "lprime_path_weight_sum": {"lprime-xaxis", "lprime-yaxis"},
-    "enum_alternating": set(),
     "alt_statistic_polynomial": {"alternating-statistic", "secant-anchor", "tangent-anchor"},
     "tk_recurrence": {
         "alpha-recurrence", "beta-recurrence", "euler-dp-vs-ballot", "markpath-transfer",
@@ -100,7 +99,6 @@ FROZEN = {  # name -> ids of the cells that fail with its results changed
     "zeng_value": {"zeng-numeric"},
     "zeng_bracket_qint": {"zeng-numeric"},
     "DEFAULT_ZENG_BRACKET": {"zeng-numeric"},
-    "sfrac_moments": set(),
     "euler_coeff": {
         "alternating-statistic", "euler-dp-vs-ballot", "euler-dyck-oracle", "euler-inv-q",
         "euler-josuat-verges", "euler-minus-inv-q", "euler-minus-q", "euler-odd-pochhammer",

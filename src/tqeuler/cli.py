@@ -33,13 +33,14 @@ def _render_poly(poly: LaurentPoly, fmt: str) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["et", "eq", "c"])
-    for rec in poly.json_terms():
-        writer.writerow([rec["et"], rec["eq"], rec["c"]])
+    writer.writerows((et, eq, c) for (et, eq), c in poly.sorted_terms())
     return buf.getvalue().rstrip("\n")
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
     target = args.target
+    if args.normalized and target not in ("e", "d"):
+        return _fail(f"--normalized applies to targets 'e' and 'd' only, not {target!r}")
     if target == "t":
         if args.k is None:
             return _fail("target 't' requires --k")
@@ -106,23 +107,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _bench_methods(n: int):
-    def moment_dp():
-        return cfrac.euler_hat(n)
-
-    def ballot_form():
-        return formulas.euler_hat_ballot(n)
-
-    def odd_poch_sum():
-        return formulas.euler_hat_odd_pochhammer(n)
-
-    def dyck_brute():
-        return combinat.dyck_weight_sum(n, qkit.euler_up, qkit.euler_down)
-
+    """``(name, route)`` per bench row; each lambda looks its function up when it runs."""
     return [
-        ("moment-dp", moment_dp),
-        ("ballot-form", ballot_form),
-        ("odd-poch-sum", odd_poch_sum),
-        ("dyck-brute", dyck_brute if n <= registry.DYCK_ORACLE_MAX_N else None),
+        ("moment-dp", lambda: cfrac.euler_hat(n)),
+        ("ballot-form", lambda: formulas.euler_hat_ballot(n)),
+        ("odd-poch-sum", lambda: formulas.euler_hat_odd_pochhammer(n)),
+        ("dyck-brute", (lambda: combinat.dyck_weight_sum(n, qkit.euler_up, qkit.euler_down))
+         if n <= registry.DYCK_ORACLE_MAX_N else None),
     ]
 
 
@@ -165,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument(
         "--normalized",
         action="store_true",
-        help="print the (1-q)-power normalized polynomial (always true for target 'e')",
+        help="d: print (1-q)^n d_n; e is always normalized; any other target rejects the flag",
     )
     p_compute.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p_compute.set_defaults(fn=cmd_compute)

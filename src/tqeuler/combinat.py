@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from functools import cache
+from operator import index
 from typing import Callable, Sequence
 
 from .exactalg import LaurentPoly, ONE, ZERO, _ONE_MINUS_T2, _ONE_PLUS_T, _sum_of_products, monomial
@@ -293,7 +294,7 @@ def delta_prime_weight_sum(k: int) -> LaurentPoly:
     ``formulas``, so it stays an independent check of the T_k recurrence.
     """
     _check_cutoff("delta", k)
-    if k < 0:
+    if index(k) < 0:
         return ZERO
     full = 1 << k
     pop = _mask_sums([1] * k)
@@ -343,7 +344,7 @@ def sop_weight_sum(k: int) -> LaurentPoly:
     by ``(mk, |shape|)``.
     """
     _check_cutoff("sop", k)
-    if k < 0:
+    if index(k) < 0:
         return ZERO
     tally: Counter[tuple[int, int]] = Counter()
     for parts in _box_parts(k, k):
@@ -496,7 +497,7 @@ def alt_statistic_polynomial(n: int) -> LaurentPoly:
     the number of those permutations, the Euler zigzag number E_n.
     """
     _check_cutoff("alternating", n)
-    if n < 0:
+    if index(n) < 0:
         return ZERO
     return LaurentPoly({(0, e): c for e, c in _completions(n, 0, False).items()})
 

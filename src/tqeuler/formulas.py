@@ -156,7 +156,7 @@ def tk_special(key: SpecializationKey, k: int) -> LaurentPoly:
     :func:`tk_recurrence`; the exact divisions by ``(eps*q; q)_b`` never
     leave a remainder when the transcription is correct.
     """
-    if k < 0:
+    if index(k) < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return ONE

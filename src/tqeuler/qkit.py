@@ -141,6 +141,7 @@ def partition_box_binom(rows: int, cols: int, squared: bool = False) -> LaurentP
     rows holds the empty partition even when the column count is negative,
     the reading those closed forms rely on.
     """
+    rows, cols = index(rows), index(cols)  # TypeError for a non-integer, also at a base case
     if rows == 0:
         return ONE
     if rows < 0 or cols < 0:
@@ -191,7 +192,7 @@ def a_k_poly(k: int) -> LaurentPoly:
     ``1 - q``.  Consumers recover ``A_k`` itself by exact division, which
     keeps the whole computation inside the Laurent ring.
     """
-    if k < 0:
+    if index(k) < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return ONE_MINUS_Q

@@ -1,8 +1,9 @@
 """Data-driven identity registry and verification runner.
 
 Each identity is one row of the table ``REGISTRY``: a stable id, a
-human-readable description, a parameter grid derived from the requested
-bounds, and a check mapping one parameter point to a pass/fail/skipped
+human-readable description, a parameter grid (one comprehension over the
+requested bounds; the ``gauss-*`` grids ignore them and are fixed at
+n <= 20), and a check mapping one parameter point to a pass/fail/skipped
 outcome.  Every check is ``_same`` over two or more sides, which passes
 when all of them are equal; a boolean predicate is one side, the constant
 ``True`` the other.  The registry is the product's test surface: the CLI
@@ -235,71 +236,39 @@ def _md_star(k: int) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# grids
+# grids: each row's cells are one comprehension over the bounds, keys in the order the
+# report prints them; the common grids, and the path rows' shared (eps, b, k), are named
 
 
-def _axis(name: str, lo: int, top: Callable[[Bounds], int]) -> Grid:
-    """The one-parameter grid ``name = lo .. top(bounds)``."""
-    return lambda bounds: ({name: v} for v in range(lo, top(bounds) + 1))
+def _N(bounds: Bounds) -> list[dict]:
+    return [{"n": n} for n in range(bounds.max_n + 1)]
 
 
-_N = _axis("n", 0, lambda bounds: bounds.max_n)
-_K = _axis("k", 0, lambda bounds: bounds.max_k)
-_K1 = _axis("k", 1, lambda bounds: bounds.max_k)
+def _K(bounds: Bounds) -> list[dict]:
+    return [{"k": k} for k in range(bounds.max_k + 1)]
 
 
-def _bk_grid(b_lo: int, k_lo: int = 0, with_eps: bool = False):
-    def grid(bounds: Bounds) -> Iterable[dict]:
-        for b in range(b_lo, bounds.max_b + 1):
-            for k in range(k_lo, bounds.max_k + 1):
-                if with_eps:
-                    for eps in (1, -1):
-                        yield {"eps": eps, "b": b, "k": k}
-                else:
-                    yield {"b": b, "k": k}
-
-    return grid
+def _K1(bounds: Bounds) -> list[dict]:
+    return [{"k": k} for k in range(1, bounds.max_k + 1)]
 
 
-def _path_grid(to_y_axis: bool, m_lo: int = 0):
-    cap = 4  # lemma checks run at desk scale
-
-    def grid(bounds: Bounds) -> Iterable[dict]:
-        for eps in (1, -1):
-            for b in range(0, min(bounds.max_b, cap) + 1):
-                for k in range(0, min(bounds.max_k, cap) + 1):
-                    if to_y_axis:
-                        for n in range(1, k + 1):
-                            yield {"eps": eps, "b": b, "k": k, "n": n}
-                    else:
-                        if k < 1:
-                            continue
-                        for m in range(m_lo, b + 1):
-                            yield {"eps": eps, "b": b, "k": k, "m": m}
-
-    return grid
+def _B0K(bounds: Bounds) -> list[dict]:
+    return [{"b": b, "k": k} for b in range(bounds.max_b + 1) for k in range(bounds.max_k + 1)]
 
 
-def _mn_grid(cap: int):
-    def grid(bounds: Bounds) -> Iterable[dict]:
-        top = min(bounds.max_n, cap)
-        for m in range(top + 1):
-            for n in range(top + 1):
-                yield {"m": m, "n": n}
-
-    return grid
+def _B1K(bounds: Bounds) -> list[dict]:
+    return [{"b": b, "k": k} for b in range(1, bounds.max_b + 1) for k in range(bounds.max_k + 1)]
 
 
-def _zeng_grid(bounds: Bounds) -> Iterable[dict]:
-    for n in range(min(bounds.max_n, 4) + 1):
-        for t0, q0 in formulas.ZENG_SAMPLE_POINTS[:5]:
-            yield {"n": n, "t": str(t0), "q": str(q0)}
+def _STEPS(bounds: Bounds) -> list[dict]:  # runs b, then k, then eps; prints eps first
+    return [{"eps": eps, "b": b, "k": k}
+            for b in range(1, bounds.max_b + 1) for k in range(1, bounds.max_k + 1) for eps in (1, -1)]
 
 
-def _ballot_reduction_grid(bounds: Bounds) -> Iterable[dict]:
-    for n in range(min(bounds.max_n, 5) + 1):
-        for weights in ("euler", "q-int"):
-            yield {"n": n, "weights": weights}
+def _desk(bounds: Bounds) -> list[tuple[int, int, int]]:
+    """The ``(eps, b, k)`` of the lattice-path lemma checks, which run at desk scale: b, k <= 4."""
+    return [(eps, b, k) for eps in (1, -1) for b in range(min(bounds.max_b, 4) + 1)
+            for k in range(min(bounds.max_k, 4) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +312,15 @@ REGISTRY: tuple[Identity, ...] = (
     Identity("tk-functional", "(1-tq) T_k(tq,q) = T_k(t,q) + t^2 q^(2k+1) T_{k-1}(t,q)",
         _K1, _same(lambda k: formulas.tk_functional_equation_holds(k), lambda k: True)),
     Identity("tk-special-pp", "substitution formula at t = +q^b equals direct substitution",
-        _bk_grid(0), _special(1, 1)),
+        _B0K, _special(1, 1)),
     Identity("tk-special-mp", "substitution formula at t = -q^b equals direct substitution",
-        _bk_grid(0), _special(-1, 1)),
+        _B0K, _special(-1, 1)),
     Identity("tk-special-pm", "substitution formula at t = +q^-b equals direct substitution",
-        _bk_grid(1), _special(1, -1)),
+        _B1K, _special(1, -1)),
     Identity("tk-special-mm", "substitution formula at t = -q^-b equals direct substitution",
-        _bk_grid(1), _special(-1, -1)),
+        _B1K, _special(-1, -1)),
     Identity("tk-prodinger", "binomial double sum at t = q^b equals direct substitution",
-        _bk_grid(1), _same(lambda b, k: formulas.tk_prodinger(b, k),
-                           lambda b, k: formulas.tk_at(1, b, k))),
+        _B1K, _same(lambda b, k: formulas.tk_prodinger(b, k), lambda b, k: formulas.tk_at(1, b, k))),
     Identity("tk-at-one", "t = 1 specialization degenerates to the square sum",
         _K, _same(lambda k: formulas.tk_special(formulas.SpecializationKey(1, 0), k),
                   lambda k: qkit.square_sum(k), lambda k: formulas.tk_at(1, 0, k))),
@@ -367,43 +335,48 @@ REGISTRY: tuple[Identity, ...] = (
     Identity("tk-minus-inv-q", "closed form for T_k(-1/q, q)",
         _K, _same(lambda k: formulas.tk_at_minus_inv_q(k), lambda k: formulas.tk_at(-1, -1, k))),
     Identity("alpha-recurrence", "step relation for T_k at t = eps q^b",
-        _bk_grid(1, 1, with_eps=True), _same(lambda eps, b, k: formulas.alpha_step_holds(eps, b, k),
-                                             lambda eps, b, k: True)),
+        _STEPS, _same(lambda eps, b, k: formulas.alpha_step_holds(eps, b, k), lambda eps, b, k: True)),
     Identity("beta-recurrence", "step relation for T_k at t = eps q^-b",
-        _bk_grid(1, 1, with_eps=True), _same(lambda eps, b, k: formulas.beta_step_holds(eps, b, k),
-                                             lambda eps, b, k: True)),
+        _STEPS, _same(lambda eps, b, k: formulas.beta_step_holds(eps, b, k), lambda eps, b, k: True)),
     Identity("ballot-reduction", "Dyck weight sums reduce to ballot-weighted marked-path sums",
-        _ballot_reduction_grid,
+        lambda bounds: [{"n": n, "weights": weights}
+                        for n in range(min(bounds.max_n, 5) + 1) for weights in ("euler", "q-int")],
         _same(lambda n, weights: combinat.dyck_weight_sum(n, *_step_rules(weights)), _ballot_marked_sum)),
     Identity("dist-box", "distinct-part distribution over a box equals its closed form",
-        _mn_grid(6), _same(lambda m, n: combinat.dist_box_polynomial(m, n),
-                           lambda m, n: formulas.dist_box_closed(m, n))),
+        lambda bounds: [{"m": m, "n": n}
+                        for m in range(min(bounds.max_n, 6) + 1) for n in range(min(bounds.max_n, 6) + 1)],
+        _same(lambda m, n: combinat.dist_box_polynomial(m, n), lambda m, n: formulas.dist_box_closed(m, n))),
     Identity("box-binomial", "partition count in a box equals the Gaussian binomial",
-        _mn_grid(6), _same(lambda m, n: combinat.box_size_polynomial(m, n),
-                           lambda m, n: qkit.gauss_binom(m + n, m))),
+        lambda bounds: [{"m": m, "n": n}
+                        for m in range(min(bounds.max_n, 6) + 1) for n in range(min(bounds.max_n, 6) + 1)],
+        _same(lambda m, n: combinat.box_size_polynomial(m, n), lambda m, n: qkit.gauss_binom(m + n, m))),
     Identity("lpath-yaxis", "west/southwest path sums to the y-axis equal their closed form",
-        _path_grid(True), _same(
-            lambda eps, b, k, n: combinat.l_path_weight_sum(b, k, 0, n, eps),
-            lambda eps, b, k, n: monomial(1, 0, (k - n) * (2 * k + 1))
-            * qkit.gauss_binom(b, k - n, squared=True))),
+        lambda bounds: [{"eps": eps, "b": b, "k": k, "n": n}
+                        for eps, b, k in _desk(bounds) for n in range(1, k + 1)],
+        _same(lambda eps, b, k, n: combinat.l_path_weight_sum(b, k, 0, n, eps),
+              lambda eps, b, k, n: monomial(1, 0, (k - n) * (2 * k + 1))
+              * qkit.gauss_binom(b, k - n, squared=True))),
     Identity("lpath-xaxis", "west/southwest path sums to the x-axis equal their closed form",
-        _path_grid(False, 0), _same(
-            lambda eps, b, k, m: combinat.l_path_weight_sum(b, k, m, 0, eps),
-            lambda eps, b, k, m: qkit.pochhammer(qkit.QSymbolSpec(eps, 1, m))
-            * monomial(1, 0, k * (2 * k + 2 * m + 1))
-            * qkit.gauss_binom(b - m - 1, k - 1, squared=True))),
+        lambda bounds: [{"eps": eps, "b": b, "k": k, "m": m}
+                        for eps, b, k in _desk(bounds) if k >= 1 for m in range(b + 1)],
+        _same(lambda eps, b, k, m: combinat.l_path_weight_sum(b, k, m, 0, eps),
+              lambda eps, b, k, m: qkit.pochhammer(qkit.QSymbolSpec(eps, 1, m))
+              * monomial(1, 0, k * (2 * k + 2 * m + 1))
+              * qkit.gauss_binom(b - m - 1, k - 1, squared=True))),
     Identity("lprime-yaxis", "west/south path sums to the y-axis equal their closed form",
-        _path_grid(True), _same(
-            lambda eps, b, k, n: combinat.lprime_path_weight_sum(b, k, 0, n, eps),
-            lambda eps, b, k, n: qkit.pochhammer(qkit.QSymbolSpec(eps, 1 - b, b))
-            * qkit.neg_q_power((k - n) * (k + n - 2 * b + 2))
-            * qkit.partition_box_binom(k - n, b - 1, squared=True))),
+        lambda bounds: [{"eps": eps, "b": b, "k": k, "n": n}
+                        for eps, b, k in _desk(bounds) for n in range(1, k + 1)],
+        _same(lambda eps, b, k, n: combinat.lprime_path_weight_sum(b, k, 0, n, eps),
+              lambda eps, b, k, n: qkit.pochhammer(qkit.QSymbolSpec(eps, 1 - b, b))
+              * qkit.neg_q_power((k - n) * (k + n - 2 * b + 2))
+              * qkit.partition_box_binom(k - n, b - 1, squared=True))),
     Identity("lprime-xaxis", "west/south path sums to the x-axis equal their closed form",
-        _path_grid(False, 1), _same(
-            lambda eps, b, k, m: combinat.lprime_path_weight_sum(b, k, m, 0, eps),
-            lambda eps, b, k, m: qkit.pochhammer(qkit.QSymbolSpec(eps, 1 - b, b - m))
-            * qkit.neg_q_power(k * (k - 2 * b + 2) + 2 * (b - m))
-            * qkit.partition_box_binom(b - m, k - 1, squared=True))),
+        lambda bounds: [{"eps": eps, "b": b, "k": k, "m": m}
+                        for eps, b, k in _desk(bounds) if k >= 1 for m in range(1, b + 1)],
+        _same(lambda eps, b, k, m: combinat.lprime_path_weight_sum(b, k, m, 0, eps),
+              lambda eps, b, k, m: qkit.pochhammer(qkit.QSymbolSpec(eps, 1 - b, b - m))
+              * qkit.neg_q_power(k * (k - 2 * b + 2) + 2 * (b - m))
+              * qkit.partition_box_binom(b - m, k - 1, squared=True))),
     Identity("euler-inv-q", "t = 1/q collapses every positive moment to zero",
         _N, _same(_euler_at(1, -1), lambda n: ONE if n == 0 else ZERO)),
     Identity("euler-t-zero", "t = 0 recovers the normalized d_n",
@@ -415,32 +388,34 @@ REGISTRY: tuple[Identity, ...] = (
     Identity("euler-minus-inv-q", "ballot closed form at t = -1/q",
         _N, _same(lambda n: formulas.euler_hat_at_minus_inv_q(n), _euler_at(-1, -1))),
     Identity("secant-anchor", "q = 1 secant values against alternating permutation counts",
-        _axis("n", 0, lambda bounds: min(bounds.max_n, 4)),
+        lambda bounds: [{"n": n} for n in range(min(bounds.max_n, 4) + 1)],
         _same(lambda n: cfrac.en_even_q(n).evaluate(1, 1), lambda n: SECANT_NUMBERS[n],
               lambda n: combinat.alt_statistic_polynomial(2 * n).evaluate(1, 1))),
     Identity("tangent-anchor", "q = 1 tangent values against alternating permutation counts",
-        _axis("n", 0, lambda bounds: min(bounds.max_n, 4)),
+        lambda bounds: [{"n": n} for n in range(min(bounds.max_n, 4) + 1)],
         _same(lambda n: cfrac.en_odd_q(n).evaluate(1, 1), lambda n: TANGENT_NUMBERS[n],
               lambda n: combinat.alt_statistic_polynomial(2 * n + 1).evaluate(1, 1))),
     Identity("dn-anchor", "d_n(1) against height-weighted Dyck counts",
-        _axis("n", 0, lambda bounds: min(bounds.max_n, 5)),
+        lambda bounds: [{"n": n} for n in range(min(bounds.max_n, 5) + 1)],
         _same(lambda n: _d(n).evaluate(1, 1), lambda n: ODD_DOUBLE_FACTORIALS[n],
               lambda n: combinat.dyck_weight_sum(n, lambda h: ONE, const).evaluate(1, 1))),
     Identity("alternating-statistic", "13-2 pattern distribution equals the classical q-Euler values",
-        _axis("n", 0, lambda bounds: min(2 * bounds.max_n, 8)),
+        lambda bounds: [{"n": n} for n in range(min(2 * bounds.max_n, 8) + 1)],
         _same(lambda n: combinat.alt_statistic_polynomial(n),
               lambda n: cfrac.en_odd_q(n // 2) if n % 2 else cfrac.en_even_q(n // 2))),
     Identity("zeng-numeric", "rational double-sum evaluation matches the fraction moments",
-        _zeng_grid, _same(lambda n, t, q: formulas.zeng_value(n, Fraction(t), Fraction(q)),
-                          lambda n, t, q: cfrac.euler_hat(n).evaluate(Fraction(t), Fraction(q))
-                          / (1 - Fraction(q)) ** (2 * n))),
+        lambda bounds: [{"n": n, "t": str(t), "q": str(q)} for n in range(min(bounds.max_n, 4) + 1)
+                        for t, q in formulas.ZENG_SAMPLE_POINTS[:5]],
+        _same(lambda n, t, q: formulas.zeng_value(n, Fraction(t), Fraction(q)),
+              lambda n, t, q: cfrac.euler_hat(n).evaluate(Fraction(t), Fraction(q))
+              / (1 - Fraction(q)) ** (2 * n))),
     Identity("gauss-pascal", "q-Pascal recurrence for Gaussian binomials",
-        _axis("n", 1, lambda bounds: 20),
+        lambda bounds: [{"n": n} for n in range(1, 21)],
         _same(lambda n: [qkit.gauss_binom(n, k) for k in range(n + 1)],
               lambda n: [qkit.gauss_binom(n - 1, k - 1) + monomial(1, 0, k) * qkit.gauss_binom(n - 1, k)
                          for k in range(n + 1)])),
     Identity("gauss-symmetry", "Gaussian binomial symmetry",
-        _axis("n", 0, lambda bounds: 20),
+        lambda bounds: [{"n": n} for n in range(21)],
         _same(lambda n: [qkit.gauss_binom(n, k) for k in range(n + 1)],
               lambda n: [qkit.gauss_binom(n, n - k) for k in range(n + 1)])),
 )

@@ -280,9 +280,21 @@ def test_boundary(name, s):
     lambda: (ONE + T).substitute_t(1, 1.5),
     lambda: (ONE + T).shift_t_by_q(1.5),
     lambda: ONE_MINUS_Q.divide_exact(1.0),
+    # each of these used to return its base-case value, and to raise only at 1.0
+    lambda: partition_box_binom(0.0, 3),
+    lambda: partition_box_binom(-1.5, 2),
+    lambda: partition_box_binom(0, 2.5),
+    lambda: a_k_poly(0.0),
+    lambda: a_k_inverse(0.0),
+    lambda: tk_special(SpecializationKey(1, 2), 0.0),
+    lambda: alt_statistic_polynomial(0.0),
+    lambda: sop_weight_sum(-1.0),
+    lambda: delta_prime_weight_sum(-1.0),
 ], ids=["gauss_binom-n", "gauss_binom-k", "gauss_binom-warm-cache", "SpecializationKey-b", "tk_prodinger-b",
         "monomial", "const", "LaurentPoly.__pow__", "LaurentPoly.scale_q", "LaurentPoly.substitute_t",
-        "LaurentPoly.shift_t_by_q", "LaurentPoly.divide_exact"])
+        "LaurentPoly.shift_t_by_q", "LaurentPoly.divide_exact", "partition_box_binom-empty-rows",
+        "partition_box_binom-negative-rows", "partition_box_binom-cols", "a_k_poly", "a_k_inverse",
+        "tk_special-k", "alt_statistic_polynomial", "sop_weight_sum", "delta_prime_weight_sum"])
 def test_non_integer_size_raises_type_error(call):
     # a float size used to recurse in qkit._gauss until RecursionError
     with pytest.raises(TypeError):

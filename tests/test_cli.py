@@ -77,6 +77,14 @@ class TestCompute:
         cli.main(["compute", "d", "--n", "2", "--normalized"])
         assert capsys.readouterr().out.strip() == "2 - 3*q + q^3"
 
+    @pytest.mark.parametrize("argv", [["t", "--k", "2"], ["e-even", "--n", "2"], ["e-odd", "--n", "2"]])
+    def test_normalized_is_a_usage_error_but_for_e_and_d(self, argv, capsys):
+        # e-even --n 2 used to print 2 + 2*q + q^2, the value without the flag
+        assert cli.main(["compute", *argv, "--normalized"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --normalized")
+
     def test_json_format(self, capsys):
         assert cli.main(["compute", "e", "--n", "1", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)

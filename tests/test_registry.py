@@ -1,6 +1,7 @@
 import hashlib
 import json
 from collections import Counter
+from itertools import product
 
 import tqeuler
 from tqeuler import combinat
@@ -12,6 +13,12 @@ from tqeuler.registry import REGISTRY, Bounds, run_verification
 # registry's cell order, grids, outcomes or skip texts changes them.
 DEFAULT_REPORT_SHA256 = "5a23a827383ea7ba9b9e7443dafdce40492490f8512f0365a62f39a8fa215ce9"
 MAX_REPORT_SHA256 = "65bea175214c0b83eec4511b741acf2f09d49543d67df38ad245dca19f4ca8c5"
+
+# sha256 of every grid cell (bounds, id, params in order) at each bound 0, 1 and on
+# either side of the grid caps at 4, 5 and 6: 34,526 cells.  The reports above run
+# only two bounds; this one guards the zero bounds and the caps without a check run.
+EDGE_BOUNDS = list(product((0, 1, 4, 5, 6), (0, 1, 4, 5), (0, 1, 4, 5)))
+EDGE_GRID_SHA256 = "51fcd78fcecdf9e32b826e614e92c7137f87ec41ceb5848ec89f25f250ef6d63"
 
 
 def report_sha256(report) -> str:
@@ -25,6 +32,13 @@ def test_default_report_frozen():
 
 def test_max_report_frozen():
     assert report_sha256(run_verification(12, 10, 8)) == MAX_REPORT_SHA256
+
+
+def test_grid_cells_frozen_at_the_bounds_edges():
+    cells = [[n, k, b, ident.id, list(p.items())]
+             for n, k, b in EDGE_BOUNDS for ident in REGISTRY for p in ident.grid(Bounds(n, k, b))]
+    assert len(cells) == 34526
+    assert hashlib.sha256(json.dumps(cells).encode()).hexdigest() == EDGE_GRID_SHA256
 
 
 def test_default_run_walks_each_euler_marked_sum_once(monkeypatch):

@@ -22,7 +22,7 @@ from functools import cache
 from itertools import accumulate
 from typing import Callable
 
-from .exactalg import LaurentPoly, ONE_MINUS_Q, _Layout
+from .exactalg import LaurentPoly, ONE_MINUS_Q, _Layout, _size
 from .qkit import euler_down, euler_up
 
 __all__ = [
@@ -65,8 +65,7 @@ def _moment(coeff_fn: Callable[[int], LaurentPoly], n: int) -> LaurentPoly:
       ``(4 * max_h |c_h|_1)**n`` in magnitude; the slot width holds that
       plus a sign bit (4*n + 2 bits for :func:`euler_coeff`).
     """
-    if n < 0:
-        raise ValueError("order must be nonnegative")
+    n = _size(n, "order")
     c = {h: coeff_fn(h).terms for h in range(1, n + 1)}
     tmin = min((et for terms in c.values() for et, _ in terms), default=0)
     qmin = min((eq for terms in c.values() for _, eq in terms), default=0)

@@ -24,7 +24,7 @@ from functools import cache
 from operator import index
 from typing import Callable, Sequence
 
-from .exactalg import LaurentPoly, ONE, ZERO, _ONE_MINUS_T2, _ONE_PLUS_T, _sum_of_products, monomial
+from .exactalg import LaurentPoly, ONE, ZERO, _ONE_MINUS_T2, _ONE_PLUS_T, _sign, _size, _sum_of_products, monomial
 from .qkit import QSymbolSpec, euler_down, euler_up, pochhammer
 
 __all__ = [
@@ -64,8 +64,10 @@ _DEFAULT_CUTOFFS = {
 }
 
 
-def _check_cutoff(family: str, value: int) -> None:
-    cap = _DEFAULT_CUTOFFS[family]
+def _check_cutoff(family: str, *values: int) -> None:
+    """Raise ``CutoffExceededError`` when the largest of ``values`` passes the family's cap;
+    each goes through ``operator.index`` first, so a non-integer raises ``TypeError``."""
+    cap, value = _DEFAULT_CUTOFFS[family], max(map(index, values))
     if value > cap:
         raise CutoffExceededError(f"{family} enumeration capped at {cap}, got {value}")
 
@@ -91,8 +93,7 @@ def _bounded_parts(bounds: Sequence[int]) -> list[tuple[int, ...]]:
 
 def _box_parts(m: int, n: int) -> list[tuple[int, ...]]:
     """All partitions in the box with m rows and n columns."""
-    if m < 0 or n < 0:
-        raise ValueError("box dimensions must be nonnegative")
+    m, n = _size(m, "m"), _size(n, "n")
     return _bounded_parts([n] * m)
 
 
@@ -109,7 +110,7 @@ def _conjugate(parts: Sequence[int]) -> tuple[int, ...]:
 def box_size_polynomial(m: int, n: int) -> LaurentPoly:
     """Generating polynomial ``sum q**|lam|`` over partitions in B(m, n); a negative
     dimension raises ``ValueError``, as a box with -1 rows is no object to enumerate."""
-    _check_cutoff("partition", max(m, n))
+    _check_cutoff("partition", m, n)
     return LaurentPoly(Counter((0, sum(parts)) for parts in _box_parts(m, n)))
 
 
@@ -120,7 +121,7 @@ def dist_box_polynomial(m: int, n: int) -> LaurentPoly:
     A negative dimension raises ``ValueError``, as in
     :func:`tqeuler.formulas.dist_box_closed`: a box with -1 rows is no object.
     """
-    _check_cutoff("partition", max(m, n))
+    _check_cutoff("partition", m, n)
     return LaurentPoly(
         Counter((len(set(parts)), sum(parts)) for parts in _box_parts(m, n))
     )
@@ -294,7 +295,7 @@ def delta_prime_weight_sum(k: int) -> LaurentPoly:
     ``formulas``, so it stays an independent check of the T_k recurrence.
     """
     _check_cutoff("delta", k)
-    if index(k) < 0:
+    if k < 0:
         return ZERO
     full = 1 << k
     pop = _mask_sums([1] * k)
@@ -344,7 +345,7 @@ def sop_weight_sum(k: int) -> LaurentPoly:
     by ``(mk, |shape|)``.
     """
     _check_cutoff("sop", k)
-    if index(k) < 0:
+    if k < 0:
         return ZERO
     tally: Counter[tuple[int, int]] = Counter()
     for parts in _box_parts(k, k):
@@ -421,13 +422,12 @@ def m_path_weight_sum(k: int) -> LaurentPoly:
 
 def _validate_endpoint(b: int, k: int, m: int, n: int, eps: int) -> None:
     """The L and L' argument checks: coordinates, then axis, cutoff and eps."""
-    if m < 0 or n < 0 or b < 0 or k < 0:
-        raise ValueError("coordinates must be nonnegative")
+    for value, name in ((m, "m"), (n, "n"), (b, "b"), (k, "k")):
+        _size(value, name)
     if m * n != 0:
         raise InvalidEndpointError("endpoint must lie on an axis (m*n = 0)")
-    _check_cutoff("l_path", max(b, k))
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
+    _check_cutoff("l_path", b, k)
+    _sign(eps, "eps")
 
 
 def l_path_weight_sum(b: int, k: int, m: int, n: int, eps: int) -> LaurentPoly:
@@ -497,7 +497,7 @@ def alt_statistic_polynomial(n: int) -> LaurentPoly:
     the number of those permutations, the Euler zigzag number E_n.
     """
     _check_cutoff("alternating", n)
-    if index(n) < 0:
+    if n < 0:
         return ZERO
     return LaurentPoly({(0, e): c for e, c in _completions(n, 0, False).items()})
 

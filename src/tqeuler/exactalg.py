@@ -68,6 +68,24 @@ class ZeroDenominatorError(ZeroDivisionError):
     """A negative exponent met a zero base during rational evaluation."""
 
 
+def _size(value: int, name: str, low: int = 0) -> int:
+    """``value`` as an int, the one check of every size with a lower end: ``operator.index``
+    first, so that a non-integer raises ``TypeError`` whatever its sign, then ``ValueError``
+    below ``low``."""
+    value = index(value)
+    if value < low:
+        raise ValueError(f"{name} must be nonnegative" if low == 0 else f"{name} must be at least {low}")
+    return value
+
+
+def _sign(value: int, name: str) -> int:
+    """``value`` as an int in {+1, -1}, checked like :func:`_size`: ``1.0`` raises ``TypeError``."""
+    value = index(value)
+    if value not in (1, -1):
+        raise ValueError(f"{name} must be +1 or -1")
+    return value
+
+
 ExpPair = tuple[int, int]
 Box = tuple[int, int, int, int]  # (min t-exp, max t-exp, min q-exp, max q-exp)
 Row = tuple[int, int, tuple[int, ...]]  # (e_t, lowest e_q, coefficients from there up)
@@ -173,8 +191,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
+        n = _size(n, "exponent")
         result = ONE
         base = self
         while n:
@@ -236,9 +253,7 @@ class LaurentPoly:
         ``_row_ints``, made once per width) are shift-added into one int, which
         ``_Layout.unpack`` decodes once.
         """
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        power = index(power)
+        sign, power = _sign(sign, "sign"), index(power)
         rows = self._rows
         if not rows:
             return ZERO
@@ -266,9 +281,7 @@ class LaurentPoly:
 
     def scale_q(self, factor: int) -> "LaurentPoly":
         """Substitute ``q = q**factor`` for a positive integer factor."""
-        factor = index(factor)
-        if factor < 1:
-            raise ValueError("factor must be a positive integer")
+        factor = _size(factor, "factor", 1)
         out = []
         for et, lo, cs in self._rows:
             row = [0] * ((len(cs) - 1) * factor + 1)

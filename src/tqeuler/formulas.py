@@ -38,6 +38,8 @@ from .exactalg import (
     _ONE_MINUS_T2,
     _ONE_PLUS_Q,
     _ONE_PLUS_T,
+    _sign,
+    _size,
     _sum_of_products,
     monomial,
 )
@@ -100,9 +102,7 @@ def tk_recurrence(k: int) -> LaurentPoly:
     ``T_k = T_{k-1} + (1+t)(-q)**(k*k)
     + (1-t**2) * sum_{i=1}^{k-1} (-q)**(k*k - i*i) * T_{i-1}``.
     """
-    if index(k) < 0:  # TypeError for a non-integer, which would otherwise count down past 0
-        raise ValueError("k must be nonnegative")
-    if k == 0:
+    if _size(k, "k") == 0:
         return ONE
     total = tk_recurrence(k - 1) + _ONE_PLUS_T * neg_q_power(k * k)
     acc = ZERO
@@ -113,8 +113,7 @@ def tk_recurrence(k: int) -> LaurentPoly:
 
 def tk_closed(k: int) -> LaurentPoly:
     """T_k as the double sum over base-q**2 binomial coefficients."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    k = _size(k, "k")
     # (-1)**(j+i) * t**(2i) * q**(j*j + i*i + i) * [k-j, i] * ([k-i, j-i] + t * [k-i-1, j-i-1]), two items
     return _sum_of_products(
         (-1 if (j + i) % 2 else 1, 2 * i + dt, j * j + i * i + i,
@@ -127,8 +126,7 @@ def tk_closed(k: int) -> LaurentPoly:
 
 def tk_functional_equation_holds(k: int) -> bool:
     """Check ``(1 - t*q) * T_k(t*q, q) == T_k(t, q) + t**2 * q**(2k+1) * T_{k-1}(t, q)``."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = _size(k, "k", 1)
     one_minus_tq = LaurentPoly({(0, 0): 1, (1, 1): -1})
     lhs = one_minus_tq * tk_recurrence(k).shift_t_by_q(1)
     rhs = tk_recurrence(k) + monomial(1, 2, 2 * k + 1) * tk_recurrence(k - 1)
@@ -142,10 +140,7 @@ class SpecializationKey(Record):
     __slots__ = ("eps", "b")
 
     def __init__(self, eps: int, b: int):
-        if eps not in (1, -1):
-            raise ValueError("eps must be +1 or -1")
-        index(b)  # TypeError for a non-integer b
-        self._fill(eps, b)
+        self._fill(_sign(eps, "eps"), index(b))
 
 
 def tk_special(key: SpecializationKey, k: int) -> LaurentPoly:
@@ -156,8 +151,7 @@ def tk_special(key: SpecializationKey, k: int) -> LaurentPoly:
     :func:`tk_recurrence`; the exact divisions by ``(eps*q; q)_b`` never
     leave a remainder when the transcription is correct.
     """
-    if index(k) < 0:
-        raise ValueError("k must be nonnegative")
+    k = _size(k, "k")
     if k == 0:
         return ONE
     eps, b = key.eps, key.b
@@ -192,8 +186,7 @@ def tk_special(key: SpecializationKey, k: int) -> LaurentPoly:
 
 def tk_prodinger(b: int, k: int) -> LaurentPoly:
     """T_k at ``t = q**b`` (b >= 1) by the alternative binomial double sum."""
-    if b < 1 or k < 0:
-        raise ValueError("need b >= 1 and k >= 0")
+    b, k = _size(b, "b", 1), _size(k, "k")
     heads = [gauss_binom(b, i) for i in range(b + 1)]
     tails = [gauss_binom(m + b, b) for m in range(2 * k + 1)]  # [k+j+b, b] at m = k + j
     return _sum_of_products(
@@ -205,15 +198,13 @@ def tk_prodinger(b: int, k: int) -> LaurentPoly:
 
 def tk_at_minus_q(k: int) -> LaurentPoly:
     """T_k at ``t = -q``: the closed form ``(1 + q**(2k+1)) / (1 + q)``."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    k = _size(k, "k")
     return (ONE + monomial(1, 0, 2 * k + 1)).divide_exact(_ONE_PLUS_Q)
 
 
 def tk_at_minus_inv_q(k: int) -> LaurentPoly:
     """T_k at ``t = -1/q``: ``(-q)**(k*k) * sum_{i=-k}^{k} (-q)**(-i*i)``."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    k = _size(k, "k")
     return neg_q_power(k * k) * square_sum(k).invert_variables()
 
 
@@ -225,11 +216,11 @@ def tk_at(eps: int, b: int, k: int) -> LaurentPoly:
     """T_k at ``t = eps * q**b`` by direct substitution into :func:`tk_recurrence`.
 
     Cached, so a repeated call returns the same object: a miss folds the t-rows
-    of ``tk_recurrence(k)`` into one q-row.  ``b`` and ``k`` pass through
+    of ``tk_recurrence(k)`` into one q-row.  ``eps``, ``b`` and ``k`` pass through
     ``operator.index`` before the cache, so that an integral float cannot reach
     the entry of an equal int.
     """
-    return _tk_at(eps, index(b), index(k))
+    return _tk_at(_sign(eps, "eps"), index(b), index(k))
 
 
 @cache
@@ -240,8 +231,7 @@ def _tk_at(eps: int, b: int, k: int) -> LaurentPoly:
 def alpha_step_holds(eps: int, b: int, k: int) -> bool:
     """Check ``(1 - eps*q**b) * a(b,k) == a(b-1,k) + q**(2k+2b-1) * a(b-1,k-1)``,
     where ``a(b,k)`` is :func:`tk_at` ``(eps, b, k)``."""
-    if b < 1 or k < 1:
-        raise ValueError("need b, k >= 1")
+    b, k = _size(b, "b", 1), _size(k, "k", 1)
     lhs = LaurentPoly({(0, 0): 1, (0, b): -eps}) * tk_at(eps, b, k)
     rhs = tk_at(eps, b - 1, k) + monomial(1, 0, 2 * k + 2 * b - 1) * tk_at(eps, b - 1, k - 1)
     return lhs == rhs
@@ -250,8 +240,7 @@ def alpha_step_holds(eps: int, b: int, k: int) -> bool:
 def beta_step_holds(eps: int, b: int, k: int) -> bool:
     """Check ``b(b,k) == (1 - eps*q**(1-b)) * b(b-1,k) - q**(2k-2b+1) * b(b,k-1)``,
     where ``b(b,k)`` is :func:`tk_at` ``(eps, -b, k)``."""
-    if b < 1 or k < 1:
-        raise ValueError("need b, k >= 1")
+    b, k = _size(b, "b", 1), _size(k, "k", 1)
     lhs = tk_at(eps, -b, k)
     rhs = (ONE - monomial(eps, 0, 1 - b)) * tk_at(eps, 1 - b, k) - monomial(
         1, 0, 2 * k - 2 * b + 1
@@ -397,8 +386,7 @@ def dist_box_closed(m: int, n: int) -> LaurentPoly:
     """Closed form of the distinct-part distribution over partitions in a box:
     ``sum_i q**C(i+1,2) * [n choose i]_q * [n+m-i choose m-i]_q * (x-1)**i``
     with x carried in the t exponent slot, as one packed sum."""
-    if m < 0 or n < 0:
-        raise ValueError("box dimensions must be nonnegative")
+    m, n = _size(m, "m"), _size(n, "n")
     return _sum_of_products(
         (1, 0, math.comb(i + 1, 2), (gauss_binom(n, i), gauss_binom(n + m - i, m - i), *[_X_MINUS_1] * i))
         for i in range(m + 1)
@@ -449,7 +437,7 @@ def zeng_value(
     denominators, one ``(numerator, denominator)`` pair per term added
     without reduction, and one Fraction is built at the end.
     """
-    if n < 0 or n > 5:
+    if _size(n, "n") > 5:
         raise ValueError("n must be between 0 and 5")
     t0 = Fraction(t0)
     q0 = Fraction(q0)

@@ -21,7 +21,7 @@ from operator import index
 from typing import Callable, Iterable
 
 from ._record import Record
-from .exactalg import Item, LaurentPoly, ONE, ONE_MINUS_Q, ZERO, _sum_of_products, monomial
+from .exactalg import Item, LaurentPoly, ONE, ONE_MINUS_Q, ZERO, _sign, _size, _sum_of_products, monomial
 
 __all__ = [
     "QSymbolSpec",
@@ -47,9 +47,7 @@ def neg_q_power(e: int) -> LaurentPoly:
 @cache
 def q_int(n: int) -> LaurentPoly:
     """The q-integer ``1 + q + ... + q**(n-1)``; ``q_int(0) == 0``.  Cached like :func:`square_sum`."""
-    if index(n) < 0:  # TypeError for a non-integer, whose key never meets an int's
-        raise ValueError("n must be nonnegative")
-    return LaurentPoly({(0, e): 1 for e in range(n)})
+    return LaurentPoly({(0, e): 1 for e in range(_size(n, "n"))})
 
 
 def euler_up(h: int) -> LaurentPoly:
@@ -68,13 +66,7 @@ class QSymbolSpec(Record):
     __slots__ = ("base_sign", "base_power", "length")
 
     def __init__(self, base_sign: int, base_power: int, length: int):
-        # TypeError for a non-integer: an equal spec with int fields may already be cached
-        if index(base_sign) not in (1, -1):
-            raise ValueError("base_sign must be +1 or -1")
-        index(base_power)
-        if index(length) < 0:
-            raise ValueError("length must be nonnegative")
-        self._fill(base_sign, base_power, length)
+        self._fill(_sign(base_sign, "base_sign"), index(base_power), _size(length, "length"))
 
 
 @cache
@@ -99,9 +91,7 @@ def odd_pochhammer(i: int) -> LaurentPoly:
     Cached like :func:`pochhammer`: a miss multiplies the cached symbol one
     factor shorter by the last factor.
     """
-    if index(i) < 0:  # TypeError for a non-integer, which would otherwise count down past 0
-        raise ValueError("i must be nonnegative")
-    if i == 0:
+    if _size(i, "i") == 0:
         return ONE
     return odd_pochhammer(i - 1) * (ONE - monomial(1, 0, 2 * i - 1))
 
@@ -151,9 +141,8 @@ def partition_box_binom(rows: int, cols: int, squared: bool = False) -> LaurentP
 
 def ballot(n: int, k: int) -> int:
     """``C(2n, n-k) - C(2n, n-k-1)`` with out-of-range binomials equal to 0;
-    ``n`` and ``k`` must be nonnegative."""
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
+    a negative ``n`` or ``k`` raises ``ValueError``."""
+    n, k = _size(n, "n"), _size(k, "k")
 
     def c(m: int, j: int) -> int:
         return math.comb(m, j) if 0 <= j <= m else 0
@@ -173,8 +162,7 @@ def _ballot_sum(n: int, kernel: Callable[..., Iterable[Item]], *args) -> Laurent
     that profiling wrappers, which follow ``__all__``, charge the time of each expansion to its
     formula.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _size(n, "n")
     return _sum_of_products((ballot(n, k), 0, 0, (_kernel(kernel, k, *args),)) for k in range(n + 1))
 
 
@@ -192,9 +180,7 @@ def a_k_poly(k: int) -> LaurentPoly:
     ``1 - q``.  Consumers recover ``A_k`` itself by exact division, which
     keeps the whole computation inside the Laurent ring.
     """
-    if index(k) < 0:
-        raise ValueError("k must be nonnegative")
-    if k == 0:
+    if _size(k, "k") == 0:
         return ONE_MINUS_Q
     first = square_sum(k)
     second = square_sum(k - 1)
@@ -205,6 +191,4 @@ def a_k_poly(k: int) -> LaurentPoly:
 def square_sum(m: int) -> LaurentPoly:
     """``sum_{i=-m}^{m} (-q)**(i*i)``; ``i*i`` has the parity of ``i``.  Cached, so that
     a square sum keeps its packed forms from one packed sum to the next."""
-    if index(m) < 0:  # TypeError for a non-integer, whose key never meets an int's
-        raise ValueError("m must be nonnegative")
-    return LaurentPoly({(0, 0): 1, **{(0, i * i): 2 * (-1) ** i for i in range(1, m + 1)}})
+    return LaurentPoly({(0, 0): 1, **{(0, i * i): 2 * (-1) ** i for i in range(1, _size(m, "m") + 1)}})

@@ -19,7 +19,10 @@ cutoff and one past it.  The marked-path and arrow sums at their cutoff 6
 are read from the frozen outputs in ``tests/data``, which
 ``make_fixtures.py`` writes from the same reference enumerators.
 
-A negative size has two conventions here, and both stay.  The box oracles
+A non-integer size raises ``TypeError`` before any range convention applies,
+whatever its sign: every size, and every +-1 sign, goes through
+``operator.index`` first (``exactalg._size`` and ``exactalg._sign``).  A
+negative size has two conventions here, and both stay.  The box oracles
 ``box_size_polynomial(-1, 2)`` and ``dist_box_polynomial`` raise
 ``ValueError``: a box with -1 rows is no object to enumerate.
 ``partition_box_binom(-1, 2)`` and ``gauss_binom`` give ``ZERO``: the
@@ -290,15 +293,57 @@ def test_boundary(name, s):
     lambda: alt_statistic_polynomial(0.0),
     lambda: sop_weight_sum(-1.0),
     lambda: delta_prime_weight_sum(-1.0),
+    # this one used to return 1, from the loop that counts the exponent down
+    lambda: ONE_MINUS_Q**0.0,
+    # each of these used to raise CutoffExceededError, as the cutoff was compared before index
+    lambda: box_size_polynomial(9.5, 2),
+    lambda: delta_prime_weight_sum(7.5),
+    lambda: dyck_weight_sum(9.0, *UV),
 ], ids=["gauss_binom-n", "gauss_binom-k", "gauss_binom-warm-cache", "SpecializationKey-b", "tk_prodinger-b",
         "monomial", "const", "LaurentPoly.__pow__", "LaurentPoly.scale_q", "LaurentPoly.substitute_t",
         "LaurentPoly.shift_t_by_q", "LaurentPoly.divide_exact", "partition_box_binom-empty-rows",
         "partition_box_binom-negative-rows", "partition_box_binom-cols", "a_k_poly", "a_k_inverse",
-        "tk_special-k", "alt_statistic_polynomial", "sop_weight_sum", "delta_prime_weight_sum"])
+        "tk_special-k", "alt_statistic_polynomial", "sop_weight_sum", "delta_prime_weight_sum",
+        "LaurentPoly.__pow__-zero", "box_size_polynomial-past-cutoff", "delta_prime_weight_sum-past-cutoff",
+        "dyck_weight_sum-past-cutoff"])
 def test_non_integer_size_raises_type_error(call):
     # a float size used to recurse in qkit._gauss until RecursionError
     with pytest.raises(TypeError):
         call()
+
+
+NOT_SIZES = {  # rows whose argument is an exponent, a rational point's bracket index or a sign
+    "monomial", "const", "neg_q_power", "euler_up", "euler_down", "euler_coeff", "LaurentPoly.shift_t_by_q",
+    "zeng_bracket_qint", "LaurentPoly.substitute_t",
+}
+
+
+@pytest.mark.parametrize("name", [name for name in TABLE if name not in NOT_SIZES])
+@pytest.mark.parametrize("s", [-1.0, 0.0, 1.5])
+def test_non_integer_size_raises_type_error_at_either_sign(name, s):
+    # a negative float size used to raise ValueError from a range check made before operator.index
+    with pytest.raises(TypeError):
+        TABLE[name].call(s)
+
+
+@pytest.mark.parametrize("call", [
+    lambda eps: QSymbolSpec(eps, 0, 2),
+    lambda eps: SpecializationKey(eps, 2),
+    lambda eps: (ONE + T).substitute_t(eps, 2),
+    lambda eps: l_path_weight_sum(2, 2, 1, 0, eps),
+    lambda eps: lprime_path_weight_sum(2, 2, 1, 0, eps),
+    lambda eps: tk_at(eps, 2, 2),
+], ids=["QSymbolSpec", "SpecializationKey", "LaurentPoly.substitute_t", "l_path_weight_sum",
+        "lprime_path_weight_sum", "tk_at"])
+@pytest.mark.parametrize("eps", [1, -1])
+def test_non_integer_sign_raises_type_error_cold_and_warm(call, eps):
+    # +-1.0 used to pass every sign check but QSymbolSpec's, and reached tk_at's memo
+    tqeuler.clear_caches()
+    with pytest.raises(TypeError):
+        call(float(eps))
+    call(eps)
+    with pytest.raises(TypeError):
+        call(float(eps))
 
 
 def test_divide_exact_needs_a_divisor_with_one_t_row():

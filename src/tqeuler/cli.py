@@ -14,8 +14,9 @@ import os
 import sys
 import time
 
-from . import cfrac, clear_caches, combinat, formulas, qkit, registry
+from . import cfrac, clear_caches, combinat, formulas, qkit
 from .exactalg import ONE_MINUS_Q, LaurentPoly
+from .formulas import DYCK_ORACLE_MAX_N, HARD_MAX_K, HARD_MAX_N
 
 
 def _fail(msg: str) -> int:
@@ -44,14 +45,14 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if target == "t":
         if args.k is None:
             return _fail("target 't' requires --k")
-        if not (0 <= args.k <= registry.HARD_MAX_K):
-            return _fail(f"--k must be in 0..{registry.HARD_MAX_K}")
+        if not (0 <= args.k <= HARD_MAX_K):
+            return _fail(f"--k must be in 0..{HARD_MAX_K}")
         poly = formulas.tk_recurrence(args.k)
     else:
         if args.n is None:
             return _fail(f"target {target!r} requires --n")
-        if not (0 <= args.n <= registry.HARD_MAX_N):
-            return _fail(f"--n must be in 0..{registry.HARD_MAX_N}")
+        if not (0 <= args.n <= HARD_MAX_N):
+            return _fail(f"--n must be in 0..{HARD_MAX_N}")
         n = args.n
         if target == "e":
             # E_n(t,q) itself is rational; the CLI always prints the
@@ -73,6 +74,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def _unwritable(path: str) -> bool:
     """Whether ``path`` cannot take a report, found without creating or truncating it."""
+    if not path:
+        return True
     if os.path.exists(path):
         return os.path.isdir(path) or not os.access(path, os.W_OK)
     parent = os.path.dirname(path) or "."
@@ -80,10 +83,12 @@ def _unwritable(path: str) -> bool:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import registry  # here, not at module level: only verify reads the table
+
     try:
         registry.Bounds(args.max_n, args.max_k, args.max_b)
         # checked before the matrix runs; the write below still reports any OSError
-        if args.json and _unwritable(args.json):
+        if args.json is not None and _unwritable(args.json):
             return _fail(f"cannot write --json file: {args.json!r} is not a writable file path")
         report = registry.run_verification(
             max_n=args.max_n,
@@ -93,7 +98,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     except registry.RegistryConfigError as exc:
         return _fail(str(exc))
-    if args.json:
+    if args.json is not None:
         try:
             with open(args.json, "w", encoding="utf-8") as fh:
                 fh.write(report.to_json_text())
@@ -113,13 +118,13 @@ def _bench_methods(n: int):
         ("ballot-form", lambda: formulas.euler_hat_ballot(n)),
         ("odd-poch-sum", lambda: formulas.euler_hat_odd_pochhammer(n)),
         ("dyck-brute", (lambda: combinat.dyck_weight_sum(n, qkit.euler_up, qkit.euler_down))
-         if n <= registry.DYCK_ORACLE_MAX_N else None),
+         if n <= DYCK_ORACLE_MAX_N else None),
     ]
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if not (0 <= args.max_n <= registry.HARD_MAX_N):
-        return _fail(f"--max-n must be in 0..{registry.HARD_MAX_N}")
+    if not (0 <= args.max_n <= HARD_MAX_N):
+        return _fail(f"--max-n must be in 0..{HARD_MAX_N}")
     import csv
 
     writer = csv.writer(sys.stdout)

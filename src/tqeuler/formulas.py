@@ -84,6 +84,14 @@ __all__ = [
     "ZENG_SAMPLE_POINTS",
 ]
 
+# The hard caps of the CLI and of the verification matrix.  They live here, not
+# in the registry, so that ``compute`` reads them without loading that table;
+# :mod:`tqeuler.registry` re-exports them under the same names.
+HARD_MAX_N = 12
+HARD_MAX_K = 10
+HARD_MAX_B = 8
+DYCK_ORACLE_MAX_N = 6  # the n the brute-force Dyck oracle runs to, in verify and in bench
+
 
 def _neg_q(e: int, *factors: LaurentPoly) -> Item:
     """The item ``(-q)**e * prod(factors)`` for :func:`~tqeuler.exactalg._sum_of_products`."""

@@ -26,6 +26,7 @@ from typing import Callable, Iterable
 from . import cfrac, combinat, formulas, qkit
 from ._record import Record
 from .exactalg import Item, LaurentPoly, ONE, ONE_MINUS_Q, ZERO, _ONE_PLUS_Q, const, monomial
+from .formulas import DYCK_ORACLE_MAX_N, HARD_MAX_B, HARD_MAX_K, HARD_MAX_N
 
 __all__ = [
     "Bounds",
@@ -41,11 +42,6 @@ __all__ = [
     "HARD_MAX_B",
     "DYCK_ORACLE_MAX_N",
 ]
-
-HARD_MAX_N = 12
-HARD_MAX_K = 10
-HARD_MAX_B = 8
-DYCK_ORACLE_MAX_N = 6  # the n the brute-force Dyck oracle runs to, in verify and in bench
 
 SECANT_NUMBERS = (1, 1, 5, 61, 1385)
 TANGENT_NUMBERS = (1, 2, 16, 272, 7936)
@@ -428,7 +424,7 @@ def identity_ids() -> list[str]:
 def _select_identities(select: str | None) -> list[Identity]:
     if select is not None and not isinstance(select, str):
         raise RegistryConfigError(f"selector must be a comma-separated string, got {type(select).__name__}")
-    if not select:
+    if select is None:
         return list(REGISTRY)
     wanted = [s.strip() for s in select.split(",") if s.strip()]
     if not wanted:

@@ -241,8 +241,9 @@ class TestVerify:
     def test_registry_config_errors(self):
         with pytest.raises(RegistryConfigError):
             run_verification(max_n=-1)
-        with pytest.raises(RegistryConfigError):
-            run_verification(select=" , ")
+        for select in (" , ", ""):
+            with pytest.raises(RegistryConfigError, match="empty selector"):
+                run_verification(select=select)
         for select in (["tk-closed"], ("tk-closed",), [], 5):
             with pytest.raises(RegistryConfigError, match="comma-separated string"):
                 run_verification(select=select)
@@ -270,6 +271,21 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: cannot write --json file: ")
         assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_selector_is_a_usage_error(self, capsys):
+        # None selects every identity; an empty string selects none and is refused
+        assert cli.main(["verify", "--max-n", "0", "--max-k", "0", "--max-b", "0", "--select", ""]) == 2
+        assert capsys.readouterr() == ("", "error: empty selector\n")
+
+    def test_empty_json_path_is_refused_before_the_matrix(self, tmp_path, capsys, monkeypatch):
+        def run_verification(**kwargs):
+            raise AssertionError("the matrix ran before the --json path was checked")
+
+        monkeypatch.setattr(registry, "run_verification", run_verification)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["verify", "--max-n", "0", "--max-k", "0", "--max-b", "0", "--json", ""]) == 2
+        assert capsys.readouterr() == ("", "error: cannot write --json file: '' is not a writable file path\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_json_path_check_keeps_an_existing_file(self, tmp_path, capsys, monkeypatch):

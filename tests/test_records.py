@@ -1,5 +1,6 @@
-"""The value records behave as the frozen dataclasses they replace, and importing the
-package loads neither ``json`` nor ``csv``."""
+"""The value records behave as the frozen dataclasses they replace; importing the
+package and computing a polynomial load neither ``json``, ``csv`` nor the verification
+table with its ``dataclasses`` and ``inspect``; the table's names load on first use."""
 
 import copy
 import dataclasses
@@ -147,11 +148,78 @@ def test_only_identity_is_a_dataclass():
     assert classes == {"tqeuler.registry.Identity"}
 
 
-def test_import_loads_neither_json_nor_csv():
-    # a fresh interpreter: what the import adds to sys.modules, beyond what start-up loaded
+def fresh_run(code: str) -> str:
+    """The last line ``code`` prints, run in a fresh interpreter on these sources."""
     src = str(Path(tqeuler.__file__).resolve().parents[1])
-    code = ("import sys; before = set(sys.modules); import tqeuler, tqeuler.cli; "
-            "print(sorted({'json', 'csv'} & (set(sys.modules) - before)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out == "[]\n"
+    return out.splitlines()[-1]
+
+
+HEAVY = ("json", "csv", "tqeuler.registry", "dataclasses", "inspect")
+
+
+def added_heavy(statements: str) -> str:
+    # only what the statements add to sys.modules: start-up (site, .pth files) may load more
+    return fresh_run(f"import sys; before = set(sys.modules); {statements}; "
+                     f"print(sorted(set({HEAVY!r}) & (set(sys.modules) - before)))")
+
+
+def test_import_loads_neither_json_nor_csv():
+    assert added_heavy("import tqeuler, tqeuler.cli") == "[]"
+
+
+@pytest.mark.parametrize("target", ["e --n 5", "t --k 4", "d --n 5", "e-even --n 5", "e-odd --n 5"])
+def test_compute_loads_no_verification_table(target):
+    calls = "; ".join(f"tqeuler.cli.main({['compute', *target.split(), '--format', fmt]!r})"
+                      for fmt in ("text", "json"))
+    assert added_heavy(f"import tqeuler.cli; {calls}") == "[]"
+
+
+def test_verify_loads_the_verification_table():
+    run = "import tqeuler.cli; tqeuler.cli.main(['verify', '--max-n', '0', '--max-k', '0', '--max-b', '0'])"
+    assert "'tqeuler.registry'" in added_heavy(run)
+
+
+LAZY = ("run_verification", "identity_ids", "VerificationReport")
+
+
+@pytest.mark.parametrize("name", LAZY)
+def test_lazy_name_is_the_registry_object(name):
+    assert getattr(tqeuler, name) is getattr(tqeuler.registry, name)
+
+
+def test_lazy_names_import_in_a_fresh_interpreter():
+    code = ("from tqeuler import run_verification, identity_ids, VerificationReport, registry; "
+            "print(run_verification is registry.run_verification and identity_ids is registry.identity_ids"
+            " and VerificationReport is registry.VerificationReport)")
+    assert fresh_run(code) == "True"
+
+
+def test_lazy_names_in_dir_and_star_import():
+    names = {*LAZY, "registry"}
+    assert names <= set(dir(tqeuler))
+    namespace = {}
+    exec("from tqeuler import *", namespace)
+    assert all(namespace[name] is getattr(tqeuler, name) for name in names)
+    assert {"cfrac", "exactalg", "clear_caches", "euler_hat", "LaurentPoly"} <= set(namespace)
+
+
+def test_unknown_name_raises_attribute_error_naming_the_module():
+    with pytest.raises(AttributeError, match="module 'tqeuler' has no attribute 'no_such_name'"):
+        tqeuler.no_such_name
+
+
+@pytest.mark.parametrize("name", ["HARD_MAX_N", "HARD_MAX_K", "HARD_MAX_B", "DYCK_ORACLE_MAX_N"])
+def test_caps_are_re_exported_from_formulas(name):
+    assert name in registry.__all__
+    assert getattr(registry, name) is getattr(formulas, name)
+
+
+def test_lazy_name_follows_a_rebound_registry_attribute(monkeypatch):
+    # the benchmark tracer and tests/mutation_sweep.py rebind module attributes
+    def stand_in(**kwargs):
+        return "stand-in"
+
+    monkeypatch.setattr(registry, "run_verification", stand_in)
+    assert tqeuler.run_verification is stand_in

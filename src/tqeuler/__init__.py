@@ -56,6 +56,7 @@ _CACHES = (
     qkit._gauss,
     qkit._kernel,
     qkit.square_sum,
+    cfrac._binomial,
     cfrac.euler_hat,
     cfrac.dn_hat,
     combinat._completions,

@@ -8,8 +8,12 @@ used here; nested symbolic division is never performed.
 
 This module is the ground-truth definition of the normalized (t,q)-Euler
 numbers ``euler_hat(n) = (1-q)**(2n) * E_n(t,q)`` (moments of the fraction
-with ``c_h = (1-q**h)(1-t*q**h)``) and of the Touchard-Riordan quantity
-``dn_hat(n) = (1-q)**n * d_n`` (moments with ``c_h = 1-q**h``).
+with ``c_h = (1-q**h)(1-t*q**h)``, the product of the two Euler step weights
+``qkit.euler_up(h)`` and ``qkit.euler_down(h)``) and of the Touchard-Riordan
+quantity ``dn_hat(n) = (1-q)**n * d_n`` (moments with ``c_h = 1-q**h``).
+The DP takes each ``c_h`` as its binomial factors ``1 - t**a * q**b``, read
+off the step weights by ``_binomial`` once per h, so no coefficient polynomial
+is built.
 
 Both are cached by n: a miss walks the DP once, to order n, and decodes
 moment n alone by one ``_Layout.unpack``; later requests return that same
@@ -20,13 +24,12 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, Sequence
 
-from .exactalg import LaurentPoly, ONE_MINUS_Q, _Layout, _size
+from .exactalg import ExpPair, LaurentPoly, ONE_MINUS_Q, _Layout, _size
 from .qkit import euler_down, euler_up
 
 __all__ = [
-    "euler_coeff",
     "euler_hat",
     "dn_hat",
     "en_even_q",
@@ -34,91 +37,87 @@ __all__ = [
 ]
 
 
-def _moment(coeff_fn: Callable[[int], LaurentPoly], n: int) -> LaurentPoly:
-    """Moment n of the S-fraction with coefficients ``c_h = coeff_fn(h)``.
+def _moment(binomials: Callable[[int], Sequence[ExpPair]], n: int) -> LaurentPoly:
+    """Moment n of the S-fraction with ``c_h`` the product of ``1 - t**a * q**b``
+    over the pairs ``(a, b)`` of ``binomials(h)``, each with a, b >= 0.
 
-    Walks all lattice prefixes step by step: up steps carry weight 1, a down
-    step from height h carries ``c_h``.  A prefix at step s and height h only
-    matters if it can still return to height 0 by step ``2*n``, so heights
-    above ``min(n, 2*n - s)`` are pruned.
+    No pairs make ``c_h = 1``, and a pair (0, 0) makes it 0.  Walks all
+    lattice prefixes step by step: up steps carry weight 1, a down step from
+    height h carries ``c_h``.  A prefix at step s and height h only matters if
+    it can still return to height 0 by step ``2*n``, so heights above
+    ``min(n, 2*n - s)`` are pruned.
 
-    The state at each height is one packed int (see ``exactalg._Layout``), so an
-    up step is an int addition and a down step is a sum of shifted integer
-    multiples, one per term of ``c_h``; no polynomial is built here, and one
-    ``_Layout.unpack`` decodes moment n.  The layout is derived before the walk:
+    The state at each height is one packed int (see ``exactalg._Layout``):
+    packing is the evaluation at ``t = 2**(8*width*stride)``, ``q =
+    2**(8*width)``, a ring homomorphism, so multiplying by ``1 - t**a * q**b``
+    is exactly ``x -= x << shift``, one per pair of a down step, and an up
+    step is an int addition.  The walk is exact whatever the layout, since
+    ints do not overflow; only the decode of moment n, by one
+    ``_Layout.unpack``, needs the layout to fit it, and that layout is
+    derived before the walk:
 
-    * Every ``c_h`` is divided by ``t**tmin * q**qmin``, the smallest exponents
-      over all ``c_h`` (0 if every ``c_h`` is zero), so every exponent is
-      nonnegative.  A path to moment n has exactly n down steps, so the moment
-      is multiplied back by ``t**(n*tmin) * q**(n*qmin)``.
-    * Degree box.  A Dyck path of length 2n has at most ``n - h + 1`` down
-      steps from height h or above: each is matched with an up step to the
-      same height, and h - 1 of the n up steps go to heights 1..h-1.  So its
-      j-th highest down step is at height at most ``n - j + 1``.  Let D(h) be
-      the largest shifted t-degree (or q-degree) over ``c_1 .. c_h``, 0 for a
-      zero ``c``; D is nondecreasing, so every shifted degree of moment n is
-      at most ``D(1) + ... + D(n)``.  That sum is the box, and the row stride
-      is its q-bound plus 1.  For :func:`euler_coeff` and ``euler_up`` the
+    * Degree box.  Every exponent is nonnegative, so the box starts at (0, 0).
+      A Dyck path of length 2n has at most ``n - h + 1`` down steps from
+      height h or above: each is matched with an up step to the same height,
+      and h - 1 of the n up steps go to heights 1..h-1.  So its j-th highest
+      down step is at height at most ``n - j + 1``.  Let D(h) be the largest
+      sum of a (or of b) over the pairs of ``c_1 .. c_h``, the t-degree (or
+      q-degree) of a nonzero ``c_h``; D is nondecreasing, so every degree of
+      moment n is at most ``D(1) + ... + D(n)``.  That sum is the box, and
+      the row stride is its q-bound plus 1.  For the Euler rules the
       single-peak path reaches the bound.
-    * Moment n is a sum over at most 4**n Dyck paths of products of n
-      coefficients, so each of its coefficients is at most
-      ``(4 * max_h |c_h|_1)**n`` in magnitude; the slot width holds that
-      plus a sign bit (4*n + 2 bits for :func:`euler_coeff`).
+    * Slot bound.  A product of m binomials has l1 norm at most ``2**m``, and
+      moment n is a sum over at most 4**n Dyck paths of products of n
+      coefficients, so each of its coefficients is at most ``(4 * 2**m)**n``
+      in magnitude, m the most pairs of any ``c_h``; the slot width holds
+      that plus a sign bit (4*n + 2 bits, 16**n, for ``euler_hat``).
     """
     n = _size(n, "order")
-    c = {h: coeff_fn(h).terms for h in range(1, n + 1)}
-    tmin = min((et for terms in c.values() for et, _ in terms), default=0)
-    qmin = min((eq for terms in c.values() for _, eq in terms), default=0)
-    norm = max((sum(map(abs, terms.values())) for terms in c.values()), default=0)
-    # shifted degrees of each c_h, their running maxima D(h), and the bound D(1) + ... + D(n)
-    tdeg = (max((et - tmin for et, _ in terms), default=0) for terms in c.values())
-    qdeg = (max((eq - qmin for _, eq in terms), default=0) for terms in c.values())
-    tbound = sum(accumulate(tdeg, max))
-    qbound = sum(accumulate(qdeg, max))
-    layout = _Layout.fitting(qbound + 1, (4 * norm) ** n)
+    pairs = [binomials(h) for h in range(1, n + 1)]
+    tbound = sum(accumulate((sum(a for a, _ in ps) for ps in pairs), max))
+    qbound = sum(accumulate((sum(b for _, b in ps) for ps in pairs), max))
+    layout = _Layout.fitting(qbound + 1, (4 << max(map(len, pairs), default=0)) ** n)
+    # down[j]: the shift of each pair of c_{j+1}, the weight of a down step to height j
+    down = [[layout.shift(a, b) for a, b in ps] for ps in pairs]
 
-    # The walk itself, on packed ints: the down step from h sums one shifted
-    # multiple of the state per term of c_h.
-    down = {h: layout.shifts(terms, tmin, qmin) for h, terms in c.items()}
     state = [1]
     for step in range(1, 2 * n + 1):
         top = min(n, 2 * n - step)
-        nxt_state = [0] * (top + 1)
-        for h, x in enumerate(state):
-            if not x:
-                continue
-            if h + 1 <= top:
-                nxt_state[h + 1] += x
-            if h >= 1:
-                acc = nxt_state[h - 1]
-                for coef, shift in down[h]:
-                    # every term of euler_coeff is +-1, which needs no scaled copy of x
-                    if coef == 1:
-                        acc += x << shift
-                    elif coef == -1:
-                        acc -= x << shift
-                    else:
-                        acc += (coef * x) << shift
-                nxt_state[h - 1] = acc
-        state = nxt_state
-    return layout.unpack(state[0], (n * tmin, n * tmin + tbound, n * qmin, n * qmin + qbound))
+        nxt = [0] * (top + 1)
+        # heights of the step's parity that the walk has reached: a down step from
+        # j + 1, where the last step kept that height, plus an up step from j - 1
+        for j in range(step % 2, min(top, step) + 1, 2):
+            if j + 1 < len(state):
+                x = state[j + 1]
+                for shift in down[j]:
+                    x -= x << shift
+                nxt[j] = x + state[j - 1] if j else x
+            else:
+                nxt[j] = state[j - 1]
+        state = nxt
+    return layout.unpack(state[0], (0, tbound, 0, qbound))
 
 
-def euler_coeff(h: int) -> LaurentPoly:
-    """``(1 - q**h) * (1 - t*q**h)``, the normalized fraction coefficient."""
-    return euler_up(h) * euler_down(h)
+@cache
+def _binomial(rule: Callable[[int], LaurentPoly], h: int) -> ExpPair:
+    """``(a, b)`` of the step weight ``rule(h)``, read once per rule and h; a weight
+    that is not exactly ``1 - t**a * q**b`` with a, b >= 0 raises ``ValueError``."""
+    match rule(h).sorted_terms():
+        case [((0, 0), 1), ((a, b), -1)] if b >= 0:  # sorted after (0, 0), so a >= 0
+            return a, b
+    raise ValueError(f"step weight {rule(h)} is not 1 - t**a * q**b with a, b >= 0")
 
 
 @cache
 def euler_hat(n: int) -> LaurentPoly:
     """Normalized (t,q)-Euler number ``(1-q)**(2n) * E_n(t,q)``."""
-    return _moment(euler_coeff, n)
+    return _moment(lambda h: (_binomial(euler_up, h), _binomial(euler_down, h)), n)
 
 
 @cache
 def dn_hat(n: int) -> LaurentPoly:
     """``(1-q)**n * d_n``: moments of the fraction with ``c_h = 1 - q**h``."""
-    return _moment(euler_up, n)
+    return _moment(lambda h: (_binomial(euler_up, h),), n)
 
 
 def en_even_q(n: int) -> LaurentPoly:

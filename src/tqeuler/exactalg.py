@@ -520,15 +520,9 @@ class _Layout(NamedTuple):
         """The layout with this stride whose slots hold every value in ``[-bound, bound]``."""
         return cls(stride, _slot_bytes(bound))
 
-    def shifts(self, terms: Mapping[ExpPair, int], tmin: int, qmin: int) -> list[tuple[int, int]]:
-        """``(coefficient, bit shift)`` per term, for terms with exponents from (tmin, qmin).
-
-        Multiplying a packed int by the term's monomial is a left shift by that
-        many bits.
-        """
-        stride, width = self
-        bits = 8 * width
-        return [(c, bits * ((et - tmin) * stride + eq - qmin)) for (et, eq), c in terms.items()]
+    def shift(self, et: int, eq: int) -> int:
+        """The left shift that multiplies a packed int by ``t**et * q**eq``, for et, eq >= 0."""
+        return 8 * self.width * (et * self.stride + eq)
 
     def unpack(self, value: int, box: Box) -> LaurentPoly:
         """Decode the polynomial inside ``box`` from a packed int whose slot 0 is (tmin, qmin).

@@ -412,8 +412,11 @@ REGISTRY: tuple[Identity, ...] = (
                          for k in range(n + 1)])),
     Identity("gauss-symmetry", "Gaussian binomial symmetry",
         lambda bounds: [{"n": n} for n in range(21)],
+        # [n, n-k] = q^k [n-1, n-k-1] + [n-1, n-k]: for k > n/2 the second q-Pascal rule, which
+        # the memo never takes, so with gauss-pascal the symmetry; for k <= n/2 the memo's own rule
         _same(lambda n: [qkit.gauss_binom(n, k) for k in range(n + 1)],
-              lambda n: [qkit.gauss_binom(n, n - k) for k in range(n + 1)])),
+              lambda n: [monomial(1, 0, k) * qkit.gauss_binom(n - 1, n - k - 1) + qkit.gauss_binom(n - 1, n - k)
+                         for k in range(n + 1)] if n else [ONE])),
 )
 
 

@@ -262,9 +262,10 @@ def moment_boxes_reference(coeff_fn, order: int) -> tuple[int, list[Box | None]]
     nonzero path reaches at each point.  A moment that no nonzero path reaches
     has box None, and the stride is the largest q-span plus 1.
 
-    Exponents are shifted by the smallest over ``c_1 .. c_order`` as in
-    ``tqeuler.cfrac._moment``, whose closed prefix-sum bound is tested
-    against these boxes."""
+    Exponents are shifted by the smallest over ``c_1 .. c_order``, which is 0
+    for the products of binomials ``1 - t**a * q**b`` that
+    ``tqeuler.cfrac._moment`` walks; its closed prefix-sum bound, with the box
+    starting at (0, 0), is tested against these boxes."""
     c = {h: coeff_fn(h).terms for h in range(1, order + 1)}
     live = [terms for terms in c.values() if terms]
     tmin = min((et for terms in live for et, _ in terms), default=0)

@@ -41,7 +41,7 @@ import pytest
 
 import tqeuler
 from tqeuler import cfrac, combinat, exactalg, formulas, qkit
-from tqeuler.cfrac import dn_hat, en_even_q, en_odd_q, euler_coeff, euler_hat
+from tqeuler.cfrac import dn_hat, en_even_q, en_odd_q, euler_hat
 from tqeuler.combinat import (
     CutoffExceededError,
     alt_statistic_polynomial,
@@ -194,7 +194,6 @@ TABLE = {
                                   lambda s: lprime_path_reference(s, 2, 1, 0, 1), 6, ValueError),
     "alt_statistic_polynomial": Row(alt_statistic_polynomial, alt_statistic_reference, 9, None),
     # cfrac: a moment of order 0 is the empty path's 1, and order -1 has none
-    "euler_coeff": Row(euler_coeff, lambda h: (ONE - q_power(h)) * (ONE - T * q_power(h)), None, None),
     "euler_hat": Row(euler_hat, lambda s: ONE, None, ValueError),
     "dn_hat": Row(dn_hat, lambda s: ONE, None, ValueError),
     "en_even_q": Row(en_even_q, lambda s: ONE, None, ValueError),
@@ -313,7 +312,7 @@ def test_non_integer_size_raises_type_error(call):
 
 
 NOT_SIZES = {  # rows whose argument is an exponent, a rational point's bracket index or a sign
-    "monomial", "const", "neg_q_power", "euler_up", "euler_down", "euler_coeff", "LaurentPoly.shift_t_by_q",
+    "monomial", "const", "neg_q_power", "euler_up", "euler_down", "LaurentPoly.shift_t_by_q",
     "zeng_bracket_qint", "LaurentPoly.substitute_t",
 }
 

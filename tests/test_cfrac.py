@@ -1,21 +1,24 @@
 import functools
 import math
 from contextlib import contextmanager
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tqeuler import cfrac, clear_caches
 from tqeuler.cfrac import (
+    _binomial,
     _moment,
     dn_hat,
     en_even_q,
     en_odd_q,
-    euler_coeff,
     euler_hat,
 )
-from tqeuler.exactalg import LaurentPoly, ONE, Q, T, ZERO, _Layout, const
-from tqeuler.qkit import euler_up, q_int
+from tqeuler.exactalg import LaurentPoly, ONE, Q, T, ZERO, _Layout, const, monomial
+from tqeuler.formulas import dn_touchard_riordan, euler_hat_odd_pochhammer
+from tqeuler.qkit import euler_down, euler_up, q_int
 
 from reference import moment_boxes_reference
 
@@ -40,21 +43,39 @@ def sfrac_moments_dict(coeff_fn, order):
     return moments
 
 
-def dn_coeff(h):
-    return LaurentPoly({(0, 0): 1, (0, h): -1})
+def product(pairs):
+    """The product of ``1 - t**a * q**b`` over the ``(a, b)`` pairs, built from term dicts."""
+    return reduce(mul, (LaurentPoly({(0, 0): 1, pair: -1}) for pair in pairs if pair != (0, 0)),
+                  ZERO if (0, 0) in pairs else ONE)
+
+
+def coefficients(binomials):
+    """``h -> c_h`` as a polynomial, for the dict DP and the max-plus boxes."""
+    return lambda h: product(binomials(h))
+
+
+def table_binomials(table):
+    """``h -> table[h - 1]``: a table of pairs read as ``_moment`` reads its rule."""
+    return lambda h: table[h - 1]
+
+
+BINOMIALS = {  # (1 - q**h)(1 - t*q**h) and 1 - q**h, written out
+    "euler": lambda h: ((0, h), (1, h)),
+    "dn": lambda h: ((0, h),),
+}
 
 
 @functools.cache
 def reference_moments(name):
     """Moments 0..12 of ``euler_hat`` or ``dn_hat`` by the dict DP."""
-    return sfrac_moments_dict({"euler": euler_coeff, "dn": dn_coeff}[name], 12)
+    return sfrac_moments_dict(coefficients(BINOMIALS[name]), 12)
 
 
-@pytest.mark.parametrize("coeff_fn", [euler_coeff, dn_coeff], ids=["euler", "dn"])
-def test_packed_dp_matches_dict_dp(coeff_fn):
-    reference = reference_moments("euler" if coeff_fn is euler_coeff else "dn")
+@pytest.mark.parametrize("name", BINOMIALS)
+def test_packed_dp_matches_dict_dp(name):
+    reference = reference_moments(name)
     for n in range(13):
-        assert _moment(coeff_fn, n) == reference[n]
+        assert _moment(BINOMIALS[name], n) == reference[n]
 
 
 MOMENTS = {"euler": euler_hat, "dn": dn_hat}
@@ -126,9 +147,9 @@ def test_smaller_moment_walks_once_after_a_larger_one(unpacked_boxes, monkeypatc
     walks = []
     walk = cfrac._moment
 
-    def counting(coeff_fn, n):
+    def counting(binomials, n):
         walks.append(n)
-        return walk(coeff_fn, n)
+        return walk(binomials, n)
 
     monkeypatch.setattr(cfrac, "_moment", counting)
     clear_caches()
@@ -142,53 +163,45 @@ def test_smaller_moment_walks_once_after_a_larger_one(unpacked_boxes, monkeypatc
 
 
 @st.composite
-def coefficient_tables(draw):
-    """c_1 .. c_order with negative exponents, zero entries and large coefficients."""
+def binomial_tables(draw):
+    """c_1 .. c_order as 0 to 3 pairs (a, b) each, a and b in 0..4: a pair (0, 0)
+    makes c_h = 0 and no pairs make it 1."""
     order = draw(st.integers(0, 6))
-    big = draw(st.sampled_from([3, 2**70]))
-    table = []
-    for _ in range(order):
-        terms = {}
-        for _ in range(draw(st.integers(0, 4))):
-            e = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
-            terms[e] = draw(st.integers(-big, big))
-        table.append(LaurentPoly(terms))
-    return table
+    pair = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    return draw(st.lists(st.lists(pair, max_size=3).map(tuple), min_size=order, max_size=order))
 
 
 @settings(deadline=None)
-@given(coefficient_tables())
+@given(binomial_tables())
 def test_packed_dp_matches_dict_dp_on_tables(table):
-    def coeff_fn(h):
-        return table[h - 1]
+    binomials = table_binomials(table)
+    moments = sfrac_moments_dict(coefficients(binomials), len(table))
+    assert [_moment(binomials, m) for m in range(len(table) + 1)] == moments
 
-    assert [_moment(coeff_fn, m) for m in range(len(table) + 1)] == sfrac_moments_dict(coeff_fn, len(table))
 
-
-def moment_layouts(coeff_fn, order):
+def moment_layouts(binomials, order):
     """The stride and box that moments 0..order are decoded with, one ``_moment`` each."""
     with spying_unpack() as layouts:
         for m in range(order + 1):
-            _moment(coeff_fn, m)
+            _moment(binomials, m)
     return layouts
 
 
-@pytest.mark.parametrize("coeff_fn", [euler_coeff, euler_up], ids=["euler", "dn"])
-def test_closed_bound_is_tight_for_euler_tables(coeff_fn):
+@pytest.mark.parametrize("name", BINOMIALS)
+def test_closed_bound_is_tight_for_euler_tables(name):
     # the single-peak path reaches every moment's bound, so the layout is the max-plus one
-    for m, (stride, box) in enumerate(moment_layouts(coeff_fn, 30)):
-        ref_stride, ref_boxes = moment_boxes_reference(coeff_fn, m)
+    binomials = BINOMIALS[name]
+    for m, (stride, box) in enumerate(moment_layouts(binomials, 30)):
+        ref_stride, ref_boxes = moment_boxes_reference(coefficients(binomials), m)
         assert (stride, box) == (ref_stride, ref_boxes[m])
 
 
 @settings(deadline=None)
-@given(coefficient_tables())
+@given(binomial_tables())
 def test_closed_bound_contains_max_plus_boxes(table):
-    def coeff_fn(h):
-        return table[h - 1]
-
-    for m, (stride, (t0, t1, q0, q1)) in enumerate(moment_layouts(coeff_fn, len(table))):
-        ref_stride, ref_boxes = moment_boxes_reference(coeff_fn, m)
+    binomials = table_binomials(table)
+    for m, (stride, (t0, t1, q0, q1)) in enumerate(moment_layouts(binomials, len(table))):
+        ref_stride, ref_boxes = moment_boxes_reference(coefficients(binomials), m)
         assert ref_stride <= stride
         ref = ref_boxes[m]
         if ref is not None:
@@ -196,46 +209,67 @@ def test_closed_bound_contains_max_plus_boxes(table):
 
 
 def test_zero_coefficients():
-    assert [_moment(lambda h: ZERO, m) for m in range(4)] == [ONE, ZERO, ZERO, ZERO]
-    table = [ONE - T * Q, ZERO, Q * Q - 3 * T, ONE + T]
-
-    def coeff_fn(h):
-        return table[h - 1]
-
-    assert [_moment(coeff_fn, m) for m in range(5)] == sfrac_moments_dict(coeff_fn, 4)
-
-
-def test_int_coefficients():
-    assert [_moment(lambda h: const(2), m) for m in range(4)] == [ONE, const(2), const(8), const(40)]
+    assert [_moment(lambda h: ((0, 0),), m) for m in range(4)] == [ONE, ZERO, ZERO, ZERO]
+    binomials = table_binomials([((1, 1),), ((0, 0), (2, 3)), ((0, 2), (1, 0)), ()])
+    assert [_moment(binomials, m) for m in range(5)] == sfrac_moments_dict(coefficients(binomials), 4)
 
 
 def test_catalan_moments():
-    moments = [_moment(lambda h: ONE, m) for m in range(5)]
-    assert [m.evaluate(1, 1) for m in moments] == [1, 1, 2, 5, 14]
+    moments = [_moment(lambda h: (), m) for m in range(5)]
+    assert moments == [ONE, ONE, const(2), const(5), const(14)]
 
 
 def test_constant_coefficient_catalan_powers():
     c = ONE - T * Q
-    moments = [_moment(lambda h: c, m) for m in range(6)]
+    moments = [_moment(lambda h: ((1, 1),), m) for m in range(6)]
     for n, mu in enumerate(moments):
         catalan = math.comb(2 * n, n) // (n + 1)
         assert mu == catalan * c**n
 
 
 def test_q_int_moments():
-    moments = [_moment(q_int, m) for m in range(3)]
-    assert moments == [ONE, ONE, const(2) + Q]
+    # c_h = [h]_q is (1 - q**h) / (1 - q), so its moment n is the binomial one over (1 - q)**n
+    moments = [_moment(BINOMIALS["dn"], m).divide_exact(ONE_MINUS_Q**m) for m in range(5)]
+    assert moments == sfrac_moments_dict(q_int, 4)
+    assert moments[:3] == [ONE, ONE, const(2) + Q]
 
 
 def test_q_int_squared_at_one_gives_secant():
-    moments = [_moment(lambda h: q_int(h) * q_int(h), m) for m in range(5)]
+    moments = [_moment(lambda h: ((0, h), (0, h)), m).divide_exact(ONE_MINUS_Q ** (2 * m)) for m in range(5)]
     assert [m.evaluate(1, 1) for m in moments] == [1, 1, 5, 61, 1385]
+
+
+@pytest.mark.parametrize("n, width", [(16, 9), (20, 11)])
+def test_slots_wider_than_eight_bytes(n, width):
+    # 16**n needs 4*n + 1 bits and a sign bit: widths with no array typecode, read per slot
+    assert _Layout.fitting(1, 16**n).width == width
+    clear_caches()
+    assert euler_hat(n) == euler_hat_odd_pochhammer(n)
+    assert dn_hat(n) == dn_touchard_riordan(n)
+
+
+@pytest.mark.parametrize("rule", [
+    ONE + Q, 2 - Q, ONE - Q + monomial(1, 7, 99), ONE - T * monomial(1, 0, -1), ONE - monomial(1, -1, 1),
+    ONE, ZERO,
+], ids=["one-plus-q", "two-minus-q", "nudged", "negative-q-exponent", "negative-t-exponent", "one", "zero"])
+def test_a_rule_other_than_one_minus_a_monomial_raises(rule, monkeypatch):
+    with pytest.raises(ValueError):
+        _binomial(lambda h: rule, 1)
+    for name in ("euler_up", "euler_down"):
+        with monkeypatch.context() as mp:
+            mp.setattr(cfrac, name, lambda h: rule)
+            clear_caches()
+            with pytest.raises(ValueError):
+                euler_hat(1)
+            if name == "euler_up":
+                with pytest.raises(ValueError):
+                    dn_hat(1)
 
 
 def test_euler_hat_small():
     assert euler_hat(0) == ONE
-    c1 = euler_coeff(1)
-    c2 = euler_coeff(2)
+    c1 = euler_up(1) * euler_down(1)
+    c2 = euler_up(2) * euler_down(2)
     assert euler_hat(1) == c1
     assert euler_hat(1) == ONE_MINUS_Q * (ONE - T * Q)
     assert euler_hat(2) == c1 * c1 + c1 * c2
@@ -266,7 +300,7 @@ def test_degenerate_substitutions():
 
 def test_order_validation():
     with pytest.raises(ValueError):
-        _moment(lambda h: ONE, -1)
+        _moment(lambda h: (), -1)
     with pytest.raises(ValueError):
         euler_hat(-1)
 
@@ -275,4 +309,4 @@ def test_cache_is_write_once():
     a = euler_hat(3)
     b = euler_hat(3)
     assert a is b
-    assert euler_hat(2) == _moment(euler_coeff, 2)
+    assert euler_hat(2) == _moment(BINOMIALS["euler"], 2)

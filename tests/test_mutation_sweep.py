@@ -18,9 +18,9 @@ FROZEN = {  # name -> ids of the cells that fail with its results changed
     "odd_pochhammer": {"euler-odd-pochhammer"},
     "gauss_binom": {
         "box-binomial", "dist-box", "euler-josuat-verges", "euler-odd-pochhammer", "gauss-pascal",
-        "lpath-xaxis", "lpath-yaxis", "lprime-xaxis", "lprime-yaxis", "tk-at-minus-one",
-        "tk-at-one", "tk-at-q", "tk-closed", "tk-prodinger", "tk-special-mm", "tk-special-mp",
-        "tk-special-pm", "tk-special-pp"
+        "gauss-symmetry", "lpath-xaxis", "lpath-yaxis", "lprime-xaxis", "lprime-yaxis",
+        "tk-at-minus-one", "tk-at-one", "tk-at-q", "tk-closed", "tk-prodinger", "tk-special-mm",
+        "tk-special-mp", "tk-special-pm", "tk-special-pp"
     },
     "partition_box_binom": {"lprime-xaxis", "lprime-yaxis"},
     "ballot": {
@@ -40,16 +40,17 @@ FROZEN = {  # name -> ids of the cells that fail with its results changed
         "tk-special-mm", "tk-special-mp", "tk-special-pm", "tk-special-pp"
     },
     "euler_up": {
-        "alternating-statistic", "dn-anchor", "euler-dp-vs-ballot", "euler-josuat-verges",
-        "euler-minus-inv-q", "euler-minus-q", "euler-odd-pochhammer", "euler-t-minus-one",
-        "euler-t-zero", "markpath-transfer", "secant-anchor", "secant-closed", "tangent-anchor",
-        "tangent-closed", "touchard-riordan", "zeng-numeric"
+        "alternating-statistic", "dn-anchor", "euler-dp-vs-ballot", "euler-dyck-oracle",
+        "euler-inv-q", "euler-josuat-verges", "euler-minus-inv-q", "euler-minus-q",
+        "euler-odd-pochhammer", "euler-t-minus-one", "euler-t-zero", "markpath-transfer",
+        "secant-anchor", "secant-closed", "tangent-anchor", "tangent-closed", "touchard-riordan",
+        "zeng-numeric"
     },
     "euler_down": {
-        "alternating-statistic", "euler-dp-vs-ballot", "euler-inv-q", "euler-josuat-verges",
-        "euler-minus-inv-q", "euler-minus-q", "euler-odd-pochhammer", "euler-t-minus-one",
-        "markpath-transfer", "secant-anchor", "secant-closed", "tangent-anchor", "tangent-closed",
-        "zeng-numeric"
+        "alternating-statistic", "euler-dp-vs-ballot", "euler-dyck-oracle", "euler-inv-q",
+        "euler-josuat-verges", "euler-minus-inv-q", "euler-minus-q", "euler-odd-pochhammer",
+        "euler-t-minus-one", "euler-t-zero", "markpath-transfer", "secant-anchor", "secant-closed",
+        "tangent-anchor", "tangent-closed", "zeng-numeric"
     },
     "box_size_polynomial": {"box-binomial"},
     "dist_box_polynomial": {"dist-box"},
@@ -99,12 +100,6 @@ FROZEN = {  # name -> ids of the cells that fail with its results changed
     "zeng_value": {"zeng-numeric"},
     "zeng_bracket_qint": {"zeng-numeric"},
     "DEFAULT_ZENG_BRACKET": {"zeng-numeric"},
-    "euler_coeff": {
-        "alternating-statistic", "euler-dp-vs-ballot", "euler-dyck-oracle", "euler-inv-q",
-        "euler-josuat-verges", "euler-minus-inv-q", "euler-minus-q", "euler-odd-pochhammer",
-        "euler-t-minus-one", "secant-anchor", "secant-closed", "tangent-anchor", "tangent-closed",
-        "zeng-numeric"
-    },
     "euler_hat": {
         "alternating-statistic", "euler-dp-vs-ballot", "euler-dyck-oracle", "euler-inv-q",
         "euler-josuat-verges", "euler-minus-inv-q", "euler-minus-q", "euler-odd-pochhammer",

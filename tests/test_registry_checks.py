@@ -45,6 +45,11 @@ def _pascal_sides(g, n):
             [g(n - 1, k - 1) + monomial(1, 0, k) * g(n - 1, k) for k in range(n + 1)])
 
 
+def _symmetry_sides(g, n):
+    return ([g(n, k) for k in range(n + 1)],
+            [monomial(1, 0, k) * g(n - 1, n - k - 1) + g(n - 1, n - k) for k in range(n + 1)] if n else [ONE])
+
+
 # id: (module, name, replacement built from the real function,
 #      every side's value from the replacement and the cell's params, number of failing cells)
 FAILURES = {
@@ -60,11 +65,9 @@ FAILURES = {
                   lambda new, n: (ODD_DOUBLE_FACTORIALS[n], ODD_DOUBLE_FACTORIALS[n], 0), 6),
     "zeng-numeric": (formulas, "zeng_value", lambda real: lambda n, t0, q0: Fraction(-1),
                      lambda new, n, t, q: (-1, ZENG(n, Fraction(t), Fraction(q))), 25),
-    # [3, 1] is on the left at n = 3 and on the right at n = 4
+    # [3, 1] is on the left at n = 3 and on the right at n = 4, in both rows
     "gauss-pascal": (qkit, "gauss_binom", _bumped, lambda new, n: _pascal_sides(new, n), 2),
-    "gauss-symmetry": (qkit, "gauss_binom", _bumped,
-                       lambda new, n: ([new(n, k) for k in range(n + 1)], [new(n, n - k) for k in range(n + 1)]),
-                       1),
+    "gauss-symmetry": (qkit, "gauss_binom", _bumped, lambda new, n: _symmetry_sides(new, n), 2),
     # a predicate false at one cell fails that cell alone, as "lhs = False ; rhs = True"
     "tk-functional": (formulas, "tk_functional_equation_holds", lambda real: _false_at(real, (3,)),
                       lambda new, k: (new(k), True), 1),

@@ -6,15 +6,13 @@ relations used to derive those forms.
 """
 
 from tqeuler import formulas
-from tqeuler.formulas import SpecializationKey
 
 print("Specialization formulas vs direct substitution")
 print("-" * 64)
 for eps in (1, -1):
     for b in (2, -2):
-        key = SpecializationKey(eps, b)
         for k in (1, 3):
-            closed = formulas.tk_special(key, k)
+            closed = formulas.tk_special(eps, b, k)
             direct = formulas.tk_recurrence(k).substitute_t(eps, b)
             tag = f"t = {'+' if eps == 1 else '-'}q^{b}"
             print(f"T_{k} at {tag:>9}: match = {closed == direct}")
@@ -23,7 +21,7 @@ print()
 print("Distinguished values")
 print("-" * 64)
 for k in range(5):
-    print(f"T_{k}(1, q)   = {formulas.tk_special(SpecializationKey(1, 0), k)}")
+    print(f"T_{k}(1, q)   = {formulas.tk_special(1, 0, k)}")
 for k in range(5):
     print(f"T_{k}(-q, q)  = {formulas.tk_at_minus_q(k)}")
 

@@ -26,7 +26,6 @@ from .exactalg import (
     ONE_MINUS_Q,
 )
 from .qkit import (
-    QSymbolSpec,
     q_int,
     pochhammer,
     odd_pochhammer,
@@ -38,7 +37,7 @@ from .qkit import (
 )
 from .cfrac import euler_hat, dn_hat, en_even_q, en_odd_q
 from .combinat import CutoffExceededError, InvalidEndpointError
-from .formulas import SpecializationKey, tk_recurrence, tk_closed, tk_special
+from .formulas import tk_recurrence, tk_closed, tk_special
 from . import cfrac, combinat, formulas, qkit
 
 __version__ = "0.1.0"
@@ -51,7 +50,7 @@ _CACHES = (
     formulas.tk_recurrence,
     formulas._tk_at,
     qkit.q_int,
-    qkit.pochhammer,
+    qkit._pochhammer,
     qkit.odd_pochhammer,
     qkit._gauss,
     qkit._kernel,

@@ -25,7 +25,7 @@ from operator import index
 from typing import Callable, Sequence
 
 from .exactalg import LaurentPoly, ONE, ZERO, _ONE_MINUS_T2, _ONE_PLUS_T, _sign, _size, _sum_of_products, monomial
-from .qkit import QSymbolSpec, euler_down, euler_up, pochhammer
+from .qkit import euler_down, euler_up, pochhammer
 
 __all__ = [
     "CutoffExceededError",
@@ -368,28 +368,29 @@ def sop_weight_sum(k: int) -> LaurentPoly:
 # lattice paths on west and down steps: the M, L and L' families
 
 
-def _lattice_walk(b: int, k: int, m: int, n: int, dx: int) -> list[tuple[tuple[int, ...], int]]:
+def _lattice_walk(b: int, k: int, m: int, n: int, dx: int) -> list[tuple[int, int, int]]:
     """Every path from (b, k) to (m, n) on west steps (-1, 0) and down steps
     (-dx, -1), southwest for ``dx = 1`` and south for ``dx = 0``, as
-    ``(word, area)``: one word flag per step, 1 for a down step, and the
-    doubled area under the line y = k, to which a step from (x, y) to
+    ``(s, last, area)``: s the number of down steps directly followed by a
+    west step, last 1 when the last step went down (0 for the empty path),
+    and the doubled area under the line y = k, to which a step from (x, y) to
     (x', y') adds ``(x - x') * (2*(k - y) + y - y')``.  A west step needs
     ``y > 0`` and ``x - m > dx*(y - n)``, so that the ``y - n`` down steps still
     owed fit in the columns left; a down step ``y > n``, ``x > 0`` and
     ``x - dx >= m``.  Every branch therefore reaches (m, n).  Still brute force:
     one leaf per path, depth first, no memo across states.
     """
-    leaves: list[tuple[tuple[int, ...], int]] = []
+    leaves: list[tuple[int, int, int]] = []
 
-    def walk(x: int, y: int, word: tuple[int, ...], area: int) -> None:
+    def walk(x: int, y: int, s: int, last: int, area: int) -> None:
         if x == m and y == n:
-            leaves.append((word, area))
+            leaves.append((s, last, area))
         if y > 0 and x - m > dx * (y - n):  # west: x - x' = 1, y - y' = 0
-            walk(x - 1, y, word + (0,), area + 2 * (k - y))
+            walk(x - 1, y, s + last, 0, area + 2 * (k - y))
         if y > n and x > 0 and x - dx >= m:  # down: x - x' = dx, y - y' = 1
-            walk(x - dx, y - 1, word + (1,), area + dx * (2 * (k - y) + 1))
+            walk(x - dx, y - 1, s, 1, area + dx * (2 * (k - y) + 1))
 
-    walk(b, k, (), 0)
+    walk(b, k, 0, 0, 0)
     del walk  # as in _bounded_parts: no reference cycle is left behind
     return leaves
 
@@ -414,9 +415,8 @@ def m_path_weight_sum(k: int) -> LaurentPoly:
     _check_cutoff("m_path", k)
     tally: Counter[tuple[int, int, int]] = Counter()
     for n in range(k + 1):
-        for word, area in _lattice_walk(k, k, 0, n, 1):
-            s = sum(1 for a, b in zip(word, word[1:]) if a and not b)
-            tally[s + (k + 1) * (word[-1] if word else 0), 0, area] += (-1) ** (k - n)
+        for s, last, area in _lattice_walk(k, k, 0, n, 1):
+            tally[s + (k + 1) * last, 0, area] += (-1) ** (k - n)
     return _multiply_keys(tally, [_ONE_MINUS_T2, _ONE_PLUS_T], k + 1)
 
 
@@ -443,9 +443,9 @@ def l_path_weight_sum(b: int, k: int, m: int, n: int, eps: int) -> LaurentPoly:
     factor ``(eps*q; q)_m``.
     """
     _validate_endpoint(b, k, m, n, eps)
-    pure = Counter((0, area + 2 * m * k) for _, area in _lattice_walk(b, k, m, n, 1))
+    pure = Counter((0, area + 2 * m * k) for *_, area in _lattice_walk(b, k, m, n, 1))
     height_factor = monomial(1, 0, k * (k + 1) - n * (n + 1))
-    return pochhammer(QSymbolSpec(eps, 1, m)) * LaurentPoly(pure) * height_factor
+    return pochhammer(eps, 1, m) * LaurentPoly(pure) * height_factor
 
 
 def lprime_path_weight_sum(b: int, k: int, m: int, n: int, eps: int) -> LaurentPoly:
@@ -461,8 +461,8 @@ def lprime_path_weight_sum(b: int, k: int, m: int, n: int, eps: int) -> LaurentP
     _validate_endpoint(b, k, m, n, eps)
     if b < m or k < n:  # no path, and a Pochhammer symbol of negative length
         return ZERO
-    pure = Counter((0, -area - 2 * m * k) for _, area in _lattice_walk(b, k, m, n, 0))
-    prefactor = pochhammer(QSymbolSpec(eps, 1 - b, b - m))
+    pure = Counter((0, -area - 2 * m * k) for *_, area in _lattice_walk(b, k, m, n, 0))
+    prefactor = pochhammer(eps, 1 - b, b - m)
     height_factor = monomial((-1) ** (k - n), 0, k * (k + 2) - n * (n + 2))
     return prefactor * LaurentPoly(pure) * height_factor
 

@@ -17,6 +17,9 @@ each ``c * t**a * q**b * prod(factors)``; these, and the sums of
 :func:`tk_special` and :func:`tk_prodinger`, are summed in one packed int by
 :func:`tqeuler.exactalg._sum_of_products`.  :func:`tk_at` caches its values,
 and every exact division here is by a polynomial in q alone.
+
+A substitution ``t = eps * q**b`` is the two ints ``eps, b`` ahead of ``k``, in
+:func:`tk_special`, :func:`tk_at` and both step relations alike.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from functools import cache
 from operator import index
 from typing import Callable
 
-from ._record import Record
 from .exactalg import (
     Item,
     LaurentPoly,
@@ -44,7 +46,6 @@ from .exactalg import (
     monomial,
 )
 from .qkit import (
-    QSymbolSpec,
     _ballot_sum,
     a_k_poly,
     gauss_binom,
@@ -55,7 +56,6 @@ from .qkit import (
 )
 
 __all__ = [
-    "SpecializationKey",
     "tk_recurrence",
     "tk_closed",
     "tk_functional_equation_holds",
@@ -141,28 +141,18 @@ def tk_functional_equation_holds(k: int) -> bool:
     return lhs == rhs
 
 
-class SpecializationKey(Record):
-    """The substitution ``t = eps * q**b`` with ``eps`` in {+1, -1} and any
-    integer ``b``."""
-
-    __slots__ = ("eps", "b")
-
-    def __init__(self, eps: int, b: int):
-        self._fill(_sign(eps, "eps"), index(b))
-
-
-def tk_special(key: SpecializationKey, k: int) -> LaurentPoly:
-    """T_k at ``t = eps * q**b`` by the closed substitution formulas.
+def tk_special(eps: int, b: int, k: int) -> LaurentPoly:
+    """T_k at ``t = eps * q**b``, ``eps`` in {+1, -1} and ``b`` any integer, by the
+    closed substitution formulas.
 
     ``k = 0`` returns 1 directly (the family's base case rather than any of
     the four closed branches).  Must agree with substituting into
     :func:`tk_recurrence`; the exact divisions by ``(eps*q; q)_b`` never
     leave a remainder when the transcription is correct.
     """
-    k = _size(k, "k")
+    eps, b, k = _sign(eps, "eps"), index(b), _size(k, "k")
     if k == 0:
         return ONE
-    eps, b = key.eps, key.b
     if b >= 0:
         numerator = [
             (1, 0, i * (2 * k + 1),
@@ -170,23 +160,23 @@ def tk_special(key: SpecializationKey, k: int) -> LaurentPoly:
             for i in range(k)
         ] + [
             (1, 0, k * (2 * k + 2 * i + 1),
-             (pochhammer(QSymbolSpec(eps, 1, i)), gauss_binom(b - i - 1, k - 1, squared=True)))
+             (pochhammer(eps, 1, i), gauss_binom(b - i - 1, k - 1, squared=True)))
             for i in range(b)
         ]
-        return _sum_of_products(numerator).divide_exact(pochhammer(QSymbolSpec(eps, 1, b)))
+        return _sum_of_products(numerator).divide_exact(pochhammer(eps, 1, b))
     bb = -b
     if eps == 1:
         return _sum_of_products(
             _neg_q(k * (k - 2 * bb + 2) + 2 * i,
-                   pochhammer(QSymbolSpec(1, 1 - bb, i)), gauss_binom(k + i - 1, i, squared=True))
+                   pochhammer(1, 1 - bb, i), gauss_binom(k + i - 1, i, squared=True))
             for i in range(bb)
         )
-    head = pochhammer(QSymbolSpec(-1, 1 - bb, bb))
+    head = pochhammer(-1, 1 - bb, bb)
     return _sum_of_products(
         [_neg_q(i * (2 * k - 2 * bb - i + 2), head, gauss_binom(bb + i - 1, i, squared=True))
          for i in range(k)]
         # the tail: (-q)**(k*k + 2k - 2k*bb) times q**(2i) is (-q)**(k*k + 2k - 2k*bb + 2i)
-        + [_neg_q(k * k + 2 * k - 2 * k * bb + 2 * i, pochhammer(QSymbolSpec(-1, 1 - bb, i)),
+        + [_neg_q(k * k + 2 * k - 2 * k * bb + 2 * i, pochhammer(-1, 1 - bb, i),
                   gauss_binom(k + i - 1, i, squared=True))
            for i in range(bb)]
     )

@@ -1,9 +1,10 @@
 """q-calculus building blocks.
 
 q-integers, the Euler step weights ``1 - q**h`` and ``1 - t*q**h``,
-q-Pochhammer symbols (including shifted bases such as ``-q**(1-b)``),
-Gaussian binomial coefficients in base q and base q**2, ballot numbers, and
-the auxiliary polynomial family ``(1-q) * A_k(q)``.
+q-Pochhammer symbols ``(sign * q**power; q)_length``, named by those three
+ints (including shifted bases such as ``-q**(1-b)``), Gaussian binomial
+coefficients in base q and base q**2, ballot numbers, and the auxiliary
+polynomial family ``(1-q) * A_k(q)``.
 
 All functions are pure.  The q-integers, the Gaussian binomials, the q-Pochhammer
 and odd q-Pochhammer symbols, the square sums and each ballot kernel's ``K_k``
@@ -20,11 +21,9 @@ from functools import cache
 from operator import index
 from typing import Callable, Iterable
 
-from ._record import Record
 from .exactalg import Item, LaurentPoly, ONE, ONE_MINUS_Q, ZERO, _sign, _size, _sum_of_products, monomial
 
 __all__ = [
-    "QSymbolSpec",
     "q_int",
     "pochhammer",
     "odd_pochhammer",
@@ -60,28 +59,24 @@ def euler_down(h: int) -> LaurentPoly:
     return ONE - monomial(1, 1, h)
 
 
-class QSymbolSpec(Record):
-    """A q-Pochhammer symbol ``(sign * q**base_power; q)_length``."""
+def pochhammer(sign: int, power: int, length: int) -> LaurentPoly:
+    """``(sign * q**power; q)_length``: the product of ``(1 - sign * q**(power + i))`` for
+    ``i = 0 .. length-1``.
 
-    __slots__ = ("base_sign", "base_power", "length")
-
-    def __init__(self, base_sign: int, base_power: int, length: int):
-        self._fill(_sign(base_sign, "base_sign"), index(base_power), _size(length, "length"))
+    Cached, so a repeated call returns the same object; each argument passes
+    through ``operator.index`` before the cache, so that an integral float
+    cannot reach the entry of an equal int.
+    """
+    return _pochhammer(_sign(sign, "sign"), index(power), _size(length, "length"))
 
 
 @cache
-def pochhammer(spec: QSymbolSpec) -> LaurentPoly:
-    """Product of ``(1 - sign * q**(base_power + i))`` for ``i = 0 .. length-1``.
-
-    Cached by ``spec``, so a repeated call returns the same object; a miss
-    multiplies the cached symbol one factor shorter by the last factor.
-    """
-    if spec.length == 0:
+def _pochhammer(sign: int, power: int, length: int) -> LaurentPoly:
+    """A miss multiplies the cached symbol one factor shorter by the last factor."""
+    if length == 0:
         return ONE
-    sign, power, length = spec.base_sign, spec.base_power, spec.length
-    shorter = pochhammer(QSymbolSpec(sign, power, length - 1))
     # built by subtraction so that a factor 1 -+ q**0 is exactly 0 or 2
-    return shorter * (ONE - monomial(sign, 0, power + length - 1))
+    return _pochhammer(sign, power, length - 1) * (ONE - monomial(sign, 0, power + length - 1))
 
 
 @cache

@@ -53,17 +53,20 @@ class RegistryConfigError(ValueError):
 
 
 class Bounds(Record):
-    """The verification bounds; a non-integer raises ``TypeError`` (each goes through
-    :func:`operator.index`), a value outside its hard cap :class:`RegistryConfigError`."""
+    """The verification bounds, stored as ints: each goes through :func:`operator.index`,
+    so a non-integer raises ``TypeError``; a value outside its hard cap raises
+    :class:`RegistryConfigError`."""
 
     __slots__ = ("max_n", "max_k", "max_b")
 
     def __init__(self, max_n: int, max_k: int, max_b: int):
+        values = []
         for name, value, top in (("max_n", max_n, HARD_MAX_N), ("max_k", max_k, HARD_MAX_K),
                                  ("max_b", max_b, HARD_MAX_B)):
-            if not 0 <= index(value) <= top:
+            values.append(index(value))
+            if not 0 <= values[-1] <= top:
                 raise RegistryConfigError(f"{name} must be in 0..{top}")
-        self._fill(max_n, max_k, max_b)
+        self._fill(*values)
 
 
 class Case(Record):
@@ -197,7 +200,7 @@ def _euler_at(eps: int, b: int) -> Side:
 def _special(eps: int, sign: int) -> Check:
     """The substitution formula at ``t = eps * q**(sign*b)`` against direct substitution."""
     return _same(
-        lambda b, k: formulas.tk_special(formulas.SpecializationKey(eps, sign * b), k),
+        lambda b, k: formulas.tk_special(eps, sign * b, k),
         lambda b, k: formulas.tk_at(eps, sign * b, k),
     )
 
@@ -318,13 +321,13 @@ REGISTRY: tuple[Identity, ...] = (
     Identity("tk-prodinger", "binomial double sum at t = q^b equals direct substitution",
         _B1K, _same(lambda b, k: formulas.tk_prodinger(b, k), lambda b, k: formulas.tk_at(1, b, k))),
     Identity("tk-at-one", "t = 1 specialization degenerates to the square sum",
-        _K, _same(lambda k: formulas.tk_special(formulas.SpecializationKey(1, 0), k),
+        _K, _same(lambda k: formulas.tk_special(1, 0, k),
                   lambda k: qkit.square_sum(k), lambda k: formulas.tk_at(1, 0, k))),
     Identity("tk-at-minus-one", "t = -1 specialization degenerates to 1",
-        _K, _same(lambda k: formulas.tk_special(formulas.SpecializationKey(-1, 0), k),
+        _K, _same(lambda k: formulas.tk_special(-1, 0, k),
                   lambda k: ONE, lambda k: formulas.tk_at(-1, 0, k))),
     Identity("tk-at-q", "t = q specialization recovers the tangent-side kernel",
-        _K1, _same(lambda k: formulas.tk_special(formulas.SpecializationKey(1, 1), k),
+        _K1, _same(lambda k: formulas.tk_special(1, 1, k),
                    lambda k: qkit.a_k_poly(k).divide_exact(ONE_MINUS_Q))),
     Identity("tk-minus-q", "closed form for T_k(-q, q)",
         _K, _same(lambda k: formulas.tk_at_minus_q(k), lambda k: formulas.tk_at(-1, 1, k))),
@@ -356,21 +359,21 @@ REGISTRY: tuple[Identity, ...] = (
         lambda bounds: [{"eps": eps, "b": b, "k": k, "m": m}
                         for eps, b, k in _desk(bounds) if k >= 1 for m in range(b + 1)],
         _same(lambda eps, b, k, m: combinat.l_path_weight_sum(b, k, m, 0, eps),
-              lambda eps, b, k, m: qkit.pochhammer(qkit.QSymbolSpec(eps, 1, m))
+              lambda eps, b, k, m: qkit.pochhammer(eps, 1, m)
               * monomial(1, 0, k * (2 * k + 2 * m + 1))
               * qkit.gauss_binom(b - m - 1, k - 1, squared=True))),
     Identity("lprime-yaxis", "west/south path sums to the y-axis equal their closed form",
         lambda bounds: [{"eps": eps, "b": b, "k": k, "n": n}
                         for eps, b, k in _desk(bounds) for n in range(1, k + 1)],
         _same(lambda eps, b, k, n: combinat.lprime_path_weight_sum(b, k, 0, n, eps),
-              lambda eps, b, k, n: qkit.pochhammer(qkit.QSymbolSpec(eps, 1 - b, b))
+              lambda eps, b, k, n: qkit.pochhammer(eps, 1 - b, b)
               * qkit.neg_q_power((k - n) * (k + n - 2 * b + 2))
               * qkit.partition_box_binom(k - n, b - 1, squared=True))),
     Identity("lprime-xaxis", "west/south path sums to the x-axis equal their closed form",
         lambda bounds: [{"eps": eps, "b": b, "k": k, "m": m}
                         for eps, b, k in _desk(bounds) if k >= 1 for m in range(1, b + 1)],
         _same(lambda eps, b, k, m: combinat.lprime_path_weight_sum(b, k, m, 0, eps),
-              lambda eps, b, k, m: qkit.pochhammer(qkit.QSymbolSpec(eps, 1 - b, b - m))
+              lambda eps, b, k, m: qkit.pochhammer(eps, 1 - b, b - m)
               * qkit.neg_q_power(k * (k - 2 * b + 2) + 2 * (b - m))
               * qkit.partition_box_binom(b - m, k - 1, squared=True))),
     Identity("euler-inv-q", "t = 1/q collapses every positive moment to zero",
@@ -397,8 +400,11 @@ REGISTRY: tuple[Identity, ...] = (
               lambda n: combinat.dyck_weight_sum(n, lambda h: ONE, const).evaluate(1, 1))),
     Identity("alternating-statistic", "13-2 pattern distribution equals the classical q-Euler values",
         lambda bounds: [{"n": n} for n in range(min(2 * bounds.max_n, 8) + 1)],
+        # the third side: the q-tangent and q-secant S-fractions, c_h = [h][h+1] and [h]^2
         _same(lambda n: combinat.alt_statistic_polynomial(n),
-              lambda n: cfrac.en_odd_q(n // 2) if n % 2 else cfrac.en_even_q(n // 2))),
+              lambda n: cfrac.en_odd_q(n // 2) if n % 2 else cfrac.en_even_q(n // 2),
+              lambda n: combinat.dyck_weight_sum(n // 2, qkit.q_int,
+                                                 (lambda h: qkit.q_int(h + 1)) if n % 2 else qkit.q_int))),
     Identity("zeng-numeric", "rational double-sum evaluation matches the fraction moments",
         lambda bounds: [{"n": n, "t": str(t), "q": str(q)} for n in range(min(bounds.max_n, 4) + 1)
                         for t, q in formulas.ZENG_SAMPLE_POINTS[:5]],

@@ -151,11 +151,11 @@ MD_STAR_RULES: dict[str, tuple[WeightRule, WeightRule]] = {
 }
 
 
-def pochhammer_product(sign: int, base_power: int, length: int) -> LaurentPoly:
-    """``(sign * q**base_power; q)_length``, one factor at a time."""
+def pochhammer_product(sign: int, power: int, length: int) -> LaurentPoly:
+    """``(sign * q**power; q)_length``, one factor at a time."""
     out = ONE
     for i in range(length):
-        out = out * (ONE - monomial(sign, 0, base_power + i))
+        out = out * (ONE - monomial(sign, 0, power + i))
     return out
 
 

@@ -10,8 +10,7 @@ import time
 
 from tqeuler import cfrac, cli, combinat, formulas, qkit, registry
 from tqeuler.exactalg import LaurentPoly, ONE, Q, ZERO, const, monomial
-from tqeuler.formulas import SpecializationKey
-from tqeuler.qkit import gauss_binom, partition_box_binom, pochhammer, QSymbolSpec
+from tqeuler.qkit import gauss_binom, partition_box_binom, pochhammer
 
 import reference
 
@@ -66,21 +65,19 @@ def test_03_specialization_suite(acceptance):
     for k in range(7):
         for eps in (1, -1):
             for b in range(0, 5):
-                ok = ok and formulas.tk_special(SpecializationKey(eps, b), k) == (
+                ok = ok and formulas.tk_special(eps, b, k) == (
                     formulas.tk_recurrence(k).substitute_t(eps, b)
                 )
             for b in range(1, 5):
-                ok = ok and formulas.tk_special(SpecializationKey(eps, -b), k) == (
+                ok = ok and formulas.tk_special(eps, -b, k) == (
                     formulas.tk_recurrence(k).substitute_t(eps, -b)
                 )
         for b in range(1, 5):
             ok = ok and formulas.tk_prodinger(b, k) == formulas.tk_recurrence(k).substitute_t(1, b)
     for k in range(1, 7):
-        ok = ok and formulas.tk_special(SpecializationKey(1, 0), k) == qkit.square_sum(k)
-        ok = ok and formulas.tk_special(SpecializationKey(1, 1), k) == qkit.a_k_poly(
-            k
-        ).divide_exact(ONE_MINUS_Q)
-        ok = ok and formulas.tk_special(SpecializationKey(-1, 0), k) == ONE
+        ok = ok and formulas.tk_special(1, 0, k) == qkit.square_sum(k)
+        ok = ok and formulas.tk_special(1, 1, k) == qkit.a_k_poly(k).divide_exact(ONE_MINUS_Q)
+        ok = ok and formulas.tk_special(-1, 0, k) == ONE
     acceptance("03-specialization-suite", ok)
 
 
@@ -157,7 +154,7 @@ def test_07_lemma_checks(acceptance):
                     if (b, k) != (0, 0):
                         lhs = combinat.lprime_path_weight_sum(b, k, 0, n, eps)
                         rhs = (
-                            pochhammer(QSymbolSpec(eps, 1 - b, b))
+                            pochhammer(eps, 1 - b, b)
                             * qkit.neg_q_power((k - n) * (k + n - 2 * b + 2))
                             * partition_box_binom(k - n, b - 1, squared=True)
                         )
@@ -166,7 +163,7 @@ def test_07_lemma_checks(acceptance):
                     for m in range(0, b + 1):
                         lhs = combinat.l_path_weight_sum(b, k, m, 0, eps)
                         rhs = (
-                            pochhammer(QSymbolSpec(eps, 1, m))
+                            pochhammer(eps, 1, m)
                             * monomial(1, 0, k * (2 * k + 2 * m + 1))
                             * gauss_binom(b - m - 1, k - 1, squared=True)
                         )
@@ -175,7 +172,7 @@ def test_07_lemma_checks(acceptance):
                     if (b, k) != (0, 0):
                         lhs = combinat.lprime_path_weight_sum(b, k, m, 0, eps)
                         rhs = (
-                            pochhammer(QSymbolSpec(eps, 1 - b, b - m))
+                            pochhammer(eps, 1 - b, b - m)
                             * qkit.neg_q_power(k * (k - 2 * b + 2) + 2 * (b - m))
                             * partition_box_binom(b - m, k - 1, squared=True)
                         )

@@ -6,11 +6,14 @@ from the two error classes of ``combinat`` and the two data constants of
 ``formulas`` (``DEFAULT_ZENG_BRACKET`` is ``zeng_bracket_qint`` under its
 adopted name), and one row per callable of ``exactalg.__all__`` apart from
 its two error classes, where ``LaurentPoly`` has one row per method that
-takes a size, named ``LaurentPoly.<method>``.  A row holds the call at size
-s, its definition (from ``reference``, or the documented base value where -1
-raises), the enumeration cutoff (None outside ``combinat``) and the error
-documented for a negative size (None where the call is defined there, which
-for an oracle means the family is empty and the value ZERO).  A call whose
+takes a size, named ``LaurentPoly.<method>``, and ``pochhammer`` and
+``tk_special`` have a second row each, ``pochhammer.unit-base`` (base
+``q**0``) and ``tk_special.b`` (the size is the power b of ``t = q**b``).  A
+row holds the call at size s, its definition (from ``reference``, or the
+documented base value where -1 raises), the enumeration cutoff (None outside
+``combinat``) and the error documented for a negative size (None where the
+call is defined there, which for an oracle means the family is empty and the
+value ZERO).  A call whose
 range starts at 1 is made at s + 1, so -1 is again just below its range:
 the functional equation, the two step relations, the factor of
 ``scale_q``, the sign of ``substitute_t`` and the divisor of
@@ -58,7 +61,6 @@ from tqeuler.combinat import (
 )
 from tqeuler.exactalg import ONE, ONE_MINUS_Q, Q, T, LaurentPoly, ZERO, const, monomial
 from tqeuler.formulas import (
-    SpecializationKey,
     a_k_inverse,
     alpha_step_holds,
     beta_step_holds,
@@ -85,7 +87,6 @@ from tqeuler.formulas import (
     zeng_value,
 )
 from tqeuler.qkit import (
-    QSymbolSpec,
     a_k_poly,
     ballot,
     euler_down,
@@ -151,10 +152,10 @@ QE = MD_STAR_RULES["q-int-euler-down"]
 
 TABLE = {
     # qkit
-    "QSymbolSpec": Row(lambda s: pochhammer(QSymbolSpec(1, 0, s)),
-                       lambda s: pochhammer_product(1, 0, s), None, ValueError),
+    "pochhammer.unit-base": Row(lambda s: pochhammer(1, 0, s),
+                                lambda s: pochhammer_product(1, 0, s), None, ValueError),
     "q_int": Row(q_int, q_int_reference, None, ValueError),
-    "pochhammer": Row(lambda s: pochhammer(QSymbolSpec(-1, -1, s)),
+    "pochhammer": Row(lambda s: pochhammer(-1, -1, s),
                       lambda s: pochhammer_product(-1, -1, s), None, ValueError),
     "odd_pochhammer": Row(odd_pochhammer, odd_pochhammer_reference, None, ValueError),
     "gauss_binom": Row(lambda s: gauss_binom(s, 0), lambda s: gauss_binom_reference(s, 0), None, None),
@@ -200,13 +201,12 @@ TABLE = {
     "en_odd_q": Row(en_odd_q, lambda s: ONE, None, ValueError),
     # formulas: T_0 = 1, each normalized Euler route is 1 at n = 0 (the unshifted tangent
     # form carries one more factor 1 - q), and each step relation holds at its first point
-    "SpecializationKey": Row(lambda s: tk_special(SpecializationKey(1, s), 1),
-                             lambda b: ONE - Q - q_power(b + 1), None, None),
+    "tk_special.b": Row(lambda s: tk_special(1, s, 1), lambda b: ONE - Q - q_power(b + 1), None, None),
     "tk_recurrence": Row(tk_recurrence, lambda s: ONE, None, ValueError),
     "tk_closed": Row(tk_closed, lambda s: ONE, None, ValueError),
     "tk_functional_equation_holds": Row(lambda s: tk_functional_equation_holds(s + 1),
                                         lambda s: True, None, ValueError),
-    "tk_special": Row(lambda s: tk_special(SpecializationKey(-1, 2), s), lambda s: ONE, None, ValueError),
+    "tk_special": Row(lambda s: tk_special(-1, 2, s), lambda s: ONE, None, ValueError),
     "tk_prodinger": Row(lambda s: tk_prodinger(1, s), lambda s: ONE, None, ValueError),
     "tk_at": Row(lambda s: tk_at(-1, -2, s), lambda s: ONE, None, ValueError),
     "tk_at_minus_q": Row(tk_at_minus_q, lambda s: ONE, None, ValueError),
@@ -273,7 +273,7 @@ def test_boundary(name, s):
     lambda: gauss_binom(2.5, 1),
     lambda: gauss_binom(3, 1.0),
     lambda: (gauss_binom(4, 2, squared=True), gauss_binom(4.0, 2, squared=True)),
-    lambda: SpecializationKey(1, 1.5),
+    lambda: tk_special(1, 1.5, 1),
     lambda: tk_prodinger(1.5, 2),
     lambda: monomial(1, 0, 1.5),
     lambda: const(1.5),
@@ -288,7 +288,7 @@ def test_boundary(name, s):
     lambda: partition_box_binom(0, 2.5),
     lambda: a_k_poly(0.0),
     lambda: a_k_inverse(0.0),
-    lambda: tk_special(SpecializationKey(1, 2), 0.0),
+    lambda: tk_special(1, 2, 0.0),
     lambda: alt_statistic_polynomial(0.0),
     lambda: sop_weight_sum(-1.0),
     lambda: delta_prime_weight_sum(-1.0),
@@ -298,7 +298,7 @@ def test_boundary(name, s):
     lambda: box_size_polynomial(9.5, 2),
     lambda: delta_prime_weight_sum(7.5),
     lambda: dyck_weight_sum(9.0, *UV),
-], ids=["gauss_binom-n", "gauss_binom-k", "gauss_binom-warm-cache", "SpecializationKey-b", "tk_prodinger-b",
+], ids=["gauss_binom-n", "gauss_binom-k", "gauss_binom-warm-cache", "tk_special-b", "tk_prodinger-b",
         "monomial", "const", "LaurentPoly.__pow__", "LaurentPoly.scale_q", "LaurentPoly.substitute_t",
         "LaurentPoly.shift_t_by_q", "LaurentPoly.divide_exact", "partition_box_binom-empty-rows",
         "partition_box_binom-negative-rows", "partition_box_binom-cols", "a_k_poly", "a_k_inverse",
@@ -326,17 +326,17 @@ def test_non_integer_size_raises_type_error_at_either_sign(name, s):
 
 
 @pytest.mark.parametrize("call", [
-    lambda eps: QSymbolSpec(eps, 0, 2),
-    lambda eps: SpecializationKey(eps, 2),
+    lambda eps: pochhammer(eps, 0, 2),
+    lambda eps: tk_special(eps, 2, 2),
     lambda eps: (ONE + T).substitute_t(eps, 2),
     lambda eps: l_path_weight_sum(2, 2, 1, 0, eps),
     lambda eps: lprime_path_weight_sum(2, 2, 1, 0, eps),
     lambda eps: tk_at(eps, 2, 2),
-], ids=["QSymbolSpec", "SpecializationKey", "LaurentPoly.substitute_t", "l_path_weight_sum",
+], ids=["pochhammer", "tk_special", "LaurentPoly.substitute_t", "l_path_weight_sum",
         "lprime_path_weight_sum", "tk_at"])
 @pytest.mark.parametrize("eps", [1, -1])
 def test_non_integer_sign_raises_type_error_cold_and_warm(call, eps):
-    # +-1.0 used to pass every sign check but QSymbolSpec's, and reached tk_at's memo
+    # +-1.0 used to pass every sign check but pochhammer's, and reached tk_at's memo
     tqeuler.clear_caches()
     with pytest.raises(TypeError):
         call(float(eps))
@@ -351,20 +351,23 @@ def test_divide_exact_needs_a_divisor_with_one_t_row():
 
 
 @pytest.mark.parametrize("call", [
-    lambda s: pochhammer(QSymbolSpec(1, 0, s)),
+    lambda s: pochhammer(1, 0, s),
+    lambda s: pochhammer(1, s, 2),
     odd_pochhammer,
     lambda s: gauss_binom(s, 1),
     tk_recurrence,
     lambda s: tk_at(1, 0, s),
     lambda s: tk_at(1, s, 2),
+    lambda s: tk_special(1, 2, s),
+    lambda s: tk_special(1, s, 2),
     euler_hat,
     dn_hat,
     square_sum,
-], ids=["pochhammer", "odd_pochhammer", "gauss_binom", "tk_recurrence", "tk_at-k", "tk_at-b", "euler_hat",
-        "dn_hat", "square_sum"])
+], ids=["pochhammer", "pochhammer-power", "odd_pochhammer", "gauss_binom", "tk_recurrence", "tk_at-k",
+        "tk_at-b", "tk_special-k", "tk_special-b", "euler_hat", "dn_hat", "square_sum"])
 @pytest.mark.parametrize("size", [2.0, 2.5])
 def test_non_integer_size_raises_type_error_cold_and_warm(call, size):
-    # a memo keyed by an equal spec or tuple must not turn 2.0 into the value at 2
+    # a memo keyed by an equal tuple must not turn 2.0 into the value at 2
     tqeuler.clear_caches()
     with pytest.raises(TypeError):
         call(size)

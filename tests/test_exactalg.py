@@ -29,7 +29,7 @@ from tqeuler.exactalg import (
     _to_int,
 )
 from tqeuler.formulas import tk_recurrence
-from tqeuler.qkit import QSymbolSpec, ballot, pochhammer
+from tqeuler.qkit import ballot, pochhammer
 
 from reference import (
     add_reference,
@@ -511,7 +511,7 @@ class TestDivision:
         st.one_of(
             st.integers(0, 24).map(lambda m: ONE_MINUS_Q**m),
             st.builds(
-                lambda eps, b: pochhammer(QSymbolSpec(eps, 1, b)),
+                lambda eps, b: pochhammer(eps, 1, b),
                 st.sampled_from([1, -1]),
                 st.integers(0, 8),
             ),

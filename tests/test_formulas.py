@@ -11,7 +11,6 @@ from tqeuler import cfrac, cli, combinat, formulas, qkit, registry
 from tqeuler.exactalg import LaurentPoly, ONE, Q, T, ZeroDenominatorError, const, monomial
 from tqeuler.formulas import (
     DEFAULT_ZENG_BRACKET,
-    SpecializationKey,
     ZENG_SAMPLE_POINTS,
     alpha_step_holds,
     beta_step_holds,
@@ -128,36 +127,34 @@ class TestTkFamily:
 
 class TestSpecializations:
     def test_plus_q(self):
-        got = tk_special(SpecializationKey(1, 1), 1)
+        got = tk_special(1, 1, 1)
         assert got == LaurentPoly({(0, 0): 1, (0, 1): -1, (0, 2): -1})
 
     def test_minus_one_any_k(self):
         for k in range(7):
-            assert tk_special(SpecializationKey(-1, 0), k) == ONE
+            assert tk_special(-1, 0, k) == ONE
 
     def test_inverse_q_collapses(self):
-        assert tk_special(SpecializationKey(1, -1), 2) == monomial(1, 0, 4)
+        assert tk_special(1, -1, 2) == monomial(1, 0, 4)
 
     def test_all_quadrants_match_substitution(self):
         for k in range(7):
             for eps in (1, -1):
                 for b in range(0, 5):
-                    key = SpecializationKey(eps, b)
-                    assert tk_special(key, k) == tk_recurrence(k).substitute_t(eps, b)
+                    assert tk_special(eps, b, k) == tk_recurrence(k).substitute_t(eps, b)
                 for b in range(1, 5):
-                    key = SpecializationKey(eps, -b)
-                    assert tk_special(key, k) == tk_recurrence(k).substitute_t(eps, -b)
+                    assert tk_special(eps, -b, k) == tk_recurrence(k).substitute_t(eps, -b)
 
     def test_b_zero_reductions(self):
         for k in range(1, 9):
-            assert tk_special(SpecializationKey(1, 0), k) == square_sum(k)
-            assert tk_special(SpecializationKey(1, 1), k) == a_k_poly(k).divide_exact(ONE_MINUS_Q)
+            assert tk_special(1, 0, k) == square_sum(k)
+            assert tk_special(1, 1, k) == a_k_poly(k).divide_exact(ONE_MINUS_Q)
 
     def test_range_error(self):
         with pytest.raises(ValueError):
-            tk_special(SpecializationKey(1, 1), -1)
+            tk_special(1, 1, -1)
         with pytest.raises(ValueError):
-            SpecializationKey(0, 1)
+            tk_special(0, 1, 1)
 
     def test_prodinger(self):
         assert tk_prodinger(1, 0) == ONE
@@ -385,10 +382,8 @@ def test_clear_caches_changes_no_result():
             [euler_hat_odd_pochhammer(n) for n in range(5)],
             [qkit.odd_pochhammer(i) for i in (6, 2, 9, 0)],
             [tk_at(eps, b, k) for eps in (1, -1) for b in range(-3, 4) for k in range(6)],
-            [
-                qkit.pochhammer(qkit.QSymbolSpec(sign, power, length))
-                for sign in (1, -1) for power in range(-3, 4) for length in range(6)
-            ],
+            [qkit.pochhammer(sign, power, length)
+             for sign in (1, -1) for power in range(-3, 4) for length in range(6)],
             [registry._ballot_marked_sum(n, w) for n in range(5) for w in ("euler", "q-int")],
             # every ballot route out of order: each K_k is summed on its first request
             [route(n) for route, *_, top in BALLOT_ROUTES.values() for n in (9, 3, 11, 0) if n <= top],
@@ -400,7 +395,7 @@ def test_clear_caches_changes_no_result():
 
     warm = results()
     memos = (tk_recurrence, formulas._tk_at, qkit._gauss, cfrac.euler_hat, cfrac.dn_hat,
-             qkit.pochhammer, qkit._kernel, qkit.odd_pochhammer, qkit.square_sum)
+             qkit._pochhammer, qkit._kernel, qkit.odd_pochhammer, qkit.square_sum)
     tqeuler.clear_caches()
     assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
     assert results() == warm

@@ -7,7 +7,6 @@ import tqeuler
 from tqeuler.combinat import box_size_polynomial
 from tqeuler.exactalg import LaurentPoly, ONE, Q, ZERO, monomial
 from tqeuler.qkit import (
-    QSymbolSpec,
     a_k_poly,
     ballot,
     euler_down,
@@ -46,34 +45,33 @@ def test_tq_factor():
 
 
 def test_pochhammer():
-    assert pochhammer(QSymbolSpec(1, 1, 0)) == ONE
-    assert pochhammer(QSymbolSpec(1, 1, 2)) == LaurentPoly(
+    assert pochhammer(1, 1, 0) == ONE
+    assert pochhammer(1, 1, 2) == LaurentPoly(
         {(0, 0): 1, (0, 1): -1, (0, 2): -1, (0, 3): 1}
     )
     # negative base power: (-q^-1; q)_2 = (1 + q^-1)(1 + 1)
-    assert pochhammer(QSymbolSpec(-1, -1, 2)) == LaurentPoly({(0, 0): 2, (0, -1): 2})
+    assert pochhammer(-1, -1, 2) == LaurentPoly({(0, 0): 2, (0, -1): 2})
 
 
 def test_pochhammer_unit_base_collapses():
-    # the i = -base_power factor is (1 -+ 1): 0 for sign +1, 2 for sign -1
-    assert pochhammer(QSymbolSpec(1, 0, 1)) == ZERO
-    assert pochhammer(QSymbolSpec(-1, 0, 1)) == LaurentPoly({(0, 0): 2})
+    # the i = -power factor is (1 -+ 1): 0 for sign +1, 2 for sign -1
+    assert pochhammer(1, 0, 1) == ZERO
+    assert pochhammer(-1, 0, 1) == LaurentPoly({(0, 0): 2})
 
 
 def test_pochhammer_cache_matches_product_loop():
-    specs = [
-        QSymbolSpec(sign, power, length)
+    symbols = [
+        (sign, power, length)
         for sign in (1, -1)
         for power in range(-9, 10)
         for length in range(9, -1, -1)
     ]
     tqeuler.clear_caches()
     for _ in range(2):  # cold, then every symbol from the cache
-        for spec in specs:
-            want = pochhammer_product(spec.base_sign, spec.base_power, spec.length)
-            assert pochhammer(spec) == want
-    assert pochhammer(QSymbolSpec(1, -3, 4)) == ZERO  # the factor 1 - q**0
-    assert pochhammer(QSymbolSpec(-1, -3, 4)) is pochhammer(QSymbolSpec(-1, -3, 4))
+        for symbol in symbols:
+            assert pochhammer(*symbol) == pochhammer_product(*symbol)
+    assert pochhammer(1, -3, 4) == ZERO  # the factor 1 - q**0
+    assert pochhammer(-1, -3, 4) is pochhammer(-1, -3, 4)
 
 
 def test_odd_pochhammer():
@@ -186,9 +184,9 @@ def test_neg_q_power():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        QSymbolSpec(2, 0, 1)
-    with pytest.raises(ValueError):
-        QSymbolSpec(1, 0, -1)
+    with pytest.raises(ValueError, match="sign must be"):
+        pochhammer(2, 0, 1)
+    with pytest.raises(ValueError, match="length must be"):
+        pochhammer(1, 0, -1)
     with pytest.raises(ValueError):
         q_int(-1)

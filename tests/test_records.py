@@ -1,6 +1,7 @@
-"""The value records behave as the frozen dataclasses they replace; importing the
-package and computing a polynomial load neither ``json``, ``csv`` nor the verification
-table with its ``dataclasses`` and ``inspect``; the table's names load on first use."""
+"""The value records of the verification table behave as the frozen dataclasses they
+replace; importing the package and computing a polynomial load neither ``json``, ``csv``,
+the record base ``tqeuler._record`` nor the verification table with its ``dataclasses``
+and ``inspect``; the table's names load on first use."""
 
 import copy
 import dataclasses
@@ -14,19 +15,16 @@ import pytest
 
 import tqeuler
 from tqeuler import cli, formulas, qkit, registry
-from tqeuler.formulas import SpecializationKey
-from tqeuler.qkit import QSymbolSpec
+from tqeuler.formulas import tk_special
+from tqeuler.qkit import pochhammer
 from tqeuler.registry import Bounds, Case, RegistryConfigError, VerificationReport
 
 RECORDS = [
-    (QSymbolSpec, (1, 1, 2)),
-    (QSymbolSpec, (-1, -3, 0)),
-    (SpecializationKey, (-1, 4)),
     (Bounds, (8, 6, 4)),
     (Case, ("tk-closed", {"k": 3}, "pass", 1234, None)),
     (Case, ("tk-closed", {"k": 3}, "fail", 5, "lhs = 1 ; rhs = 2")),
 ]
-IDS = ["spec", "spec-empty", "key", "bounds", "case", "case-detail"]
+IDS = ["bounds", "case", "case-detail"]
 
 
 def dataclass_twin(cls):
@@ -49,8 +47,6 @@ def test_repr_and_hash_are_the_dataclass_ones(cls, args):
 
 
 def test_repr_text():
-    assert repr(QSymbolSpec(1, 1, 2)) == "QSymbolSpec(base_sign=1, base_power=1, length=2)"
-    assert repr(SpecializationKey(1, -2)) == "SpecializationKey(eps=1, b=-2)"
     assert repr(Bounds(8, 6, 4)) == "Bounds(max_n=8, max_k=6, max_b=4)"
     assert repr(Case("x", {"n": 1}, "pass", 7)) == "Case(id='x', params={'n': 1}, status='pass', us=7, detail=None)"
 
@@ -66,8 +62,6 @@ def test_equal_only_to_a_record_of_its_class(cls, args):
 
 
 def test_field_changes_break_equality():
-    assert QSymbolSpec(1, 1, 2) != QSymbolSpec(-1, 1, 2) != QSymbolSpec(-1, 0, 2) != QSymbolSpec(-1, 0, 3)
-    assert SpecializationKey(1, 2) != SpecializationKey(1, -2)
     assert Bounds(8, 6, 4) != Bounds(8, 6, 3)
     assert Case("x", {}, "pass", 1) != Case("x", {}, "pass", 2)
 
@@ -91,17 +85,18 @@ def test_keyword_construction_copy_and_pickle(cls, args):
 
 
 @pytest.mark.parametrize("call, error", [
-    (lambda: QSymbolSpec(2, 0, 1), ValueError),
-    (lambda: QSymbolSpec(0, 0, 1), ValueError),
-    (lambda: QSymbolSpec(1, 0, -1), ValueError),
-    (lambda: QSymbolSpec(1, 0.5, 1), TypeError),
-    (lambda: QSymbolSpec(1, 0, 2.0), TypeError),
-    # an integral float sign used to build a spec equal to the int one: warm, the cached symbol
-    # came back, cold, the product raised TypeError
-    (lambda: QSymbolSpec(1.0, 0, 1), TypeError),
-    (lambda: QSymbolSpec(base_sign=1, base_power=None, length=1), TypeError),
-    (lambda: SpecializationKey(0, 1), ValueError),
-    (lambda: SpecializationKey(1, 1.5), TypeError),
+    # pochhammer and tk_special take plain ints now, and raise what the records they took
+    # raised for the same fields
+    (lambda: pochhammer(2, 0, 1), ValueError),
+    (lambda: pochhammer(0, 0, 1), ValueError),
+    (lambda: pochhammer(1, 0, -1), ValueError),
+    (lambda: pochhammer(1, 0.5, 1), TypeError),
+    (lambda: pochhammer(1, 0, 2.0), TypeError),
+    # an integral float sign used to reach the cached symbol of the int one, warm
+    (lambda: pochhammer(1.0, 0, 1), TypeError),
+    (lambda: pochhammer(sign=1, power=None, length=1), TypeError),
+    (lambda: tk_special(0, 1, 1), ValueError),
+    (lambda: tk_special(1, 1.5, 1), TypeError),
     (lambda: Bounds(13, 0, 0), RegistryConfigError),
     (lambda: Bounds(0, -1, 0), RegistryConfigError),
     (lambda: Bounds(0, 0, 9), RegistryConfigError),
@@ -118,6 +113,27 @@ def test_bounds_error_names_the_first_bad_bound():
     with pytest.raises(RegistryConfigError, match="max_k must be in 0..10"):
         Bounds(3, 11, 9)
     assert issubclass(RegistryConfigError, ValueError)
+
+
+class Index:
+    """A stand-in for an int that has only ``__index__``."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+def test_bounds_store_the_indexed_ints():
+    # Bounds used to check index(value) but keep the value: the first grid then raised
+    # TypeError outside the per-cell try, and a bool bound kept its repr
+    bounds = Bounds(True, Index(6), 4)
+    assert repr(bounds) == "Bounds(max_n=1, max_k=6, max_b=4)"
+    assert [type(value) for value in (bounds.max_n, bounds.max_k, bounds.max_b)] == [int, int, int]
+    cells = [[(c.id, c.params, c.status, c.detail) for c in tqeuler.run_verification(*args).cases]
+             for args in ((Index(1), 1, Index(1)), (1, 1, 1))]
+    assert cells[0] == cells[1]
 
 
 def test_case():
@@ -156,7 +172,7 @@ def fresh_run(code: str) -> str:
     return out.splitlines()[-1]
 
 
-HEAVY = ("json", "csv", "tqeuler.registry", "dataclasses", "inspect")
+HEAVY = ("json", "csv", "tqeuler._record", "tqeuler.registry", "dataclasses", "inspect")
 
 
 def added_heavy(statements: str) -> str:

@@ -11,8 +11,11 @@ last entry, derived from the pattern alone; the permutations themselves are
 listed only in ``tests/reference.py``, which tests the transfer against them.
 
 Every oracle enumerates its leaves, tallies their exponents and builds one
-polynomial from the tally, using nothing from ``formulas``.  A partition is
-a weakly decreasing tuple of positive parts.
+polynomial from the tally, using nothing from ``formulas``.  A leaf carries
+plain ints, so that tallying it needs no pass over an object: a partition
+leaf is a weakly decreasing tuple of positive parts with its size and its
+number of distinct parts, and a marked-path leaf one int that codes its
+exponents and its multi-term steps (see :func:`_marked_walk`).
 
 Enumerators fail loudly past their cutoffs instead of truncating silently.
 """
@@ -76,30 +79,46 @@ def _check_cutoff(family: str, *values: int) -> None:
 # partitions, as weakly decreasing tuples of positive parts
 
 
-def _bounded_parts(bounds: Sequence[int]) -> list[tuple[int, ...]]:
-    """All weakly decreasing tuples with i-th entry <= bounds[i] (zeros trimmed)."""
-    out: list[tuple[int, ...]] = []
+Leaf = tuple[tuple[int, ...], int, int]  # (parts, size, number of distinct parts)
 
-    def rec(prefix: tuple[int, ...], i: int, prev: int) -> None:
-        if i < len(bounds):
+
+def _bounded_parts(bounds: Sequence[int]) -> list[Leaf]:
+    """All weakly decreasing tuples with i-th entry <= bounds[i] (zeros trimmed), each
+    as a leaf ``(parts, size, distinct)``: its parts, their sum, and how many distinct
+    values they take.
+
+    A step that appends ``v`` adds v to the size, and 1 to the distinct count when v
+    differs from the part before it.  The first part is compared with one above every
+    bound, so it always counts.
+    """
+    out: list[Leaf] = []
+    depth = len(bounds)
+
+    def rec(prefix: tuple[int, ...], i: int, prev: int, size: int, distinct: int) -> None:
+        if i < depth:
             for v in range(min(prev, bounds[i]), 0, -1):
-                rec(prefix + (v,), i + 1, v)
-        out.append(prefix)
+                rec(prefix + (v,), i + 1, v, size + v, distinct + (v != prev))
+        out.append((prefix, size, distinct))
 
-    rec((), 0, max(bounds, default=0))
+    rec((), 0, max(bounds, default=0) + 1, 0, 0)
     del rec  # rec reaches itself through this cell; emptying it leaves no reference cycle
     return out
 
 
-def _box_parts(m: int, n: int) -> list[tuple[int, ...]]:
-    """All partitions in the box with m rows and n columns."""
+def _box_leaves(m: int, n: int) -> list[Leaf]:
+    """The :func:`_bounded_parts` leaves of the partitions in the box with m rows and n columns."""
     m, n = _size(m, "m"), _size(n, "n")
     return _bounded_parts([n] * m)
 
 
+def _box_parts(m: int, n: int) -> list[tuple[int, ...]]:
+    """All partitions in the box with m rows and n columns."""
+    return [parts for parts, _, _ in _box_leaves(m, n)]
+
+
 def _staircase_parts(k: int) -> list[tuple[int, ...]]:
     """All partitions in the staircase (k, k-1, ..., 1); only () for k <= 0."""
-    return _bounded_parts(range(k, 0, -1))
+    return [parts for parts, _, _ in _bounded_parts(range(k, 0, -1))]
 
 
 def _conjugate(parts: Sequence[int]) -> tuple[int, ...]:
@@ -111,7 +130,7 @@ def box_size_polynomial(m: int, n: int) -> LaurentPoly:
     """Generating polynomial ``sum q**|lam|`` over partitions in B(m, n); a negative
     dimension raises ``ValueError``, as a box with -1 rows is no object to enumerate."""
     _check_cutoff("partition", m, n)
-    return LaurentPoly(Counter((0, sum(parts)) for parts in _box_parts(m, n)))
+    return LaurentPoly(Counter((0, size) for _, size, _ in _box_leaves(m, n)))
 
 
 def dist_box_polynomial(m: int, n: int) -> LaurentPoly:
@@ -122,9 +141,7 @@ def dist_box_polynomial(m: int, n: int) -> LaurentPoly:
     :func:`tqeuler.formulas.dist_box_closed`: a box with -1 rows is no object.
     """
     _check_cutoff("partition", m, n)
-    return LaurentPoly(
-        Counter((len(set(parts)), sum(parts)) for parts in _box_parts(m, n))
-    )
+    return LaurentPoly(Counter((distinct, size) for _, size, distinct in _box_leaves(m, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -185,38 +202,60 @@ def _marked_walk(n: int, up_rule: WeightRule, down_rule: WeightRule, mark: int) 
     Still brute force: one leaf per path, and nothing memoised across
     (height, remaining, last step) states, which would turn the marked sum
     into the transfer-matrix recurrence it is checked against.  The walk goes
-    depth first over the ints ``(c, e_t, e_q, key)``: a step folds in a
-    monomial weight, adds the digit of a multi-term one to the key (see
-    :func:`_step_table`) or ends the branch on a zero one.  Each leaf adds c
-    to a count keyed by ``(key, e_t, e_q)``, and :func:`_multiply_keys`
-    multiplies every key out in one packed sum; with all-monomial rules the
+    depth first over a coefficient c and one int per prefix,
+    ``x = key + K*(e_q + W*e_t)``: the key of :func:`_step_table`, which
+    counts the multi-term steps taken, and the exponents of the monomial steps
+    taken.  Each step table entry is ``(c, code)``, the code being the ``x``
+    of that one step, so a step multiplies c and adds its code, and a zero
+    weight ends the branch.  Each leaf adds c to a count keyed by x; each
+    distinct x is decoded once after the walk, and :func:`_multiply_keys`
+    multiplies every key out in one packed sum.  With all-monomial rules the
     key stays 0.
+
+    The fields never carry into each other:
+
+    - K = (n+1)**len(slots) is above every key, since a path takes a step
+      kind at most n times per height, so each base-(n+1) digit is at most n;
+    - a path has 2n steps, so |sum e_q| <= 2n * max|e_q| = H over the
+      monomial step weights, and W = 2H + 1 holds every e_q + H;
+    - e_t is the top field and needs no bound.
+
+    So the decode is ``key = x mod K``, ``r = x div K``,
+    ``e_t = (r + H) div W`` and ``e_q = r - W*e_t``.
     """
     slots: list[LaurentPoly] = []
-    up = _step_table(up_rule, n, slots)
-    down = _step_table(down_rule, n, slots)
-    tally: defaultdict[tuple[int, int, int], int] = defaultdict(int)
+    tables = _step_table(up_rule, n, slots), _step_table(down_rule, n, slots)
+    K = (n + 1) ** len(slots)
+    H = 2 * n * max(abs(eq) for table in tables for _, _, eq, _ in table)
+    W = 2 * H + 1
+    up, down = ([(c, key + K * (eq + W * et)) for c, et, eq, key in table] for table in tables)
+    tally: defaultdict[int, int] = defaultdict(int)
 
-    def walk(c: int, et: int, eq: int, key: int, h: int, remaining: int, after_marked_up: bool) -> None:
+    def walk(c: int, x: int, h: int, remaining: int, after_marked_up: bool) -> None:
         if remaining == 0:
-            tally[key, et, eq] += c
+            tally[x] += c
             return
         if h + 1 <= remaining - 1:
-            sc, st, sq, sd = up[h + 1]
+            sc, sx = up[h + 1]
             if sc:
-                walk(c * sc, et + st, eq + sq, key + sd, h + 1, remaining - 1, False)
+                walk(c * sc, x + sx, h + 1, remaining - 1, False)
             if mark:
-                walk(c * mark, et, eq, key, h + 1, remaining - 1, True)
+                walk(c * mark, x, h + 1, remaining - 1, True)
         if h > 0:
-            sc, st, sq, sd = down[h]
+            sc, sx = down[h]
             if sc:
-                walk(c * sc, et + st, eq + sq, key + sd, h - 1, remaining - 1, False)
+                walk(c * sc, x + sx, h - 1, remaining - 1, False)
             if mark and not after_marked_up:  # a marked down step here would close a marked peak
-                walk(c * mark, et, eq, key, h - 1, remaining - 1, False)
+                walk(c * mark, x, h - 1, remaining - 1, False)
 
-    walk(1, 0, 0, 0, 0, 2 * n, False)
+    walk(1, 0, 0, 2 * n, False)
     del walk  # as in _bounded_parts: no reference cycle is left behind
-    return _multiply_keys(tally, slots, n + 1)
+    decoded = {}
+    for x, c in tally.items():
+        r, key = divmod(x, K)
+        et = (r + H) // W
+        decoded[key, et, r - W * et] = c
+    return _multiply_keys(decoded, slots, n + 1)
 
 
 def dyck_weight_sum(n: int, up_rule: WeightRule, down_rule: WeightRule) -> LaurentPoly:

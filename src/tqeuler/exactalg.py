@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from fractions import Fraction
 from functools import reduce
 from itertools import repeat
 from operator import add, index, mul, neg, sub
@@ -302,8 +301,11 @@ class LaurentPoly:
         zero base.  With ``t0 = a/b`` and ``q0 = c/d`` in lowest terms, the
         terms are summed as integers over the common denominator
         ``b**(tmax-tmin) * d**(qmax-qmin)``, and one Fraction is built at the
-        end, times ``t0**tmin * q0**qmin``.
+        end, times ``t0**tmin * q0**qmin``.  :mod:`fractions` is imported here, on the
+        first call, so that importing the package does not load it.
         """
+        from fractions import Fraction
+
         t0 = Fraction(t0)
         q0 = Fraction(q0)
         rows = self._rows
@@ -561,40 +563,54 @@ def _sum_of_products(items: Iterable[Item]) -> LaurentPoly:
     ``sum |w| * |K_k|_1`` for a ballot expansion.  Items with c = 0 or a zero
     factor are skipped.
 
-    Each factor is packed from the row ints it keeps (see ``_pack_facts``), so a
-    factor's rows are converted once per slot width over every sum it takes part
-    in: a one-row factor is its row int, and a multi-row one is its row ints
+    Two loops.  The first reads each factor's box and norm from its
+    ``_pack_facts`` and widens the union box and the bound as it goes, keeping
+    ``(c, lo_t, lo_q, factors)`` for each live item.  The second reads the
+    factors again, so they must be a sequence: a one-shot iterator, which the
+    first loop has spent, fails ``len`` with ``TypeError`` instead of giving a
+    wrong sum.  It packs each factor from the row ints it keeps, so a factor's
+    rows are converted once per slot width over every sum it takes part in: a
+    one-row factor is its row int, and a multi-row one is its row ints
     shift-added at the sum's stride (``_packed``).
     """
-    live: list[tuple[int, int, int, int, int, list[tuple[LaurentPoly, dict]]]] = []
+    live: list[tuple[int, int, int, Sequence[LaurentPoly]]] = []
     bound = 0
     for c, a, b, factors in items:
         if not c:
             continue
         lo_t, hi_t, lo_q, hi_q, size = a, a, b, b, abs(c)
-        facts = []
         for p in factors:
-            if not p._rows:
-                break
-            (t0, t1, q0, q1), norm, ints = _pack_facts(p)
-            lo_t, hi_t, lo_q, hi_q, size = lo_t + t0, hi_t + t1, lo_q + q0, hi_q + q1, size * norm
-            facts.append((p, ints))
+            try:
+                (t0, t1, q0, q1), norm, _ = p._pack_facts
+            except AttributeError:
+                if not p._rows:
+                    break
+                (t0, t1, q0, q1), norm, _ = _pack_facts(p)
+            lo_t += t0
+            hi_t += t1
+            lo_q += q0
+            hi_q += q1
+            size *= norm
         else:
+            len(factors)  # TypeError for a one-shot iterator, which the loop above has spent
+            if live:
+                tmin, tmax = (lo_t if lo_t < tmin else tmin), (hi_t if hi_t > tmax else tmax)
+                qmin, qmax = (lo_q if lo_q < qmin else qmin), (hi_q if hi_q > qmax else qmax)
+            else:
+                tmin, tmax, qmin, qmax = lo_t, hi_t, lo_q, hi_q
             bound += size
-            live.append((c, lo_t, hi_t, lo_q, hi_q, facts))
+            live.append((c, lo_t, lo_q, factors))
     if not live:
         return ZERO
-    _, lo_ts, hi_ts, lo_qs, hi_qs, _ = zip(*live)
-    tmin, tmax, qmin, qmax = min(lo_ts), max(hi_ts), min(lo_qs), max(hi_qs)
     stride = qmax - qmin + 1
     layout = _Layout.fitting(stride, bound)
     width = layout.width
     bits = 8 * width
     total = 0
-    for c, lo_t, _, lo_q, _, facts in live:
+    for c, lo_t, lo_q, factors in live:
         value = c
-        for p, ints in facts:
-            row_ints = ints.get(width) or _row_ints(p, width)
+        for p in factors:
+            row_ints = p._pack_facts[2].get(width) or _row_ints(p, width)
             value *= row_ints[0] if len(row_ints) == 1 else _packed(p, stride, width)
         total += value << (bits * ((lo_t - tmin) * stride + lo_q - qmin))
     return layout.unpack(total, (tmin, tmax, qmin, qmax))

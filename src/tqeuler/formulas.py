@@ -25,7 +25,6 @@ A substitution ``t = eps * q**b`` is the two ints ``eps, b`` ahead of ``k``, in
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 from operator import index
 from typing import Callable
@@ -216,7 +215,9 @@ def tk_at(eps: int, b: int, k: int) -> LaurentPoly:
     Cached, so a repeated call returns the same object: a miss folds the t-rows
     of ``tk_recurrence(k)`` into one q-row.  ``eps``, ``b`` and ``k`` pass through
     ``operator.index`` before the cache, so that an integral float cannot reach
-    the entry of an equal int.
+    the entry of an equal int.  The memo keeps every ``(eps, b, k)`` it sees, so a
+    caller sweeping b grows it without bound, as it does ``qkit._kernel``;
+    ``tqeuler.clear_caches()`` empties both.
     """
     return _tk_at(_sign(eps, "eps"), index(b), index(k))
 
@@ -395,7 +396,7 @@ def dist_box_closed(m: int, n: int) -> LaurentPoly:
 # the rational double-sum evaluation
 
 
-Bracket = Callable[[int, Fraction, Fraction], Fraction]
+Bracket = Callable[[int, "Fraction", "Fraction"], "Fraction"]
 
 
 def zeng_bracket_qint(m: int, t0: Fraction, q0: Fraction) -> Fraction:
@@ -410,14 +411,25 @@ def zeng_bracket_qint(m: int, t0: Fraction, q0: Fraction) -> Fraction:
 # reproduces them exactly (see tests/test_formulas.py).
 DEFAULT_ZENG_BRACKET: Bracket = zeng_bracket_qint
 
-ZENG_SAMPLE_POINTS: tuple[tuple[Fraction, Fraction], ...] = (
-    (Fraction(2), Fraction(1, 2)),
-    (Fraction(1, 3), Fraction(1, 2)),
-    (Fraction(3), Fraction(2)),
-    (Fraction(-2), Fraction(1, 3)),
-    (Fraction(5, 7), Fraction(2, 5)),
-    (Fraction(1, 2), Fraction(3)),
-)
+
+def __getattr__(name: str):
+    # PEP 562, called only for names not in the module dict.  The first read of
+    # ZENG_SAMPLE_POINTS builds the points and stores them there, so that
+    # fractions (and decimal, which it imports) load only when a caller needs
+    # them: compute and bench never do.
+    if name == "ZENG_SAMPLE_POINTS":
+        from fractions import Fraction
+
+        points = globals()[name] = (
+            (Fraction(2), Fraction(1, 2)),
+            (Fraction(1, 3), Fraction(1, 2)),
+            (Fraction(3), Fraction(2)),
+            (Fraction(-2), Fraction(1, 3)),
+            (Fraction(5, 7), Fraction(2, 5)),
+            (Fraction(1, 2), Fraction(3)),
+        )
+        return points
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def zeng_value(
@@ -435,6 +447,8 @@ def zeng_value(
     denominators, one ``(numerator, denominator)`` pair per term added
     without reduction, and one Fraction is built at the end.
     """
+    from fractions import Fraction
+
     if _size(n, "n") > 5:
         raise ValueError("n must be between 0 and 5")
     t0 = Fraction(t0)

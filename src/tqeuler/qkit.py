@@ -155,7 +155,9 @@ def _ballot_sum(n: int, kernel: Callable[..., Iterable[Item]], *args) -> Laurent
     (K_k,))`` of one packed sum, whose slots hold ``sum |ballot(n, k)| * |K_k|_1``; a ``K_k``
     converts its rows to ints once per slot width over every ``n``.  Kept out of ``__all__`` so
     that profiling wrappers, which follow ``__all__``, charge the time of each expansion to its
-    formula.
+    formula.  The memo keeps every ``(kernel, k, *args)`` it sees, so a caller sweeping an
+    argument (a substitution power r, say) grows it without bound, as it does that of
+    :func:`tqeuler.formulas.tk_at`; ``tqeuler.clear_caches()`` empties both.
     """
     n = _size(n, "n")
     return _sum_of_products((ballot(n, k), 0, 0, (_kernel(kernel, k, *args),)) for k in range(n + 1))
@@ -163,7 +165,8 @@ def _ballot_sum(n: int, kernel: Callable[..., Iterable[Item]], *args) -> Laurent
 
 @cache
 def _kernel(kernel: Callable[..., Iterable[Item]], k: int, *args) -> LaurentPoly:
-    """``K_k`` of a module-level ``kernel``, summed on the first request only."""
+    """``K_k`` of a module-level ``kernel``, summed on the first request only and kept for
+    every argument tuple, without bound, until ``tqeuler.clear_caches()``."""
     return _sum_of_products(kernel(k, *args))
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import tqeuler
-from tqeuler import cfrac
+from tqeuler import cfrac, combinat
 from tqeuler.combinat import (
     CutoffExceededError,
     InvalidEndpointError,
@@ -23,7 +23,10 @@ from tqeuler.combinat import (
     md_star_weight_sum,
     md_star_weight_sum_general,
     sop_weight_sum,
+    _DEFAULT_CUTOFFS,
+    _box_leaves,
     _box_parts,
+    _bounded_parts,
     _conjugate,
     _multiply_keys,
     _staircase_parts,
@@ -135,6 +138,32 @@ class TestBoxEnumeration:
                 oracle(m, n)
         with pytest.raises(ValueError, match="nonnegative"):
             _box_parts(m, n)
+
+
+class TestPartitionLeaves:
+    """Each leaf of the one partition enumerator carries the size and the number of
+    distinct parts of its part tuple."""
+
+    def test_size_and_distinct_count_of_every_leaf(self):
+        cap, stair = _DEFAULT_CUTOFFS["partition"], _DEFAULT_CUTOFFS["delta"]
+        shapes = [[n] * m for m in range(cap + 1) for n in range(cap + 1)]
+        shapes += [range(k, 0, -1) for k in range(stair + 1)]
+        for bounds in shapes:
+            for parts, size, distinct in _bounded_parts(bounds):
+                assert (size, distinct) == (sum(parts), len(set(parts))), (list(bounds), parts)
+
+    def test_part_lists_are_the_leaves_in_order(self):
+        cap, stair = _DEFAULT_CUTOFFS["partition"], _DEFAULT_CUTOFFS["delta"]
+        for m in range(cap + 1):
+            for n in range(cap + 1):
+                assert _box_parts(m, n) == [parts for parts, _, _ in _box_leaves(m, n)]
+        for k in range(-1, stair + 1):
+            assert _staircase_parts(k) == [parts for parts, _, _ in _bounded_parts(range(k, 0, -1))]
+
+    def test_a_first_part_at_the_bound_counts_as_distinct(self):
+        assert _bounded_parts([2, 2]) == [
+            ((2, 2), 4, 1), ((2, 1), 3, 2), ((2,), 2, 1), ((1, 1), 2, 1), ((1,), 1, 1), ((), 0, 0),
+        ]
 
 
 class TestDistBox:
@@ -294,6 +323,87 @@ class TestMarkedDyck:
     def test_oracle_cutoff(self):
         with pytest.raises(CutoffExceededError):
             md_star_weight_sum_general(7, *MD_STAR_RULES["u-v"])
+
+
+@st.composite
+def far_rule_inputs(draw):
+    """k <= 3 and per-height rule values for heights 1..k, each zero, a monomial whose
+    exponents reach +-50, or a sum of two near monomials.  The walk codes the exponents
+    of monomial steps only; a multi-term step is a key digit whatever its exponents."""
+    k = draw(st.integers(0, 3))
+    far = st.builds(monomial, st.integers(-3, 3), st.integers(-50, 50), st.integers(-50, 50))
+    near = st.builds(monomial, st.integers(-3, 3), st.integers(-2, 2), st.integers(-2, 2))
+    value = st.one_of(st.just(ZERO), far, st.builds(lambda a, b: a + b, near, near))
+    rules = st.lists(value, min_size=k, max_size=k)
+    return k, draw(rules), draw(rules)
+
+
+def walk_references(k, up_rule, down_rule):
+    """The plain and the marked sum of ``tests/reference.py``, one path at a time."""
+    plain = sum((dyck_path_weight(p, up_rule, down_rule) for p in dyck_paths(k)), ZERO)
+    marked = sum((p.weight(up_rule, down_rule) for p in enum_md_star(k)), ZERO)
+    return plain, marked
+
+
+FAR_RULES = {
+    # every step q**50 or q**-50: the q-exponent sum is +-H, the edge of its field
+    "q-top": (lambda h: monomial(2, 1, 50), lambda h: monomial(-1, 0, 50)),
+    "q-bottom": (lambda h: monomial(1, -3, -50), lambda h: monomial(3, 50, -50)),
+    # signs and t-exponents alternating with the height, t at -50 below q
+    "alternating": (lambda h: monomial(-1, 50 if h % 2 else -50, -50 if h % 2 else 50),
+                    lambda h: monomial(1, -50, 50 - h)),
+    # a multi-term slot at every odd height beside far monomials
+    "mixed": (lambda h: ONE + monomial(1, 1, h) if h % 2 else monomial(1, -50, 49),
+              lambda h: monomial(-2, 50, -50) if h % 2 else T - monomial(1, 0, -50)),
+    # every step weight a multi-term slot: (up down)**k takes the slots of height 1
+    # k times each, the top digit of the key
+    "all-slots": (lambda h: ONE + monomial(h, 1, 50), lambda h: monomial(1, 0, -50) - T),
+}
+
+
+class TestWalkCode:
+    """The one-int prefix code of ``combinat._marked_walk`` at the edges of its fields."""
+
+    @pytest.mark.parametrize("rules", list(FAR_RULES))
+    @pytest.mark.parametrize("k", range(4))
+    def test_far_rules_match_reference(self, rules, k):
+        up, down = FAR_RULES[rules]
+        plain, marked = walk_references(k, up, down)
+        assert dyck_weight_sum(k, up, down) == plain
+        assert md_star_weight_sum_general(k, up, down) == marked
+
+    def test_q_exponent_sum_reaches_its_bound(self):
+        # every path of length 2k has weight 2**k * (-1)**k * t**k * q**(100k), so the
+        # q field holds exactly H = 2k * 50
+        up, down = FAR_RULES["q-top"]
+        for k in range(4):
+            assert dyck_weight_sum(k, up, down) == monomial(math.comb(2 * k, k) // (k + 1) * (-2) ** k, k, 100 * k)
+
+    @pytest.mark.parametrize("k", range(1, 4))
+    def test_key_reaches_its_top_digit(self, monkeypatch, k):
+        keys = []
+        multiply = combinat._multiply_keys
+
+        def spy(tally, slots, base):
+            keys.extend(key for key, _, _ in tally)
+            return multiply(tally, slots, base)
+
+        monkeypatch.setattr(combinat, "_multiply_keys", spy)
+        up, down = FAR_RULES["all-slots"]
+        md_star_weight_sum_general(k, up, down)
+        # slot 0 is the up step to height 1 and slot k the down step from it
+        assert k + k * (k + 1) ** k in keys
+        assert max(keys) < (k + 1) ** (2 * k)
+
+    @example((3, [monomial(1, 50, 50)] * 3, [monomial(-1, -50, -50)] * 3))
+    @example((2, [ONE + monomial(1, 50, -50), ZERO], [monomial(3, -50, 50), T - Q]))
+    @given(far_rule_inputs())
+    def test_matches_reference_on_far_rules(self, inputs):
+        k, up, down = inputs
+        up_rule, down_rule = (lambda h: up[h - 1]), (lambda h: down[h - 1])
+        plain, marked = walk_references(k, up_rule, down_rule)
+        assert dyck_weight_sum(k, up_rule, down_rule) == plain
+        assert md_star_weight_sum_general(k, up_rule, down_rule) == marked
 
 
 class TestDeltaConfigs:

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import random
@@ -367,6 +368,20 @@ class TestPackedSum:
         items = [(0, 50, -50, (p,)), (1, 0, 0, (p,)), (5, -50, 0, (p, ZERO))]
         assert _sum_of_products(items) == p
         assert boxes == [(0, 0, 0, 8)]
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_zero_factor_anywhere_skips_the_item(self, where):
+        p, r = LaurentPoly({(0, i): i + 1 for i in range(4)}), fresh(T1)
+        factors = {"first": (ZERO, p, r), "middle": (p, ZERO, r), "last": (p, r, ZERO)}[where]
+        assert _sum_of_products([(7, -40, 40, factors), (1, 0, 0, (p,))]) == p
+
+    def test_one_shot_factors_give_the_sum_or_raise_type_error(self):
+        p, r = LaurentPoly({(0, i): i + 1 for i in range(4)}), LaurentPoly({(0, 0): 2, (1, 1): -1, (2, 0): 3})
+        items = [(2, 1, 0, (p, r)), (-1, 0, 3, (r,)), (5, 0, 0, (p, ZERO, r)), (3, -1, 2, ())]
+        want = sum_reference(items)
+        for one_shot in (iter, lambda fs: (f for f in fs), lambda fs: map(fresh, fs)):
+            with contextlib.suppress(TypeError):
+                assert _sum_of_products([(c, a, b, one_shot(fs)) for c, a, b, fs in items]) == want
 
     def test_cancels_to_zero(self):
         p, r = T1, LaurentPoly({(0, i): (-1) ** i for i in range(10)})

@@ -1,7 +1,8 @@
 """The value records of the verification table behave as the frozen dataclasses they
 replace; importing the package and computing a polynomial load neither ``json``, ``csv``,
 the record base ``tqeuler._record`` nor the verification table with its ``dataclasses``
-and ``inspect``; the table's names load on first use."""
+and ``inspect``, nor ``fractions`` with ``decimal``, which only ``verify`` loads; the
+table's names load on first use."""
 
 import copy
 import dataclasses
@@ -175,10 +176,10 @@ def fresh_run(code: str) -> str:
 HEAVY = ("json", "csv", "tqeuler._record", "tqeuler.registry", "dataclasses", "inspect")
 
 
-def added_heavy(statements: str) -> str:
+def added_heavy(statements: str, heavy: tuple[str, ...] = HEAVY) -> str:
     # only what the statements add to sys.modules: start-up (site, .pth files) may load more
     return fresh_run(f"import sys; before = set(sys.modules); {statements}; "
-                     f"print(sorted(set({HEAVY!r}) & (set(sys.modules) - before)))")
+                     f"print(sorted(set({heavy!r}) & (set(sys.modules) - before)))")
 
 
 def test_import_loads_neither_json_nor_csv():
@@ -195,6 +196,22 @@ def test_compute_loads_no_verification_table(target):
 def test_verify_loads_the_verification_table():
     run = "import tqeuler.cli; tqeuler.cli.main(['verify', '--max-n', '0', '--max-k', '0', '--max-b', '0'])"
     assert "'tqeuler.registry'" in added_heavy(run)
+
+
+def test_only_verify_loads_fractions_and_decimal():
+    rational = ("fractions", "decimal")
+    computes = "; ".join(f"tqeuler.cli.main({['compute', *target.split()]!r})"
+                         for target in ["e --n 5", "t --k 4", "d --n 5", "e-even --n 5", "e-odd --n 5"])
+    assert added_heavy(f"import tqeuler, tqeuler.cli; {computes}", rational) == "[]"
+    run = "import tqeuler.cli; tqeuler.cli.main(['verify', '--max-n', '0', '--max-k', '0', '--max-b', '0'])"
+    assert added_heavy(run, rational) == "['decimal', 'fractions']"
+
+
+def test_sample_points_are_built_once_on_first_read():
+    code = ("import sys, tqeuler.formulas as f; before = 'fractions' in sys.modules; "
+            "from tqeuler.formulas import ZENG_SAMPLE_POINTS as points; "
+            "print(before, points is f.ZENG_SAMPLE_POINTS is vars(f)['ZENG_SAMPLE_POINTS'], len(points))")
+    assert fresh_run(code) == "False True 6"
 
 
 LAZY = ("run_verification", "identity_ids", "VerificationReport")

@@ -38,35 +38,19 @@ from .qkit import (
 from .cfrac import euler_hat, dn_hat, en_even_q, en_odd_q
 from .combinat import CutoffExceededError, InvalidEndpointError
 from .formulas import tk_recurrence, tk_closed, tk_special
-from . import cfrac, combinat, formulas, qkit
+from . import cfrac, combinat, exactalg, formulas, qkit
 
 __version__ = "0.1.0"
 
 _LAZY = ("registry", "run_verification", "identity_ids", "VerificationReport")
 
-# Captured at import: a profiling wrapper that later replaces a public name
-# need not carry ``cache_clear``.
-_CACHES = (
-    formulas.tk_recurrence,
-    formulas._tk_at,
-    qkit.q_int,
-    qkit._pochhammer,
-    qkit.odd_pochhammer,
-    qkit._gauss,
-    qkit._kernel,
-    qkit.square_sum,
-    cfrac._binomial,
-    cfrac.euler_hat,
-    cfrac.dn_hat,
-    combinat._completions,
-)
-
 
 def clear_caches() -> None:
-    """Empty every memo the package keeps, the ``functools.cache`` functions in
-    ``_CACHES``.  Results never depend on cache contents; this only makes the
-    next computation run cold."""
-    for memo in _CACHES:
+    """Empty every memo the package keeps, those ``exactalg._memo`` listed in
+    ``exactalg._MEMOS`` as it made them, so a wrapper later bound to a public
+    name need not carry ``cache_clear``.  Results never depend on cache
+    contents; this only makes the next computation run cold."""
+    for memo in exactalg._MEMOS:
         memo.cache_clear()
 
 

@@ -22,11 +22,10 @@ moment n alone by one ``_Layout.unpack``; later requests return that same
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import accumulate
 from typing import Callable, Sequence
 
-from .exactalg import ExpPair, LaurentPoly, ONE_MINUS_Q, _Layout, _size
+from .exactalg import ExpPair, LaurentPoly, ONE_MINUS_Q, _Layout, _memo, _size
 from .qkit import euler_down, euler_up
 
 __all__ = [
@@ -98,7 +97,7 @@ def _moment(binomials: Callable[[int], Sequence[ExpPair]], n: int) -> LaurentPol
     return layout.unpack(state[0], (0, tbound, 0, qbound))
 
 
-@cache
+@_memo
 def _binomial(rule: Callable[[int], LaurentPoly], h: int) -> ExpPair:
     """``(a, b)`` of the step weight ``rule(h)``, read once per rule and h; a weight
     that is not exactly ``1 - t**a * q**b`` with a, b >= 0 raises ``ValueError``."""
@@ -108,13 +107,13 @@ def _binomial(rule: Callable[[int], LaurentPoly], h: int) -> ExpPair:
     raise ValueError(f"step weight {rule(h)} is not 1 - t**a * q**b with a, b >= 0")
 
 
-@cache
+@_memo
 def euler_hat(n: int) -> LaurentPoly:
     """Normalized (t,q)-Euler number ``(1-q)**(2n) * E_n(t,q)``."""
     return _moment(lambda h: (_binomial(euler_up, h), _binomial(euler_down, h)), n)
 
 
-@cache
+@_memo
 def dn_hat(n: int) -> LaurentPoly:
     """``(1-q)**n * d_n``: moments of the fraction with ``c_h = 1 - q**h``."""
     return _moment(lambda h: (_binomial(euler_up, h),), n)

@@ -23,11 +23,10 @@ Enumerators fail loudly past their cutoffs instead of truncating silently.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from functools import cache
 from operator import index
 from typing import Callable, Sequence
 
-from .exactalg import LaurentPoly, ONE, ZERO, _ONE_MINUS_T2, _ONE_PLUS_T, _sign, _size, _sum_of_products, monomial
+from .exactalg import LaurentPoly, ONE, ZERO, _ONE_MINUS_T2, _ONE_PLUS_T, _memo, _sign, _size, _sum_of_products, monomial
 from .qkit import euler_down, euler_up, pochhammer
 
 __all__ = [
@@ -541,7 +540,7 @@ def alt_statistic_polynomial(n: int) -> LaurentPoly:
     return LaurentPoly({(0, e): c for e, c in _completions(n, 0, False).items()})
 
 
-@cache
+@_memo
 def _completions(below: int, above: int, rising: bool) -> Counter[int]:
     """F(below, above, rising) of :func:`alt_statistic_polynomial`, as exponent counts."""
     if not below and not above:

@@ -28,13 +28,16 @@ l1 norm, in the lazily filled ``_pack_facts`` slot, so a polynomial shared by
 many folds converts its rows once per width.  Slots are signed, and only the
 codec ``_to_int``/``_to_bytes``/``_slots`` knows the half-offset that splits an
 int into them.
+
+Every memo of the package is made by ``_memo``, which lists it in ``_MEMOS``
+for ``tqeuler.clear_caches()``.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import repeat
 from operator import add, index, mul, neg, sub
 from types import MappingProxyType
@@ -83,6 +86,21 @@ def _sign(value: int, name: str) -> int:
     if value not in (1, -1):
         raise ValueError(f"{name} must be +1 or -1")
     return value
+
+
+_MEMOS: list = []  # every memo as ``_memo`` made it, so a wrapper later bound to its name is cleared too
+
+
+def _memo(fn):
+    """``fn`` memoised without bound, the one memo rule of the package, and listed in ``_MEMOS``.
+
+    Keys are typed, so an integral float never reaches the entry of an equal int: it runs
+    ``fn``, whose checks raise as they do cold.  A memo keeps every key it sees, so a caller
+    sweeping an argument grows it without bound until ``tqeuler.clear_caches()`` empties it.
+    """
+    memo = lru_cache(maxsize=None, typed=True)(fn)
+    _MEMOS.append(memo)
+    return memo
 
 
 ExpPair = tuple[int, int]
@@ -649,8 +667,6 @@ def _packed(p: LaurentPoly, stride: int, width: int) -> int:
     """``p`` packed at ``(stride, width)`` with slot 0 at its box's (tmin, qmin): its row ints
     shift-added, row e_t at slot ``(e_t - tmin) * stride + lo - qmin``."""
     ints = _row_ints(p, width)
-    if len(ints) == 1:
-        return ints[0]
     (tmin, _, qmin, _), _, _ = p._pack_facts
     bits = 8 * width
     return sum([v << (bits * ((et - tmin) * stride + lo - qmin)) for (et, lo, _), v in zip(p._rows, ints)])

@@ -15,8 +15,9 @@ which owns the outer sum and its ``n >= 0`` check and sums each ``K_k`` once
 per run.  A kernel returns ``K_k`` as a list of ``(c, a, b, factors)`` items,
 each ``c * t**a * q**b * prod(factors)``; these, and the sums of
 :func:`tk_special` and :func:`tk_prodinger`, are summed in one packed int by
-:func:`tqeuler.exactalg._sum_of_products`.  :func:`tk_at` caches its values,
-and every exact division here is by a polynomial in q alone.
+:func:`tqeuler.exactalg._sum_of_products`.  :func:`tk_recurrence` and
+:func:`tk_at` are memoised by ``exactalg._memo``, and every exact division
+here is by a polynomial in q alone.
 
 A substitution ``t = eps * q**b`` is the two ints ``eps, b`` ahead of ``k``, in
 :func:`tk_special`, :func:`tk_at` and both step relations alike.
@@ -25,7 +26,6 @@ A substitution ``t = eps * q**b`` is the two ints ``eps, b`` ahead of ``k``, in
 from __future__ import annotations
 
 import math
-from functools import cache
 from operator import index
 from typing import Callable
 
@@ -39,6 +39,7 @@ from .exactalg import (
     _ONE_MINUS_T2,
     _ONE_PLUS_Q,
     _ONE_PLUS_T,
+    _memo,
     _sign,
     _size,
     _sum_of_products,
@@ -101,7 +102,7 @@ def _neg_q(e: int, *factors: LaurentPoly) -> Item:
 # the T_k family
 
 
-@cache
+@_memo
 def tk_recurrence(k: int) -> LaurentPoly:
     """T_k by its defining recurrence.
 
@@ -164,21 +165,15 @@ def tk_special(eps: int, b: int, k: int) -> LaurentPoly:
         ]
         return _sum_of_products(numerator).divide_exact(pochhammer(eps, 1, b))
     bb = -b
-    if eps == 1:
-        return _sum_of_products(
-            _neg_q(k * (k - 2 * bb + 2) + 2 * i,
-                   pochhammer(1, 1 - bb, i), gauss_binom(k + i - 1, i, squared=True))
-            for i in range(bb)
-        )
-    head = pochhammer(-1, 1 - bb, bb)
-    return _sum_of_products(
-        [_neg_q(i * (2 * k - 2 * bb - i + 2), head, gauss_binom(bb + i - 1, i, squared=True))
-         for i in range(k)]
-        # the tail: (-q)**(k*k + 2k - 2k*bb) times q**(2i) is (-q)**(k*k + 2k - 2k*bb + 2i)
-        + [_neg_q(k * k + 2 * k - 2 * k * bb + 2 * i, pochhammer(-1, 1 - bb, i),
-                  gauss_binom(k + i - 1, i, squared=True))
-           for i in range(bb)]
-    )
+    # one tail for both signs: (-q)**(k*k + 2k - 2k*bb) times q**(2i), eps in the Pochhammer base
+    items = [_neg_q(k * (k - 2 * bb + 2) + 2 * i,
+                    pochhammer(eps, 1 - bb, i), gauss_binom(k + i - 1, i, squared=True))
+             for i in range(bb)]
+    if eps == -1:
+        head = pochhammer(-1, 1 - bb, bb)
+        items += [_neg_q(i * (2 * k - 2 * bb - i + 2), head, gauss_binom(bb + i - 1, i, squared=True))
+                  for i in range(k)]
+    return _sum_of_products(items)
 
 
 def tk_prodinger(b: int, k: int) -> LaurentPoly:
@@ -209,21 +204,15 @@ def tk_at_minus_inv_q(k: int) -> LaurentPoly:
 # single-power substitutions of T_k and their step relations
 
 
+@_memo
 def tk_at(eps: int, b: int, k: int) -> LaurentPoly:
     """T_k at ``t = eps * q**b`` by direct substitution into :func:`tk_recurrence`.
 
     Cached, so a repeated call returns the same object: a miss folds the t-rows
-    of ``tk_recurrence(k)`` into one q-row.  ``eps``, ``b`` and ``k`` pass through
-    ``operator.index`` before the cache, so that an integral float cannot reach
-    the entry of an equal int.  The memo keeps every ``(eps, b, k)`` it sees, so a
-    caller sweeping b grows it without bound, as it does ``qkit._kernel``;
-    ``tqeuler.clear_caches()`` empties both.
+    of ``tk_recurrence(k)`` into one q-row.  Like every memo (see
+    ``exactalg._memo``), it grows with each b swept.
     """
-    return _tk_at(_sign(eps, "eps"), index(b), index(k))
-
-
-@cache
-def _tk_at(eps: int, b: int, k: int) -> LaurentPoly:
+    eps, b, k = _sign(eps, "eps"), index(b), index(k)
     return tk_recurrence(k).substitute_t(eps, b)
 
 

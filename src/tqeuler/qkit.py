@@ -8,7 +8,7 @@ polynomial family ``(1-q) * A_k(q)``.
 
 All functions are pure.  The q-integers, the Gaussian binomials, the q-Pochhammer
 and odd q-Pochhammer symbols, the square sums and each ballot kernel's ``K_k``
-are memoised with ``functools.cache``, so concurrent callers get equal results;
+are memoised by ``exactalg._memo``, so concurrent callers get equal results;
 ``tqeuler.clear_caches()`` empties them.  Each memo keeps the polynomial
 itself, and one packed ``exactalg._sum_of_products`` sums the weighted ``K_k``
 over k from the row ints each ``K_k`` keeps.
@@ -17,11 +17,10 @@ over k from the row ints each ``K_k`` keeps.
 from __future__ import annotations
 
 import math
-from functools import cache
 from operator import index
 from typing import Callable, Iterable
 
-from .exactalg import Item, LaurentPoly, ONE, ONE_MINUS_Q, ZERO, _sign, _size, _sum_of_products, monomial
+from .exactalg import Item, LaurentPoly, ONE, ONE_MINUS_Q, ZERO, _memo, _sign, _size, _sum_of_products, monomial
 
 __all__ = [
     "q_int",
@@ -43,7 +42,7 @@ def neg_q_power(e: int) -> LaurentPoly:
     return monomial(-1 if e % 2 else 1, 0, e)
 
 
-@cache
+@_memo
 def q_int(n: int) -> LaurentPoly:
     """The q-integer ``1 + q + ... + q**(n-1)``; ``q_int(0) == 0``.  Cached like :func:`square_sum`."""
     return LaurentPoly({(0, e): 1 for e in range(_size(n, "n"))})
@@ -59,27 +58,22 @@ def euler_down(h: int) -> LaurentPoly:
     return ONE - monomial(1, 1, h)
 
 
+@_memo
 def pochhammer(sign: int, power: int, length: int) -> LaurentPoly:
     """``(sign * q**power; q)_length``: the product of ``(1 - sign * q**(power + i))`` for
     ``i = 0 .. length-1``.
 
-    Cached, so a repeated call returns the same object; each argument passes
-    through ``operator.index`` before the cache, so that an integral float
-    cannot reach the entry of an equal int.
+    Cached, so a repeated call returns the same object: a miss multiplies the
+    cached symbol one factor shorter by the last factor.
     """
-    return _pochhammer(_sign(sign, "sign"), index(power), _size(length, "length"))
-
-
-@cache
-def _pochhammer(sign: int, power: int, length: int) -> LaurentPoly:
-    """A miss multiplies the cached symbol one factor shorter by the last factor."""
+    sign, power, length = _sign(sign, "sign"), index(power), _size(length, "length")
     if length == 0:
         return ONE
     # built by subtraction so that a factor 1 -+ q**0 is exactly 0 or 2
-    return _pochhammer(sign, power, length - 1) * (ONE - monomial(sign, 0, power + length - 1))
+    return pochhammer(sign, power, length - 1) * (ONE - monomial(sign, 0, power + length - 1))
 
 
-@cache
+@_memo
 def odd_pochhammer(i: int) -> LaurentPoly:
     """``(q; q**2)_i``: the product of ``(1 - q**(2j+1))`` for ``j = 0 .. i-1``.
 
@@ -97,18 +91,20 @@ def gauss_binom(n: int, k: int, squared: bool = False) -> LaurentPoly:
     Out-of-range arguments (``k < 0``, ``k > n`` or ``n < 0``) give 0: the
     q-series sums in this package run past their range and truncate on it.
     With ``squared`` set, every ``q`` in the result is replaced by ``q**2``.
-    Both forms are cached, so a repeated call returns the same object.
+    Both forms are cached by ``_gauss``, which takes the smaller index and a
+    positional ``squared``, so that ``k`` and ``n - k``, and ``squared`` by
+    keyword or by position, share one key and a repeated call returns the same
+    object.
     """
-    n, k = index(n), index(k)  # before the cache: a float size recursed forever
+    n, k = index(n), index(k)  # TypeError for a float size, whose q-Pascal recursion need not end
     if k < 0 or n < 0 or k > n:
         return ZERO
     return _gauss(n, min(k, n - k), squared)
 
 
-@cache
+@_memo
 def _gauss(n: int, k: int, squared: bool) -> LaurentPoly:
-    """``[n, k]`` for ``0 <= k <= n - k``; every call passes the smaller index and a
-    positional ``squared``, so each value has one cache key and one object."""
+    """``[n, k]`` for ``0 <= k <= n - k``, as :func:`gauss_binom` calls it."""
     if k == 0:
         return ONE
     if squared:
@@ -155,18 +151,17 @@ def _ballot_sum(n: int, kernel: Callable[..., Iterable[Item]], *args) -> Laurent
     (K_k,))`` of one packed sum, whose slots hold ``sum |ballot(n, k)| * |K_k|_1``; a ``K_k``
     converts its rows to ints once per slot width over every ``n``.  Kept out of ``__all__`` so
     that profiling wrappers, which follow ``__all__``, charge the time of each expansion to its
-    formula.  The memo keeps every ``(kernel, k, *args)`` it sees, so a caller sweeping an
-    argument (a substitution power r, say) grows it without bound, as it does that of
-    :func:`tqeuler.formulas.tk_at`; ``tqeuler.clear_caches()`` empties both.
+    formula.  Like every memo (see ``exactalg._memo``), :func:`_kernel` grows with each argument
+    swept.
     """
     n = _size(n, "n")
     return _sum_of_products((ballot(n, k), 0, 0, (_kernel(kernel, k, *args),)) for k in range(n + 1))
 
 
-@cache
+@_memo
 def _kernel(kernel: Callable[..., Iterable[Item]], k: int, *args) -> LaurentPoly:
-    """``K_k`` of a module-level ``kernel``, summed on the first request only and kept for
-    every argument tuple, without bound, until ``tqeuler.clear_caches()``."""
+    """``K_k`` of a module-level ``kernel``, summed on the first request only and kept
+    under a typed key (see ``exactalg._memo``)."""
     return _sum_of_products(kernel(k, *args))
 
 
@@ -185,7 +180,7 @@ def a_k_poly(k: int) -> LaurentPoly:
     return first + monomial(1, 0, 2 * k + 1) * second
 
 
-@cache
+@_memo
 def square_sum(m: int) -> LaurentPoly:
     """``sum_{i=-m}^{m} (-q)**(i*i)``; ``i*i`` has the parity of ``i``.  Cached, so that
     a square sum keeps its packed forms from one packed sum to the next."""

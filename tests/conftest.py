@@ -3,7 +3,8 @@ from hypothesis import settings
 
 # ``--hypothesis-profile=ci`` runs every property test ten times longer and with no
 # deadline; CI runs tests/test_exactalg.py, the row arithmetic against its term-dict
-# references, and tests/test_cache_order.py, memoised calls against cold ones, under it.
+# references, tests/test_combinat.py, tests/test_cache_order.py, memoised calls against
+# cold ones, and tests/test_cfrac.py, the moment memos in any request order, under it.
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
 

@@ -1,17 +1,17 @@
 """No memoised result depends on what ran before it.
 
-Every public function with a ``functools.cache`` behind it is called in a
-random order with ints and integral floats, the caches kept warm from call to
-call; each result, or the type of each raise, must be what the same call gives
-cold, right after ``tqeuler.clear_caches()``.  An integral float that reached
-the cache entry of an equal int would return a value where the cold call
-raises.
+Every public function with an ``exactalg._memo`` behind it, and the ballot
+kernel memo ``qkit._kernel``, is called in a random order with ints and
+integral floats, the caches kept warm from call to call; each result, or the
+type of each raise, must be what the same call gives cold, right after
+``tqeuler.clear_caches()``.  An integral float that reached the cache entry of
+an equal int would return a value where the cold call raises.
 """
 
 from hypothesis import example, given, settings, strategies as st
 
 import tqeuler
-from tqeuler import cfrac, formulas, qkit
+from tqeuler import cfrac, exactalg, formulas, qkit
 
 
 SIZED = {
@@ -24,12 +24,21 @@ SIZED = {
 }
 SIZE = st.integers(-1, 7)
 SIGN = st.sampled_from([1, -1])
+ARGS = {
+    "pochhammer": st.tuples(SIGN, st.integers(-4, 4), SIZE),
+    "gauss_binom": st.tuples(st.integers(-1, 9), st.integers(-1, 9), st.booleans()),
+    "tk_at": st.tuples(SIGN, st.integers(-4, 4), SIZE),
+    "ballot_sum": st.tuples(SIZE, SIZE),  # (n, r)
+}
 INT_CALLS = st.one_of(
-    st.tuples(st.just("pochhammer"), st.tuples(SIGN, st.integers(-4, 4), SIZE)),
-    st.tuples(st.just("gauss_binom"), st.tuples(st.integers(-1, 9), st.integers(-1, 9), st.booleans())),
-    st.tuples(st.just("tk_at"), st.tuples(SIGN, st.integers(-4, 4), SIZE)),
+    *(st.tuples(st.just(name), args) for name, args in ARGS.items()),
     st.tuples(st.sampled_from(sorted(SIZED)), st.tuples(SIZE)),
 )
+
+
+def _sized_kernel(k, r):
+    """``K_k = q**(k*r)``, with ``r`` checked by ``exactalg._size``: a float ``r`` raises cold."""
+    return [(1, 0, k * exactalg._size(r, "r"), ())]
 
 
 @st.composite
@@ -52,6 +61,9 @@ def call(name, args):
         return qkit.gauss_binom(*args)
     if name == "tk_at":
         return formulas.tk_at(*args)
+    if name == "ballot_sum":
+        n, r = args
+        return qkit._ballot_sum(n, _sized_kernel, r)
     return SIZED[name](*args)
 
 
@@ -69,9 +81,19 @@ def outcome(name, args):
 @example([("pochhammer", (1, 1, 2)), ("pochhammer", (1.0, 1, 2))])
 @example([("pochhammer", (-1, 1, 2)), ("pochhammer", (-1, 1.0, 2)), ("pochhammer", (-1, 1, 2.0))])
 @example([("tk_at", (1, 2, 3)), ("tk_at", (1, 2.0, 3.0)), ("tk_recurrence", (3.0,))])
+@example([("ballot_sum", (2, 3)), ("ballot_sum", (2, 3.0))])
 def test_each_memoised_call_gives_what_it_gives_cold(calls):
     tqeuler.clear_caches()
     warm = [outcome(name, args) for name, args in calls]
     for (name, args), got in zip(calls, warm):
         tqeuler.clear_caches()
         assert got == outcome(name, args), (name, args)
+
+
+def test_every_public_memo_is_drawn():
+    # a memo added behind a public name of these modules has to join the property test
+    memos = set(map(id, exactalg._MEMOS))
+    public = {name for mod in (qkit, formulas, cfrac) for name, fn in vars(mod).items()
+              if not name.startswith("_") and id(fn) in memos}
+    assert public <= {*ARGS, *SIZED}
+    assert {"pochhammer", "tk_at", "euler_hat"} <= public

@@ -7,7 +7,7 @@ import pytest
 from reference import ballot_sum_reference, zeng_value_reference
 
 import tqeuler
-from tqeuler import cfrac, cli, combinat, formulas, qkit, registry
+from tqeuler import cfrac, cli, combinat, exactalg, formulas, qkit, registry
 from tqeuler.exactalg import LaurentPoly, ONE, Q, T, ZeroDenominatorError, const, monomial
 from tqeuler.formulas import (
     DEFAULT_ZENG_BRACKET,
@@ -394,8 +394,8 @@ def test_clear_caches_changes_no_result():
         )
 
     warm = results()
-    memos = (tk_recurrence, formulas._tk_at, qkit._gauss, cfrac.euler_hat, cfrac.dn_hat,
-             qkit._pochhammer, qkit._kernel, qkit.odd_pochhammer, qkit.square_sum)
+    memos = (tk_recurrence, formulas.tk_at, qkit._gauss, cfrac.euler_hat, cfrac.dn_hat,
+             qkit.pochhammer, qkit._kernel, qkit.odd_pochhammer, qkit.square_sum)
     tqeuler.clear_caches()
     assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
     assert results() == warm
@@ -409,6 +409,9 @@ def test_clear_caches_empties_every_memo():
         for fn in vars(module).values()
         if hasattr(fn, "cache_clear")
     }
+    # each one made by exactalg._memo, the one memo rule: typed keys, listed once
+    assert sorted(map(id, memos.values())) == sorted(map(id, exactalg._MEMOS))
+    assert all(memo.cache_parameters() == {"maxsize": None, "typed": True} for memo in memos.values())
     tqeuler.run_verification(max_n=3, max_k=3, max_b=2)
     assert all(memo.cache_info().currsize for memo in memos.values())
     tqeuler.clear_caches()

@@ -1,5 +1,7 @@
 """Command-line surface: compute tables, run the verification matrix,
 benchmark the expansion routes, and emit machine-readable reports.
+The table `_COMMANDS` is the grammar: `_parse` reads argv by it, and help
+and usage errors are rendered from it.
 
 Exit codes: 0 on success, 1 when verification finds a failing identity,
 2 on invalid parameters or configuration.
@@ -7,12 +9,11 @@ Exit codes: 0 on success, 1 when verification finds a failing identity,
 
 from __future__ import annotations
 
-import argparse
-import functools
 import io
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from . import cfrac, clear_caches, combinat, formulas, qkit
 from .exactalg import ONE_MINUS_Q, LaurentPoly
@@ -38,36 +39,24 @@ def _render_poly(poly: LaurentPoly, fmt: str) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def cmd_compute(args: argparse.Namespace) -> int:
+def cmd_compute(args: SimpleNamespace) -> int:
     target = args.target
     if args.normalized and target not in ("e", "d"):
         return _fail(f"--normalized applies to targets 'e' and 'd' only, not {target!r}")
-    if target == "t":
-        if args.k is None:
-            return _fail("target 't' requires --k")
-        if not (0 <= args.k <= HARD_MAX_K):
-            return _fail(f"--k must be in 0..{HARD_MAX_K}")
-        poly = formulas.tk_recurrence(args.k)
-    else:
-        if args.n is None:
-            return _fail(f"target {target!r} requires --n")
-        if not (0 <= args.n <= HARD_MAX_N):
-            return _fail(f"--n must be in 0..{HARD_MAX_N}")
-        n = args.n
-        if target == "e":
-            # E_n(t,q) itself is rational; the CLI always prints the
-            # polynomial normal form (1-q)^(2n) E_n(t,q).
-            poly = cfrac.euler_hat(n)
-        elif target == "d":
-            poly = cfrac.dn_hat(n)
-            if not args.normalized:
-                poly = poly.divide_exact(ONE_MINUS_Q**n)
-        elif target == "e-even":
-            poly = cfrac.en_even_q(n)
-        elif target == "e-odd":
-            poly = cfrac.en_odd_q(n)
-        else:  # pragma: no cover - argparse restricts choices
-            return _fail(f"unknown target {target!r}")
+    if target != "t" and args.k is not None:
+        return _fail("--k applies to target 't' only")
+    if target == "t" and args.n is not None:
+        return _fail("--n applies to targets 'e', 'd', 'e-even' and 'e-odd' only")
+    name, size, cap = ("k", args.k, HARD_MAX_K) if target == "t" else ("n", args.n, HARD_MAX_N)
+    if size is None:
+        return _fail(f"target {target!r} requires --{name}")
+    if not (0 <= size <= cap):
+        return _fail(f"--{name} must be in 0..{cap}")
+    # E_n(t,q) itself is rational: target e prints its polynomial normal form (1-q)^(2n) E_n(t,q)
+    poly = {"t": formulas.tk_recurrence, "e": cfrac.euler_hat, "d": cfrac.dn_hat,
+            "e-even": cfrac.en_even_q, "e-odd": cfrac.en_odd_q}[target](size)
+    if target == "d" and not args.normalized:
+        poly = poly.divide_exact(ONE_MINUS_Q**size)
     print(_render_poly(poly, args.format))
     return 0
 
@@ -82,7 +71,7 @@ def _unwritable(path: str) -> bool:
     return not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK))
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     from . import registry  # here, not at module level: only verify reads the table
 
     try:
@@ -122,7 +111,7 @@ def _bench_methods(n: int):
     ]
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(args: SimpleNamespace) -> int:
     if not (0 <= args.max_n <= HARD_MAX_N):
         return _fail(f"--max-n must be in 0..{HARD_MAX_N}")
     import csv
@@ -142,60 +131,110 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tqeuler",
-        description="Exact computation and cross-verification of (t,q)-Euler numbers.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_compute = sub.add_parser("compute", help="print one polynomial in canonical form")
-    p_compute.add_argument(
-        "target",
-        choices=["e", "t", "d", "e-even", "e-odd"],
-        help="e: normalized (t,q)-Euler number; t: T_k; d: d_n; "
-        "e-even/e-odd: classical q-secant/q-tangent values",
-    )
-    p_compute.add_argument("--n", type=int, default=None)
-    p_compute.add_argument("--k", type=int, default=None)
-    p_compute.add_argument(
-        "--normalized",
-        action="store_true",
-        help="d: print (1-q)^n d_n; e is always normalized; any other target rejects the flag",
-    )
-    p_compute.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p_compute.set_defaults(fn=cmd_compute)
-
-    p_verify = sub.add_parser("verify", help="run the identity verification matrix")
-    p_verify.add_argument("--max-n", type=int, default=8, dest="max_n")
-    p_verify.add_argument("--max-k", type=int, default=6, dest="max_k")
-    p_verify.add_argument("--max-b", type=int, default=4, dest="max_b")
-    p_verify.add_argument(
-        "--select", default=None, help="comma-separated substrings of identity ids to run"
-    )
-    p_verify.add_argument("--format", choices=["text", "json"], default="text")
-    p_verify.add_argument("--json", default=None, metavar="PATH", help="also write a JSON report")
-    p_verify.set_defaults(fn=cmd_verify)
-
-    p_bench = sub.add_parser("bench", help="time the expansion routes per n (CSV)")
-    p_bench.add_argument("--max-n", type=int, default=6, dest="max_n")
-    p_bench.set_defaults(fn=cmd_bench)
-
-    return parser
+# The grammar, read by `_parse` and rendered by `_help`: per command its help line, its positional
+# (name, choices, help) or None, and per option its kind (int, str, choices or bool), default and help.
+_COMMANDS = {
+    "compute": ("print one polynomial in canonical form", (
+        "target", ("e", "t", "d", "e-even", "e-odd"), "e: normalized (t,q)-Euler number; t: T_k; "
+        "d: d_n; e-even/e-odd: classical q-secant/q-tangent values"), {
+        "--n": (int, None, ""), "--k": (int, None, ""),
+        "--normalized": (bool, False, "d: print (1-q)^n d_n; e is always normalized; "
+                         "any other target rejects the flag"),
+        "--format": (("text", "json", "csv"), "text", "")}),
+    "verify": ("run the identity verification matrix", None, {
+        "--max-n": (int, 8, ""), "--max-k": (int, 6, ""), "--max-b": (int, 4, ""),
+        "--select": (str, None, "comma-separated substrings of identity ids to run"),
+        "--format": (("text", "json"), "text", ""), "--json": (str, None, "also write a JSON report")}),
+    "bench": ("time the expansion routes per n (CSV)", None, {"--max-n": (int, 6, "")}),
+}
+_TOP = ("Exact computation and cross-verification of (t,q)-Euler numbers.", ("command", tuple(
+    _COMMANDS), "; ".join(f"{name}: {spec[0]}" for name, spec in _COMMANDS.items())), {})
+_HELP = ("-h", "--help")
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()  # on the first main call, not at import; parse_args keeps no state
+def _help(prog: str, about: str, positional, options: dict) -> str:
+    """The help text; its first line is the usage line that a usage error prints too."""
+    opts = {name + ("" if kind is bool else " {" + ",".join(kind) + "}" if isinstance(kind, tuple)
+                    else " " + name[2:].replace("-", "_").upper()): text for name, (kind, _, text) in options.items()}
+    pos = {"{" + ",".join(positional[1]) + "}": positional[2]} if positional else {}
+    rows, wrap = {**pos, "-h, --help": "show this help message and exit", **opts}, ";\n" + " " * 28
+    lines = [f"  {left:<25} {text.replace('; ', wrap)}".rstrip() for left, text in rows.items()]
+    return "\n".join([" ".join(["usage:", prog, "[-h]", *(f"[{o}]" for o in opts), *pos]), "", about, "", *lines])
+
+
+def _value(name: str, kind, text: str):
+    if isinstance(kind, tuple) and text not in kind:
+        raise ValueError(f"argument {name}: invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})")
+    try:
+        return text if isinstance(kind, tuple) else kind(text)
+    except ValueError:
+        raise ValueError(f"argument {name}: invalid int value: {text!r}") from None
+
+
+def _option(token: str, names: tuple) -> tuple | None:
+    """``(name, text after '=' or None)`` for an option token, None for a value. An exact
+    name matches before a unique prefix of a ``--`` name; a negative number and a token
+    with a space are values, and any other token starting with '-' names itself."""
+    if token[:1] != "-" or token == "-":
+        return None
+    head, eq, text = token.partition("=")
+    found = [head] if head in names else [name for name in names if name.startswith(head) and len(head) > 2]
+    if len(found) > 1:
+        raise ValueError(f"ambiguous option: {token} could match {', '.join(found)}")
+    if found:
+        return found[0], text if eq else None
+    whole, dot, frac = token[1:].partition(".")
+    return None if (whole + frac).isdecimal() and (frac or not dot) or " " in token else (token, None)
+
+
+def _parse(argv: list[str] | None) -> SimpleNamespace | int:
+    """The fields a command handler reads, from ``argv`` by the table; or the exit code, 0
+    or 2, once help or a usage error is printed. As in argparse, an ambiguous option fails
+    first, the other errors and -h act from left to right, and unrecognized arguments last."""
+    prog, (about, positional, options) = "tqeuler", _TOP
+    fields, extras, wanted = {}, [], positional
+    try:  # every ValueError raised here is a usage error
+        pairs = [(token, _option(token, _HELP)) for token in (sys.argv[1:] if argv is None else argv)]
+        while pairs:
+            token, mark = pairs.pop(0)
+            name, text = mark or (None, None)
+            kind = bool if name in _HELP else options.get(name, (None,))[0]
+            if mark is None and wanted:
+                fields[wanted[0]] = _value(wanted[0], wanted[1], token)
+                wanted = None
+                if prog == "tqeuler":  # the command: it reads the rest by its own table
+                    prog, (about, positional, options) = f"tqeuler {token}", _COMMANDS[token]
+                    wanted = positional
+                    fields.update((opt, spec[1]) for opt, spec in options.items())
+                    pairs = [(rest, _option(rest, _HELP + tuple(options))) for rest, _ in pairs]
+            elif kind is None:  # a value past the positional, or an unknown option
+                extras.append(token)
+            elif kind is bool and text is not None:
+                raise ValueError(f"argument {name}: ignored explicit argument {text!r}")
+            elif name in _HELP:
+                print(_help(prog, about, positional, options))
+                return 0
+            elif kind is bool:
+                fields[name] = True
+            elif text is None and (not pairs or pairs[0][1] is not None):
+                raise ValueError(f"argument {name}: expected one argument")
+            else:
+                fields[name] = _value(name, kind, pairs.pop(0)[0] if text is None else text)
+        if wanted:
+            raise ValueError(f"the following arguments are required: {wanted[0]}")
+        if extras:
+            raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    except ValueError as exc:
+        usage = _help(prog, about, positional, options).partition("\n")[0]
+        print(usage, f"{prog}: error: {exc}", sep="\n", file=sys.stderr)
+        return 2
+    return SimpleNamespace(**{key.lstrip("-").replace("-", "_"): value for key, value in fields.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on bad usage; normalize to the int contract
-        return int(exc.code or 0)
-    return args.fn(args)
+    args = _parse(argv)
+    # looked up on each call, so that a handler rebound on this module is the one that runs
+    return args if isinstance(args, int) else globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

@@ -35,11 +35,14 @@ counts ``count_13_2_patterns`` over every one of them, which the state transfer 
 ``tqeuler.combinat.alt_statistic_polynomial`` is tested against.  The last
 section defines each remaining public function of ``tqeuler.qkit`` and
 ``tqeuler.combinat`` one term, partition or path at a time, for the
-boundary table of ``test_boundaries.py``.
+boundary table of ``test_boundaries.py``.  ``build_parser`` is the argparse
+parser that the command table of ``tqeuler.cli`` replaced; ``test_cli.py``
+parses every drawn command line with both.
 """
 
 from __future__ import annotations
 
+import argparse
 from bisect import bisect
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -49,6 +52,7 @@ from itertools import combinations_with_replacement, permutations, product, repe
 from operator import add, mul
 from typing import Iterator, Mapping, Sequence
 
+from tqeuler.cli import cmd_bench, cmd_compute, cmd_verify
 from tqeuler.combinat import (
     WeightRule,
     _check_cutoff,
@@ -643,3 +647,45 @@ def lprime_path_reference(b: int, k: int, m: int, n: int, eps: int) -> LaurentPo
     for i in range(n + 1, k + 1):
         height = height * monomial(-1, 0, 2 * i + 1)
     return pochhammer_product(eps, 1 - b, max(b - m, 0)) * total * height
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="tqeuler",
+        description="Exact computation and cross-verification of (t,q)-Euler numbers.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_compute = sub.add_parser("compute", help="print one polynomial in canonical form")
+    p_compute.add_argument(
+        "target",
+        choices=["e", "t", "d", "e-even", "e-odd"],
+        help="e: normalized (t,q)-Euler number; t: T_k; d: d_n; "
+        "e-even/e-odd: classical q-secant/q-tangent values",
+    )
+    p_compute.add_argument("--n", type=int, default=None)
+    p_compute.add_argument("--k", type=int, default=None)
+    p_compute.add_argument(
+        "--normalized",
+        action="store_true",
+        help="d: print (1-q)^n d_n; e is always normalized; any other target rejects the flag",
+    )
+    p_compute.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    p_compute.set_defaults(fn=cmd_compute)
+
+    p_verify = sub.add_parser("verify", help="run the identity verification matrix")
+    p_verify.add_argument("--max-n", type=int, default=8, dest="max_n")
+    p_verify.add_argument("--max-k", type=int, default=6, dest="max_k")
+    p_verify.add_argument("--max-b", type=int, default=4, dest="max_b")
+    p_verify.add_argument(
+        "--select", default=None, help="comma-separated substrings of identity ids to run"
+    )
+    p_verify.add_argument("--format", choices=["text", "json"], default="text")
+    p_verify.add_argument("--json", default=None, metavar="PATH", help="also write a JSON report")
+    p_verify.set_defaults(fn=cmd_verify)
+
+    p_bench = sub.add_parser("bench", help="time the expansion routes per n (CSV)")
+    p_bench.add_argument("--max-n", type=int, default=6, dest="max_n")
+    p_bench.set_defaults(fn=cmd_bench)
+
+    return parser

@@ -1,13 +1,16 @@
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from reference import build_parser
 
 from tqeuler import cfrac, cli, registry
 from tqeuler.exactalg import ZERO, LaurentPoly
@@ -85,6 +88,20 @@ class TestCompute:
         assert out == ""
         assert err.startswith("error: --normalized")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["e", "--n", "2", "--k", "5"], "--k applies to target 't' only"),
+        (["d", "--k", "0", "--n", "1"], "--k applies to target 't' only"),
+        (["e-odd", "--n", "2", "--k", "1"], "--k applies to target 't' only"),
+        (["t", "--k", "1", "--n", "7"], "--n applies to targets 'e', 'd', 'e-even' and 'e-odd' only"),
+    ])
+    def test_an_option_the_target_does_not_read_is_a_usage_error(self, argv, message, capsys, monkeypatch):
+        # compute e --n 2 --k 5 used to print E_2, and compute t --k 1 --n 7 T_1
+        for module, name in ((cfrac, "euler_hat"), (cfrac, "dn_hat"), (cfrac, "en_odd_q"),
+                             (cli.formulas, "tk_recurrence")):
+            monkeypatch.setattr(module, name, lambda size: pytest.fail("a polynomial was computed"))
+        assert cli.main(["compute", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_json_format(self, capsys):
         assert cli.main(["compute", "e", "--n", "1", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -137,20 +154,72 @@ class TestCompute:
         assert cli.main(["compute", "zzz", "--n", "1"]) == 2
 
 
+def parse_outcome(parse, argv):
+    """What ``parse(argv)`` did: ``("help", 0)``, ``("error", 2)`` or ``("accept", fields)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            parsed = parse(argv)
+        except SystemExit as exc:  # argparse exits on help and on a usage error
+            parsed = exc.code
+    if not isinstance(parsed, int):
+        return "accept", {key: value for key, value in vars(parsed).items() if key != "fn"}
+    if parsed == 0:
+        assert out.getvalue().startswith("usage: ") and err.getvalue() == ""
+        return "help", 0
+    assert parsed == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("usage: tqeuler") and ": error: " in err.getvalue().splitlines()[-1]
+    return "error", 2
+
+
+OPTION_NAMES = ["--n", "--k", "--normalized", "--format", "--max-n", "--max-k", "--max-b", "--select",
+                "--json", "--help", "-h", "--no", "--norm", "--f", "--form", "--max", "--max-", "--m",
+                "--s", "--sel", "--j", "--js", "--h", "--he", "--jobs", "--zz", "--nn"]
+VALUES = ["compute", "verify", "bench", "e", "t", "d", "e-even", "e-odd", "zzz", "text", "json", "csv",
+          "0", "3", "12", "99", "-1", "-2.5", "-.5", "+3", " 4", "x", "", "a b", "-a b", "-"]
+
+
 class TestParser:
-    def test_built_once_across_calls(self, monkeypatch, capsys):
-        builds = []
-        build = cli.build_parser
-        cli._parser.cache_clear()
-        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
-        assert cli.main(["compute", "t", "--k", "1"]) == 0
-        assert cli.main(["compute", "zzz", "--n", "1"]) == 2
-        assert cli.main(["compute", "e", "--n", "2"]) == 0
-        assert len(builds) == 1
+    """The command table against the argparse parser it replaced (``reference.build_parser``).
+    Left out of the alphabet: ``--`` and single-dash tokens but ``-h`` and negative numbers,
+    whose argparse handling differs between Python versions."""
+
+    @given(st.lists(st.sampled_from(OPTION_NAMES + VALUES)
+                    | st.builds("{}={}".format, st.sampled_from(OPTION_NAMES), st.sampled_from(VALUES)),
+                    max_size=6))
+    @example(["verify", "--jobs", "2"])
+    @example(["compute", "e", "--n", "x"])
+    @example(["compute", "zzz", "--n", "1"])
+    @example(["compute", "e", "--n", "-1"])
+    @example(["compute", "e", "--form", "json", "--n", "0"])
+    @example(["compute", "e", "--n=3"])
+    @example(["verify", "--max", "2"])
+    @example([])
+    def test_same_outcome_as_argparse(self, argv):
+        assert parse_outcome(cli._parse, argv) == parse_outcome(build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize("argv", [["-h"], ["compute", "-h"], ["verify", "--help"], ["bench", "--he"]])
+    def test_help_prints_every_help_string(self, argv, capsys):
+        parser = build_parser()
+        commands = parser._subparsers._group_actions[0]
+        if len(argv) > 1:
+            parser = commands.choices[argv[0]]
+            texts = [action.help for action in parser._actions if action.help]
+        else:
+            texts = [parser.description, *(action.help for action in commands._choices_actions)]
+        assert cli.main(argv) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert all(" ".join(text.split()) in out for text in texts)
+
+    def test_main_calls_the_handler_bound_when_it_runs(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_compute", lambda args: seen.append(vars(args)) or 7)
+        assert cli.main(["compute", "e", "--n", "3"]) == 7
+        assert seen == [{"command": "compute", "target": "e", "n": 3, "k": None,
+                         "normalized": False, "format": "text"}]
 
     def test_reuse_after_a_usage_error(self, capsys):
         argv = ["compute", "e", "--n", "3", "--format", "json"]
-        cli._parser.cache_clear()
         assert cli.main(argv) == 0
         fresh = capsys.readouterr()
         assert cli.main(["compute", "e", "--n", "x"]) == 2
@@ -182,7 +251,7 @@ class TestVerify:
         assert cli.main(["verify", "--max-n", "99"]) == 2
 
     def test_bad_jobs(self, capsys):
-        # the thread-pool option is gone; argparse rejects it as unknown
+        # the thread-pool option is gone; the parser rejects it as unknown
         assert cli.main(["verify", "--jobs", "2"]) == 2
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 

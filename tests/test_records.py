@@ -173,7 +173,8 @@ def fresh_run(code: str) -> str:
     return out.splitlines()[-1]
 
 
-HEAVY = ("json", "csv", "tqeuler._record", "tqeuler.registry", "dataclasses", "inspect")
+HEAVY = ("json", "csv", "tqeuler._record", "tqeuler.registry", "dataclasses", "inspect",
+         "argparse", "gettext", "locale", "shutil")
 
 
 def added_heavy(statements: str, heavy: tuple[str, ...] = HEAVY) -> str:

@@ -6,6 +6,7 @@ relations used to derive those forms.
 """
 
 from tqeuler import formulas
+from tqeuler.exactalg import ONE, monomial
 
 print("Specialization formulas vs direct substitution")
 print("-" * 64)
@@ -28,8 +29,11 @@ for k in range(5):
 print()
 print("Functional equation (1 - tq) T_k(tq, q) = T_k + t^2 q^(2k+1) T_(k-1)")
 print("-" * 64)
+tk = formulas.tk_recurrence
 for k in range(1, 6):
-    print(f"k = {k}: {formulas.tk_functional_equation_holds(k)}")
+    lhs = (ONE - monomial(1, 1, 1)) * tk(k).shift_t_by_q(1)
+    rhs = tk(k) + monomial(1, 2, 2 * k + 1) * tk(k - 1)
+    print(f"k = {k}: sides equal = {lhs == rhs}")
 
 print()
 print("Rational spot check of the double-sum evaluation")

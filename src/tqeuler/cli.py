@@ -9,7 +9,6 @@ Exit codes: 0 on success, 1 when verification finds a failing identity,
 
 from __future__ import annotations
 
-import io
 import os
 import sys
 import time
@@ -30,13 +29,8 @@ def _render_poly(poly: LaurentPoly, fmt: str) -> str:
         return poly.render()
     if fmt == "json":
         return poly.json_text()
-    import csv  # here and in cmd_bench, not at module level: only CSV output needs it
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["et", "eq", "c"])
-    writer.writerows((et, eq, c) for (et, eq), c in poly.sorted_terms())
-    return buf.getvalue().rstrip("\n")
+    # CSV rows end in \r\n, as the csv module writes them; print adds the last \n
+    return "\r\n".join(["et,eq,c", *(f"{et},{eq},{c}" for (et, eq), c in poly.sorted_terms())]) + "\r"
 
 
 def cmd_compute(args: SimpleNamespace) -> int:
@@ -114,20 +108,17 @@ def _bench_methods(n: int):
 def cmd_bench(args: SimpleNamespace) -> int:
     if not (0 <= args.max_n <= HARD_MAX_N):
         return _fail(f"--max-n must be in 0..{HARD_MAX_N}")
-    import csv
-
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["n", "method", "ms", "terms"])
+    sys.stdout.write("n,method,ms,terms\r\n")  # CSV, with the \r\n row ends of _render_poly
     for n in range(args.max_n + 1):
         for name, fn in _bench_methods(n):
             if fn is None:
-                writer.writerow([n, name, "cutoff", ""])
+                sys.stdout.write(f"{n},{name},cutoff,\r\n")
                 continue
             clear_caches()  # every row runs cold
             start = time.perf_counter()
             result = fn()
             ms = int((time.perf_counter() - start) * 1000)
-            writer.writerow([n, name, ms, len(result)])
+            sys.stdout.write(f"{n},{name},{ms},{len(result)}\r\n")
     return 0
 
 

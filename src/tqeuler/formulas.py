@@ -3,11 +3,15 @@ auxiliary polynomial family T_k(t, q).
 
 Each function transcribes one formula literally against the q-calculus
 primitives, with the index ranges as stated; out-of-range Gaussian binomials
-vanish and sums truncate by themselves.  Exact polynomial equality against
-the continued-fraction ground truth (module :mod:`tqeuler.cfrac`) or against
-the combinatorial oracles (module :mod:`tqeuler.combinat`) is the only
-success criterion; any :class:`~tqeuler.exactalg.NonDivisibleError` escaping
-from here means a transcription bug, never data.
+vanish and sums truncate by themselves.  The module holds only these routes
+and the caps and constants they read: no function here checks anything.
+Every identity between them, the T_k functional equation and step relations
+too, is a row of :mod:`tqeuler.registry` whose sides are values, compared by
+exact polynomial equality against the continued-fraction ground truth
+(module :mod:`tqeuler.cfrac`), the combinatorial oracles (module
+:mod:`tqeuler.combinat`) or another route.  Any
+:class:`~tqeuler.exactalg.NonDivisibleError` escaping from here means a
+transcription bug, never data.
 
 The ballot-form routes ``sum_k ballot(n,k) * K_k`` are each written as their
 kernel ``K_k``, a module-level function passed to :func:`tqeuler.qkit._ballot_sum`,
@@ -20,7 +24,7 @@ each ``c * t**a * q**b * prod(factors)``; these, and the sums of
 here is by a polynomial in q alone.
 
 A substitution ``t = eps * q**b`` is the two ints ``eps, b`` ahead of ``k``, in
-:func:`tk_special`, :func:`tk_at` and both step relations alike.
+:func:`tk_special` and :func:`tk_at` alike.
 """
 
 from __future__ import annotations
@@ -58,14 +62,11 @@ from .qkit import (
 __all__ = [
     "tk_recurrence",
     "tk_closed",
-    "tk_functional_equation_holds",
     "tk_special",
     "tk_prodinger",
     "tk_at",
     "tk_at_minus_q",
     "tk_at_minus_inv_q",
-    "alpha_step_holds",
-    "beta_step_holds",
     "euler_hat_ballot",
     "secant_hat_closed",
     "tangent_hat_closed",
@@ -81,7 +82,6 @@ __all__ = [
     "zeng_value",
     "zeng_bracket_qint",
     "DEFAULT_ZENG_BRACKET",
-    "ZENG_SAMPLE_POINTS",
 ]
 
 # The hard caps of the CLI and of the verification matrix.  They live here, not
@@ -130,15 +130,6 @@ def tk_closed(k: int) -> LaurentPoly:
         for i in range(j + 1)
         for dt in (0, 1)
     )
-
-
-def tk_functional_equation_holds(k: int) -> bool:
-    """Check ``(1 - t*q) * T_k(t*q, q) == T_k(t, q) + t**2 * q**(2k+1) * T_{k-1}(t, q)``."""
-    k = _size(k, "k", 1)
-    one_minus_tq = LaurentPoly({(0, 0): 1, (1, 1): -1})
-    lhs = one_minus_tq * tk_recurrence(k).shift_t_by_q(1)
-    rhs = tk_recurrence(k) + monomial(1, 2, 2 * k + 1) * tk_recurrence(k - 1)
-    return lhs == rhs
 
 
 def tk_special(eps: int, b: int, k: int) -> LaurentPoly:
@@ -201,7 +192,7 @@ def tk_at_minus_inv_q(k: int) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# single-power substitutions of T_k and their step relations
+# single-power substitutions of T_k
 
 
 @_memo
@@ -214,26 +205,6 @@ def tk_at(eps: int, b: int, k: int) -> LaurentPoly:
     """
     eps, b, k = _sign(eps, "eps"), index(b), index(k)
     return tk_recurrence(k).substitute_t(eps, b)
-
-
-def alpha_step_holds(eps: int, b: int, k: int) -> bool:
-    """Check ``(1 - eps*q**b) * a(b,k) == a(b-1,k) + q**(2k+2b-1) * a(b-1,k-1)``,
-    where ``a(b,k)`` is :func:`tk_at` ``(eps, b, k)``."""
-    b, k = _size(b, "b", 1), _size(k, "k", 1)
-    lhs = LaurentPoly({(0, 0): 1, (0, b): -eps}) * tk_at(eps, b, k)
-    rhs = tk_at(eps, b - 1, k) + monomial(1, 0, 2 * k + 2 * b - 1) * tk_at(eps, b - 1, k - 1)
-    return lhs == rhs
-
-
-def beta_step_holds(eps: int, b: int, k: int) -> bool:
-    """Check ``b(b,k) == (1 - eps*q**(1-b)) * b(b-1,k) - q**(2k-2b+1) * b(b,k-1)``,
-    where ``b(b,k)`` is :func:`tk_at` ``(eps, -b, k)``."""
-    b, k = _size(b, "b", 1), _size(k, "k", 1)
-    lhs = tk_at(eps, -b, k)
-    rhs = (ONE - monomial(eps, 0, 1 - b)) * tk_at(eps, 1 - b, k) - monomial(
-        1, 0, 2 * k - 2 * b + 1
-    ) * tk_at(eps, -b, k - 1)
-    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -396,29 +367,9 @@ def zeng_bracket_qint(m: int, t0: Fraction, q0: Fraction) -> Fraction:
 
 
 # Adopted after numeric validation against the continued-fraction values:
-# the additive reading fails at every sample point, the quotient reading
-# reproduces them exactly (see tests/test_formulas.py).
+# the additive reading fails at every sample point of ``registry.ZENG_SAMPLE_POINTS``,
+# the quotient reading reproduces them exactly (see tests/test_formulas.py).
 DEFAULT_ZENG_BRACKET: Bracket = zeng_bracket_qint
-
-
-def __getattr__(name: str):
-    # PEP 562, called only for names not in the module dict.  The first read of
-    # ZENG_SAMPLE_POINTS builds the points and stores them there, so that
-    # fractions (and decimal, which it imports) load only when a caller needs
-    # them: compute and bench never do.
-    if name == "ZENG_SAMPLE_POINTS":
-        from fractions import Fraction
-
-        points = globals()[name] = (
-            (Fraction(2), Fraction(1, 2)),
-            (Fraction(1, 3), Fraction(1, 2)),
-            (Fraction(3), Fraction(2)),
-            (Fraction(-2), Fraction(1, 3)),
-            (Fraction(5, 7), Fraction(2, 5)),
-            (Fraction(1, 2), Fraction(3)),
-        )
-        return points
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def zeng_value(

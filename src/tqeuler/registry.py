@@ -5,9 +5,11 @@ human-readable description, a parameter grid (one comprehension over the
 requested bounds; the ``gauss-*`` grids ignore them and are fixed at
 n <= 20), and a check mapping one parameter point to a pass/fail/skipped
 outcome.  Every check is ``_same`` over two or more sides, which passes
-when all of them are equal; a boolean predicate is one side, the constant
-``True`` the other.  The registry is the product's test surface: the CLI
-``verify`` command simply executes it.
+when all of them are equal.  Every side is a value, a polynomial, an int or a
+list of them, never a predicate, so a failing cell shows what each side
+computed.  The registry is the product's test surface: the CLI ``verify``
+command simply executes it, and what only ``verify`` reads lives here, the
+zeng sample points among it.
 
 Checks resolve formula functions through the :mod:`tqeuler.formulas` module
 object at call time, so replacing a formula (for example in a mutation test)
@@ -41,11 +43,21 @@ __all__ = [
     "HARD_MAX_K",
     "HARD_MAX_B",
     "DYCK_ORACLE_MAX_N",
+    "ZENG_SAMPLE_POINTS",
 ]
 
 SECANT_NUMBERS = (1, 1, 5, 61, 1385)
 TANGENT_NUMBERS = (1, 2, 16, 272, 7936)
 ODD_DOUBLE_FACTORIALS = (1, 1, 3, 15, 105, 945)
+# the (t, q) points of zeng-numeric, which reads the first five
+ZENG_SAMPLE_POINTS = (
+    (Fraction(2), Fraction(1, 2)),
+    (Fraction(1, 3), Fraction(1, 2)),
+    (Fraction(3), Fraction(2)),
+    (Fraction(-2), Fraction(1, 3)),
+    (Fraction(5, 7), Fraction(2, 5)),
+    (Fraction(1, 2), Fraction(3)),
+)
 
 
 class RegistryConfigError(ValueError):
@@ -236,7 +248,8 @@ def _md_star(k: int) -> LaurentPoly:
 
 # ---------------------------------------------------------------------------
 # grids: each row's cells are one comprehension over the bounds, keys in the order the
-# report prints them; the common grids, and the path rows' shared (eps, b, k), are named
+# report prints them; the common grids, each grid two rows share, and the path rows' shared
+# (eps, b, k) are named
 
 
 def _N(bounds: Bounds) -> list[dict]:
@@ -245,6 +258,14 @@ def _N(bounds: Bounds) -> list[dict]:
 
 def _K(bounds: Bounds) -> list[dict]:
     return [{"k": k} for k in range(bounds.max_k + 1)]
+
+
+def _ANCHOR(bounds: Bounds) -> list[dict]:
+    return [{"n": n} for n in range(min(bounds.max_n, 4) + 1)]
+
+
+def _BOX(bounds: Bounds) -> list[dict]:
+    return [{"m": m, "n": n} for m in range(min(bounds.max_n, 6) + 1) for n in range(min(bounds.max_n, 6) + 1)]
 
 
 def _K1(bounds: Bounds) -> list[dict]:
@@ -268,6 +289,10 @@ def _desk(bounds: Bounds) -> list[tuple[int, int, int]]:
     """The ``(eps, b, k)`` of the lattice-path lemma checks, which run at desk scale: b, k <= 4."""
     return [(eps, b, k) for eps in (1, -1) for b in range(min(bounds.max_b, 4) + 1)
             for k in range(min(bounds.max_k, 4) + 1)]
+
+
+def _YAXIS(bounds: Bounds) -> list[dict]:
+    return [{"eps": eps, "b": b, "k": k, "n": n} for eps, b, k in _desk(bounds) for n in range(1, k + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +334,8 @@ REGISTRY: tuple[Identity, ...] = (
                   lambda k: monomial(1, k, k * (k + 1)) * formulas.tk_recurrence(k).invert_variables(),
                   cap=("k", 5, "marked Dyck path oracle"))),
     Identity("tk-functional", "(1-tq) T_k(tq,q) = T_k(t,q) + t^2 q^(2k+1) T_{k-1}(t,q)",
-        _K1, _same(lambda k: formulas.tk_functional_equation_holds(k), lambda k: True)),
+        _K1, _same(lambda k: (ONE - monomial(1, 1, 1)) * _tk(k).shift_t_by_q(1),
+                   lambda k: _tk(k) + monomial(1, 2, 2 * k + 1) * _tk(k - 1))),
     Identity("tk-special-pp", "substitution formula at t = +q^b equals direct substitution",
         _B0K, _special(1, 1)),
     Identity("tk-special-mp", "substitution formula at t = -q^b equals direct substitution",
@@ -334,27 +360,27 @@ REGISTRY: tuple[Identity, ...] = (
     Identity("tk-minus-inv-q", "closed form for T_k(-1/q, q)",
         _K, _same(lambda k: formulas.tk_at_minus_inv_q(k), lambda k: formulas.tk_at(-1, -1, k))),
     Identity("alpha-recurrence", "step relation for T_k at t = eps q^b",
-        _STEPS, _same(lambda eps, b, k: formulas.alpha_step_holds(eps, b, k), lambda eps, b, k: True)),
+        # (1 - eps q^b) a(b, k) = a(b-1, k) + q^(2k+2b-1) a(b-1, k-1), with a(b, k) = T_k(eps q^b, q)
+        _STEPS, _same(lambda eps, b, k: (ONE - monomial(eps, 0, b)) * formulas.tk_at(eps, b, k),
+                      lambda eps, b, k: formulas.tk_at(eps, b - 1, k)
+                      + monomial(1, 0, 2 * k + 2 * b - 1) * formulas.tk_at(eps, b - 1, k - 1))),
     Identity("beta-recurrence", "step relation for T_k at t = eps q^-b",
-        _STEPS, _same(lambda eps, b, k: formulas.beta_step_holds(eps, b, k), lambda eps, b, k: True)),
+        # b(b, k) = (1 - eps q^(1-b)) b(b-1, k) - q^(2k-2b+1) b(b, k-1), with b(b, k) = T_k(eps q^-b, q)
+        _STEPS, _same(lambda eps, b, k: formulas.tk_at(eps, -b, k),
+                      lambda eps, b, k: (ONE - monomial(eps, 0, 1 - b)) * formulas.tk_at(eps, 1 - b, k)
+                      - monomial(1, 0, 2 * k - 2 * b + 1) * formulas.tk_at(eps, -b, k - 1))),
     Identity("ballot-reduction", "Dyck weight sums reduce to ballot-weighted marked-path sums",
         lambda bounds: [{"n": n, "weights": weights}
                         for n in range(min(bounds.max_n, 5) + 1) for weights in ("euler", "q-int")],
         _same(lambda n, weights: combinat.dyck_weight_sum(n, *_step_rules(weights)), _ballot_marked_sum)),
     Identity("dist-box", "distinct-part distribution over a box equals its closed form",
-        lambda bounds: [{"m": m, "n": n}
-                        for m in range(min(bounds.max_n, 6) + 1) for n in range(min(bounds.max_n, 6) + 1)],
-        _same(lambda m, n: combinat.dist_box_polynomial(m, n), lambda m, n: formulas.dist_box_closed(m, n))),
+        _BOX, _same(lambda m, n: combinat.dist_box_polynomial(m, n), lambda m, n: formulas.dist_box_closed(m, n))),
     Identity("box-binomial", "partition count in a box equals the Gaussian binomial",
-        lambda bounds: [{"m": m, "n": n}
-                        for m in range(min(bounds.max_n, 6) + 1) for n in range(min(bounds.max_n, 6) + 1)],
-        _same(lambda m, n: combinat.box_size_polynomial(m, n), lambda m, n: qkit.gauss_binom(m + n, m))),
+        _BOX, _same(lambda m, n: combinat.box_size_polynomial(m, n), lambda m, n: qkit.gauss_binom(m + n, m))),
     Identity("lpath-yaxis", "west/southwest path sums to the y-axis equal their closed form",
-        lambda bounds: [{"eps": eps, "b": b, "k": k, "n": n}
-                        for eps, b, k in _desk(bounds) for n in range(1, k + 1)],
-        _same(lambda eps, b, k, n: combinat.l_path_weight_sum(b, k, 0, n, eps),
-              lambda eps, b, k, n: monomial(1, 0, (k - n) * (2 * k + 1))
-              * qkit.gauss_binom(b, k - n, squared=True))),
+        _YAXIS, _same(lambda eps, b, k, n: combinat.l_path_weight_sum(b, k, 0, n, eps),
+                      lambda eps, b, k, n: monomial(1, 0, (k - n) * (2 * k + 1))
+                      * qkit.gauss_binom(b, k - n, squared=True))),
     Identity("lpath-xaxis", "west/southwest path sums to the x-axis equal their closed form",
         lambda bounds: [{"eps": eps, "b": b, "k": k, "m": m}
                         for eps, b, k in _desk(bounds) if k >= 1 for m in range(b + 1)],
@@ -363,12 +389,10 @@ REGISTRY: tuple[Identity, ...] = (
               * monomial(1, 0, k * (2 * k + 2 * m + 1))
               * qkit.gauss_binom(b - m - 1, k - 1, squared=True))),
     Identity("lprime-yaxis", "west/south path sums to the y-axis equal their closed form",
-        lambda bounds: [{"eps": eps, "b": b, "k": k, "n": n}
-                        for eps, b, k in _desk(bounds) for n in range(1, k + 1)],
-        _same(lambda eps, b, k, n: combinat.lprime_path_weight_sum(b, k, 0, n, eps),
-              lambda eps, b, k, n: qkit.pochhammer(eps, 1 - b, b)
-              * qkit.neg_q_power((k - n) * (k + n - 2 * b + 2))
-              * qkit.partition_box_binom(k - n, b - 1, squared=True))),
+        _YAXIS, _same(lambda eps, b, k, n: combinat.lprime_path_weight_sum(b, k, 0, n, eps),
+                      lambda eps, b, k, n: qkit.pochhammer(eps, 1 - b, b)
+                      * qkit.neg_q_power((k - n) * (k + n - 2 * b + 2))
+                      * qkit.partition_box_binom(k - n, b - 1, squared=True))),
     Identity("lprime-xaxis", "west/south path sums to the x-axis equal their closed form",
         lambda bounds: [{"eps": eps, "b": b, "k": k, "m": m}
                         for eps, b, k in _desk(bounds) if k >= 1 for m in range(1, b + 1)],
@@ -387,13 +411,11 @@ REGISTRY: tuple[Identity, ...] = (
     Identity("euler-minus-inv-q", "ballot closed form at t = -1/q",
         _N, _same(lambda n: formulas.euler_hat_at_minus_inv_q(n), _euler_at(-1, -1))),
     Identity("secant-anchor", "q = 1 secant values against alternating permutation counts",
-        lambda bounds: [{"n": n} for n in range(min(bounds.max_n, 4) + 1)],
-        _same(lambda n: cfrac.en_even_q(n).evaluate(1, 1), lambda n: SECANT_NUMBERS[n],
-              lambda n: combinat.alt_statistic_polynomial(2 * n).evaluate(1, 1))),
+        _ANCHOR, _same(lambda n: cfrac.en_even_q(n).evaluate(1, 1), lambda n: SECANT_NUMBERS[n],
+                       lambda n: combinat.alt_statistic_polynomial(2 * n).evaluate(1, 1))),
     Identity("tangent-anchor", "q = 1 tangent values against alternating permutation counts",
-        lambda bounds: [{"n": n} for n in range(min(bounds.max_n, 4) + 1)],
-        _same(lambda n: cfrac.en_odd_q(n).evaluate(1, 1), lambda n: TANGENT_NUMBERS[n],
-              lambda n: combinat.alt_statistic_polynomial(2 * n + 1).evaluate(1, 1))),
+        _ANCHOR, _same(lambda n: cfrac.en_odd_q(n).evaluate(1, 1), lambda n: TANGENT_NUMBERS[n],
+                       lambda n: combinat.alt_statistic_polynomial(2 * n + 1).evaluate(1, 1))),
     Identity("dn-anchor", "d_n(1) against height-weighted Dyck counts",
         lambda bounds: [{"n": n} for n in range(min(bounds.max_n, 5) + 1)],
         _same(lambda n: _d(n).evaluate(1, 1), lambda n: ODD_DOUBLE_FACTORIALS[n],
@@ -407,7 +429,7 @@ REGISTRY: tuple[Identity, ...] = (
                                                  (lambda h: qkit.q_int(h + 1)) if n % 2 else qkit.q_int))),
     Identity("zeng-numeric", "rational double-sum evaluation matches the fraction moments",
         lambda bounds: [{"n": n, "t": str(t), "q": str(q)} for n in range(min(bounds.max_n, 4) + 1)
-                        for t, q in formulas.ZENG_SAMPLE_POINTS[:5]],
+                        for t, q in ZENG_SAMPLE_POINTS[:5]],
         _same(lambda n, t, q: formulas.zeng_value(n, Fraction(t), Fraction(q)),
               lambda n, t, q: cfrac.euler_hat(n).evaluate(Fraction(t), Fraction(q))
               / (1 - Fraction(q)) ** (2 * n))),

@@ -7,6 +7,7 @@ PASS/FAIL line in the pytest terminal summary (see conftest).
 
 import math
 import time
+from collections import Counter
 
 from tqeuler import cfrac, cli, combinat, formulas, qkit, registry
 from tqeuler.exactalg import LaurentPoly, ONE, Q, ZERO, const, monomial
@@ -83,13 +84,11 @@ def test_03_specialization_suite(acceptance):
 
 def test_04_functional_equation(acceptance):
     """The t -> t*q functional equation holds for k <= 8, and both single-power
-    step relations hold for 1 <= b, k <= 5."""
-    ok = all(formulas.tk_functional_equation_holds(k) for k in range(1, 9))
-    for eps in (1, -1):
-        for b in range(1, 6):
-            for k in range(1, 6):
-                ok = ok and formulas.alpha_step_holds(eps, b, k)
-                ok = ok and formulas.beta_step_holds(eps, b, k)
+    step relations hold for 1 <= b <= 5 and 1 <= k <= 8: the three registry
+    rows, each comparing its two polynomials, fail no cell."""
+    report = registry.run_verification(0, 8, 5, select="tk-functional,alpha-recurrence,beta-recurrence")
+    counts = Counter(c.id for c in report.cases)
+    ok = not report.failed and counts == {"tk-functional": 8, "alpha-recurrence": 80, "beta-recurrence": 80}
     acceptance("04-functional-equation", ok)
 
 
@@ -202,7 +201,7 @@ def test_09_zeng_numeric(acceptance):
     points for every n <= 4, with the validated bracket reading."""
     ok = formulas.DEFAULT_ZENG_BRACKET is formulas.zeng_bracket_qint
     for n in range(5):
-        for t0, q0 in formulas.ZENG_SAMPLE_POINTS[:5]:
+        for t0, q0 in registry.ZENG_SAMPLE_POINTS[:5]:
             want = cfrac.euler_hat(n).evaluate(t0, q0) / (1 - q0) ** (2 * n)
             ok = ok and formulas.zeng_value(n, t0, q0) == want
     acceptance("09-zeng-numeric", ok)

@@ -2,8 +2,8 @@
 and ``exactalg`` at the edges of its range.
 
 ``TABLE`` has one row per name in the first four ``__all__`` lists apart
-from the two error classes of ``combinat`` and the two data constants of
-``formulas`` (``DEFAULT_ZENG_BRACKET`` is ``zeng_bracket_qint`` under its
+from the two error classes of ``combinat`` and the data constant
+``DEFAULT_ZENG_BRACKET`` of ``formulas`` (it is ``zeng_bracket_qint`` under its
 adopted name), and one row per callable of ``exactalg.__all__`` apart from
 its two error classes, where ``LaurentPoly`` has one row per method that
 takes a size, named ``LaurentPoly.<method>``, and ``pochhammer`` and
@@ -15,8 +15,7 @@ documented base value where -1 raises), the enumeration cutoff (None outside
 call is defined there, which for an oracle means the family is empty and the
 value ZERO).  A call whose
 range starts at 1 is made at s + 1, so -1 is again just below its range:
-the functional equation, the two step relations, the factor of
-``scale_q``, the sign of ``substitute_t`` and the divisor of
+the factor of ``scale_q``, the sign of ``substitute_t`` and the divisor of
 ``divide_exact``.  Each row runs at -1 and 0, and with a cutoff also at the
 cutoff and one past it.  The marked-path and arrow sums at their cutoff 6
 are read from the frozen outputs in ``tests/data``, which
@@ -62,8 +61,6 @@ from tqeuler.combinat import (
 from tqeuler.exactalg import ONE, ONE_MINUS_Q, Q, T, LaurentPoly, ZERO, const, monomial
 from tqeuler.formulas import (
     a_k_inverse,
-    alpha_step_holds,
-    beta_step_holds,
     dist_box_closed,
     dn_touchard_riordan,
     euler_hat_at_minus_inv_q,
@@ -79,7 +76,6 @@ from tqeuler.formulas import (
     tk_at_minus_inv_q,
     tk_at_minus_q,
     tk_closed,
-    tk_functional_equation_holds,
     tk_prodinger,
     tk_recurrence,
     tk_special,
@@ -125,7 +121,7 @@ from reference import (
 
 DATA = Path(__file__).parent / "data"
 ERROR_CLASSES = {"CutoffExceededError", "InvalidEndpointError", "NonDivisibleError", "ZeroDenominatorError"}
-DATA_CONSTANTS = {"DEFAULT_ZENG_BRACKET", "ZENG_SAMPLE_POINTS"}
+DATA_CONSTANTS = {"DEFAULT_ZENG_BRACKET"}
 
 
 def _frozen(name: str, group: str | None = None) -> dict[int, LaurentPoly]:
@@ -200,19 +196,15 @@ TABLE = {
     "en_even_q": Row(en_even_q, lambda s: ONE, None, ValueError),
     "en_odd_q": Row(en_odd_q, lambda s: ONE, None, ValueError),
     # formulas: T_0 = 1, each normalized Euler route is 1 at n = 0 (the unshifted tangent
-    # form carries one more factor 1 - q), and each step relation holds at its first point
+    # form carries one more factor 1 - q)
     "tk_special.b": Row(lambda s: tk_special(1, s, 1), lambda b: ONE - Q - q_power(b + 1), None, None),
     "tk_recurrence": Row(tk_recurrence, lambda s: ONE, None, ValueError),
     "tk_closed": Row(tk_closed, lambda s: ONE, None, ValueError),
-    "tk_functional_equation_holds": Row(lambda s: tk_functional_equation_holds(s + 1),
-                                        lambda s: True, None, ValueError),
     "tk_special": Row(lambda s: tk_special(-1, 2, s), lambda s: ONE, None, ValueError),
     "tk_prodinger": Row(lambda s: tk_prodinger(1, s), lambda s: ONE, None, ValueError),
     "tk_at": Row(lambda s: tk_at(-1, -2, s), lambda s: ONE, None, ValueError),
     "tk_at_minus_q": Row(tk_at_minus_q, lambda s: ONE, None, ValueError),
     "tk_at_minus_inv_q": Row(tk_at_minus_inv_q, lambda s: ONE, None, ValueError),
-    "alpha_step_holds": Row(lambda s: alpha_step_holds(1, 1, s + 1), lambda s: True, None, ValueError),
-    "beta_step_holds": Row(lambda s: beta_step_holds(-1, 1, s + 1), lambda s: True, None, ValueError),
     "euler_hat_ballot": Row(euler_hat_ballot, lambda s: ONE, None, ValueError),
     "secant_hat_closed": Row(secant_hat_closed, lambda s: ONE, None, ValueError),
     "tangent_hat_closed": Row(tangent_hat_closed, lambda s: ONE, None, ValueError),

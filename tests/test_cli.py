@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -140,7 +141,7 @@ class TestCompute:
 
     def test_csv_format(self, capsys):
         assert cli.main(["compute", "t", "--k", "0", "--format", "csv"]) == 0
-        assert capsys.readouterr().out.splitlines() == ["et,eq,c", "0,0,1"]
+        assert capsys.readouterr().out == "et,eq,c\r\n0,0,1\r\n"
 
     def test_missing_parameter(self, capsys):
         assert cli.main(["compute", "t"]) == 2
@@ -393,6 +394,15 @@ class TestBench:
         cli.main(["bench", "--max-n", "7"])
         out = capsys.readouterr().out
         assert "7,dyck-brute,cutoff," in out
+
+    def test_row_bytes(self, capsys):
+        # CSV as the csv module writes it: every row ends in \r\n, and a cutoff row has an empty last field
+        assert cli.main(["bench", "--max-n", "7"]) == 0
+        rows = capsys.readouterr().out.split("\r\n")
+        assert rows[0] == "n,method,ms,terms" and rows[-2:] == ["7,dyck-brute,cutoff,", ""]
+        assert len(rows) == 1 + 8 * 4 + 1
+        for row in rows[1:-2]:
+            assert re.fullmatch(r"[0-7],(moment-dp|ballot-form|odd-poch-sum|dyck-brute),[0-9]+,[0-9]+", row), row
 
     def test_dyck_cutoff_is_the_verify_range(self, capsys):
         # bench and verify run the brute-force Dyck oracle over one range

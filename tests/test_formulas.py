@@ -11,9 +11,6 @@ from tqeuler import cfrac, cli, combinat, exactalg, formulas, qkit, registry
 from tqeuler.exactalg import LaurentPoly, ONE, Q, T, ZeroDenominatorError, const, monomial
 from tqeuler.formulas import (
     DEFAULT_ZENG_BRACKET,
-    ZENG_SAMPLE_POINTS,
-    alpha_step_holds,
-    beta_step_holds,
     dist_box_closed,
     dn_touchard_riordan,
     euler_hat_at_minus_inv_q,
@@ -29,7 +26,6 @@ from tqeuler.formulas import (
     tk_at_minus_inv_q,
     tk_at_minus_q,
     tk_closed,
-    tk_functional_equation_holds,
     tk_prodinger,
     tk_recurrence,
     tk_special,
@@ -37,6 +33,7 @@ from tqeuler.formulas import (
     zeng_value,
 )
 from tqeuler.qkit import a_k_poly, square_sum
+from tqeuler.registry import ZENG_SAMPLE_POINTS
 
 ONE_MINUS_Q = ONE - Q
 T1 = LaurentPoly({(0, 0): 1, (0, 1): -1, (1, 1): -1})
@@ -116,7 +113,8 @@ class TestTkFamily:
         expected = LaurentPoly({(0, 0): 1, (0, 1): -1, (1, 1): -1, (2, 3): 1})
         assert lhs == expected
         for k in range(1, 9):
-            assert tk_functional_equation_holds(k)
+            lhs = (ONE - T * Q) * tk_recurrence(k).shift_t_by_q(1)
+            assert lhs == tk_recurrence(k) + monomial(1, 2, 2 * k + 1) * tk_recurrence(k - 1)
 
     def test_functional_equation_detects_corruption(self):
         corrupted = tk_recurrence(1) + monomial(1, 1, 1)  # drop the -t*q term
@@ -188,8 +186,13 @@ class TestSpecializations:
         for eps in (1, -1):
             for b in range(1, 6):
                 for k in range(1, 6):
-                    assert alpha_step_holds(eps, b, k)
-                    assert beta_step_holds(eps, b, k)
+                    # alpha: T_k at t = eps q^b, one step down in b
+                    assert (ONE - monomial(eps, 0, b)) * tk_at(eps, b, k) == (
+                        tk_at(eps, b - 1, k) + monomial(1, 0, 2 * k + 2 * b - 1) * tk_at(eps, b - 1, k - 1))
+                    # beta: T_k at t = eps q^-b, one step up from 1 - b
+                    assert tk_at(eps, -b, k) == (
+                        (ONE - monomial(eps, 0, 1 - b)) * tk_at(eps, 1 - b, k)
+                        - monomial(1, 0, 2 * k - 2 * b + 1) * tk_at(eps, -b, k - 1))
 
 
 class TestEulerFormulas:

@@ -69,7 +69,6 @@ FROZEN = {  # name -> ids of the cells that fail with its results changed
         "tk-special-mm", "tk-special-mp", "tk-special-pm", "tk-special-pp"
     },
     "tk_closed": {"tk-closed"},
-    "tk_functional_equation_holds": {"tk-functional"},
     "tk_special": {
         "tk-at-minus-one", "tk-at-one", "tk-at-q", "tk-special-mm", "tk-special-mp",
         "tk-special-pm", "tk-special-pp"
@@ -82,8 +81,6 @@ FROZEN = {  # name -> ids of the cells that fail with its results changed
     },
     "tk_at_minus_q": {"tk-minus-q"},
     "tk_at_minus_inv_q": {"tk-minus-inv-q"},
-    "alpha_step_holds": {"alpha-recurrence"},
-    "beta_step_holds": {"beta-recurrence"},
     "euler_hat_ballot": {"euler-dp-vs-ballot"},
     "secant_hat_closed": {"secant-closed", "secant-original"},
     "tangent_hat_closed": {"tangent-closed", "tangent-original"},

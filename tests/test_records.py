@@ -1,8 +1,9 @@
 """The value records of the verification table behave as the frozen dataclasses they
 replace; importing the package and computing a polynomial load neither ``json``, ``csv``,
 the record base ``tqeuler._record`` nor the verification table with its ``dataclasses``
-and ``inspect``, nor ``fractions`` with ``decimal``, which only ``verify`` loads; the
-table's names load on first use."""
+and ``inspect``, nor ``fractions`` with ``decimal``, which only ``verify`` loads; CSV
+output, of ``compute`` or ``bench``, loads no ``csv``; the table's names load on first
+use, and the zeng sample points are Fractions in the table."""
 
 import copy
 import dataclasses
@@ -10,6 +11,7 @@ import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -208,11 +210,20 @@ def test_only_verify_loads_fractions_and_decimal():
     assert added_heavy(run, rational) == "['decimal', 'fractions']"
 
 
-def test_sample_points_are_built_once_on_first_read():
-    code = ("import sys, tqeuler.formulas as f; before = 'fractions' in sys.modules; "
-            "from tqeuler.formulas import ZENG_SAMPLE_POINTS as points; "
-            "print(before, points is f.ZENG_SAMPLE_POINTS is vars(f)['ZENG_SAMPLE_POINTS'], len(points))")
-    assert fresh_run(code) == "False True 6"
+def test_sample_points_are_fractions_in_the_registry():
+    points = registry.ZENG_SAMPLE_POINTS
+    assert points == ((2, Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 2)), (3, 2), (-2, Fraction(1, 3)),
+                      (Fraction(5, 7), Fraction(2, 5)), (Fraction(1, 2), 3))
+    assert all(type(x) is Fraction for point in points for x in point)
+    assert not hasattr(formulas, "ZENG_SAMPLE_POINTS") and "__getattr__" not in vars(formulas)
+    # so importing formulas and computing still load no fractions
+    assert added_heavy("import tqeuler.formulas, tqeuler.cli; tqeuler.cli.main(['compute', 't', '--k', '3'])",
+                       ("fractions", "decimal")) == "[]"
+
+
+@pytest.mark.parametrize("argv", [["compute", "t", "--k", "2", "--format", "csv"], ["bench", "--max-n", "1"]])
+def test_csv_output_loads_no_csv_module(argv):
+    assert added_heavy(f"import tqeuler.cli; tqeuler.cli.main({argv!r})", ("csv",)) == "[]"
 
 
 LAZY = ("run_verification", "identity_ids", "VerificationReport")

@@ -1,5 +1,5 @@
 """The failure path of the registry's ``_same`` rows: the many-sided
-equalities and the predicates, whose second side is the constant ``True``.
+equalities, and the T_k lemma rows, whose two sides are polynomials.
 
 Each row of ``FAILURES`` replaces one side of an identity, runs that identity
 at the default bounds and recomputes every side of every cell here, from the
@@ -30,14 +30,29 @@ ODD_DOUBLE_FACTORIALS = (1, 1, 3, 15, 105, 945)
 ZENG = formulas.zeng_value  # the real one, read before any test replaces it
 
 
-def _false_at(real, cell):
-    """The predicate ``real`` with its value at the params ``cell`` turned to ``False``."""
-    return lambda *params: params != cell and real(*params)
-
-
 def _bumped(real):
     """``gauss_binom`` with ``t`` added to ``[3, 1]``."""
     return lambda n, k, squared=False: real(n, k, squared) + (T if (n, k) == (3, 1) else ZERO)
+
+
+def _bumped_at(real, cell):
+    """``real`` with ``t`` added to its value at the arguments ``cell``."""
+    return lambda *args: real(*args) + (T if args == cell else ZERO)
+
+
+def _functional_sides(tk, k):
+    return (ONE - T * Q) * tk(k).shift_t_by_q(1), tk(k) + monomial(1, 2, 2 * k + 1) * tk(k - 1)
+
+
+def _alpha_sides(at, eps, b, k):
+    return ((ONE - monomial(eps, 0, b)) * at(eps, b, k),
+            at(eps, b - 1, k) + monomial(1, 0, 2 * k + 2 * b - 1) * at(eps, b - 1, k - 1))
+
+
+def _beta_sides(at, eps, b, k):
+    return (at(eps, -b, k),
+            (ONE - monomial(eps, 0, 1 - b)) * at(eps, 1 - b, k)
+            - monomial(1, 0, 2 * k - 2 * b + 1) * at(eps, -b, k - 1))
 
 
 def _pascal_sides(g, n):
@@ -68,13 +83,13 @@ FAILURES = {
     # [3, 1] is on the left at n = 3 and on the right at n = 4, in both rows
     "gauss-pascal": (qkit, "gauss_binom", _bumped, lambda new, n: _pascal_sides(new, n), 2),
     "gauss-symmetry": (qkit, "gauss_binom", _bumped, lambda new, n: _symmetry_sides(new, n), 2),
-    # a predicate false at one cell fails that cell alone, as "lhs = False ; rhs = True"
-    "tk-functional": (formulas, "tk_functional_equation_holds", lambda real: _false_at(real, (3,)),
-                      lambda new, k: (new(k), True), 1),
-    "alpha-recurrence": (formulas, "alpha_step_holds", lambda real: _false_at(real, (-1, 2, 3)),
-                         lambda new, eps, b, k: (new(eps, b, k), True), 1),
-    "beta-recurrence": (formulas, "beta_step_holds", lambda real: _false_at(real, (1, 4, 6)),
-                        lambda new, eps, b, k: (new(eps, b, k), True), 1),
+    # the T_k lemma rows print both polynomials.  T_3 is bumped, and through the recurrence every
+    # T_k above it, so the cells k = 3..6 fail; tk_at(-1, 2, 3) is read by three alpha cells,
+    # (-1, 2, 3) on the left and (-1, 3, 3), (-1, 3, 4) on the right; tk_at(1, -4, 5) by the beta
+    # cells (1, 4, 5) and (1, 4, 6), the cell (1, 5, 5) being past max_b
+    "tk-functional": (formulas, "tk_recurrence", lambda real: _bumped_at(real, (3,)), _functional_sides, 4),
+    "alpha-recurrence": (formulas, "tk_at", lambda real: _bumped_at(real, (-1, 2, 3)), _alpha_sides, 3),
+    "beta-recurrence": (formulas, "tk_at", lambda real: _bumped_at(real, (1, -4, 5)), _beta_sides, 2),
 }
 
 

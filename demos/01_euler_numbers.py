@@ -30,9 +30,7 @@ for n in range(4):
 print()
 print("Touchard-Riordan quantity d_n (fraction with coefficients [n]_q)")
 print("-" * 60)
-from tqeuler.exactalg import ONE, Q
-
 for n in range(5):
     hat = cfrac.dn_hat(n)
-    dn = hat.divide_exact((ONE - Q) ** n)
+    dn = hat.divide_exact(1, [1] * n)
     print(f"d_{n} = {dn}   (normalized: {hat})")

@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Callable, Sequence
 
-from .exactalg import ExpPair, LaurentPoly, ONE_MINUS_Q, _Layout, _memo, _size
+from .exactalg import ExpPair, LaurentPoly, _Layout, _memo, _size
 from .qkit import euler_down, euler_up
 
 __all__ = [
@@ -121,9 +121,9 @@ def dn_hat(n: int) -> LaurentPoly:
 
 def en_even_q(n: int) -> LaurentPoly:
     """The classical q-secant value E_{2n}(q), via ``euler_hat(n)`` at t = 1."""
-    return euler_hat(n).substitute_t(1, 0).divide_exact(ONE_MINUS_Q ** (2 * n))
+    return euler_hat(n).substitute_t(1, 0).divide_exact(1, [1] * (2 * n))
 
 
 def en_odd_q(n: int) -> LaurentPoly:
     """The classical q-tangent value E_{2n+1}(q), via ``euler_hat(n)`` at t = q."""
-    return euler_hat(n).substitute_t(1, 1).divide_exact(ONE_MINUS_Q ** (2 * n))
+    return euler_hat(n).substitute_t(1, 1).divide_exact(1, [1] * (2 * n))

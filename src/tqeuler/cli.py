@@ -15,7 +15,7 @@ import time
 from types import SimpleNamespace
 
 from . import cfrac, clear_caches, combinat, formulas, qkit
-from .exactalg import ONE_MINUS_Q, LaurentPoly
+from .exactalg import LaurentPoly
 from .formulas import DYCK_ORACLE_MAX_N, HARD_MAX_K, HARD_MAX_N
 
 
@@ -50,7 +50,7 @@ def cmd_compute(args: SimpleNamespace) -> int:
     poly = {"t": formulas.tk_recurrence, "e": cfrac.euler_hat, "d": cfrac.dn_hat,
             "e-even": cfrac.en_even_q, "e-odd": cfrac.en_odd_q}[target](size)
     if target == "d" and not args.normalized:
-        poly = poly.divide_exact(ONE_MINUS_Q**size)
+        poly = poly.divide_exact(1, [1] * size)
     print(_render_poly(poly, args.format))
     return 0
 

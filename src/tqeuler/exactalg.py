@@ -10,11 +10,12 @@ All values are immutable after construction and all operations are pure.
 
 Dense t-rows are the one form of a polynomial (see :class:`LaurentPoly`): a
 product slice-adds a scaled copy of one row per nonzero slot of another, a sum
-merges rows by e_t and ``divide_exact`` divides row by row.  No other module
-reads or builds a row.  A term dict is made only when ``LaurentPoly.terms`` is
-read, and ``json_text`` writes from the rows; the term-dict product, sum and
-long division, the dense row fold and the term-by-term loops of
-``substitute_t`` and ``evaluate`` are the references in ``tests/reference.py``.
+merges rows by e_t and ``divide_exact`` divides each row by binomials
+``1 - sign * q**j``, one running-sum pass per factor.  No other module reads or
+builds a row.  A term dict is made only when ``LaurentPoly.terms`` is read, and
+``json_text`` writes from the rows; the term-dict product, sum and long
+division, the dense row fold and the term-by-term loops of ``substitute_t`` and
+``evaluate`` are the references in ``tests/reference.py``.
 
 Two folds go through packed ints (Kronecker substitution, see ``_Layout``):
 ``substitute_t``, and ``_sum_of_products``, which forms a whole sum of
@@ -38,7 +39,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache, reduce
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, index, mul, neg, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -220,42 +221,41 @@ class LaurentPoly:
 
     # -- exact division ------------------------------------------------------
 
-    def divide_exact(self, divisor: "LaurentPoly | int") -> "LaurentPoly":
-        """Exact division in the Laurent ring by a divisor ``t**d * g(q)`` with one t-row.
+    def divide_exact(self, sign: int, powers: Iterable[int]) -> "LaurentPoly":
+        """Exact division by the product of ``1 - sign * q**j`` over ``j`` in ``powers``.
 
-        A divisor with two or more t-rows raises ``ValueError`` (every divisor
-        in this package is a polynomial in q), and one that does not divide
-        exactly over the integers :class:`NonDivisibleError`.  Row e_t of the
-        quotient is row ``e_t + d`` of this polynomial divided by ``g``, so
-        each row is long-divided on its own, from its highest q-slot down to
-        the q-span of ``g``.  A step at slot i writes only slots
-        ``i - span .. i`` of its own row, so every index stays inside the row
-        by construction and no row bound is needed.  An exact quotient row has
-        nonzero ends, as products of its ends with those of ``g`` are the
-        dividend's.  The term-dict loop in ``tests/reference.py`` is the reference.
+        ``sign`` is +1 or -1 and each power j is at least 1; repeats are allowed,
+        so ``(1, [1] * m)`` divides by ``(1-q)**m`` and ``(eps, range(1, b + 1))``
+        by ``(eps*q; q)_b``.  Each t-row is divided by one factor at a time.  If
+        ``p = (1 - sign * q**j) * y``, then ``y_i = p_i + sign * y_{i-j}`` (with
+        ``y_i = 0`` below the row), so each residue class of slots mod j is one
+        running sum; for sign -1 every other slot of a class is negated before
+        and after the sum.  The sums run over all of p's slots, and y is all but
+        the top j of them: the division is exact iff those j are 0, and otherwise
+        :class:`NonDivisibleError` is raised.  An exact quotient row has nonzero
+        ends, so it needs no cut: its bottom slot is p's, and p's top slot is
+        ``-sign`` times y's.  The term-dict long division ``divide_reference`` in
+        ``tests/reference.py`` is the reference.
         """
-        divisor = self._coerce(divisor)
-        if not divisor:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rows = divisor._rows
-        if len(rows) > 1:
-            raise ValueError("divide_exact needs a divisor with one t-row, t**d times a polynomial in q")
-        ((d_t, d_q, g),) = rows
-        span, lead = len(g) - 1, g[-1]
-        lower = [(j - span, v) for j, v in enumerate(g[:-1]) if v]  # (offset from the lead, coefficient)
+        sign = _sign(sign, "sign")
+        powers = [_size(j, "power", 1) for j in powers]
         quo = []
         for et, lo, cs in self._rows:
-            rem, row = list(cs), [0] * max(0, len(cs) - span)
-            for i in range(len(rem) - 1, span - 1, -1):
-                if rem[i]:
-                    # a nonzero remainder stays in rem[i], which no later step writes
-                    c, rem[i] = divmod(rem[i], lead)
-                    row[i - span] = c
-                    for off, v in lower:
-                        rem[i + off] -= c * v
-            if any(rem):
-                raise NonDivisibleError(f"{divisor!r} does not divide {self!r}")
-            quo.append((et - d_t, lo - d_q, tuple(row)))
+            for j in powers:
+                y = [0] * len(cs)
+                for r in range(j):
+                    if sign > 0:
+                        y[r::j] = accumulate(cs[r::j])
+                    else:
+                        run = list(cs[r::j])
+                        run[1::2] = map(neg, run[1::2])
+                        run = list(accumulate(run))
+                        run[1::2] = map(neg, run[1::2])
+                        y[r::j] = run
+                if any(y[-j:]):
+                    raise NonDivisibleError(f"1 {'-' if sign > 0 else '+'} q^{j} does not divide {self!r}")
+                cs = y[:-j]
+            quo.append((et, lo, tuple(cs)))
         return LaurentPoly._trusted(tuple(quo))
 
     # -- substitutions -------------------------------------------------------
@@ -370,14 +370,11 @@ class LaurentPoly:
                 pieces.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(pieces)
 
-    def json_terms(self) -> list[dict[str, object]]:
-        """Canonical JSON form: sorted term records with decimal-string coefficients."""
-        return [{"et": et, "eq": eq, "c": str(c)} for (et, eq), c in self.sorted_terms()]
-
     def json_text(self) -> str:
-        """The bytes of ``json.dumps(self.json_terms(), indent=2, sort_keys=True)``, written from
-        the rows in term order: with indent set, json.dumps runs its pure-Python encoder, and
-        through ``sorted_terms()`` the euler-ladder benchmark's op_s was 6.5% higher."""
+        """Canonical JSON form: the sorted term records ``{"c": "<decimal>", "eq": e_q, "et": e_t}``
+        as ``json.dumps(records, indent=2, sort_keys=True)`` writes them, written from the rows
+        in term order: with indent set, json.dumps runs its pure-Python encoder, and through
+        ``sorted_terms()`` the euler-ladder benchmark's op_s was 6.5% higher."""
         records = [f'  {{\n    "c": "{c}",\n    "eq": {eq},\n    "et": {et}\n  }}'
                    for et, lo, cs in self._rows for eq, c in enumerate(cs, lo) if c]
         return "[\n" + ",\n".join(records) + "\n]" if records else "[]"

@@ -21,7 +21,7 @@ each ``c * t**a * q**b * prod(factors)``; these, and the sums of
 :func:`tk_special` and :func:`tk_prodinger`, are summed in one packed int by
 :func:`tqeuler.exactalg._sum_of_products`.  :func:`tk_recurrence` and
 :func:`tk_at` are memoised by ``exactalg._memo``, and every exact division
-here is by a polynomial in q alone.
+here is by binomials ``1 - eps * q**j``, named by their sign and powers.
 
 A substitution ``t = eps * q**b`` is the two ints ``eps, b`` ahead of ``k``, in
 :func:`tk_special` and :func:`tk_at` alike.
@@ -37,11 +37,9 @@ from .exactalg import (
     Item,
     LaurentPoly,
     ONE,
-    ONE_MINUS_Q,
     ZERO,
     ZeroDenominatorError,
     _ONE_MINUS_T2,
-    _ONE_PLUS_Q,
     _ONE_PLUS_T,
     _memo,
     _sign,
@@ -154,7 +152,7 @@ def tk_special(eps: int, b: int, k: int) -> LaurentPoly:
              (pochhammer(eps, 1, i), gauss_binom(b - i - 1, k - 1, squared=True)))
             for i in range(b)
         ]
-        return _sum_of_products(numerator).divide_exact(pochhammer(eps, 1, b))
+        return _sum_of_products(numerator).divide_exact(eps, range(1, b + 1))
     bb = -b
     # one tail for both signs: (-q)**(k*k + 2k - 2k*bb) times q**(2i), eps in the Pochhammer base
     items = [_neg_q(k * (k - 2 * bb + 2) + 2 * i,
@@ -182,7 +180,7 @@ def tk_prodinger(b: int, k: int) -> LaurentPoly:
 def tk_at_minus_q(k: int) -> LaurentPoly:
     """T_k at ``t = -q``: the closed form ``(1 + q**(2k+1)) / (1 + q)``."""
     k = _size(k, "k")
-    return (ONE + monomial(1, 0, 2 * k + 1)).divide_exact(_ONE_PLUS_Q)
+    return (ONE + monomial(1, 0, 2 * k + 1)).divide_exact(-1, [1])
 
 
 def tk_at_minus_inv_q(k: int) -> LaurentPoly:
@@ -234,7 +232,7 @@ def secant_hat_closed(n: int) -> LaurentPoly:
 
 def a_k_inverse(k: int) -> LaurentPoly:
     """The polynomial ``A_k(1/q)``, recovered by exact division."""
-    return (monomial(-1, 0, 1) * a_k_poly(k).invert_variables()).divide_exact(ONE_MINUS_Q)
+    return (monomial(-1, 0, 1) * a_k_poly(k).invert_variables()).divide_exact(1, [1])
 
 
 def _tangent_kernel(k: int) -> list[Item]:
@@ -316,7 +314,7 @@ def tangent_hat_original(n: int) -> LaurentPoly:
 def _minus_q_kernel(k: int) -> list[Item]:
     sign = -1 if k % 2 else 1
     pair = monomial(sign, 0, k * k) + monomial(sign, 0, (k + 1) ** 2)
-    return [(1, 0, 0, (pair.divide_exact(_ONE_PLUS_Q),))]
+    return [(1, 0, 0, (pair.divide_exact(-1, [1]),))]
 
 
 def euler_hat_at_minus_q(n: int) -> LaurentPoly:

@@ -219,7 +219,7 @@ def _special(eps: int, sign: int) -> Check:
 
 def _d(n: int) -> LaurentPoly:
     """``d_n`` itself, with the ``(1-q)**n`` normalization divided out."""
-    return cfrac.dn_hat(n).divide_exact(ONE_MINUS_Q**n)
+    return cfrac.dn_hat(n).divide_exact(1, [1] * n)
 
 
 def _step_rules(weights: str) -> tuple[Side, Side]:
@@ -354,7 +354,7 @@ REGISTRY: tuple[Identity, ...] = (
                   lambda k: ONE, lambda k: formulas.tk_at(-1, 0, k))),
     Identity("tk-at-q", "t = q specialization recovers the tangent-side kernel",
         _K1, _same(lambda k: formulas.tk_special(1, 1, k),
-                   lambda k: qkit.a_k_poly(k).divide_exact(ONE_MINUS_Q))),
+                   lambda k: qkit.a_k_poly(k).divide_exact(1, [1]))),
     Identity("tk-minus-q", "closed form for T_k(-q, q)",
         _K, _same(lambda k: formulas.tk_at_minus_q(k), lambda k: formulas.tk_at(-1, 1, k))),
     Identity("tk-minus-inv-q", "closed form for T_k(-1/q, q)",

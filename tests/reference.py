@@ -37,7 +37,8 @@ section defines each remaining public function of ``tqeuler.qkit`` and
 ``tqeuler.combinat`` one term, partition or path at a time, for the
 boundary table of ``test_boundaries.py``.  ``build_parser`` is the argparse
 parser that the command table of ``tqeuler.cli`` replaced; ``test_cli.py``
-parses every drawn command line with both.
+parses every drawn command line with both, and ``json_terms`` gives the term
+records that ``LaurentPoly.json_text`` writes as JSON.
 """
 
 from __future__ import annotations
@@ -196,6 +197,11 @@ def divide_reference(dividend: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly
             else:
                 del rem[e]
     return LaurentPoly(quo)
+
+
+def json_terms(poly: LaurentPoly) -> list[dict[str, object]]:
+    """The canonical JSON records of a polynomial: its sorted terms, coefficients as decimal strings."""
+    return [{"et": et, "eq": eq, "c": str(c)} for (et, eq), c in poly.sorted_terms()]
 
 
 def mul_reference(a: Mapping[ExpPair, int], b: Mapping[ExpPair, int]) -> dict[ExpPair, int]:

@@ -15,9 +15,9 @@ documented base value where -1 raises), the enumeration cutoff (None outside
 call is defined there, which for an oracle means the family is empty and the
 value ZERO).  A call whose
 range starts at 1 is made at s + 1, so -1 is again just below its range:
-the factor of ``scale_q``, the sign of ``substitute_t`` and the divisor of
-``divide_exact``.  Each row runs at -1 and 0, and with a cutoff also at the
-cutoff and one past it.  The marked-path and arrow sums at their cutoff 6
+the factor of ``scale_q``, the sign of ``substitute_t`` and the power of a
+``divide_exact`` binomial.  Each row runs at -1 and 0, and with a cutoff
+also at the cutoff and one past it.  The marked-path and arrow sums at their cutoff 6
 are read from the frozen outputs in ``tests/data``, which
 ``make_fixtures.py`` writes from the same reference enumerators.
 
@@ -221,7 +221,7 @@ TABLE = {
     "zeng_bracket_qint": Row(lambda m: zeng_bracket_qint(m, Fraction(2), Fraction(1, 2)),
                              lambda m: (1 - 2 * Fraction(1, 2) ** m) / (1 - Fraction(1, 2)), None, None),
     # exactalg: a Laurent exponent may be negative, a power, a q-scale factor and a
-    # t-sign may not, and a divisor may not be 0
+    # t-sign may not, and the power of a divisor's binomial 1 - sign*q**j may not be below 1
     "monomial": Row(lambda s: monomial(1, 0, s), q_power, None, None),
     "const": Row(const, lambda c: ONE * c, None, None),
     "LaurentPoly.__pow__": Row(lambda s: ONE_MINUS_Q**s, lambda s: ONE, None, ValueError),
@@ -231,8 +231,8 @@ TABLE = {
                                     None, ValueError),
     "LaurentPoly.shift_t_by_q": Row(lambda s: (ONE + T).shift_t_by_q(s), lambda s: ONE + T * q_power(s),
                                     None, None),
-    "LaurentPoly.divide_exact": Row(lambda s: ONE_MINUS_Q.divide_exact(s + 1), lambda s: ONE_MINUS_Q,
-                                    None, ZeroDivisionError),
+    "LaurentPoly.divide_exact": Row(lambda s: ONE_MINUS_Q.divide_exact(1, [s + 1]), lambda s: ONE,
+                                    None, ValueError),
 }
 
 CASES = [
@@ -273,7 +273,7 @@ def test_boundary(name, s):
     lambda: ONE_MINUS_Q.scale_q(2.0),
     lambda: (ONE + T).substitute_t(1, 1.5),
     lambda: (ONE + T).shift_t_by_q(1.5),
-    lambda: ONE_MINUS_Q.divide_exact(1.0),
+    lambda: ONE_MINUS_Q.divide_exact(1, [1.0]),
     # each of these used to return its base-case value, and to raise only at 1.0
     lambda: partition_box_binom(0.0, 3),
     lambda: partition_box_binom(-1.5, 2),
@@ -337,9 +337,19 @@ def test_non_integer_sign_raises_type_error_cold_and_warm(call, eps):
         call(float(eps))
 
 
-def test_divide_exact_needs_a_divisor_with_one_t_row():
-    with pytest.raises(ValueError):
-        (ONE - T * T).divide_exact(ONE + T)
+@pytest.mark.parametrize("sign, powers, error", [
+    (1, [-1], ValueError),
+    (1, [1, 0], ValueError),
+    (1.0, [1], TypeError),
+    (0, [1], ValueError),
+    (2, [1], ValueError),
+], ids=["power-minus-one", "second-power-zero", "float-sign", "sign-zero", "sign-two"])
+@pytest.mark.parametrize("dividend", [ONE_MINUS_Q, ZERO], ids=["1-q", "zero"])
+def test_divide_exact_checks_its_binomials(dividend, sign, powers, error):
+    # every factor is 1 - sign * q**j with sign +-1 and j >= 1, checked before any row is
+    # divided; the row above checks power 0 and a float power
+    with pytest.raises(error):
+        dividend.divide_exact(sign, powers)
 
 
 @pytest.mark.parametrize("call", [

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
-from reference import build_parser
+from reference import build_parser, json_terms
 
 from tqeuler import cfrac, cli, registry
 from tqeuler.exactalg import ZERO, LaurentPoly
@@ -19,7 +19,7 @@ from tqeuler.registry import RegistryConfigError, run_verification
 
 
 def json_dumps_terms(poly):
-    return json.dumps(poly.json_terms(), indent=2, sort_keys=True)
+    return json.dumps(json_terms(poly), indent=2, sort_keys=True)
 
 
 def seidel_zigzag(count):
@@ -232,12 +232,15 @@ class TestParser:
 class TestVerify:
     def test_small_bounds_pass(self, capsys):
         assert cli.main(["verify", "--max-n", "2", "--max-k", "2", "--max-b", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "summary:" in out and "fail=0" in out
+        assert "summary: pass=236 fail=0 skipped=0" in capsys.readouterr().out
+        assert cli.main(["verify", "--max-n", "2", "--max-k", "2", "--max-b", "1", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"] == {"pass": 236, "fail": 0, "skipped": 0}
 
     def test_trivial_bounds(self, capsys):
         assert cli.main(["verify", "--max-n", "0", "--max-k", "0", "--max-b", "0"]) == 0
-        assert "fail=0" in capsys.readouterr().out
+        assert "summary: pass=79 fail=0 skipped=0" in capsys.readouterr().out
+        assert cli.main(["verify", "--max-n", "0", "--max-k", "0", "--max-b", "0", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"] == {"pass": 79, "fail": 0, "skipped": 0}
 
     def test_select_filter(self, capsys):
         assert cli.main(["verify", "--select", "touchard-riordan", "--max-n", "10"]) == 0

@@ -30,13 +30,14 @@ from tqeuler.exactalg import (
     _to_int,
 )
 from tqeuler.formulas import tk_recurrence
-from tqeuler.qkit import ballot, pochhammer
+from tqeuler.qkit import ballot
 
 from reference import (
     add_reference,
     divide_reference,
     evaluate_reference,
     exponent_map_reference,
+    json_terms,
     mul_reference,
     substitute_t_reference,
     sum_rows_reference,
@@ -167,19 +168,6 @@ def pack_operands(draw):
         et = draw(exps) if shape != "q" else 0
         eq = draw(exps) if shape != "t" else 0
         terms[(et, eq)] = draw(st.integers(-big, big).filter(bool))
-    return LaurentPoly(terms)
-
-
-@st.composite
-def one_row_divisors(draw):
-    """Nonzero divisors ``t**d * g(q)`` with one t-row: t-shifted, Laurent in q,
-    with a lead coefficient that need not be a unit, small or huge coefficients."""
-    et = draw(st.integers(-3, 3))
-    big = draw(st.sampled_from([9, 2**40]))
-    terms = {}
-    for _ in range(draw(st.integers(1, 8))):
-        terms[(et, draw(st.integers(-4, 4)))] = draw(st.integers(-big, big).filter(bool))
-    terms[max(terms)] = draw(st.sampled_from([1, -1, 2, -3, 6]))
     return LaurentPoly(terms)
 
 
@@ -478,150 +466,141 @@ class TestPackedSum:
         assert _sum_of_products(items) == sum_reference(items)
 
 
-TQ4 = monomial(1, 1, -4) - T  # t * q**-4 * (1 - q**4): one t-row, Laurent in q
+@st.composite
+def binomials(draw):
+    """``(sign, powers)`` of a divisor ``prod (1 - sign * q**j)``: j in 1..6, repeats allowed."""
+    return draw(st.sampled_from([1, -1])), draw(st.lists(st.integers(1, 6), max_size=6))
+
+
+def binomial_product(sign, powers):
+    """The divisor that ``divide_exact(sign, powers)`` divides by, multiplied out."""
+    return math.prod((ONE - monomial(sign, 0, j) for j in powers), start=ONE)
+
+
+def division_outcome(divide, *args):
+    """The quotient's terms, or ``NonDivisibleError`` when ``divide`` raises it."""
+    try:
+        return dict(divide(*args).terms)
+    except NonDivisibleError:
+        return NonDivisibleError
 
 
 class TestDivision:
     def test_linear(self):
         num = ONE - monomial(1, 0, 2)
-        assert num.divide_exact(ONE_MINUS_Q) == ONE + Q
+        assert num.divide_exact(1, [1]) == ONE + Q
 
     def test_touchard_numerator(self):
-        # long-division check against the n=2 ballot numerator
+        # the n=2 ballot numerator over (1-q)**2
         num = LaurentPoly({(0, 0): 2, (0, 1): -3, (0, 3): 1})
-        assert num.divide_exact(ONE_MINUS_Q**2) == const(2) + Q
+        assert num.divide_exact(1, [1, 1]) == const(2) + Q
 
     def test_non_divisible(self):
         with pytest.raises(NonDivisibleError):
-            (ONE - T).divide_exact(ONE_MINUS_Q)
-
-    @pytest.mark.parametrize(
-        "divisor", [ONE - T, ONE_MINUS_Q * (T - Q**4), T + monomial(3, -1, 2)],
-        ids=["1-t", "(1-q)(t-q^4)", "t+3q^2/t"],
-    )
-    def test_two_t_rows_rejected(self, divisor):
-        # the divisor must be t**d times a polynomial in q, even where it divides
-        for dividend in (ONE, divisor, divisor * (ONE + T)):
-            with pytest.raises(ValueError):
-                dividend.divide_exact(divisor)
+            (ONE - T).divide_exact(1, [1])
 
     def test_zero_divisor(self):
-        with pytest.raises(ZeroDivisionError):
-            ONE.divide_exact(ZERO)
+        # the binomial 1 - q**0 is the zero polynomial: a power below 1 is refused
+        with pytest.raises(ValueError):
+            ONE.divide_exact(1, [0])
 
-    def test_coefficient_remainder(self):
-        # 2 does not divide 1 + 3q over the integers, though it does over Q
+    @pytest.mark.parametrize("sign, powers", [(1, [1])], ids=["1-q"])
+    def test_infinite_series_quotient(self, sign, powers):
+        # 1/(1 - q) is a power series: the running sum of the row 1 is 1 in its
+        # top slot, which is no quotient slot, so it is the remainder.
         with pytest.raises(NonDivisibleError):
-            (ONE + monomial(3, 0, 1)).divide_exact(2 * ONE_MINUS_Q)
-
-    @pytest.mark.parametrize("divisor", [ONE_MINUS_Q], ids=["1-q"])
-    def test_infinite_series_quotient(self, divisor):
-        # 1/(1 - q) is a power series: the row 1 has fewer slots than the
-        # divisor, so no step divides it and the remainder is the row itself.
-        with pytest.raises(NonDivisibleError):
-            ONE.divide_exact(divisor)
+            ONE.divide_exact(sign, powers)
 
     @given(
         pack_operands(),
         st.one_of(
-            st.integers(0, 24).map(lambda m: ONE_MINUS_Q**m),
-            st.builds(
-                lambda eps, b: pochhammer(eps, 1, b),
-                st.sampled_from([1, -1]),
-                st.integers(0, 8),
-            ),
-            st.just(ONE + Q),
+            st.integers(0, 24).map(lambda m: (1, [1] * m)),
+            st.builds(lambda eps, b: (eps, range(1, b + 1)), st.sampled_from([1, -1]), st.integers(0, 8)),
+            st.just((-1, [1])),
         ),
     )
-    def test_roundtrip_src_divisors(self, a, d):
+    def test_roundtrip_src_divisors(self, a, divisor):
         # the divisors of E_n, D_n (powers of 1 - q), tk_special ((eps q; q)_b)
         # and the 1 + q of formulas
-        assert (a * d).divide_exact(d) == a
+        sign, powers = divisor
+        assert (a * binomial_product(sign, powers)).divide_exact(sign, powers) == a
 
     def test_roundtrip_random(self):
         rng = random.Random(20240817)
-        done = 0
-        while done < 300:
+        for _ in range(300):
             a = rand_poly(rng)
-            # one t-row: t = 1 folds the rows of a random polynomial into one
-            b = monomial(1, rng.randint(-4, 4)) * rand_poly(rng).substitute_t(1, 0)
-            if not b:
-                continue
-            assert (a * b).divide_exact(b) == a
-            done += 1
+            sign, powers = rng.choice([1, -1]), [rng.randint(1, 9) for _ in range(rng.randint(0, 4))]
+            assert (a * binomial_product(sign, powers)).divide_exact(sign, powers) == a
 
-    @given(pack_operands(), one_row_divisors())
-    def test_roundtrip_hypothesis(self, a, b):
-        quo = (a * b).divide_exact(b)
+    @given(pack_operands(), binomials())
+    def test_roundtrip_hypothesis(self, a, divisor):
+        sign, powers = divisor
+        quo = (a * binomial_product(sign, powers)).divide_exact(sign, powers)
         assert quo == a
         assert_canonical(quo)
 
     @given(
         laurent_polys(),
-        one_row_divisors().filter(lambda b: len(b) >= 2),
+        binomials().filter(lambda divisor: divisor[1]),
         st.integers(-3, 3),
         st.integers(-3, 3),
         st.integers(-9, 9).filter(bool),
     )
-    def test_non_divisible_hypothesis(self, a, b, et, eq, c):
-        # b has two or more terms, so it is no unit times a monomial: it
-        # divides a*b but not a*b plus a monomial.
+    def test_non_divisible_hypothesis(self, a, divisor, et, eq, c):
+        # a product of one or more binomials has two or more terms, so it is no unit
+        # times a monomial: it divides a times it but not that plus a monomial.
+        sign, powers = divisor
         with pytest.raises(NonDivisibleError):
-            (a * b + monomial(c, et, eq)).divide_exact(b)
-
-
-def division_outcome(divide, a, b):
-    """The quotient's terms, or ``NonDivisibleError`` when ``divide`` raises it."""
-    try:
-        return dict(divide(a, b).terms)
-    except NonDivisibleError:
-        return NonDivisibleError
+            (a * binomial_product(sign, powers) + monomial(c, et, eq)).divide_exact(sign, powers)
 
 
 class TestDivisionReference:
-    """``divide_exact`` against the term-dict loop in ``tests/reference.py``."""
+    """``divide_exact`` against the term-dict long division in ``tests/reference.py``."""
 
     @given(
-        one_row_divisors(),
+        binomials(),
         st.one_of(pack_operands(), laurent_polys()),
-        st.sampled_from(["product", "product+monomial", "over-multiple", "any"]),
+        st.sampled_from(["product+monomial", "product+multiple", "any"]),
+        binomials(),
         st.integers(-4, 4),
         st.integers(-4, 4),
         st.integers(-9, 9).filter(bool),
     )
-    def test_same_quotient_and_same_raises(self, b, a, kind, et, eq, c):
-        divisor = b
-        if kind == "product":
-            dividend = a * b
-        elif kind == "product+monomial":
-            dividend = a * b + monomial(c, et, eq)
-        elif kind == "over-multiple":
-            # exact over the rationals; over the integers only if c divides a
-            dividend, divisor = a * b, b * c
+    def test_same_quotient_and_same_raises(self, divisor, a, kind, other, et, eq, c):
+        sign, powers = divisor
+        product = binomial_product(sign, powers)
+        quo = (a * product).divide_exact(sign, powers)
+        assert quo == a == divide_reference(a * product, product)
+        assert_canonical(quo)
+        # perturbed: divisible by the product, or not, exactly when the reference says so
+        if kind == "product+monomial":
+            dividend = a * product + monomial(c, et, eq)
+        elif kind == "product+multiple":
+            # divisible exactly when the product divides this other product of binomials
+            dividend = a * product + monomial(c, et, eq) * binomial_product(*other)
         else:
             dividend = a
-        expected = division_outcome(divide_reference, dividend, divisor)
-        assert division_outcome(LaurentPoly.divide_exact, dividend, divisor) == expected
-        if kind == "product":
-            assert expected == dict(a.terms)
-        elif kind == "product+monomial" and len(b) >= 2:
-            assert expected is NonDivisibleError
+        got = division_outcome(LaurentPoly.divide_exact, dividend, sign, powers)
+        assert got == division_outcome(divide_reference, dividend, product)
+        if got is not NonDivisibleError:
+            assert_canonical(dividend.divide_exact(sign, powers))
+        if kind == "product+monomial" and powers:
+            assert got is NonDivisibleError
 
     @pytest.mark.parametrize(
-        "dividend, divisor",
+        "dividend, sign, powers",
         [
-            (ONE, ONE_MINUS_Q),
-            (ONE, T - T * Q),
-            (ONE, T + monomial(1, 1, 3)),
-            (Q + monomial(3, 0, 2), monomial(2, 0, 1) + Q),
-            (monomial(1, -2, -3), ONE_MINUS_Q * TQ4),
-            (monomial(4, -2, -3) * ONE_MINUS_Q**2 * TQ4, 2 * ONE_MINUS_Q * TQ4),
+            (ONE, 1, [1]),
+            (monomial(1, -1, 0), 1, [1]),
+            (ONE, -1, [3]),
+            (monomial(1, -2, -3), 1, [1, 4]),
+            (monomial(4, -2, -3) * ONE_MINUS_Q**2 * (ONE - monomial(1, 0, 4)), 1, [4, 1]),
         ],
-        ids=["1/(1-q)", "1/(t-tq)", "below-q-floor", "coefficient-remainder", "laurent", "laurent-exact"],
+        ids=["1/(1-q)", "1/(t-tq)", "below-q-floor", "laurent", "laurent-exact"],
     )
-    def test_fixed_cases(self, dividend, divisor):
-        expected = division_outcome(divide_reference, dividend, divisor)
-        assert division_outcome(LaurentPoly.divide_exact, dividend, divisor) == expected
+    def test_fixed_cases(self, dividend, sign, powers):
+        expected = division_outcome(divide_reference, dividend, binomial_product(sign, powers))
+        assert division_outcome(LaurentPoly.divide_exact, dividend, sign, powers) == expected
 
 
 class TestRowMemo:
@@ -629,12 +608,13 @@ class TestRowMemo:
     whose pack facts a packed sum may have filled, gives what its copy from the
     validating constructor gives."""
 
-    @given(one_row_divisors(), st.one_of(pack_operands(), laurent_polys()))
-    def test_divide_exact(self, b, a):
-        for dividend in (a * b, a):
-            want = division_outcome(LaurentPoly.divide_exact, fresh(dividend), fresh(b))
-            _sum_of_products([(1, 0, 0, (dividend, b))])  # fills both pack facts
-            assert division_outcome(LaurentPoly.divide_exact, dividend, b) == want
+    @given(binomials(), st.one_of(pack_operands(), laurent_polys()))
+    def test_divide_exact(self, divisor, a):
+        sign, powers = divisor
+        for dividend in (a * binomial_product(sign, powers), a):
+            want = division_outcome(LaurentPoly.divide_exact, fresh(dividend), sign, powers)
+            _sum_of_products([(1, 0, 0, (dividend,))])  # fills its pack facts
+            assert division_outcome(LaurentPoly.divide_exact, dividend, sign, powers) == want
 
     @NO_DEADLINE
     @given(sum_items())
@@ -702,15 +682,14 @@ class TestSparseWide:
             assert dict(got.terms) == want
             assert_canonical(got)
 
-    @given(sparse_polys(), st.integers(-3, 3), st.integers(-60, 60),
-           st.sampled_from([ONE_MINUS_Q, 2 + Q, ONE - monomial(1, 0, 40), monomial(3, 0, 25) - monomial(1, 0, -20)]))
-    def test_divide_exact(self, a, dt, dq, g):
-        divisor = monomial(1, dt, dq) * g  # one t-row, up to 60 q-slots
+    @given(sparse_polys(), st.sampled_from([1, -1]), st.sampled_from([[1], [2, 1], [40], [25, 20], [7, 7, 7]]))
+    def test_divide_exact(self, a, sign, powers):
+        divisor = binomial_product(sign, powers)  # up to 46 q-slots
         for dividend in (a * divisor, a * divisor + monomial(1, 0, 60), a):
-            got = division_outcome(LaurentPoly.divide_exact, dividend, divisor)
+            got = division_outcome(LaurentPoly.divide_exact, dividend, sign, powers)
             assert got == division_outcome(divide_reference, dividend, divisor)
             if got is not NonDivisibleError:
-                assert_canonical(dividend.divide_exact(divisor))
+                assert_canonical(dividend.divide_exact(sign, powers))
 
     @given(sparse_polys(), st.sampled_from([1, -1]), st.integers(-9, 9), st.integers(1, 5))
     def test_substitutions(self, p, sign, r, f):
@@ -935,7 +914,7 @@ class TestRendering:
         assert euler_hat(1).render() == "1 - q - t*q + t*q^2"
 
     def test_json_terms_shape(self):
-        assert T1.json_terms() == [
+        assert json.loads(T1.json_text()) == json_terms(T1) == [
             {"et": 0, "eq": 0, "c": "1"},
             {"et": 0, "eq": 1, "c": "-1"},
             {"et": 1, "eq": 1, "c": "-1"},
@@ -943,7 +922,7 @@ class TestRendering:
 
     def test_json_text_is_json_dumps(self):
         for p in (T1, ZERO, monomial(-(2**200), -3, 5)):
-            assert p.json_text() == json.dumps(p.json_terms(), indent=2, sort_keys=True)
+            assert p.json_text() == json.dumps(json_terms(p), indent=2, sort_keys=True)
 
 
 def test_only_exactalg_knows_the_row_layout():

@@ -110,16 +110,6 @@ def _box_leaves(m: int, n: int) -> list[Leaf]:
     return _bounded_parts([n] * m)
 
 
-def _box_parts(m: int, n: int) -> list[tuple[int, ...]]:
-    """All partitions in the box with m rows and n columns."""
-    return [parts for parts, _, _ in _box_leaves(m, n)]
-
-
-def _staircase_parts(k: int) -> list[tuple[int, ...]]:
-    """All partitions in the staircase (k, k-1, ..., 1); only () for k <= 0."""
-    return [parts for parts, _, _ in _bounded_parts(range(k, 0, -1))]
-
-
 def _conjugate(parts: Sequence[int]) -> tuple[int, ...]:
     """The conjugate partition: its j-th part counts the parts >= j."""
     return tuple(sum(1 for p in parts if p >= j) for j in range(1, (parts[0] if parts else 0) + 1))
@@ -339,7 +329,7 @@ def delta_prime_weight_sum(k: int) -> LaurentPoly:
     pop = _mask_sums([1] * k)
     sign = [-1 if p & 1 else 1 for p in pop]
     counts: list[dict[int, int]] = [{} for _ in range(k + 1)]  # [#R][q exponent]
-    for parts in _staircase_parts(k - 1):
+    for parts, size, _ in _bounded_parts(range(k - 1, 0, -1)):  # the staircase of size k-1
         padded = parts + (0,) * (k - len(parts))
         conj = _conjugate(parts)
         rsum = _mask_sums([k - i - p for i, p in enumerate(padded)])
@@ -348,7 +338,7 @@ def delta_prime_weight_sum(k: int) -> LaurentPoly:
         for i, j in _outer_corners_in_staircase(padded, k):
             corner_cols[i - 1] |= 1 << (j - 1)
         forb = _mask_sums(corner_cols)  # corner columns are distinct: sum is OR
-        base = 2 * sum(parts)
+        base = 2 * size
         for r in range(full):
             row = counts[pop[r]]
             blocked = forb[r]
@@ -386,10 +376,9 @@ def sop_weight_sum(k: int) -> LaurentPoly:
     if k < 0:
         return ZERO
     tally: Counter[tuple[int, int]] = Counter()
-    for parts in _box_parts(k, k):
+    for parts, size, _ in _box_leaves(k, k):
         if parts != _conjugate(parts):
             continue
-        size = sum(parts)
         diag = sum(1 for i, p in enumerate(parts, 1) if p >= i)
         # the inner corner of row i sits in column p; keep one corner per orbit
         orbits = [

@@ -4,7 +4,9 @@ auxiliary polynomial family T_k(t, q).
 Each function transcribes one formula literally against the q-calculus
 primitives, with the index ranges as stated; out-of-range Gaussian binomials
 vanish and sums truncate by themselves.  The module holds only these routes
-and the caps and constants they read: no function here checks anything.
+and the constants they read, and no function here checks anything.  The
+caps ``HARD_MAX_*`` and ``DYCK_ORACLE_MAX_N`` are read by no route: they live
+here only so that ``compute`` reads them without loading the registry.
 Every identity between them, the T_k functional equation and step relations
 too, is a row of :mod:`tqeuler.registry` whose sides are values, compared by
 exact polynomial equality against the continued-fraction ground truth

@@ -7,7 +7,10 @@ corners, one object per leaf.  Summing ``MarkedDyckPath.weight`` or
 ``tqeuler.combinat.md_star_weight_sum_general`` and
 ``tqeuler.combinat.delta_prime_weight_sum`` compute without building the
 objects, and summing ``dyck_path_weight`` over ``dyck_paths`` (every Dyck
-path, one at a time) gives ``tqeuler.combinat.dyck_weight_sum``.  ``MD_STAR_RULES`` names the
+path, one at a time) gives ``tqeuler.combinat.dyck_weight_sum``.  The shapes, conjugates and
+outer corners the configurations and ``sop_reference`` are built from are defined here
+(``staircase_partitions``, ``conjugate``, ``outer_corners``), not taken from the oracles.
+``MD_STAR_RULES`` names the
 step-weight rule pairs the marked-path sums are tested and frozen with.
 ``pochhammer_product`` is the uncached product loop that the cached
 ``tqeuler.qkit.pochhammer`` is tested against, and ``divide_reference`` the
@@ -54,13 +57,7 @@ from operator import add, mul
 from typing import Iterator, Mapping, Sequence
 
 from tqeuler.cli import cmd_bench, cmd_compute, cmd_verify
-from tqeuler.combinat import (
-    WeightRule,
-    _check_cutoff,
-    _conjugate,
-    _outer_corners_in_staircase,
-    _staircase_parts,
-)
+from tqeuler.combinat import WeightRule, _check_cutoff
 from tqeuler.exactalg import (
     Box,
     ExpPair,
@@ -456,6 +453,31 @@ def enum_md_star(k: int) -> list[MarkedDyckPath]:
     return out
 
 
+def conjugate(parts: Sequence[int]) -> tuple[int, ...]:
+    """The conjugate partition: its j-th part counts the parts >= j."""
+    return tuple(sum(1 for p in parts if p >= j) for j in range(1, max(parts, default=0) + 1))
+
+
+def staircase_partitions(k: int) -> list[tuple[int, ...]]:
+    """Every partition inside the staircase (k, k-1, ..., 1), zeros trimmed: the partitions
+    of the k-by-k box whose i-th part, counted from 0, is at most k - i."""
+    return [tuple(p for p in padded if p) for padded in box_partitions(k, k)
+            if all(p <= k - i for i, p in enumerate(padded))]
+
+
+def outer_corners(shape: tuple[int, ...], k: int) -> list[tuple[int, int]]:
+    """The outer corners of ``shape`` inside the staircase of size k: each cell (i, j) with
+    i + j <= k + 1, outside the shape, whose addition leaves a partition.  Only the cell
+    just past the end of row i can be added to row i, so each row is tried once."""
+    rows = shape + (0,) * k
+    out = []
+    for i in range(1, k + 1):
+        grown = rows[: i - 1] + (rows[i - 1] + 1,) + rows[i:]
+        if i + grown[i - 1] <= k + 1 and all(a >= b for a, b in zip(grown, grown[1:])):
+            out.append((i, grown[i - 1]))
+    return out
+
+
 @dataclass(frozen=True)
 class DeltaConfig:
     """A partition inside the staircase of size k-1, as a tuple of parts,
@@ -464,7 +486,8 @@ class DeltaConfig:
     An arrow occupies a whole row or column of the complement, so a subset of
     row indices and a subset of column indices determines the configuration;
     the arrow in row i has length (k+1-i) - parts[i], the arrow in column j
-    has length (k+1-j) - conjugate parts[j].
+    has length (k+1-j) - conjugate parts[j].  An outer corner of the shape is
+    a cell outside it whose addition leaves a partition (:func:`outer_corners`).
     """
 
     k: int
@@ -474,7 +497,7 @@ class DeltaConfig:
 
     def arrow_lengths(self) -> list[int]:
         rows = self.shape + (0,) * self.k
-        cols = _conjugate(self.shape) + (0,) * self.k
+        cols = conjugate(self.shape) + (0,) * self.k
         lengths = [self.k + 1 - i - rows[i - 1] for i in sorted(self.row_arrows)]
         lengths += [self.k + 1 - j - cols[j - 1] for j in sorted(self.col_arrows)]
         return lengths
@@ -499,8 +522,8 @@ def enum_delta_prime(k: int) -> list[DeltaConfig]:
         return [DeltaConfig(0, (), frozenset(), frozenset())]
     out: list[DeltaConfig] = []
     indices = list(range(1, k + 1))
-    for lam in _staircase_parts(k - 1):
-        corners = _outer_corners_in_staircase(lam + (0,) * (k - len(lam)), k)
+    for lam in staircase_partitions(k - 1):
+        corners = outer_corners(lam, k)
         for r_bits in product((False, True), repeat=k):
             rows = frozenset(i for i, b in zip(indices, r_bits) if b)
             for c_bits in product((False, True), repeat=k):
@@ -582,7 +605,7 @@ def sop_reference(k: int) -> LaurentPoly:
     total = ZERO
     for padded in box_partitions(k, k):
         parts = tuple(p for p in padded if p)
-        if parts != _conjugate(parts):
+        if parts != conjugate(parts):
             continue
         corners = [(i, p) for i, p in enumerate(parts, 1) if p > (parts + (0,))[i]]
         diag = sum(1 for i, p in enumerate(parts, 1) if p >= i)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -70,6 +71,20 @@ class TestCompute:
     def test_d_zero(self, capsys):
         assert cli.main(["compute", "d", "--n", "0"]) == 0
         assert capsys.readouterr().out.strip() == "1"
+
+    def test_e_zero(self, capsys):
+        # order 0 has no path of its own in the moment DP: moment 0 is decoded like every other
+        assert cli.main(["compute", "e", "--n", "0"]) == 0
+        assert capsys.readouterr().out.strip() == "1"
+
+    def test_e_ladder_matches_the_benchmark_digests(self, capsys):
+        # the outputs the euler-ladder workload gates on, one digest per n; the file is only read
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "ladder_digests.json"
+        digests = json.loads(path.read_text(encoding="utf-8"))
+        assert list(digests) == [str(n) for n in range(13)]
+        for n, digest in digests.items():
+            assert cli.main(["compute", "e", "--n", n, "--format", "json"]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, n
 
     def test_e_normalized(self, capsys):
         assert cli.main(["compute", "e", "--n", "1", "--normalized"]) == 0
@@ -195,6 +210,8 @@ class TestParser:
     @example(["compute", "e", "--form", "json", "--n", "0"])
     @example(["compute", "e", "--n=3"])
     @example(["verify", "--max", "2"])
+    @example(["--help"])
+    @example(["compute", "--help"])
     @example([])
     def test_same_outcome_as_argparse(self, argv):
         assert parse_outcome(cli._parse, argv) == parse_outcome(build_parser().parse_args, argv)
@@ -229,6 +246,9 @@ class TestParser:
         assert capsys.readouterr() == fresh
 
 
+MAX_BOUNDS = ["--max-n", "12", "--max-k", "10", "--max-b", "8"]
+
+
 class TestVerify:
     def test_small_bounds_pass(self, capsys):
         assert cli.main(["verify", "--max-n", "2", "--max-k", "2", "--max-b", "1"]) == 0
@@ -241,6 +261,26 @@ class TestVerify:
         assert "summary: pass=79 fail=0 skipped=0" in capsys.readouterr().out
         assert cli.main(["verify", "--max-n", "0", "--max-k", "0", "--max-b", "0", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["summary"] == {"pass": 79, "fail": 0, "skipped": 0}
+
+    @pytest.mark.parametrize("argv, summary, counts", [
+        # the three lattice-path oracles at max bounds: the M walk runs to its cutoff k = 7,
+        # which the default bounds never reach; k = 8..10 are the three skipped cells
+        (MAX_BOUNDS + ["--select", "tk-mpath,lpath,lprime"], {"pass": 408, "fail": 0, "skipped": 3},
+         {"tk-mpath": 11, "lpath-yaxis": 100, "lpath-xaxis": 120, "lprime-yaxis": 100, "lprime-xaxis": 80}),
+        # the alternating-permutation oracle is a state transfer; its grids keep their exact cell counts
+        (["--select", "anchor,alternating-statistic"], {"pass": 25, "fail": 0, "skipped": 0},
+         {"secant-anchor": 5, "tangent-anchor": 5, "dn-anchor": 6, "alternating-statistic": 9}),
+        # the many-sided equality rows (anchors, zeng, Gaussian lists, t = +-1) at max bounds
+        (MAX_BOUNDS + ["--select", "anchor,zeng,gauss,tk-at-one,tk-at-minus-one"],
+         {"pass": 104, "fail": 0, "skipped": 0},
+         {"tk-at-one": 11, "tk-at-minus-one": 11, "secant-anchor": 5, "tangent-anchor": 5, "dn-anchor": 6,
+          "zeng-numeric": 25, "gauss-pascal": 20, "gauss-symmetry": 21}),
+    ], ids=["path-families-max", "anchors-default", "many-sided-max"])
+    def test_cell_counts(self, argv, summary, counts, capsys):
+        assert cli.main(["verify", *argv, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["summary"] == summary
+        assert Counter(case["id"] for case in report["cases"]) == counts
 
     def test_select_filter(self, capsys):
         assert cli.main(["verify", "--select", "touchard-riordan", "--max-n", "10"]) == 0

@@ -25,11 +25,9 @@ from tqeuler.combinat import (
     sop_weight_sum,
     _DEFAULT_CUTOFFS,
     _box_leaves,
-    _box_parts,
     _bounded_parts,
     _conjugate,
     _multiply_keys,
-    _staircase_parts,
 )
 from tqeuler.exactalg import LaurentPoly, ONE, Q, T, ZERO, const, monomial
 from tqeuler.formulas import tk_recurrence
@@ -39,6 +37,7 @@ from reference import (
     MD_STAR_RULES,
     alt_statistic_reference,
     alternating_reference,
+    box_partitions,
     count_13_2_patterns,
     dyck_path_weight,
     dyck_paths,
@@ -49,10 +48,16 @@ from reference import (
     lprime_path_reference,
     m_path_reference,
     multiply_keys_reference,
+    staircase_partitions,
 )
 
 ONE_MINUS_Q = ONE - Q
 DATA = Path(__file__).parent / "data"
+
+
+def parts_of(leaves):
+    """The part tuples of partition leaves ``(parts, size, distinct)``, in order."""
+    return [parts for parts, _, _ in leaves]
 
 
 @st.composite
@@ -92,29 +97,29 @@ class TestPartition:
         assert _conjugate((4, 2, 1)) == (3, 2, 1, 1)
         for m in range(7):
             for n in range(7):
-                for parts in _box_parts(m, n):
+                for parts in parts_of(_box_leaves(m, n)):
                     assert _conjugate(_conjugate(parts)) == parts
                     assert sum(_conjugate(parts)) == sum(parts)
 
 
 class TestBoxEnumeration:
     def test_empty_box(self):
-        assert _box_parts(0, 5) == [()]
+        assert parts_of(_box_leaves(0, 5)) == [()]
 
     def test_unit_box(self):
-        assert sorted(_box_parts(1, 1)) == [(), (1,)]
+        assert sorted(parts_of(_box_leaves(1, 1))) == [(), (1,)]
 
     def test_two_by_two(self):
-        assert len(_box_parts(2, 2)) == 6
+        assert len(_box_leaves(2, 2)) == 6
         assert box_size_polynomial(2, 2) == gauss_binom(4, 2)
 
     def test_counts_without_duplicates(self):
         for m in range(8):
             for n in range(8):
-                parts = _box_parts(m, n)
+                parts = parts_of(_box_leaves(m, n))
                 assert len(parts) == len(set(parts)) == math.comb(m + n, m)
         for k in range(8):
-            parts = _staircase_parts(k)
+            parts = parts_of(_bounded_parts(range(k, 0, -1)))
             catalan = math.comb(2 * k + 2, k + 1) // (k + 2)
             assert len(parts) == len(set(parts)) == catalan
 
@@ -125,7 +130,7 @@ class TestBoxEnumeration:
     def test_oracles_match_partition_objects(self):
         for m in range(7):
             for n in range(7):
-                lams = _box_parts(m, n)
+                lams = parts_of(_box_leaves(m, n))
                 size = sum((monomial(1, 0, sum(lam)) for lam in lams), ZERO)
                 dist = sum((monomial(1, len(set(lam)), sum(lam)) for lam in lams), ZERO)
                 assert box_size_polynomial(m, n) == size
@@ -137,7 +142,7 @@ class TestBoxEnumeration:
             with pytest.raises(ValueError, match="nonnegative"):
                 oracle(m, n)
         with pytest.raises(ValueError, match="nonnegative"):
-            _box_parts(m, n)
+            _box_leaves(m, n)
 
 
 class TestPartitionLeaves:
@@ -153,12 +158,19 @@ class TestPartitionLeaves:
                 assert (size, distinct) == (sum(parts), len(set(parts))), (list(bounds), parts)
 
     def test_part_lists_are_the_leaves_in_order(self):
+        # the box and staircase leaves are the reference partitions, in decreasing
+        # lexicographic order of their zero-padded parts
+        def trimmed(padded):
+            return [tuple(p for p in parts if p) for parts in sorted(padded, reverse=True)]
+
         cap, stair = _DEFAULT_CUTOFFS["partition"], _DEFAULT_CUTOFFS["delta"]
         for m in range(cap + 1):
             for n in range(cap + 1):
-                assert _box_parts(m, n) == [parts for parts, _, _ in _box_leaves(m, n)]
-        for k in range(-1, stair + 1):
-            assert _staircase_parts(k) == [parts for parts, _, _ in _bounded_parts(range(k, 0, -1))]
+                assert parts_of(_box_leaves(m, n)) == trimmed(box_partitions(m, n))
+        for k in range(stair + 1):
+            staircase = [parts + (0,) * (k - len(parts)) for parts in staircase_partitions(k)]
+            assert parts_of(_bounded_parts(range(k, 0, -1))) == trimmed(staircase)
+        assert parts_of(_bounded_parts(range(-1, 0, -1))) == [()]
 
     def test_a_first_part_at_the_bound_counts_as_distinct(self):
         assert _bounded_parts([2, 2]) == [

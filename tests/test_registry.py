@@ -27,11 +27,15 @@ def report_sha256(report) -> str:
 
 
 def test_default_report_frozen():
-    assert report_sha256(run_verification()) == DEFAULT_REPORT_SHA256
+    report = run_verification()
+    assert report.summary == {"pass": 1047, "fail": 0, "skipped": 5}
+    assert report_sha256(report) == DEFAULT_REPORT_SHA256
 
 
 def test_max_report_frozen():
-    assert report_sha256(run_verification(12, 10, 8)) == MAX_REPORT_SHA256
+    report = run_verification(12, 10, 8)
+    assert report.summary == {"pass": 1660, "fail": 0, "skipped": 24}
+    assert report_sha256(report) == MAX_REPORT_SHA256
 
 
 def test_grid_cells_frozen_at_the_bounds_edges():

@@ -313,19 +313,20 @@ class LaurentPoly:
     # -- evaluation ------------------------------------------------------------
 
     def evaluate(self, t0: Fraction | int, q0: Fraction | int) -> Fraction:
-        """Exact rational value at ``(t0, q0)``.
+        """Exact rational value at ``(t0, q0)``, each an int or a Fraction.
 
-        Raises :class:`ZeroDenominatorError` when a negative exponent meets a
-        zero base.  With ``t0 = a/b`` and ``q0 = c/d`` in lowest terms, the
-        terms are summed as integers over the common denominator
-        ``b**(tmax-tmin) * d**(qmax-qmin)``, and one Fraction is built at the
-        end, times ``t0**tmin * q0**qmin``.  :mod:`fractions` is imported here, on the
-        first call, so that importing the package does not load it.
+        Any other point, a float among them, raises ``TypeError`` before any arithmetic, and
+        :class:`ZeroDenominatorError` means a negative exponent met a zero base.  With
+        ``t0 = a/b`` and ``q0 = c/d`` in lowest terms, the terms are summed as integers over the
+        common denominator ``b**(tmax-tmin) * d**(qmax-qmin)``, and one Fraction is built at the
+        end, times ``t0**tmin * q0**qmin``.  :mod:`fractions` is imported here, on the first call,
+        so that importing the package does not load it.
         """
         from fractions import Fraction
 
-        t0 = Fraction(t0)
-        q0 = Fraction(q0)
+        if not (isinstance(t0, (int, Fraction)) and isinstance(q0, (int, Fraction))):
+            raise TypeError("t0 and q0 must be ints or Fractions")
+        t0, q0 = Fraction(t0), Fraction(q0)
         rows = self._rows
         if not rows:
             return Fraction(0)
@@ -684,5 +685,4 @@ T = monomial(1, 1, 0)
 Q = monomial(1, 0, 1)
 ONE_MINUS_Q = LaurentPoly({(0, 0): 1, (0, 1): -1})
 _ONE_PLUS_T = LaurentPoly({(0, 0): 1, (1, 0): 1})
-_ONE_PLUS_Q = LaurentPoly({(0, 0): 1, (0, 1): 1})
 _ONE_MINUS_T2 = LaurentPoly({(0, 0): 1, (2, 0): -1})

@@ -380,19 +380,19 @@ def zeng_value(
 ) -> Fraction:
     """The double-sum rational evaluation of ``E_n(t, q)`` at ``(t0, q0)``.
 
-    Exact rational arithmetic throughout; raises
-    :class:`~tqeuler.exactalg.ZeroDenominatorError` when any denominator
-    factor vanishes at the chosen point.  The brackets are Fractions, each
-    evaluated once; the double sum runs on their integer numerators and
-    denominators, one ``(numerator, denominator)`` pair per term added
-    without reduction, and one Fraction is built at the end.
+    Exact rational arithmetic throughout: a point that is not an int or a Fraction, a float
+    among them, raises ``TypeError``, and :class:`~tqeuler.exactalg.ZeroDenominatorError` means a
+    denominator factor vanishes at it.  The brackets are Fractions, each evaluated once; the double
+    sum runs on their integer numerators and denominators, one ``(numerator, denominator)`` pair
+    per term added without reduction, and one Fraction is built at the end.
     """
     from fractions import Fraction
 
     if _size(n, "n") > 5:
         raise ValueError("n must be between 0 and 5")
-    t0 = Fraction(t0)
-    q0 = Fraction(q0)
+    if not (isinstance(t0, (int, Fraction)) and isinstance(q0, (int, Fraction))):
+        raise TypeError("t0 and q0 must be ints or Fractions")
+    t0, q0 = Fraction(t0), Fraction(q0)
     if t0 == 0 or q0 == 0:
         raise ZeroDenominatorError("t0 and q0 must be nonzero")
     br = bracket or DEFAULT_ZENG_BRACKET

@@ -27,7 +27,7 @@ from typing import Callable, Iterable
 
 from . import cfrac, combinat, formulas, qkit
 from ._record import Record
-from .exactalg import Item, LaurentPoly, ONE, ONE_MINUS_Q, ZERO, _ONE_PLUS_Q, const, monomial
+from .exactalg import Item, LaurentPoly, ONE, ONE_MINUS_Q, ZERO, const, monomial
 from .formulas import DYCK_ORACLE_MAX_N, HARD_MAX_B, HARD_MAX_K, HARD_MAX_N
 
 __all__ = [
@@ -404,8 +404,8 @@ REGISTRY: tuple[Identity, ...] = (
         _N, _same(_euler_at(1, -1), lambda n: ONE if n == 0 else ZERO)),
     Identity("euler-t-zero", "t = 0 recovers the normalized d_n",
         _N, _same(lambda n: cfrac.euler_hat(n).substitute_t_zero(), lambda n: cfrac.dn_hat(n))),
-    Identity("euler-t-minus-one", "t = -1 recovers d_n in q^2 with split prefactors",
-        _N, _same(_euler_at(-1, 0), lambda n: _ONE_PLUS_Q**n * ONE_MINUS_Q**n * _d(n).scale_q(2))),
+    Identity("euler-t-minus-one", "t = -1 recovers the normalized d_n in q^2",
+        _N, _same(_euler_at(-1, 0), lambda n: cfrac.dn_hat(n).scale_q(2))),
     Identity("euler-minus-q", "ballot closed form at t = -q",
         _N, _same(lambda n: formulas.euler_hat_at_minus_q(n), _euler_at(-1, 1))),
     Identity("euler-minus-inv-q", "ballot closed form at t = -1/q",

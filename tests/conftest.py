@@ -5,22 +5,11 @@ from hypothesis import settings
 # deadline; CI runs tests/test_exactalg.py, the row arithmetic against its term-dict
 # references, tests/test_combinat.py, tests/test_cache_order.py, memoised calls against
 # cold ones, and tests/test_cfrac.py, the moment memos in any request order, under it.
+# The suite takes no other option.  A rerun under ``python -O`` or with
+# ``exactalg._TYPECODES`` emptied would show nothing more: tests/test_boundaries.py finds
+# no assert or ``__debug__`` for ``-O`` to strip, and tests/test_exactalg.py checks the
+# per-slot codec against array at every slot width array converts.
 settings.register_profile("ci", max_examples=1000, deadline=None)
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--per-slot-codec", action="store_true",
-        help="empty tqeuler.exactalg._TYPECODES, so that every slot width converts one slot "
-             "at a time, as on big-endian machines, instead of through array",
-    )
-
-
-def pytest_configure(config):
-    if config.getoption("--per-slot-codec"):
-        from tqeuler import exactalg
-
-        exactalg._TYPECODES.clear()
 
 ACCEPTANCE_RESULTS: dict[str, tuple[bool, str]] = {}
 

@@ -24,12 +24,10 @@ _NUDGE = monomial(1, 7, 99)
 
 
 def changed(value):
-    """``value`` changed: a polynomial gets ``+ t^7 q^99``, a bool is negated, an int or
-    a Fraction gets ``+ 1``, and a list or tuple has each item changed."""
+    """``value`` changed: a polynomial gets ``+ t^7 q^99``, an int or a Fraction gets ``+ 1``,
+    and a list or tuple has each item changed; no public route returns anything else."""
     if isinstance(value, LaurentPoly):
         return value + _NUDGE
-    if isinstance(value, bool):
-        return not value
     if isinstance(value, (int, Fraction)):
         return value + 1
     if isinstance(value, (list, tuple)):

@@ -34,6 +34,7 @@ raise ``ValueError`` for a negative coordinate.  The table records each as
 it is.
 """
 
+import ast
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -376,3 +377,14 @@ def test_non_integer_size_raises_type_error_cold_and_warm(call, size):
     call(2)
     with pytest.raises(TypeError):
         call(size)
+
+
+def test_no_check_is_an_assert():
+    """Every check above holds under ``python -O`` too: ``-O`` only strips ``assert`` statements
+    and makes ``__debug__`` False, and no module of the package has either, so it runs the same
+    code with and without ``-O``."""
+    for path in sorted(Path(tqeuler.__file__).parent.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+        asserts = [node.lineno for node in nodes if isinstance(node, ast.Assert)]
+        debug = [node.lineno for node in nodes if isinstance(node, ast.Name) and node.id == "__debug__"]
+        assert (asserts, debug) == ([], []), path.name

@@ -3,6 +3,8 @@ import json
 import math
 import random
 import re
+import types
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -109,6 +111,15 @@ class TestIntegerInput:
     def test_float_exponent(self):
         with pytest.raises(TypeError):
             LaurentPoly({(0.7, 1): 3})
+
+    @pytest.mark.parametrize("point", [0.1, 1.0, Decimal("0.1"), "1/10"])
+    @pytest.mark.parametrize("poly", [ZERO, ONE + T * Q], ids=["zero", "one-plus-tq"])
+    def test_non_rational_evaluation_point(self, poly, point):
+        # a float is not taken at its binary value (0.1 would give 1 + 3602879701896397/2**55)
+        with pytest.raises(TypeError):
+            poly.evaluate(point, 1)
+        with pytest.raises(TypeError):
+            poly.evaluate(1, point)
 
 
 def assert_canonical(p):
@@ -241,17 +252,36 @@ class TestPackedMul:
             with pytest.raises(OverflowError):
                 _to_int([0, bad, 0], width)
 
-    @given(pack_operands(), pack_operands())
-    def test_per_slot_conversion_matches(self, a, b):
-        # Without array typecodes (as on big-endian machines) every width
-        # converts per slot; the product must not change.
-        reference = packed(a, b)
-        saved = dict(exactalg._TYPECODES)
-        exactalg._TYPECODES.clear()
-        try:
-            assert packed(a, b) == reference == mul_reference(a.terms, b.terms)
-        finally:
-            exactalg._TYPECODES.update(saved)
+    @given(st.sampled_from([1, 2, 4, 8]).flatmap(lambda width: st.tuples(
+        st.just(width), st.lists(st.integers(-(1 << (8 * width - 1)), (1 << (8 * width - 1)) - 1), max_size=9))))
+    @example((1, [-128, 127]))
+    @example((2, [-(1 << 15), (1 << 15) - 1, 0]))
+    @example((4, [0, (1 << 31) - 1, -(1 << 31)]))
+    @example((8, [(1 << 63) - 1, -(1 << 63), -1]))
+    def test_per_slot_codec_matches_array(self, case):
+        # Without array typecodes (as on big-endian machines) every width converts per slot.
+        # Only _to_int and _slots read _TYPECODES, and both are pure, so their agreement on
+        # every slot list makes every packed result the same on both codecs.
+        width, slots = case
+        value = _to_int(slots, width)
+        raw = _to_bytes(value, width, len(slots))
+        got = _slots(raw, width)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exactalg, "_TYPECODES", {})
+            assert _to_int(slots, width) == value
+            assert _slots(raw, width) == got == tuple(slots)
+
+    def test_only_the_codec_reads_typecodes(self):
+        # every code object of the package, nested ones included, by the names it loads
+        readers = set()
+        for path in Path(exactalg.__file__).parent.glob("*.py"):
+            codes = [compile(path.read_text(), str(path), "exec")]
+            while codes:
+                code = codes.pop()
+                codes.extend(const for const in code.co_consts if isinstance(const, types.CodeType))
+                if "_TYPECODES" in code.co_names:
+                    readers.add(f"{path.stem}.{code.co_name}")
+        assert readers == {"exactalg.<module>", "exactalg._to_int", "exactalg._slots"}
 
     @pytest.mark.parametrize("per_slot", [False, True], ids=["array", "per-slot"])
     def test_unpack_cuts_rows(self, per_slot, monkeypatch):
@@ -729,7 +759,7 @@ def assert_width(bound, width):
     assert got == width if width <= 8 else 8 < got <= width
 
 
-# over 8 bytes every slot converts on its own, as every width does under --per-slot-codec
+# over 8 bytes every slot converts on its own, as every width does with _TYPECODES empty
 WIDTHS = pytest.mark.parametrize("width", [1, 2, 4, 8, 16])
 
 

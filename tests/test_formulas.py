@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -369,6 +370,14 @@ class TestZeng:
             zeng_value(1, 2, 1)
         with pytest.raises(ValueError):
             zeng_value(6, 2, Fraction(1, 2))
+
+    @pytest.mark.parametrize("point", [0.5, 2.0, Decimal("0.5"), "1/2"])
+    def test_rejects_non_rational_points(self, point):
+        # a float is not taken at its binary value, whether it is exact (0.5, 2.0) or not
+        with pytest.raises(TypeError):
+            zeng_value(1, point, Fraction(1, 2))
+        with pytest.raises(TypeError):
+            zeng_value(1, 2, point)
 
 
 def test_clear_caches_changes_no_result():

@@ -2,7 +2,8 @@
 the ``__all__`` of ``qkit``, ``combinat``, ``formulas`` or ``cfrac`` fails at
 least one ``verify`` cell (see ``mutation_sweep.py``).  ``FROZEN`` holds each
 name's failing ids at (3, 3, 2), so that an id which stops depending on a
-route, or starts to, shows."""
+route, or starts to, shows.  Every cell at (3, 3, 2) is a cell of the
+default run too, so every route also fails a cell at the defaults."""
 
 import tqeuler
 
@@ -113,3 +114,15 @@ def test_every_route_fails_a_cell():
     assert failing == FROZEN
     # every original is bound again and no changed value stays cached
     assert tqeuler.run_verification(max_n=3, max_k=3, max_b=2).summary["fail"] == 0
+
+
+def test_default_run_holds_every_swept_cell():
+    """The sweep at (3, 3, 2) stands for the one at the ``verify`` defaults (8, 6, 4): a
+    cell's outcome depends only on its id and params, as caches change no result, so a
+    route that fails a cell at (3, 3, 2) fails it at the defaults too."""
+
+    def cells(report):
+        return {(case.id, tuple(sorted(case.params.items()))) for case in report.cases}
+
+    small = cells(tqeuler.run_verification(max_n=3, max_k=3, max_b=2))
+    assert small <= cells(tqeuler.run_verification())

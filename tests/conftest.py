@@ -4,7 +4,9 @@ from hypothesis import settings
 # ``--hypothesis-profile=ci`` runs every property test ten times longer and with no
 # deadline; CI runs tests/test_exactalg.py, the row arithmetic against its term-dict
 # references, tests/test_combinat.py, tests/test_cache_order.py, memoised calls against
-# cold ones, and tests/test_cfrac.py, the moment memos in any request order, under it.
+# cold ones, tests/test_cfrac.py, the moment memos in any request order, and the two
+# property tests of tests/test_cli.py, the parser against argparse and the JSON writer
+# against json.dumps, under it.
 # The suite takes no other option.  A rerun under ``python -O`` or with
 # ``exactalg._TYPECODES`` emptied would show nothing more: tests/test_boundaries.py finds
 # no assert or ``__debug__`` for ``-O`` to strip, and tests/test_exactalg.py checks the

@@ -341,7 +341,7 @@ def sum_items(draw):
 
 
 # a sum of items with coefficients near 2**200 takes several ms; under load one example
-# can pass hypothesis's default 200 ms deadline, so the sum_items() tests have none
+# can pass hypothesis's default 200 ms deadline, so the sum_items() test has none
 NO_DEADLINE = settings(deadline=None)
 
 
@@ -361,13 +361,6 @@ def pack_calls(monkeypatch):
 
 class TestPackedSum:
     """The packed sum of products against the dict reference it replaces."""
-
-    @NO_DEADLINE
-    @given(sum_items())
-    def test_matches_dict_reference(self, items):
-        result = _sum_of_products(items)
-        assert result == sum_reference(items)
-        assert_canonical(result)
 
     def test_empty(self):
         assert _sum_of_products([]) == ZERO
@@ -453,12 +446,14 @@ class TestPackedSum:
         assert sorted(r._pack_facts[2]) == [1, 4]
 
     @NO_DEADLINE
-    @given(sum_items(), st.integers(-9, 9), st.integers(-9, 9))
-    def test_cached_packs_match_reference(self, items, et, eq):
+    @given(sum_items(), st.sampled_from([5, 2**40]), st.integers(-9, 9), st.integers(-9, 9))
+    def test_cached_packs_match_reference(self, items, c, et, eq):
         # The first sum packs fresh factors, the repeat reuses every pack, and
-        # the sum with one more monomial item (another box, so mostly another
-        # stride or width) mixes reused and new packs.
-        more = items + [(5, et, eq, ())]
+        # the sum with one more monomial item mixes reused and new packs. The
+        # item often widens the box, so the stride changes; c = 5 almost never
+        # changes the slot width, but c = 2**40 often does, and then the
+        # reused factors are packed again at the new width.
+        more = items + [(c, et, eq, ())]
         for batch in (items, items, more, more):
             result = _sum_of_products(batch)
             assert result == sum_reference(batch)
@@ -562,27 +557,6 @@ class TestDivision:
             sign, powers = rng.choice([1, -1]), [rng.randint(1, 9) for _ in range(rng.randint(0, 4))]
             assert (a * binomial_product(sign, powers)).divide_exact(sign, powers) == a
 
-    @given(pack_operands(), binomials())
-    def test_roundtrip_hypothesis(self, a, divisor):
-        sign, powers = divisor
-        quo = (a * binomial_product(sign, powers)).divide_exact(sign, powers)
-        assert quo == a
-        assert_canonical(quo)
-
-    @given(
-        laurent_polys(),
-        binomials().filter(lambda divisor: divisor[1]),
-        st.integers(-3, 3),
-        st.integers(-3, 3),
-        st.integers(-9, 9).filter(bool),
-    )
-    def test_non_divisible_hypothesis(self, a, divisor, et, eq, c):
-        # a product of one or more binomials has two or more terms, so it is no unit
-        # times a monomial: it divides a times it but not that plus a monomial.
-        sign, powers = divisor
-        with pytest.raises(NonDivisibleError):
-            (a * binomial_product(sign, powers) + monomial(c, et, eq)).divide_exact(sign, powers)
-
 
 class TestDivisionReference:
     """``divide_exact`` against the term-dict long division in ``tests/reference.py``."""
@@ -614,6 +588,8 @@ class TestDivisionReference:
         assert got == division_outcome(divide_reference, dividend, product)
         if got is not NonDivisibleError:
             assert_canonical(dividend.divide_exact(sign, powers))
+        # a product of one or more binomials has two or more terms, so it is no unit
+        # times a monomial: it divides a times it but not that plus a monomial
         if kind == "product+monomial" and powers:
             assert got is NonDivisibleError
 
@@ -645,15 +621,6 @@ class TestRowMemo:
             want = division_outcome(LaurentPoly.divide_exact, fresh(dividend), sign, powers)
             _sum_of_products([(1, 0, 0, (dividend,))])  # fills its pack facts
             assert division_outcome(LaurentPoly.divide_exact, dividend, sign, powers) == want
-
-    @NO_DEADLINE
-    @given(sum_items())
-    def test_sum_of_products(self, items):
-        want = _sum_of_products([(c, a, b, tuple(map(fresh, factors))) for c, a, b, factors in items])
-        for _ in range(2):  # the second sum reads the packs the first kept
-            got = _sum_of_products(items)
-            assert got == want
-            assert_canonical(got)
 
     @given(st.one_of(laurent_polys(), pack_operands()), st.sampled_from([1, -1]), st.integers(-9, 9))
     def test_substitute_t(self, p, sign, power):
